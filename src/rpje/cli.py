@@ -9,15 +9,17 @@ import argparse
 import difflib
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import evaluation, kg as kg_mod, paths as paths_mod, rules as rules_mod
-from .config import RunConfig, RunConfigError, apply_config_file, write_resolved_config
+from .config import PARSERS, RunConfig, RunConfigError, apply_config_file, write_resolved_config
+from .energy import NORMS
 from .model import (
     CheckpointError,
     ConfigError,
-    init_embeddings,
+    TrainingConfig,
     load_checkpoint,
     save_checkpoint,
 )
@@ -47,6 +49,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Training flags whose spelling is not the field name with "_" -> "-".
+_FLAG_NAMES = {
+    "n_batches": "--batches",
+    "margin_triple": "--margin1",
+    "margin_path": "--margin2",
+    "margin_relpair": "--margin3",
+    "alpha_paths": "--alpha1",
+    "alpha_relpairs": "--alpha2",
+}
+# The boolean TrainingConfig fields are set through --ablation.
+_ABLATIONS = [f.name for f in fields(TrainingConfig) if f.type == "bool"]
+
+
 def _add_common_options(p: _Parser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--train", dest="train_path")
@@ -55,31 +70,16 @@ def _add_common_options(p: _Parser) -> None:
     p.add_argument("--rules", dest="rules_path")
     p.add_argument("--rules-format", dest="rules_format", choices=["normalized", "amie"])
     p.add_argument("--out", dest="output_dir")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batches", dest="n_batches", type=int)
-    p.add_argument("--margin1", dest="margin_triple", type=float)
-    p.add_argument("--margin2", dest="margin_path", type=float)
-    p.add_argument("--margin3", dest="margin_relpair", type=float)
-    p.add_argument("--alpha1", dest="alpha_paths", type=float)
-    p.add_argument("--alpha2", dest="alpha_relpairs", type=float)
-    p.add_argument("--norm", choices=["L1", "L2"])
-    p.add_argument("--confidence-threshold", dest="confidence_threshold", type=float)
-    p.add_argument("--max-path-steps", dest="max_path_steps", type=int)
-    p.add_argument("--path-cutoff", dest="path_cutoff", type=float)
-    p.add_argument("--per-pair-cap", dest="per_pair_cap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--ablation",
-        nargs="*",
-        choices=["disable_paths_and_r2", "disable_r1"],
-        default=None,
-    )
-    p.add_argument("--deterministic", dest="deterministic", action="store_true", default=None)
-    p.add_argument(
-        "--no-deterministic", dest="deterministic", action="store_false", default=None
-    )
+    for f in fields(TrainingConfig):
+        if f.name in _ABLATIONS:
+            continue
+        p.add_argument(
+            _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+            dest=f.name,
+            type=PARSERS[f.type],
+            choices=NORMS if f.name == "norm" else None,
+        )
+    p.add_argument("--ablation", nargs="*", choices=_ABLATIONS, default=None)
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -91,8 +91,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     if args.ablation is not None:
-        cfg.disable_paths_and_r2 = "disable_paths_and_r2" in args.ablation
-        cfg.disable_r1 = "disable_r1" in args.ablation
+        for name in _ABLATIONS:
+            setattr(cfg, name, name in args.ablation)
     return cfg
 
 
@@ -116,26 +116,28 @@ def _load_rule_index(cfg: RunConfig, graph) -> tuple[rules_mod.RuleIndex, rules_
     return index, stats, encoded
 
 
-def _path_cache_file(cfg: RunConfig) -> str:
-    return cfg.path_for("paths.bin")
-
-
-def _load_or_extract_paths(cfg: RunConfig, graph) -> paths_mod.PathSet:
-    cache = _path_cache_file(cfg)
-    ds_hash = graph.dataset_hash()
-    if os.path.exists(cache):
-        try:
-            ps = paths_mod.load_path_set(cache, expected_dataset_hash=ds_hash)
-            if ps.max_steps == cfg.max_path_steps and ps.cutoff == cfg.path_cutoff:
-                return ps
-        except paths_mod.PathCacheError:
-            pass  # stale or foreign cache: rebuild
+def _extract_paths(cfg: RunConfig, graph, ds_hash: str) -> paths_mod.PathSet:
     ps = paths_mod.extract_paths(
         graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap
     )
     os.makedirs(cfg.output_dir, exist_ok=True)
-    paths_mod.save_path_set(ps, ds_hash, cache)
+    paths_mod.save_path_set(ps, ds_hash, cfg.path_for("paths.bin"))
     return ps
+
+
+def _load_or_extract_paths(cfg: RunConfig, graph) -> paths_mod.PathSet:
+    cache = cfg.path_for("paths.bin")
+    ds_hash = graph.dataset_hash()
+    if os.path.exists(cache):
+        try:
+            ps = paths_mod.load_path_set(cache, expected_dataset_hash=ds_hash)
+            if (ps.max_steps, ps.cutoff, ps.per_pair_cap) == (
+                cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap
+            ):
+                return ps
+        except paths_mod.PathCacheError:
+            pass  # stale, truncated or foreign cache: rebuild
+    return _extract_paths(cfg, graph, ds_hash)
 
 
 def cmd_encode_rules(cfg: RunConfig) -> int:
@@ -160,15 +162,10 @@ def cmd_encode_rules(cfg: RunConfig) -> int:
 
 def cmd_extract_paths(cfg: RunConfig) -> int:
     graph = _load_graph(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    ps = paths_mod.extract_paths(
-        graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap
-    )
-    cache = _path_cache_file(cfg)
-    paths_mod.save_path_set(ps, graph.dataset_hash(), cache)
+    ps = _extract_paths(cfg, graph, graph.dataset_hash())
     write_resolved_config(cfg, cfg.path_for("resolved_extract-paths.cfg"))
     reliabilities = [p.reliability for paths in ps.pairs.values() for p in paths]
-    print(f"path cache written to {cache}")
+    print(f"path cache written to {cfg.path_for('paths.bin')}")
     print(f"pairs with paths: {len(ps.pairs)}; paths: {ps.n_paths}")
     if reliabilities:
         hist, edges = np.histogram(reliabilities, bins=10, range=(0.0, 1.0))

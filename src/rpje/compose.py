@@ -3,15 +3,13 @@
 A path's relation sequence is rewritten to a fixpoint: the scan is leftmost
 first, the first adjacent pair with an indexed rule is replaced by the rule
 head, and the scan restarts. Whatever cannot be composed symbolically is summed
-in embedding space.
+in embedding space (``energy.compose_embedding``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .rules import ChainRule, RuleIndex
 
@@ -63,10 +61,3 @@ class Composer:
         self._memo[relations] = result
         return result
 
-
-def compose_embedding(cr: CompositionResult, emb) -> np.ndarray:
-    """C(p) in vector form: the sum of the residual relations' embeddings."""
-    out = emb.relation_vec(cr.residual[0]).copy()
-    for rid in cr.residual[1:]:
-        out += emb.relation_vec(rid)
-    return out

@@ -13,39 +13,19 @@ class RunConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainingConfig):
+    """The training hyperparameters plus file locations and explain's ``top_k``."""
+
     train_path: str = ""
     valid_path: str = ""
     test_path: str = ""
     rules_path: str = ""
     rules_format: str = "normalized"  # normalized | amie
     output_dir: str = "out"
-
-    dim: int = 100
-    lr: float = 0.001
-    epochs: int = 500
-    n_batches: int = 100
-    margin_triple: float = 1.0
-    margin_path: float = 1.0
-    margin_relpair: float = 1.0
-    alpha_paths: float = 1.0
-    alpha_relpairs: float = 3.0
-    norm: str = "L1"
-    confidence_threshold: float = 0.7
-    max_path_steps: int = 2
-    path_cutoff: float = 0.01
-    per_pair_cap: int = 200
-    seed: int = 0
-    disable_paths_and_r2: bool = False
-    disable_r1: bool = False
-    deterministic: bool = True
-
     top_k: int = 3
 
     def training_config(self) -> TrainingConfig:
-        names = {f.name for f in fields(TrainingConfig)}
-        values = {k: v for k, v in asdict(self).items() if k in names}
-        cfg = TrainingConfig(**values)
+        cfg = TrainingConfig(**{f.name: getattr(self, f.name) for f in fields(TrainingConfig)})
         cfg.validate()
         return cfg
 
@@ -56,21 +36,23 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+# Value parser per field type, shared by config files and command-line flags.
+PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+
+
 def _coerce(name: str, raw: str, where: str):
     kind = _FIELD_TYPES[name]
     try:
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return PARSERS[kind](raw)
     except ValueError:
         raise RunConfigError(f"{where}: cannot parse {name}={raw!r} as {kind}") from None
 

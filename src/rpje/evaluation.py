@@ -1,10 +1,11 @@
 """Link prediction evaluation: scoring, ranking, metrics and explanations.
 
 The score of a candidate triple is
-    Q(h,r,t) = ||h + r - t|| + alpha_1 * sum_{p in P(h,t)} R(p|h,t) * prod(mu) * ||C(p) - r||
-and candidates are ranked ascending by Q (lower energy = better). The filtered
-setting removes corrupted candidates already present anywhere in the KG. Ties
-are broken pessimistically: the true answer ranks after equal-scored rivals.
+    Q(h,r,t) = E1(h,r,t) + alpha_1 * sum_{p in P(h,t)} E2(p,r)
+with the energies of ``energy``; candidates are ranked ascending by Q (lower
+energy = better). The filtered setting removes corrupted candidates already
+present anywhere in the KG. Ties are broken pessimistically: the true answer
+ranks after equal-scored rivals.
 """
 
 from __future__ import annotations
@@ -13,19 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compose import Composer, compose_embedding, confidence_product
+from .compose import Composer, confidence_product
+from .energy import compose_embedding, path_energy, path_weight, triple_energy
 from .kg import KnowledgeGraph, Triple
-from .model import EmbeddingTable, dissimilarity
+from .model import EmbeddingTable, TrainingConfig
 from .paths import Path, PathFinder, PathSet
 from .rules import RuleIndex, format_chain_rule
 
 HITS_AT = (1, 3, 10)
-
-
-def _row_norms(m: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "L1":
-        return np.abs(m).sum(axis=1)
-    return np.sqrt((m * m).sum(axis=1))
 
 
 def relation_categories(kg: KnowledgeGraph, threshold: float = 1.5) -> dict[int, str]:
@@ -60,8 +56,8 @@ class Scorer:
         emb: EmbeddingTable,
         provider: PathFinder | PathSet,
         composer: Composer,
-        alpha_paths: float = 1.0,
-        norm: str = "L1",
+        alpha_paths: float = TrainingConfig.alpha_paths,
+        norm: str = TrainingConfig.norm,
     ):
         self.emb = emb
         self.provider = provider
@@ -69,71 +65,47 @@ class Scorer:
         self.alpha = alpha_paths
         self.norm = norm
 
-    def path_penalty(self, paths: tuple[Path, ...], r: int) -> float:
+    def path_penalty(self, paths: tuple[Path, ...], r: np.ndarray):
+        """sum over paths of E2(p, r); r may carry a leading candidate axis."""
         total = 0.0
-        rvec = self.emb.relation_vec(r)
         for p in paths:
             cr = self.composer.compose(p.relations)
-            weight = p.reliability * confidence_product(cr)
-            total += weight * dissimilarity(
-                compose_embedding(cr, self.emb) - rvec, self.norm
+            total += path_energy(
+                path_weight(p, cr), compose_embedding(cr, self.emb), r, self.norm
             )
         return total
 
     def score(self, h: int, r: int, t: int) -> float:
-        base = dissimilarity(
-            self.emb.entities[h] + self.emb.relation_vec(r) - self.emb.entities[t],
-            self.norm,
-        )
-        if self.alpha == 0.0:
-            return base
-        return base + self.alpha * self.path_penalty(
-            self.provider.paths_between(h, t), r
-        )
+        rvec = self.emb.relation_vec(r)
+        ent = self.emb.entities
+        q = triple_energy(ent[h], rvec, ent[t], self.norm)
+        if self.alpha:
+            q += self.alpha * self.path_penalty(self.provider.paths_between(h, t), rvec)
+        return float(q)
 
     # --- vectorized candidate scoring ---
 
     def tail_scores(self, h: int, r: int) -> np.ndarray:
-        scores = _row_norms(
-            (self.emb.entities[h] + self.emb.relation_vec(r)) - self.emb.entities,
-            self.norm,
-        )
-        if self.alpha > 0.0 and isinstance(self.provider, PathFinder):
+        rvec = self.emb.relation_vec(r)
+        scores = triple_energy(self.emb.entities[h], rvec, self.emb.entities, self.norm)
+        if self.alpha:
             for t, paths in self.provider.arrivals(h).items():
-                scores[t] += self.alpha * self.path_penalty(paths, r)
-        elif self.alpha > 0.0:
-            for (hh, t), paths in self.provider.pairs.items():
-                if hh == h:
-                    scores[t] += self.alpha * self.path_penalty(paths, r)
+                scores[t] += self.alpha * self.path_penalty(paths, rvec)
         return scores
 
     def head_scores(self, r: int, t: int) -> np.ndarray:
-        scores = _row_norms(
-            self.emb.entities + (self.emb.relation_vec(r) - self.emb.entities[t]),
-            self.norm,
-        )
-        if self.alpha > 0.0 and isinstance(self.provider, PathFinder):
-            for c in self.provider.heads_reaching(t):
-                paths = self.provider.paths_between(c, t)
-                if paths:
-                    scores[c] += self.alpha * self.path_penalty(paths, r)
-        elif self.alpha > 0.0:
-            for (c, tt), paths in self.provider.pairs.items():
-                if tt == t:
-                    scores[c] += self.alpha * self.path_penalty(paths, r)
+        rvec = self.emb.relation_vec(r)
+        scores = triple_energy(self.emb.entities, rvec, self.emb.entities[t], self.norm)
+        if self.alpha:
+            for h, paths in self.provider.origins(t).items():
+                scores[h] += self.alpha * self.path_penalty(paths, rvec)
         return scores
 
     def relation_scores(self, h: int, t: int) -> np.ndarray:
-        diff = (self.emb.entities[h] - self.emb.entities[t]) + self.emb.relations
-        scores = _row_norms(diff, self.norm)
-        if self.alpha > 0.0:
-            for p in self.provider.paths_between(h, t):
-                cr = self.composer.compose(p.relations)
-                weight = p.reliability * confidence_product(cr)
-                c = compose_embedding(cr, self.emb)
-                scores += (self.alpha * weight) * _row_norms(
-                    c - self.emb.relations, self.norm
-                )
+        ent, rels = self.emb.entities, self.emb.relations
+        scores = triple_energy(ent[h], rels, ent[t], self.norm)
+        if self.alpha:
+            scores += self.alpha * self.path_penalty(self.provider.paths_between(h, t), rels)
         return scores
 
 
@@ -210,8 +182,8 @@ def evaluate(
     provider: PathFinder | PathSet,
     index: RuleIndex,
     kg: KnowledgeGraph,
-    alpha_paths: float = 1.0,
-    norm: str = "L1",
+    alpha_paths: float = TrainingConfig.alpha_paths,
+    norm: str = TrainingConfig.norm,
     test_triples: list[Triple] | None = None,
     rank_relations_too: bool = True,
 ) -> list[EvalReport]:
@@ -315,8 +287,8 @@ def explain(
     h: int,
     t: int,
     top_k: int = 3,
-    alpha_paths: float = 1.0,
-    norm: str = "L1",
+    alpha_paths: float = TrainingConfig.alpha_paths,
+    norm: str = TrainingConfig.norm,
 ) -> list[RelationExplanation]:
     """Top-k predicted relations for (h,t) with their rule/path support."""
     composer = Composer(index)

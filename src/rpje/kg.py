@@ -146,9 +146,6 @@ class KnowledgeGraph:
             base = base[: -len(INVERSE_SUFFIX)]
         return base in self._relation_id
 
-    def entity_name(self, e: int) -> str:
-        return self.entity_names[e]
-
     def relation_name(self, r: int) -> str:
         if r >= self.n_base_relations:
             return self.relation_names[r - self.n_base_relations] + INVERSE_SUFFIX

@@ -1,18 +1,19 @@
-"""Embedding table, training hyperparameters, energy functions and checkpoints."""
+"""Embedding table, training hyperparameters and checkpoints; the energies are in ``energy``."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
+from .artifacts import atomic_write, read_exact
+from .energy import NORMS
 from .kg import KnowledgeGraph
-from .compose import CompositionResult, compose_embedding, confidence_product
-from .paths import Path
+from .paths import DEFAULT_CUTOFF, DEFAULT_MAX_STEPS, DEFAULT_PER_PAIR_CAP
 
 
 class ConfigError(ValueError):
@@ -34,13 +35,12 @@ class TrainingConfig:
     alpha_relpairs: float = 3.0  # alpha_2
     norm: str = "L1"
     confidence_threshold: float = 0.7
-    max_path_steps: int = 2
-    path_cutoff: float = 0.01
-    per_pair_cap: int = 200
+    max_path_steps: int = DEFAULT_MAX_STEPS
+    path_cutoff: float = DEFAULT_CUTOFF
+    per_pair_cap: int = DEFAULT_PER_PAIR_CAP
     seed: int = 0
     disable_paths_and_r2: bool = False  # -PaRu2 ablation: drop E2/L2
     disable_r1: bool = False            # -Ru1 ablation: drop E3/L3
-    deterministic: bool = True
 
     def validate(self) -> None:
         if self.dim <= 0:
@@ -49,7 +49,7 @@ class TrainingConfig:
             raise ConfigError("margins must be positive")
         if self.alpha_paths < 0 or self.alpha_relpairs < 0:
             raise ConfigError("loss weights must be non-negative")
-        if self.norm not in ("L1", "L2"):
+        if self.norm not in NORMS:
             raise ConfigError(f"norm must be L1 or L2, got {self.norm!r}")
         if self.max_path_steps not in (2, 3):
             raise ConfigError("max_path_steps must be 2 or 3")
@@ -60,22 +60,6 @@ class TrainingConfig:
         return hashlib.sha256(
             json.dumps(asdict(self), sort_keys=True).encode()
         ).hexdigest()
-
-
-def dissimilarity(x: np.ndarray, norm: str) -> float:
-    if norm == "L1":
-        return float(np.abs(x).sum())
-    return float(np.sqrt((x * x).sum()))
-
-
-def dissimilarity_grad(x: np.ndarray, norm: str) -> np.ndarray:
-    """Subgradient of the dissimilarity at x (sign convention: 0 at L1 kinks)."""
-    if norm == "L1":
-        return np.sign(x)
-    n = np.sqrt((x * x).sum())
-    if n == 0.0:
-        return np.zeros_like(x)
-    return x / n
 
 
 class EmbeddingTable:
@@ -103,9 +87,6 @@ class EmbeddingTable:
             return -self.relations[r - n]
         return self.relations[r]
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.entities.copy(), self.relations.copy())
-
 
 def init_embeddings(kg: KnowledgeGraph, cfg: TrainingConfig) -> EmbeddingTable:
     """Uniform in [-6/sqrt(d), 6/sqrt(d)] per coordinate, then row-normalized."""
@@ -121,24 +102,6 @@ def init_embeddings(kg: KnowledgeGraph, cfg: TrainingConfig) -> EmbeddingTable:
     return EmbeddingTable(sample(kg.n_entities), sample(kg.n_base_relations))
 
 
-def energy_triple(emb: EmbeddingTable, h: int, r: int, t: int, norm: str) -> float:
-    """E1 = ||h + r - t||."""
-    return dissimilarity(emb.entities[h] + emb.relation_vec(r) - emb.entities[t], norm)
-
-
-def energy_path(
-    emb: EmbeddingTable, p: Path, cr: CompositionResult, r: int, norm: str
-) -> float:
-    """E2 = R(p|h,t) * prod(mu) * ||C(p) - r||."""
-    weight = p.reliability * confidence_product(cr)
-    return weight * dissimilarity(compose_embedding(cr, emb) - emb.relation_vec(r), norm)
-
-
-def energy_relpair(emb: EmbeddingTable, r: int, r_e: int, norm: str) -> float:
-    """E3 = ||r - r_e||."""
-    return dissimilarity(emb.relation_vec(r) - emb.relation_vec(r_e), norm)
-
-
 _CKPT_MAGIC = b"RPJECKPT"
 _CKPT_VERSION = 1
 
@@ -150,7 +113,7 @@ class CheckpointError(ValueError):
 def save_checkpoint(
     emb: EmbeddingTable, dataset_hash: str, config_digest: str, path
 ) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<H", _CKPT_VERSION))
         fh.write(struct.pack("<III", emb.dim, emb.n_entities, emb.n_base_relations))
@@ -165,16 +128,17 @@ def load_checkpoint(
 ) -> tuple[EmbeddingTable, str, str]:
     """Returns (table, dataset_hash, config_digest)."""
     with open(path, "rb") as fh:
+        read = partial(read_exact, fh, error=CheckpointError)
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<H", fh.read(2))
+        (version,) = struct.unpack("<H", read(2))
         if version != _CKPT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        dim, n_ent, n_rel = struct.unpack("<III", fh.read(12))
-        ds_hash = fh.read(32).hex()
-        cfg_digest = fh.read(32).hex()
+        dim, n_ent, n_rel = struct.unpack("<III", read(12))
+        ds_hash = read(32).hex()
+        cfg_digest = read(32).hex()
         if expected_dataset_hash is not None and ds_hash != expected_dataset_hash:
             raise CheckpointError(f"{path}: checkpoint built for a different dataset")
-        ents = np.frombuffer(fh.read(8 * n_ent * dim), dtype="<f8").reshape(n_ent, dim)
-        rels = np.frombuffer(fh.read(8 * n_rel * dim), dtype="<f8").reshape(n_rel, dim)
+        ents = np.frombuffer(read(8 * n_ent * dim), dtype="<f8").reshape(n_ent, dim)
+        rels = np.frombuffer(read(8 * n_rel * dim), dtype="<f8").reshape(n_rel, dim)
     return EmbeddingTable(ents.copy(), rels.copy()), ds_hash, cfg_digest

@@ -9,12 +9,14 @@ adjacency (inverse edges included) and kept only above the reliability cutoff.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
+from .artifacts import atomic_write, read_exact
 from .kg import KnowledgeGraph
 
+DEFAULT_MAX_STEPS = 2
 DEFAULT_CUTOFF = 0.01
 DEFAULT_PER_PAIR_CAP = 200
 
@@ -66,14 +68,29 @@ def _paths_from_arrivals(
 
 @dataclass
 class PathSet:
-    """Paths per entity pair with PCRA reliabilities; immutable after extraction."""
+    """Paths per entity pair with PCRA reliabilities; immutable after construction."""
 
     max_steps: int
     cutoff: float
+    per_pair_cap: int = DEFAULT_PER_PAIR_CAP
     pairs: dict[tuple[int, int], tuple[Path, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._by_head, self._by_tail = {}, {}
+        for (h, t), paths in self.pairs.items():
+            self._by_head.setdefault(h, {})[t] = paths
+            self._by_tail.setdefault(t, {})[h] = paths
 
     def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
         return self.pairs.get((h, t), ())
+
+    def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
+        """Paths from h, keyed by tail."""
+        return self._by_head.get(h, {})
+
+    def origins(self, t: int) -> dict[int, tuple[Path, ...]]:
+        """Paths to t, keyed by head."""
+        return self._by_tail.get(t, {})
 
     @property
     def n_paths(self) -> int:
@@ -82,7 +99,7 @@ class PathSet:
 
 def extract_paths(
     kg: KnowledgeGraph,
-    max_steps: int = 2,
+    max_steps: int = DEFAULT_MAX_STEPS,
     cutoff: float = DEFAULT_CUTOFF,
     per_pair_cap: int = DEFAULT_PER_PAIR_CAP,
 ) -> PathSet:
@@ -91,7 +108,7 @@ def extract_paths(
         raise ValueError("max_steps must be 2 or 3")
     if not 0.0 <= cutoff < 1.0:
         raise ValueError("cutoff must lie in [0,1)")
-    ps = PathSet(max_steps=max_steps, cutoff=cutoff)
+    pairs = {}
     heads = sorted({h for h, _ in kg.train_pairs})
     tails_of = {}
     for h, t in kg.train_pairs:
@@ -104,8 +121,8 @@ def extract_paths(
                 continue
             paths = _paths_from_arrivals(found, cutoff, per_pair_cap)
             if paths:
-                ps.pairs[(h, t)] = paths
-    return ps
+                pairs[(h, t)] = paths
+    return PathSet(max_steps, cutoff, per_pair_cap, pairs)
 
 
 class PathFinder:
@@ -118,7 +135,7 @@ class PathFinder:
     def __init__(
         self,
         kg: KnowledgeGraph,
-        max_steps: int = 2,
+        max_steps: int = DEFAULT_MAX_STEPS,
         cutoff: float = DEFAULT_CUTOFF,
         per_pair_cap: int = DEFAULT_PER_PAIR_CAP,
     ):
@@ -143,31 +160,26 @@ class PathFinder:
     def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
         return self.arrivals(h).get(t, ())
 
-    def heads_reaching(self, t: int, max_steps: int | None = None) -> set[int]:
-        """Entities with some path of length <= max_steps ending at t (reverse BFS)."""
-        steps = max_steps if max_steps is not None else self.max_steps
+    def origins(self, t: int) -> dict[int, tuple[Path, ...]]:
+        """Paths to t, keyed by head; heads are found by a reverse BFS from t."""
         frontier = {t}
         reached: set[int] = set()
-        for _ in range(steps):
-            nxt = set()
-            for e in frontier:
-                for r, nb in self.kg.adjacency(e):
-                    nxt.add(nb)
-            reached |= nxt
-            frontier = nxt
-        return reached
+        for _ in range(self.max_steps):
+            frontier = {nb for e in frontier for _, nb in self.kg.adjacency(e)}
+            reached |= frontier
+        return {h: paths for h in reached if (paths := self.paths_between(h, t))}
 
 
 _MAGIC = b"RPJEPATH"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_path_set(ps: PathSet, dataset_hash: str, path) -> None:
-    """Binary cache: header (dataset hash, max_steps, cutoff) + per-pair records."""
-    with open(path, "wb") as fh:
+    """Binary cache: header (dataset hash, max_steps, cutoff, per_pair_cap) + per-pair records."""
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<HH", _VERSION, ps.max_steps))
-        fh.write(struct.pack("<d", ps.cutoff))
+        fh.write(struct.pack("<dI", ps.cutoff, ps.per_pair_cap))
         fh.write(bytes.fromhex(dataset_hash))
         fh.write(struct.pack("<Q", len(ps.pairs)))
         for (h, t), paths in sorted(ps.pairs.items()):
@@ -184,24 +196,25 @@ class PathCacheError(ValueError):
 
 def load_path_set(path, expected_dataset_hash: str | None = None) -> PathSet:
     with open(path, "rb") as fh:
+        read = partial(read_exact, fh, error=PathCacheError)
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise PathCacheError(f"{path}: not a path cache file")
-        version, max_steps = struct.unpack("<HH", fh.read(4))
+        version, max_steps = struct.unpack("<HH", read(4))
         if version != _VERSION:
             raise PathCacheError(f"{path}: unsupported cache version {version}")
-        (cutoff,) = struct.unpack("<d", fh.read(8))
-        ds_hash = fh.read(32).hex()
+        cutoff, per_pair_cap = struct.unpack("<dI", read(12))
+        ds_hash = read(32).hex()
         if expected_dataset_hash is not None and ds_hash != expected_dataset_hash:
             raise PathCacheError(f"{path}: cache built for a different dataset")
-        ps = PathSet(max_steps=max_steps, cutoff=cutoff)
-        (n_pairs,) = struct.unpack("<Q", fh.read(8))
+        pairs = {}
+        (n_pairs,) = struct.unpack("<Q", read(8))
         for _ in range(n_pairs):
-            h, t, n_paths = struct.unpack("<IIH", fh.read(10))
+            h, t, n_paths = struct.unpack("<IIH", read(10))
             paths = []
             for _ in range(n_paths):
-                (length,) = struct.unpack("<H", fh.read(2))
-                rels = struct.unpack(f"<{length}I", fh.read(4 * length))
-                (reliability,) = struct.unpack("<d", fh.read(8))
+                (length,) = struct.unpack("<H", read(2))
+                rels = struct.unpack(f"<{length}I", read(4 * length))
+                (reliability,) = struct.unpack("<d", read(8))
                 paths.append(Path(tuple(rels), reliability))
-            ps.pairs[(h, t)] = tuple(paths)
-    return ps
+            pairs[(h, t)] = tuple(paths)
+    return PathSet(max_steps, cutoff, per_pair_cap, pairs)

@@ -13,15 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compose import Composer, compose_embedding, confidence_product
+from .compose import Composer
+from .energy import path_hinge, relpair_hinge, triple_hinge
 from .kg import KnowledgeGraph, Triple
-from .model import (
-    EmbeddingTable,
-    TrainingConfig,
-    dissimilarity,
-    dissimilarity_grad,
-    init_embeddings,
-)
+from .model import EmbeddingTable, TrainingConfig, init_embeddings
 from .paths import PathSet
 from .rules import RuleIndex
 
@@ -117,66 +112,6 @@ class LossParts:
         return self.triple + self.path + self.relpair
 
 
-def _triple_term(emb, triple, negative, cfg, grads, scale=1.0):
-    """Hinge on E1(pos) vs E1(neg); returns the loss contribution."""
-    h, r, t = triple
-    h2, r2, t2 = negative
-    n_base = emb.n_base_relations
-    dpos = emb.entities[h] + emb.relation_vec(r) - emb.entities[t]
-    dneg = emb.entities[h2] + emb.relation_vec(r2) - emb.entities[t2]
-    loss = cfg.margin_triple + dissimilarity(dpos, cfg.norm) - dissimilarity(dneg, cfg.norm)
-    if loss <= 0.0:
-        return 0.0
-    gpos = scale * dissimilarity_grad(dpos, cfg.norm)
-    gneg = scale * dissimilarity_grad(dneg, cfg.norm)
-    grads.add_entity(h, gpos)
-    grads.add_relation(r, gpos, n_base)
-    grads.add_entity(t, -gpos)
-    grads.add_entity(h2, -gneg)
-    grads.add_relation(r2, -gneg, n_base)
-    grads.add_entity(t2, gneg)
-    return scale * loss
-
-
-def _path_term(emb, path, cr, r, r_neg, cfg, grads, scale):
-    """Hinge on E2(p,r) vs E2(p,r'); C(p) receives gradient from both sides."""
-    n_base = emb.n_base_relations
-    weight = path.reliability * confidence_product(cr)
-    c = compose_embedding(cr, emb)
-    dpos = c - emb.relation_vec(r)
-    dneg = c - emb.relation_vec(r_neg)
-    loss = cfg.margin_path + weight * (
-        dissimilarity(dpos, cfg.norm) - dissimilarity(dneg, cfg.norm)
-    )
-    if loss <= 0.0:
-        return 0.0
-    gpos = (scale * weight) * dissimilarity_grad(dpos, cfg.norm)
-    gneg = (scale * weight) * dissimilarity_grad(dneg, cfg.norm)
-    for rid in cr.residual:
-        grads.add_relation(rid, gpos - gneg, n_base)
-    grads.add_relation(r, -gpos, n_base)
-    grads.add_relation(r_neg, gneg, n_base)
-    return scale * loss
-
-
-def _relpair_term(emb, r, r_e, beta, r_neg, cfg, grads, scale):
-    """Hinge on beta*E3(r,r_e) vs E3(r,r'); beta weights the positive side only."""
-    n_base = emb.n_base_relations
-    dpos = emb.relation_vec(r) - emb.relation_vec(r_e)
-    dneg = emb.relation_vec(r) - emb.relation_vec(r_neg)
-    loss = cfg.margin_relpair + beta * dissimilarity(dpos, cfg.norm) - dissimilarity(
-        dneg, cfg.norm
-    )
-    if loss <= 0.0:
-        return 0.0
-    gpos = (scale * beta) * dissimilarity_grad(dpos, cfg.norm)
-    gneg = scale * dissimilarity_grad(dneg, cfg.norm)
-    grads.add_relation(r, gpos - gneg, n_base)
-    grads.add_relation(r_e, -gpos, n_base)
-    grads.add_relation(r_neg, gneg, n_base)
-    return scale * loss
-
-
 def loss_and_gradients(
     batch: list[Triple],
     kg: KnowledgeGraph,
@@ -199,15 +134,17 @@ def loss_and_gradients(
             sampler.corrupt_relation(triple),
         ):
             if negative is not None:
-                parts.triple += _triple_term(emb, triple, negative, cfg, grads)
+                parts.triple += triple_hinge(
+                    emb, triple, negative, cfg.margin_triple, cfg.norm, grads
+                )
         if use_paths:
             for path in ps.paths_between(h, t):
                 r_neg = sampler.relation_for_pair(h, t)
                 if r_neg is None:
                     continue
                 cr = composer.compose(path.relations)
-                parts.path += _path_term(
-                    emb, path, cr, r, r_neg, cfg, grads, cfg.alpha_paths
+                parts.path += path_hinge(
+                    emb, path, cr, r, r_neg, cfg.margin_path, cfg.norm, grads, cfg.alpha_paths
                 )
         if use_relpairs:
             deduced = index.deduced_from(r)
@@ -217,8 +154,9 @@ def loss_and_gradients(
                     r_neg = sampler.relation_not_deduced(r, excluded)
                     if r_neg is None:
                         continue
-                    parts.relpair += _relpair_term(
-                        emb, r, r_e, beta, r_neg, cfg, grads, cfg.alpha_relpairs
+                    parts.relpair += relpair_hinge(
+                        emb, r, r_e, beta, r_neg, cfg.margin_relpair, cfg.norm, grads,
+                        cfg.alpha_relpairs,
                     )
     return parts, grads
 

@@ -15,13 +15,14 @@ import pytest
 from rpje import rules as rules_mod
 from rpje.cli import EXIT_OK, main
 from rpje.compose import Composer
+from rpje.energy import path_hinge, relpair_hinge, triple_hinge
 from rpje.evaluation import Scorer, evaluate, metrics_from_ranks, rank_entities
 from rpje.kg import KnowledgeGraph, load_dataset
 from rpje.model import TrainingConfig, init_embeddings
 from rpje.paths import Path, extract_paths, walk_resources
 from rpje.rules import ChainRule, build_index, encode_rule, parse_rules
 from rpje.synthetic import ToyConfig, generate, write_dataset
-from rpje.training import GradientUpdate, _path_term, _relpair_term, _triple_term, train
+from rpje.training import GradientUpdate, train
 
 from conftest import ACCEPTANCE_LINES, make_kg
 from test_compose import oracle_compose
@@ -194,17 +195,22 @@ def test_acceptance_4_gradient_checks():
             seed += 1
             if name == "triple":
                 cfg = TrainingConfig(dim=6, margin_triple=50.0)
-                args = ((0, 0, 1), (2, 1, 3), cfg)
-                term = lambda g: _triple_term(emb, *args, g)
+                term = lambda g: triple_hinge(
+                    emb, (0, 0, 1), (2, 1, 3), cfg.margin_triple, cfg.norm, g
+                )
             elif name == "path":
                 cfg = TrainingConfig(dim=6, margin_path=50.0)
                 index = build_index([ChainRule(head=0, body=(0, 1), confidence=0.9)], 0.0)
                 path = Path(relations=(0, 1, 1), reliability=0.6)
                 cr = Composer(index).compose(path.relations)
-                term = lambda g: _path_term(emb, path, cr, 1, 0, cfg, g, scale=1.0)
+                term = lambda g: path_hinge(
+                    emb, path, cr, 1, 0, cfg.margin_path, cfg.norm, g
+                )
             else:
                 cfg = TrainingConfig(dim=6, margin_relpair=50.0)
-                term = lambda g: _relpair_term(emb, 0, 1, 0.9, 0, cfg, g, scale=1.0)
+                term = lambda g: relpair_hinge(
+                    emb, 0, 1, 0.9, 0, cfg.margin_relpair, cfg.norm, g
+                )
             grads = GradientUpdate()
             loss = term(grads)
             if loss <= 0:

@@ -1,8 +1,14 @@
 import os
+import shutil
+from dataclasses import fields, replace
 
 import pytest
 
+from rpje import cli
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
+from rpje.config import load_config_file
+from rpje.model import TrainingConfig
+from rpje.paths import load_path_set
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
 
@@ -113,6 +119,7 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["train", "--dim", "not-a-number"]) == EXIT_USAGE
+    assert main(["train", "--deterministic"]) == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -179,9 +186,10 @@ def test_bad_config_file_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dim = twelve\n")
     assert main(["train", "--config", str(cfg)]) == EXIT_DATA
-    cfg2 = tmp_path / "unknown.cfg"
-    cfg2.write_text("no_such_key = 1\n")
-    assert main(["train", "--config", str(cfg2)]) == EXIT_DATA
+    for line in ("no_such_key = 1\n", "deterministic = true\n"):
+        cfg2 = tmp_path / "unknown.cfg"
+        cfg2.write_text(line)
+        assert main(["train", "--config", str(cfg2)]) == EXIT_DATA
     capsys.readouterr()
 
 
@@ -218,3 +226,101 @@ def test_ablation_flags_round_trip(toy_dir, tmp_path, capsys):
     assert "disable_paths_and_r2 = True" in resolved
     assert "disable_r1 = True" in resolved
     capsys.readouterr()
+
+
+# Every TrainingConfig field: the flag that sets it and a non-default value.
+TRAINING_FLAGS = {
+    "dim": ("--dim", "7"),
+    "lr": ("--lr", "0.5"),
+    "epochs": ("--epochs", "3"),
+    "n_batches": ("--batches", "4"),
+    "margin_triple": ("--margin1", "2.5"),
+    "margin_path": ("--margin2", "3.5"),
+    "margin_relpair": ("--margin3", "4.5"),
+    "alpha_paths": ("--alpha1", "0.25"),
+    "alpha_relpairs": ("--alpha2", "0.75"),
+    "norm": ("--norm", "L2"),
+    "confidence_threshold": ("--confidence-threshold", "0.35"),
+    "max_path_steps": ("--max-path-steps", "3"),
+    "path_cutoff": ("--path-cutoff", "0.05"),
+    "per_pair_cap": ("--per-pair-cap", "9"),
+    "seed": ("--seed", "11"),
+    "disable_paths_and_r2": ("--ablation", "disable_paths_and_r2"),
+    "disable_r1": ("--ablation", "disable_r1"),
+}
+
+
+def test_every_training_field_round_trips(tmp_path):
+    assert set(TRAINING_FLAGS) == {f.name for f in fields(TrainingConfig)}
+    defaults = TrainingConfig()
+    for name, (flag, raw) in TRAINING_FLAGS.items():
+        is_ablation = flag == "--ablation"
+        expected = True if is_ablation else type(getattr(defaults, name))(raw)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{name} = {'true' if is_ablation else raw}\n")
+        via_file = load_config_file(cfg_file).training_config()
+        args = cli.build_parser().parse_args(["train", flag, raw])
+        via_flag = cli._resolve(args).training_config()
+        for got in (via_file, via_flag):
+            assert getattr(got, name) == expected != getattr(defaults, name), name
+            assert replace(got, **{name: getattr(defaults, name)}) == defaults, name
+
+
+def test_train_rebuilds_cache_for_other_per_pair_cap(toy_dir, tmp_path, monkeypatch, capsys):
+    _, files = toy_dir
+    out = tmp_path / "out"
+    common = data_flags(files) + ["--out", str(out), "--dim", "8",
+                                  "--epochs", "1", "--batches", "5"]
+    assert main(["extract-paths", *common]) == EXIT_OK
+    cached = load_path_set(out / "paths.bin")
+    assert max(len(paths) for paths in cached.pairs.values()) > 1
+
+    seen = []
+    real_train = cli.train
+
+    def recording_train(graph, ps, *args, **kwargs):
+        seen.append(ps)
+        return real_train(graph, ps, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    assert main(["train", *common, "--per-pair-cap", "1"]) == EXIT_OK
+    assert max(len(paths) for paths in seen[0].pairs.values()) == 1
+    assert seen[0].per_pair_cap == 1
+    capsys.readouterr()
+
+
+CHECKPOINT_HEADER = 86  # magic, version, shape, dataset hash, config digest
+PATH_CACHE_HEADER = 64  # magic, version, max_steps, cutoff, per_pair_cap, dataset hash, pair count
+
+
+def _truncated_copy(pipeline, tmp_path, name, header, where):
+    """A copy of the pipeline's output with ``name`` cut inside its header,
+    inside its first record, or one byte short."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    target = out / name
+    data = target.read_bytes()
+    offset = {"header": header // 2, "record": header + 13, "one byte short": len(data) - 1}
+    target.write_bytes(data[: offset[where]])
+    return out, data
+
+
+@pytest.mark.parametrize("where", ["header", "record", "one byte short"])
+def test_truncated_checkpoint_exits_two(pipeline, tmp_path, capsys, where):
+    _, files, fast = pipeline
+    out, _ = _truncated_copy(pipeline, tmp_path, "checkpoint.bin", CHECKPOINT_HEADER, where)
+    capsys.readouterr()
+    assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("where", ["header", "record", "one byte short"])
+def test_truncated_path_cache_is_rebuilt(pipeline, tmp_path, capsys, where):
+    _, files, fast = pipeline
+    out, original = _truncated_copy(pipeline, tmp_path, "paths.bin", PATH_CACHE_HEADER, where)
+    capsys.readouterr()
+    flags = [*data_flags(files), "--out", str(out), *fast, "--epochs", "1"]
+    assert main(["train", *flags]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (out / "paths.bin").read_bytes() == original

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpje.compose import Composer, compose_embedding, confidence_product
+from rpje.compose import Composer, confidence_product
+from rpje.energy import compose_embedding
 from rpje.model import EmbeddingTable
 from rpje.rules import ChainRule, build_index
 

@@ -75,22 +75,36 @@ def test_score_alpha_zero_ignores_paths():
     assert scorer.score(0, 0, 2) == pytest.approx(1.0)
 
 
-def test_vectorized_scores_match_pointwise():
-    emb, ps, index = _hand_setup()
-    scorer = Scorer(emb, ps, Composer(index), alpha_paths=1.0, norm="L1")
-    for r in (0, 1):
-        for h in range(3):
+def _finder_setup():
+    # a cycle a -> b -> c -> a plus shortcuts, so most pairs have 2-step paths
+    kg = make_kg(
+        [("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a"), ("a", "q", "c"), ("b", "q", "a")]
+    )
+    rid = kg.relation_id
+    emb = init_embeddings(kg, TrainingConfig(dim=4, seed=2))
+    index = build_index([ChainRule(head=rid("q"), body=(rid("r"), rid("s")), confidence=0.9)], 0.0)
+    return emb, PathFinder(kg, max_steps=2, cutoff=0.0), index
+
+
+@pytest.mark.parametrize("setup", [_hand_setup, _finder_setup], ids=["PathSet", "PathFinder"])
+def test_vectorized_scores_match_pointwise(setup):
+    emb, provider, index = setup()
+    scorer = Scorer(emb, provider, Composer(index), alpha_paths=1.0, norm="L1")
+    n_ent, n_rel = emb.n_entities, emb.n_base_relations
+    assert any(provider.paths_between(h, t) for h in range(n_ent) for t in range(n_ent))
+    for r in range(n_rel):
+        for h in range(n_ent):
             tails = scorer.tail_scores(h, r)
-            for t in range(3):
+            for t in range(n_ent):
                 assert tails[t] == pytest.approx(scorer.score(h, r, t))
-        for t in range(3):
+        for t in range(n_ent):
             heads = scorer.head_scores(r, t)
-            for h in range(3):
+            for h in range(n_ent):
                 assert heads[h] == pytest.approx(scorer.score(h, r, t))
-    for h in range(3):
-        for t in range(3):
+    for h in range(n_ent):
+        for t in range(n_ent):
             rels = scorer.relation_scores(h, t)
-            for r in (0, 1):
+            for r in range(n_rel):
                 assert rels[r] == pytest.approx(scorer.score(h, r, t))
 
 

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from rpje.compose import Composer
+from rpje.energy import (
+    compose_embedding,
+    dissimilarity,
+    path_energy,
+    path_weight,
+    relpair_energy,
+    triple_energy,
+)
 from rpje.model import (
     CheckpointError,
     ConfigError,
     EmbeddingTable,
     TrainingConfig,
-    dissimilarity,
-    energy_path,
-    energy_relpair,
-    energy_triple,
     init_embeddings,
     load_checkpoint,
     save_checkpoint,
@@ -64,16 +68,29 @@ def _hand_table():
     return EmbeddingTable(entities, relations)
 
 
+# Id-level views of the array energies, for the hand-computed values below.
+def triple_energy_of(emb, h, r, t, norm):
+    return triple_energy(emb.entities[h], emb.relation_vec(r), emb.entities[t], norm)
+
+
+def path_energy_of(emb, p, cr, r, norm):
+    return path_energy(path_weight(p, cr), compose_embedding(cr, emb), emb.relation_vec(r), norm)
+
+
+def relpair_energy_of(emb, r, r_e, norm):
+    return relpair_energy(emb.relation_vec(r), emb.relation_vec(r_e), norm)
+
+
 def test_energy_triple_zero_at_exact_translation():
     emb = _hand_table()
     # h=(0,0), r=(0,1), t=(0,1)
-    assert energy_triple(emb, 1, 0, 2, "L1") == pytest.approx(0.0)
+    assert triple_energy_of(emb, 1, 0, 2, "L1") == pytest.approx(0.0)
 
 
 def test_energy_triple_hand_value():
     emb = _hand_table()
     # h=(1,0), r=(0,1), t=(0,0): |1| + |1| = 2 under L1
-    assert energy_triple(emb, 0, 0, 1, "L1") == pytest.approx(2.0)
+    assert triple_energy_of(emb, 0, 0, 1, "L1") == pytest.approx(2.0)
 
 
 def test_energy_triple_inverse_identity():
@@ -82,8 +99,8 @@ def test_energy_triple_inverse_identity():
     inv = lambda r: r + 3
     for norm in ("L1", "L2"):
         for h, r, t in [(0, 1, 2), (3, 0, 1)]:
-            assert energy_triple(emb, h, r, t, norm) == pytest.approx(
-                energy_triple(emb, t, inv(r), h, norm)
+            assert triple_energy_of(emb, h, r, t, norm) == pytest.approx(
+                triple_energy_of(emb, t, inv(r), h, norm)
             )
 
 
@@ -94,7 +111,7 @@ def test_energy_path_hand_value():
     # C(p) = rel 1 = (1,1); target r=0 -> ||(1,1)-(0,1)||_1 = 1... use r=0
     p = Path(relations=(0, 0), reliability=0.5)
     # R * prod(mu) * ||C - r|| = 0.5 * 0.81 * 1
-    assert energy_path(emb, p, cr, 0, "L1") == pytest.approx(0.5 * 0.81 * 1.0)
+    assert path_energy_of(emb, p, cr, 0, "L1") == pytest.approx(0.5 * 0.81 * 1.0)
 
 
 def test_energy_path_zero_when_composed_to_target():
@@ -102,24 +119,24 @@ def test_energy_path_zero_when_composed_to_target():
     index = build_index([ChainRule(head=1, body=(0, 0), confidence=0.81)], 0.0)
     cr = Composer(index).compose((0, 0))
     p = Path(relations=(0, 0), reliability=0.7)
-    assert energy_path(emb, p, cr, 1, "L1") == pytest.approx(0.0)
+    assert path_energy_of(emb, p, cr, 1, "L1") == pytest.approx(0.0)
 
 
 def test_energy_path_without_rules_is_plain_distance():
     emb = _hand_table()
     cr = Composer(build_index([], 0.0)).compose((0,))
     p = Path(relations=(0,), reliability=1.0)
-    assert energy_path(emb, p, cr, 1, "L1") == pytest.approx(
+    assert path_energy_of(emb, p, cr, 1, "L1") == pytest.approx(
         dissimilarity(emb.relations[0] - emb.relations[1], "L1")
     )
 
 
 def test_energy_relpair():
     emb = _hand_table()
-    assert energy_relpair(emb, 0, 0, "L1") == pytest.approx(0.0)
+    assert relpair_energy_of(emb, 0, 0, "L1") == pytest.approx(0.0)
     # (0,1) vs (1,1) -> 1
-    assert energy_relpair(emb, 0, 1, "L1") == pytest.approx(1.0)
-    assert energy_relpair(emb, 0, 1, "L1") == pytest.approx(energy_relpair(emb, 1, 0, "L1"))
+    assert relpair_energy_of(emb, 0, 1, "L1") == pytest.approx(1.0)
+    assert relpair_energy_of(emb, 0, 1, "L1") == pytest.approx(relpair_energy_of(emb, 1, 0, "L1"))
 
 
 def test_inverse_relation_served_negated():
@@ -158,3 +175,19 @@ def test_checkpoint_garbage(tmp_path):
 def test_config_digest_changes_with_fields():
     assert TrainingConfig(seed=1).digest() != TrainingConfig(seed=2).digest()
     assert TrainingConfig().digest() == TrainingConfig().digest()
+
+
+def test_energies_accept_candidate_axis():
+    rng = np.random.default_rng(1)
+    cands = rng.normal(size=(5, 8))
+    h, r, t = rng.normal(size=(3, 8))
+    for norm in ("L1", "L2"):
+        for got, one in (
+            (triple_energy(cands, r, t, norm), lambda c: triple_energy(c, r, t, norm)),
+            (triple_energy(h, cands, t, norm), lambda c: triple_energy(h, c, t, norm)),
+            (triple_energy(h, r, cands, norm), lambda c: triple_energy(h, r, c, norm)),
+            (path_energy(0.3, h, cands, norm), lambda c: path_energy(0.3, h, c, norm)),
+            (relpair_energy(r, cands, norm), lambda c: relpair_energy(r, c, norm)),
+        ):
+            assert got.shape == (5,)
+            np.testing.assert_allclose(got, [one(c) for c in cands], rtol=1e-12)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpje.compose import Composer
-from rpje.model import EmbeddingTable, TrainingConfig, dissimilarity, init_embeddings
+from rpje.energy import dissimilarity, path_hinge, relpair_hinge, triple_hinge
+from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import Path, PathSet, extract_paths
 from rpje.rules import ChainRule, build_index
 from rpje.training import (
@@ -13,9 +14,6 @@ from rpje.training import (
     loss_and_gradients,
     project_entities,
     train,
-    _path_term,
-    _relpair_term,
-    _triple_term,
 )
 
 from conftest import make_kg
@@ -85,7 +83,7 @@ def test_inactive_hinge_contributes_nothing():
     # and the negative terrible
     emb.entities[2] = emb.entities[0] + emb.relations[0] + 100.0
     grads = GradientUpdate()
-    loss = _triple_term(emb, (0, 0, 1), (0, 0, 2), cfg, grads)
+    loss = triple_hinge(emb, (0, 0, 1), (0, 0, 2), cfg.margin_triple, cfg.norm, grads)
     assert loss == 0.0
     assert not grads.entity and not grads.relation
 
@@ -159,7 +157,7 @@ def _active_triple_case(seed):
     cfg = TrainingConfig(dim=6, margin_triple=50.0)  # big margin keeps the hinge active
     pos, neg = (0, 0, 1), (2, 1, 3)
     grads = GradientUpdate()
-    loss = _triple_term(emb, pos, neg, cfg, grads)
+    loss = triple_hinge(emb, pos, neg, cfg.margin_triple, cfg.norm, grads)
     return kg, emb, cfg, pos, neg, grads, loss
 
 
@@ -170,7 +168,7 @@ def test_triple_gradient_matches_fd(seed):
 
     def loss_fn():
         g = GradientUpdate()
-        return _triple_term(emb, pos, neg, cfg, g)
+        return triple_hinge(emb, pos, neg, cfg.margin_triple, cfg.norm, g)
 
     fd_check(emb, loss_fn, grads)
 
@@ -185,12 +183,12 @@ def test_path_gradient_matches_fd(seed):
     path = Path(relations=(0, 1, 1), reliability=0.6)
     cr = composer.compose(path.relations)
     grads = GradientUpdate()
-    loss = _path_term(emb, path, cr, 1, 0, cfg, grads, scale=1.0)
+    loss = path_hinge(emb, path, cr, 1, 0, cfg.margin_path, cfg.norm, grads)
     assert loss > 0
 
     def loss_fn():
         g = GradientUpdate()
-        return _path_term(emb, path, cr, 1, 0, cfg, g, scale=1.0)
+        return path_hinge(emb, path, cr, 1, 0, cfg.margin_path, cfg.norm, g)
 
     fd_check(emb, loss_fn, grads)
 
@@ -201,15 +199,15 @@ def test_relpair_gradient_matches_fd(seed):
     emb = random_table(kg, seed=seed + 20)
     cfg = TrainingConfig(dim=6, margin_relpair=5.0)
     grads = GradientUpdate()
-    loss = _relpair_term(emb, 0, 1, 0.9, 1, cfg, grads, scale=1.0)
+    loss = relpair_hinge(emb, 0, 1, 0.9, 1, cfg.margin_relpair, cfg.norm, grads)
     # r_neg == r_e here would be a kink; use distinct ids
     grads = GradientUpdate()
-    loss = _relpair_term(emb, 0, 1, 0.9, 0, cfg, grads, scale=1.0)
+    loss = relpair_hinge(emb, 0, 1, 0.9, 0, cfg.margin_relpair, cfg.norm, grads)
     assert loss > 0
 
     def loss_fn():
         g = GradientUpdate()
-        return _relpair_term(emb, 0, 1, 0.9, 0, cfg, g, scale=1.0)
+        return relpair_hinge(emb, 0, 1, 0.9, 0, cfg.margin_relpair, cfg.norm, g)
 
     fd_check(emb, loss_fn, grads)
 
@@ -220,13 +218,14 @@ def test_inverse_relation_gradient_folds_to_base():
     n = emb.n_base_relations
     cfg = TrainingConfig(dim=6, margin_triple=5.0)
     grads = GradientUpdate()
-    loss = _triple_term(emb, (0, n, 1), (2, n + 1, 3), cfg, grads)  # inverse ids
+    pos, neg = (0, n, 1), (2, n + 1, 3)  # inverse ids
+    loss = triple_hinge(emb, pos, neg, cfg.margin_triple, cfg.norm, grads)
     assert loss > 0
     assert set(grads.relation) <= set(range(n))
 
     def loss_fn():
         g = GradientUpdate()
-        return _triple_term(emb, (0, n, 1), (2, n + 1, 3), cfg, g)
+        return triple_hinge(emb, pos, neg, cfg.margin_triple, cfg.norm, g)
 
     fd_check(emb, loss_fn, grads)
 
@@ -245,7 +244,7 @@ def test_confidence_scales_active_path_term():
         index = build_index([ChainRule(head=0, body=(0, 1), confidence=mu)], 0.0)
         cr = Composer(index).compose(path.relations)
         grads = GradientUpdate()
-        loss = _path_term(emb, path, cr, 1, 0, cfg, grads, scale=1.0)
+        loss = path_hinge(emb, path, cr, 1, 0, cfg.margin_path, cfg.norm, grads)
         losses[mu] = loss - cfg.margin_path  # energy difference part scales with mu
         grad_norms[mu] = sum(np.abs(g).sum() for g in grads.relation.values())
     assert losses[0.8] == pytest.approx(2 * losses[0.4])
