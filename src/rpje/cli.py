@@ -183,7 +183,7 @@ def cmd_train(cfg: RunConfig) -> int:
     result = train(graph, ps, index, tc, log_every=max(1, tc.epochs // 10))
     os.makedirs(cfg.output_dir, exist_ok=True)
     ckpt = cfg.path_for("checkpoint.bin")
-    save_checkpoint(result.table, graph.dataset_hash(), tc.digest(), ckpt)
+    save_checkpoint(result.table, graph.dataset_hash(), tc.norm, ckpt)
     graph.save_dictionaries(cfg.output_dir)
     write_loss_history(result.history, cfg.path_for("loss_history.csv"))
     write_resolved_config(cfg, cfg.path_for("resolved_train.cfg"))
@@ -194,7 +194,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def _scoring_context(cfg: RunConfig):
     graph = _load_graph(cfg)
     emb, _, _ = load_checkpoint(
-        cfg.path_for("checkpoint.bin"), expected_dataset_hash=graph.dataset_hash()
+        cfg.path_for("checkpoint.bin"),
+        expected_dataset_hash=graph.dataset_hash(),
+        expected_norm=cfg.norm,
     )
     index, _, _ = _load_rule_index(cfg, graph)
     return graph, emb, index

@@ -20,11 +20,11 @@ from .paths import Path
 NORMS = ("L1", "L2")
 
 
-def dissimilarity(x: np.ndarray, norm: str):
-    """L1 or L2 norm of x over its last axis."""
+def dissimilarity(x: np.ndarray, norm: str, out: np.ndarray | None = None):
+    """L1 or L2 norm of x over its last axis; ``out`` (shaped like x, may be x) is scratch."""
     if norm == "L1":
-        return np.abs(x).sum(axis=-1)
-    return np.sqrt((x * x).sum(axis=-1))
+        return np.abs(x, out=out).sum(axis=-1)
+    return np.sqrt(np.multiply(x, x, out=out).sum(axis=-1))
 
 
 def dissimilarity_grad(x: np.ndarray, norm: str) -> np.ndarray:
@@ -48,9 +48,15 @@ def compose_embedding(cr: CompositionResult, emb) -> np.ndarray:
     return out
 
 
-def triple_energy(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str):
-    """E1 = ||h + r - t||."""
-    return dissimilarity(h + r - t, norm)
+def triple_energy(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str,
+                  out: np.ndarray | None = None):
+    """E1 = ||h + r - t||; ``out``, shaped like the broadcast result, is scratch.
+
+    Either way the arithmetic is (h + r) - t, so the energies are bit-identical;
+    with ``out`` nothing of the candidate size is allocated but the result.
+    """
+    x = np.subtract(np.add(h, r, out=out), t, out=out)
+    return dissimilarity(x, norm, out=out)
 
 
 def path_energy(weight: float, c: np.ndarray, r: np.ndarray, norm: str):

@@ -3,9 +3,11 @@
 The score of a candidate triple is
     Q(h,r,t) = E1(h,r,t) + alpha_1 * sum_{p in P(h,t)} E2(p,r)
 with the energies of ``energy``; candidates are ranked ascending by Q (lower
-energy = better). The filtered setting removes corrupted candidates already
-present anywhere in the KG. Ties are broken pessimistically: the true answer
-ranks after equal-scored rivals.
+energy = better). Each query scores every candidate once, and that one score
+vector gives both the raw and the filtered rank. The filtered setting removes
+corrupted candidates already present anywhere in the KG, looked up in the
+graph's array filter index (``known_tails``/``known_heads``). Ties are broken
+pessimistically: the true answer ranks after equal-scored rivals.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ class Scorer:
         self.composer = composer
         self.alpha = alpha_paths
         self.norm = norm
+        self._buf = np.empty_like(emb.entities)  # E1 scratch for every candidate entity
 
     def path_penalty(self, paths: tuple[Path, ...], r: np.ndarray):
         """sum over paths of E2(p, r); r may carry a leading candidate axis."""
@@ -87,7 +90,8 @@ class Scorer:
 
     def tail_scores(self, h: int, r: int) -> np.ndarray:
         rvec = self.emb.relation_vec(r)
-        scores = triple_energy(self.emb.entities[h], rvec, self.emb.entities, self.norm)
+        ent = self.emb.entities
+        scores = triple_energy(ent[h], rvec, ent, self.norm, out=self._buf)
         if self.alpha:
             for t, paths in self.provider.arrivals(h).items():
                 scores[t] += self.alpha * self.path_penalty(paths, rvec)
@@ -95,7 +99,8 @@ class Scorer:
 
     def head_scores(self, r: int, t: int) -> np.ndarray:
         rvec = self.emb.relation_vec(r)
-        scores = triple_energy(self.emb.entities, rvec, self.emb.entities[t], self.norm)
+        ent = self.emb.entities
+        scores = triple_energy(ent, rvec, ent[t], self.norm, out=self._buf)
         if self.alpha:
             for h, paths in self.provider.origins(t).items():
                 scores[h] += self.alpha * self.path_penalty(paths, rvec)
@@ -109,52 +114,39 @@ class Scorer:
         return scores
 
 
-def _rank(scores: np.ndarray, true_idx: int, excluded: set[int]) -> int:
-    """1-based pessimistic rank of true_idx; excluded candidates do not compete."""
-    s_true = scores[true_idx]
-    rank = 1
-    for i, s in enumerate(scores):
-        if i == true_idx or i in excluded:
-            continue
-        if s <= s_true:
-            rank += 1
-    return rank
+def _rank(scores: np.ndarray, true_idx: int, excluded: np.ndarray) -> tuple[int, int]:
+    """(raw, filtered) 1-based pessimistic ranks of true_idx.
+
+    ``excluded`` holds distinct ids that do not compete in the filtered rank; it
+    may contain true_idx itself. The filtered rank is the raw rank less the
+    excluded rivals that score no worse than the true candidate.
+    """
+    rivals = scores <= scores[true_idx]
+    rivals[true_idx] = False
+    raw = 1 + int(np.count_nonzero(rivals))
+    return raw, raw - int(np.count_nonzero(rivals[excluded]))
 
 
 def rank_entities(
-    scorer: Scorer, kg: KnowledgeGraph, triple: Triple, slot: str, setting: str
-) -> int:
+    scorer: Scorer, kg: KnowledgeGraph, triple: Triple, slot: str
+) -> tuple[int, int]:
+    """(raw, filtered) rank of the true head or tail among all entities."""
     h, r, t = triple
     if slot == "tail":
-        scores = scorer.tail_scores(h, r)
-        true_idx = t
-        known = (
-            {c for c in range(kg.n_entities) if c != t and kg.is_known((h, r, c))}
-            if setting == "filtered"
-            else set()
-        )
+        scores, true_idx, known = scorer.tail_scores(h, r), t, kg.known_tails(h, r)
     elif slot == "head":
-        scores = scorer.head_scores(r, t)
-        true_idx = h
-        known = (
-            {c for c in range(kg.n_entities) if c != h and kg.is_known((c, r, t))}
-            if setting == "filtered"
-            else set()
-        )
+        scores, true_idx, known = scorer.head_scores(r, t), h, kg.known_heads(r, t)
     else:
         raise ValueError(f"slot must be head or tail, got {slot!r}")
     return _rank(scores, true_idx, known)
 
 
-def rank_relations(
-    scorer: Scorer, kg: KnowledgeGraph, triple: Triple, setting: str
-) -> int:
+def rank_relations(scorer: Scorer, kg: KnowledgeGraph, triple: Triple) -> tuple[int, int]:
+    """(raw, filtered) rank of the true relation among the base relations."""
     h, r, t = triple
     scores = scorer.relation_scores(h, t)
-    known = (
-        {c for c in range(kg.n_base_relations) if c != r and kg.is_known((h, c, t))}
-        if setting == "filtered"
-        else set()
+    known = np.array(
+        [c for c in range(kg.n_base_relations) if kg.is_known((h, c, t))], dtype=np.intp
     )
     return _rank(scores, r, known)
 
@@ -199,15 +191,14 @@ def evaluate(
         _, r, _ = triple
         cat = categories.get(r, "N-N")
         for slot in ("head", "tail"):
-            for setting in ("raw", "filtered"):
-                rank = rank_entities(scorer, kg, triple, slot, setting)
-                ranks.setdefault((f"entity-{slot}", setting), []).append(rank)
-                if setting == "filtered":
-                    cat_hits.setdefault((slot, cat), []).append(int(rank <= 10))
+            raw, filtered = rank_entities(scorer, kg, triple, slot)
+            ranks.setdefault((f"entity-{slot}", "raw"), []).append(raw)
+            ranks.setdefault((f"entity-{slot}", "filtered"), []).append(filtered)
+            cat_hits.setdefault((slot, cat), []).append(int(filtered <= 10))
         if rank_relations_too:
-            for setting in ("raw", "filtered"):
-                rank = rank_relations(scorer, kg, triple, setting)
-                ranks.setdefault(("relation", setting), []).append(rank)
+            raw, filtered = rank_relations(scorer, kg, triple)
+            ranks.setdefault(("relation", "raw"), []).append(raw)
+            ranks.setdefault(("relation", "filtered"), []).append(filtered)
 
     reports = []
     for setting in ("raw", "filtered"):

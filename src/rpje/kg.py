@@ -3,7 +3,8 @@
 Relations are interned as dense base ids 0..B-1; the inverse of a base relation r
 is served under the derived id r + B (no separate parameters, no separate symbol).
 Adjacency is built over the train split only and always contains both directions
-of every train triple, so there are exactly 2*|train| directed edges.
+of every train triple, so there are exactly 2*|train| directed edges. The filter
+index behind ``known_tails``/``known_heads`` covers all three splits.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import os
 from bisect import insort
+
+import numpy as np
 
 Triple = tuple[int, int, int]
 
@@ -92,6 +95,8 @@ class KnowledgeGraph:
         self._adjacency = adj
         self._grouped_adjacency: dict[int, dict[int, list[int]]] = {}
         self._train_pairs = {(h, t) for h, _, t in self.train}
+        self._filter_index: _FilterIndex | None = None
+        self._dataset_hash: str | None = None
 
     # --- sizes and id arithmetic ---
 
@@ -180,6 +185,26 @@ class KnowledgeGraph:
         """Membership in train+valid+test; inverse views count via their base form."""
         return self._canonical(t) in self._known
 
+    def known_tails(self, h: int, r: int) -> np.ndarray:
+        """Every c with is_known((h, r, c)), ascending; r may be an inverse id."""
+        if r >= self.n_base_relations:
+            return self._index().heads(r - self.n_base_relations, h)
+        return self._index().tails(h, r)
+
+    def known_heads(self, r: int, t: int) -> np.ndarray:
+        """Every c with is_known((c, r, t)), ascending; r may be an inverse id."""
+        if r >= self.n_base_relations:
+            return self._index().tails(t, r - self.n_base_relations)
+        return self._index().heads(r, t)
+
+    def _index(self) -> _FilterIndex:
+        # Built on first use: only ranking needs it, not training or explain.
+        if self._filter_index is None:
+            self._filter_index = _FilterIndex(
+                self._known, self.n_entities, self.n_base_relations
+            )
+        return self._filter_index
+
     def in_train(self, t: Triple) -> bool:
         return self._canonical(t) in self._train_set
 
@@ -211,12 +236,42 @@ class KnowledgeGraph:
                 fh.write(f"{name}\t{i}\n")
 
     def dataset_hash(self) -> str:
-        digest = hashlib.sha256()
-        for split in ("train", "valid", "test"):
-            digest.update(split.encode())
-            for row in sorted(self.split_rows(split)):
-                digest.update(("\t".join(row) + "\n").encode())
-        return digest.hexdigest()
+        """SHA-256 of the sorted splits; computed once, as the graph never changes."""
+        if self._dataset_hash is None:
+            digest = hashlib.sha256()
+            for split in ("train", "valid", "test"):
+                digest.update(split.encode())
+                for row in sorted(self.split_rows(split)):
+                    digest.update(("\t".join(row) + "\n").encode())
+            self._dataset_hash = digest.hexdigest()
+        return self._dataset_hash
+
+
+class _FilterIndex:
+    """Known (base-relation) triples sorted twice: by (h, r) key and by (r, t) key.
+
+    A lookup is one ``searchsorted`` pair on the key array and a slice of the
+    matching other ends, so memory stays linear in the number of known triples.
+    """
+
+    def __init__(self, known: set[Triple], n_entities: int, n_base_relations: int):
+        h, r, t = np.array(list(known), dtype=np.int64).reshape(-1, 3).T
+        self._n_ent, self._n_rel = n_entities, n_base_relations
+        by_hr = np.lexsort((t, r, h))
+        self._hr_keys, self._tails = (h * n_base_relations + r)[by_hr], t[by_hr]
+        by_rt = np.lexsort((h, t, r))
+        self._rt_keys, self._heads = (r * n_entities + t)[by_rt], h[by_rt]
+
+    @staticmethod
+    def _slice(keys: np.ndarray, values: np.ndarray, key: int) -> np.ndarray:
+        lo, hi = np.searchsorted(keys, (key, key + 1))
+        return values[lo:hi]
+
+    def tails(self, h: int, r: int) -> np.ndarray:
+        return self._slice(self._hr_keys, self._tails, h * self._n_rel + r)
+
+    def heads(self, r: int, t: int) -> np.ndarray:
+        return self._slice(self._rt_keys, self._heads, r * self._n_ent + t)
 
 
 def load_dataset(

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -56,11 +54,6 @@ class TrainingConfig:
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ConfigError("confidence_threshold must lie in [0,1]")
 
-    def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()
-        ).hexdigest()
-
 
 class EmbeddingTable:
     """Dense entity/base-relation vectors; inverse relations are served negated."""
@@ -103,30 +96,28 @@ def init_embeddings(kg: KnowledgeGraph, cfg: TrainingConfig) -> EmbeddingTable:
 
 
 _CKPT_MAGIC = b"RPJECKPT"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # since 2 the header holds the training norm
 
 
 class CheckpointError(ValueError):
     """Corrupt or incompatible checkpoint."""
 
 
-def save_checkpoint(
-    emb: EmbeddingTable, dataset_hash: str, config_digest: str, path
-) -> None:
+def save_checkpoint(emb: EmbeddingTable, dataset_hash: str, norm: str, path) -> None:
     with atomic_write(path) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<H", _CKPT_VERSION))
         fh.write(struct.pack("<III", emb.dim, emb.n_entities, emb.n_base_relations))
         fh.write(bytes.fromhex(dataset_hash))
-        fh.write(bytes.fromhex(config_digest))
+        fh.write(norm.encode("ascii"))
         fh.write(np.ascontiguousarray(emb.entities, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(emb.relations, dtype="<f8").tobytes())
 
 
 def load_checkpoint(
-    path, expected_dataset_hash: str | None = None
+    path, expected_dataset_hash: str | None = None, expected_norm: str | None = None
 ) -> tuple[EmbeddingTable, str, str]:
-    """Returns (table, dataset_hash, config_digest)."""
+    """Returns (table, dataset_hash, norm); embeddings fit only the norm they were trained with."""
     with open(path, "rb") as fh:
         read = partial(read_exact, fh, error=CheckpointError)
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
@@ -136,9 +127,15 @@ def load_checkpoint(
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         dim, n_ent, n_rel = struct.unpack("<III", read(12))
         ds_hash = read(32).hex()
-        cfg_digest = read(32).hex()
+        norm = read(2).decode("ascii", errors="replace")
         if expected_dataset_hash is not None and ds_hash != expected_dataset_hash:
             raise CheckpointError(f"{path}: checkpoint built for a different dataset")
+        if norm not in NORMS:
+            raise CheckpointError(f"{path}: unknown norm {norm!r} in checkpoint")
+        if expected_norm is not None and norm != expected_norm:
+            raise CheckpointError(
+                f"{path}: checkpoint trained with norm {norm}, scoring asked for {expected_norm}"
+            )
         ents = np.frombuffer(read(8 * n_ent * dim), dtype="<f8").reshape(n_ent, dim)
         rels = np.frombuffer(read(8 * n_rel * dim), dtype="<f8").reshape(n_rel, dim)
-    return EmbeddingTable(ents.copy(), rels.copy()), ds_hash, cfg_digest
+    return EmbeddingTable(ents.copy(), rels.copy()), ds_hash, norm

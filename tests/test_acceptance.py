@@ -273,10 +273,8 @@ def test_acceptance_6_metric_correctness():
     filtered_worse = 0
     for triple in kg.test + kg.train:
         for slot in ("head", "tail"):
-            ranks = {}
-            for setting in ("raw", "filtered"):
-                got = rank_entities(scorer, kg, triple, slot, setting)
-                ranks[setting] = got
+            ranks = dict(zip(("raw", "filtered"), rank_entities(scorer, kg, triple, slot)))
+            for setting, got in ranks.items():
                 if got != brute_rank(scorer, kg, triple, slot, setting):
                     rank_mismatches += 1
             if ranks["filtered"] > ranks["raw"]:

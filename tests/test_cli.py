@@ -115,6 +115,17 @@ def test_explain_unknown_entity_hints(pipeline, capsys):
     assert "did you mean" in err
 
 
+def test_scoring_with_other_norm_exits_two(pipeline, capsys):
+    out, files, fast = pipeline  # trained with the default L1 norm
+    capsys.readouterr()
+    for command in (["eval"], ["explain", "country_0", "country_1"]):
+        rc = main([*command, *data_flags(files), "--out", str(out), *fast, "--norm", "L2"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "norm L1" in err and "L2" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
@@ -289,7 +300,7 @@ def test_train_rebuilds_cache_for_other_per_pair_cap(toy_dir, tmp_path, monkeypa
     capsys.readouterr()
 
 
-CHECKPOINT_HEADER = 86  # magic, version, shape, dataset hash, config digest
+CHECKPOINT_HEADER = 56  # magic, version, shape, dataset hash, norm
 PATH_CACHE_HEADER = 64  # magic, version, max_steps, cutoff, per_pair_cap, dataset hash, pair count
 
 

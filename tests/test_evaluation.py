@@ -15,6 +15,7 @@ from rpje.evaluation import (
     report_lines,
     _rank,
 )
+from rpje.kg import KnowledgeGraph
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import Path, PathFinder, PathSet, extract_paths
 from rpje.rules import ChainRule, build_index
@@ -31,18 +32,37 @@ def test_metrics_hand_values():
     assert hits[10] == pytest.approx(1.0)
 
 
+def _ids(*ids):
+    return np.array(ids, dtype=np.intp)
+
+
 def test_rank_pessimistic_on_ties():
     scores = np.array([0.5, 0.5, 1.0])
-    assert _rank(scores, true_idx=0, excluded=set()) == 2
-    assert _rank(scores, true_idx=1, excluded=set()) == 2
-    assert _rank(scores, true_idx=2, excluded=set()) == 3
+    assert _rank(scores, true_idx=0, excluded=_ids()) == (2, 2)
+    assert _rank(scores, true_idx=1, excluded=_ids()) == (2, 2)
+    assert _rank(scores, true_idx=2, excluded=_ids()) == (3, 3)
+    assert _rank(scores, true_idx=0, excluded=_ids(1)) == (2, 1)
 
 
 def test_rank_respects_exclusions():
     scores = np.array([0.1, 0.2, 0.3, 0.4])
-    assert _rank(scores, true_idx=3, excluded=set()) == 4
-    assert _rank(scores, true_idx=3, excluded={0, 1}) == 2
-    assert _rank(scores, true_idx=3, excluded={0, 1, 2}) == 1
+    assert _rank(scores, true_idx=3, excluded=_ids()) == (4, 4)
+    assert _rank(scores, true_idx=3, excluded=_ids(0, 1)) == (4, 2)
+    assert _rank(scores, true_idx=3, excluded=_ids(0, 1, 2)) == (4, 1)
+    # excluded candidates scoring worse than the true one change nothing
+    assert _rank(scores, true_idx=1, excluded=_ids(2, 3)) == (2, 2)
+
+
+def test_rank_exclusions_may_contain_true_index():
+    scores = np.array([0.1, 0.2, 0.2, 0.4])
+    assert _rank(scores, true_idx=2, excluded=_ids(2)) == (3, 3)
+    assert _rank(scores, true_idx=2, excluded=_ids(0, 2)) == (3, 2)
+    assert _rank(scores, true_idx=2, excluded=_ids(0, 1, 2, 3)) == (3, 1)
+
+
+def test_rank_nan_true_score_ranks_first():
+    scores = np.array([0.1, np.nan, 0.3])
+    assert _rank(scores, true_idx=1, excluded=_ids(0)) == (1, 1)
 
 
 def _hand_setup():
@@ -163,9 +183,9 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
     scorer = Scorer(emb, finder, Composer(index), alpha_paths=1.0, norm="L1")
     for triple in kg.test + kg.train:
         for slot in ("head", "tail"):
-            for setting in ("raw", "filtered"):
-                got = rank_entities(scorer, kg, triple, slot, setting)
-                assert got == brute_rank(scorer, kg, triple, slot, setting)
+            raw, filtered = rank_entities(scorer, kg, triple, slot)
+            assert raw == brute_rank(scorer, kg, triple, slot, "raw")
+            assert filtered == brute_rank(scorer, kg, triple, slot, "filtered")
 
 
 def test_rank_relations_matches_brute_force(small_eval_kg):
@@ -174,6 +194,7 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
     finder = PathFinder(kg, max_steps=2)
     scorer = Scorer(emb, finder, Composer(build_index([], 0.7)), 1.0, "L1")
     for triple in kg.test:
+        got = dict(zip(("raw", "filtered"), rank_relations(scorer, kg, triple)))
         for setting in ("raw", "filtered"):
             h, r, t = triple
             s_true = scorer.score(h, r, t)
@@ -185,7 +206,7 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
                     continue
                 if scorer.score(h, c, t) <= s_true:
                     expect += 1
-            assert rank_relations(scorer, kg, triple, setting) == expect
+            assert got[setting] == expect
 
 
 def test_filtered_ranks_never_worse_than_raw(small_eval_kg):
@@ -195,9 +216,32 @@ def test_filtered_ranks_never_worse_than_raw(small_eval_kg):
     scorer = Scorer(emb, finder, Composer(build_index([], 0.7)), 1.0, "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
-            raw = rank_entities(scorer, kg, triple, slot, "raw")
-            filt = rank_entities(scorer, kg, triple, slot, "filtered")
-            assert filt <= raw
+            raw, filtered = rank_entities(scorer, kg, triple, slot)
+            assert filtered <= raw
+
+
+def test_known_ends_match_is_known_scan(small_eval_kg):
+    kg = small_eval_kg
+    ents = range(kg.n_entities)
+    assert kg.valid and kg.test  # is_known, and so the index, must cover both
+    for r in range(kg.n_relations):  # base and inverse ids
+        for e in ents:
+            tails = [c for c in ents if kg.is_known((e, r, c))]
+            heads = [c for c in ents if kg.is_known((c, r, e))]
+            assert kg.known_tails(e, r).tolist() == tails
+            assert kg.known_heads(r, e).tolist() == heads
+
+
+def test_entity_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
+    kg = small_eval_kg
+    calls = []
+    real = KnowledgeGraph.is_known
+    monkeypatch.setattr(
+        KnowledgeGraph, "is_known", lambda self, t: calls.append(t) or real(self, t)
+    )
+    evaluate(_trained_like(kg), extract_paths(kg, max_steps=2), build_index([], 0.7), kg,
+             rank_relations_too=False)
+    assert calls == []
 
 
 def test_relation_categories():

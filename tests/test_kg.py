@@ -125,3 +125,15 @@ def test_dump_split_round_trip(tmp_path):
     for split in ("train", "valid", "test"):
         assert set(kg2.split_rows(split)) == set(kg.split_rows(split))
     assert kg2.dataset_hash() == kg.dataset_hash()
+
+
+def test_dataset_hash_computed_once(monkeypatch):
+    kg = make_kg([("a", "r", "b")], valid=[("b", "r", "a")])
+    fresh = make_kg([("a", "r", "b")], valid=[("b", "r", "a")]).dataset_hash()
+    hashed = []
+    real = KnowledgeGraph.split_rows
+    monkeypatch.setattr(
+        KnowledgeGraph, "split_rows", lambda self, split: hashed.append(split) or real(self, split)
+    )
+    assert kg.dataset_hash() == kg.dataset_hash() == fresh
+    assert hashed == ["train", "valid", "test"]

@@ -148,11 +148,10 @@ def test_inverse_relation_served_negated():
 def test_checkpoint_round_trip(tmp_path, kg):
     emb = init_embeddings(kg, TrainingConfig(dim=8, seed=1))
     ds = kg.dataset_hash()
-    cfg_digest = TrainingConfig(dim=8, seed=1).digest()
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(emb, ds, cfg_digest, path)
-    loaded, ds2, digest2 = load_checkpoint(path, expected_dataset_hash=ds)
-    assert ds2 == ds and digest2 == cfg_digest
+    save_checkpoint(emb, ds, "L2", path)
+    loaded, ds2, norm = load_checkpoint(path, expected_dataset_hash=ds, expected_norm="L2")
+    assert ds2 == ds and norm == "L2"
     np.testing.assert_array_equal(loaded.entities, emb.entities)
     np.testing.assert_array_equal(loaded.relations, emb.relations)
 
@@ -160,9 +159,29 @@ def test_checkpoint_round_trip(tmp_path, kg):
 def test_checkpoint_dataset_mismatch(tmp_path, kg):
     emb = init_embeddings(kg, TrainingConfig(dim=8, seed=1))
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(emb, kg.dataset_hash(), "0" * 64, path)
+    save_checkpoint(emb, kg.dataset_hash(), "L1", path)
     with pytest.raises(CheckpointError):
         load_checkpoint(path, expected_dataset_hash="f" * 64)
+
+
+def test_checkpoint_norm_mismatch(tmp_path, kg):
+    emb = init_embeddings(kg, TrainingConfig(dim=8, seed=1))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(emb, kg.dataset_hash(), "L1", path)
+    assert load_checkpoint(path, expected_norm="L1")[2] == "L1"
+    with pytest.raises(CheckpointError, match="norm L1"):
+        load_checkpoint(path, expected_norm="L2")
+
+
+def test_checkpoint_older_version_rejected(tmp_path, kg):
+    emb = init_embeddings(kg, TrainingConfig(dim=8, seed=1))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(emb, kg.dataset_hash(), "L1", path)
+    data = bytearray(path.read_bytes())
+    data[8:10] = (1).to_bytes(2, "little")  # version 1 stored a config digest, not the norm
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_garbage(tmp_path):
@@ -170,11 +189,6 @@ def test_checkpoint_garbage(tmp_path):
     path.write_bytes(b"nope")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
-
-
-def test_config_digest_changes_with_fields():
-    assert TrainingConfig(seed=1).digest() != TrainingConfig(seed=2).digest()
-    assert TrainingConfig().digest() == TrainingConfig().digest()
 
 
 def test_energies_accept_candidate_axis():
