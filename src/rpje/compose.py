@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rules import ChainRule, RuleIndex
 
@@ -23,14 +24,14 @@ class CompositionResult:
     def applied_confidences(self) -> tuple[float, ...]:
         return tuple(r.confidence for r in self.applied_rules)
 
+    @cached_property
+    def confidence_product(self) -> float:
+        """Product of applied-rule confidences; 1 when no rule was applied."""
+        return math.prod(self.applied_confidences)
+
     @property
     def fully_composed(self) -> bool:
         return len(self.residual) == 1
-
-
-def confidence_product(cr: CompositionResult) -> float:
-    """Product of applied-rule confidences; 1 when no rule was applied."""
-    return math.prod(cr.applied_confidences)
 
 
 class Composer:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compose import Composer, confidence_product
+from .compose import Composer
 from .energy import compose_embedding, path_energy, path_weight, triple_energy
 from .kg import KnowledgeGraph, Triple
 from .model import EmbeddingTable, TrainingConfig
@@ -304,7 +304,7 @@ def explain(
                     relations=p.relations,
                     reliability=p.reliability,
                     applied_rules=cr.applied_rules,
-                    confidence_product=confidence_product(cr),
+                    confidence_product=cr.confidence_product,
                     residual=cr.residual,
                     association=association,
                 )

@@ -241,8 +241,8 @@ class KnowledgeGraph:
             digest = hashlib.sha256()
             for split in ("train", "valid", "test"):
                 digest.update(split.encode())
-                for row in sorted(self.split_rows(split)):
-                    digest.update(("\t".join(row) + "\n").encode())
+                rows = sorted(self.split_rows(split))
+                digest.update("".join([f"{h}\t{r}\t{t}\n" for h, r, t in rows]).encode())
             self._dataset_hash = digest.hexdigest()
         return self._dataset_hash
 

@@ -3,18 +3,41 @@
 Per positive triple (h,r,t) the batch loss is
     L1(h,r,t) + alpha_1 * sum_{p in P(h,t)} L2(p,r) + alpha_2 * sum_{r_e in D(r)} L3(r,r_e)
 with one negative per corruption slot (h', t', r') for L1 and one negative
-relation per L2/L3 term. Subgradients are accumulated sparsely and applied once
-per batch; entity vectors are then projected back to the unit ball.
+relation per L2/L3 term. Every hinge of a batch sees the embeddings as they
+were at its start; the summed subgradients are applied once per batch, and
+entity vectors are then projected back to the unit ball.
+
+A batch runs in two parts. One Python pass over its triples does the integer
+work: negative draws, composition lookups and the id lists of every hinge.
+Then each loss term is one gather of embedding rows, one vectorized hinge and
+the subgradient rows of its active hinges (``energy``), and one scatter sums
+those rows per entity and base relation.
+
+The sampler's stream is drawn in this order, triple by triple: head, tail and
+relation corruption; one relation per stored path of (h, t), in ``PathSet``
+order; one relation per (r_e, beta) of D(r). A give-up skips its hinge. The
+scatter adds each row's subgradients in the order a per-hinge loop would (the
+triple's L1 hinges, its L2 hinges, its L3 hinges, then the next triple), and
+losses are summed left to right, so the result is bit for bit that of the
+per-hinge loop kept in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .compose import Composer
-from .energy import path_hinge, relpair_hinge, triple_hinge
+from .energy import (
+    Grad,
+    fold_inverse,
+    path_hinge,
+    path_weight,
+    relpair_hinge,
+    residual_matrix,
+    triple_hinge,
+)
 from .kg import KnowledgeGraph, Triple
 from .model import EmbeddingTable, TrainingConfig, init_embeddings
 from .paths import PathSet
@@ -26,36 +49,72 @@ class DivergenceError(RuntimeError):
 
 
 class NegativeSampler:
-    """Uniform corruption sampling that never emits a triple present in train."""
+    """Uniform corruption sampling that never emits a triple present in train.
+
+    Each draw is the value a scalar ``default_rng(seed).integers(n)`` call would
+    return at that point of the stream. ``uint32`` words are prefetched in blocks
+    and mapped by numpy's 32-bit Lemire rule: m = u * n, drawn again while
+    (m mod 2^32) < (2^32 - n) mod n, value m >> 32; n = 1 takes no word. A draw
+    that names a train triple is retried, ``max_attempts`` draws in all before
+    the sampler gives up and returns None. Triples carry base relation ids, as
+    in ``kg.train``.
+    """
+
+    BLOCK = 1024  # uint32 words per prefetch
 
     def __init__(self, kg: KnowledgeGraph, seed: int = 0, max_attempts: int = 100):
-        self.kg = kg
-        self.rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)  # read only through the prefetched blocks
         self.max_attempts = max_attempts
+        self._n_ent, self._n_rel = kg.n_entities, kg.n_base_relations
+        # train membership by the integer key (h * n_rel + r) * n_ent + t
+        self._train = {(h * self._n_rel + r) * self._n_ent + t for h, r, t in kg.train}
+        self._words = np.empty(0, dtype=np.uint32)
+        self._pos = 0
+        self._values: dict[int, list[int]] = {}
+
+    def draw(self, n: int) -> int:
+        """One uniform draw from range(n), n <= 2^32."""
+        if n == 1:
+            return 0
+        while True:
+            if self._pos == len(self._words):
+                self._words = self._rng.integers(0, 2**32, size=self.BLOCK, dtype=np.uint32)
+                self._pos = 0
+                self._values = {}
+            values = self._values.get(n)
+            if values is None:
+                # per word: the value it gives in range(n), or -1 where Lemire draws again
+                m = self._words.astype(np.uint64) * np.uint64(n)
+                v = (m >> np.uint64(32)).astype(np.int64)
+                v[(m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n] = -1
+                values = self._values[n] = v.tolist()
+            value = values[self._pos]
+            self._pos += 1
+            if value >= 0:
+                return value
+
+    def _free(self, n: int, key: int, stride: int) -> int | None:
+        """The first draw x in range(n) whose train key ``key + x * stride`` is free."""
+        for _ in range(self.max_attempts):
+            x = self.draw(n)
+            if key + x * stride not in self._train:
+                return x
+        return None
 
     def corrupt_head(self, triple: Triple) -> Triple | None:
         h, r, t = triple
-        for _ in range(self.max_attempts):
-            h2 = int(self.rng.integers(self.kg.n_entities))
-            if not self.kg.in_train((h2, r, t)):
-                return (h2, r, t)
-        return None
+        h2 = self._free(self._n_ent, r * self._n_ent + t, self._n_rel * self._n_ent)
+        return None if h2 is None else (h2, r, t)
 
     def corrupt_tail(self, triple: Triple) -> Triple | None:
         h, r, t = triple
-        for _ in range(self.max_attempts):
-            t2 = int(self.rng.integers(self.kg.n_entities))
-            if not self.kg.in_train((h, r, t2)):
-                return (h, r, t2)
-        return None
+        t2 = self._free(self._n_ent, (h * self._n_rel + r) * self._n_ent, 1)
+        return None if t2 is None else (h, r, t2)
 
     def corrupt_relation(self, triple: Triple) -> Triple | None:
         h, r, t = triple
-        for _ in range(self.max_attempts):
-            r2 = int(self.rng.integers(self.kg.n_base_relations))
-            if not self.kg.in_train((h, r2, t)):
-                return (h, r2, t)
-        return None
+        r2 = self._free(self._n_rel, h * self._n_rel * self._n_ent + t, self._n_ent)
+        return None if r2 is None else (h, r2, t)
 
     def relation_for_pair(self, h: int, t: int) -> int | None:
         """A base relation r' with (h, r', t) absent from train."""
@@ -64,41 +123,59 @@ class NegativeSampler:
 
     def relation_not_deduced(self, r: int, deduced: frozenset[int]) -> int | None:
         for _ in range(self.max_attempts):
-            r2 = int(self.rng.integers(self.kg.n_base_relations))
+            r2 = self.draw(self._n_rel)
             if r2 != r and r2 not in deduced:
                 return r2
         return None
 
 
+def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, ascending, and per row its vectors summed in input order."""
+    dim = values.shape[1]
+    present = np.zeros(n_rows, dtype=bool)
+    present[rows] = True
+    slot = np.cumsum(present) - 1
+    # bincount adds its weights in input order, as a loop of += over the rows would
+    flat = (slot[rows][:, None] * dim + np.arange(dim)).ravel()
+    distinct = np.flatnonzero(present)
+    sums = np.bincount(flat, weights=values.ravel(), minlength=len(distinct) * dim)
+    return distinct, sums.reshape(-1, dim)
+
+
 @dataclass
 class GradientUpdate:
-    """Sparse per-batch subgradient accumulator."""
+    """One batch's subgradient, summed per entity and base relation row it touches."""
 
-    entity: dict[int, np.ndarray] = field(default_factory=dict)
-    relation: dict[int, np.ndarray] = field(default_factory=dict)
+    entity_rows: np.ndarray
+    entity: np.ndarray
+    relation_rows: np.ndarray
+    relation: np.ndarray
 
-    def add_entity(self, e: int, g: np.ndarray) -> None:
-        acc = self.entity.get(e)
-        if acc is None:
-            self.entity[e] = g.copy()
-        else:
-            acc += g
-
-    def add_relation(self, r: int, g: np.ndarray, n_base: int) -> None:
-        # Inverse relations are tied to the negated base vector.
-        if r >= n_base:
-            r, g = r - n_base, -g
-        acc = self.relation.get(r)
-        if acc is None:
-            self.relation[r] = g.copy()
-        else:
-            acc += g
+    @classmethod
+    def summed(cls, entity: Grad, relation: list[tuple[np.ndarray, Grad]],
+               n_entities: int, n_base: int) -> GradientUpdate:
+        """Sum the entity rows, which come in hinge order, and the relation rows of the
+        terms, each with ``seq`` mapping the term's hinges to their places in the
+        batch's hinge order."""
+        rows, values = [entity.rows], [entity.values]
+        if relation:
+            order = np.argsort(np.concatenate([seq[g.hinge] for seq, g in relation]), kind="stable")
+            rel_rows, rel_values = fold_inverse(
+                np.concatenate([g.rows for _, g in relation])[order],
+                np.concatenate([g.values for _, g in relation])[order],
+                n_base,
+            )
+            # relation rows are numbered after the entities, so one scatter sums both
+            rows.append(rel_rows + n_entities)
+            values.append(rel_values)
+        n_rows = n_entities + n_base
+        distinct, sums = _row_sums(np.concatenate(rows), np.concatenate(values), n_rows)
+        k = np.searchsorted(distinct, n_entities)
+        return cls(distinct[:k], sums[:k], distinct[k:] - n_entities, sums[k:])
 
     def apply(self, emb: EmbeddingTable, lr: float) -> None:
-        for e, g in self.entity.items():
-            emb.entities[e] -= lr * g
-        for r, g in self.relation.items():
-            emb.relations[r] -= lr * g
+        emb.entities[self.entity_rows] -= lr * self.entity
+        emb.relations[self.relation_rows] -= lr * self.relation
 
 
 @dataclass
@@ -112,6 +189,11 @@ class LossParts:
         return self.triple + self.path + self.relpair
 
 
+def _loop_sum(losses: np.ndarray) -> float:
+    """Left-to-right sum, as a loop of += gives it (np.sum adds pairwise)."""
+    return float(np.add.accumulate(losses)[-1])
+
+
 def loss_and_gradients(
     batch: list[Triple],
     kg: KnowledgeGraph,
@@ -121,11 +203,14 @@ def loss_and_gradients(
     cfg: TrainingConfig,
     sampler: NegativeSampler,
 ) -> tuple[LossParts, GradientUpdate]:
-    grads = GradientUpdate()
-    parts = LossParts()
     use_paths = cfg.alpha_paths > 0 and not cfg.disable_paths_and_r2
     use_relpairs = cfg.alpha_relpairs > 0 and not cfg.disable_r1
     index = composer.index
+    # Bookkeeping: per term, each hinge's place in the batch's hinge order and its ids.
+    n = 0
+    tri_seq, tri_ids = [], []
+    path_seq, residuals, weights, path_rels = [], [], [], []
+    pair_seq, pair_rels, betas = [], [], []
     for triple in batch:
         h, r, t = triple
         for negative in (
@@ -134,18 +219,20 @@ def loss_and_gradients(
             sampler.corrupt_relation(triple),
         ):
             if negative is not None:
-                parts.triple += triple_hinge(
-                    emb, triple, negative, cfg.margin_triple, cfg.norm, grads
-                )
+                tri_seq.append(n)
+                tri_ids.append(triple + negative)
+                n += 1
         if use_paths:
             for path in ps.paths_between(h, t):
                 r_neg = sampler.relation_for_pair(h, t)
                 if r_neg is None:
                     continue
                 cr = composer.compose(path.relations)
-                parts.path += path_hinge(
-                    emb, path, cr, r, r_neg, cfg.margin_path, cfg.norm, grads, cfg.alpha_paths
-                )
+                path_seq.append(n)
+                residuals.append(cr.residual)
+                weights.append(path_weight(path, cr))
+                path_rels.append((r, r_neg))
+                n += 1
         if use_relpairs:
             deduced = index.deduced_from(r)
             if deduced:
@@ -154,11 +241,38 @@ def loss_and_gradients(
                     r_neg = sampler.relation_not_deduced(r, excluded)
                     if r_neg is None:
                         continue
-                    parts.relpair += relpair_hinge(
-                        emb, r, r_e, beta, r_neg, cfg.margin_relpair, cfg.norm, grads,
-                        cfg.alpha_relpairs,
-                    )
-    return parts, grads
+                    pair_seq.append(n)
+                    pair_rels.append((r, r_e, r_neg))
+                    betas.append(beta)
+                    n += 1
+
+    # Array work: one gather-hinge-subgradient per term, then one scatter.
+    parts = LossParts()
+    no_rows = np.empty(0, np.int64)
+    entity = Grad(no_rows, no_rows, np.empty((0, emb.dim)))
+    relation = []
+    if tri_seq:
+        loss, ent, rel = triple_hinge(
+            emb, np.array(tri_ids).reshape(-1, 2, 3), cfg.margin_triple, cfg.norm
+        )
+        parts.triple = _loop_sum(loss)
+        entity = ent
+        relation.append((np.array(tri_seq), rel))
+    if path_seq:
+        loss, rel = path_hinge(
+            emb, residual_matrix(residuals), np.array(weights), np.array(path_rels),
+            cfg.margin_path, cfg.norm, cfg.alpha_paths,
+        )
+        parts.path = _loop_sum(loss)
+        relation.append((np.array(path_seq), rel))
+    if pair_seq:
+        loss, rel = relpair_hinge(
+            emb, np.array(pair_rels), np.array(betas), cfg.margin_relpair, cfg.norm,
+            cfg.alpha_relpairs,
+        )
+        parts.relpair = _loop_sum(loss)
+        relation.append((np.array(pair_seq), rel))
+    return parts, GradientUpdate.summed(entity, relation, emb.n_entities, emb.n_base_relations)
 
 
 def project_entities(emb: EmbeddingTable) -> None:
@@ -200,7 +314,7 @@ def train(
         for chunk in np.array_split(perm, cfg.n_batches):
             if len(chunk) == 0:
                 continue
-            batch = [tuple(map(int, triples[i])) for i in chunk]
+            batch = list(map(tuple, triples[chunk].tolist()))
             parts, grads = loss_and_gradients(batch, kg, ps, composer, emb, cfg, sampler)
             grads.apply(emb, cfg.lr)
             project_entities(emb)

@@ -15,20 +15,25 @@ import pytest
 from rpje import rules as rules_mod
 from rpje.cli import EXIT_OK, main
 from rpje.compose import Composer
-from rpje.energy import path_hinge, relpair_hinge, triple_hinge
+from rpje.energy import NORMS
 from rpje.evaluation import Scorer, evaluate, metrics_from_ranks, rank_entities
 from rpje.kg import KnowledgeGraph, load_dataset
 from rpje.model import TrainingConfig, init_embeddings
-from rpje.paths import Path, extract_paths, walk_resources
+from rpje.paths import extract_paths, walk_resources
 from rpje.rules import ChainRule, build_index, encode_rule, parse_rules
 from rpje.synthetic import ToyConfig, generate, write_dataset
-from rpje.training import GradientUpdate, train
+from rpje.training import train
 
 from conftest import ACCEPTANCE_LINES, make_kg
 from test_compose import oracle_compose
 from test_evaluation import brute_rank
 from test_rules import CONVERSION_MODES
-from test_training import dense_grads, random_table, run_transe_reduction, small_kg
+from test_training import (
+    path_case,
+    relpair_case,
+    run_transe_reduction,
+    triple_case,
+)
 
 EPS = 1e-6
 RTOL = 1e-4
@@ -160,10 +165,10 @@ def test_acceptance_3_pcra_conservation():
     )
 
 
-def _fd_count(emb, loss_fn, grads, rng):
+def _fd_count(emb, loss_fn, dense, rng):
     """Count coordinate-level agreements between analytic subgradients and
     central finite differences."""
-    dense_e, dense_r = dense_grads(grads, emb)
+    dense_e, dense_r = dense
     checked, failed = 0, 0
     for arr, grad in ((emb.entities, dense_e), (emb.relations, dense_r)):
         rows = np.nonzero(np.abs(grad).sum(axis=1))[0]
@@ -183,46 +188,24 @@ def _fd_count(emb, loss_fn, grads, rng):
 
 
 def test_acceptance_4_gradient_checks():
+    """Batches of array hinges: active ones, inverse relation ids and an inactive
+    hinge sharing their rows, under both norms."""
     started = time.time()
-    kg = small_kg()
     rng = np.random.default_rng(4)
     totals = {}
-    for name in ("triple", "path", "relpair"):
-        checked = failed = 0
+    for name, case in (("triple", triple_case), ("path", path_case), ("relpair", relpair_case)):
+        checked = failed = wrong_activity = 0
         seed = 0
         while checked < 100:
-            emb = random_table(kg, seed=1000 + 17 * seed)
+            for norm in NORMS:
+                emb, term, inactive = case(1000 + 17 * seed, norm)
+                loss, dense = term()
+                wrong_activity += any((loss[i] == 0.0) != (i in inactive) for i in range(len(loss)))
+                c, f = _fd_count(emb, lambda: term()[0].sum(), dense, rng)
+                checked += c
+                failed += f
             seed += 1
-            if name == "triple":
-                cfg = TrainingConfig(dim=6, margin_triple=50.0)
-                term = lambda g: triple_hinge(
-                    emb, (0, 0, 1), (2, 1, 3), cfg.margin_triple, cfg.norm, g
-                )
-            elif name == "path":
-                cfg = TrainingConfig(dim=6, margin_path=50.0)
-                index = build_index([ChainRule(head=0, body=(0, 1), confidence=0.9)], 0.0)
-                path = Path(relations=(0, 1, 1), reliability=0.6)
-                cr = Composer(index).compose(path.relations)
-                term = lambda g: path_hinge(
-                    emb, path, cr, 1, 0, cfg.margin_path, cfg.norm, g
-                )
-            else:
-                cfg = TrainingConfig(dim=6, margin_relpair=50.0)
-                term = lambda g: relpair_hinge(
-                    emb, 0, 1, 0.9, 0, cfg.margin_relpair, cfg.norm, g
-                )
-            grads = GradientUpdate()
-            loss = term(grads)
-            if loss <= 0:
-                continue  # inactive hinge: a kink or zero region, skip
-
-            def loss_only():
-                return term(GradientUpdate())
-
-            c, f = _fd_count(emb, loss_only, grads, rng)
-            checked += c
-            failed += f
-        totals[name] = (checked, failed)
+        totals[name] = (checked, failed + wrong_activity)
     ok = all(f == 0 for _, f in totals.values())
     detail = "; ".join(f"{k}: {c} points, {f} failures" for k, (c, f) in totals.items())
     record(4, "analytic gradients match finite differences", ok,

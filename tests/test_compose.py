@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpje.compose import Composer, confidence_product
+from rpje.compose import Composer
 from rpje.energy import compose_embedding
 from rpje.model import EmbeddingTable
 from rpje.rules import ChainRule, build_index
@@ -120,18 +120,18 @@ def test_empty_sequence_rejected():
 def test_confidence_product_values():
     index = build_index([], 0.0)
     cr = Composer(index).compose((0, 1))
-    assert confidence_product(cr) == 1.0
+    assert cr.confidence_product == 1.0
 
     index81 = build_index([ChainRule(head=2, body=(0, 1), confidence=0.81)], 0.0)
     cr81 = Composer(index81).compose((0, 1))
-    assert confidence_product(cr81) == pytest.approx(0.81)
+    assert cr81.confidence_product == pytest.approx(0.81)
 
     rules = [
         ChainRule(head=3, body=(0, 1), confidence=0.9),
         ChainRule(head=4, body=(3, 2), confidence=0.8),
     ]
     cr2 = Composer(build_index(rules, 0.0)).compose((0, 1, 2))
-    assert confidence_product(cr2) == pytest.approx(0.72)
+    assert cr2.confidence_product == pytest.approx(0.72)
 
 
 @given(

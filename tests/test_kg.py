@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,3 +139,19 @@ def test_dataset_hash_computed_once(monkeypatch):
     )
     assert kg.dataset_hash() == kg.dataset_hash() == fresh
     assert hashed == ["train", "valid", "test"]
+
+
+def test_dataset_hash_matches_per_row_reference():
+    # ids follow first appearance, so the name order differs from the id order
+    train = [("zed", "rel_b", "amy"), ("bob", "rel_a", "zed"), ("amy", "rel_b", "bob"),
+             ("amy", "rel_a", "amy")]
+    valid = [("bob", "rel_b", "amy")]
+    kg = make_kg(train, valid=valid)
+    assert sorted(kg.entity_names) != kg.entity_names
+    assert sorted(kg.relation_names) != kg.relation_names
+    reference = hashlib.sha256()
+    for split, rows in (("train", train), ("valid", valid), ("test", [])):
+        reference.update(split.encode())
+        for row in sorted(rows):
+            reference.update(("\t".join(row) + "\n").encode())
+    assert kg.dataset_hash() == reference.hexdigest()
