@@ -7,9 +7,12 @@
 Writes the workload of ``perfbench/workloads.py`` to a temporary directory,
 runs encode-rules, extract-paths, train and eval on it, then 20 seeded
 ``explain --machine`` queries, and prints one digest per output:
-``loss_history.csv``, ``checkpoint.bin``, ``eval_report.csv``, the train and
-eval stdout and the explain stdout. Two checkouts that print the same lines
-wrote byte-identical outputs. A ``key=value`` argument replaces that
+``loss_history.csv``, ``checkpoint.bin``, ``eval_report.csv``, the
+extract-paths, train and eval stdout, the explain stdout, and the path set
+that ``paths.bin`` loads to, dumped one path per line as head, tail, relations
+and ``float.hex`` reliability. Two checkouts that print the same lines wrote
+byte-identical outputs, except that the path-set line compares the loaded
+paths, not the cache bytes, so it holds across cache formats. A ``key=value`` argument replaces that
 hyperparameter in the workload's run config. The rpje package is imported from
 the ``src/`` directory next to this script.
 """
@@ -26,7 +29,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from rpje import cli  # noqa: E402
+from rpje import cli, paths  # noqa: E402
 import workloads  # noqa: E402
 
 EXPLAIN_QUERIES = 20
@@ -41,6 +44,16 @@ def run(argv: list[str], out_dir: str) -> str:
     if code != 0:
         sys.exit(f"error: {' '.join(argv[:1])} exited with {code}")
     return buf.getvalue().replace(out_dir, "<out>")
+
+
+def path_set_dump(cache: str) -> str:
+    """One line per path, in pair order: head, tail, relations, reliability bits."""
+    ps = paths.load_path_set(cache)
+    return "".join(
+        f"{h}\t{t}\t{','.join(map(str, p.relations))}\t{p.reliability.hex()}\n"
+        for (h, t), group in sorted(ps.pairs.items())
+        for p in group
+    )
 
 
 def override(cfg_path: str, assignments: list[str]) -> None:
@@ -78,8 +91,10 @@ def main() -> int:
         for name in ("loss_history.csv", "checkpoint.bin", "eval_report.csv"):
             with open(os.path.join(out_dir, name), "rb") as fh:
                 digests[name] = hashlib.sha256(fh.read()).hexdigest()
-        for name in ("train", "eval", "explain"):
+        for name in ("extract-paths", "train", "eval", "explain"):
             digests[f"{name} stdout"] = hashlib.sha256(stdout[name].encode()).hexdigest()
+        dump = path_set_dump(os.path.join(out_dir, "paths.bin"))
+        digests["path set"] = hashlib.sha256(dump.encode()).hexdigest()
     label = " ".join([args.workload, *args.overrides])
     for name, digest in digests.items():
         print(f"{digest}  {label}: {name}")

@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import sys
-from dataclasses import fields
+import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -116,9 +118,11 @@ def _load_rule_index(cfg: RunConfig, graph) -> tuple[rules_mod.RuleIndex, rules_
     return index, stats, encoded
 
 
-def _extract_paths(cfg: RunConfig, graph, ds_hash: str) -> paths_mod.PathSet:
+def _extract_paths(
+    cfg: RunConfig, graph, ds_hash: str, stats: paths_mod.PathStats | None = None
+) -> paths_mod.PathSet:
     ps = paths_mod.extract_paths(
-        graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap
+        graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap, stats
     )
     os.makedirs(cfg.output_dir, exist_ok=True)
     paths_mod.save_path_set(ps, ds_hash, cfg.path_for("paths.bin"))
@@ -162,7 +166,12 @@ def cmd_encode_rules(cfg: RunConfig) -> int:
 
 def cmd_extract_paths(cfg: RunConfig) -> int:
     graph = _load_graph(cfg)
-    ps = _extract_paths(cfg, graph, graph.dataset_hash())
+    stats = paths_mod.PathStats()
+    start = time.perf_counter()
+    ps = _extract_paths(cfg, graph, graph.dataset_hash(), stats)
+    seconds = time.perf_counter() - start
+    with open(cfg.path_for("metrics.jsonl"), "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**asdict(stats), "seconds": seconds}) + "\n")
     write_resolved_config(cfg, cfg.path_for("resolved_extract-paths.cfg"))
     reliabilities = [p.reliability for paths in ps.pairs.values() for p in paths]
     print(f"path cache written to {cfg.path_for('paths.bin')}")
@@ -269,6 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or EXIT_OK)
     try:
         cfg = _resolve(args)
+        cfg.validate()
         if args.command == "encode-rules":
             return cmd_encode_rules(cfg)
         if args.command == "extract-paths":

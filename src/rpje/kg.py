@@ -3,7 +3,8 @@
 Relations are interned as dense base ids 0..B-1; the inverse of a base relation r
 is served under the derived id r + B (no separate parameters, no separate symbol).
 Adjacency is built over the train split only and always contains both directions
-of every train triple, so there are exactly 2*|train| directed edges. The filter
+of every train triple, so there are exactly 2*|train| directed edges. It is one
+CSR (``KnowledgeGraph.csr``) sorted by (entity, relation, neighbour). The filter
 index behind ``known_tails``/``known_heads`` covers all three splits.
 """
 
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from bisect import insort
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,30 @@ def read_triple_file(path: str | os.PathLike) -> list[tuple[str, str, str]]:
                 )
             rows.append((parts[0], parts[1], parts[2]))
     return rows
+
+
+class AdjacencyCSR(NamedTuple):
+    """Directed train edges, inverse edges included, sorted by (entity, relation, neighbour)."""
+
+    indptr: np.ndarray      # the edges of entity e are indptr[e]:indptr[e + 1]
+    relation: np.ndarray
+    neighbour: np.ndarray
+    group_size: np.ndarray  # edges sharing this edge's (entity, relation)
+
+
+def _adjacency_csr(train: list[Triple], n_entities: int, n_base: int) -> AdjacencyCSR:
+    h, r, t = np.fromiter(chain.from_iterable(train), np.int64, 3 * len(train)).reshape(-1, 3).T
+    src = np.concatenate([h, t])
+    rel = np.concatenate([r, r + n_base])
+    nbr = np.concatenate([t, h])
+    group = src * (2 * n_base) + rel
+    order = np.argsort(group * n_entities + nbr)  # edges are distinct, so their keys are too
+    group, rel, nbr = group[order], rel[order], nbr[order]
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    sizes = np.diff(starts, append=len(group))
+    indptr = np.zeros(n_entities + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n_entities), out=indptr[1:])
+    return AdjacencyCSR(indptr, rel, nbr, np.repeat(sizes, sizes))
 
 
 class KnowledgeGraph:
@@ -87,13 +113,7 @@ class KnowledgeGraph:
         self._known: set[Triple] = set(self.train) | set(self.valid) | set(self.test)
         self._train_set: set[Triple] = set(self.train)
 
-        n_base = len(self.relation_names)
-        adj: dict[int, list[tuple[int, int]]] = {e: [] for e in range(len(self.entity_names))}
-        for h, r, t in self.train:
-            insort(adj[h], (r, t))
-            insort(adj[t], (r + n_base, h))
-        self._adjacency = adj
-        self._grouped_adjacency: dict[int, dict[int, list[int]]] = {}
+        self.csr = _adjacency_csr(self.train, self.n_entities, self.n_base_relations)
         self._train_pairs = {(h, t) for h, _, t in self.train}
         self._filter_index: _FilterIndex | None = None
         self._dataset_hash: str | None = None
@@ -160,20 +180,17 @@ class KnowledgeGraph:
 
     def adjacency(self, e: int) -> list[tuple[int, int]]:
         """Outgoing (relation, neighbor) edges of e over train, inverse edges included."""
-        try:
-            return self._adjacency[e]
-        except KeyError:
-            raise LookupError(f"unknown entity id {e}") from None
+        if not 0 <= e < self.n_entities:
+            raise LookupError(f"unknown entity id {e}")
+        lo, hi = self.csr.indptr[e], self.csr.indptr[e + 1]
+        return list(zip(self.csr.relation[lo:hi].tolist(), self.csr.neighbour[lo:hi].tolist()))
 
     def adjacency_by_relation(self, e: int) -> dict[int, list[int]]:
         """Outgoing neighbors of e grouped per relation (sorted edge order preserved)."""
-        cached = self._grouped_adjacency.get(e)
-        if cached is None:
-            cached = {}
-            for r, t in self.adjacency(e):
-                cached.setdefault(r, []).append(t)
-            self._grouped_adjacency[e] = cached
-        return cached
+        grouped: dict[int, list[int]] = {}
+        for r, t in self.adjacency(e):
+            grouped.setdefault(r, []).append(t)
+        return grouped
 
     def _canonical(self, t: Triple) -> Triple:
         h, r, tail = t

@@ -51,6 +51,10 @@ class TrainingConfig:
             raise ConfigError(f"norm must be L1 or L2, got {self.norm!r}")
         if self.max_path_steps not in (2, 3):
             raise ConfigError("max_path_steps must be 2 or 3")
+        if not 0.0 <= self.path_cutoff < 1.0:
+            raise ConfigError("path_cutoff must lie in [0,1)")
+        if not 0 <= self.per_pair_cap < 2**32:  # paths.bin stores it as uint32
+            raise ConfigError("per_pair_cap must lie in [0, 2^32)")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ConfigError("confidence_threshold must lie in [0,1]")
 

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 from dataclasses import fields, replace
@@ -7,8 +8,9 @@ import pytest
 from rpje import cli
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from rpje.config import load_config_file
+from rpje.kg import load_dataset
 from rpje.model import TrainingConfig
-from rpje.paths import load_path_set
+from rpje.paths import load_path_set, walk_resources
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
 
@@ -335,3 +337,57 @@ def test_truncated_path_cache_is_rebuilt(pipeline, tmp_path, capsys, where):
     assert main(["train", *flags]) == EXIT_OK
     assert capsys.readouterr().err == ""
     assert (out / "paths.bin").read_bytes() == original
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("extract-paths", "--max-path-steps", "4"),
+        ("eval", "--path-cutoff", "1.5"),
+        ("extract-paths", "--per-pair-cap", "-1"),
+        ("train", "--per-pair-cap", "-1"),
+        ("eval", "--per-pair-cap", "-1"),
+        ("explain", "--max-path-steps", "5"),
+        ("explain", "--path-cutoff", "-0.5"),
+    ],
+)
+def test_invalid_path_option_exits_two(pipeline, tmp_path, capsys, command, flag, value):
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    argv = [command, *data_flags(files), "--out", str(out), *fast, flag, value]
+    if command == "explain":
+        argv += ["country_0", "country_1"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert flag[2:].replace("-", "_") in err
+
+
+def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):
+    _, files = toy_dir
+    out = tmp_path / "out"
+    argv = ["extract-paths", *data_flags(files), "--out", str(out),
+            "--path-cutoff", "0.05", "--per-pair-cap", "2"]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == stdout
+    first, second = map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
+    assert set(first) == {
+        "pairs", "pairs_without_paths", "paths", "paths_below_cutoff", "paths_over_cap", "seconds"
+    }
+    assert isinstance(first["seconds"], float) and first["seconds"] >= 0
+    counts = {k: v for k, v in first.items() if k != "seconds"}
+    assert all(isinstance(v, int) for v in counts.values())
+    assert counts == {k: v for k, v in second.items() if k != "seconds"}
+
+    kg = load_dataset(files["train"], files["valid"], files["test"])
+    ps = load_path_set(out / "paths.bin")
+    arrivals = sum(len(walk_resources(kg, h, 2).get(t, {})) for h, t in kg.train_pairs)
+    assert counts["pairs"] == len(kg.train_pairs)
+    assert counts["pairs"] - counts["pairs_without_paths"] == len(ps.pairs)
+    assert counts["paths"] == ps.n_paths
+    assert counts["paths"] + counts["paths_below_cutoff"] + counts["paths_over_cap"] == arrivals
+    assert min(counts.values()) > 0

@@ -62,6 +62,21 @@ def test_edge_count_is_twice_train():
     assert n_edges == 2 * len(kg.train)
 
 
+def test_csr_is_sorted_and_counts_relation_groups(toy_kg):
+    csr = toy_kg.csr
+    assert csr.indptr[-1] == len(csr.relation) == 2 * len(toy_kg.train)
+    for e in range(toy_kg.n_entities):
+        lo, hi = csr.indptr[e], csr.indptr[e + 1]
+        edges = list(zip(csr.relation[lo:hi].tolist(), csr.neighbour[lo:hi].tolist()))
+        assert edges == sorted(edges) == toy_kg.adjacency(e)
+        grouped = toy_kg.adjacency_by_relation(e)
+        assert csr.group_size[lo:hi].tolist() == [len(grouped[r]) for r, _ in edges]
+    triples = {(h, r, t) for h, r, t in toy_kg.train}
+    for e in range(toy_kg.n_entities):
+        for r, nb in toy_kg.adjacency(e):
+            assert (e, r, nb) in triples or (nb, toy_kg.inverse(r), e) in triples
+
+
 def test_duplicate_triples_dropped_within_split():
     kg = make_kg([("a", "r", "b"), ("a", "r", "b")])
     assert len(kg.train) == 1

@@ -1,9 +1,16 @@
+import struct
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rpje import paths as paths_mod
 from rpje.paths import (
+    Path,
     PathCacheError,
     PathFinder,
+    PathStats,
     extract_paths,
     load_path_set,
     save_path_set,
@@ -11,6 +18,56 @@ from rpje.paths import (
 )
 
 from conftest import make_kg
+
+
+# --- oracle: PCRA as a dict walk over the adjacency lists ---
+
+def oracle_walk(kg, head, max_steps):
+    """Resource per (target, relation sequence), summed in first-insertion order."""
+    arrivals = {}
+    current = {(): {head: 1.0}}
+    for step in range(max_steps):
+        nxt = {}
+        for seq, dist in current.items():
+            for e, resource in dist.items():
+                for rel, nbrs in kg.adjacency_by_relation(e).items():
+                    share = resource / len(nbrs)
+                    bucket = nxt.setdefault(seq + (rel,), {})
+                    for nb in nbrs:
+                        bucket[nb] = bucket.get(nb, 0.0) + share
+        if step + 1 >= 2:
+            for seq, dist in nxt.items():
+                for target, resource in dist.items():
+                    arrivals.setdefault(target, {})[seq] = resource
+        current = nxt
+    return arrivals
+
+
+def oracle_paths(found, cutoff, cap):
+    paths = [Path(seq, w) for seq, w in found.items() if w > cutoff]
+    paths.sort(key=lambda p: (-p.reliability, p.relations))
+    return tuple(paths[:cap])
+
+
+def oracle_extract(kg, max_steps, cutoff, cap):
+    """(pairs, paths at or below the cutoff, paths above it beyond the cap)."""
+    pairs, below, over = {}, 0, 0
+    for h, t in sorted(kg.train_pairs):
+        found = oracle_walk(kg, h, max_steps).get(t, {})
+        above = sum(w > cutoff for w in found.values())
+        below += len(found) - above
+        over += max(0, above - cap)
+        if paths := oracle_paths(found, cutoff, cap):
+            pairs[(h, t)] = paths
+    return pairs, below, over
+
+
+def exact(pairs):
+    """Pairs in order, with each reliability as its exact float bits."""
+    return [
+        (pair, [(p.relations, p.reliability.hex()) for p in paths])
+        for pair, paths in pairs.items()
+    ]
 
 
 def test_unbranched_chain_has_reliability_one():
@@ -209,3 +266,135 @@ def test_cache_rejects_garbage(tmp_path):
     path.write_bytes(b"not a cache")
     with pytest.raises(PathCacheError):
         load_path_set(path)
+
+
+multigraphs = st.lists(
+    st.tuples(st.sampled_from([f"n{i}" for i in range(7)]), rel, st.sampled_from([f"n{i}" for i in range(7)])),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(
+    edges=multigraphs,
+    max_steps=st.sampled_from([2, 3]),
+    cutoff=st.sampled_from([0.0, 0.05, 0.25, 0.5]),
+    cap=st.sampled_from([0, 1, 2, 3, 200]),
+    block_edges=st.sampled_from([1, 6, 1 << 17]),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_edges):
+    """Every provider equals the dict walk bit for bit: same pairs, same order,
+    same float.hex. Cutoffs 0.25 and 0.5 are reliabilities the walk hits exactly;
+    a block limit of 1 or 6 edges gives blocks smaller than one head's work."""
+    kg = make_kg(edges)
+    with mock.patch.object(paths_mod, "_BLOCK_EDGES", block_edges):
+        stats = PathStats()
+        ps = extract_paths(kg, max_steps, cutoff, cap, stats)
+        finder = PathFinder(kg, max_steps, cutoff, cap)
+        pair_finder = PathFinder(kg, max_steps, cutoff, cap)
+        expected, below, over = oracle_extract(kg, max_steps, cutoff, cap)
+        assert exact(ps.pairs) == exact(expected)
+        assert (stats.pairs, stats.pairs_without_paths) == (
+            len(kg.train_pairs), len(kg.train_pairs) - len(expected)
+        )
+        assert (stats.paths, stats.paths_below_cutoff, stats.paths_over_cap) == (
+            ps.n_paths, below, over
+        )
+        for h in range(kg.n_entities):
+            walked = oracle_walk(kg, h, max_steps)
+            reached = {}
+            for t in sorted(walked):
+                if paths := oracle_paths(walked[t], cutoff, cap):
+                    reached[t] = paths
+            assert exact(finder.arrivals(h)) == exact(reached)
+            for t in range(kg.n_entities):
+                assert exact({t: pair_finder.paths_between(h, t)}) == exact(
+                    {t: reached.get(t, ())}
+                )
+        for t in range(kg.n_entities):
+            origins = PathFinder(kg, max_steps, cutoff, cap).origins(t)
+            assert exact(origins) == exact(
+                {h: finder.arrivals(h)[t] for h in range(kg.n_entities) if t in finder.arrivals(h)}
+            )
+
+
+def test_walk_resources_matches_oracle(toy_kg):
+    for head in range(0, toy_kg.n_entities, 7):
+        got = walk_resources(toy_kg, head, 3)
+        want = oracle_walk(toy_kg, head, 3)
+        assert got.keys() == want.keys()
+        for t, seqs in want.items():
+            assert {s: w.hex() for s, w in got[t].items()} == {s: w.hex() for s, w in seqs.items()}
+
+
+def test_reliability_exactly_at_cutoff_is_dropped():
+    kg = make_kg([("a", "r", "b1"), ("a", "r", "b2"), ("b1", "s", "c"), ("a", "q", "c")])
+    a, c = kg.entity_id("a"), kg.entity_id("c")
+    (r, s) = kg.relation_id("r"), kg.relation_id("s")
+    assert (r, s) in {p.relations for p in extract_paths(kg, 2, 0.4999).paths_between(a, c)}
+    assert (r, s) not in {p.relations for p in extract_paths(kg, 2, 0.5).paths_between(a, c)}
+    assert (r, s) not in {p.relations for p in PathFinder(kg, 2, 0.5).paths_between(a, c)}
+
+
+def test_cap_breaks_reliability_ties_by_relations_across_lengths():
+    # Unbranched routes a -> c of reliability 1, such as (p, s), (q, t, u) and (r, s)
+    kg = make_kg(
+        [
+            ("a", "p", "m"), ("m", "s", "c"),
+            ("a", "q", "x"), ("x", "t", "y"), ("y", "u", "c"),
+            ("a", "r", "n"), ("n", "s", "c"),
+            ("a", "direct", "c"),
+        ]
+    )
+    a, c = kg.entity_id("a"), kg.entity_id("c")
+    found = oracle_walk(kg, a, 3)[c]
+    ties = sorted(seq for seq, w in found.items() if w == 1.0)
+    assert len(ties) > 2 and {len(seq) for seq in ties[:2]} == {2, 3}
+    kept = extract_paths(kg, 3, 0.0, per_pair_cap=2).paths_between(a, c)
+    assert kept == oracle_paths(found, 0.0, 2)
+    assert [p.relations for p in kept] == ties[:2]
+
+
+def test_blocks_split_heads_by_work(toy_kg):
+    heads = np.unique([h for h, _ in toy_kg.train_pairs])
+    with mock.patch.object(paths_mod, "_BLOCK_EDGES", 50):
+        blocks = paths_mod._blocks(toy_kg, heads, 3)
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate(blocks), heads)
+        small = extract_paths(toy_kg, 3)
+    assert exact(small.pairs) == exact(extract_paths(toy_kg, 3).pairs)
+
+
+def test_cache_round_trip_mixed_lengths(tmp_path, toy_kg):
+    ps = extract_paths(toy_kg, max_steps=3, cutoff=0.0, per_pair_cap=5)
+    assert {len(p.relations) for paths in ps.pairs.values() for p in paths} == {2, 3}
+    cache = tmp_path / "paths.bin"
+    save_path_set(ps, toy_kg.dataset_hash(), cache)
+    loaded = load_path_set(cache, expected_dataset_hash=toy_kg.dataset_hash())
+    assert (loaded.max_steps, loaded.cutoff, loaded.per_pair_cap) == (3, 0.0, 5)
+    assert exact(loaded.pairs) == exact(ps.pairs)
+
+
+def test_cache_round_trip_empty(tmp_path, toy_kg):
+    cache = tmp_path / "paths.bin"
+    save_path_set(extract_paths(toy_kg, 2, per_pair_cap=0), toy_kg.dataset_hash(), cache)
+    assert load_path_set(cache).pairs == {}
+
+
+def test_cache_rejects_version_2(tmp_path, toy_kg):
+    cache = tmp_path / "paths.bin"
+    save_path_set(extract_paths(toy_kg, 2), toy_kg.dataset_hash(), cache)
+    data = bytearray(cache.read_bytes())
+    data[8:10] = struct.pack("<H", 2)
+    cache.write_bytes(bytes(data))
+    with pytest.raises(PathCacheError, match="version 2"):
+        load_path_set(cache)
+
+
+def test_cache_rejects_trailing_bytes(tmp_path, toy_kg):
+    cache = tmp_path / "paths.bin"
+    save_path_set(extract_paths(toy_kg, 2), toy_kg.dataset_hash(), cache)
+    cache.write_bytes(cache.read_bytes() + b"\0")
+    with pytest.raises(PathCacheError):
+        load_path_set(cache)
