@@ -32,7 +32,7 @@ def filtered_hits10(kg, emb, index, path_set, alpha):
 def setup(workdir, noisy, seed):
     data = generate(ToyConfig(noisy_rules=noisy))
     files = write_dataset(data, workdir)
-    kg = KnowledgeGraph(data.train, data.valid, data.test)
+    kg = KnowledgeGraph.from_rows(data.train, data.valid, data.test)
     encoded = encode_rules(parse_rules(files["rules"], kg), kg)
     return kg, encoded
 

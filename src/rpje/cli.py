@@ -98,11 +98,15 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_graph(cfg: RunConfig) -> kg_mod.KnowledgeGraph:
+def _load_graph(cfg: RunConfig, write_cache: bool = True) -> kg_mod.KnowledgeGraph:
+    """The dataset through ``<out>/dataset.bin``; ``explain`` reads that cache but never writes it."""
     for name in ("train_path", "valid_path", "test_path"):
         if not getattr(cfg, name):
             raise RunConfigError(f"{name} is required (set it in the config or via flags)")
-    return kg_mod.load_dataset(cfg.train_path, cfg.valid_path, cfg.test_path)
+    return kg_mod.load_dataset(
+        cfg.train_path, cfg.valid_path, cfg.test_path,
+        cache=cfg.path_for("dataset.bin"), write_cache=write_cache,
+    )
 
 
 def _load_rule_index(cfg: RunConfig, graph) -> tuple[rules_mod.RuleIndex, rules_mod.ParseStats, list]:
@@ -200,8 +204,8 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _scoring_context(cfg: RunConfig):
-    graph = _load_graph(cfg)
+def _scoring_context(cfg: RunConfig, write_cache: bool = True):
+    graph = _load_graph(cfg, write_cache)
     emb, _, _ = load_checkpoint(
         cfg.path_for("checkpoint.bin"),
         expected_dataset_hash=graph.dataset_hash(),
@@ -230,7 +234,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_explain(cfg: RunConfig, head: str, tail: str, machine: bool) -> int:
-    graph, emb, index = _scoring_context(cfg)
+    graph, emb, index = _scoring_context(cfg, write_cache=False)
     # Explanations search the graph on demand so arbitrary pairs get evidence,
     # including pairs outside the precomputed train-pair path set.
     finder = paths_mod.PathFinder(
@@ -255,23 +259,30 @@ def cmd_explain(cfg: RunConfig, head: str, tail: str, machine: bool) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
+COMMANDS = ("encode-rules", "extract-paths", "train", "eval", "explain")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The rpje parser; with ``command``, the other subcommands get no options."""
     parser = _Parser(prog="rpje", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("encode-rules", "extract-paths", "train", "eval"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
+        if command not in (None, name):
+            continue
         _add_common_options(p)
-    p = sub.add_parser("explain")
-    _add_common_options(p)
-    p.add_argument("head")
-    p.add_argument("tail")
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--machine", action="store_true", help="line-oriented output")
+        if name == "explain":
+            p.add_argument("head")
+            p.add_argument("tail")
+            p.add_argument("--top-k", dest="top_k", type=int)
+            p.add_argument("--machine", action="store_true", help="line-oriented output")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the subcommand being run needs its ~25 options.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, asdict
 
+from .artifacts import read_text
 from .model import TrainingConfig
 
 
@@ -64,19 +65,18 @@ def load_config_file(path: str | os.PathLike) -> RunConfig:
 
 
 def apply_config_file(cfg: RunConfig, path: str | os.PathLike) -> None:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise RunConfigError(f"{where}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise RunConfigError(f"{where}: unknown option {key!r}")
-            setattr(cfg, key, _coerce(key, raw.strip(), where))
+    for lineno, line in enumerate(read_text(path, RunConfigError).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise RunConfigError(f"{where}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _FIELD_TYPES:
+            raise RunConfigError(f"{where}: unknown option {key!r}")
+        setattr(cfg, key, _coerce(key, raw.strip(), where))
 
 
 def write_resolved_config(cfg: RunConfig, path: str | os.PathLike) -> None:

@@ -2,20 +2,35 @@
 
 Relations are interned as dense base ids 0..B-1; the inverse of a base relation r
 is served under the derived id r + B (no separate parameters, no separate symbol).
+Ids follow first appearance: train, valid, then test, rows in file order, the
+head before the tail. Each split is an (n, 3) int32 array of (head, relation,
+tail) ids without repeated rows; that is the graph's primary form, and the
+tuple lists, membership sets and indexes are built from it on first use.
+
 Adjacency is built over the train split only and always contains both directions
 of every train triple, so there are exactly 2*|train| directed edges. It is one
 CSR (``KnowledgeGraph.csr``) sorted by (entity, relation, neighbour). The filter
 index behind ``known_tails``/``known_heads`` covers all three splits.
+
+``dataset_hash`` is a SHA-256 over the interned graph, so row order is part of a
+dataset's identity; checkpoints and path caches are keyed on it.
+``load_dataset(..., cache=path)`` keeps the interned graph in a binary file
+keyed on the SHA-256 of the three split files' bytes: a hit rebuilds the graph
+from the stored names, id arrays and dataset hash without parsing any text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from itertools import chain
+import struct
+from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
+
+from .artifacts import atomic_write, decode_text
 
 Triple = tuple[int, int, int]
 
@@ -26,21 +41,70 @@ class DatasetError(ValueError):
     """Unreadable or structurally invalid dataset input."""
 
 
-def read_triple_file(path: str | os.PathLike) -> list[tuple[str, str, str]]:
-    """Read a head<TAB>relation<TAB>tail file, one triple per line."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
+Columns = tuple[list[str], list[str], list[str]]
+
+
+def _columns(data: bytes, path) -> Columns:
+    """Head, relation and tail columns of head<TAB>relation<TAB>tail lines; blank lines are skipped."""
+    lines = decode_text(data, path, DatasetError).split("\n")
+    rows = list(filter(None, lines))
+    if set(map(str.count, rows, repeat("\t"))) - {2}:
+        for lineno, line in enumerate(lines, start=1):
+            n_fields = line.count("\t") + 1
+            if line and n_fields != 3:
                 raise DatasetError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {n_fields}"
                 )
-            rows.append((parts[0], parts[1], parts[2]))
-    return rows
+    fields = "\t".join(rows).split("\t") if rows else []
+    return fields[0::3], fields[1::3], fields[2::3]
+
+
+def _first_occurrences(ids: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``ids``, each where it first appears."""
+    order = np.lexsort(ids.T[::-1])  # stable, so equal rows keep their file order
+    rows = ids[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return ids[np.sort(order[first])]
+
+
+def _intern(columns: list[Columns]) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Entity and relation names in first-appearance order, then each split's id array."""
+    ends = []
+    for heads, _, tails in columns:
+        both = [None] * (2 * len(heads))
+        both[0::2], both[1::2] = heads, tails
+        ends.append(both)
+    entity_names = list(dict.fromkeys(chain.from_iterable(ends)))
+    relation_names = list(dict.fromkeys(chain.from_iterable(rels for _, rels, _ in columns)))
+    entity_id = dict(zip(entity_names, range(len(entity_names))))
+    relation_id = dict(zip(relation_names, range(len(relation_names))))
+    splits = []
+    for both, (_, rels, _) in zip(ends, columns):
+        ids = np.empty((len(rels), 3), dtype=np.int32)
+        ids[:, 0::2] = np.fromiter(map(entity_id.__getitem__, both), np.int32, len(both)).reshape(-1, 2)
+        ids[:, 1] = np.fromiter(map(relation_id.__getitem__, rels), np.int32, len(rels))
+        splits.append(_first_occurrences(ids))
+    return entity_names, relation_names, *splits
+
+
+def _graph_digest(entity_names: list[str], relation_names: list[str], splits) -> str:
+    """SHA-256 of the names in id order, then of each split's id triples in order.
+
+    A symbol table is its size, every name's UTF-8 byte length, then the names'
+    bytes; a split is its row count, then its (head, relation, tail) ids. All
+    numbers are little-endian 32-bit.
+    """
+    digest = hashlib.sha256()
+    for names in (entity_names, relation_names):
+        encoded = [name.encode() for name in names]
+        digest.update(struct.pack("<I", len(encoded)))
+        digest.update(np.fromiter(map(len, encoded), "<u4", len(encoded)).tobytes())
+        digest.update(b"".join(encoded))
+    for ids in splits:
+        digest.update(struct.pack("<I", len(ids)))
+        digest.update(ids.astype("<i4").tobytes())
+    return digest.hexdigest()
 
 
 class AdjacencyCSR(NamedTuple):
@@ -52,8 +116,8 @@ class AdjacencyCSR(NamedTuple):
     group_size: np.ndarray  # edges sharing this edge's (entity, relation)
 
 
-def _adjacency_csr(train: list[Triple], n_entities: int, n_base: int) -> AdjacencyCSR:
-    h, r, t = np.fromiter(chain.from_iterable(train), np.int64, 3 * len(train)).reshape(-1, 3).T
+def _adjacency_csr(train: np.ndarray, n_entities: int, n_base: int) -> AdjacencyCSR:
+    h, r, t = train.astype(np.int64).T
     src = np.concatenate([h, t])
     rel = np.concatenate([r, r + n_base])
     nbr = np.concatenate([t, h])
@@ -72,51 +136,58 @@ class KnowledgeGraph:
 
     def __init__(
         self,
+        entity_names: list[str],
+        relation_names: list[str],
+        train: np.ndarray,
+        valid: np.ndarray,
+        test: np.ndarray,
+        dataset_hash: str | None = None,
+    ):
+        """Splits are (n, 3) int32 arrays of distinct (head, relation, tail) ids;
+        ``dataset_hash``, if given, must be the one ``dataset_hash()`` computes."""
+        if not len(train):
+            raise DatasetError("train split is empty")
+        self.entity_names = entity_names
+        self.relation_names = relation_names  # base relations only
+        self._entity_id = dict(zip(entity_names, range(len(entity_names))))
+        self._relation_id = dict(zip(relation_names, range(len(relation_names))))
+        self.train_ids, self.valid_ids, self.test_ids = train, valid, test
+        self._filter_index: _FilterIndex | None = None
+        self._dataset_hash = dataset_hash
+
+    @classmethod
+    def from_rows(
+        cls,
         train: list[tuple[str, str, str]],
         valid: list[tuple[str, str, str]],
         test: list[tuple[str, str, str]],
-    ):
-        if not train:
-            raise DatasetError("train split is empty")
+    ) -> KnowledgeGraph:
+        """Intern (head, relation, tail) name rows; a row repeated within a split is kept once."""
+        return cls(*_intern([tuple(zip(*rows)) or ((), (), ()) for rows in (train, valid, test)]))
 
-        self.entity_names: list[str] = []
-        self.relation_names: list[str] = []  # base relations only
-        self._entity_id: dict[str, int] = {}
-        self._relation_id: dict[str, int] = {}
+    @cached_property
+    def train(self) -> list[Triple]:
+        return list(map(tuple, self.train_ids.tolist()))
 
-        def intern(rows):
-            out = []
-            seen = set()
-            for h, r, t in rows:
-                hid = self._entity_id.get(h)
-                if hid is None:
-                    hid = self._entity_id[h] = len(self.entity_names)
-                    self.entity_names.append(h)
-                tid = self._entity_id.get(t)
-                if tid is None:
-                    tid = self._entity_id[t] = len(self.entity_names)
-                    self.entity_names.append(t)
-                rid = self._relation_id.get(r)
-                if rid is None:
-                    rid = self._relation_id[r] = len(self.relation_names)
-                    self.relation_names.append(r)
-                trip = (hid, rid, tid)
-                if trip not in seen:
-                    seen.add(trip)
-                    out.append(trip)
-            return out
+    @cached_property
+    def valid(self) -> list[Triple]:
+        return list(map(tuple, self.valid_ids.tolist()))
 
-        self.train: list[Triple] = intern(train)
-        self.valid: list[Triple] = intern(valid)
-        self.test: list[Triple] = intern(test)
+    @cached_property
+    def test(self) -> list[Triple]:
+        return list(map(tuple, self.test_ids.tolist()))
 
-        self._known: set[Triple] = set(self.train) | set(self.valid) | set(self.test)
-        self._train_set: set[Triple] = set(self.train)
+    @cached_property
+    def csr(self) -> AdjacencyCSR:
+        return _adjacency_csr(self.train_ids, self.n_entities, self.n_base_relations)
 
-        self.csr = _adjacency_csr(self.train, self.n_entities, self.n_base_relations)
-        self._train_pairs = {(h, t) for h, _, t in self.train}
-        self._filter_index: _FilterIndex | None = None
-        self._dataset_hash: str | None = None
+    @cached_property
+    def _known(self) -> set[Triple]:
+        return set(self.train) | set(self.valid) | set(self.test)
+
+    @cached_property
+    def _train_set(self) -> set[Triple]:
+        return set(self.train)
 
     # --- sizes and id arithmetic ---
 
@@ -225,9 +296,9 @@ class KnowledgeGraph:
     def in_train(self, t: Triple) -> bool:
         return self._canonical(t) in self._train_set
 
-    @property
+    @cached_property
     def train_pairs(self) -> set[tuple[int, int]]:
-        return self._train_pairs
+        return set(zip(self.train_ids[:, 0].tolist(), self.train_ids[:, 2].tolist()))
 
     # --- persistence ---
 
@@ -253,14 +324,11 @@ class KnowledgeGraph:
                 fh.write(f"{name}\t{i}\n")
 
     def dataset_hash(self) -> str:
-        """SHA-256 of the sorted splits; computed once, as the graph never changes."""
+        """SHA-256 of the interned graph (``_graph_digest``); computed once, as the graph never changes."""
         if self._dataset_hash is None:
-            digest = hashlib.sha256()
-            for split in ("train", "valid", "test"):
-                digest.update(split.encode())
-                rows = sorted(self.split_rows(split))
-                digest.update("".join([f"{h}\t{r}\t{t}\n" for h, r, t in rows]).encode())
-            self._dataset_hash = digest.hexdigest()
+            self._dataset_hash = _graph_digest(
+                self.entity_names, self.relation_names, (self.train_ids, self.valid_ids, self.test_ids)
+            )
         return self._dataset_hash
 
 
@@ -291,14 +359,99 @@ class _FilterIndex:
         return self._slice(self._rt_keys, self._heads, r * self._n_ent + t)
 
 
+_CACHE_MAGIC = b"RPJEDSET"
+_CACHE_VERSION = 1
+# magic, version, source key, dataset hash, entity and relation counts,
+# train/valid/test rows, entity and relation name bytes
+_CACHE_HEADER = struct.Struct("<8sH32s32s5I2Q")
+
+
+def _parse(sources: list[bytes], paths) -> KnowledgeGraph:
+    return KnowledgeGraph(*_intern(list(map(_columns, sources, paths))))
+
+
+def _source_key(sources: list[bytes]) -> bytes:
+    """SHA-256 of the cache format version and of each split file's length and bytes."""
+    digest = hashlib.sha256(struct.pack("<H", _CACHE_VERSION))
+    for data in sources:
+        digest.update(struct.pack("<Q", len(data)))
+        digest.update(data)
+    return digest.digest()
+
+
+def _write_cache(graph: KnowledgeGraph, key: bytes, path) -> None:
+    """Header, the three id arrays as int32, then the entity and relation names joined by newlines."""
+    splits = (graph.train_ids, graph.valid_ids, graph.test_ids)
+    names = ["\n".join(graph.entity_names).encode(), "\n".join(graph.relation_names).encode()]
+    header = _CACHE_HEADER.pack(
+        _CACHE_MAGIC, _CACHE_VERSION, key, bytes.fromhex(graph.dataset_hash()),
+        graph.n_entities, graph.n_base_relations, *map(len, splits), *map(len, names),
+    )
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with atomic_write(path) as fh:
+        fh.write(header)
+        for ids in splits:
+            fh.write(ids.astype("<i4").tobytes())
+        fh.write(b"".join(names))
+
+
+def _read_cache(path, key: bytes) -> KnowledgeGraph | None:
+    """The graph cached at ``path`` for sources with ``key``; None if the file is
+    missing, stale, truncated, over-long or otherwise not a cache for them."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    if len(data) < _CACHE_HEADER.size:
+        return None
+    magic, version, stored_key, ds_hash, n_ent, n_rel, *sizes = _CACHE_HEADER.unpack_from(data)
+    rows, name_bytes = sizes[:3], sizes[3:]
+    if (magic, version, stored_key) != (_CACHE_MAGIC, _CACHE_VERSION, key):
+        return None
+    if len(data) != _CACHE_HEADER.size + 12 * sum(rows) + sum(name_bytes):
+        return None
+    offset, splits = _CACHE_HEADER.size, []
+    for n in rows:
+        ids = np.frombuffer(data, "<i4", 3 * n, offset).reshape(n, 3)
+        if n and (ids.min() < 0 or ids[:, 0::2].max() >= n_ent or ids[:, 1].max() >= n_rel):
+            return None
+        splits.append(ids)
+        offset += 12 * n
+    try:
+        entities = data[offset : offset + name_bytes[0]].decode().split("\n")
+        relations = data[offset + name_bytes[0] :].decode().split("\n")
+    except UnicodeDecodeError:
+        return None
+    if (len(entities), len(relations)) != (n_ent, n_rel):
+        return None
+    return KnowledgeGraph(entities, relations, *splits, dataset_hash=ds_hash.hex())
+
+
 def load_dataset(
     train_path: str | os.PathLike,
     valid_path: str | os.PathLike,
     test_path: str | os.PathLike,
+    cache: str | os.PathLike | None = None,
+    write_cache: bool = True,
 ) -> KnowledgeGraph:
-    """Load tab-separated triple files into an interned, index-backed graph."""
-    return KnowledgeGraph(
-        read_triple_file(train_path),
-        read_triple_file(valid_path),
-        read_triple_file(test_path),
-    )
+    """Load tab-separated triple files into an interned, index-backed graph.
+
+    With ``cache``, the graph is read from that file if it was written for split
+    files with these exact bytes. Otherwise the files are parsed, and the cache
+    is (re)written unless ``write_cache`` is false.
+    """
+    paths = (train_path, valid_path, test_path)
+    sources = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            sources.append(fh.read())
+    if cache is None:
+        return _parse(sources, paths)
+    key = _source_key(sources)
+    graph = _read_cache(cache, key)
+    if graph is None:
+        graph = _parse(sources, paths)
+        if write_cache:
+            _write_cache(graph, key, cache)
+    return graph

@@ -100,7 +100,7 @@ def init_embeddings(kg: KnowledgeGraph, cfg: TrainingConfig) -> EmbeddingTable:
 
 
 _CKPT_MAGIC = b"RPJECKPT"
-_CKPT_VERSION = 2  # since 2 the header holds the training norm
+_CKPT_VERSION = 3  # 2: the header holds the training norm; 3: the dataset hash covers row order
 
 
 class CheckpointError(ValueError):

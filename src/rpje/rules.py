@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .artifacts import read_text
 from .kg import KnowledgeGraph
 
 VARIABLES = ("a", "b", "e")
@@ -101,21 +102,20 @@ def parse_rules(
     """
     stats = stats if stats is not None else ParseStats()
     rules = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            m = _LINE_RE.match(line)
-            if m is None:
-                raise RuleParseError(f"{where}: expected 'head <= body<TAB>confidence'")
-            rule = _build_raw(m.group(1), m.group(2), m.group(3), kg, where)
-            if rule is None:
-                stats.dropped_unknown_relation += 1
-                continue
-            stats.parsed += 1
-            rules.append(rule)
+    for lineno, line in enumerate(read_text(path, RuleParseError).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        m = _LINE_RE.match(line)
+        if m is None:
+            raise RuleParseError(f"{where}: expected 'head <= body<TAB>confidence'")
+        rule = _build_raw(m.group(1), m.group(2), m.group(3), kg, where)
+        if rule is None:
+            stats.dropped_unknown_relation += 1
+            continue
+        stats.parsed += 1
+        rules.append(rule)
     return rules
 
 
@@ -129,38 +129,36 @@ def parse_amie_rules(
     """
     stats = stats if stats is not None else ParseStats()
     rules = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith(("Rule", "#")):
-                continue
-            where = f"{path}:{lineno}"
-            cols = line.split("\t")
-            if len(cols) < 4:
-                raise RuleParseError(f"{where}: expected AMIE TSV with >= 4 columns")
-            tokens = cols[0].split()
-            if "=>" not in tokens:
-                raise RuleParseError(f"{where}: no '=>' in rule string")
-            sep = tokens.index("=>")
-            body_tok, head_tok = tokens[:sep], tokens[sep + 1 :]
-            if len(head_tok) != 3 or len(body_tok) % 3 != 0:
-                raise RuleParseError(f"{where}: atoms must be variable/relation/variable")
-            hv1, hrel, hv2 = head_tok
-            varmap = {hv1: "a", hv2: "b"}
-            atoms_txt = []
-            for i in range(0, len(body_tok), 3):
-                v1, rel, v2 = body_tok[i : i + 3]
-                for v in (v1, v2):
-                    if v not in varmap:
-                        varmap[v] = "e"
-                atoms_txt.append(f"{rel}({varmap[v1]},{varmap[v2]})")
-            head_txt = f"{hrel}(a,b)"
-            rule = _build_raw(head_txt, " & ".join(atoms_txt), cols[3], kg, where)
-            if rule is None:
-                stats.dropped_unknown_relation += 1
-                continue
-            stats.parsed += 1
-            rules.append(rule)
+    for lineno, line in enumerate(read_text(path, RuleParseError).split("\n"), start=1):
+        if not line or line.startswith(("Rule", "#")):
+            continue
+        where = f"{path}:{lineno}"
+        cols = line.split("\t")
+        if len(cols) < 4:
+            raise RuleParseError(f"{where}: expected AMIE TSV with >= 4 columns")
+        tokens = cols[0].split()
+        if "=>" not in tokens:
+            raise RuleParseError(f"{where}: no '=>' in rule string")
+        sep = tokens.index("=>")
+        body_tok, head_tok = tokens[:sep], tokens[sep + 1 :]
+        if len(head_tok) != 3 or len(body_tok) % 3 != 0:
+            raise RuleParseError(f"{where}: atoms must be variable/relation/variable")
+        hv1, hrel, hv2 = head_tok
+        varmap = {hv1: "a", hv2: "b"}
+        atoms_txt = []
+        for i in range(0, len(body_tok), 3):
+            v1, rel, v2 = body_tok[i : i + 3]
+            for v in (v1, v2):
+                if v not in varmap:
+                    varmap[v] = "e"
+            atoms_txt.append(f"{rel}({varmap[v1]},{varmap[v2]})")
+        head_txt = f"{hrel}(a,b)"
+        rule = _build_raw(head_txt, " & ".join(atoms_txt), cols[3], kg, where)
+        if rule is None:
+            stats.dropped_unknown_relation += 1
+            continue
+        stats.parsed += 1
+        rules.append(rule)
     return rules
 
 

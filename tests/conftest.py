@@ -6,7 +6,7 @@ from rpje.synthetic import ToyConfig, generate
 
 
 def make_kg(train, valid=None, test=None) -> KnowledgeGraph:
-    return KnowledgeGraph(train, valid or [], test or [])
+    return KnowledgeGraph.from_rows(train, valid or [], test or [])
 
 
 def parse_rule_lines(lines, kg, tmp_path, threshold=0.0, stats=None):
@@ -36,4 +36,4 @@ def toy_data():
 
 @pytest.fixture(scope="session")
 def toy_kg(toy_data):
-    return KnowledgeGraph(toy_data.train, toy_data.valid, toy_data.test)
+    return KnowledgeGraph.from_rows(toy_data.train, toy_data.valid, toy_data.test)

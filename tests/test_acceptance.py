@@ -277,7 +277,7 @@ TOY_TRAINING = dict(dim=32, epochs=100, lr=0.02)
 
 def _toy_setup(noisy: bool, tmp_path):
     data = generate(ToyConfig(noisy_rules=noisy))
-    kg = KnowledgeGraph(data.train, data.valid, data.test)
+    kg = KnowledgeGraph.from_rows(data.train, data.valid, data.test)
     files = write_dataset(data, tmp_path)
     encoded = rules_mod.encode_rules(parse_rules(files["rules"], kg), kg)
     return kg, encoded

@@ -391,3 +391,106 @@ def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):
     assert counts["paths"] == ps.n_paths
     assert counts["paths"] + counts["paths_below_cutoff"] + counts["paths_over_cap"] == arrivals
     assert min(counts.values()) > 0
+
+
+def _copy_toy_files(toy_dir, directory):
+    _, files = toy_dir
+    directory.mkdir()
+    copies = {}
+    for name, path in files.items():
+        copies[name] = str(directory / os.path.basename(path))
+        shutil.copyfile(path, copies[name])
+    return copies
+
+
+def test_shuffled_train_rows_invalidate_checkpoint_and_paths(toy_dir, tmp_path, capsys):
+    files = _copy_toy_files(toy_dir, tmp_path / "data")
+    out = tmp_path / "out"
+    common = [*data_flags(files), "--out", str(out), "--dim", "8", "--epochs", "2", "--batches", "5"]
+    assert main(["train", *common]) == EXIT_OK
+    paths_before = (out / "paths.bin").read_bytes()
+    with open(files["train"], encoding="utf-8") as fh:
+        rows = fh.readlines()
+    shuffled = rows[1:] + rows[:1]  # the same rows; the first entity now comes later
+    with open(files["train"], "w", encoding="utf-8") as fh:
+        fh.writelines(shuffled)
+    capsys.readouterr()
+    for command in (["eval"], ["explain", "country_0", "country_1"]):
+        assert main([*command, *common]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "different dataset" in err
+    assert main(["train", *common]) == EXIT_OK
+    graph = load_dataset(files["train"], files["valid"], files["test"])
+    assert (out / "paths.bin").read_bytes() != paths_before
+    load_path_set(out / "paths.bin", expected_dataset_hash=graph.dataset_hash())
+    assert main(["eval", *common]) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", ["train", "rules", "config"])
+def test_non_utf8_input_exits_two(toy_dir, tmp_path, capsys, target):
+    files = _copy_toy_files(toy_dir, tmp_path / "data")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim = 8\n")
+    bad = cfg if target == "config" else files[target]
+    with open(bad, "ab") as fh:
+        fh.write(b"\xff\n")
+    argv = ["encode-rules", *data_flags(files), "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert str(bad) in err and "UTF-8" in err
+
+
+def _full_parser_output(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["explain", "--help"],
+        ["train", "--help"],
+        ["train", "--dim", "not-a-number"],
+        ["explain", "--top-k", "2"],
+        ["no-such-command", "--help"],
+    ],
+)
+def test_parser_for_one_command_matches_full_parser(capsys, monkeypatch, argv):
+    expected = _full_parser_output(argv, capsys)
+    built = []
+    real = cli._add_common_options
+    monkeypatch.setattr(cli, "_add_common_options", lambda p: built.append(p.prog) or real(p))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert len(built) == (1 if argv[0] in cli.COMMANDS else len(cli.COMMANDS))
+
+
+@pytest.mark.parametrize("cache", ["missing", "stale"])
+def test_explain_parses_without_cache_and_writes_nothing(pipeline, tmp_path, capsys, cache):
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    argv = ["explain", *data_flags(files), "--out", str(out), *fast, "--machine",
+            "country_0", "country_1"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+    if cache == "missing":
+        (out / "dataset.bin").unlink()
+    else:
+        data = bytearray((out / "dataset.bin").read_bytes())
+        data[20] ^= 0xFF  # inside the source key
+        (out / "dataset.bin").write_bytes(bytes(data))
+    listing = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == listing

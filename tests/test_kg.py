@@ -1,11 +1,20 @@
 import hashlib
+import os
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rpje import kg as kg_mod
 from rpje.kg import DatasetError, KnowledgeGraph, load_dataset
+from rpje.synthetic import ToyConfig, generate, write_dataset
 
 from conftest import make_kg
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def write_split(path, rows):
@@ -123,7 +132,7 @@ triples = st.lists(st.tuples(symbol, symbol, symbol), min_size=1, max_size=30)
 @given(train=triples, valid=triples, test=triples)
 @settings(max_examples=50, deadline=None)
 def test_round_trip_and_edge_invariant(train, valid, test):
-    kg = KnowledgeGraph(train, valid, test)
+    kg = KnowledgeGraph.from_rows(train, valid, test)
     # dump/load reproduces the same symbolic triple sets per split
     for split, rows in (("train", train), ("valid", valid), ("test", test)):
         assert set(kg.split_rows(split)) == set(rows)
@@ -144,29 +153,272 @@ def test_dump_split_round_trip(tmp_path):
     assert kg2.dataset_hash() == kg.dataset_hash()
 
 
-def test_dataset_hash_computed_once(monkeypatch):
-    kg = make_kg([("a", "r", "b")], valid=[("b", "r", "a")])
-    fresh = make_kg([("a", "r", "b")], valid=[("b", "r", "a")]).dataset_hash()
-    hashed = []
-    real = KnowledgeGraph.split_rows
-    monkeypatch.setattr(
-        KnowledgeGraph, "split_rows", lambda self, split: hashed.append(split) or real(self, split)
-    )
+def test_dataset_hash_computed_once(monkeypatch, tmp_path):
+    rows = dict(train=[("a", "r", "b")], valid=[("b", "r", "a")], test=[])
+    fresh = make_kg(rows["train"], valid=rows["valid"]).dataset_hash()
+    digests = []
+    real = kg_mod._graph_digest
+    monkeypatch.setattr(kg_mod, "_graph_digest", lambda *a: digests.append(a) or real(*a))
+    kg = make_kg(rows["train"], valid=rows["valid"])
     assert kg.dataset_hash() == kg.dataset_hash() == fresh
-    assert hashed == ["train", "valid", "test"]
+    assert len(digests) == 1
+    # the cache stores the hash: writing it computes the digest once, reading it never
+    files = [tmp_path / f"{split}.tsv" for split in rows]
+    for path, split in zip(files, rows):
+        write_split(path, rows[split])
+    cache = tmp_path / "dataset.bin"
+    assert load_dataset(*files, cache=cache).dataset_hash() == fresh
+    assert len(digests) == 2
+    assert load_dataset(*files, cache=cache).dataset_hash() == fresh
+    assert len(digests) == 2
+
+
+def reference_dataset_hash(train, valid, test):
+    """SHA-256 of the graph the oracle interns: every symbol table as its size, each
+    name's UTF-8 byte length, then the names; every split as its row count, then its
+    id triples; numbers as little-endian 32-bit, packed one value at a time."""
+    entities, relations, splits = oracle_intern([train, valid, test])
+    stream = bytearray()
+    for names in (entities, relations):
+        stream += struct.pack("<I", len(names))
+        for name in names:
+            stream += struct.pack("<I", len(name.encode("utf-8")))
+        for name in names:
+            stream += name.encode("utf-8")
+    for triples in splits:
+        stream += struct.pack("<I", len(triples))
+        for triple in triples:
+            stream += struct.pack("<3i", *triple)
+    return hashlib.sha256(bytes(stream)).hexdigest()
 
 
 def test_dataset_hash_matches_per_row_reference():
     # ids follow first appearance, so the name order differs from the id order
     train = [("zed", "rel_b", "amy"), ("bob", "rel_a", "zed"), ("amy", "rel_b", "bob"),
-             ("amy", "rel_a", "amy")]
-    valid = [("bob", "rel_b", "amy")]
+             ("amy", "rel_a", "amy"), ("bob", "rel_a", "zed"), ("é", "rel_ü", "\u2028")]
+    valid = [("bob", "rel_b", "amy"), ("new", "rel_c", "zed")]
     kg = make_kg(train, valid=valid)
     assert sorted(kg.entity_names) != kg.entity_names
     assert sorted(kg.relation_names) != kg.relation_names
-    reference = hashlib.sha256()
-    for split, rows in (("train", train), ("valid", valid), ("test", [])):
-        reference.update(split.encode())
-        for row in sorted(rows):
-            reference.update(("\t".join(row) + "\n").encode())
-    assert kg.dataset_hash() == reference.hexdigest()
+    assert kg.dataset_hash() == reference_dataset_hash(train, valid, [])
+    # row order is part of a dataset's identity: the ids follow it
+    shuffled = make_kg(train[::-1], valid=valid)
+    assert set(shuffled.split_rows("train")) == set(kg.split_rows("train"))
+    assert shuffled.dataset_hash() == reference_dataset_hash(train[::-1], valid, [])
+    assert shuffled.dataset_hash() != kg.dataset_hash()
+
+
+# --- oracle: the per-row reader and interning loop ---
+
+def oracle_read_triple_file(path):
+    """Read a head<TAB>relation<TAB>tail file, one triple per line, in text mode."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DatasetError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+                )
+            rows.append((parts[0], parts[1], parts[2]))
+    return rows
+
+
+def oracle_intern(splits):
+    """(entity names, relation names, id triples per split): ids by first appearance,
+    a triple repeated within a split kept once."""
+    entity_id, relation_id = {}, {}
+    out = []
+    for rows in splits:
+        triples, seen = [], set()
+        for h, r, t in rows:
+            hid = entity_id.setdefault(h, len(entity_id))
+            tid = entity_id.setdefault(t, len(entity_id))
+            rid = relation_id.setdefault(r, len(relation_id))
+            if (hid, rid, tid) not in seen:
+                seen.add((hid, rid, tid))
+                triples.append((hid, rid, tid))
+        out.append(triples)
+    return list(entity_id), list(relation_id), out
+
+
+def oracle_load(paths):
+    """(entity names, relation names, id triples per split), or the DatasetError message."""
+    try:
+        splits = [oracle_read_triple_file(path) for path in paths]
+        if not splits[0]:
+            raise DatasetError("train split is empty")
+    except DatasetError as exc:
+        return str(exc)
+    return oracle_intern(splits)
+
+
+def loaded(paths, cache=None):
+    """``load_dataset``'s graph in the oracle's terms, or its DatasetError message."""
+    try:
+        kg = load_dataset(*paths, cache=cache)
+    except DatasetError as exc:
+        return str(exc)
+    return kg.entity_names, kg.relation_names, [kg.train, kg.valid, kg.test]
+
+
+def graph_state(kg):
+    return (kg.entity_names, kg.relation_names, kg.dataset_hash(),
+            [ids.tolist() for ids in (kg.train_ids, kg.valid_ids, kg.test_ids)])
+
+
+# Names may hold characters that str.splitlines would split at, a BOM, or nothing.
+name_chars = st.sampled_from(["a", "b", "é", " ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\ufeff"])
+names = st.text(alphabet=name_chars, max_size=2)
+line = st.one_of(
+    st.just(""),  # blank line
+    st.lists(names, min_size=3, max_size=3).map("\t".join),
+    st.lists(names, min_size=1, max_size=4).map("\t".join),  # sometimes malformed
+)
+
+
+@st.composite
+def split_text(draw):
+    pool = draw(st.lists(line, min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=12))  # repeats rows
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(map("".join, zip(lines, ends)))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no final line end
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@given(texts=st.tuples(split_text(), split_text(), split_text()))
+@settings(max_examples=300, deadline=None)
+def test_interning_matches_per_row_oracle(tmp_path_factory, texts):
+    directory = tmp_path_factory.mktemp("splits")
+    paths = [directory / f"{split}.tsv" for split in ("train", "valid", "test")]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text.encode("utf-8"))
+    expected = oracle_load(paths)
+    assert loaded(paths) == expected
+    cache = directory / "dataset.bin"
+    assert loaded(paths, cache) == expected  # written on a miss
+    assert loaded(paths, cache) == expected  # read on a hit
+
+
+@pytest.mark.parametrize(
+    "train, valid, test",
+    [
+        # duplicates within a split and across splits
+        ("a\tr\tb\na\tr\tb\nb\tr\ta\n", "a\tr\tb\n", "b\tr\ta\nb\tr\ta\n"),
+        # an entity first seen as a tail, others only in valid/test, a relation only in test
+        ("x\tr\ty\n", "z\tr\tx\n", "w\tq\tz\n"),
+        # blank lines, CRLF, a lone CR and no final newline
+        ("\na\tr\tb\r\n\r\nb\tr\tc\rc\tr\ta", "", "\r\n"),
+        # names str.splitlines would split, and a BOM kept as part of the first name
+        ("\ufeffa\x0bb\tr\x85\tc\x1cd\n\u2028\tr\x0c\t\n", "", ""),
+        # field-count errors carry the line number, blank lines counted
+        ("a\tr\tb\n\r\nonly\ttwo\n", "", ""),
+        ("a\tr\tb\n", "x\ty\tz\tw\n", ""),
+        ("\n\r\n", "a\tr\tb\n", ""),  # empty train
+    ],
+)
+def test_interning_cases_match_oracle(tmp_path, train, valid, test):
+    paths = [tmp_path / f"{split}.tsv" for split in ("train", "valid", "test")]
+    for path, text in zip(paths, (train, valid, test)):
+        path.write_bytes(text.encode("utf-8"))
+    assert loaded(paths) == oracle_load(paths)
+
+
+@pytest.mark.parametrize("workload", ["toy-train", "wide-eval", "hub-paths"])
+def test_workload_interning_matches_oracle(tmp_path, workload):
+    spec = workloads.WORKLOADS[workload]
+    workloads.write_workload(spec, tmp_path)
+    paths = [tmp_path / f"{split}.tsv" for split in ("train", "valid", "test")]
+    expected = oracle_load(paths)
+    assert loaded(paths) == expected
+    assert load_dataset(*paths).dataset_hash() == reference_dataset_hash(
+        *map(oracle_read_triple_file, paths)
+    )
+
+
+# --- the dataset cache ---
+
+@pytest.fixture
+def toy_files(tmp_path, toy_data):
+    files = write_dataset(toy_data, tmp_path / "data")
+    return [files[split] for split in ("train", "valid", "test")]
+
+
+def _parses(monkeypatch):
+    """A list that records every text parse ``load_dataset`` makes."""
+    calls = []
+    real = kg_mod._parse
+    monkeypatch.setattr(kg_mod, "_parse", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_cache_hit_parses_no_text(tmp_path, toy_files, monkeypatch):
+    cache = tmp_path / "out" / "dataset.bin"  # its directory is created on write
+    written = graph_state(load_dataset(*toy_files, cache=cache))
+    parses = _parses(monkeypatch)
+    assert graph_state(load_dataset(*toy_files, cache=cache)) == written
+    assert parses == []
+    assert written == graph_state(load_dataset(*toy_files))
+
+
+CACHE_HEADER = 110  # magic, version, source key, dataset hash, 5 counts, 2 name sizes
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["truncated header", "truncated ids", "one byte short", "over-long", "magic", "version"],
+)
+def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
+    cache = tmp_path / "dataset.bin"
+    expected = graph_state(load_dataset(*toy_files, cache=cache))
+    original = cache.read_bytes()
+    data = bytearray(original)
+    if damage == "truncated header":
+        data = data[: CACHE_HEADER // 2]
+    elif damage == "truncated ids":
+        data = data[: CACHE_HEADER + 13]
+    elif damage == "one byte short":
+        data = data[:-1]
+    elif damage == "over-long":
+        data += b"\0"
+    elif damage == "magic":
+        data[0] ^= 0xFF
+    else:
+        data[8:10] = (2).to_bytes(2, "little")
+    cache.write_bytes(bytes(data))
+    parses = _parses(monkeypatch)
+    assert graph_state(load_dataset(*toy_files, cache=cache)) == expected
+    assert parses == [1]
+    assert cache.read_bytes() == original
+
+
+def test_cache_follows_changed_sources(tmp_path, toy_files, toy_data):
+    cache = tmp_path / "dataset.bin"
+    before = graph_state(load_dataset(*toy_files, cache=cache))
+    train = toy_files[0]
+    text = open(train, "rb").read()
+    at = text.index(b"\t") - 1
+    open(train, "wb").write(text[:at] + b"#" + text[at + 1:])  # one byte of train.tsv
+    after = graph_state(load_dataset(*toy_files, cache=cache))
+    assert after != before
+    assert after == graph_state(load_dataset(*toy_files))
+    assert after == graph_state(load_dataset(*toy_files, cache=cache))
+
+    # a cache written for another dataset is not used for this one
+    other = write_dataset(generate(ToyConfig(seed=3)), tmp_path / "other")
+    foreign = tmp_path / "foreign.bin"
+    load_dataset(other["train"], other["valid"], other["test"], cache=foreign)
+    cache.write_bytes(foreign.read_bytes())
+    assert graph_state(load_dataset(*toy_files, cache=cache)) == after
+
+
+def test_read_only_cache_use_writes_nothing(tmp_path, toy_files):
+    cache = tmp_path / "out" / "dataset.bin"
+    expected = graph_state(load_dataset(*toy_files))
+    assert graph_state(load_dataset(*toy_files, cache=cache, write_cache=False)) == expected
+    assert not cache.parent.exists()

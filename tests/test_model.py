@@ -177,11 +177,13 @@ def test_checkpoint_older_version_rejected(tmp_path, kg):
     emb = init_embeddings(kg, TrainingConfig(dim=8, seed=1))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(emb, kg.dataset_hash(), "L1", path)
-    data = bytearray(path.read_bytes())
-    data[8:10] = (1).to_bytes(2, "little")  # version 1 stored a config digest, not the norm
-    path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="version 1"):
-        load_checkpoint(path)
+    # version 1 stored a config digest, not the norm; version 2 a dataset hash blind to row order
+    for version in (1, 2):
+        data = bytearray(path.read_bytes())
+        data[8:10] = version.to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_garbage(tmp_path):
