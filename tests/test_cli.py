@@ -461,6 +461,7 @@ def _full_parser_output(argv, capsys):
         ["explain", "--top-k", "2"],
         ["no-such-command", "--help"],
     ],
+    ids=["help", "explain help", "train help", "bad value", "missing positionals", "bad command"],
 )
 def test_parser_for_one_command_matches_full_parser(capsys, monkeypatch, argv):
     expected = _full_parser_output(argv, capsys)
