@@ -45,7 +45,7 @@ Columns = tuple[list[str], list[str], list[str]]
 
 
 def _columns(data: bytes, path) -> Columns:
-    """Head, relation and tail columns of head<TAB>relation<TAB>tail lines; blank lines are skipped."""
+    """Head, relation and tail columns of head<TAB>relation<TAB>tail lines; blank lines skipped."""
     lines = decode_text(data, path, DatasetError).split("\n")
     rows = list(filter(None, lines))
     if set(map(str.count, rows, repeat("\t"))) - {2}:
@@ -68,21 +68,22 @@ def _first_occurrences(ids: np.ndarray) -> np.ndarray:
     return ids[np.sort(order[first])]
 
 
-def _intern(columns: list[Columns]) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Entity and relation names in first-appearance order, then each split's id array."""
-    ends = []
+def _intern(columns: list[Columns]) -> tuple:
+    """(entity names, relation names) in first-appearance order, then each split's id array."""
+    ends = []  # per split: head 0, tail 0, head 1, tail 1, ...
     for heads, _, tails in columns:
-        both = [None] * (2 * len(heads))
-        both[0::2], both[1::2] = heads, tails
-        ends.append(both)
+        interleaved = [None] * (2 * len(heads))
+        interleaved[0::2], interleaved[1::2] = heads, tails
+        ends.append(interleaved)
     entity_names = list(dict.fromkeys(chain.from_iterable(ends)))
     relation_names = list(dict.fromkeys(chain.from_iterable(rels for _, rels, _ in columns)))
     entity_id = dict(zip(entity_names, range(len(entity_names))))
     relation_id = dict(zip(relation_names, range(len(relation_names))))
     splits = []
-    for both, (_, rels, _) in zip(ends, columns):
+    for split_ends, (_, rels, _) in zip(ends, columns):
         ids = np.empty((len(rels), 3), dtype=np.int32)
-        ids[:, 0::2] = np.fromiter(map(entity_id.__getitem__, both), np.int32, len(both)).reshape(-1, 2)
+        end_ids = np.fromiter(map(entity_id.__getitem__, split_ends), np.int32, len(split_ends))
+        ids[:, 0::2] = end_ids.reshape(-1, 2)
         ids[:, 1] = np.fromiter(map(relation_id.__getitem__, rels), np.int32, len(rels))
         splits.append(_first_occurrences(ids))
     return entity_names, relation_names, *splits
@@ -324,10 +325,12 @@ class KnowledgeGraph:
                 fh.write(f"{name}\t{i}\n")
 
     def dataset_hash(self) -> str:
-        """SHA-256 of the interned graph (``_graph_digest``); computed once, as the graph never changes."""
+        """SHA-256 of the interned graph (``_graph_digest``); computed once per graph."""
         if self._dataset_hash is None:
             self._dataset_hash = _graph_digest(
-                self.entity_names, self.relation_names, (self.train_ids, self.valid_ids, self.test_ids)
+                self.entity_names,
+                self.relation_names,
+                (self.train_ids, self.valid_ids, self.test_ids),
             )
         return self._dataset_hash
 
@@ -380,7 +383,8 @@ def _source_key(sources: list[bytes]) -> bytes:
 
 
 def _write_cache(graph: KnowledgeGraph, key: bytes, path) -> None:
-    """Header, the three id arrays as int32, then the entity and relation names joined by newlines."""
+    """Header, the three id arrays as int32, then the entity and the relation names,
+    each list joined by newlines."""
     splits = (graph.train_ids, graph.valid_ids, graph.test_ids)
     names = ["\n".join(graph.entity_names).encode(), "\n".join(graph.relation_names).encode()]
     header = _CACHE_HEADER.pack(
