@@ -124,7 +124,7 @@ def _load_rule_index(cfg: RunConfig, graph) -> tuple[rules_mod.RuleIndex, rules_
 
 def _extract_paths(
     cfg: RunConfig, graph, ds_hash: str, stats: paths_mod.PathStats | None = None
-) -> paths_mod.PathSet:
+) -> paths_mod.PathStore:
     ps = paths_mod.extract_paths(
         graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap, stats
     )
@@ -133,19 +133,25 @@ def _extract_paths(
     return ps
 
 
-def _load_or_extract_paths(cfg: RunConfig, graph) -> paths_mod.PathSet:
+def _load_or_extract_paths(cfg: RunConfig, graph) -> paths_mod.PathStore:
     cache = cfg.path_for("paths.bin")
     ds_hash = graph.dataset_hash()
     if os.path.exists(cache):
         try:
-            ps = paths_mod.load_path_set(cache, expected_dataset_hash=ds_hash)
+            ps = paths_mod.load_path_set(cache, expected_dataset_hash=ds_hash, graph=graph)
             if (ps.max_steps, ps.cutoff, ps.per_pair_cap) == (
                 cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap
             ):
                 return ps
         except paths_mod.PathCacheError:
-            pass  # stale, truncated or foreign cache: rebuild
+            pass  # stale, corrupt or foreign cache: rebuild
     return _extract_paths(cfg, graph, ds_hash)
+
+
+def _append_metrics(cfg: RunConfig, command: str, metrics: dict) -> None:
+    """One JSON line for ``command`` in ``<out>/metrics.jsonl``."""
+    with open(cfg.path_for("metrics.jsonl"), "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"command": command, **metrics}) + "\n")
 
 
 def cmd_encode_rules(cfg: RunConfig) -> int:
@@ -174,14 +180,12 @@ def cmd_extract_paths(cfg: RunConfig) -> int:
     start = time.perf_counter()
     ps = _extract_paths(cfg, graph, graph.dataset_hash(), stats)
     seconds = time.perf_counter() - start
-    with open(cfg.path_for("metrics.jsonl"), "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({**asdict(stats), "seconds": seconds}) + "\n")
+    _append_metrics(cfg, "extract-paths", {**asdict(stats), "seconds": seconds})
     write_resolved_config(cfg, cfg.path_for("resolved_extract-paths.cfg"))
-    reliabilities = [p.reliability for paths in ps.pairs.values() for p in paths]
     print(f"path cache written to {cfg.path_for('paths.bin')}")
     print(f"pairs with paths: {len(ps.pairs)}; paths: {ps.n_paths}")
-    if reliabilities:
-        hist, edges = np.histogram(reliabilities, bins=10, range=(0.0, 1.0))
+    if ps.n_paths:
+        hist, edges = np.histogram(ps.reliabilities, bins=10, range=(0.0, 1.0))
         print("reliability histogram:")
         for count, lo, hi in zip(hist, edges[:-1], edges[1:]):
             print(f"  [{lo:.1f},{hi:.1f}): {count}")
@@ -195,6 +199,11 @@ def cmd_train(cfg: RunConfig) -> int:
     tc = cfg.training_config()
     result = train(graph, ps, index, tc, log_every=max(1, tc.epochs // 10))
     os.makedirs(cfg.output_dir, exist_ok=True)
+    applications = {
+        rules_mod.format_chain_rule(rule, graph).partition("\t")[0]: n
+        for rule, n in result.paths.rule_applications.items()
+    }
+    _append_metrics(cfg, "train", {**result.paths.summary(), "rule_applications": applications})
     ckpt = cfg.path_for("checkpoint.bin")
     save_checkpoint(result.table, graph.dataset_hash(), tc.norm, ckpt)
     graph.save_dictionaries(cfg.output_dir)
@@ -217,7 +226,7 @@ def _scoring_context(cfg: RunConfig, write_cache: bool = True):
 
 def cmd_eval(cfg: RunConfig) -> int:
     graph, emb, index = _scoring_context(cfg)
-    # Ranking uses the precomputed train-pair path set: candidate pairs without
+    # Ranking uses the precomputed train-pair path store: candidate pairs without
     # stored paths are scored by the translation term alone.
     ps = _load_or_extract_paths(cfg, graph)
     alpha = 0.0 if cfg.disable_paths_and_r2 else cfg.alpha_paths
@@ -236,7 +245,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_explain(cfg: RunConfig, head: str, tail: str, machine: bool) -> int:
     graph, emb, index = _scoring_context(cfg, write_cache=False)
     # Explanations search the graph on demand so arbitrary pairs get evidence,
-    # including pairs outside the precomputed train-pair path set.
+    # including pairs outside the precomputed train-pair path store.
     finder = paths_mod.PathFinder(
         graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap
     )

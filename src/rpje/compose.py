@@ -4,14 +4,22 @@ A path's relation sequence is rewritten to a fixpoint: the scan is leftmost
 first, the first adjacent pair with an indexed rule is replaced by the rule
 head, and the scan restarts. Whatever cannot be composed symbolically is summed
 in embedding space (``energy.compose_embedding``).
+
+``Composer.compile`` composes a ``PathStore`` once: each distinct relation row
+goes through ``compose`` once, and every path gets the id of its residual among
+the distinct residuals and its weight R(p) * prod(mu).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
+from .paths import PathStore
 from .rules import ChainRule, RuleIndex
 
 
@@ -34,12 +42,47 @@ class CompositionResult:
         return len(self.residual) == 1
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledPaths:
+    """A ``PathStore``'s paths composed: per path, in store order, the row of its
+    residual in ``residuals`` (distinct residuals padded with -1) and its weight
+    R(p) * prod(mu). ``compositions`` holds the result of each distinct relation
+    sequence, and ``sequence_id`` each path's among them."""
+
+    residuals: np.ndarray
+    residual_id: np.ndarray
+    weight: np.ndarray
+    compositions: list[CompositionResult]
+    sequence_id: np.ndarray
+
+    @property
+    def rule_applications(self) -> dict[ChainRule, int]:
+        """How often each rule was applied, over all paths."""
+        applications: Counter = Counter()
+        uses = np.bincount(self.sequence_id, minlength=len(self.compositions)).tolist()
+        for cr, n in zip(self.compositions, uses):
+            for rule in cr.applied_rules:
+                applications[rule] += n
+        return dict(applications)
+
+    def summary(self) -> dict:
+        """Paths compiled, the fraction fully composed and paths per residual length."""
+        lengths = np.count_nonzero(self.residuals >= 0, axis=1)[self.residual_id]
+        counts = np.bincount(lengths, minlength=self.residuals.shape[1] + 1)
+        return {
+            "paths": len(lengths),
+            "fully_composed_frac": float(counts[1] / max(1, len(lengths))),
+            "residual_lengths": {str(n): int(c) for n, c in enumerate(counts) if n},
+        }
+
+
 class Composer:
     """Memoized leftmost-first fixpoint rewriter over an immutable rule index."""
 
     def __init__(self, index: RuleIndex):
         self.index = index
         self._memo: dict[tuple[int, ...], CompositionResult] = {}
+        self._compiled: tuple[PathStore, CompiledPaths] | None = None
 
     def compose(self, relations: tuple[int, ...]) -> CompositionResult:
         if not relations:
@@ -62,3 +105,30 @@ class Composer:
         self._memo[relations] = result
         return result
 
+    def compile(self, store: PathStore) -> CompiledPaths:
+        """Every path of ``store`` composed; memoized for the last store compiled."""
+        if self._compiled is not None and self._compiled[0] is store:
+            return self._compiled[1]
+        rels = store.relations
+        # one integer key per relation row, digits base n, where -1 pads and ids are < n - 2
+        base = int(rels.max(initial=-1)) + 2
+        keys = np.zeros(len(rels), dtype=np.int64)
+        for column in rels.T:
+            keys = keys * base + (column + 1)
+        _, first, sequence = np.unique(keys, return_index=True, return_inverse=True)
+        results = [self.compose(tuple(r for r in seq if r >= 0)) for seq in rels[first].tolist()]
+        residual_ids: dict[tuple[int, ...], int] = {}
+        residual_of = np.array(
+            [residual_ids.setdefault(cr.residual, len(residual_ids)) for cr in results],
+            dtype=np.int64,
+        )
+        residuals = np.full((len(residual_ids), max(map(len, residual_ids), default=1)), -1)
+        for residual, i in residual_ids.items():
+            residuals[i, : len(residual)] = residual
+        confidence = np.array([cr.confidence_product for cr in results])
+        compiled = CompiledPaths(
+            residuals, residual_of[sequence], store.reliabilities * confidence[sequence],
+            results, sequence,
+        )
+        self._compiled = (store, compiled)
+        return compiled

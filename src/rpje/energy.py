@@ -91,15 +91,18 @@ def fold_inverse(rows: np.ndarray, values: np.ndarray, n_base: int):
     return rows - n_base * inverse, values * np.where(inverse, -1.0, 1.0)[:, None]
 
 
-def _signed_relations(emb) -> np.ndarray:
+def signed_relations(emb) -> np.ndarray:
     """The base relation vectors, then their negations: row r is ``emb.relation_vec(r)``."""
     return np.concatenate((emb.relations, -emb.relations))
 
 
-def residual_matrix(residuals) -> np.ndarray:
-    """Residual relation sequences as one int array, rows padded with -1."""
-    width = max(map(len, residuals))
-    return np.array([res + (-1,) * (width - len(res)) for res in residuals], dtype=np.int64)
+def composed_relations(rel: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """C(p) of each row of ``residual`` (relation ids padded with -1), summed left to
+    right; ``rel`` is ``signed_relations``."""
+    c = rel[residual[:, 0]]
+    for k in range(1, residual.shape[1]):
+        np.add(c, rel[residual[:, k]], out=c, where=residual[:, k, None] >= 0)
+    return c
 
 
 def _hinge(margin, d, norm, w=None, scale=1.0):
@@ -136,7 +139,7 @@ def triple_hinge(emb, ids: np.ndarray, margin: float, norm: str) -> tuple[np.nda
     losses and the entity and relation subgradients: per hinge h, t, h', t' and
     r, r'.
     """
-    ent, rel = emb.entities, _signed_relations(emb)
+    ent, rel = emb.entities, signed_relations(emb)
     d = ent[ids[..., 0]] + rel[ids[..., 1]] - ent[ids[..., 2]]
     loss, active, g = _hinge(margin, d, norm)
     a = ids[active]
@@ -157,15 +160,14 @@ def path_hinge(emb, residual: np.ndarray, weight: np.ndarray, r: np.ndarray,
                margin: float, norm: str, scale: float = 1.0) -> tuple[np.ndarray, Grad]:
     """L2 terms [margin + E2(p,r) - E2(p,r')]_+ for K paths; C(p) gets gradient from both sides.
 
-    ``residual`` is the ``residual_matrix`` of the paths' compositions, ``weight``
-    their R(p|h,t) * prod(mu), (K,), or one weight per side, (K, 2), and ``r``
-    (K, 2) each hinge's relation and negative relation. Returns the K losses and
-    the relation subgradient: per hinge the residual rows, then r, then r'.
+    ``residual`` holds the residual of each path's composition, padded with -1,
+    ``weight`` their R(p|h,t) * prod(mu), (K,), or one weight per side, (K, 2),
+    and ``r`` (K, 2) each hinge's relation and negative relation. Returns the K
+    losses and the relation subgradient: per hinge the residual rows, then r,
+    then r'.
     """
-    rel = _signed_relations(emb)
-    c = rel[residual[:, 0]]
-    for k in range(1, residual.shape[1]):
-        np.add(c, rel[residual[:, k]], out=c, where=residual[:, k, None] >= 0)
+    rel = signed_relations(emb)
+    c = composed_relations(rel, residual)
     w = weight.reshape(len(weight), -1)
     loss, active, g = _hinge(margin, c[:, None] - rel[r], norm, w, scale)
     width = residual.shape[1]

@@ -6,8 +6,18 @@ with the energies of ``energy``; candidates are ranked ascending by Q (lower
 energy = better). Each query scores every candidate once, and that one score
 vector gives both the raw and the filtered rank. The filtered setting removes
 corrupted candidates already present anywhere in the KG, looked up in the
-graph's array filter index (``known_tails``/``known_heads``). Ties are broken
-pessimistically: the true answer ranks after equal-scored rivals.
+graph's array filter index (``known_tails``/``known_heads``/
+``known_relations``). Ties are broken pessimistically: the true answer ranks
+after equal-scored rivals.
+
+The path term of a query comes from a ``Selection`` of a ``PathStore``: a
+tail query reads the head's pairs, one slice of the store; a head query the
+tail's pairs, one slice of the store's by-tail permutation. The store is
+compiled once (``Composer.compile``), ||C(p) - r|| is cached per distinct
+residual and relation, and ``np.bincount`` sums each pair's path energies.
+``np.bincount`` adds its weights in input order from 0.0, so every sum is the
+one a loop of += over the pair's paths in store order gives, bit for bit (that
+loop is kept as the oracle in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -16,11 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compose import Composer
-from .energy import compose_embedding, path_energy, path_weight, triple_energy
+from .compose import CompiledPaths, Composer
+from .energy import composed_relations, dissimilarity, signed_relations, triple_energy
 from .kg import KnowledgeGraph, Triple
 from .model import EmbeddingTable, TrainingConfig
-from .paths import Path, PathFinder, PathSet
+from .paths import PathFinder, PathStore, Selection
 from .rules import RuleIndex, format_chain_rule
 
 HITS_AT = (1, 3, 10)
@@ -51,12 +61,18 @@ def relation_categories(kg: KnowledgeGraph, threshold: float = 1.5) -> dict[int,
 
 
 class Scorer:
-    """Q-scoring of candidate triples against trained embeddings and paths."""
+    """Q-scoring of candidate triples against trained embeddings and paths.
+
+    ``provider`` is a ``PathStore`` or a ``PathFinder``: either gives the paths
+    of a query as a ``Selection`` of a store. The composer compiles that store
+    once (``Composer.compile``), and the scorer keeps C(p) per distinct residual
+    and, per relation r, ||C(p) - r|| per distinct residual.
+    """
 
     def __init__(
         self,
         emb: EmbeddingTable,
-        provider: PathFinder | PathSet,
+        provider: PathFinder | PathStore,
         composer: Composer,
         alpha_paths: float = TrainingConfig.alpha_paths,
         norm: str = TrainingConfig.norm,
@@ -67,23 +83,47 @@ class Scorer:
         self.alpha = alpha_paths
         self.norm = norm
         self._buf = np.empty_like(emb.entities)  # E1 scratch for every candidate entity
+        self._store: PathStore | None = None  # the last store scored, and for it:
+        self._composed = np.empty((0, emb.dim))
+        self._norms: dict[int, np.ndarray] = {}
 
-    def path_penalty(self, paths: tuple[Path, ...], r: np.ndarray):
-        """sum over paths of E2(p, r); r may carry a leading candidate axis."""
-        total = 0.0
-        for p in paths:
-            cr = self.composer.compose(p.relations)
-            total += path_energy(
-                path_weight(p, cr), compose_embedding(cr, self.emb), r, self.norm
-            )
-        return total
+    def _prepared(self, store: PathStore) -> tuple[CompiledPaths, np.ndarray]:
+        """The store's compilation and C(p) per distinct residual."""
+        compiled = self.composer.compile(store)
+        if store is not self._store:
+            self._store, self._norms = store, {}
+            self._composed = composed_relations(signed_relations(self.emb), compiled.residuals)
+        return compiled, self._composed
+
+    def path_penalty(self, sel: Selection, r: int | None = None) -> np.ndarray:
+        """Per pair of ``sel``, the sum over its paths of E2(p, r); with r None, one
+        column per base relation.
+
+        Each sum adds its paths' energies in store order starting from 0.0, as a
+        loop of += over the pair's paths does: ``np.bincount`` adds in input order.
+        """
+        n = self.emb.n_base_relations
+        if not len(sel.pair):  # nothing to compile
+            return np.zeros(len(sel.ends) if r is not None else (len(sel.ends), n))
+        compiled, composed = self._prepared(sel.store)
+        residual, weight = compiled.residual_id[sel.paths], compiled.weight[sel.paths]
+        if r is not None:
+            norms = self._norms.get(r)
+            if norms is None:
+                norms = dissimilarity(composed - self.emb.relation_vec(r), self.norm)
+                self._norms[r] = norms
+            return np.bincount(sel.pair, weights=weight * norms[residual], minlength=len(sel.ends))
+        norms = dissimilarity(composed[residual][:, None] - self.emb.relations, self.norm)
+        slots = (sel.pair[:, None] * n + np.arange(n)).ravel()
+        energy = (weight[:, None] * norms).ravel()
+        return np.bincount(slots, weights=energy, minlength=len(sel.ends) * n).reshape(-1, n)
 
     def score(self, h: int, r: int, t: int) -> float:
         rvec = self.emb.relation_vec(r)
         ent = self.emb.entities
         q = triple_energy(ent[h], rvec, ent[t], self.norm)
         if self.alpha:
-            q += self.alpha * self.path_penalty(self.provider.paths_between(h, t), rvec)
+            q += self.alpha * self.path_penalty(self.provider.between(h, t), r)[0]
         return float(q)
 
     # --- vectorized candidate scoring ---
@@ -93,8 +133,8 @@ class Scorer:
         ent = self.emb.entities
         scores = triple_energy(ent[h], rvec, ent, self.norm, out=self._buf)
         if self.alpha:
-            for t, paths in self.provider.arrivals(h).items():
-                scores[t] += self.alpha * self.path_penalty(paths, rvec)
+            sel = self.provider.from_head(h)
+            scores[sel.ends] += self.alpha * self.path_penalty(sel, r)
         return scores
 
     def head_scores(self, r: int, t: int) -> np.ndarray:
@@ -102,15 +142,15 @@ class Scorer:
         ent = self.emb.entities
         scores = triple_energy(ent, rvec, ent[t], self.norm, out=self._buf)
         if self.alpha:
-            for h, paths in self.provider.origins(t).items():
-                scores[h] += self.alpha * self.path_penalty(paths, rvec)
+            sel = self.provider.to_tail(t)
+            scores[sel.ends] += self.alpha * self.path_penalty(sel, r)
         return scores
 
     def relation_scores(self, h: int, t: int) -> np.ndarray:
         ent, rels = self.emb.entities, self.emb.relations
         scores = triple_energy(ent[h], rels, ent[t], self.norm)
         if self.alpha:
-            scores += self.alpha * self.path_penalty(self.provider.paths_between(h, t), rels)
+            scores += self.alpha * self.path_penalty(self.provider.between(h, t))[0]
         return scores
 
 
@@ -144,11 +184,7 @@ def rank_entities(
 def rank_relations(scorer: Scorer, kg: KnowledgeGraph, triple: Triple) -> tuple[int, int]:
     """(raw, filtered) rank of the true relation among the base relations."""
     h, r, t = triple
-    scores = scorer.relation_scores(h, t)
-    known = np.array(
-        [c for c in range(kg.n_base_relations) if kg.is_known((h, c, t))], dtype=np.intp
-    )
-    return _rank(scores, r, known)
+    return _rank(scorer.relation_scores(h, t), r, kg.known_relations(h, t))
 
 
 @dataclass
@@ -171,7 +207,7 @@ def metrics_from_ranks(ranks: list[int]) -> tuple[float, float, dict[int, float]
 
 def evaluate(
     emb: EmbeddingTable,
-    provider: PathFinder | PathSet,
+    provider: PathFinder | PathStore,
     index: RuleIndex,
     kg: KnowledgeGraph,
     alpha_paths: float = TrainingConfig.alpha_paths,
@@ -272,7 +308,7 @@ class RelationExplanation:
 
 def explain(
     emb: EmbeddingTable,
-    provider: PathFinder | PathSet,
+    provider: PathFinder | PathStore,
     index: RuleIndex,
     kg: KnowledgeGraph,
     h: int,

@@ -286,6 +286,10 @@ class KnowledgeGraph:
             return self._index().tails(t, r - self.n_base_relations)
         return self._index().heads(r, t)
 
+    def known_relations(self, h: int, t: int) -> np.ndarray:
+        """Every base relation c with is_known((h, c, t)), ascending."""
+        return self._index().relations(h, t)
+
     def _index(self) -> _FilterIndex:
         # Built on first use: only ranking needs it, not training or explain.
         if self._filter_index is None:
@@ -336,7 +340,7 @@ class KnowledgeGraph:
 
 
 class _FilterIndex:
-    """Known (base-relation) triples sorted twice: by (h, r) key and by (r, t) key.
+    """Known (base-relation) triples sorted three times: by (h, r), (r, t) and (h, t) key.
 
     A lookup is one ``searchsorted`` pair on the key array and a slice of the
     matching other ends, so memory stays linear in the number of known triples.
@@ -349,6 +353,8 @@ class _FilterIndex:
         self._hr_keys, self._tails = (h * n_base_relations + r)[by_hr], t[by_hr]
         by_rt = np.lexsort((h, t, r))
         self._rt_keys, self._heads = (r * n_entities + t)[by_rt], h[by_rt]
+        by_ht = np.lexsort((r, t, h))
+        self._ht_keys, self._relations = (h * n_entities + t)[by_ht], r[by_ht]
 
     @staticmethod
     def _slice(keys: np.ndarray, values: np.ndarray, key: int) -> np.ndarray:
@@ -360,6 +366,9 @@ class _FilterIndex:
 
     def heads(self, r: int, t: int) -> np.ndarray:
         return self._slice(self._rt_keys, self._heads, r * self._n_ent + t)
+
+    def relations(self, h: int, t: int) -> np.ndarray:
+        return self._slice(self._ht_keys, self._relations, h * self._n_ent + t)
 
 
 _CACHE_MAGIC = b"RPJEDSET"

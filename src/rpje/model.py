@@ -121,7 +121,10 @@ def save_checkpoint(emb: EmbeddingTable, dataset_hash: str, norm: str, path) -> 
 def load_checkpoint(
     path, expected_dataset_hash: str | None = None, expected_norm: str | None = None
 ) -> tuple[EmbeddingTable, str, str]:
-    """Returns (table, dataset_hash, norm); embeddings fit only the norm they were trained with."""
+    """Returns (table, dataset_hash, norm); embeddings fit only the norm they were trained with.
+
+    The table's arrays are read-only views of the file's bytes: scoring only reads them.
+    """
     with open(path, "rb") as fh:
         read = partial(read_exact, fh, error=CheckpointError)
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
@@ -142,4 +145,4 @@ def load_checkpoint(
             )
         ents = np.frombuffer(read(8 * n_ent * dim), dtype="<f8").reshape(n_ent, dim)
         rels = np.frombuffer(read(8 * n_rel * dim), dtype="<f8").reshape(n_rel, dim)
-    return EmbeddingTable(ents.copy(), rels.copy()), ds_hash, norm
+    return EmbeddingTable(ents, rels), ds_hash, norm

@@ -29,13 +29,22 @@ Heads are walked in consecutive blocks of about ``_BLOCK_EDGES`` expanded
 edges, counted as walks of 1..max_steps hops (an upper bound on the edges a
 head expands). That bounds the kernel's working set, except for a head whose
 own walks exceed the limit.
+
+The kept paths form a ``PathStore``: arrays laid out like the ``paths.bin``
+body, pairs sorted by (head, tail) with an ``indptr`` over their paths. No
+object is built per path; ``Path`` tuples are made on demand (``pairs``,
+``paths_between``) for explanations and tests. Scoring and training read the
+arrays through ``Selection``s and ``path_range``. ``load_path_set`` reads the
+arrays with ``np.frombuffer`` and checks every value, so a corrupt cache raises
+``PathCacheError`` like a truncated one.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from functools import partial
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -192,23 +201,6 @@ def _select(found: _Arrivals, cutoff: float, cap: int) -> tuple[_Arrivals, int, 
     return kept, n_found - n_above, n_above - n_kept
 
 
-def _paths_by_pair(found: _Arrivals) -> dict[tuple[int, int], tuple[Path, ...]]:
-    """Paths grouped per (head, tail), in the order of ``found`` (sorted by pair)."""
-    lengths = np.count_nonzero(found.relations >= 0, axis=1).tolist()
-    rows = zip(*found.relations.T.tolist())
-    paths = [
-        Path(rels[:n], w) for rels, n, w in zip(rows, lengths, found.reliabilities.tolist())
-    ]
-    starts = _pair_starts(found)
-    bounds = [*starts.tolist(), len(paths)]
-    return {
-        (h, t): tuple(paths[lo:hi])
-        for h, t, lo, hi in zip(
-            found.heads[starts].tolist(), found.tails[starts].tolist(), bounds, bounds[1:]
-        )
-    }
-
-
 def _search(
     kg: KnowledgeGraph,
     heads: np.ndarray,
@@ -216,17 +208,17 @@ def _search(
     cutoff: float,
     cap: int,
     wanted: np.ndarray | None = None,
-) -> tuple[dict[tuple[int, int], tuple[Path, ...]], int, int]:
-    """Paths from ``heads`` (sorted, non-empty), one block at a time, and the
-    counts cut by the cutoff and by the cap. ``wanted`` holds sorted keys
-    ``head * n_entities + tail``, or is None to want every pair."""
-    pairs, below, over = {}, 0, 0
+) -> tuple[_Arrivals, int, int]:
+    """Paths from ``heads`` (sorted, non-empty), one block at a time, sorted by
+    pair, and the counts cut by the cutoff and by the cap. ``wanted`` holds
+    sorted keys ``head * n_entities + tail``, or is None to want every pair."""
+    found, below, over = [], 0, 0
     for block in _blocks(kg, heads, max_steps):
         want = None if wanted is None else _Wanted.of_block(wanted, block, kg.n_entities)
-        found, cut, capped = _select(_propagate(kg, block, max_steps, want), cutoff, cap)
-        pairs.update(_paths_by_pair(found))
+        kept, cut, capped = _select(_propagate(kg, block, max_steps, want), cutoff, cap)
+        found.append(kept)
         below, over = below + cut, over + capped
-    return pairs, below, over
+    return _Arrivals(*map(np.concatenate, zip(*found))), below, over
 
 
 def walk_resources(
@@ -242,35 +234,136 @@ def walk_resources(
     return arrivals
 
 
-@dataclass
-class PathSet:
-    """Paths per entity pair with PCRA reliabilities; immutable after construction."""
+class Selection(NamedTuple):
+    """Some pairs of a ``PathStore``: the positions of their paths in it, pair
+    after pair; each pair's other end (its tail, or its head); and per path, the
+    index of its pair among them."""
+
+    store: PathStore
+    paths: slice | np.ndarray
+    ends: np.ndarray
+    pair: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PathStore:
+    """Paths per entity pair with PCRA reliabilities, as arrays laid out like the
+    ``paths.bin`` body; immutable.
+
+    Pairs are sorted by (head, tail), and pair i owns paths ``indptr[i]`` to
+    ``indptr[i + 1]``, by descending reliability, then relation sequence.
+    ``relations`` is padded with -1 to ``max_steps`` columns. ``pairs`` and
+    ``paths_between`` build ``Path`` objects on demand; scoring and training read
+    the arrays through ``from_head``, ``to_tail``, ``between`` and ``path_range``.
+    """
 
     max_steps: int
     cutoff: float
-    per_pair_cap: int = DEFAULT_PER_PAIR_CAP
-    pairs: dict[tuple[int, int], tuple[Path, ...]] = field(default_factory=dict)
+    per_pair_cap: int
+    heads: np.ndarray
+    tails: np.ndarray
+    indptr: np.ndarray
+    relations: np.ndarray
+    reliabilities: np.ndarray
 
-    def __post_init__(self):
-        self._by_head, self._by_tail = {}, {}
-        for (h, t), paths in self.pairs.items():
-            self._by_head.setdefault(h, {})[t] = paths
-            self._by_tail.setdefault(t, {})[h] = paths
-
-    def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
-        return self.pairs.get((h, t), ())
-
-    def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
-        """Paths from h, keyed by tail."""
-        return self._by_head.get(h, {})
-
-    def origins(self, t: int) -> dict[int, tuple[Path, ...]]:
-        """Paths to t, keyed by head."""
-        return self._by_tail.get(t, {})
+    @classmethod
+    def of(cls, found: _Arrivals, max_steps: int, cutoff: float, cap: int) -> PathStore:
+        """The store of ``found``, which is sorted by pair."""
+        starts = _pair_starts(found)
+        return cls(
+            max_steps, cutoff, cap, found.heads[starts], found.tails[starts],
+            np.append(starts, len(found.heads)), found.relations, found.reliabilities,
+        )
 
     @property
     def n_paths(self) -> int:
-        return sum(len(v) for v in self.pairs.values())
+        return int(self.indptr[-1])
+
+    @property
+    def pairs(self) -> Mapping[tuple[int, int], tuple[Path, ...]]:
+        return _PairView(self)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Sorted pair keys ``head << 32 | tail``; entity ids fit in 32 bits (``paths.bin``)."""
+        return self.heads << 32 | self.tails
+
+    @cached_property
+    def _ranges(self) -> dict[tuple[int, int], tuple[int, int]]:
+        ptr = self.indptr.tolist()
+        return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), zip(ptr, ptr[1:])))
+
+    def path_range(self, h: int, t: int) -> tuple[int, int]:
+        """The range of (h, t)'s paths, empty when it has none. A dict lookup, for
+        loops that ask once per triple; built on the first call."""
+        return self._ranges.get((h, t), (0, 0))
+
+    @cached_property
+    def _pair_of_path(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.heads)), np.diff(self.indptr))
+
+    def from_head(self, h: int) -> Selection:
+        """The pairs (h, t), by ascending t: one slice of the store."""
+        a, b = self.heads.searchsorted((h, h + 1))
+        lo, hi = self.indptr[a], self.indptr[b]
+        return Selection(self, slice(lo, hi), self.tails[a:b], self._pair_of_path[lo:hi] - a)
+
+    @cached_property
+    def _by_tail(self) -> tuple[np.ndarray, ...]:
+        """Pairs in (tail, head) order: the permutation, the sorted tails, where each
+        pair's paths begin in that order, the paths in it and each one's pair."""
+        order = np.argsort(self.tails, kind="stable")
+        counts = np.diff(self.indptr)[order]
+        begin = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(counts, out=begin[1:])
+        paths = np.arange(self.n_paths) + np.repeat(self.indptr[order] - begin[:-1], counts)
+        return order, self.tails[order], begin, paths, np.repeat(np.arange(len(order)), counts)
+
+    def to_tail(self, t: int) -> Selection:
+        """The pairs (h, t), by ascending h: one slice of the by-tail permutation."""
+        order, tails, begin, paths, pair = self._by_tail
+        a, b = tails.searchsorted((t, t + 1))
+        lo, hi = begin[a], begin[b]
+        return Selection(self, paths[lo:hi], self.heads[order[a:b]], pair[lo:hi] - a)
+
+    def between(self, h: int, t: int) -> Selection:
+        """The one pair (h, t), with no paths when the store has none for it."""
+        key = h << 32 | t
+        i = int(self.keys.searchsorted(key))
+        lo, hi = self.indptr[i : i + 2] if i < len(self.keys) and self.keys[i] == key else (0, 0)
+        return Selection(self, slice(lo, hi), np.array([t]), np.zeros(hi - lo, dtype=np.int64))
+
+    def path_objects(self, lo: int, hi: int) -> tuple[Path, ...]:
+        lengths = np.count_nonzero(self.relations[lo:hi] >= 0, axis=1).tolist()
+        return tuple(
+            Path(tuple(rels[:n]), w)
+            for rels, n, w in zip(
+                self.relations[lo:hi].tolist(), lengths, self.reliabilities[lo:hi].tolist()
+            )
+        )
+
+    def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
+        paths = self.between(h, t).paths
+        return self.path_objects(paths.start, paths.stop)
+
+
+class _PairView(Mapping):
+    """A store's pairs as a read-only mapping (h, t) -> paths, in pair order."""
+
+    def __init__(self, store: PathStore):
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store.heads)
+
+    def __iter__(self):
+        return zip(self._store.heads.tolist(), self._store.tails.tolist())
+
+    def __getitem__(self, pair: tuple[int, int]) -> tuple[Path, ...]:
+        paths = self._store.paths_between(*pair)
+        if not paths:
+            raise KeyError(pair)
+        return paths
 
 
 def extract_paths(
@@ -279,7 +372,7 @@ def extract_paths(
     cutoff: float = DEFAULT_CUTOFF,
     per_pair_cap: int = DEFAULT_PER_PAIR_CAP,
     stats: PathStats | None = None,
-) -> PathSet:
+) -> PathStore:
     """Enumerate and score paths for every train entity pair."""
     if max_steps not in (2, 3):
         raise ValueError("max_steps must be 2 or 3")
@@ -290,21 +383,23 @@ def extract_paths(
     found, below, over = _search(
         kg, np.unique(pairs[:, 0]), max_steps, cutoff, per_pair_cap, wanted
     )
-    ps = PathSet(max_steps, cutoff, per_pair_cap, found)
+    store = PathStore.of(found, max_steps, cutoff, per_pair_cap)
     if stats is not None:
         stats.pairs = len(pairs)
-        stats.pairs_without_paths = len(pairs) - len(ps.pairs)
-        stats.paths = ps.n_paths
+        stats.pairs_without_paths = len(pairs) - len(store.heads)
+        stats.paths = store.n_paths
         stats.paths_below_cutoff = below
         stats.paths_over_cap = over
-    return ps
+    return store
 
 
 class PathFinder:
     """On-demand path lookup for arbitrary pairs, memoized per head entity and per pair.
 
-    Used at evaluation time, where candidate pairs are not restricted to train
-    pairs; results agree with extract_paths on train pairs by construction.
+    Used at explanation time, where the pair need not be a train pair; results
+    agree with extract_paths on train pairs by construction. Each lookup is a
+    ``PathStore`` of the pairs asked for, read through the same ``from_head``,
+    ``to_tail`` and ``between`` as a loaded store.
     """
 
     def __init__(
@@ -318,87 +413,107 @@ class PathFinder:
         self.max_steps = max_steps
         self.cutoff = cutoff
         self.per_pair_cap = per_pair_cap
-        self._by_head: dict[int, dict[int, tuple[Path, ...]]] = {}
-        self._by_pair: dict[tuple[int, int], tuple[Path, ...]] = {}
+        self._options = (max_steps, cutoff, per_pair_cap)
+        self._by_head: dict[int, PathStore] = {}
+        self._by_pair: dict[tuple[int, int], PathStore] = {}
 
-    def _find(self, heads, wanted) -> dict[tuple[int, int], tuple[Path, ...]]:
+    def _find(self, heads, wanted) -> PathStore:
         heads = np.asarray(heads, dtype=np.int64)
-        return _search(self.kg, heads, self.max_steps, self.cutoff, self.per_pair_cap, wanted)[0]
+        found = _search(self.kg, heads, *self._options, wanted)[0]
+        return PathStore.of(found, *self._options)
 
-    def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
-        cached = self._by_head.get(h)
-        if cached is None:
-            cached = {t: paths for (_, t), paths in self._find([h], None).items()}
-            self._by_head[h] = cached
-        return cached
+    def _from(self, h: int) -> PathStore:
+        store = self._by_head.get(h)
+        if store is None:
+            store = self._by_head[h] = self._find([h], None)
+        return store
 
-    def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
-        if h in self._by_head:
-            return self._by_head[h].get(t, ())
-        cached = self._by_pair.get((h, t))
-        if cached is None:
-            wanted = np.array([h * self.kg.n_entities + t], dtype=np.int64)
-            cached = self._find([h], wanted).get((h, t), ())
-            self._by_pair[(h, t)] = cached
-        return cached
-
-    def origins(self, t: int) -> dict[int, tuple[Path, ...]]:
-        """Paths to t, keyed by head; one walk from every entity within max_steps of t.
+    def _to(self, t: int) -> PathStore:
+        """Paths to t; one walk from every entity within max_steps of t.
 
         The adjacency is inverse-closed, so the entities t reaches are those that reach t.
         """
         csr = self.kg.csr
-        frontier, reached = np.array([t], dtype=np.int64), []
+        frontier = np.array([t], dtype=np.int64)
+        reached = [frontier]  # t itself too, so there is a head even when t has no edges
         for _ in range(self.max_steps):
             frontier = np.unique(csr.neighbour[_edges(csr, frontier)[1]])
             reached.append(frontier)
         heads = np.unique(np.concatenate(reached))
-        if not len(heads):
-            return {}
-        found = self._find(heads, heads * self.kg.n_entities + t)
-        return {h: paths for (h, _), paths in found.items()}
+        return self._find(heads, heads * self.kg.n_entities + t)
+
+    def _between(self, h: int, t: int) -> PathStore:
+        if h in self._by_head:
+            return self._by_head[h]
+        store = self._by_pair.get((h, t))
+        if store is None:
+            wanted = np.array([h * self.kg.n_entities + t], dtype=np.int64)
+            store = self._by_pair[(h, t)] = self._find([h], wanted)
+        return store
+
+    def from_head(self, h: int) -> Selection:
+        return self._from(h).from_head(h)
+
+    def to_tail(self, t: int) -> Selection:
+        return self._to(t).to_tail(t)
+
+    def between(self, h: int, t: int) -> Selection:
+        return self._between(h, t).between(h, t)
+
+    def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
+        return self._between(h, t).paths_between(h, t)
+
+    def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
+        """Paths from h, keyed by tail."""
+        return {t: paths for (_, t), paths in self._from(h).pairs.items()}
+
+    def origins(self, t: int) -> dict[int, tuple[Path, ...]]:
+        """Paths to t, keyed by head."""
+        return {h: paths for (h, _), paths in self._to(t).pairs.items()}
 
 
 _MAGIC = b"RPJEPATH"
 _VERSION = 3
-_LOAD_PAIRS = 1024
 
 
-def save_path_set(ps: PathSet, dataset_hash: str, path) -> None:
+def save_path_set(store: PathStore, dataset_hash: str, path) -> None:
     """Binary cache: a 64-byte header, then fixed-width little-endian arrays.
 
     The header holds the magic, version, max_steps, cutoff, per_pair_cap,
     dataset hash and pair count. Then come (head, tail, path count) per pair as
     uint32, sorted by pair, and for every path in pair order its reliability
     (float64), its relations (uint32, zero-padded to max_steps) and its length
-    (uint8), one array each.
+    (uint8), one array each: the store's arrays as they are.
     """
-    pairs = sorted(ps.pairs.items())
-    n_paths, width = sum(len(group) for _, group in pairs), ps.max_steps
-
-    def each_path():
-        return (p for _, group in pairs for p in group)
-
-    # One array at a time, each straight from the paths, keeps the write's memory small.
+    rels = store.relations
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<HH", _VERSION, ps.max_steps))
-        fh.write(struct.pack("<dI", ps.cutoff, ps.per_pair_cap))
+        fh.write(struct.pack("<HH", _VERSION, store.max_steps))
+        fh.write(struct.pack("<dI", store.cutoff, store.per_pair_cap))
         fh.write(bytes.fromhex(dataset_hash))
-        fh.write(struct.pack("<Q", len(pairs)))
-        counts = [(h, t, len(group)) for (h, t), group in pairs]
-        np.array(counts, dtype="<u4").reshape(-1, 3).tofile(fh)
-        np.fromiter((p.reliability for p in each_path()), "<f8", n_paths).tofile(fh)
-        padded = (p.relations + (0,) * (width - len(p.relations)) for p in each_path())
-        np.fromiter((r for rels in padded for r in rels), "<u4", n_paths * width).tofile(fh)
-        np.fromiter((len(p.relations) for p in each_path()), np.uint8, n_paths).tofile(fh)
+        fh.write(struct.pack("<Q", len(store.heads)))
+        pairs = np.stack((store.heads, store.tails, np.diff(store.indptr)), axis=1)
+        pairs.astype("<u4").tofile(fh)
+        store.reliabilities.astype("<f8").tofile(fh)
+        np.where(rels >= 0, rels, 0).astype("<u4").tofile(fh)
+        np.count_nonzero(rels >= 0, axis=1).astype(np.uint8).tofile(fh)
 
 
 class PathCacheError(ValueError):
     """Corrupt or incompatible path cache file."""
 
 
-def load_path_set(path, expected_dataset_hash: str | None = None) -> PathSet:
+def _check(ok, path, what: str) -> None:
+    if not np.all(ok):
+        raise PathCacheError(f"{path}: {what}")
+
+
+def load_path_set(
+    path, expected_dataset_hash: str | None = None, graph: KnowledgeGraph | None = None
+) -> PathStore:
+    """The store a ``save_path_set`` file holds, as views of its bytes where the
+    layout allows. Every value is checked, so a corrupt file raises
+    ``PathCacheError``; with ``graph``, entity and relation ids are checked too."""
     with open(path, "rb") as fh:
         read = partial(read_exact, fh, error=PathCacheError)
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -406,6 +521,7 @@ def load_path_set(path, expected_dataset_hash: str | None = None) -> PathSet:
         version, max_steps = struct.unpack("<HH", read(4))
         if version != _VERSION:
             raise PathCacheError(f"{path}: unsupported cache version {version}")
+        _check(max_steps in (2, 3), path, f"max_steps {max_steps} is not 2 or 3")
         cutoff, per_pair_cap = struct.unpack("<dI", read(12))
         ds_hash = read(32).hex()
         if expected_dataset_hash is not None and ds_hash != expected_dataset_hash:
@@ -415,23 +531,32 @@ def load_path_set(path, expected_dataset_hash: str | None = None) -> PathSet:
     pair_bytes = 12 * n_pairs
     if len(body) < pair_bytes:
         raise PathCacheError(f"{path}: truncated file")
-    pairs = np.frombuffer(body, dtype="<u4", count=3 * n_pairs).reshape(-1, 3).astype(np.int64)
-    n_paths = int(pairs[:, 2].sum())
+    pairs = np.frombuffer(body, dtype="<u4", count=3 * n_pairs).reshape(-1, 3)
+    heads, tails, counts = (pairs[:, i].astype(np.int64) for i in range(3))
+    _check((counts >= 1) & (counts <= per_pair_cap), path,
+           "a pair's path count is outside [1, per_pair_cap]")
+    indptr = np.zeros(n_pairs + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    n_paths = int(indptr[-1])
     if len(body) != pair_bytes + n_paths * (8 + 4 * max_steps + 1):
         raise PathCacheError(f"{path}: truncated file")
-    first_path = np.zeros(n_pairs + 1, dtype=np.int64)
-    np.cumsum(pairs[:, 2], out=first_path[1:])
     reliabilities = np.frombuffer(body, dtype="<f8", count=n_paths, offset=pair_bytes)
     offset = pair_bytes + 8 * n_paths
     relations = np.frombuffer(body, dtype="<u4", count=n_paths * max_steps, offset=offset)
     relations = relations.reshape(n_paths, max_steps)
     lengths = np.frombuffer(body, dtype=np.uint8, count=n_paths, offset=offset + relations.nbytes)
-    loaded = {}
-    for lo in range(0, n_pairs, _LOAD_PAIRS):  # in chunks, so the transient lists stay small
-        chunk = pairs[lo : lo + _LOAD_PAIRS]
-        a, b = first_path[lo], first_path[lo + len(chunk)]
-        rels = relations[a:b].astype(np.int64)
-        rels[np.arange(max_steps) >= lengths[a:b, None]] = -1
-        heads, tails = (np.repeat(chunk[:, i], chunk[:, 2]) for i in (0, 1))
-        loaded.update(_paths_by_pair(_Arrivals(heads, tails, rels, reliabilities[a:b])))
-    return PathSet(max_steps, cutoff, per_pair_cap, loaded)
+    store = PathStore(
+        max_steps, cutoff, per_pair_cap, heads, tails, indptr,
+        np.where(np.arange(max_steps) < lengths[:, None], relations.astype(np.int64), -1),
+        reliabilities,
+    )
+    _check(np.diff(store.keys) > 0, path, "pairs are not strictly ascending")
+    _check((lengths >= 2) & (lengths <= max_steps), path,
+           "a path length is outside [2, max_steps]")
+    _check(np.isfinite(reliabilities) & (reliabilities > cutoff), path,
+           "a reliability is not finite or not above the cutoff")
+    if graph is not None:
+        _check(np.concatenate((heads, tails)) < graph.n_entities, path,
+               "an entity id is out of range")
+        _check(store.relations < graph.n_relations, path, "a relation id is out of range")
+    return store

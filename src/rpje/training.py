@@ -8,13 +8,16 @@ were at its start; the summed subgradients are applied once per batch, and
 entity vectors are then projected back to the unit ball.
 
 A batch runs in two parts. One Python pass over its triples does the integer
-work: negative draws, composition lookups and the id lists of every hinge.
+work: negative draws and the id lists of every hinge. A path hinge names its
+path's position in the ``PathStore``; the store is composed once per run
+(``Composer.compile``), and each batch gathers its residuals and weights from
+that by position.
 Then each loss term is one gather of embedding rows, one vectorized hinge and
 the subgradient rows of its active hinges (``energy``), and one scatter sums
 those rows per entity and base relation.
 
 The sampler's stream is drawn in this order, triple by triple: head, tail and
-relation corruption; one relation per stored path of (h, t), in ``PathSet``
+relation corruption; one relation per stored path of (h, t), in ``PathStore``
 order; one relation per (r_e, beta) of D(r). A give-up skips its hinge. The
 scatter adds each row's subgradients in the order a per-hinge loop would (the
 triple's L1 hinges, its L2 hinges, its L3 hinges, then the next triple), and
@@ -28,19 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compose import Composer
-from .energy import (
-    Grad,
-    fold_inverse,
-    path_hinge,
-    path_weight,
-    relpair_hinge,
-    residual_matrix,
-    triple_hinge,
-)
+from .compose import CompiledPaths, Composer
+from .energy import Grad, fold_inverse, path_hinge, relpair_hinge, triple_hinge
 from .kg import KnowledgeGraph, Triple
 from .model import EmbeddingTable, TrainingConfig, init_embeddings
-from .paths import PathSet
+from .paths import PathStore
 from .rules import RuleIndex
 
 
@@ -197,7 +192,7 @@ def _loop_sum(losses: np.ndarray) -> float:
 def loss_and_gradients(
     batch: list[Triple],
     kg: KnowledgeGraph,
-    ps: PathSet,
+    ps: PathStore,
     composer: Composer,
     emb: EmbeddingTable,
     cfg: TrainingConfig,
@@ -209,7 +204,7 @@ def loss_and_gradients(
     # Bookkeeping: per term, each hinge's place in the batch's hinge order and its ids.
     n = 0
     tri_seq, tri_ids = [], []
-    path_seq, residuals, weights, path_rels = [], [], [], []
+    path_seq, path_ids, path_rels = [], [], []
     pair_seq, pair_rels, betas = [], [], []
     for triple in batch:
         h, r, t = triple
@@ -223,14 +218,12 @@ def loss_and_gradients(
                 tri_ids.append(triple + negative)
                 n += 1
         if use_paths:
-            for path in ps.paths_between(h, t):
+            for path in range(*ps.path_range(h, t)):
                 r_neg = sampler.relation_for_pair(h, t)
                 if r_neg is None:
                     continue
-                cr = composer.compose(path.relations)
                 path_seq.append(n)
-                residuals.append(cr.residual)
-                weights.append(path_weight(path, cr))
+                path_ids.append(path)
                 path_rels.append((r, r_neg))
                 n += 1
         if use_relpairs:
@@ -259,9 +252,11 @@ def loss_and_gradients(
         entity = ent
         relation.append((np.array(tri_seq), rel))
     if path_seq:
+        compiled = composer.compile(ps)
+        ids = np.array(path_ids)
         loss, rel = path_hinge(
-            emb, residual_matrix(residuals), np.array(weights), np.array(path_rels),
-            cfg.margin_path, cfg.norm, cfg.alpha_paths,
+            emb, compiled.residuals[compiled.residual_id[ids]], compiled.weight[ids],
+            np.array(path_rels), cfg.margin_path, cfg.norm, cfg.alpha_paths,
         )
         parts.path = _loop_sum(loss)
         relation.append((np.array(path_seq), rel))
@@ -288,11 +283,12 @@ class TrainResult:
     table: EmbeddingTable
     # rows of (epoch, total, triple part, path part, relpair part)
     history: list[tuple[int, float, float, float, float]]
+    paths: CompiledPaths  # the path store as the run's rule index composes it
 
 
 def train(
     kg: KnowledgeGraph,
-    ps: PathSet,
+    ps: PathStore,
     index: RuleIndex,
     cfg: TrainingConfig,
     emb: EmbeddingTable | None = None,
@@ -306,6 +302,7 @@ def train(
         sampler = NegativeSampler(kg, seed=cfg.seed + 1)
     shuffle_rng = np.random.default_rng(cfg.seed + 2)
     composer = Composer(index)
+    compiled = composer.compile(ps)
     triples = np.array(kg.train, dtype=np.int64)
     history: list[tuple[int, float, float, float, float]] = []
     for epoch in range(cfg.epochs):
@@ -330,7 +327,7 @@ def train(
                 f"(triple={totals.triple:.4f} path={totals.path:.4f} "
                 f"relpair={totals.relpair:.4f})"
             )
-    return TrainResult(table=emb, history=history)
+    return TrainResult(table=emb, history=history, paths=compiled)
 
 
 def write_loss_history(history, path) -> None:

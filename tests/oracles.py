@@ -1,0 +1,147 @@
+"""Dict-and-loop oracles of the array path store and the scorer's path term.
+
+``PathSet`` is the per-pair dict of ``Path`` tuples the store replaced, built
+from a store's arrays the way the loader used to build it. ``OracleScorer``
+scores with one ``compose`` and one ``path_energy`` per path, summed in a loop,
+as the scorer did before it read compiled arrays. Both are kept so the array
+code can be checked against them bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from rpje.energy import compose_embedding, path_energy, path_weight, triple_energy
+from rpje.paths import Path, PathStore, _Arrivals, _pair_starts
+
+
+def residual_matrix(residuals) -> np.ndarray:
+    """Residual relation sequences as one int array, rows padded with -1."""
+    width = max(map(len, residuals))
+    return np.array([res + (-1,) * (width - len(res)) for res in residuals], dtype=np.int64)
+
+
+def paths_by_pair(found: _Arrivals) -> dict[tuple[int, int], tuple[Path, ...]]:
+    """Paths grouped per (head, tail), in the order of ``found`` (sorted by pair)."""
+    lengths = np.count_nonzero(found.relations >= 0, axis=1).tolist()
+    rows = zip(*found.relations.T.tolist())
+    paths = [
+        Path(rels[:n], w) for rels, n, w in zip(rows, lengths, found.reliabilities.tolist())
+    ]
+    starts = _pair_starts(found)
+    bounds = [*starts.tolist(), len(paths)]
+    return {
+        (h, t): tuple(paths[lo:hi])
+        for h, t, lo, hi in zip(
+            found.heads[starts].tolist(), found.tails[starts].tolist(), bounds, bounds[1:]
+        )
+    }
+
+
+@dataclass
+class PathSet:
+    """Paths per entity pair with PCRA reliabilities; immutable after construction."""
+
+    max_steps: int
+    cutoff: float
+    per_pair_cap: int = 200
+    pairs: dict[tuple[int, int], tuple[Path, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._by_head, self._by_tail = {}, {}
+        for (h, t), paths in self.pairs.items():
+            self._by_head.setdefault(h, {})[t] = paths
+            self._by_tail.setdefault(t, {})[h] = paths
+
+    @classmethod
+    def of(cls, store: PathStore) -> PathSet:
+        counts = np.diff(store.indptr)
+        found = _Arrivals(
+            np.repeat(store.heads, counts), np.repeat(store.tails, counts),
+            np.asarray(store.relations), np.asarray(store.reliabilities),
+        )
+        return cls(store.max_steps, store.cutoff, store.per_pair_cap, paths_by_pair(found))
+
+    def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
+        return self.pairs.get((h, t), ())
+
+    def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
+        return self._by_head.get(h, {})
+
+    def origins(self, t: int) -> dict[int, tuple[Path, ...]]:
+        return self._by_tail.get(t, {})
+
+    @property
+    def n_paths(self) -> int:
+        return sum(len(v) for v in self.pairs.values())
+
+
+def store_from_pairs(
+    max_steps: int, cutoff: float, pairs: dict[tuple[int, int], tuple[Path, ...]], cap: int = 200
+) -> PathStore:
+    """A store holding ``pairs``, which must be given in (head, tail) order."""
+    keys = list(pairs)
+    assert keys == sorted(keys)
+    paths = [p for group in pairs.values() for p in group]
+    relations = np.full((len(paths), max_steps), -1, dtype=np.int64)
+    for i, p in enumerate(paths):
+        relations[i, : len(p.relations)] = p.relations
+    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum([len(group) for group in pairs.values()], out=indptr[1:])
+    ends = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    return PathStore(
+        max_steps, cutoff, cap, ends[:, 0].copy(), ends[:, 1].copy(), indptr, relations,
+        np.array([p.reliability for p in paths], dtype=np.float64),
+    )
+
+
+class OracleScorer:
+    """The per-path scorer: a provider's dict views, one compose per path, a += loop."""
+
+    def __init__(self, emb, provider, composer, alpha_paths, norm):
+        self.emb, self.provider, self.composer = emb, provider, composer
+        self.alpha, self.norm = alpha_paths, norm
+
+    def path_penalty(self, paths, r):
+        total = 0.0
+        for p in paths:
+            cr = self.composer.compose(p.relations)
+            total += path_energy(
+                path_weight(p, cr), compose_embedding(cr, self.emb), r, self.norm
+            )
+        return total
+
+    def score(self, h, r, t):
+        rvec = self.emb.relation_vec(r)
+        ent = self.emb.entities
+        q = triple_energy(ent[h], rvec, ent[t], self.norm)
+        if self.alpha:
+            q += self.alpha * self.path_penalty(self.provider.paths_between(h, t), rvec)
+        return float(q)
+
+    def tail_scores(self, h, r):
+        rvec = self.emb.relation_vec(r)
+        ent = self.emb.entities
+        scores = triple_energy(ent[h], rvec, ent, self.norm)
+        if self.alpha:
+            for t, paths in self.provider.arrivals(h).items():
+                scores[t] += self.alpha * self.path_penalty(paths, rvec)
+        return scores
+
+    def head_scores(self, r, t):
+        rvec = self.emb.relation_vec(r)
+        ent = self.emb.entities
+        scores = triple_energy(ent, rvec, ent[t], self.norm)
+        if self.alpha:
+            for h, paths in self.provider.origins(t).items():
+                scores[h] += self.alpha * self.path_penalty(paths, rvec)
+        return scores
+
+    def relation_scores(self, h, t):
+        ent, rels = self.emb.entities, self.emb.relations
+        scores = triple_energy(ent[h], rels, ent[t], self.norm)
+        if self.alpha:
+            scores += self.alpha * self.path_penalty(self.provider.paths_between(h, t), rels)
+        return scores

@@ -5,13 +5,15 @@ from dataclasses import fields, replace
 
 import pytest
 
-from rpje import cli
+from rpje import cli, model
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from rpje.config import load_config_file
 from rpje.kg import load_dataset
 from rpje.model import TrainingConfig
 from rpje.paths import load_path_set, walk_resources
 from rpje.synthetic import ToyConfig, generate, write_dataset
+
+from test_paths import _corrupt
 
 
 @pytest.fixture(scope="module")
@@ -376,12 +378,14 @@ def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):
     assert capsys.readouterr().out == stdout
     first, second = map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
     assert set(first) == {
-        "pairs", "pairs_without_paths", "paths", "paths_below_cutoff", "paths_over_cap", "seconds"
+        "command", "pairs", "pairs_without_paths", "paths", "paths_below_cutoff",
+        "paths_over_cap", "seconds",
     }
+    assert first["command"] == "extract-paths"
     assert isinstance(first["seconds"], float) and first["seconds"] >= 0
-    counts = {k: v for k, v in first.items() if k != "seconds"}
+    counts = {k: v for k, v in first.items() if k not in ("command", "seconds")}
     assert all(isinstance(v, int) for v in counts.values())
-    assert counts == {k: v for k, v in second.items() if k != "seconds"}
+    assert counts == {k: v for k, v in second.items() if k not in ("command", "seconds")}
 
     kg = load_dataset(files["train"], files["valid"], files["test"])
     ps = load_path_set(out / "paths.bin")
@@ -495,3 +499,89 @@ def test_explain_parses_without_cache_and_writes_nothing(pipeline, tmp_path, cap
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == expected
     assert {p.name: p.read_bytes() for p in out.iterdir()} == listing
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("what", ["length 0", "relation id 999"])
+def test_corrupt_path_cache_is_rebuilt(pipeline, tmp_path, capsys, command, what):
+    """A cache of the right length with a bad value is rebuilt, as a truncated one is."""
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    original = (out / "paths.bin").read_bytes()
+    data = bytearray(original)
+    _corrupt(data, what)
+    (out / "paths.bin").write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main([command, *data_flags(files), "--out", str(out), *fast]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (out / "paths.bin").read_bytes() == original
+    if command == "eval":
+        report = (out / "eval_report.csv").read_bytes()
+        assert report == (pipeline[0] / "eval_report.csv").read_bytes()
+
+
+def test_scoring_reads_checkpoint_without_copying(pipeline, tmp_path, capsys, monkeypatch):
+    """eval and explain score from read-only views of the checkpoint, with the
+    outputs that writeable copies give."""
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    common = [*data_flags(files), "--out", str(out), *fast]
+    explain = ["explain", *common, "--machine", "country_0", "country_1"]
+    emb = model.load_checkpoint(out / "checkpoint.bin")[0]
+    for table in (emb.entities, emb.relations):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    capsys.readouterr()
+    outputs = []
+    for copies in (False, True):
+        if copies:
+            real = cli.load_checkpoint
+
+            def copying(*args, **kwargs):
+                table, *rest = real(*args, **kwargs)
+                return (model.EmbeddingTable(table.entities.copy(), table.relations.copy()), *rest)
+
+            monkeypatch.setattr(cli, "load_checkpoint", copying)
+        assert main(["eval", *common]) == EXIT_OK
+        assert main(explain) == EXIT_OK
+        outputs.append((capsys.readouterr().out, (out / "eval_report.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_train_appends_composition_metrics(toy_dir, tmp_path, capsys):
+    """train appends one line of composition metrics from the compile step; its
+    stdout is the same as without the metrics file."""
+    _, files = toy_dir
+    out = tmp_path / "out"
+    common = [*data_flags(files), "--out", str(out), "--dim", "8", "--epochs", "1",
+              "--batches", "5"]
+    assert main(["extract-paths", *common]) == EXIT_OK
+    assert main(["encode-rules", *common]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train", *common]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "{" not in stdout
+    lines = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert [line["command"] for line in lines] == ["extract-paths", "train"]
+    metrics = lines[1]
+    assert set(metrics) == {
+        "command", "paths", "fully_composed_frac", "residual_lengths", "rule_applications"
+    }
+    n_paths = load_path_set(out / "paths.bin").n_paths
+    assert metrics["paths"] == n_paths > 0
+    assert 0.0 <= metrics["fully_composed_frac"] <= 1.0
+    lengths = metrics["residual_lengths"]
+    assert set(lengths) <= {"1", "2"} and sum(lengths.values()) == n_paths
+    assert metrics["fully_composed_frac"] == lengths.get("1", 0) / n_paths
+    encoded = (out / "encoded_rules.tsv").read_text().splitlines()
+    rules = {line.partition("\t")[0] for line in encoded}
+    assert metrics["rule_applications"] and set(metrics["rule_applications"]) <= rules
+    assert all(isinstance(n, int) and n > 0 for n in metrics["rule_applications"].values())
+    # a path is fully composed only through a rule, and one 2-step path applies at most one
+    assert sum(metrics["rule_applications"].values()) == lengths.get("1", 0)
+    assert main(["train", *common]) == EXIT_OK
+    assert capsys.readouterr().out == stdout

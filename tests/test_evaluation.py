@@ -15,12 +15,15 @@ from rpje.evaluation import (
     report_lines,
     _rank,
 )
+from hypothesis import given, settings, strategies as st
+
 from rpje.kg import KnowledgeGraph
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
-from rpje.paths import Path, PathFinder, PathSet, extract_paths
+from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
 
 from conftest import make_kg
+from oracles import store_from_pairs
 
 
 def test_metrics_hand_values():
@@ -70,7 +73,7 @@ def _hand_setup():
     entities = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     relations = np.array([[0.0, 1.0], [1.0, 1.0]])
     emb = EmbeddingTable(entities, relations)
-    ps = PathSet(
+    ps = store_from_pairs(
         max_steps=2,
         cutoff=0.01,
         pairs={(0, 2): (Path(relations=(0, 0), reliability=0.5),)},
@@ -106,7 +109,7 @@ def _finder_setup():
     return emb, PathFinder(kg, max_steps=2, cutoff=0.0), index
 
 
-@pytest.mark.parametrize("setup", [_hand_setup, _finder_setup], ids=["PathSet", "PathFinder"])
+@pytest.mark.parametrize("setup", [_hand_setup, _finder_setup], ids=["PathStore", "PathFinder"])
 def test_vectorized_scores_match_pointwise(setup):
     emb, provider, index = setup()
     scorer = Scorer(emb, provider, Composer(index), alpha_paths=1.0, norm="L1")
@@ -290,7 +293,7 @@ def test_evaluate_uses_path_set_fallback(small_eval_kg):
     emb = _trained_like(kg)
     ps = extract_paths(kg, max_steps=2)
     reports = evaluate(emb, ps, build_index([], 0.7), kg)
-    assert reports  # PathSet provider is accepted end to end
+    assert reports  # PathStore provider is accepted end to end
 
 
 def test_evaluate_empty_test_rejected(small_eval_kg):
@@ -373,3 +376,39 @@ def test_explain_without_paths_reports_triple_term():
     assert exps[0].paths == []
     lines = explanation_lines(exps, kg)
     assert any("triple term only" in line for line in lines)
+
+
+def _known_relations_by_scan(kg, h, t):
+    return [c for c in range(kg.n_base_relations) if kg.is_known((h, c, t))]
+
+
+def test_known_relations_match_is_known_scan(toy_kg):
+    assert toy_kg.valid and toy_kg.test
+    for h in range(toy_kg.n_entities):
+        for t in range(toy_kg.n_entities):
+            assert toy_kg.known_relations(h, t).tolist() == _known_relations_by_scan(toy_kg, h, t)
+
+
+splits = st.lists(
+    st.tuples(*(st.sampled_from(names) for names in ("abcde", "pqr", "abcde"))), max_size=20
+)
+
+
+@given(train=splits.filter(bool), valid=splits, test=splits)
+@settings(max_examples=60, deadline=None)
+def test_known_relations_match_is_known_scan_on_random_graphs(train, valid, test):
+    kg = make_kg(train, valid, test)
+    for h in range(kg.n_entities):
+        for t in range(kg.n_entities):
+            assert kg.known_relations(h, t).tolist() == _known_relations_by_scan(kg, h, t)
+
+
+def test_relation_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
+    kg = small_eval_kg
+    calls = []
+    real = KnowledgeGraph.is_known
+    monkeypatch.setattr(
+        KnowledgeGraph, "is_known", lambda self, t: calls.append(t) or real(self, t)
+    )
+    evaluate(_trained_like(kg), extract_paths(kg, max_steps=2), build_index([], 0.7), kg)
+    assert calls == []

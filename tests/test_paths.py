@@ -398,3 +398,74 @@ def test_cache_rejects_trailing_bytes(tmp_path, toy_kg):
     cache.write_bytes(cache.read_bytes() + b"\0")
     with pytest.raises(PathCacheError):
         load_path_set(cache)
+
+
+def _corrupt(data: bytearray, what: str) -> None:
+    """Overwrite one value of a saved cache with a bad one of the right width."""
+    max_steps = struct.unpack_from("<H", data, 10)[0]
+    cutoff = struct.unpack_from("<d", data, 12)[0]
+    (n_pairs,) = struct.unpack_from("<Q", data, 56)
+    pairs = 64
+    n_paths = sum(struct.unpack_from("<I", data, pairs + 12 * i + 8)[0] for i in range(n_pairs))
+    reliabilities = pairs + 12 * n_pairs
+    relations = reliabilities + 8 * n_paths
+    lengths = relations + 4 * max_steps * n_paths
+    if what == "length 0":
+        data[lengths] = 0
+    elif what == "length above max_steps":
+        data[lengths] = max_steps + 1
+    elif what == "relation id 999":
+        struct.pack_into("<I", data, relations, 999)
+    elif what == "entity id out of range":  # the last pair's tail, so pairs stay in order
+        struct.pack_into("<I", data, pairs + 12 * (n_pairs - 1) + 4, 10**6)
+    elif what == "pairs out of order":
+        first, second = data[pairs : pairs + 12], data[pairs + 12 : pairs + 24]
+        data[pairs : pairs + 24] = second + first
+    elif what == "NaN reliability":
+        struct.pack_into("<d", data, reliabilities, float("nan"))
+    elif what == "reliability at the cutoff":
+        struct.pack_into("<d", data, reliabilities, cutoff)
+    elif what == "zero path count":
+        (first,), (second,) = (struct.unpack_from("<I", data, pairs + k) for k in (8, 20))
+        struct.pack_into("<I", data, pairs + 8, 0)  # the next pair takes its paths
+        struct.pack_into("<I", data, pairs + 20, first + second)
+    elif what == "count above the cap":
+        struct.pack_into("<I", data, 20, 1)
+    elif what == "max_steps 0":
+        struct.pack_into("<H", data, 10, 0)
+    else:
+        raise AssertionError(what)
+
+
+CORRUPTIONS = [
+    "length 0", "length above max_steps", "relation id 999", "entity id out of range",
+    "pairs out of order", "NaN reliability", "reliability at the cutoff", "zero path count",
+    "count above the cap", "max_steps 0",
+]
+NEEDS_GRAPH = {"relation id 999", "entity id out of range"}
+
+
+@pytest.mark.parametrize("what", CORRUPTIONS)
+def test_cache_rejects_bad_values(tmp_path, toy_kg, what):
+    """A cache of the right length with one bad value raises PathCacheError, as a
+    truncated one does; ids are checked against the graph when one is given."""
+    cache = tmp_path / "paths.bin"
+    save_path_set(extract_paths(toy_kg, 2), toy_kg.dataset_hash(), cache)
+    data = bytearray(cache.read_bytes())
+    _corrupt(data, what)
+    cache.write_bytes(bytes(data))
+    with pytest.raises(PathCacheError):
+        load_path_set(cache, graph=toy_kg)
+    if what in NEEDS_GRAPH:
+        load_path_set(cache)  # the layout itself is sound
+    else:
+        with pytest.raises(PathCacheError):
+            load_path_set(cache)
+
+
+def test_cache_bytes_round_trip(tmp_path, toy_kg):
+    """Saving a loaded store writes the bytes it was loaded from."""
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_path_set(extract_paths(toy_kg, 3, 0.0, 5), toy_kg.dataset_hash(), first)
+    save_path_set(load_path_set(first, graph=toy_kg), toy_kg.dataset_hash(), second)
+    assert first.read_bytes() == second.read_bytes()

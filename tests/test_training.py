@@ -11,11 +11,10 @@ from rpje.energy import (
     path_hinge,
     path_weight,
     relpair_hinge,
-    residual_matrix,
     triple_hinge,
 )
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
-from rpje.paths import Path, PathSet, extract_paths
+from rpje.paths import Path, extract_paths
 from rpje.rules import ChainRule, build_index
 from rpje.training import (
     DivergenceError,
@@ -26,6 +25,7 @@ from rpje.training import (
 )
 
 from conftest import make_kg
+from oracles import residual_matrix, store_from_pairs
 
 
 def small_kg():
@@ -35,7 +35,7 @@ def small_kg():
 
 
 def empty_paths():
-    return PathSet(max_steps=2, cutoff=0.01)
+    return store_from_pairs(max_steps=2, cutoff=0.01, pairs={})
 
 
 def random_table(kg, dim=6, seed=0):
