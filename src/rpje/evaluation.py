@@ -4,11 +4,22 @@ The score of a candidate triple is
     Q(h,r,t) = E1(h,r,t) + alpha_1 * sum_{p in P(h,t)} E2(p,r)
 with the energies of ``energy``; candidates are ranked ascending by Q (lower
 energy = better). Each query scores every candidate once, and that one score
-vector gives both the raw and the filtered rank. The filtered setting removes
-corrupted candidates already present anywhere in the KG, looked up in the
-graph's array filter index (``known_tails``/``known_heads``/
-``known_relations``). Ties are broken pessimistically: the true answer ranks
-after equal-scored rivals.
+vector gives both the raw and the filtered rank.
+
+E1 of a head or tail query is scanned from a dimension-major copy of the
+entity table (``column_dissimilarity``), made on the first entity query; the
+scan adds each candidate's terms in numpy's pairwise order, so the scores
+equal the row-major ``triple_energy`` bit for bit. A tail query computes
+h + r once. ``evaluate`` visits the test triples grouped by relation (a stable
+order), so the head queries of one relation share e + r for every entity e,
+and writes each rank back at its triple's position: every list of ranks is
+aggregated in test-triple order. Relation scores are computed row-major over
+the base relations and never build the copy, so ``explain`` does not either.
+
+The filtered setting removes corrupted candidates already present anywhere in
+the KG, looked up in the graph's array filter index (``known_tails``/
+``known_heads``/``known_relations``). Ties are broken pessimistically: the
+true answer ranks after equal-scored rivals.
 
 The path term of a query comes from a ``Selection`` of a ``PathStore``: a
 tail query reads the head's pairs, one slice of the store; a head query the
@@ -27,7 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compose import CompiledPaths, Composer
-from .energy import composed_relations, dissimilarity, signed_relations, triple_energy
+from .energy import (
+    column_dissimilarity, composed_relations, dissimilarity, signed_relations, triple_energy,
+)
 from .kg import KnowledgeGraph, Triple
 from .model import EmbeddingTable, TrainingConfig
 from .paths import PathFinder, PathStore, Selection
@@ -37,27 +50,18 @@ HITS_AT = (1, 3, 10)
 
 
 def relation_categories(kg: KnowledgeGraph, threshold: float = 1.5) -> dict[int, str]:
-    """1-1 / 1-N / N-1 / N-N assignment from train tails-per-head and heads-per-tail."""
-    heads: dict[int, set[int]] = {}
-    tails: dict[int, set[int]] = {}
-    counts: dict[int, int] = {}
-    for h, r, t in kg.train:
-        heads.setdefault(r, set()).add(h)
-        tails.setdefault(r, set()).add(t)
-        counts[r] = counts.get(r, 0) + 1
-    categories = {}
-    for r, n in counts.items():
-        tph = n / len(heads[r])
-        hpt = n / len(tails[r])
-        if tph < threshold and hpt < threshold:
-            categories[r] = "1-1"
-        elif tph >= threshold and hpt < threshold:
-            categories[r] = "1-N"
-        elif tph < threshold and hpt >= threshold:
-            categories[r] = "N-1"
-        else:
-            categories[r] = "N-N"
-    return categories
+    """1-1 / 1-N / N-1 / N-N per train relation, from its tails per head (triples
+    over distinct heads) and heads per tail (triples over distinct tails)."""
+    h, r, t = kg.train_ids.astype(np.int64).T
+    n_rel, n_ent = kg.n_base_relations, kg.n_entities
+    counts = np.bincount(r, minlength=n_rel)
+    heads = np.bincount(np.unique(r * n_ent + h) // n_ent, minlength=n_rel)
+    tails = np.bincount(np.unique(r * n_ent + t) // n_ent, minlength=n_rel)
+    present = np.flatnonzero(counts)
+    many_tails = counts[present] / heads[present] >= threshold
+    many_heads = counts[present] / tails[present] >= threshold
+    names = np.array(["1-1", "1-N", "N-1", "N-N"])[many_tails + 2 * many_heads]
+    return dict(zip(present.tolist(), names.tolist()))
 
 
 class Scorer:
@@ -82,7 +86,10 @@ class Scorer:
         self.composer = composer
         self.alpha = alpha_paths
         self.norm = norm
-        self._buf = np.empty_like(emb.entities)  # E1 scratch for every candidate entity
+        # the entity table as (dim, entities) and the scan's scratch, made on first use
+        self._by_dim: tuple[np.ndarray, np.ndarray] | None = None
+        self._shifted_r: int | None = None  # the relation of the last head query, and
+        self._shifted: np.ndarray | None = None  # e + r per entity e, (dim, entities)
         self._store: PathStore | None = None  # the last store scored, and for it:
         self._composed = np.empty((0, emb.dim))
         self._norms: dict[int, np.ndarray] = {}
@@ -128,19 +135,30 @@ class Scorer:
 
     # --- vectorized candidate scoring ---
 
+    def _dimension_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dimension-major copy of the entity table and the scan's scratch."""
+        if self._by_dim is None:
+            ent = self.emb.entities
+            self._by_dim = np.ascontiguousarray(ent.T), np.empty((2, 8, len(ent)))
+        return self._by_dim
+
     def tail_scores(self, h: int, r: int) -> np.ndarray:
-        rvec = self.emb.relation_vec(r)
-        ent = self.emb.entities
-        scores = triple_energy(ent[h], rvec, ent, self.norm, out=self._buf)
+        by_dim, work = self._dimension_major()
+        q = self.emb.entities[h] + self.emb.relation_vec(r)
+        scores = column_dissimilarity(q[:, None], by_dim, self.norm, work)
         if self.alpha:
             sel = self.provider.from_head(h)
             scores[sel.ends] += self.alpha * self.path_penalty(sel, r)
         return scores
 
     def head_scores(self, r: int, t: int) -> np.ndarray:
-        rvec = self.emb.relation_vec(r)
-        ent = self.emb.entities
-        scores = triple_energy(ent, rvec, ent[t], self.norm, out=self._buf)
+        by_dim, work = self._dimension_major()
+        if self._shifted_r != r:
+            rvec = self.emb.relation_vec(r)[:, None]
+            self._shifted = np.add(by_dim, rvec, out=self._shifted)
+            self._shifted_r = r
+        t_col = self.emb.entities[t][:, None]
+        scores = column_dissimilarity(self._shifted, t_col, self.norm, work)
         if self.alpha:
             sel = self.provider.to_tail(t)
             scores[sel.ends] += self.alpha * self.path_penalty(sel, r)
@@ -220,21 +238,27 @@ def evaluate(
     if not triples:
         raise ValueError("test split is empty")
     scorer = Scorer(emb, provider, Composer(index), alpha_paths, norm)
-    categories = relation_categories(kg)
-    ranks: dict[tuple[str, str], list[int]] = {}
-    cat_hits: dict[tuple[str, str], list[int]] = {}
-    for triple in triples:
-        _, r, _ = triple
-        cat = categories.get(r, "N-N")
+    tasks = ["entity-head", "entity-tail"] + ["relation"] * rank_relations_too
+    ranks = {(task, setting): [0] * len(triples)
+             for task in tasks for setting in ("raw", "filtered")}
+    # Triples are visited grouped by relation, so the head queries of a relation
+    # share the scorer's e + r; each rank goes back to its triple's position.
+    for i in np.argsort([r for _, r, _ in triples], kind="stable").tolist():
+        triple = triples[i]
         for slot in ("head", "tail"):
-            raw, filtered = rank_entities(scorer, kg, triple, slot)
-            ranks.setdefault((f"entity-{slot}", "raw"), []).append(raw)
-            ranks.setdefault((f"entity-{slot}", "filtered"), []).append(filtered)
-            cat_hits.setdefault((slot, cat), []).append(int(filtered <= 10))
+            ranks[(f"entity-{slot}", "raw")][i], ranks[(f"entity-{slot}", "filtered")][i] = (
+                rank_entities(scorer, kg, triple, slot))
         if rank_relations_too:
-            raw, filtered = rank_relations(scorer, kg, triple)
-            ranks.setdefault(("relation", "raw"), []).append(raw)
-            ranks.setdefault(("relation", "filtered"), []).append(filtered)
+            ranks[("relation", "raw")][i], ranks[("relation", "filtered")][i] = (
+                rank_relations(scorer, kg, triple))
+    categories = relation_categories(kg)
+    cat_hits: dict[tuple[str, str], list[int]] = {}
+    for (_, r, _), head, tail in zip(
+        triples, ranks[("entity-head", "filtered")], ranks[("entity-tail", "filtered")]
+    ):
+        cat = categories.get(r, "N-N")
+        cat_hits.setdefault(("head", cat), []).append(int(head <= 10))
+        cat_hits.setdefault(("tail", cat), []).append(int(tail <= 10))
 
     reports = []
     for setting in ("raw", "filtered"):

@@ -5,7 +5,9 @@ Per positive triple (h,r,t) the batch loss is
 with one negative per corruption slot (h', t', r') for L1 and one negative
 relation per L2/L3 term. Every hinge of a batch sees the embeddings as they
 were at its start; the summed subgradients are applied once per batch, and
-entity vectors are then projected back to the unit ball.
+entity vectors are then projected back to the unit ball. The first batch of a
+run projects every row; each later one only the rows it updated and the rows
+the previous batch scaled, which gives the full pass's result bit for bit.
 
 A batch runs in two parts. One Python pass over its triples does the integer
 work: negative draws and the id lists of every hinge. A path hinge names its
@@ -270,12 +272,22 @@ def loss_and_gradients(
     return parts, GradientUpdate.summed(entity, relation, emb.n_entities, emb.n_base_relations)
 
 
-def project_entities(emb: EmbeddingTable) -> None:
-    """Scale entity vectors with norm > 1 back onto the unit sphere."""
-    norms = np.linalg.norm(emb.entities, axis=1)
-    mask = norms > 1.0
-    if mask.any():
-        emb.entities[mask] /= norms[mask, None]
+def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.ndarray:
+    """Scale entity vectors with norm > 1 back onto the unit sphere: every row, or
+    only the distinct ``rows``. Returns the rows it scaled.
+
+    Each row's norm and scaling depend on that row alone, so a pass over the rows
+    that can have left the ball since the last pass gives what a full pass gives:
+    the rows changed since, and the rows it scaled, whose norm may round to just
+    above 1.
+    """
+    vectors = emb.entities if rows is None else emb.entities[rows]
+    norms = np.linalg.norm(vectors, axis=1)
+    over = norms > 1.0
+    scaled = np.flatnonzero(over) if rows is None else rows[over]
+    if len(scaled):
+        emb.entities[scaled] /= norms[over, None]
+    return scaled
 
 
 @dataclass
@@ -305,6 +317,7 @@ def train(
     compiled = composer.compile(ps)
     triples = np.array(kg.train, dtype=np.int64)
     history: list[tuple[int, float, float, float, float]] = []
+    scaled = None  # rows the last projection scaled; None before the first (full) pass
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(len(triples))
         totals = LossParts()
@@ -314,7 +327,8 @@ def train(
             batch = list(map(tuple, triples[chunk].tolist()))
             parts, grads = loss_and_gradients(batch, kg, ps, composer, emb, cfg, sampler)
             grads.apply(emb, cfg.lr)
-            project_entities(emb)
+            rows = None if scaled is None else np.union1d(grads.entity_rows, scaled)
+            scaled = project_entities(emb, rows)
             totals.triple += parts.triple
             totals.path += parts.path
             totals.relpair += parts.relpair

@@ -1,10 +1,12 @@
-"""Dict-and-loop oracles of the array path store and the scorer's path term.
+"""Dict-and-loop oracles of the array path store, the scorer and evaluation.
 
 ``PathSet`` is the per-pair dict of ``Path`` tuples the store replaced, built
 from a store's arrays the way the loader used to build it. ``OracleScorer``
 scores with one ``compose`` and one ``path_energy`` per path, summed in a loop,
-as the scorer did before it read compiled arrays. Both are kept so the array
-code can be checked against them bit for bit.
+and E1 over the row-major entity table, as the scorer did before it read
+compiled arrays and a dimension-major copy. ``relation_categories`` and
+``evaluate_in_triple_order`` are the per-triple loops the array code replaced.
+All are kept so the array code can be checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rpje.energy import compose_embedding, path_energy, path_weight, triple_energy
+from rpje.evaluation import EvalReport, metrics_from_ranks, rank_entities, rank_relations
 from rpje.paths import Path, PathStore, _Arrivals, _pair_starts
 
 
@@ -145,3 +148,64 @@ class OracleScorer:
         if self.alpha:
             scores += self.alpha * self.path_penalty(self.provider.paths_between(h, t), rels)
         return scores
+
+
+def relation_categories(kg, threshold: float = 1.5) -> dict[int, str]:
+    """1-1 / 1-N / N-1 / N-N from per-relation head and tail sets, one train triple at a time."""
+    heads: dict[int, set[int]] = {}
+    tails: dict[int, set[int]] = {}
+    counts: dict[int, int] = {}
+    for h, r, t in kg.train:
+        heads.setdefault(r, set()).add(h)
+        tails.setdefault(r, set()).add(t)
+        counts[r] = counts.get(r, 0) + 1
+    categories = {}
+    for r, n in counts.items():
+        tph = n / len(heads[r])
+        hpt = n / len(tails[r])
+        if tph < threshold and hpt < threshold:
+            categories[r] = "1-1"
+        elif tph >= threshold and hpt < threshold:
+            categories[r] = "1-N"
+        elif tph < threshold and hpt >= threshold:
+            categories[r] = "N-1"
+        else:
+            categories[r] = "N-N"
+    return categories
+
+
+def evaluate_in_triple_order(scorer, kg, triples, rank_relations_too=True) -> list[EvalReport]:
+    """``evaluate``'s reports from one query after another in test-triple order."""
+    categories = relation_categories(kg)
+    ranks: dict[tuple[str, str], list[int]] = {}
+    cat_hits: dict[tuple[str, str], list[int]] = {}
+    for triple in triples:
+        cat = categories.get(triple[1], "N-N")
+        for slot in ("head", "tail"):
+            raw, filtered = rank_entities(scorer, kg, triple, slot)
+            ranks.setdefault((f"entity-{slot}", "raw"), []).append(raw)
+            ranks.setdefault((f"entity-{slot}", "filtered"), []).append(filtered)
+            cat_hits.setdefault((slot, cat), []).append(int(filtered <= 10))
+        if rank_relations_too:
+            raw, filtered = rank_relations(scorer, kg, triple)
+            ranks.setdefault(("relation", "raw"), []).append(raw)
+            ranks.setdefault(("relation", "filtered"), []).append(filtered)
+    reports = []
+    for setting in ("raw", "filtered"):
+        head = ranks[("entity-head", setting)]
+        tail = ranks[("entity-tail", setting)]
+        for task, rlist in (("entity-head", head), ("entity-tail", tail),
+                            ("entity-combined", head + tail)):
+            mr, mrr, hits = metrics_from_ranks(rlist)
+            report = EvalReport(task=task, setting=setting, mr=mr, mrr=mrr, hits=hits)
+            if setting == "filtered" and task != "entity-combined":
+                slot = task.split("-")[1]
+                report.per_category = {
+                    cat: float(np.mean(vals))
+                    for (s, cat), vals in sorted(cat_hits.items()) if s == slot
+                }
+            reports.append(report)
+        if rank_relations_too:
+            mr, mrr, hits = metrics_from_ranks(ranks[("relation", setting)])
+            reports.append(EvalReport(task="relation", setting=setting, mr=mr, mrr=mrr, hits=hits))
+    return reports

@@ -23,6 +23,7 @@ from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
 
 from conftest import make_kg
+import oracles
 from oracles import store_from_pairs
 
 
@@ -247,6 +248,11 @@ def test_entity_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
     assert calls == []
 
 
+splits = st.lists(
+    st.tuples(*(st.sampled_from(names) for names in ("abcde", "pqr", "abcde"))), max_size=20
+)
+
+
 def test_relation_categories():
     kg = make_kg(
         [
@@ -266,6 +272,20 @@ def test_relation_categories():
     assert cats[kg.relation_id("fan")] == "1-N"
     assert cats[kg.relation_id("funnel")] == "N-1"
     assert cats[kg.relation_id("many")] == "N-N"
+
+
+def test_relation_categories_match_loop_oracle(toy_kg):
+    assert relation_categories(toy_kg) == oracles.relation_categories(toy_kg)
+    for threshold in (1.0, 2.0, 3.5):
+        assert relation_categories(toy_kg, threshold) == oracles.relation_categories(
+            toy_kg, threshold)
+
+
+@given(train=splits.filter(bool), threshold=st.sampled_from([1.0, 1.5, 2.0, 4 / 3]))
+@settings(max_examples=60, deadline=None)
+def test_relation_categories_match_loop_oracle_on_random_graphs(train, threshold):
+    kg = make_kg(train)
+    assert relation_categories(kg, threshold) == oracles.relation_categories(kg, threshold)
 
 
 def test_evaluate_report_shape(small_eval_kg):
@@ -387,11 +407,6 @@ def test_known_relations_match_is_known_scan(toy_kg):
     for h in range(toy_kg.n_entities):
         for t in range(toy_kg.n_entities):
             assert toy_kg.known_relations(h, t).tolist() == _known_relations_by_scan(toy_kg, h, t)
-
-
-splits = st.lists(
-    st.tuples(*(st.sampled_from(names) for names in ("abcde", "pqr", "abcde"))), max_size=20
-)
 
 
 @given(train=splits.filter(bool), valid=splits, test=splits)

@@ -76,7 +76,7 @@ def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
     density=st.sampled_from([0.0, 0.3, 1.0]),
     many=st.booleans(),
     norm=st.sampled_from(["L1", "L2"]),
-    dim=st.sampled_from([3, 17]),
+    dim=st.sampled_from([3, 8, 17, 32, 136]),
     alpha=st.sampled_from([1.0, 0.35]),
 )
 @settings(max_examples=80, deadline=None)

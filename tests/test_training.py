@@ -14,6 +14,7 @@ from rpje.energy import (
     triple_hinge,
 )
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
+from rpje import training
 from rpje.paths import Path, extract_paths
 from rpje.rules import ChainRule, build_index
 from rpje.training import (
@@ -343,6 +344,31 @@ def test_project_entities_only_scales_down():
     project_entities(emb)
     np.testing.assert_allclose(emb.entities[0], [0.6, 0.8])
     np.testing.assert_allclose(emb.entities[1], [0.1, 0.0])
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_train_matches_full_projection_every_batch(toy_kg, monkeypatch, norm):
+    """Projecting only the rows a batch updated and the rows the previous batch
+    scaled gives, bit for bit, the run that projects every row after every batch."""
+    ps = extract_paths(toy_kg, 2)
+    cfg = TrainingConfig(dim=16, epochs=8, n_batches=20, seed=2, lr=0.05, norm=norm)
+    real = training.project_entities
+    calls = []
+
+    def counted(emb, rows=None):
+        scaled = real(emb, rows)
+        calls.append((rows is None, len(scaled)))
+        return scaled
+
+    monkeypatch.setattr(training, "project_entities", counted)
+    partial = train(toy_kg, ps, build_index([], 0.0), cfg)
+    monkeypatch.setattr(training, "project_entities", lambda emb, rows=None: real(emb))
+    full = train(toy_kg, ps, build_index([], 0.0), cfg)
+    assert np.array_equal(partial.table.entities, full.table.entities)
+    assert np.array_equal(partial.table.relations, full.table.relations)
+    assert partial.history == full.history
+    assert calls[0][0] and not any(whole for whole, _ in calls[1:])
+    assert sum(n for _, n in calls[1:]) > 0
 
 
 def test_loss_history_parts_recorded():
