@@ -135,30 +135,42 @@ class Scorer:
 
     # --- vectorized candidate scoring ---
 
-    def _dimension_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dimension-major copy of the entity table and the scan's scratch."""
-        if self._by_dim is None:
-            ent = self.emb.entities
+    # Tables of fewer entities are scanned row-major, with the same bits: there the
+    # scan's few numpy calls per block of 8 dimensions cost more than they save.
+    DIMENSION_MAJOR_FROM = 512
+
+    def _dimension_major(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The dimension-major copy of the entity table and the scan's scratch,
+        or None for a table scanned row-major."""
+        ent = self.emb.entities
+        if self._by_dim is None and len(ent) >= self.DIMENSION_MAJOR_FROM:
             self._by_dim = np.ascontiguousarray(ent.T), np.empty((2, 8, len(ent)))
         return self._by_dim
 
     def tail_scores(self, h: int, r: int) -> np.ndarray:
-        by_dim, work = self._dimension_major()
-        q = self.emb.entities[h] + self.emb.relation_vec(r)
-        scores = column_dissimilarity(q[:, None], by_dim, self.norm, work)
+        ent, rvec = self.emb.entities, self.emb.relation_vec(r)
+        by_dim = self._dimension_major()
+        if by_dim is None:
+            scores = triple_energy(ent[h], rvec, ent, self.norm)
+        else:
+            table, work = by_dim
+            scores = column_dissimilarity((ent[h] + rvec)[:, None], table, self.norm, work)
         if self.alpha:
             sel = self.provider.from_head(h)
             scores[sel.ends] += self.alpha * self.path_penalty(sel, r)
         return scores
 
     def head_scores(self, r: int, t: int) -> np.ndarray:
-        by_dim, work = self._dimension_major()
-        if self._shifted_r != r:
-            rvec = self.emb.relation_vec(r)[:, None]
-            self._shifted = np.add(by_dim, rvec, out=self._shifted)
-            self._shifted_r = r
-        t_col = self.emb.entities[t][:, None]
-        scores = column_dissimilarity(self._shifted, t_col, self.norm, work)
+        ent, rvec = self.emb.entities, self.emb.relation_vec(r)
+        by_dim = self._dimension_major()
+        if by_dim is None:
+            scores = triple_energy(ent, rvec, ent[t], self.norm)
+        else:
+            table, work = by_dim
+            if self._shifted_r != r:
+                self._shifted = np.add(table, rvec[:, None], out=self._shifted)
+                self._shifted_r = r
+            scores = column_dissimilarity(self._shifted, ent[t][:, None], self.norm, work)
         if self.alpha:
             sel = self.provider.to_tail(t)
             scores[sel.ends] += self.alpha * self.path_penalty(sel, r)

@@ -70,11 +70,14 @@ def toy_setup(toy_kg):
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
 @pytest.mark.parametrize("relations_too", [True, False])
-def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too):
+@pytest.mark.parametrize("dimension_major_from", [0, Scorer.DIMENSION_MAJOR_FROM])
+def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too, dimension_major_from,
+                                            monkeypatch):
     """Reports, per-category hits included, equal those of one query after
-    another in test-triple order, on query triples shuffled across relations.
-    The toy test split holds two N-1 relations, so train triples of every
-    relation join it."""
+    another in test-triple order, on query triples shuffled across relations,
+    with the toy table scanned dimension-major or row-major. The toy test split
+    holds two N-1 relations, so train triples of every relation join it."""
+    monkeypatch.setattr(Scorer, "DIMENSION_MAJOR_FROM", dimension_major_from)
     emb, store, index = toy_setup(toy_kg)
     rng = np.random.default_rng(0)
     queries = toy_kg.test + [toy_kg.train[i] for i in rng.choice(len(toy_kg.train), 60, False)]
@@ -90,17 +93,23 @@ def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too):
 
 
 def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
-    """Relation ranking, and so ``explain``, never copies the entity table;
-    the first entity query does, once."""
+    """Relation ranking, and so ``explain``, never copies the entity table; the
+    first entity query does, and only for a table of at least
+    ``DIMENSION_MAJOR_FROM`` entities."""
     emb, store, index = toy_setup(toy_kg)
-    copies = []
+    assert emb.n_entities < Scorer.DIMENSION_MAJOR_FROM
+    scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
+    scorer.tail_scores(0, 0)
+    scorer.head_scores(0, 1)
+    assert scorer._by_dim is None
+    monkeypatch.setattr(Scorer, "DIMENSION_MAJOR_FROM", 0)
+    calls = []
     real = Scorer._dimension_major
-    monkeypatch.setattr(Scorer, "_dimension_major", lambda self: copies.append(1) or real(self))
+    monkeypatch.setattr(Scorer, "_dimension_major", lambda self: calls.append(1) or real(self))
+    explain(emb, PathFinder(toy_kg, 2), index, toy_kg, 0, 1)
     scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
     for h in range(5):
         scorer.relation_scores(h, h + 1)
-    explain(emb, PathFinder(toy_kg, 2), index, toy_kg, 0, 1)
-    assert copies == [] and scorer._by_dim is None
+    assert calls == [] and scorer._by_dim is None
     scorer.tail_scores(0, 0)
-    scorer.head_scores(0, 1)
-    assert len(copies) == 2 and scorer._by_dim[0].shape == (emb.dim, emb.n_entities)
+    assert scorer._by_dim[0].shape == (emb.dim, emb.n_entities)

@@ -78,12 +78,14 @@ def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
     norm=st.sampled_from(["L1", "L2"]),
     dim=st.sampled_from([3, 8, 17, 32, 136]),
     alpha=st.sampled_from([1.0, 0.35]),
+    dimension_major=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
 def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density, many, norm,
-                                        dim, alpha):
+                                        dim, alpha, dimension_major):
     """Tail, head, relation and pointwise scores from the compiled store equal the
-    per-path loop over the dict oracle, on random stores and rule sets."""
+    per-path loop over the dict oracle, on random stores and rule sets, with the
+    entity table scanned row-major or dimension-major."""
     rng = np.random.default_rng(seed)
     all_pairs = [(h, t) for h in range(n_ent) for t in range(n_ent)]
     chosen = rng.permutation(len(all_pairs))[: int(rng.integers(0, len(all_pairs) + 1))]
@@ -91,6 +93,8 @@ def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density,
     index = random_index(rng, n_base, density)
     emb = random_table(rng, n_ent, n_base, dim)
     scorer = Scorer(emb, store, Composer(index), alpha, norm)
+    if dimension_major:
+        scorer.DIMENSION_MAJOR_FROM = 0
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), alpha, norm)
     assert_scores_match(scorer, oracle, n_ent, 2 * n_base, n_base)
 
