@@ -57,7 +57,7 @@ def relation_categories(kg: KnowledgeGraph, threshold: float = 1.5) -> dict[int,
     n_rel, n_ent = kg.n_base_relations, kg.n_entities
 
     def distinct(ends: np.ndarray) -> np.ndarray:
-        # sorted keys and a change mark: np.unique's hash pass costs ten times the sort
+        # sorted keys and a change mark: np.unique's hash pass costs over ten times a sort
         keys = np.sort(r * n_ent + ends)
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
