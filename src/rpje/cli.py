@@ -148,10 +148,11 @@ def _load_or_extract_paths(cfg: RunConfig, graph) -> paths_mod.PathStore:
     return _extract_paths(cfg, graph, ds_hash)
 
 
-def _append_metrics(cfg: RunConfig, command: str, metrics: dict) -> None:
-    """One JSON line for ``command`` in ``<out>/metrics.jsonl``."""
+def _append_metrics(cfg: RunConfig, command: str, *metrics: dict) -> None:
+    """One JSON line for ``command`` per ``metrics`` in ``<out>/metrics.jsonl``."""
     with open(cfg.path_for("metrics.jsonl"), "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"command": command, **metrics}) + "\n")
+        for line in metrics:
+            fh.write(json.dumps({"command": command, **line}) + "\n")
 
 
 def cmd_encode_rules(cfg: RunConfig) -> int:
@@ -203,7 +204,9 @@ def cmd_train(cfg: RunConfig) -> int:
         rules_mod.format_chain_rule(rule, graph).partition("\t")[0]: n
         for rule, n in result.paths.rule_applications.items()
     }
-    _append_metrics(cfg, "train", {**result.paths.summary(), "rule_applications": applications})
+    _append_metrics(
+        cfg, "train", {**result.paths.summary(), "rule_applications": applications}, *result.epochs
+    )
     ckpt = cfg.path_for("checkpoint.bin")
     save_checkpoint(result.table, graph.dataset_hash(), tc.norm, ckpt)
     graph.save_dictionaries(cfg.output_dir)

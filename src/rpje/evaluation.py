@@ -42,7 +42,7 @@ from .compose import CompiledPaths, Composer
 from .energy import (
     column_dissimilarity, composed_relations, dissimilarity, signed_relations, triple_energy,
 )
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, distinct_sorted
 from .model import EmbeddingTable, TrainingConfig
 from .paths import PathFinder, PathStore, Selection
 from .rules import RuleIndex, format_chain_rule
@@ -57,11 +57,7 @@ def relation_categories(kg: KnowledgeGraph, threshold: float = 1.5) -> dict[int,
     n_rel, n_ent = kg.n_base_relations, kg.n_entities
 
     def distinct(ends: np.ndarray) -> np.ndarray:
-        # sorted keys and a change mark: np.unique's hash pass costs over ten times a sort
-        keys = np.sort(r * n_ent + ends)
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        return np.bincount(keys[first] // n_ent, minlength=n_rel)
+        return np.bincount(distinct_sorted(r * n_ent + ends) // n_ent, minlength=n_rel)
 
     counts, heads, tails = np.bincount(r, minlength=n_rel), distinct(h), distinct(t)
     present = np.flatnonzero(counts)

@@ -37,6 +37,15 @@ Triple = tuple[int, int, int]
 INVERSE_SUFFIX = "^-1"
 
 
+def distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending, as ``np.unique`` gives them: a sort and a
+    change mark (``np.unique``'s hash pass costs several times a sort)."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 class DatasetError(ValueError):
     """Unreadable or structurally invalid dataset input."""
 

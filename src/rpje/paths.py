@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import atomic_write, read_exact
-from .kg import AdjacencyCSR, KnowledgeGraph
+from .kg import AdjacencyCSR, KnowledgeGraph, distinct_sorted
 
 DEFAULT_MAX_STEPS = 2
 DEFAULT_CUTOFF = 0.01
@@ -381,7 +381,7 @@ def extract_paths(
     pairs = np.array(sorted(kg.train_pairs), dtype=np.int64)
     wanted = pairs[:, 0] * kg.n_entities + pairs[:, 1]
     found, below, over = _search(
-        kg, np.unique(pairs[:, 0]), max_steps, cutoff, per_pair_cap, wanted
+        kg, distinct_sorted(pairs[:, 0]), max_steps, cutoff, per_pair_cap, wanted
     )
     store = PathStore.of(found, max_steps, cutoff, per_pair_cap)
     if stats is not None:
@@ -437,9 +437,9 @@ class PathFinder:
         frontier = np.array([t], dtype=np.int64)
         reached = [frontier]  # t itself too, so there is a head even when t has no edges
         for _ in range(self.max_steps):
-            frontier = np.unique(csr.neighbour[_edges(csr, frontier)[1]])
+            frontier = distinct_sorted(csr.neighbour[_edges(csr, frontier)[1]])
             reached.append(frontier)
-        heads = np.unique(np.concatenate(reached))
+        heads = distinct_sorted(np.concatenate(reached))
         return self._find(heads, heads * self.kg.n_entities + t)
 
     def _between(self, h: int, t: int) -> PathStore:

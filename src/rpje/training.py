@@ -9,40 +9,85 @@ entity vectors are then projected back to the unit ball. The first batch of a
 run projects every row; each later one only the rows it updated and the rows
 the previous batch scaled, which gives the full pass's result bit for bit.
 
-A batch runs in two parts. One Python pass over its triples does the integer
-work: negative draws and the id lists of every hinge. A path hinge names its
-path's position in the ``PathStore``; the store is composed once per run
-(``Composer.compile``), and each batch gathers its residuals and weights from
-that by position.
-Then each loss term is one gather of embedding rows, one vectorized hinge and
-the subgradient rows of its active hinges (``energy``), and one scatter sums
-those rows per entity and base relation.
+Planning. ``TrainPlan`` tabulates once per run each train triple's paths (a
+range of the ``PathStore``, composed once by ``Composer.compile``) and D(r).
+An epoch's batches are planned a span at a time: a span is a run of
+consecutive batches holding at most ``_SPAN_DRAWS`` negative draws (a batch
+holding more is a span of its own). The span's draws are laid out in numpy in
+the sampler's stream order, triple by triple: head, tail and relation
+corruption; one relation per stored path of (h, t), in store order; one
+relation per (r_e, beta) of D(r). ``NegativeSampler.draws`` makes them all in
+one exact loop; a give-up (-1) drops its hinge. The rows of every hinge then
+come from gathers.
 
-The sampler's stream is drawn in this order, triple by triple: head, tail and
-relation corruption; one relation per stored path of (h, t), in ``PathStore``
-order; one relation per (r_e, beta) of D(r). A give-up skips its hinge. The
-scatter adds each row's subgradients in the order a per-hinge loop would (the
-triple's L1 hinges, its L2 hinges, its L3 hinges, then the next triple), and
-losses are summed left to right, so the result is bit for bit that of the
-per-hinge loop kept in the tests.
+The fused pass. Every hinge is
+    scale * [margin + w+ ||sum x+ - y+|| - w- ||sum x- - y-||]_+
+over the rows of [entities; relations; -relations; 0], where an inverse
+relation is its base row negated and the zero row pads the sums (``Hinges``):
+h + r - t on each side of a triple hinge; C(p) - r and C(p) - r' for a path,
+weighted R(p|h,t) * prod(mu) on both sides; r - r_e and r - r' for a relation
+pair, weighted (beta, 1). ``loss_and_gradients`` gathers a batch's rows at
+once, then takes one norm, one hinge and one subgradient over all its hinges.
+Each subgradient row takes one of g+ (an x+ row), -g+ (y+), -g- (an x- row) and
+g- (y-); the rows both sides sum, C(p)'s and the pair's r, take g+ - g- once. A
+row of -relations adds the negation to its base row. One scatter sums the rows
+in hinge order. ``train`` keeps the embeddings as views of one such table and
+negates the relation rows each batch changed, so no batch copies the table.
+
+Summation order. Each side sums left to right, x0 + x1 + x2 - y. The scatter
+adds each row's subgradients in the order a per-hinge loop would (the triple's
+L1 hinges, its L2 hinges, its L3 hinges, then the next triple), starting from
+0.0, so the sign of a zero term never shows; each loss part sums its hinges
+left to right too. So the result is bit for bit that of the per-hinge loop
+kept in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .compose import CompiledPaths, Composer
-from .energy import Grad, fold_inverse, path_hinge, relpair_hinge, triple_hinge
+from .energy import dissimilarity
 from .kg import KnowledgeGraph, Triple
 from .model import EmbeddingTable, TrainingConfig, init_embeddings
 from .paths import PathStore
 from .rules import RuleIndex
 
+# Negative draws planned at once: the bound on a span of batches.
+_SPAN_DRAWS = 8192
+
+TERMS = ("triple", "path", "relpair")  # the hinge kinds 0, 1 and 2
+TRIPLE, PATH, RELPAIR = range(3)
+
+# A subgradient slot takes one of six values of its hinge, numbered 2 * block +
+# side as ``loss_and_gradients`` lays them out: g+, g-, -g+, -g-, g+ - g- and
+# -(g+ - g-). _NEGATION maps each to its negation.
+_G_PLUS, _G_MINUS, _NEG_G_PLUS, _NEG_G_MINUS, _SHARED = range(5)
+_NEGATION = np.array([2, 3, 0, 1, 5, 4])
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def _lemire(words: np.ndarray, n: int) -> list[int]:
+    """Per word, the value it gives in range(n), or -1 where Lemire draws again."""
+    m = words.astype(np.uint64) * np.uint64(n)
+    v = (m >> np.uint64(32)).astype(np.int64)
+    v[(m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n] = -1
+    return v.tolist()
+
+
+def not_deduced_mask(r: int, deduced) -> int:
+    """The bits a relation drawn against r and its deduced relations may not set."""
+    mask = 1 << r
+    for d in deduced:
+        mask |= 1 << d
+    return mask
 
 
 class NegativeSampler:
@@ -51,10 +96,11 @@ class NegativeSampler:
     Each draw is the value a scalar ``default_rng(seed).integers(n)`` call would
     return at that point of the stream. ``uint32`` words are prefetched in blocks
     and mapped by numpy's 32-bit Lemire rule: m = u * n, drawn again while
-    (m mod 2^32) < (2^32 - n) mod n, value m >> 32; n = 1 takes no word. A draw
-    that names a train triple is retried, ``max_attempts`` draws in all before
-    the sampler gives up and returns None. Triples carry base relation ids, as
-    in ``kg.train``.
+    (m mod 2^32) < (2^32 - n) mod n, value m >> 32; n = 1 takes no word. A value
+    that is excluded is drawn again, ``max_attempts`` draws in all before the
+    sampler gives up. ``draws`` makes a whole plan of draws in one loop; the
+    ``corrupt_*`` and ``relation_*`` calls are plans of one draw. Triples carry
+    base relation ids, as in ``kg.train``.
     """
 
     BLOCK = 1024  # uint32 words per prefetch
@@ -66,51 +112,71 @@ class NegativeSampler:
         # train membership by the integer key (h * n_rel + r) * n_ent + t
         self._train = {(h * self._n_rel + r) * self._n_ent + t for h, r, t in kg.train}
         self._words = np.empty(0, dtype=np.uint32)
-        self._pos = 0
+        self._pos = self.BLOCK  # the first draw fetches a block
         self._values: dict[int, list[int]] = {}
 
-    def draw(self, n: int) -> int:
-        """One uniform draw from range(n), n <= 2^32."""
-        if n == 1:
-            return 0
-        while True:
-            if self._pos == len(self._words):
-                self._words = self._rng.integers(0, 2**32, size=self.BLOCK, dtype=np.uint32)
-                self._pos = 0
-                self._values = {}
-            values = self._values.get(n)
-            if values is None:
-                # per word: the value it gives in range(n), or -1 where Lemire draws again
-                m = self._words.astype(np.uint64) * np.uint64(n)
-                v = (m >> np.uint64(32)).astype(np.int64)
-                v[(m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n] = -1
-                values = self._values[n] = v.tolist()
-            value = values[self._pos]
-            self._pos += 1
-            if value >= 0:
-                return value
+    def corruption_keys(self, h, r, t):
+        """(key, stride) of corrupting the head, the tail and the relation of
+        (h, r, t): the train key of value x is key + x * stride. Takes ints or
+        arrays; int64 arrays hold every key while n_ent^2 * n_rel < 2^63."""
+        n_ent, n_rel = self._n_ent, self._n_rel
+        return (
+            (r * n_ent + t, n_rel * n_ent),
+            ((h * n_rel + r) * n_ent, 1),
+            (h * n_rel * n_ent + t, n_ent),
+        )
 
-    def _free(self, n: int, key: int, stride: int) -> int | None:
-        """The first draw x in range(n) whose train key ``key + x * stride`` is free."""
-        for _ in range(self.max_attempts):
-            x = self.draw(n)
-            if key + x * stride not in self._train:
-                return x
-        return None
+    def draws(self, ranges, keys, strides, masks) -> list[int]:
+        """Per planned draw i, the first value x drawn from range(ranges[i]) that
+        sets no bit of masks[i] and whose train key keys[i] + x * strides[i] is
+        free; -1 when ``max_attempts`` values in a row are excluded."""
+        train, attempts, block = self._train, self.max_attempts, self.BLOCK
+        words, pos, cache = self._words, self._pos, self._values
+        out = []
+        for n, key, stride, mask in zip(ranges, keys, strides, masks):
+            for _ in repeat(None, attempts):
+                if n > 1:
+                    x = -1
+                    while x < 0:
+                        if pos == block:
+                            words = self._rng.integers(0, 2**32, size=block, dtype=np.uint32)
+                            pos, cache = 0, {}
+                        values = cache.get(n)
+                        if values is None:
+                            values = cache[n] = _lemire(words, n)
+                        x = values[pos]
+                        pos += 1
+                else:
+                    x = 0
+                if not mask >> x & 1 and key + x * stride not in train:
+                    break
+            else:
+                x = -1
+            out.append(x)
+        self._words, self._pos, self._values = words, pos, cache
+        return out
+
+    def draw(self, n: int) -> int:
+        """One uniform draw from range(n), n <= 2^32; key -1 is no train key."""
+        return self.draws((n,), (-1,), (0,), (0,))[0]
+
+    def _draw(self, n: int, key: int, stride: int, mask: int = 0) -> int | None:
+        x = self.draws((n,), (key,), (stride,), (mask,))[0]
+        return None if x < 0 else x
 
     def corrupt_head(self, triple: Triple) -> Triple | None:
         h, r, t = triple
-        h2 = self._free(self._n_ent, r * self._n_ent + t, self._n_rel * self._n_ent)
+        h2 = self._draw(self._n_ent, *self.corruption_keys(h, r, t)[0])
         return None if h2 is None else (h2, r, t)
 
     def corrupt_tail(self, triple: Triple) -> Triple | None:
         h, r, t = triple
-        t2 = self._free(self._n_ent, (h * self._n_rel + r) * self._n_ent, 1)
+        t2 = self._draw(self._n_ent, *self.corruption_keys(h, r, t)[1])
         return None if t2 is None else (h, r, t2)
 
     def corrupt_relation(self, triple: Triple) -> Triple | None:
         h, r, t = triple
-        r2 = self._free(self._n_rel, h * self._n_rel * self._n_ent + t, self._n_ent)
+        r2 = self._draw(self._n_rel, *self.corruption_keys(h, r, t)[2])
         return None if r2 is None else (h, r2, t)
 
     def relation_for_pair(self, h: int, t: int) -> int | None:
@@ -119,11 +185,118 @@ class NegativeSampler:
         return neg[1] if neg is not None else None
 
     def relation_not_deduced(self, r: int, deduced: frozenset[int]) -> int | None:
-        for _ in range(self.max_attempts):
-            r2 = self.draw(self._n_rel)
-            if r2 != r and r2 not in deduced:
-                return r2
-        return None
+        return self._draw(self._n_rel, -1, 0, not_deduced_mask(r, deduced))
+
+
+class Hinges(NamedTuple):
+    """Hinges in hinge order, over the rows of [entities; relations; -relations; 0].
+
+    Entity e is row e and relation id s (inverse ids included) row n_entities +
+    s; the zero row pads. Hinge k sums rows ``x[k, 0]`` less row ``y[k, 0]`` on
+    its positive side and ``x[k, 1]`` less ``y[k, 1]`` on its negative side,
+    weighted ``weight[k]``. ``kind[k]`` is TRIPLE, PATH or RELPAIR; a path or
+    relation-pair hinge sums the same rows on both sides.
+    """
+
+    kind: np.ndarray    # (H,)
+    x: np.ndarray       # (H, 2, W)
+    y: np.ndarray       # (H, 2)
+    weight: np.ndarray  # (H, 2)
+
+
+class LossParts(NamedTuple):
+    triple: float = 0.0
+    path: float = 0.0
+    relpair: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return self.triple + self.path + self.relpair
+
+
+@dataclass(frozen=True, eq=False)
+class HingeBatch:
+    """A batch's hinges laid out for ``loss_and_gradients``.
+
+    ``rows`` (W + 1, 2H) holds every side's summed rows, then its subtracted row,
+    sides in hinge order. Subgradient slot i adds value ``slot_value[i]`` of the
+    batch's (3, H, 2) candidates to row ``slot_row[i]`` of [entities; base
+    relations]. The slots run hinge by hinge, each hinge's in the per-hinge
+    loop's order, and ``slot_hinge[i]`` is the slot's hinge.
+    """
+
+    norm: str
+    n_entities: int
+    n_base: int
+    kind: np.ndarray
+    rows: np.ndarray
+    margin: np.ndarray
+    scale: np.ndarray
+    weight: np.ndarray
+    side_scale: np.ndarray  # scale * weight, shaped (H, 2, 1)
+    slot_row: np.ndarray
+    slot_value: np.ndarray
+    slot_hinge: np.ndarray
+
+    @classmethod
+    def of(cls, hinges: Hinges, cfg: TrainingConfig, n_entities: int, n_base: int) -> HingeBatch:
+        """All of ``hinges`` as one batch."""
+        return cls.split(hinges, cfg, n_entities, n_base, [len(hinges.kind)])[0]
+
+    @classmethod
+    def split(cls, hinges: Hinges, cfg: TrainingConfig, n_entities: int, n_base: int,
+              ends) -> list[HingeBatch]:
+        """The batches of hinges [0, ends[0]), [ends[0], ends[1]) and so on."""
+        kind, x, y, weight = hinges
+        zero = n_entities + 2 * n_base
+        if x.shape[2] < 2:  # the sums start as x0 + x1
+            x = np.concatenate((x, np.full((len(x), 2, 2 - x.shape[2]), zero)), axis=2)
+        n_hinges, _, width = x.shape
+        # per hinge: the x+ rows, y+, the x- rows, y-
+        rows = np.concatenate((x[:, 0], y[:, :1], x[:, 1], y[:, 1:]), axis=1)
+        code = np.tile(
+            [_G_PLUS] * width + [_NEG_G_PLUS] + [_NEG_G_MINUS] * width + [_G_MINUS], (n_hinges, 1)
+        )
+        used = rows != zero
+        shared = kind != TRIPLE
+        code[shared, :width] = _SHARED
+        used[shared, width + 1 : 2 * width + 1] = False
+        # a row of -relations adds the negated value to its base row
+        negated = rows >= n_entities + n_base
+        code = np.where(negated, _NEGATION[code], code)[used]
+        slot_row = (rows - n_base * negated)[used]
+        slot_hinge = np.nonzero(used)[0]
+        # in a batch of n hinges from lo, hinge h's value c is candidate
+        # (c // 2) * 2n + 2 (h - lo) + c % 2
+        ends = np.asarray(ends, dtype=np.int64)
+        starts = ends - np.diff(ends, prepend=0)
+        batch = np.repeat(np.arange(len(ends)), ends - starts)[slot_hinge]
+        local = slot_hinge - starts[batch]
+        slot_value = code // 2 * 2 * (ends - starts)[batch] + 2 * local + code % 2
+        scale = np.array([1.0, cfg.alpha_paths, cfg.alpha_relpairs])[kind]
+        margin = np.array([cfg.margin_triple, cfg.margin_path, cfg.margin_relpair])[kind]
+        side_scale = (scale[:, None] * weight)[..., None]
+        gathered = np.concatenate((x, y[..., None]), axis=2).reshape(2 * n_hinges, width + 1).T
+        batches = []
+        slot_ends = np.searchsorted(slot_hinge, ends).tolist()
+        for lo, hi, a, b in zip(starts.tolist(), ends.tolist(), [0] + slot_ends[:-1], slot_ends):
+            batches.append(cls(
+                cfg.norm, n_entities, n_base, kind[lo:hi],
+                np.ascontiguousarray(gathered[:, 2 * lo : 2 * hi]), margin[lo:hi], scale[lo:hi],
+                weight[lo:hi], side_scale[lo:hi], slot_row[a:b], slot_value[a:b], local[a:b],
+            ))
+        return batches
+
+    def parts(self, losses: np.ndarray) -> LossParts:
+        """The losses summed per term, each left to right."""
+        if not len(losses):
+            return LossParts()  # bincount would count in ints
+        return LossParts(*np.bincount(self.kind, weights=losses, minlength=3).tolist())
+
+
+def hinge_table(emb: EmbeddingTable) -> np.ndarray:
+    """[entities; relations; -relations; 0], the rows that hinges sum."""
+    return np.concatenate((emb.entities, emb.relations, -emb.relations, np.zeros((1, emb.dim))))
 
 
 def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,24 +322,11 @@ class GradientUpdate:
     relation: np.ndarray
 
     @classmethod
-    def summed(cls, entity: Grad, relation: list[tuple[np.ndarray, Grad]],
-               n_entities: int, n_base: int) -> GradientUpdate:
-        """Sum the entity rows, which come in hinge order, and the relation rows of the
-        terms, each with ``seq`` mapping the term's hinges to their places in the
-        batch's hinge order."""
-        rows, values = [entity.rows], [entity.values]
-        if relation:
-            order = np.argsort(np.concatenate([seq[g.hinge] for seq, g in relation]), kind="stable")
-            rel_rows, rel_values = fold_inverse(
-                np.concatenate([g.rows for _, g in relation])[order],
-                np.concatenate([g.values for _, g in relation])[order],
-                n_base,
-            )
-            # relation rows are numbered after the entities, so one scatter sums both
-            rows.append(rel_rows + n_entities)
-            values.append(rel_values)
-        n_rows = n_entities + n_base
-        distinct, sums = _row_sums(np.concatenate(rows), np.concatenate(values), n_rows)
+    def scattered(cls, rows: np.ndarray, values: np.ndarray, n_entities: int,
+                  n_base: int) -> GradientUpdate:
+        """``values`` summed per row in input order; rows number the entities, then
+        the base relations."""
+        distinct, sums = _row_sums(rows, values, n_entities + n_base)
         k = np.searchsorted(distinct, n_entities)
         return cls(distinct[:k], sums[:k], distinct[k:] - n_entities, sums[k:])
 
@@ -175,101 +335,162 @@ class GradientUpdate:
         emb.relations[self.relation_rows] -= lr * self.relation
 
 
-@dataclass
-class LossParts:
-    triple: float = 0.0
-    path: float = 0.0
-    relpair: float = 0.0
+def loss_and_gradients(batch: HingeBatch, table: np.ndarray) -> tuple[np.ndarray, GradientUpdate]:
+    """Every hinge's loss, in hinge order, and the batch's summed subgradient;
+    ``table`` is the ``hinge_table`` of the embeddings."""
+    rows = table.take(batch.rows, axis=0)
+    d = rows[0] + rows[1]
+    for more in rows[2:-1]:
+        d += more
+    d -= rows[-1]
+    norms = dissimilarity(d, batch.norm).reshape(-1, 2)
+    weighted = batch.weight * norms
+    loss = batch.margin + weighted[:, 0] - weighted[:, 1]
+    inactive = loss <= 0.0  # a NaN stays active
+    losses = np.where(inactive, 0.0, batch.scale * loss)
 
-    @property
-    def total(self) -> float:
-        return self.triple + self.path + self.relpair
+    # candidates (3, H, 2): per side g and -g, then g+ - g- and its negation
+    dim = table.shape[1]
+    values = (np.empty if batch.norm == "L1" else np.zeros)((3, len(loss), 2, dim))
+    g = values[0]
+    d = d.reshape(g.shape)
+    if batch.norm == "L1":
+        np.sign(d, out=g)
+    else:
+        n = norms[..., None]
+        np.divide(d, n, out=g, where=n != 0.0)
+    g *= batch.side_scale
+    np.negative(g, out=values[1])
+    np.subtract(g[:, 0], g[:, 1], out=values[2, :, 0])
+    np.negative(values[2, :, 0], out=values[2, :, 1])
+    active = ~inactive[batch.slot_hinge]
+    update = GradientUpdate.scattered(
+        batch.slot_row[active], values.reshape(-1, dim).take(batch.slot_value[active], axis=0),
+        batch.n_entities, batch.n_base,
+    )
+    return losses, update
 
 
-def _loop_sum(losses: np.ndarray) -> float:
-    """Left-to-right sum, as a loop of += gives it (np.sum adds pairwise)."""
-    return float(np.add.accumulate(losses)[-1])
+class Span(NamedTuple):
+    """Planned batches, the kind of each of their hinges, and per term the draws
+    planned and the give-ups."""
+
+    batches: list[HingeBatch]
+    kind: np.ndarray
+    draws: np.ndarray
+    giveups: np.ndarray
 
 
-def loss_and_gradients(
-    batch: list[Triple],
-    kg: KnowledgeGraph,
-    ps: PathStore,
-    composer: Composer,
-    emb: EmbeddingTable,
-    cfg: TrainingConfig,
-    sampler: NegativeSampler,
-) -> tuple[LossParts, GradientUpdate]:
-    use_paths = cfg.alpha_paths > 0 and not cfg.disable_paths_and_r2
-    use_relpairs = cfg.alpha_relpairs > 0 and not cfg.disable_r1
-    index = composer.index
-    # Bookkeeping: per term, each hinge's place in the batch's hinge order and its ids.
-    n = 0
-    tri_seq, tri_ids = [], []
-    path_seq, path_ids, path_rels = [], [], []
-    pair_seq, pair_rels, betas = [], [], []
-    for triple in batch:
-        h, r, t = triple
-        for negative in (
-            sampler.corrupt_head(triple),
-            sampler.corrupt_tail(triple),
-            sampler.corrupt_relation(triple),
-        ):
-            if negative is not None:
-                tri_seq.append(n)
-                tri_ids.append(triple + negative)
-                n += 1
-        if use_paths:
-            for path in range(*ps.path_range(h, t)):
-                r_neg = sampler.relation_for_pair(h, t)
-                if r_neg is None:
-                    continue
-                path_seq.append(n)
-                path_ids.append(path)
-                path_rels.append((r, r_neg))
-                n += 1
-        if use_relpairs:
-            deduced = index.deduced_from(r)
-            if deduced:
-                excluded = frozenset(d for d, _ in deduced)
-                for r_e, beta in deduced:
-                    r_neg = sampler.relation_not_deduced(r, excluded)
-                    if r_neg is None:
-                        continue
-                    pair_seq.append(n)
-                    pair_rels.append((r, r_e, r_neg))
-                    betas.append(beta)
-                    n += 1
+class TrainPlan:
+    """A run's per-triple tables (its paths and D(r)) and the span planner."""
 
-    # Array work: one gather-hinge-subgradient per term, then one scatter.
-    parts = LossParts()
-    no_rows = np.empty(0, np.int64)
-    entity = Grad(no_rows, no_rows, np.empty((0, emb.dim)))
-    relation = []
-    if tri_seq:
-        loss, ent, rel = triple_hinge(
-            emb, np.array(tri_ids).reshape(-1, 2, 3), cfg.margin_triple, cfg.norm
+    def __init__(self, kg: KnowledgeGraph, ps: PathStore, composer: Composer, cfg: TrainingConfig):
+        self.cfg = cfg
+        self.n_ent, self.n_base = kg.n_entities, kg.n_base_relations
+        self.triples = np.array(kg.train, dtype=np.int64).reshape(-1, 3)
+        h, r, t = self.triples.T
+        self.paths = composer.compile(ps)
+        self.path_start = np.zeros(len(h), dtype=np.int64)
+        self.n_paths = np.zeros(len(h), dtype=np.int64)
+        if cfg.alpha_paths > 0 and not cfg.disable_paths_and_r2 and len(ps.keys):
+            key = h << 32 | t
+            i = np.minimum(ps.keys.searchsorted(key), len(ps.keys) - 1)
+            found = ps.keys[i] == key
+            self.path_start = np.where(found, ps.indptr[i], 0)
+            self.n_paths = np.where(found, ps.indptr[i + 1] - ps.indptr[i], 0)
+        use_relpairs = cfg.alpha_relpairs > 0 and not cfg.disable_r1
+        deduced = [
+            composer.index.deduced_from(b) if use_relpairs else () for b in range(self.n_base)
+        ]
+        sizes = np.array([len(ds) for ds in deduced], dtype=np.int64)
+        self.deduced_start = np.cumsum(sizes) - sizes
+        self.deduced = np.array([d for ds in deduced for d, _ in ds], dtype=np.int64)
+        self.beta = np.array([beta for ds in deduced for _, beta in ds])
+        # per base relation, then for the other draws (index n_base): the bits excluded
+        self.masks = np.array(
+            [not_deduced_mask(b, [d for d, _ in ds]) for b, ds in enumerate(deduced)] + [0],
+            dtype=object,
         )
-        parts.triple = _loop_sum(loss)
-        entity = ent
-        relation.append((np.array(tri_seq), rel))
-    if path_seq:
-        compiled = composer.compile(ps)
-        ids = np.array(path_ids)
-        loss, rel = path_hinge(
-            emb, compiled.residuals[compiled.residual_id[ids]], compiled.weight[ids],
-            np.array(path_rels), cfg.margin_path, cfg.norm, cfg.alpha_paths,
-        )
-        parts.path = _loop_sum(loss)
-        relation.append((np.array(path_seq), rel))
-    if pair_seq:
-        loss, rel = relpair_hinge(
-            emb, np.array(pair_rels), np.array(betas), cfg.margin_relpair, cfg.norm,
-            cfg.alpha_relpairs,
-        )
-        parts.relpair = _loop_sum(loss)
-        relation.append((np.array(pair_seq), rel))
-    return parts, GradientUpdate.summed(entity, relation, emb.n_entities, emb.n_base_relations)
+        self.n_deduced = sizes[r]
+        self.draw_counts = 3 + self.n_paths + self.n_deduced
+
+    def spans(self, sampler: NegativeSampler, batches: list[np.ndarray]):
+        """The batches (non-empty arrays of train triple indices) planned span by span."""
+        if not batches:
+            return
+        starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
+        counts = np.add.reduceat(self.draw_counts[np.concatenate(batches)], starts).tolist()
+        group, drawn = [], 0
+        for batch, n in zip(batches, counts):
+            if group and drawn + n > _SPAN_DRAWS:
+                yield self.span(sampler, group)
+                group, drawn = [], 0
+            group.append(batch)
+            drawn += n
+        yield self.span(sampler, group)
+
+    def span(self, sampler: NegativeSampler, batches: list[np.ndarray]) -> Span:
+        """The hinges of consecutive batches, their negatives drawn in stream order."""
+        idx = np.concatenate(batches)
+        h, r, t = self.triples[idx].T
+        n_paths, n_deduced = self.n_paths[idx], self.n_deduced[idx]
+        count = 3 + n_paths + n_deduced
+        j = np.repeat(np.arange(len(idx)), count)  # each draw's triple
+        k = np.arange(len(j)) - (np.cumsum(count) - count)[j]  # and its place there
+        kind = (k >= 3).astype(np.int64) + (k >= 3 + n_paths[j])
+        # the head, tail, relation (and path) and relation-pair draws
+        slot = np.where(kind == RELPAIR, 3, np.minimum(k, 2))
+        (hk, hs), (tk, ts), (rk, rs) = sampler.corruption_keys(h, r, t)
+        keys = np.stack((hk, tk, rk, np.full(len(idx), -1)), axis=1)[j, slot]
+        values = np.array(sampler.draws(
+            np.where(slot < 2, self.n_ent, self.n_base).tolist(),
+            keys.tolist(),
+            np.array([hs, ts, rs, 0])[slot].tolist(),
+            self.masks[np.where(kind == RELPAIR, r[j], self.n_base)].tolist(),
+        ), dtype=np.int64)
+        drawn = values >= 0
+        draws = np.bincount(kind, minlength=3)
+        giveups = np.bincount(kind[~drawn], minlength=3)
+
+        j, k, kind, v = j[drawn], k[drawn], kind[drawn], values[drawn]
+        h, r, t, n_paths = h[j], r[j], t[j], n_paths[j]
+        hinges = self._hinges(kind, k, v, h, r, t, self.path_start[idx][j] + k - 3,
+                              k - 3 - n_paths)
+        batch_of_triple = np.repeat(np.arange(len(batches)), [len(b) for b in batches])
+        ends = np.cumsum(np.bincount(batch_of_triple[j], minlength=len(batches)))
+        planned = HingeBatch.split(hinges, self.cfg, self.n_ent, self.n_base, ends)
+        return Span(planned, hinges.kind, draws, giveups)
+
+    def _hinges(self, kind, k, v, h, r, t, path, pair) -> Hinges:
+        """Hinge rows of drawn negatives ``v``; ``k`` is each draw's place in its
+        triple, ``path`` its stored path and ``pair`` its place in D(r)."""
+        n_ent = self.n_ent
+        residuals = self.paths.residuals
+        zero = n_ent + 2 * self.n_base
+        x = np.full((len(kind), 2, max(2, residuals.shape[1])), zero)
+        y = np.empty((len(kind), 2), dtype=np.int64)
+        weight = np.ones((len(kind), 2))
+
+        i = np.flatnonzero(kind == TRIPLE)  # h + r - t, then h', r' or t' drawn
+        ki, vi = k[i], v[i]
+        x[i, 0, 0], x[i, 0, 1], y[i, 0] = h[i], n_ent + r[i], t[i]
+        x[i, 1, 0] = np.where(ki == 0, vi, h[i])
+        y[i, 1] = np.where(ki == 1, vi, t[i])
+        x[i, 1, 1] = n_ent + np.where(ki == 2, vi, r[i])
+
+        i = np.flatnonzero(kind == PATH)  # C(p) - r and C(p) - r'
+        q = path[i]
+        res = residuals[self.paths.residual_id[q]]
+        x[i, :, : res.shape[1]] = np.where(res >= 0, n_ent + res, zero)[:, None]
+        y[i, 0], y[i, 1] = n_ent + r[i], n_ent + v[i]
+        weight[i] = self.paths.weight[q][:, None]
+
+        i = np.flatnonzero(kind == RELPAIR)  # r - r_e and r - r'
+        e = self.deduced_start[r[i]] + pair[i]
+        x[i, :, 0] = (n_ent + r[i])[:, None]
+        y[i, 0], y[i, 1] = n_ent + self.deduced[e], n_ent + v[i]
+        weight[i, 0] = self.beta[e]
+        return Hinges(kind, x, y, weight)
 
 
 def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.ndarray:
@@ -282,7 +503,7 @@ def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.
     above 1.
     """
     vectors = emb.entities if rows is None else emb.entities[rows]
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))  # np.linalg.norm's sum
     over = norms > 1.0
     scaled = np.flatnonzero(over) if rows is None else rows[over]
     if len(scaled):
@@ -291,11 +512,36 @@ def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.
 
 
 @dataclass
+class EpochCounts:
+    """Per term: draws planned, give-ups and hinges with a positive loss; and the
+    entity rows the projections scaled."""
+
+    draws: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
+    giveups: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
+    active: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
+    projected: int = 0
+
+    def metrics(self, epoch: int) -> dict:
+        terms = {}
+        for term, draws, giveups, active in zip(
+            TERMS, self.draws.tolist(), self.giveups.tolist(), self.active.tolist()
+        ):
+            hinges = draws - giveups
+            terms[term] = {
+                "draws": draws, "giveups": giveups, "hinges": hinges, "active": active,
+                "giveup_frac": giveups / draws if draws else 0.0,
+                "active_frac": active / hinges if hinges else 0.0,
+            }
+        return {"epoch": epoch, **terms, "entity_rows_projected": self.projected}
+
+
+@dataclass
 class TrainResult:
     table: EmbeddingTable
     # rows of (epoch, total, triple part, path part, relpair part)
     history: list[tuple[int, float, float, float, float]]
     paths: CompiledPaths  # the path store as the run's rule index composes it
+    epochs: list[dict]  # per epoch, ``EpochCounts.metrics``
 
 
 def train(
@@ -307,41 +553,60 @@ def train(
     sampler: NegativeSampler | None = None,
     log_every: int | None = None,
 ) -> TrainResult:
+    """Train ``emb`` (by default ``init_embeddings``) in place; its arrays become
+    views of the run's hinge table."""
     cfg.validate()
     if emb is None:
         emb = init_embeddings(kg, cfg)
     if sampler is None:
         sampler = NegativeSampler(kg, seed=cfg.seed + 1)
     shuffle_rng = np.random.default_rng(cfg.seed + 2)
-    composer = Composer(index)
-    compiled = composer.compile(ps)
-    triples = np.array(kg.train, dtype=np.int64)
+    plan = TrainPlan(kg, ps, Composer(index), cfg)
+    # The run updates the embeddings as views of one hinge table, so the table
+    # stays current once each batch also negates the relation rows it changed.
+    table = hinge_table(emb)
+    n_ent, n_base = emb.n_entities, emb.n_base_relations
+    emb.entities, emb.relations = table[:n_ent], table[n_ent : n_ent + n_base]
+    negated = table[n_ent + n_base : -1]
     history: list[tuple[int, float, float, float, float]] = []
+    epochs: list[dict] = []
     scaled = None  # rows the last projection scaled; None before the first (full) pass
     for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(len(triples))
-        totals = LossParts()
-        for chunk in np.array_split(perm, cfg.n_batches):
-            if len(chunk) == 0:
-                continue
-            batch = list(map(tuple, triples[chunk].tolist()))
-            parts, grads = loss_and_gradients(batch, kg, ps, composer, emb, cfg, sampler)
-            grads.apply(emb, cfg.lr)
-            rows = None if scaled is None else np.union1d(grads.entity_rows, scaled)
-            scaled = project_entities(emb, rows)
-            totals.triple += parts.triple
-            totals.path += parts.path
-            totals.relpair += parts.relpair
+        perm = shuffle_rng.permutation(len(plan.triples))
+        batches = [b for b in np.array_split(perm, cfg.n_batches) if len(b)]
+        totals = [0.0, 0.0, 0.0]
+        counts = EpochCounts()
+        for span in plan.spans(sampler, batches):
+            counts.draws += span.draws
+            counts.giveups += span.giveups
+            span_losses = []
+            for batch in span.batches:
+                losses, grads = loss_and_gradients(batch, table)
+                grads.apply(emb, cfg.lr)
+                negated[grads.relation_rows] = -emb.relations[grads.relation_rows]
+                if scaled is None:
+                    rows = None
+                elif len(scaled):
+                    rows = np.union1d(grads.entity_rows, scaled)
+                else:
+                    rows = grads.entity_rows
+                scaled = project_entities(emb, rows)
+                totals = [a + b for a, b in zip(totals, batch.parts(losses))]
+                span_losses.append(losses)
+                counts.projected += len(scaled)
+            counts.active += np.bincount(span.kind[np.concatenate(span_losses) > 0.0], minlength=3)
+        totals = LossParts(*totals)
         if not np.isfinite(totals.total):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")
-        history.append((epoch, totals.total, totals.triple, totals.path, totals.relpair))
+        history.append((epoch, totals.total, *totals))
+        epochs.append(counts.metrics(epoch))
         if log_every and (epoch + 1) % log_every == 0:
             print(
                 f"epoch {epoch + 1}/{cfg.epochs} loss={totals.total:.4f} "
                 f"(triple={totals.triple:.4f} path={totals.path:.4f} "
                 f"relpair={totals.relpair:.4f})"
             )
-    return TrainResult(table=emb, history=history, paths=compiled)
+    return TrainResult(table=emb, history=history, paths=plan.paths, epochs=epochs)
 
 
 def write_loss_history(history, path) -> None:

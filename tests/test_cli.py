@@ -566,7 +566,8 @@ def test_train_appends_composition_metrics(toy_dir, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "{" not in stdout
     lines = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
-    assert [line["command"] for line in lines] == ["extract-paths", "train"]
+    assert [line["command"] for line in lines] == ["extract-paths", "train", "train"]
+    assert "epoch" in lines[2]
     metrics = lines[1]
     assert set(metrics) == {
         "command", "paths", "fully_composed_frac", "residual_lengths", "rule_applications"
@@ -583,5 +584,44 @@ def test_train_appends_composition_metrics(toy_dir, tmp_path, capsys):
     assert all(isinstance(n, int) and n > 0 for n in metrics["rule_applications"].values())
     # a path is fully composed only through a rule, and one 2-step path applies at most one
     assert sum(metrics["rule_applications"].values()) == lengths.get("1", 0)
+    assert main(["train", *common]) == EXIT_OK
+    assert capsys.readouterr().out == stdout
+
+
+def test_train_appends_epoch_metrics(toy_dir, tmp_path, capsys):
+    """train appends one line per epoch: per loss term the draws planned, the
+    give-ups and the active hinges, and the entity rows projected."""
+    _, files = toy_dir
+    out = tmp_path / "out"
+    common = [*data_flags(files), "--out", str(out), "--dim", "8", "--epochs", "3",
+              "--batches", "5"]
+    assert main(["encode-rules", *common]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train", *common]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    lines = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    epochs = [line for line in lines if "epoch" in line]
+    assert [line["epoch"] for line in epochs] == [0, 1, 2]
+    assert all(line["command"] == "train" for line in epochs)
+    kg = load_dataset(files["train"], files["valid"], files["test"])
+    for line in epochs:
+        assert set(line) == {"command", "epoch", "triple", "path", "relpair",
+                             "entity_rows_projected"}
+        assert line["triple"]["draws"] == 3 * len(kg.train)
+        for term in ("triple", "path", "relpair"):
+            counts = line[term]
+            assert counts["giveups"] + counts["hinges"] == counts["draws"]
+            assert 0 <= counts["active"] <= counts["hinges"]
+            assert 0.0 <= counts["giveup_frac"] <= 1.0 and 0.0 <= counts["active_frac"] <= 1.0
+            assert counts["active_frac"] == (counts["active"] / counts["hinges"]
+                                             if counts["hinges"] else 0.0)
+        assert line["path"]["draws"] > 0 and line["relpair"]["draws"] > 0
+        assert line["triple"]["active"] > 0
+        assert isinstance(line["entity_rows_projected"], int)
+        assert line["entity_rows_projected"] >= 0
+    # the draws per term are fixed by the graph, paths and rules
+    assert len({json.dumps([line[t]["draws"] for t in ("triple", "path", "relpair")])
+                for line in epochs}) == 1
+    assert epochs[0]["entity_rows_projected"] > 0  # updates push rows out of the ball
     assert main(["train", *common]) == EXIT_OK
     assert capsys.readouterr().out == stdout

@@ -3,11 +3,12 @@ import os
 import struct
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpje import kg as kg_mod
-from rpje.kg import DatasetError, KnowledgeGraph, load_dataset
+from rpje.kg import DatasetError, KnowledgeGraph, distinct_sorted, load_dataset
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
 from conftest import make_kg
@@ -422,3 +423,18 @@ def test_read_only_cache_use_writes_nothing(tmp_path, toy_files):
     expected = graph_state(load_dataset(*toy_files))
     assert graph_state(load_dataset(*toy_files, cache=cache, write_cache=False)) == expected
     assert not cache.parent.exists()
+
+
+@given(
+    values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60)
+    | st.lists(st.integers(0, 5), max_size=60)
+    | st.builds(lambda v, n: [v] * n, st.integers(-(2**63), 2**63 - 1), st.integers(0, 20))
+)
+@settings(max_examples=150, deadline=None)
+def test_distinct_sorted_matches_unique(values):
+    """The sort-and-change-mark distinct values equal ``np.unique``'s, for empty,
+    all-equal and repeating int64 arrays."""
+    array = np.array(values, dtype=np.int64)
+    got = distinct_sorted(array)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.unique(array).tolist()

@@ -9,11 +9,11 @@ from rpje.evaluation import Scorer
 from rpje.model import EmbeddingTable, TrainingConfig
 from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
-from rpje.training import NegativeSampler, loss_and_gradients
+from rpje.training import NegativeSampler, hinge_table, loss_and_gradients
 
 from conftest import make_kg
 from oracles import OracleScorer, PathSet, store_from_pairs
-from test_training import OracleSampler, oracle_loss_and_gradients
+from test_training import OracleSampler, one_batch, oracle_loss_and_gradients
 
 
 def hexes(values) -> list[str]:
@@ -162,12 +162,11 @@ def test_path_hinges_match_per_hinge_oracle(edges, seed, density, many, norm):
     index = random_index(rng, kg.n_base_relations, density)
     emb = random_table(rng, kg.n_entities, kg.n_base_relations, 6)
     cfg = TrainingConfig(dim=6, norm=norm, margin_path=3.0, margin_relpair=2.0)
-    batch = kg.train
-    parts, update = loss_and_gradients(
-        batch, kg, store, Composer(index), emb, cfg, NegativeSampler(kg, seed=seed % 1000)
-    )
+    batch = one_batch(kg, store, index, cfg, NegativeSampler(kg, seed=seed % 1000))
+    losses, update = loss_and_gradients(batch, hinge_table(emb))
+    parts = batch.parts(losses)
     want, grads = oracle_loss_and_gradients(
-        batch, PathSet.of(store), Composer(index), emb, cfg, OracleSampler(kg, seed=seed % 1000)
+        kg.train, PathSet.of(store), Composer(index), emb, cfg, OracleSampler(kg, seed=seed % 1000)
     )
     assert [parts.triple.hex(), parts.path.hex(), parts.relpair.hex()] == [
         float(x).hex() for x in want

@@ -7,19 +7,22 @@ from rpje.energy import (
     NORMS,
     compose_embedding,
     dissimilarity,
-    fold_inverse,
-    path_hinge,
     path_weight,
-    relpair_hinge,
-    triple_hinge,
 )
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje import training
 from rpje.paths import Path, extract_paths
 from rpje.rules import ChainRule, build_index
 from rpje.training import (
+    PATH,
+    RELPAIR,
+    TRIPLE,
     DivergenceError,
+    HingeBatch,
+    Hinges,
     NegativeSampler,
+    TrainPlan,
+    hinge_table,
     loss_and_gradients,
     project_entities,
     train,
@@ -44,6 +47,50 @@ def random_table(kg, dim=6, seed=0):
     return EmbeddingTable(
         rng.normal(size=(kg.n_entities, dim)), rng.normal(size=(kg.n_base_relations, dim))
     )
+
+
+# --- each loss term written in the fused layout ---
+
+
+def _zero_row(emb):
+    return emb.n_entities + 2 * emb.n_base_relations
+
+
+def triple_hinges(emb, ids):
+    """L1 hinges over ``ids`` (K, 2, 3), each side's (h, r, t) as h + r - t."""
+    x = np.stack((ids[..., 0], emb.n_entities + ids[..., 1]), axis=-1)
+    return Hinges(np.full(len(ids), TRIPLE), x, ids[..., 2], np.ones((len(ids), 2)))
+
+
+def path_hinges(emb, residual, weight, r):
+    """L2 hinges C(p) - r and C(p) - r'; ``residual`` padded with -1, ``weight``
+    per path and ``r`` (K, 2)."""
+    rows = np.where(residual >= 0, emb.n_entities + residual, _zero_row(emb))
+    x = np.repeat(rows[:, None], 2, axis=1)
+    w = np.repeat(np.asarray(weight, dtype=float)[:, None], 2, axis=1)
+    return Hinges(np.full(len(r), PATH), x, emb.n_entities + r, w)
+
+
+def relpair_hinges(emb, r, beta):
+    """L3 hinges r - r_e and r - r' over ``r`` (K, 3), weighted (beta, 1)."""
+    x = np.repeat((emb.n_entities + r[:, :1])[:, None], 2, axis=1)
+    w = np.ones((len(r), 2))
+    w[:, 0] = beta
+    return Hinges(np.full(len(r), RELPAIR), x, emb.n_entities + r[:, 1:], w)
+
+
+def fused(emb, hinges, cfg):
+    """Per-hinge losses and the summed update of one batch of ``hinges``."""
+    batch = HingeBatch.of(hinges, cfg, emb.n_entities, emb.n_base_relations)
+    return loss_and_gradients(batch, hinge_table(emb))
+
+
+def one_batch(kg, ps, index, cfg, sampler, triples=None):
+    """The batch of train triples ``triples`` (indices; default all), planned alone."""
+    if triples is None:
+        triples = np.arange(len(kg.train))
+    plan = TrainPlan(kg, ps, Composer(index), cfg)
+    return plan.span(sampler, [np.asarray(triples)]).batches[0]
 
 
 # --- negative sampling ---
@@ -101,6 +148,43 @@ def test_sampler_stream_matches_scalar_draws(seed):
         assert sampler.draw(n) == reference.integers(n)
 
 
+def test_sampler_plan_matches_scalar_draws():
+    """One plan through ``draws`` interleaves the ranges 1, n_rel and n_ent across
+    prefetch blocks, with train-key tests, masks and give-ups, and takes every
+    value a scalar loop of integers(n) calls takes."""
+    # (a, r, a) is the only triple with range-1 relation draws; its head draws cannot all be free
+    kg = make_kg([("a", "r", "a"), ("b", "r", "a"), ("a", "s", "b"), ("b", "s", "c")])
+    n_ent, n_rel = kg.n_entities, kg.n_base_relations
+    sampler = NegativeSampler(kg, seed=5, max_attempts=20)
+    train_keys = {(h * n_rel + r) * n_ent + t for h, r, t in kg.train}
+    rng = np.random.default_rng(6)
+    plan = []
+    for _ in range(3 * NegativeSampler.BLOCK):
+        h, r, t = kg.train[int(rng.integers(len(kg.train)))]
+        slot = int(rng.integers(5))
+        if slot < 3:
+            key, stride = sampler.corruption_keys(h, r, t)[slot]
+            plan.append((n_ent if slot < 2 else n_rel, key, stride, 0))
+        elif slot == 3:  # range 1, x = 0 taken, or given up as (h, r, t) itself
+            plan.append((1, (h * n_rel + r) * n_ent + t if rng.integers(2) else -1, 1, 0))
+        else:  # r masked, or every value (a give-up)
+            plan.append((n_rel, -1, 0, training.not_deduced_mask(r, [1 - r][: rng.integers(2)])))
+    got = sampler.draws(*map(list, zip(*plan)))
+    reference = np.random.default_rng(5)
+    want = []
+    for n, key, stride, mask in plan:
+        for _ in range(20):
+            x = int(reference.integers(n))
+            if not mask >> x & 1 and key + x * stride not in train_keys:
+                break
+        else:
+            x = -1
+        want.append(x)
+    assert got == want
+    assert -1 in got and {n for n, *_ in plan} == {1, n_rel, n_ent}
+    assert sampler.draw(n_ent) == reference.integers(n_ent)
+
+
 # --- hinge behavior ---
 
 
@@ -113,9 +197,12 @@ def test_inactive_hinge_contributes_nothing():
     emb.entities[2] = emb.entities[0] + emb.relations[0] + 100.0
     # the second hinge swaps them and is active
     ids = np.array([[(0, 0, 1), (0, 0, 2)], [(0, 0, 2), (0, 0, 1)]])
-    loss, entity, relation = triple_hinge(emb, ids, 0.001, "L1")
+    cfg = TrainingConfig(dim=6, margin_triple=0.001)
+    loss, update = fused(emb, triple_hinges(emb, ids), cfg)
     assert loss[0] == 0.0 and loss[1] > 0.0
-    assert set(entity.hinge) == set(relation.hinge) == {1}
+    _, alone = fused(emb, triple_hinges(emb, ids[1:]), cfg)
+    for got, want in zip(vars(update).values(), vars(alone).values()):
+        assert np.array_equal(got, want)
 
 
 def test_alpha_zero_reduces_to_transe_loss():
@@ -125,7 +212,8 @@ def test_alpha_zero_reduces_to_transe_loss():
     ps = extract_paths(kg, 2)
     index = build_index([ChainRule(head=0, body=(0, 1), confidence=0.9)], 0.0)
     sampler = NegativeSampler(kg, seed=1)
-    parts, _ = loss_and_gradients(kg.train, kg, ps, Composer(index), emb, cfg, sampler)
+    batch = one_batch(kg, ps, index, cfg, sampler)
+    parts = batch.parts(loss_and_gradients(batch, hinge_table(emb))[0])
     assert parts.path == 0.0 and parts.relpair == 0.0
 
     # recompute the pure TransE margin loss with an identical sampling stream
@@ -150,14 +238,12 @@ EPS = 1e-6
 RTOL = 1e-4
 
 
-def dense_grads(emb, entity=None, relation=None):
-    """Hinge subgradient rows as dense tables; relation rows folded onto base ids."""
+def dense_grads(emb, update):
+    """A ``GradientUpdate`` as dense entity and relation tables."""
     ge = np.zeros_like(emb.entities)
     gr = np.zeros_like(emb.relations)
-    if entity is not None:
-        np.add.at(ge, entity.rows, entity.values)
-    if relation is not None:
-        np.add.at(gr, *fold_inverse(relation.rows, relation.values, emb.n_base_relations))
+    ge[update.entity_rows] = update.entity
+    gr[update.relation_rows] = update.relation
     return ge, gr
 
 
@@ -182,10 +268,11 @@ def fd_check(emb, loss_fn, dense):
     assert checked > 0
 
 
-# Each case builds a table and a batch of hinges: active ones, one with inverse
-# relation ids and an inactive one sharing their rows. ``term()`` returns the
-# per-hinge losses and the dense subgradient; ``inactive`` lists the hinges
-# that must have zero loss.
+# Each case builds a table and a batch of hinges of one term, written in the
+# fused layout: active ones, one with inverse relation ids and an inactive one
+# sharing their rows. ``term()`` returns the per-hinge losses and the dense
+# subgradient of the fused pass; ``inactive`` lists the hinges that must have
+# zero loss.
 
 
 def triple_case(seed, norm="L1"):
@@ -198,10 +285,11 @@ def triple_case(seed, norm="L1"):
         [(0, n, 1), (1, n + 1, 2)],
         [(0, 0, 1), (0, 0, 3)],
     ])
+    cfg = TrainingConfig(dim=6, norm=norm, margin_triple=50.0)
 
     def term():
-        loss, entity, relation = triple_hinge(emb, ids, 50.0, norm)
-        return loss, dense_grads(emb, entity, relation)
+        loss, update = fused(emb, triple_hinges(emb, ids), cfg)
+        return loss, dense_grads(emb, update)
 
     return emb, term, [2]
 
@@ -214,10 +302,11 @@ def path_case(seed, norm="L1"):
     residual = residual_matrix([(0, n + 1), (n,), (0,)])
     weight = np.array([0.6 * 0.9, 0.5, 0.7])
     r = np.array([(1, 0), (1, 0), (0, 1)])
+    cfg = TrainingConfig(dim=6, norm=norm, margin_path=5.0, alpha_paths=1.5)
 
     def term():
-        loss, relation = path_hinge(emb, residual, weight, r, 5.0, norm, scale=1.5)
-        return loss, dense_grads(emb, relation=relation)
+        loss, update = fused(emb, path_hinges(emb, residual, weight, r), cfg)
+        return loss, dense_grads(emb, update)
 
     return emb, term, [2]
 
@@ -228,10 +317,11 @@ def relpair_case(seed, norm="L1"):
     emb.relations[3] += 30.0  # r' = 3 keeps the last hinge inactive
     r = np.array([(0, 1, 2), (0, 5, 2), (1, 2, 3)])  # 5 is the inverse of 1
     beta = np.array([0.9, 0.8, 0.7])
+    cfg = TrainingConfig(dim=6, norm=norm, margin_relpair=50.0, alpha_relpairs=3.0)
 
     def term():
-        loss, relation = relpair_hinge(emb, r, beta, 50.0, norm, scale=3.0)
-        return loss, dense_grads(emb, relation=relation)
+        loss, update = fused(emb, relpair_hinges(emb, r, beta), cfg)
+        return loss, dense_grads(emb, update)
 
     return emb, term, [2]
 
@@ -265,14 +355,20 @@ def test_inverse_relation_gradient_folds_to_base():
     emb = random_table(kg)
     n = emb.n_base_relations
     ids = np.array([[(0, n, 1), (2, n + 1, 3)]])  # inverse ids
-    loss, entity, relation = triple_hinge(emb, ids, 5.0, "L1")
+    cfg = TrainingConfig(dim=6, margin_triple=5.0)
+    loss, update = fused(emb, triple_hinges(emb, ids), cfg)
     assert loss[0] > 0
-    assert set(relation.rows) == {n, n + 1}
-    rows, values = fold_inverse(relation.rows, relation.values, n)
-    assert set(rows) <= set(range(n))
-    np.testing.assert_array_equal(values, -relation.values)
-    fd_check(emb, lambda: triple_hinge(emb, ids, 5.0, "L1")[0].sum(),
-             dense_grads(emb, entity, relation))
+    assert update.relation_rows.tolist() == [0, 1]
+    # the same hinge on base ids over negated relations: the relation rows negate
+    flipped = EmbeddingTable(emb.entities, -emb.relations)
+    base = ids.copy()
+    base[..., 1] -= n
+    flipped_loss, flipped_update = fused(flipped, triple_hinges(flipped, base), cfg)
+    assert flipped_loss.tolist() == loss.tolist()
+    assert np.array_equal(flipped_update.relation, -update.relation)
+    assert np.array_equal(flipped_update.entity, update.entity)
+    fd_check(emb, lambda: fused(emb, triple_hinges(emb, ids), cfg)[0].sum(),
+             dense_grads(emb, update))
 
 
 # --- confidence weighting ---
@@ -288,12 +384,11 @@ def test_confidence_scales_active_path_term():
     for mu in (0.4, 0.8):
         index = build_index([ChainRule(head=0, body=(0, 1), confidence=mu)], 0.0)
         cr = Composer(index).compose(path.relations)
-        loss, relation = path_hinge(
-            emb, residual_matrix([cr.residual]), np.array([path_weight(path, cr)]),
-            np.array([(1, 0)]), cfg.margin_path, cfg.norm,
-        )
+        hinges = path_hinges(emb, residual_matrix([cr.residual]),
+                             np.array([path_weight(path, cr)]), np.array([(1, 0)]))
+        loss, update = fused(emb, hinges, cfg)
         losses[mu] = loss[0] - cfg.margin_path  # energy difference part scales with mu
-        grad_norms[mu] = np.abs(dense_grads(emb, relation=relation)[1]).sum()
+        grad_norms[mu] = np.abs(dense_grads(emb, update)[1]).sum()
     assert losses[0.8] == pytest.approx(2 * losses[0.4])
     # C(p) is the same residual either way, so gradient magnitude scales too
     assert grad_norms[0.8] == pytest.approx(2 * grad_norms[0.4])
@@ -440,9 +535,7 @@ def run_transe_reduction(n_batches_to_run=10):
     emb = init_embeddings(kg, cfg)
     oracle_e = emb.entities.copy()
     oracle_r = emb.relations.copy()
-    index = build_index([], 0.0)
-    composer = Composer(index)
-    ps = empty_paths()
+    plan = TrainPlan(kg, empty_paths(), Composer(build_index([], 0.0)), cfg)
 
     sampler = NegativeSampler(kg, seed=99)
     oracle_sampler = NegativeSampler(kg, seed=99)  # shared stream by construction
@@ -453,7 +546,7 @@ def run_transe_reduction(n_batches_to_run=10):
         perm = shuffle.permutation(len(triples))
         for chunk in np.array_split(perm, cfg.n_batches):
             batch = [triples[i] for i in chunk]
-            parts, grads = loss_and_gradients(batch, kg, ps, composer, emb, cfg, sampler)
+            _, grads = loss_and_gradients(plan.span(sampler, [chunk]).batches[0], hinge_table(emb))
             grads.apply(emb, cfg.lr)
             project_entities(emb)
 
@@ -677,3 +770,38 @@ def test_train_matches_per_hinge_oracle(norm):
     assert np.array_equal(result.table.relations, emb.relations)
     assert result.history == history
     assert all(l2 > 0 and l3 > 0 for _, _, _, l2, l3 in history)
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+@pytest.mark.parametrize("case", ["oracle", "toy"])
+@pytest.mark.parametrize("bound", [1, 7])
+def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound):
+    """Planning fewer batches at once changes no table, history or epoch metric."""
+    if case == "oracle":
+        kg, ps, index = oracle_case()
+        cfg = TrainingConfig(dim=8, epochs=4, n_batches=8, seed=3, lr=0.05, norm=norm,
+                             margin_path=2.0, margin_relpair=2.0)
+    else:
+        kg, ps = toy_kg, extract_paths(toy_kg, 2)
+        index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
+                             ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
+        cfg = TrainingConfig(dim=8, epochs=3, n_batches=40, seed=4, lr=0.05, norm=norm)
+    spans = []
+    real = TrainPlan.span
+
+    def counted(plan, sampler, batches):
+        spans.append(len(batches))
+        return real(plan, sampler, batches)
+
+    monkeypatch.setattr(TrainPlan, "span", counted)
+    default = train(kg, ps, index, cfg)
+    default_spans, spans[:] = list(spans), []
+    monkeypatch.setattr(training, "_SPAN_DRAWS", bound)
+    bounded = train(kg, ps, index, cfg)
+    assert np.array_equal(bounded.table.entities, default.table.entities)
+    assert np.array_equal(bounded.table.relations, default.table.relations)
+    assert bounded.history == default.history
+    assert bounded.epochs == default.epochs
+    assert max(default_spans) > 1 and len(spans) > len(default_spans)
+    assert sum(spans) == sum(default_spans) == cfg.epochs * cfg.n_batches
+    assert bound > 1 or max(spans) == 1
