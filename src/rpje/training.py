@@ -57,9 +57,9 @@ from .model import EmbeddingTable, TrainingConfig, init_embeddings
 from .paths import PathStore
 from .rules import RuleIndex
 
-# Negative draws planned at once: the bound on a span of batches. A span holds
-# about 800 bytes per draw while it is planned; 8,192 draws added up to 6 MB
-# to the peak RSS of one-epoch training, 2,048 about 1 MB, at the same speed.
+# Negative draws planned at once: the bound on a span of batches. Planning holds
+# about 800 bytes per draw, so 8,192 draws raised the peak RSS of a one-epoch
+# wide-eval training run by 5 MB over 2,048, which trains as fast.
 _SPAN_DRAWS = 2048
 
 TERMS = ("triple", "path", "relpair")  # the hinge kinds 0, 1 and 2

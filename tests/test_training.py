@@ -16,6 +16,7 @@ from rpje.rules import ChainRule, build_index
 from rpje.training import (
     PATH,
     RELPAIR,
+    TERMS,
     TRIPLE,
     DivergenceError,
     HingeBatch,
@@ -773,27 +774,36 @@ def test_train_matches_per_hinge_oracle(norm):
 
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
-@pytest.mark.parametrize("case", ["oracle", "toy"])
-@pytest.mark.parametrize("bound", [1, 7])
+@pytest.mark.parametrize("case", ["oracle", "toy", "transe"])
+@pytest.mark.parametrize("bound", [1, 6, 7])
 def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound):
-    """Planning fewer batches at once changes no table, history or epoch metric."""
+    """Planning fewer batches at once changes no table, history or epoch metric;
+    each span takes batches while their draws fit the bound."""
     if case == "oracle":
         kg, ps, index = oracle_case()
         cfg = TrainingConfig(dim=8, epochs=4, n_batches=8, seed=3, lr=0.05, norm=norm,
                              margin_path=2.0, margin_relpair=2.0)
-    else:
+    elif case == "toy":
         kg, ps = toy_kg, extract_paths(toy_kg, 2)
         index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
                              ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
         cfg = TrainingConfig(dim=8, epochs=3, n_batches=40, seed=4, lr=0.05, norm=norm)
-    spans = []
-    real = TrainPlan.span
+    else:  # batches of one triple, three draws each: a bound of 6 fills spans exactly
+        kg, ps, index = small_kg(), empty_paths(), build_index([], 0.0)
+        cfg = TrainingConfig(dim=8, epochs=3, n_batches=5, seed=5, lr=0.05, norm=norm)
+    spans = []  # per epoch, per span the draws of each batch
+    real_spans, real_span = TrainPlan.spans, TrainPlan.span
 
-    def counted(plan, sampler, batches):
-        spans.append(len(batches))
-        return real(plan, sampler, batches)
+    def epoch_spans(plan, sampler, batches):
+        spans.append([])
+        return real_spans(plan, sampler, batches)
 
-    monkeypatch.setattr(TrainPlan, "span", counted)
+    def span(plan, sampler, batches):
+        spans[-1].append([int(plan.draw_counts[b].sum()) for b in batches])
+        return real_span(plan, sampler, batches)
+
+    monkeypatch.setattr(TrainPlan, "spans", epoch_spans)
+    monkeypatch.setattr(TrainPlan, "span", span)
     default = train(kg, ps, index, cfg)
     default_spans, spans[:] = list(spans), []
     monkeypatch.setattr(training, "_SPAN_DRAWS", bound)
@@ -802,6 +812,42 @@ def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound)
     assert np.array_equal(bounded.table.relations, default.table.relations)
     assert bounded.history == default.history
     assert bounded.epochs == default.epochs
-    assert max(default_spans) > 1 and len(spans) > len(default_spans)
-    assert sum(spans) == sum(default_spans) == cfg.epochs * cfg.n_batches
-    assert bound > 1 or max(spans) == 1
+    for planned, limit in ((default_spans, 2048), (spans, bound)):
+        assert [sum(map(len, epoch)) for epoch in planned] == [cfg.n_batches] * cfg.epochs
+        for epoch in planned:
+            assert all(len(draws) == 1 or sum(draws) <= limit for draws in epoch)
+            assert all(sum(a) + b[0] > limit for a, b in zip(epoch, epoch[1:]))
+    assert max(map(len, default_spans[0])) > 1 or case == "transe"
+    assert bound > 1 or all(len(draws) == 1 for epoch in spans for draws in epoch)
+
+
+@pytest.mark.parametrize("case", ["oracle", "saturated"])
+def test_epoch_counts_match_the_batch(case):
+    """One epoch of one batch: the draws, give-ups, hinges and active hinges per
+    term and the rows projected are those of the batch's own planning and fused
+    pass."""
+    if case == "oracle":
+        kg, ps, index = oracle_case()
+    else:  # both heads of (., r, a) are in train, so its head corruption gives up
+        kg = make_kg([("a", "r", "a"), ("b", "r", "a"), ("a", "s", "b")])
+        ps, index = extract_paths(kg, 2), build_index([], 0.0)
+    cfg = TrainingConfig(dim=8, epochs=1, n_batches=1, seed=3, lr=0.05,
+                         margin_path=2.0, margin_relpair=2.0)
+    counts = train(kg, ps, index, cfg).epochs[0]
+    emb = init_embeddings(kg, cfg)
+    perm = np.random.default_rng(cfg.seed + 2).permutation(len(kg.train))
+    plan = TrainPlan(kg, ps, Composer(index), cfg)
+    batch = plan.span(NegativeSampler(kg, seed=cfg.seed + 1), [perm]).batches[0]
+    losses, update = loss_and_gradients(batch, hinge_table(emb))
+    draws = [3 * len(kg.train), plan.n_paths.sum(), plan.n_deduced.sum()]
+    for kind, term in enumerate(TERMS):
+        hinges = np.count_nonzero(batch.kind == kind)
+        assert counts[term]["draws"] == draws[kind]
+        assert counts[term]["hinges"] == hinges == draws[kind] - counts[term]["giveups"]
+        assert counts[term]["active"] == np.count_nonzero(losses[batch.kind == kind] > 0.0)
+    assert 0 < counts["triple"]["active"] < counts["triple"]["hinges"]
+    assert (counts["triple"]["giveups"] > 0) == (case == "saturated")
+    assert min(draws) > 0 or case == "saturated"
+    update.apply(emb, cfg.lr)
+    assert counts["entity_rows_projected"] == len(project_entities(emb))
+    assert counts["entity_rows_projected"] > 0 or case == "saturated"
