@@ -33,10 +33,10 @@ own walks exceed the limit.
 The kept paths form a ``PathStore``: arrays laid out like the ``paths.bin``
 body, pairs sorted by (head, tail) with an ``indptr`` over their paths. No
 object is built per path; ``Path`` tuples are made on demand (``pairs``,
-``paths_between``) for explanations and tests. Scoring and training read the
-arrays through ``Selection``s and ``path_range``. ``load_path_set`` reads the
-arrays with ``np.frombuffer`` and checks every value, so a corrupt cache raises
-``PathCacheError`` like a truncated one.
+``paths_between``) for explanations and tests. Scoring reads the arrays
+through ``Selection``s, and training by ``keys`` and ``indptr``.
+``load_path_set`` reads the arrays with ``np.frombuffer`` and checks every
+value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ class PathStore:
     Pairs are sorted by (head, tail), and pair i owns paths ``indptr[i]`` to
     ``indptr[i + 1]``, by descending reliability, then relation sequence.
     ``relations`` is padded with -1 to ``max_steps`` columns. ``pairs`` and
-    ``paths_between`` build ``Path`` objects on demand; scoring and training read
-    the arrays through ``from_head``, ``to_tail``, ``between`` and ``path_range``.
+    ``paths_between`` build ``Path`` objects on demand; scoring reads the arrays
+    through ``from_head``, ``to_tail`` and ``between``, and training by ``keys``.
     """
 
     max_steps: int
@@ -287,16 +287,6 @@ class PathStore:
     def keys(self) -> np.ndarray:
         """Sorted pair keys ``head << 32 | tail``; entity ids fit in 32 bits (``paths.bin``)."""
         return self.heads << 32 | self.tails
-
-    @cached_property
-    def _ranges(self) -> dict[tuple[int, int], tuple[int, int]]:
-        ptr = self.indptr.tolist()
-        return dict(zip(zip(self.heads.tolist(), self.tails.tolist()), zip(ptr, ptr[1:])))
-
-    def path_range(self, h: int, t: int) -> tuple[int, int]:
-        """The range of (h, t)'s paths, empty when it has none. A dict lookup, for
-        loops that ask once per triple; built on the first call."""
-        return self._ranges.get((h, t), (0, 0))
 
     @cached_property
     def _pair_of_path(self) -> np.ndarray:
