@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, fields
@@ -276,11 +278,17 @@ COMMANDS = ("encode-rules", "extract-paths", "train", "eval", "explain")
 
 def build_parser(command: str | None = None) -> _Parser:
     """The rpje parser; with ``command``, the other subcommands get no options."""
-    parser = _Parser(prog="rpje", description=__doc__)
+    # The stock formatter's width, probed once: argparse builds a formatter to
+    # check every option it adds, and each would probe the terminal again.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(prog="rpje", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        if command not in (None, name):
+        reachable = command in (None, name)
+        p = sub.add_parser(name, formatter_class=formatter, add_help=reachable)
+        if not reachable:
             continue
         _add_common_options(p)
         if name == "explain":

@@ -25,6 +25,11 @@ class RunConfig(TrainingConfig):
     output_dir: str = "out"
     top_k: int = 3
 
+    def validate(self) -> None:
+        super().validate()
+        if self.top_k < 1:
+            raise RunConfigError("top_k must be at least 1")
+
     def training_config(self) -> TrainingConfig:
         cfg = TrainingConfig(**{f.name: getattr(self, f.name) for f in fields(TrainingConfig)})
         cfg.validate()

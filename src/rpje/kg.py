@@ -16,7 +16,8 @@ index behind ``known_tails``/``known_heads`` covers all three splits.
 dataset's identity; checkpoints and path caches are keyed on it.
 ``load_dataset(..., cache=path)`` keeps the interned graph in a binary file
 keyed on the SHA-256 of the three split files' bytes: a hit rebuilds the graph
-from the stored names, id arrays and dataset hash without parsing any text.
+from the stored names, id arrays, dataset hash and train CSR without parsing
+any text or sorting any edge.
 """
 
 from __future__ import annotations
@@ -152,9 +153,11 @@ class KnowledgeGraph:
         valid: np.ndarray,
         test: np.ndarray,
         dataset_hash: str | None = None,
+        csr: AdjacencyCSR | None = None,
     ):
         """Splits are (n, 3) int32 arrays of distinct (head, relation, tail) ids;
-        ``dataset_hash``, if given, must be the one ``dataset_hash()`` computes."""
+        ``dataset_hash`` and ``csr``, if given, must be what ``dataset_hash()``
+        computes and what ``csr`` builds."""
         if not len(train):
             raise DatasetError("train split is empty")
         self.entity_names = entity_names
@@ -164,6 +167,7 @@ class KnowledgeGraph:
         self.train_ids, self.valid_ids, self.test_ids = train, valid, test
         self._filter_index: _FilterIndex | None = None
         self._dataset_hash = dataset_hash
+        self._csr = csr
 
     @classmethod
     def from_rows(
@@ -187,9 +191,11 @@ class KnowledgeGraph:
     def test(self) -> list[Triple]:
         return list(map(tuple, self.test_ids.tolist()))
 
-    @cached_property
+    @property
     def csr(self) -> AdjacencyCSR:
-        return _adjacency_csr(self.train_ids, self.n_entities, self.n_base_relations)
+        if self._csr is None:
+            self._csr = _adjacency_csr(self.train_ids, self.n_entities, self.n_base_relations)
+        return self._csr
 
     @cached_property
     def _known(self) -> set[Triple]:
@@ -303,7 +309,8 @@ class KnowledgeGraph:
         # Built on first use: only ranking needs it, not training or explain.
         if self._filter_index is None:
             self._filter_index = _FilterIndex(
-                self._known, self.n_entities, self.n_base_relations
+                (self.train_ids, self.valid_ids, self.test_ids),
+                self.n_entities, self.n_base_relations,
             )
         return self._filter_index
 
@@ -355,15 +362,19 @@ class _FilterIndex:
     matching other ends, so memory stays linear in the number of known triples.
     """
 
-    def __init__(self, known: set[Triple], n_entities: int, n_base_relations: int):
-        h, r, t = np.array(list(known), dtype=np.int64).reshape(-1, 3).T
-        self._n_ent, self._n_rel = n_entities, n_base_relations
-        by_hr = np.lexsort((t, r, h))
-        self._hr_keys, self._tails = (h * n_base_relations + r)[by_hr], t[by_hr]
-        by_rt = np.lexsort((h, t, r))
-        self._rt_keys, self._heads = (r * n_entities + t)[by_rt], h[by_rt]
-        by_ht = np.lexsort((r, t, h))
-        self._ht_keys, self._relations = (h * n_entities + t)[by_ht], r[by_ht]
+    def __init__(self, splits, n_entities: int, n_base_relations: int):
+        """``splits`` are id arrays; a triple in several of them is indexed once.
+
+        Each order sorts one int64 key per triple, (key, other end) packed as
+        ``key * n + end``; the triples are distinct, so the keys are too."""
+        n_ent, n_rel = self._n_ent, self._n_rel = n_entities, n_base_relations
+        h, r, t = np.concatenate(splits).astype(np.int64).T
+        hrt = distinct_sorted((h * n_rel + r) * n_ent + t)
+        self._hr_keys, self._tails = np.divmod(hrt, n_ent)
+        h, r = np.divmod(self._hr_keys, n_rel)
+        t = self._tails
+        self._rt_keys, self._heads = np.divmod(np.sort((r * n_ent + t) * n_ent + h), n_ent)
+        self._ht_keys, self._relations = np.divmod(np.sort((h * n_ent + t) * n_rel + r), n_rel)
 
     @staticmethod
     def _slice(keys: np.ndarray, values: np.ndarray, key: int) -> np.ndarray:
@@ -381,7 +392,7 @@ class _FilterIndex:
 
 
 _CACHE_MAGIC = b"RPJEDSET"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2  # 2: the train CSR follows the names
 # magic, version, source key, dataset hash, entity and relation counts,
 # train/valid/test rows, entity and relation name bytes
 _CACHE_HEADER = struct.Struct("<8sH32s32s5I2Q")
@@ -401,8 +412,9 @@ def _source_key(sources: list[bytes]) -> bytes:
 
 
 def _write_cache(graph: KnowledgeGraph, key: bytes, path) -> None:
-    """Header, the three id arrays as int32, then the entity and the relation names,
-    each list joined by newlines."""
+    """Header, the three id arrays as int32, the entity and the relation names, each
+    list joined by newlines, zeros up to a multiple of 8 bytes, then the train CSR's
+    ``indptr``, ``relation``, ``neighbour`` and ``group_size`` as int64."""
     splits = (graph.train_ids, graph.valid_ids, graph.test_ids)
     names = ["\n".join(graph.entity_names).encode(), "\n".join(graph.relation_names).encode()]
     header = _CACHE_HEADER.pack(
@@ -415,6 +427,27 @@ def _write_cache(graph: KnowledgeGraph, key: bytes, path) -> None:
         for ids in splits:
             fh.write(ids.astype("<i4").tobytes())
         fh.write(b"".join(names))
+        fh.write(bytes(-fh.tell() % 8))  # so the int64 arrays are aligned in memory
+        for array in graph.csr:
+            fh.write(np.ascontiguousarray(array, "<i8"))
+
+
+def _read_csr(
+    data: bytes, offset: int, n_ent: int, n_base: int, n_edges: int
+) -> AdjacencyCSR | None:
+    """The CSR stored at ``offset``, or None if it fails a range check. Values in
+    range are trusted: the cache is keyed on the split files' bytes."""
+    indptr, relation, neighbour, group_size = csr = AdjacencyCSR(*np.split(
+        np.frombuffer(data, "<i8", n_ent + 1 + 3 * n_edges, offset),
+        np.cumsum([n_ent + 1, n_edges, n_edges]),
+    ))
+    if indptr[0] != 0 or indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any():
+        return None
+    if relation.min() < 0 or relation.max() >= 2 * n_base:
+        return None
+    if neighbour.min() < 0 or neighbour.max() >= n_ent or group_size.min() < 1:
+        return None
+    return csr
 
 
 def _read_cache(path, key: bytes) -> KnowledgeGraph | None:
@@ -429,9 +462,12 @@ def _read_cache(path, key: bytes) -> KnowledgeGraph | None:
         return None
     magic, version, stored_key, ds_hash, n_ent, n_rel, *sizes = _CACHE_HEADER.unpack_from(data)
     rows, name_bytes = sizes[:3], sizes[3:]
-    if (magic, version, stored_key) != (_CACHE_MAGIC, _CACHE_VERSION, key):
+    # an empty train split is an error, which only a parse reports
+    if (magic, version, stored_key) != (_CACHE_MAGIC, _CACHE_VERSION, key) or not rows[0]:
         return None
-    if len(data) != _CACHE_HEADER.size + 12 * sum(rows) + sum(name_bytes):
+    names_end = _CACHE_HEADER.size + 12 * sum(rows) + sum(name_bytes)
+    csr_offset, n_edges = names_end + -names_end % 8, 2 * rows[0]
+    if len(data) != csr_offset + 8 * (n_ent + 1 + 3 * n_edges):
         return None
     offset, splits = _CACHE_HEADER.size, []
     for n in rows:
@@ -442,12 +478,15 @@ def _read_cache(path, key: bytes) -> KnowledgeGraph | None:
         offset += 12 * n
     try:
         entities = data[offset : offset + name_bytes[0]].decode().split("\n")
-        relations = data[offset + name_bytes[0] :].decode().split("\n")
+        relations = data[offset + name_bytes[0] : names_end].decode().split("\n")
     except UnicodeDecodeError:
         return None
     if (len(entities), len(relations)) != (n_ent, n_rel):
         return None
-    return KnowledgeGraph(entities, relations, *splits, dataset_hash=ds_hash.hex())
+    csr = _read_csr(data, csr_offset, n_ent, n_rel, n_edges)
+    if csr is None:
+        return None
+    return KnowledgeGraph(entities, relations, *splits, dataset_hash=ds_hash.hex(), csr=csr)
 
 
 def load_dataset(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -43,6 +44,14 @@ class TrainingConfig:
     def validate(self) -> None:
         if self.dim <= 0:
             raise ConfigError("dim must be positive")
+        if not 0.0 < self.lr < math.inf:  # NaN fails too
+            raise ConfigError("lr must be positive and finite")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be non-negative")
+        if self.n_batches < 1:
+            raise ConfigError("n_batches must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if min(self.margin_triple, self.margin_path, self.margin_relpair) <= 0:
             raise ConfigError("margins must be positive")
         if self.alpha_paths < 0 or self.alpha_relpairs < 0:

@@ -597,6 +597,7 @@ def train(
                 span_losses.append(losses)
                 counts.projected += len(scaled)
             counts.active += np.bincount(span.kind[np.concatenate(span_losses) > 0.0], minlength=3)
+            del span, batch, span_losses  # free the span before the next is planned
         totals = LossParts(*totals)
         if not np.isfinite(totals.total):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -351,6 +352,15 @@ def test_truncated_path_cache_is_rebuilt(pipeline, tmp_path, capsys, where):
         ("eval", "--per-pair-cap", "-1"),
         ("explain", "--max-path-steps", "5"),
         ("explain", "--path-cutoff", "-0.5"),
+        ("train", "--batches", "0"),
+        ("train", "--seed", "-1"),
+        ("train", "--epochs", "-1"),
+        ("train", "--lr", "-0.5"),
+        ("train", "--lr", "0"),
+        ("train", "--lr", "nan"),
+        ("train", "--lr", "inf"),
+        ("explain", "--top-k", "-2"),
+        ("explain", "--top-k", "0"),
     ],
 )
 def test_invalid_path_option_exits_two(pipeline, tmp_path, capsys, command, flag, value):
@@ -477,6 +487,23 @@ def test_parser_for_one_command_matches_full_parser(capsys, monkeypatch, argv):
     assert (code, captured.out, captured.err) == expected
     assert code in (EXIT_OK, EXIT_USAGE)
     assert len(built) == (1 if argv[0] in cli.COMMANDS else len(cli.COMMANDS))
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["explain", "-h"]], ids=["help", "explain help"])
+def test_help_matches_stock_formatter(capsys, monkeypatch, argv):
+    """The parser's formatter, sized once per build, prints what argparse's stock
+    formatter prints at each terminal width."""
+    helps = {}
+    for columns in ("40", "50", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with monkeypatch.context() as stock:
+            assert main(argv) == EXIT_OK
+            sized = capsys.readouterr()
+            stock.setattr(cli, "functools", SimpleNamespace(partial=lambda cls, **_: cls))
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr() == sized
+        helps[columns] = sized.out
+    assert len(set(helps.values())) == len(helps)
 
 
 @pytest.mark.parametrize("cache", ["missing", "stale"])

@@ -236,6 +236,28 @@ def test_known_ends_match_is_known_scan(small_eval_kg):
             assert kg.known_heads(r, e).tolist() == heads
 
 
+def test_triple_in_two_splits_is_filtered_once():
+    """The filter index holds a triple once, however many splits hold it, so the
+    filtered rank excludes its other end once."""
+    kg = make_kg(
+        [("a", "r", "b"), ("a", "r", "c"), ("d", "r", "b")],
+        valid=[("a", "r", "c")],
+        test=[("a", "r", "b"), ("a", "r", "c"), ("d", "r", "c")],
+    )
+    a, b, c, d = map(kg.entity_id, "abcd")
+    r = kg.relation_id("r")
+    assert kg.known_tails(a, r).tolist() == [b, c]
+    assert kg.known_heads(r, c).tolist() == [a, d]
+    assert kg.known_tails(c, kg.inverse(r)).tolist() == [a, d]
+    assert kg.known_relations(a, c).tolist() == [r]
+    scorer = Scorer(_trained_like(kg), PathFinder(kg, max_steps=2),
+                    Composer(build_index([], 0.7)), 1.0, "L1")
+    for triple in kg.test:
+        for slot in ("head", "tail"):
+            _, filtered = rank_entities(scorer, kg, triple, slot)
+            assert filtered == brute_rank(scorer, kg, triple, slot, "filtered")
+
+
 def test_entity_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
     kg = small_eval_kg
     calls = []

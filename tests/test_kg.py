@@ -267,8 +267,10 @@ def loaded(paths, cache=None):
 
 
 def graph_state(kg):
+    """Names, hash, id arrays and the train CSR, each CSR array with its dtype."""
     return (kg.entity_names, kg.relation_names, kg.dataset_hash(),
-            [ids.tolist() for ids in (kg.train_ids, kg.valid_ids, kg.test_ids)])
+            [ids.tolist() for ids in (kg.train_ids, kg.valid_ids, kg.test_ids)],
+            [(array.dtype, array.tolist()) for array in kg.csr])
 
 
 # Names may hold characters that str.splitlines would split at, a BOM, or nothing.
@@ -304,6 +306,8 @@ def test_interning_matches_per_row_oracle(tmp_path_factory, texts):
     cache = directory / "dataset.bin"
     assert loaded(paths, cache) == expected  # written on a miss
     assert loaded(paths, cache) == expected  # read on a hit
+    if not isinstance(expected, str):  # the stored CSR is the one a parse builds
+        assert graph_state(load_dataset(*paths, cache=cache)) == graph_state(load_dataset(*paths))
 
 
 @pytest.mark.parametrize(
@@ -370,13 +374,25 @@ def test_cache_hit_parses_no_text(tmp_path, toy_files, monkeypatch):
 CACHE_HEADER = 110  # magic, version, source key, dataset hash, 5 counts, 2 name sizes
 
 
+def stored_csr(data, kg):
+    """The cache's CSR arrays as writeable int64 views of ``data``, a bytearray;
+    they end the file."""
+    n_edges = 2 * len(kg.train_ids)
+    sizes = [kg.n_entities + 1, n_edges, n_edges, n_edges]
+    csr = np.frombuffer(data, "<i8", sum(sizes), len(data) - 8 * sum(sizes))
+    return np.split(csr, np.cumsum(sizes[:-1]))
+
+
 @pytest.mark.parametrize(
     "damage",
-    ["truncated header", "truncated ids", "one byte short", "over-long", "magic", "version"],
+    ["truncated header", "truncated ids", "one byte short", "over-long", "magic", "version",
+     "neighbour id", "negative neighbour id", "relation id", "negative relation id",
+     "decreasing indptr", "group size 0", "indptr start", "indptr end"],
 )
 def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
     cache = tmp_path / "dataset.bin"
-    expected = graph_state(load_dataset(*toy_files, cache=cache))
+    kg = load_dataset(*toy_files, cache=cache)
+    expected = graph_state(kg)
     original = cache.read_bytes()
     data = bytearray(original)
     if damage == "truncated header":
@@ -389,8 +405,26 @@ def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
         data += b"\0"
     elif damage == "magic":
         data[0] ^= 0xFF
-    else:
-        data[8:10] = (2).to_bytes(2, "little")
+    elif damage == "version":  # the previous format is a miss
+        data[8:10] = (1).to_bytes(2, "little")
+    else:  # a value out of range in the CSR
+        indptr, relation, neighbour, group_size = stored_csr(data, kg)
+        if damage == "neighbour id":
+            neighbour[-1] = kg.n_entities
+        elif damage == "negative neighbour id":
+            neighbour[0] = -1
+        elif damage == "relation id":
+            relation[0] = kg.n_relations
+        elif damage == "negative relation id":
+            relation[-1] = -1
+        elif damage == "decreasing indptr":
+            indptr[1] = indptr[2] + 1
+        elif damage == "indptr start":
+            indptr[0] = 1
+        elif damage == "indptr end":
+            indptr[-1] += 1
+        else:
+            group_size[len(group_size) // 2] = 0
     cache.write_bytes(bytes(data))
     parses = _parses(monkeypatch)
     assert graph_state(load_dataset(*toy_files, cache=cache)) == expected

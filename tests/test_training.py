@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -819,6 +821,29 @@ def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound)
             assert all(sum(a) + b[0] > limit for a, b in zip(epoch, epoch[1:]))
     assert max(map(len, default_spans[0])) > 1 or case == "transe"
     assert bound > 1 or all(len(draws) == 1 for epoch in spans for draws in epoch)
+
+
+def test_finished_span_is_freed_before_the_next_is_planned(toy_kg, monkeypatch):
+    """No batch of a span is alive while train plans the next span, in the same
+    epoch or the next."""
+    kg, ps = toy_kg, extract_paths(toy_kg, 2)
+    index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
+                         ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
+    cfg = TrainingConfig(dim=8, epochs=2, n_batches=20, seed=4, lr=0.05)
+    refs, alive = [], []  # weak references to the last span's batches
+    real_span = TrainPlan.span
+
+    def span(plan, sampler, batches):
+        alive.append(sum(ref() is not None for ref in refs))
+        planned = real_span(plan, sampler, batches)
+        refs[:] = map(weakref.ref, planned.batches)
+        return planned
+
+    monkeypatch.setattr(TrainPlan, "span", span)
+    monkeypatch.setattr(training, "_SPAN_DRAWS", 256)
+    train(kg, ps, index, cfg)
+    assert len(alive) > cfg.epochs
+    assert alive == [0] * len(alive)
 
 
 @pytest.mark.parametrize("case", ["oracle", "saturated"])
