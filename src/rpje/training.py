@@ -52,7 +52,7 @@ import numpy as np
 
 from .compose import CompiledPaths, Composer
 from .energy import dissimilarity
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, distinct_sorted
 from .model import EmbeddingTable, TrainingConfig, init_embeddings
 from .paths import PathStore
 from .rules import RuleIndex
@@ -69,7 +69,15 @@ TRIPLE, PATH, RELPAIR = range(3)
 # side as ``loss_and_gradients`` lays them out: g+, g-, -g+, -g-, g+ - g- and
 # -(g+ - g-). _NEGATION maps each to its negation.
 _G_PLUS, _G_MINUS, _NEG_G_PLUS, _NEG_G_MINUS, _SHARED = range(5)
-_NEGATION = np.array([2, 3, 0, 1, 5, 4])
+_NEGATION = np.array([2, 3, 0, 1, 5, 4], dtype=np.int8)
+# The value a row takes, by its hinge's kind, its side and whether it is the
+# subtracted row. Path and relation-pair hinges sum the same rows on both sides,
+# and those rows take g+ - g- once, on side 0.
+_SHARED_CODES = [[_SHARED, _NEG_G_PLUS], [-1, _G_MINUS]]
+_SLOT_CODES = np.array(
+    [[[_G_PLUS, _NEG_G_PLUS], [_NEG_G_MINUS, _G_MINUS]], _SHARED_CODES, _SHARED_CODES],
+    dtype=np.int8,
+)
 
 
 class DivergenceError(RuntimeError):
@@ -194,15 +202,14 @@ class Hinges(NamedTuple):
     """Hinges in hinge order, over the rows of [entities; relations; -relations; 0].
 
     Entity e is row e and relation id s (inverse ids included) row n_entities +
-    s; the zero row pads. Hinge k sums rows ``x[k, 0]`` less row ``y[k, 0]`` on
-    its positive side and ``x[k, 1]`` less ``y[k, 1]`` on its negative side,
-    weighted ``weight[k]``. ``kind[k]`` is TRIPLE, PATH or RELPAIR; a path or
+    s; the zero row pads. Side 0 (positive) and side 1 (negative) of hinge k sum
+    rows ``rows[k, side, :-1]`` less row ``rows[k, side, -1]``, weighted
+    ``weight[k, side]``. ``kind[k]`` is TRIPLE, PATH or RELPAIR; a path or
     relation-pair hinge sums the same rows on both sides.
     """
 
     kind: np.ndarray    # (H,)
-    x: np.ndarray       # (H, 2, W)
-    y: np.ndarray       # (H, 2)
+    rows: np.ndarray    # (H, 2, W + 1)
     weight: np.ndarray  # (H, 2)
 
 
@@ -220,11 +227,11 @@ class LossParts(NamedTuple):
 class HingeBatch:
     """A batch's hinges laid out for ``loss_and_gradients``.
 
-    ``rows`` (W + 1, 2H) holds every side's summed rows, then its subtracted row,
-    sides in hinge order. Subgradient slot i adds value ``slot_value[i]`` of the
-    batch's (3, H, 2) candidates to row ``slot_row[i]`` of [entities; base
-    relations]. The slots run hinge by hinge, each hinge's in the per-hinge
-    loop's order, and ``slot_hinge[i]`` is the slot's hinge.
+    ``rows`` (H, 2, W + 1) is the batch's part of the span's ``Hinges.rows``, in
+    the per-hinge loop's order: the x+ rows, y+, the x- rows, y-. Subgradient slot i
+    adds value ``slot_code[i]`` of hinge ``slot_hinge[i]`` (numbered within the
+    batch) to row ``slot_row[i]`` of [entities; base relations]. The slots run
+    hinge by hinge, each hinge's in the per-hinge loop's order.
     """
 
     norm: str
@@ -237,7 +244,7 @@ class HingeBatch:
     weight: np.ndarray
     side_scale: np.ndarray  # scale * weight, shaped (H, 2, 1)
     slot_row: np.ndarray
-    slot_value: np.ndarray
+    slot_code: np.ndarray
     slot_hinge: np.ndarray
 
     @classmethod
@@ -249,43 +256,37 @@ class HingeBatch:
     def split(cls, hinges: Hinges, cfg: TrainingConfig, n_entities: int, n_base: int,
               ends) -> list[HingeBatch]:
         """The batches of hinges [0, ends[0]), [ends[0], ends[1]) and so on."""
-        kind, x, y, weight = hinges
+        kind, rows, weight = hinges
         zero = n_entities + 2 * n_base
-        if x.shape[2] < 2:  # the sums start as x0 + x1
-            x = np.concatenate((x, np.full((len(x), 2, 2 - x.shape[2]), zero)), axis=2)
-        n_hinges, _, width = x.shape
-        # per hinge: the x+ rows, y+, the x- rows, y-
-        rows = np.concatenate((x[:, 0], y[:, :1], x[:, 1], y[:, 1:]), axis=1)
-        code = np.tile(
-            [_G_PLUS] * width + [_NEG_G_PLUS] + [_NEG_G_MINUS] * width + [_G_MINUS], (n_hinges, 1)
-        )
+        if rows.shape[2] < 3:  # the sums start as x0 + x1
+            pad = np.full((len(rows), 2, 3 - rows.shape[2]), zero, dtype=rows.dtype)
+            rows = np.concatenate((rows[..., :-1], pad, rows[..., -1:]), axis=2)
+        width = rows.shape[2] - 1
         used = rows != zero
-        shared = kind != TRIPLE
-        code[shared, :width] = _SHARED
-        used[shared, width + 1 : 2 * width + 1] = False
+        used[kind != TRIPLE, 1, :width] = False
+        slot = np.flatnonzero(used)
+        hinge = slot // (2 * width + 2)
+        # slot rows and hinges index arrays in every step: as intp, no index needs a cast
+        slot_row = rows.reshape(-1)[slot].astype(np.intp)
+        codes = _SLOT_CODES[..., [0] * width + [1]].take(kind, axis=0)  # by kind, side, place
+        slot_code = codes.reshape(-1)[slot]
         # a row of -relations adds the negated value to its base row
-        negated = rows >= n_entities + n_base
-        code = np.where(negated, _NEGATION[code], code)[used]
-        slot_row = (rows - n_base * negated)[used]
-        slot_hinge = np.nonzero(used)[0]
-        # in a batch of n hinges from lo, hinge h's value c is candidate
-        # (c // 2) * 2n + 2 (h - lo) + c % 2
-        ends = np.asarray(ends, dtype=np.int64)
-        starts = ends - np.diff(ends, prepend=0)
-        batch = np.repeat(np.arange(len(ends)), ends - starts)[slot_hinge]
-        local = slot_hinge - starts[batch]
-        slot_value = code // 2 * 2 * (ends - starts)[batch] + 2 * local + code % 2
+        negated = np.flatnonzero(slot_row >= n_entities + n_base)
+        slot_row[negated] -= n_base
+        slot_code[negated] = _NEGATION[slot_code[negated]]
+        bounds = np.concatenate(([0], ends))
+        slot_bounds = np.searchsorted(hinge, bounds)
+        local = hinge - np.repeat(bounds[:-1], slot_bounds[1:] - slot_bounds[:-1])
         scale = np.array([1.0, cfg.alpha_paths, cfg.alpha_relpairs])[kind]
         margin = np.array([cfg.margin_triple, cfg.margin_path, cfg.margin_relpair])[kind]
         side_scale = (scale[:, None] * weight)[..., None]
-        gathered = np.concatenate((x, y[..., None]), axis=2).reshape(2 * n_hinges, width + 1).T
         batches = []
-        slot_ends = np.searchsorted(slot_hinge, ends).tolist()
-        for lo, hi, a, b in zip(starts.tolist(), ends.tolist(), [0] + slot_ends[:-1], slot_ends):
+        bounds, slot_bounds = bounds.tolist(), slot_bounds.tolist()
+        for lo, hi, a, b in zip(bounds, bounds[1:], slot_bounds, slot_bounds[1:]):
             batches.append(cls(
-                cfg.norm, n_entities, n_base, kind[lo:hi],
-                np.ascontiguousarray(gathered[:, 2 * lo : 2 * hi]), margin[lo:hi], scale[lo:hi],
-                weight[lo:hi], side_scale[lo:hi], slot_row[a:b], slot_value[a:b], local[a:b],
+                cfg.norm, n_entities, n_base, kind[lo:hi], rows[lo:hi],
+                margin[lo:hi], scale[lo:hi], weight[lo:hi], side_scale[lo:hi], slot_row[a:b],
+                slot_code[a:b], local[a:b],
             ))
         return batches
 
@@ -324,6 +325,11 @@ class GradientUpdate:
     relation: np.ndarray
 
     @classmethod
+    def empty(cls, dim: int) -> GradientUpdate:
+        rows = np.empty(0, dtype=np.int64)
+        return cls(rows, np.empty((0, dim)), rows, np.empty((0, dim)))
+
+    @classmethod
     def scattered(cls, rows: np.ndarray, values: np.ndarray, n_entities: int,
                   n_base: int) -> GradientUpdate:
         """``values`` summed per row in input order; rows number the entities, then
@@ -340,7 +346,7 @@ class GradientUpdate:
 def loss_and_gradients(batch: HingeBatch, table: np.ndarray) -> tuple[np.ndarray, GradientUpdate]:
     """Every hinge's loss, in hinge order, and the batch's summed subgradient;
     ``table`` is the ``hinge_table`` of the embeddings."""
-    rows = table.take(batch.rows, axis=0)
+    rows = table.take(batch.rows.transpose(2, 0, 1).reshape(batch.rows.shape[2], -1), axis=0)
     d = rows[0] + rows[1]
     for more in rows[2:-1]:
         d += more
@@ -350,24 +356,31 @@ def loss_and_gradients(batch: HingeBatch, table: np.ndarray) -> tuple[np.ndarray
     loss = batch.margin + weighted[:, 0] - weighted[:, 1]
     inactive = loss <= 0.0  # a NaN stays active
     losses = np.where(inactive, 0.0, batch.scale * loss)
-
-    # candidates (3, H, 2): per side g and -g, then g+ - g- and its negation
     dim = table.shape[1]
-    values = (np.empty if batch.norm == "L1" else np.zeros)((3, len(loss), 2, dim))
-    g = values[0]
-    d = d.reshape(g.shape)
+    active = ~inactive
+    hinges = np.flatnonzero(active)
+    if not len(hinges):
+        return losses, GradientUpdate.empty(dim)
+
+    # candidates (A, 3, 2) of the A active hinges: per side g and -g, then g+ - g-
+    # and its negation, so value c of the a-th active hinge is candidate 6a + c
+    d = d.reshape(-1, 2, dim).take(hinges, axis=0)
+    values = (np.empty if batch.norm == "L1" else np.zeros)((len(hinges), 3, 2, dim))
+    g = values[:, 0]
     if batch.norm == "L1":
         np.sign(d, out=g)
     else:
-        n = norms[..., None]
+        n = norms[hinges, :, None]
         np.divide(d, n, out=g, where=n != 0.0)
-    g *= batch.side_scale
-    np.negative(g, out=values[1])
-    np.subtract(g[:, 0], g[:, 1], out=values[2, :, 0])
-    np.negative(values[2, :, 0], out=values[2, :, 1])
-    active = ~inactive[batch.slot_hinge]
+    g *= batch.side_scale[hinges]
+    np.negative(g, out=values[:, 1])
+    np.subtract(g[:, 0], g[:, 1], out=values[:, 2, 0])
+    np.negative(values[:, 2, 0], out=values[:, 2, 1])
+    first = (np.cumsum(active) - 1) * 6
+    slots = active[batch.slot_hinge]
+    candidate = first[batch.slot_hinge[slots]] + batch.slot_code[slots]
     update = GradientUpdate.scattered(
-        batch.slot_row[active], values.reshape(-1, dim).take(batch.slot_value[active], axis=0),
+        batch.slot_row[slots], values.reshape(-1, dim).take(candidate, axis=0),
         batch.n_entities, batch.n_base,
     )
     return losses, update
@@ -415,6 +428,15 @@ class TrainPlan:
         )
         self.n_deduced = sizes[r]
         self.draw_counts = 3 + self.n_paths + self.n_deduced
+        self.ranges = np.array([self.n_ent, self.n_ent, self.n_base, self.n_base])
+        # per distinct residual, its rows of the hinge table, padded with the zero row
+        residuals = self.paths.residuals
+        self.width = max(2, residuals.shape[1])
+        zero = self.n_ent + 2 * self.n_base
+        self.residual_rows = np.full((len(residuals), self.width), zero, dtype=np.int32)
+        self.residual_rows[:, : residuals.shape[1]] = np.where(
+            residuals >= 0, self.n_ent + residuals, zero
+        )
 
     def spans(self, sampler: NegativeSampler, batches: list[np.ndarray]):
         """The batches (non-empty arrays of train triple indices) planned span by span."""
@@ -435,64 +457,62 @@ class TrainPlan:
         """The hinges of consecutive batches, their negatives drawn in stream order."""
         idx = np.concatenate(batches)
         h, r, t = self.triples[idx].T
-        n_paths, n_deduced = self.n_paths[idx], self.n_deduced[idx]
-        count = 3 + n_paths + n_deduced
+        n_paths, count = self.n_paths[idx], self.draw_counts[idx]
         j = np.repeat(np.arange(len(idx)), count)  # each draw's triple
         k = np.arange(len(j)) - (np.cumsum(count) - count)[j]  # and its place there
-        kind = (k >= 3).astype(np.int64) + (k >= 3 + n_paths[j])
+        kind = (k >= 3).astype(np.int8) + (k >= 3 + n_paths[j])
+        relpair = kind == RELPAIR
         # the head, tail, relation (and path) and relation-pair draws
-        slot = np.where(kind == RELPAIR, 3, np.minimum(k, 2))
+        slot = np.minimum(k, 2) + relpair
         (hk, hs), (tk, ts), (rk, rs) = sampler.corruption_keys(h, r, t)
         keys = np.stack((hk, tk, rk, np.full(len(idx), -1)), axis=1)[j, slot]
-        values = np.array(sampler.draws(
-            np.where(slot < 2, self.n_ent, self.n_base).tolist(),
+        values = np.fromiter(sampler.draws(
+            self.ranges[slot].tolist(),
             keys.tolist(),
             np.array([hs, ts, rs, 0])[slot].tolist(),
-            self.masks[np.where(kind == RELPAIR, r[j], self.n_base)].tolist(),
-        ), dtype=np.int64)
-        drawn = values >= 0
+            self.masks[np.where(relpair, r[j], self.n_base)].tolist(),
+        ), dtype=np.int64, count=len(j))
         draws = np.bincount(kind, minlength=3)
-        giveups = np.bincount(kind[~drawn], minlength=3)
-
-        j, k, kind, v = j[drawn], k[drawn], kind[drawn], values[drawn]
-        h, r, t, n_paths = h[j], r[j], t[j], n_paths[j]
-        hinges = self._hinges(kind, k, v, h, r, t, self.path_start[idx][j] + k - 3,
-                              k - 3 - n_paths)
-        batch_of_triple = np.repeat(np.arange(len(batches)), [len(b) for b in batches])
-        ends = np.cumsum(np.bincount(batch_of_triple[j], minlength=len(batches)))
+        giveups = np.zeros(3, dtype=np.int64)
+        drawn = values >= 0
+        if not drawn.all():
+            giveups = np.bincount(kind[~drawn], minlength=3)
+            j, k, kind, values = j[drawn], k[drawn], kind[drawn], values[drawn]
+        hinges = self._hinges(j, k, kind, values, h, r, t, n_paths, self.path_start[idx])
+        ends = np.searchsorted(j, np.cumsum([len(b) for b in batches]))
         planned = HingeBatch.split(hinges, self.cfg, self.n_ent, self.n_base, ends)
-        return Span(planned, hinges.kind, draws, giveups)
+        return Span(planned, kind, draws, giveups)
 
-    def _hinges(self, kind, k, v, h, r, t, path, pair) -> Hinges:
-        """Hinge rows of drawn negatives ``v``; ``k`` is each draw's place in its
-        triple, ``path`` its stored path and ``pair`` its place in D(r)."""
-        n_ent = self.n_ent
-        residuals = self.paths.residuals
-        zero = n_ent + 2 * self.n_base
-        x = np.full((len(kind), 2, max(2, residuals.shape[1])), zero)
-        y = np.empty((len(kind), 2), dtype=np.int64)
+    def _hinges(self, j, k, kind, v, h, r, t, n_paths, path_start) -> Hinges:
+        """Hinge rows of drawn negatives ``v``: ``j`` is each draw's triple, which
+        indexes ``h``, ``r``, ``t``, ``n_paths`` and ``path_start``, and ``k`` its
+        place there."""
+        n_ent, width = self.n_ent, self.width
+        rows = np.full((len(kind), 2, width + 1), n_ent + 2 * self.n_base, dtype=np.int32)
         weight = np.ones((len(kind), 2))
 
         i = np.flatnonzero(kind == TRIPLE)  # h + r - t, then h', r' or t' drawn
-        ki, vi = k[i], v[i]
-        x[i, 0, 0], x[i, 0, 1], y[i, 0] = h[i], n_ent + r[i], t[i]
-        x[i, 1, 0] = np.where(ki == 0, vi, h[i])
-        y[i, 1] = np.where(ki == 1, vi, t[i])
-        x[i, 1, 1] = n_ent + np.where(ki == 2, vi, r[i])
+        ji, ki, vi = j[i], k[i], v[i]
+        hi, ri, ti = h[ji], r[ji], t[ji]
+        rows[i, 0, 0], rows[i, 0, 1], rows[i, 0, width] = hi, n_ent + ri, ti
+        rows[i, 1, 0] = np.where(ki == 0, vi, hi)
+        rows[i, 1, 1] = n_ent + np.where(ki == 2, vi, ri)
+        rows[i, 1, width] = np.where(ki == 1, vi, ti)
 
         i = np.flatnonzero(kind == PATH)  # C(p) - r and C(p) - r'
-        q = path[i]
-        res = residuals[self.paths.residual_id[q]]
-        x[i, :, : res.shape[1]] = np.where(res >= 0, n_ent + res, zero)[:, None]
-        y[i, 0], y[i, 1] = n_ent + r[i], n_ent + v[i]
-        weight[i] = self.paths.weight[q][:, None]
+        ji = j[i]
+        q = path_start[ji] + k[i] - 3
+        rows[i, 0, :width] = rows[i, 1, :width] = self.residual_rows[self.paths.residual_id[q]]
+        rows[i, 0, width], rows[i, 1, width] = n_ent + r[ji], n_ent + v[i]
+        weight[i, 0] = weight[i, 1] = self.paths.weight[q]
 
         i = np.flatnonzero(kind == RELPAIR)  # r - r_e and r - r'
-        e = self.deduced_start[r[i]] + pair[i]
-        x[i, :, 0] = (n_ent + r[i])[:, None]
-        y[i, 0], y[i, 1] = n_ent + self.deduced[e], n_ent + v[i]
+        ji = j[i]
+        e = self.deduced_start[r[ji]] + k[i] - 3 - n_paths[ji]
+        rows[i, :, 0] = (n_ent + r[ji])[:, None]
+        rows[i, 0, width], rows[i, 1, width] = n_ent + self.deduced[e], n_ent + v[i]
         weight[i, 0] = self.beta[e]
-        return Hinges(kind, x, y, weight)
+        return Hinges(kind, rows, weight)
 
 
 def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.ndarray:
@@ -573,42 +593,46 @@ def train(
     history: list[tuple[int, float, float, float, float]] = []
     epochs: list[dict] = []
     scaled = None  # rows the last projection scaled; None before the first (full) pass
-    for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(len(plan.triples))
-        batches = [b for b in np.array_split(perm, cfg.n_batches) if len(b)]
-        totals = [0.0, 0.0, 0.0]
-        counts = EpochCounts()
-        for span in plan.spans(sampler, batches):
-            counts.draws += span.draws
-            counts.giveups += span.giveups
-            span_losses = []
-            for batch in span.batches:
-                losses, grads = loss_and_gradients(batch, table)
-                grads.apply(emb, cfg.lr)
-                negated[grads.relation_rows] = -emb.relations[grads.relation_rows]
-                if scaled is None:
-                    rows = None
-                elif len(scaled):
-                    rows = np.union1d(grads.entity_rows, scaled)
-                else:
-                    rows = grads.entity_rows
-                scaled = project_entities(emb, rows)
-                totals = [a + b for a, b in zip(totals, batch.parts(losses))]
-                span_losses.append(losses)
-                counts.projected += len(scaled)
-            counts.active += np.bincount(span.kind[np.concatenate(span_losses) > 0.0], minlength=3)
-            del span, batch, span_losses  # free the span before the next is planned
-        totals = LossParts(*totals)
-        if not np.isfinite(totals.total):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")
-        history.append((epoch, totals.total, *totals))
-        epochs.append(counts.metrics(epoch))
-        if log_every and (epoch + 1) % log_every == 0:
-            print(
-                f"epoch {epoch + 1}/{cfg.epochs} loss={totals.total:.4f} "
-                f"(triple={totals.triple:.4f} path={totals.path:.4f} "
-                f"relpair={totals.relpair:.4f})"
-            )
+    # A diverging run overflows to inf and nan; the epoch loss reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = shuffle_rng.permutation(len(plan.triples))
+            batches = [b for b in np.array_split(perm, cfg.n_batches) if len(b)]
+            totals = [0.0, 0.0, 0.0]
+            counts = EpochCounts()
+            for span in plan.spans(sampler, batches):
+                counts.draws += span.draws
+                counts.giveups += span.giveups
+                span_losses = []
+                for batch in span.batches:
+                    losses, grads = loss_and_gradients(batch, table)
+                    if len(grads.entity_rows) or len(grads.relation_rows):
+                        grads.apply(emb, cfg.lr)
+                        negated[grads.relation_rows] = -emb.relations[grads.relation_rows]
+                    if scaled is None:
+                        rows = None
+                    elif len(scaled):
+                        rows = distinct_sorted(np.concatenate((grads.entity_rows, scaled)))
+                    else:
+                        rows = grads.entity_rows
+                    if rows is None or len(rows):  # no row moved, none can leave the ball
+                        scaled = project_entities(emb, rows)
+                    totals = [a + b for a, b in zip(totals, batch.parts(losses))]
+                    span_losses.append(losses)
+                    counts.projected += len(scaled)
+                counts.active += np.bincount(span.kind[np.concatenate(span_losses) > 0.0], minlength=3)
+                del span, batch, span_losses  # free the span before the next is planned
+            totals = LossParts(*totals)
+            if not np.isfinite(totals.total):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")
+            history.append((epoch, totals.total, *totals))
+            epochs.append(counts.metrics(epoch))
+            if log_every and (epoch + 1) % log_every == 0:
+                print(
+                    f"epoch {epoch + 1}/{cfg.epochs} loss={totals.total:.4f} "
+                    f"(triple={totals.triple:.4f} path={totals.path:.4f} "
+                    f"relpair={totals.relpair:.4f})"
+                )
     return TrainResult(table=emb, history=history, paths=plan.paths, epochs=epochs)
 
 

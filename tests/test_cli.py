@@ -172,6 +172,20 @@ def test_divergence_exits_three(toy_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_divergent_train_prints_only_its_error_line(toy_dir, tmp_path, capsys, recwarn):
+    """Overflow and invalid values of a diverging run raise no numpy warning: the
+    epoch loss reports the divergence, in one line."""
+    _, files = toy_dir
+    rc = main([
+        "train", *data_flags(files), "--out", str(tmp_path),
+        "--dim", "8", "--epochs", "2", "--batches", "5", "--lr", "1e308",
+    ])
+    assert rc == EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_config_file_with_flag_override(toy_dir, tmp_path, capsys):
     _, files = toy_dir
     cfg = tmp_path / "run.cfg"

@@ -61,17 +61,17 @@ def _zero_row(emb):
 
 def triple_hinges(emb, ids):
     """L1 hinges over ``ids`` (K, 2, 3), each side's (h, r, t) as h + r - t."""
-    x = np.stack((ids[..., 0], emb.n_entities + ids[..., 1]), axis=-1)
-    return Hinges(np.full(len(ids), TRIPLE), x, ids[..., 2], np.ones((len(ids), 2)))
+    rows = np.stack((ids[..., 0], emb.n_entities + ids[..., 1], ids[..., 2]), axis=-1)
+    return Hinges(np.full(len(ids), TRIPLE), rows, np.ones((len(ids), 2)))
 
 
 def path_hinges(emb, residual, weight, r):
     """L2 hinges C(p) - r and C(p) - r'; ``residual`` padded with -1, ``weight``
     per path and ``r`` (K, 2)."""
-    rows = np.where(residual >= 0, emb.n_entities + residual, _zero_row(emb))
-    x = np.repeat(rows[:, None], 2, axis=1)
+    x = np.where(residual >= 0, emb.n_entities + residual, _zero_row(emb))
+    x = np.repeat(x[:, None], 2, axis=1)
     w = np.repeat(np.asarray(weight, dtype=float)[:, None], 2, axis=1)
-    return Hinges(np.full(len(r), PATH), x, emb.n_entities + r, w)
+    return Hinges(np.full(len(r), PATH), np.dstack((x, emb.n_entities + r)), w)
 
 
 def relpair_hinges(emb, r, beta):
@@ -79,7 +79,7 @@ def relpair_hinges(emb, r, beta):
     x = np.repeat((emb.n_entities + r[:, :1])[:, None], 2, axis=1)
     w = np.ones((len(r), 2))
     w[:, 0] = beta
-    return Hinges(np.full(len(r), RELPAIR), x, emb.n_entities + r[:, 1:], w)
+    return Hinges(np.full(len(r), RELPAIR), np.dstack((x, emb.n_entities + r[:, 1:])), w)
 
 
 def fused(emb, hinges, cfg):
@@ -232,6 +232,180 @@ def test_alpha_zero_reduces_to_transe_loss():
             neg = dissimilarity(emb.entities[h2] + emb.relations[r2] - emb.entities[t2], "L1")
             expected += max(0.0, cfg.margin_triple + pos - neg)
     assert parts.triple == pytest.approx(expected)
+
+
+# --- kernel edge cases against the per-hinge loop, in float.hex ---
+
+
+def oracle_hinges(emb, hinges, cfg):
+    """Per-hinge loop over ``hinges``: each loss, and per entity and base relation
+    row its subgradients summed from 0.0 in hinge order."""
+    table = hinge_table(emb)
+    n_ent, n_base = emb.n_entities, emb.n_base_relations
+    margin = (cfg.margin_triple, cfg.margin_path, cfg.margin_relpair)
+    scale = (1.0, cfg.alpha_paths, cfg.alpha_relpairs)
+    losses, grads = [], {}
+
+    def add(row, g):
+        if row == _zero_row(emb):
+            return
+        if row >= n_ent + n_base:
+            row, g = row - n_base, -g
+        grads[row] = grads.get(row, 0.0) + g
+
+    for kind, rows, weight in zip(hinges.kind.tolist(), hinges.rows.tolist(), hinges.weight):
+        d = []
+        for *x, y in rows:
+            total = table[x[0]]
+            for row in x[1:]:
+                total = total + table[row]
+            d.append(total - table[y])
+        loss, gp, gn = _oracle_hinge(margin[kind], *d, cfg.norm, *weight, scale[kind])
+        losses.append(loss)
+        if gp is None:
+            continue
+        (*xp, yp), (*xn, yn) = rows
+        if kind == TRIPLE:
+            for row in xp:
+                add(row, gp)
+            add(yp, -gp)
+            for row in xn:
+                add(row, -gn)
+        else:
+            for row in xp:
+                add(row, gp - gn)
+            add(yp, -gp)
+        add(yn, gn)
+    return losses, grads
+
+
+def assert_matches_oracle(emb, hinges, cfg):
+    """The fused pass gives the per-hinge loop's losses and subgradients bit for bit."""
+    losses, update = fused(emb, hinges, cfg)
+    want, grads = oracle_hinges(emb, hinges, cfg)
+    assert hexes(losses) == hexes(want)
+    n_ent = emb.n_entities
+    entity = sorted(row for row in grads if row < n_ent)
+    relation = sorted(row for row in grads if row >= n_ent)
+    assert update.entity_rows.tolist() == entity
+    assert update.relation_rows.tolist() == [row - n_ent for row in relation]
+    assert hexes(update.entity) == hexes([grads[row] for row in entity])
+    assert hexes(update.relation) == hexes([grads[row] for row in relation])
+    return losses, update
+
+
+def hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def joined(emb, *parts):
+    """Hinges of every part, their sums padded to one width, in a fixed mixed order."""
+    width = max(part.rows.shape[2] for part in parts)
+
+    def padded(rows):
+        pad = np.full((len(rows), 2, width - rows.shape[2]), _zero_row(emb))
+        return np.concatenate((rows[..., :-1], pad, rows[..., -1:]), axis=2)
+
+    kind = np.concatenate([part.kind for part in parts])
+    order = np.random.default_rng(0).permutation(len(kind))
+    rows = np.concatenate([padded(part.rows) for part in parts])
+    weight = np.concatenate([part.weight for part in parts])
+    return Hinges(kind[order], rows[order], weight[order])
+
+
+def mixed_hinges(emb, active):
+    """Three hinges of each kind, inverse relation ids among them. A hinge whose
+    negative lies 100 away is inactive; per kind, the negative of hinge ``active``
+    (none if None) stays near, and the margins of ``EDGE_CFG`` keep it active."""
+    n = emb.n_base_relations
+    far = [row for row in (5, 6, 7) if row != 5 + (-1 if active is None else active)]
+    emb.entities[far] += 100.0
+    emb.relations[far] += 100.0
+    triples = triple_hinges(emb, np.array([
+        [(0, 1, 2), (0, 1, 5)], [(1, n + 2, 3), (1, n + 2, 6)], [(2, 0, 4), (2, 0, 7)],
+    ]))
+    paths = path_hinges(
+        emb, residual_matrix([(0, n + 1), (n + 3,), (1, 2, n)]), [0.6, 0.5, 0.7],
+        np.array([(2, 5), (3, 6), (4, 7)]),
+    )
+    relpairs = relpair_hinges(emb, np.array([(0, 1, 5), (1, n + 3, 6), (2, 4, 7)]),
+                              [0.9, 0.8, 0.7])
+    return joined(emb, triples, paths, relpairs)
+
+
+def edge_table(seed=0):
+    rng = np.random.default_rng(seed)
+    return EmbeddingTable(rng.normal(size=(8, 6)), rng.normal(size=(8, 6)))
+
+
+EDGE_CFG = dict(dim=6, margin_triple=20.0, margin_path=20.0, margin_relpair=20.0,
+                alpha_paths=1.5, alpha_relpairs=3.0)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("active", range(3))
+def test_one_active_hinge_of_each_kind(norm, active):
+    emb = edge_table(active)
+    hinges = mixed_hinges(emb, active)
+    losses, update = assert_matches_oracle(emb, hinges, TrainingConfig(norm=norm, **EDGE_CFG))
+    kinds = hinges.kind[losses > 0.0]
+    assert sorted(kinds.tolist()) == [TRIPLE, PATH, RELPAIR]
+    assert len(update.entity_rows) and len(update.relation_rows)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_batch_without_active_hinge_touches_no_row(norm):
+    emb = edge_table()
+    hinges = mixed_hinges(emb, None)
+    cfg = TrainingConfig(norm=norm, **EDGE_CFG)
+    losses, update = assert_matches_oracle(emb, hinges, cfg)
+    assert not losses.any()
+    assert update.entity.shape == update.relation.shape == (0, cfg.dim)
+    before = EmbeddingTable(emb.entities.copy(), emb.relations.copy())
+    update.apply(emb, cfg.lr)
+    assert hexes(emb.entities) == hexes(before.entities)
+    assert hexes(emb.relations) == hexes(before.relations)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_nan_loss_stays_active(norm):
+    emb = edge_table()
+    hinges = mixed_hinges(emb, 0)
+    emb.entities[0, 2] = np.nan  # the active triple's head
+    cfg = TrainingConfig(norm=norm, **EDGE_CFG)
+    losses, update = assert_matches_oracle(emb, hinges, cfg)
+    nan = np.isnan(losses)
+    assert nan.sum() == 1 and hinges.kind[nan] == TRIPLE
+    # its rows, h, r and t and the negative's t', all take a NaN
+    rows = update.entity_rows.tolist()
+    assert all(np.isnan(update.entity[rows.index(e)]).any() for e in (0, 2, 5))
+    assert np.isnan(update.relation[update.relation_rows.tolist().index(1)]).any()
+    kg = small_kg()
+    table = random_table(kg)
+    table.entities[0, 0] = np.nan
+    with pytest.raises(DivergenceError):
+        train(kg, empty_paths(), build_index([], 0.0), TrainingConfig(dim=6, norm=norm), emb=table)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_zero_norm_side_takes_zero_subgradient(norm):
+    """A side whose difference is exactly 0, or whose L2 square sum underflows to
+    0, has norm 0 and, under L2, subgradient 0 by the ``where=n != 0`` rule."""
+    emb = edge_table()
+    emb.entities[3] = emb.entities[0] + emb.relations[1]  # 0 + 1 - 3 is exactly 0
+    emb.entities[4] = 0.0
+    emb.entities[4, 0] = 1e-200  # 4 + 2 - 5 has a square sum below the smallest float
+    emb.relations[2] = 0.0
+    emb.entities[5] = 0.0
+    ids = np.array([[(0, 1, 3), (0, 1, 6)], [(4, 2, 5), (4, 2, 7)]])
+    hinges = triple_hinges(emb, ids)
+    cfg = TrainingConfig(norm=norm, **EDGE_CFG)
+    losses, update = assert_matches_oracle(emb, hinges, cfg)
+    assert (losses > 0.0).all()
+    d = hinge_table(emb)[hinges.rows[:, 0, :2]].sum(axis=1) - hinge_table(emb)[hinges.rows[:, 0, 2]]
+    assert dissimilarity(d, norm).tolist() == [0.0, 0.0 if norm == "L2" else 1e-200]
+    if norm == "L2":  # entity 3 is the positive tail alone: its only subgradient is 0
+        assert hexes(update.entity[update.entity_rows.tolist().index(3)]) == ["0x0.0p+0"] * 6
 
 
 # --- finite-difference gradient checks ---
