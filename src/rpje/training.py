@@ -18,7 +18,11 @@ the sampler's stream order, triple by triple: head, tail and relation
 corruption; one relation per stored path of (h, t), in store order; one
 relation per (r_e, beta) of D(r). ``NegativeSampler.draws`` makes them all in
 one exact loop; a give-up (-1) drops its hinge. The rows of every hinge then
-come from gathers.
+come from gathers, into one int32 table of the span that its batches slice.
+``HingeBatch.split`` derives each batch's subgradient slots from that table
+once: the row each slot adds to, an int8 code naming which of its hinge's
+values it takes, and its hinge. Only rows of -relations go through the
+negation map.
 
 The fused pass. Every hinge is
     scale * [margin + w+ ||sum x+ - y+|| - w- ||sum x- - y-||]_+
@@ -27,12 +31,16 @@ relation is its base row negated and the zero row pads the sums (``Hinges``):
 h + r - t on each side of a triple hinge; C(p) - r and C(p) - r' for a path,
 weighted R(p|h,t) * prod(mu) on both sides; r - r_e and r - r' for a relation
 pair, weighted (beta, 1). ``loss_and_gradients`` gathers a batch's rows at
-once, then takes one norm, one hinge and one subgradient over all its hinges.
-Each subgradient row takes one of g+ (an x+ row), -g+ (y+), -g- (an x- row) and
-g- (y-); the rows both sides sum, C(p)'s and the pair's r, take g+ - g- once. A
-row of -relations adds the negation to its base row. One scatter sums the rows
-in hinge order. ``train`` keeps the embeddings as views of one such table and
-negates the relation rows each batch changed, so no batch copies the table.
+once, then takes one norm and one hinge over all its hinges. The rest follows
+the active hinges (a positive or NaN loss) alone: their differences are
+gathered, and each gets six subgradient candidates, g+ and g- of its sides,
+their negations, g+ - g- and its negation. Each slot of an active hinge takes
+one of them: g+ (an x+ row), -g+ (y+), -g- (an x- row) and g- (y-); the rows
+both sides sum, C(p)'s and the pair's r, take g+ - g- once. A row of
+-relations adds the negation to its base row. One scatter sums the slots in
+hinge order; a batch without an active hinge touches no row. ``train`` keeps
+the embeddings as views of one such table and negates the relation rows each
+batch changed, so no batch copies the table.
 
 Summation order. Each side sums left to right, x0 + x1 + x2 - y. The scatter
 adds each row's subgradients in the order a per-hinge loop would (the triple's
@@ -326,6 +334,7 @@ class GradientUpdate:
 
     @classmethod
     def empty(cls, dim: int) -> GradientUpdate:
+        """The update of a batch without an active hinge."""
         rows = np.empty(0, dtype=np.int64)
         return cls(rows, np.empty((0, dim)), rows, np.empty((0, dim)))
 
@@ -428,6 +437,7 @@ class TrainPlan:
         )
         self.n_deduced = sizes[r]
         self.draw_counts = 3 + self.n_paths + self.n_deduced
+        # the range of a head, tail, relation (and path) and relation-pair draw
         self.ranges = np.array([self.n_ent, self.n_ent, self.n_base, self.n_base])
         # per distinct residual, its rows of the hinge table, padded with the zero row
         residuals = self.paths.residuals
@@ -566,6 +576,8 @@ class TrainResult:
     epochs: list[dict]  # per epoch, ``EpochCounts.metrics``
 
 
+# A diverging run overflows to inf and nan, which the epoch loss reports.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     kg: KnowledgeGraph,
     ps: PathStore,
@@ -593,46 +605,44 @@ def train(
     history: list[tuple[int, float, float, float, float]] = []
     epochs: list[dict] = []
     scaled = None  # rows the last projection scaled; None before the first (full) pass
-    # A diverging run overflows to inf and nan; the epoch loss reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            perm = shuffle_rng.permutation(len(plan.triples))
-            batches = [b for b in np.array_split(perm, cfg.n_batches) if len(b)]
-            totals = [0.0, 0.0, 0.0]
-            counts = EpochCounts()
-            for span in plan.spans(sampler, batches):
-                counts.draws += span.draws
-                counts.giveups += span.giveups
-                span_losses = []
-                for batch in span.batches:
-                    losses, grads = loss_and_gradients(batch, table)
-                    if len(grads.entity_rows) or len(grads.relation_rows):
-                        grads.apply(emb, cfg.lr)
-                        negated[grads.relation_rows] = -emb.relations[grads.relation_rows]
-                    if scaled is None:
-                        rows = None
-                    elif len(scaled):
-                        rows = distinct_sorted(np.concatenate((grads.entity_rows, scaled)))
-                    else:
-                        rows = grads.entity_rows
-                    if rows is None or len(rows):  # no row moved, none can leave the ball
-                        scaled = project_entities(emb, rows)
-                    totals = [a + b for a, b in zip(totals, batch.parts(losses))]
-                    span_losses.append(losses)
-                    counts.projected += len(scaled)
-                counts.active += np.bincount(span.kind[np.concatenate(span_losses) > 0.0], minlength=3)
-                del span, batch, span_losses  # free the span before the next is planned
-            totals = LossParts(*totals)
-            if not np.isfinite(totals.total):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")
-            history.append((epoch, totals.total, *totals))
-            epochs.append(counts.metrics(epoch))
-            if log_every and (epoch + 1) % log_every == 0:
-                print(
-                    f"epoch {epoch + 1}/{cfg.epochs} loss={totals.total:.4f} "
-                    f"(triple={totals.triple:.4f} path={totals.path:.4f} "
-                    f"relpair={totals.relpair:.4f})"
-                )
+    for epoch in range(cfg.epochs):
+        perm = shuffle_rng.permutation(len(plan.triples))
+        batches = [b for b in np.array_split(perm, cfg.n_batches) if len(b)]
+        totals = [0.0, 0.0, 0.0]
+        counts = EpochCounts()
+        for span in plan.spans(sampler, batches):
+            counts.draws += span.draws
+            counts.giveups += span.giveups
+            span_losses = []
+            for batch in span.batches:
+                losses, grads = loss_and_gradients(batch, table)
+                if len(grads.entity_rows) or len(grads.relation_rows):
+                    grads.apply(emb, cfg.lr)
+                    negated[grads.relation_rows] = -emb.relations[grads.relation_rows]
+                if scaled is None:
+                    rows = None
+                elif len(scaled):
+                    rows = distinct_sorted(np.concatenate((grads.entity_rows, scaled)))
+                else:
+                    rows = grads.entity_rows
+                if rows is None or len(rows):  # no row moved, none can leave the ball
+                    scaled = project_entities(emb, rows)
+                totals = [a + b for a, b in zip(totals, batch.parts(losses))]
+                span_losses.append(losses)
+                counts.projected += len(scaled)
+            counts.active += np.bincount(span.kind[np.concatenate(span_losses) > 0.0], minlength=3)
+            del span, batch, span_losses  # free the span before the next is planned
+        totals = LossParts(*totals)
+        if not np.isfinite(totals.total):
+            raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")
+        history.append((epoch, totals.total, *totals))
+        epochs.append(counts.metrics(epoch))
+        if log_every and (epoch + 1) % log_every == 0:
+            print(
+                f"epoch {epoch + 1}/{cfg.epochs} loss={totals.total:.4f} "
+                f"(triple={totals.triple:.4f} path={totals.path:.4f} "
+                f"relpair={totals.relpair:.4f})"
+            )
     return TrainResult(table=emb, history=history, paths=plan.paths, epochs=epochs)
 
 
