@@ -753,6 +753,30 @@ def test_transe_reduction_matches_oracle():
 # --- the per-hinge training loop, kept as the oracle of the batch kernel ---
 
 
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_train_skipping_empty_updates_matches_full_projection(toy_kg, monkeypatch, norm):
+    """Batches without an active hinge skip the update, and the projection when
+    the previous batch scaled no row; the run equals the one that projects
+    every row after every batch."""
+    ps = extract_paths(toy_kg, 2)
+    cfg = TrainingConfig(dim=16, epochs=12, n_batches=300, seed=2, lr=0.2, norm=norm)
+    real, skipped = training.loss_and_gradients, []
+
+    def counted(batch, table):
+        losses, update = real(batch, table)
+        skipped.append(not len(update.entity_rows) and not len(update.relation_rows))
+        return losses, update
+
+    monkeypatch.setattr(training, "loss_and_gradients", counted)
+    partial = train(toy_kg, ps, build_index([], 0.0), cfg)
+    full_pass = training.project_entities
+    monkeypatch.setattr(training, "project_entities", lambda emb, rows=None: full_pass(emb))
+    full = train(toy_kg, ps, build_index([], 0.0), cfg)
+    assert np.array_equal(partial.table.entities, full.table.entities)
+    assert partial.history == full.history
+    assert any(skipped) and not all(skipped)
+
+
 class OracleSampler:
     """Scalar sampler: one rng.integers(n) call per draw, membership by kg.in_train."""
 
