@@ -274,7 +274,7 @@ class HingeBatch:
         used[kind != TRIPLE, 1, :width] = False
         slot = np.flatnonzero(used)
         hinge = slot // (2 * width + 2)
-        # slot rows and hinges index arrays in every step: as intp, no index needs a cast
+        # every step indexes with the slot rows and hinges: intp, which numpy need not cast
         slot_row = rows.reshape(-1)[slot].astype(np.intp)
         codes = _SLOT_CODES[..., [0] * width + [1]].take(kind, axis=0)  # by kind, side, place
         slot_code = codes.reshape(-1)[slot]

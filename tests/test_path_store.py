@@ -13,11 +13,7 @@ from rpje.training import NegativeSampler, hinge_table, loss_and_gradients
 
 from conftest import make_kg
 from oracles import OracleScorer, PathSet, store_from_pairs
-from test_training import OracleSampler, one_batch, oracle_loss_and_gradients
-
-
-def hexes(values) -> list[str]:
-    return [float(v).hex() for v in np.ravel(values)]
+from test_training import OracleSampler, hexes, one_batch, oracle_loss_and_gradients
 
 
 def random_store(rng, n_ent, n_rel, max_steps, pairs, many):

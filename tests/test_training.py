@@ -294,8 +294,8 @@ def assert_matches_oracle(emb, hinges, cfg):
     return losses, update
 
 
-def hexes(values):
-    return [float(x).hex() for x in np.ravel(values)]
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 def joined(emb, *parts):
