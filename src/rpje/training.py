@@ -271,7 +271,7 @@ class HingeBatch:
             rows = np.concatenate((rows[..., :-1], pad, rows[..., -1:]), axis=2)
         width = rows.shape[2] - 1
         used = rows != zero
-        used[kind != TRIPLE, 1, :width] = False
+        used[kind != TRIPLE, 1, :width] = False  # rows both sides sum take g+ - g- once
         slot = np.flatnonzero(used)
         hinge = slot // (2 * width + 2)
         # every step indexes with the slot rows and hinges: intp, which numpy need not cast
