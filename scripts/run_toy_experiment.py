@@ -13,7 +13,7 @@ import tempfile
 from rpje.evaluation import evaluate
 from rpje.kg import KnowledgeGraph
 from rpje.model import TrainingConfig
-from rpje.paths import extract_paths
+from rpje.paths import PathFinder, extract_paths
 from rpje.rules import build_index, encode_rules, parse_rules
 from rpje.synthetic import ToyConfig, generate, write_dataset
 from rpje.training import train
@@ -21,8 +21,8 @@ from rpje.training import train
 TOY_TRAINING = dict(dim=32, epochs=100, lr=0.02)
 
 
-def filtered_hits10(kg, emb, index, path_set, alpha):
-    reports = evaluate(emb, path_set, index, kg, alpha_paths=alpha,
+def filtered_hits10(kg, emb, index, alpha):
+    reports = evaluate(emb, PathFinder(kg, 2), index, kg, alpha_paths=alpha,
                        rank_relations_too=False)
     rep = next(r for r in reports
                if r.task == "entity-combined" and r.setting == "filtered")
@@ -49,13 +49,13 @@ def main() -> None:
     path_set = extract_paths(kg, 2)
     index = build_index(encoded, 0.7)
     joint = train(kg, path_set, index, TrainingConfig(seed=args.seed, **TOY_TRAINING)).table
-    h_joint = filtered_hits10(kg, joint, index, path_set, alpha=1.0)
+    h_joint = filtered_hits10(kg, joint, index, alpha=1.0)
 
     empty = build_index([], 0.7)
     ablation_cfg = TrainingConfig(seed=args.seed, alpha_paths=0.0,
                                   alpha_relpairs=0.0, **TOY_TRAINING)
     ablated = train(kg, path_set, empty, ablation_cfg).table
-    h_ablation = filtered_hits10(kg, ablated, empty, path_set, alpha=0.0)
+    h_ablation = filtered_hits10(kg, ablated, empty, alpha=0.0)
     print(f"joint:    filtered Hits@10 = {h_joint:.3f}")
     print(f"ablation: filtered Hits@10 = {h_ablation:.3f}")
     print(f"gap:      {100 * (h_joint - h_ablation):.1f} percentage points")
@@ -68,7 +68,7 @@ def main() -> None:
         cfg = TrainingConfig(seed=args.seed, confidence_threshold=threshold,
                              **TOY_TRAINING)
         emb = train(kg, path_set, index, cfg).table
-        hits = filtered_hits10(kg, emb, index, path_set, alpha=1.0)
+        hits = filtered_hits10(kg, emb, index, alpha=1.0)
         print(f"threshold {threshold:.1f}: filtered Hits@10 = {hits:.3f} "
               f"(rules kept: R1={index.n_r1} R2={index.n_r2})")
     print(f"\nartifacts under {workdir}")

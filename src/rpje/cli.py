@@ -218,42 +218,41 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _scoring_context(cfg: RunConfig, write_cache: bool = True):
-    graph = _load_graph(cfg, write_cache)
+def _scoring_context(cfg: RunConfig, graph: kg_mod.KnowledgeGraph):
     emb, _, _ = load_checkpoint(
         cfg.path_for("checkpoint.bin"),
         expected_dataset_hash=graph.dataset_hash(),
         expected_norm=cfg.norm,
     )
     index, _, _ = _load_rule_index(cfg, graph)
-    return graph, emb, index
+    # Scoring walks the pairs it ranks relations for, never reading paths.bin.
+    finder = paths_mod.PathFinder(graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap)
+    alpha = 0.0 if cfg.disable_paths_and_r2 else cfg.alpha_paths
+    return emb, index, finder, alpha
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    graph, emb, index = _scoring_context(cfg)
-    # Ranking uses the precomputed train-pair path store: candidate pairs without
-    # stored paths are scored by the translation term alone.
-    ps = _load_or_extract_paths(cfg, graph)
-    alpha = 0.0 if cfg.disable_paths_and_r2 else cfg.alpha_paths
+    graph = _load_graph(cfg)
+    if not graph.test:
+        raise kg_mod.DatasetError(f"{cfg.test_path}: test split is empty")
+    emb, index, finder, alpha = _scoring_context(cfg, graph)
+    stats = evaluation.EvalStats()
     reports = evaluation.evaluate(
-        emb, ps, index, graph, alpha_paths=alpha, norm=cfg.norm
+        emb, finder, index, graph, alpha_paths=alpha, norm=cfg.norm, stats=stats
     )
     for line in evaluation.report_lines(reports):
         print(line)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(cfg.path_for("eval_report.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(evaluation.report_csv_rows(reports)) + "\n")
+    _append_metrics(cfg, "eval", stats.metrics())
     write_resolved_config(cfg, cfg.path_for("resolved_eval.cfg"))
     return EXIT_OK
 
 
 def cmd_explain(cfg: RunConfig, head: str, tail: str, machine: bool) -> int:
-    graph, emb, index = _scoring_context(cfg, write_cache=False)
-    # Explanations search the graph on demand so arbitrary pairs get evidence,
-    # including pairs outside the precomputed train-pair path store.
-    finder = paths_mod.PathFinder(
-        graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap
-    )
+    graph = _load_graph(cfg, write_cache=False)
+    emb, index, finder, alpha = _scoring_context(cfg, graph)
 
     def lookup(name):
         try:
@@ -264,7 +263,6 @@ def cmd_explain(cfg: RunConfig, head: str, tail: str, machine: bool) -> int:
             raise LookupError(f"unknown entity {name!r}{hint}") from None
 
     h, t = lookup(head), lookup(tail)
-    alpha = 0.0 if cfg.disable_paths_and_r2 else cfg.alpha_paths
     explanations = evaluation.explain(
         emb, finder, index, graph, h, t, top_k=cfg.top_k, alpha_paths=alpha, norm=cfg.norm
     )

@@ -1,32 +1,33 @@
 """Link prediction evaluation: scoring, ranking, metrics and explanations.
 
-The score of a candidate triple is
+Entities are ranked by E1(h,r,t) = ||h + r - t|| alone. Relations are ranked by
     Q(h,r,t) = E1(h,r,t) + alpha_1 * sum_{p in P(h,t)} E2(p,r)
-with the energies of ``energy``; candidates are ranked ascending by Q (lower
-energy = better). Each query scores every candidate once, and that one score
-vector gives both the raw and the filtered rank.
+over the pair's own paths P(h,t): ``evaluate`` finds the paths of its test
+pairs in one blocked walk (``PathFinder.find``) and ``explain`` those of its
+one pair, so both score a pair alike, bit for bit. Candidates are ranked
+ascending (lower energy = better). Each query scores every candidate once, and
+that one score vector gives both the raw and the filtered rank.
 
 E1 of a head or tail query is scanned from a dimension-major copy of the
 entity table (``column_dissimilarity``), made on the first entity query; the
 scan adds each candidate's terms in numpy's pairwise order, so the scores
 equal the row-major ``triple_energy`` bit for bit, which scans tables of
 fewer than ``Scorer.DIMENSION_MAJOR_FROM`` entities. A tail query computes
-h + r once. ``evaluate`` visits the test triples grouped by relation (a stable
-order), so the head queries of one relation share e + r for every entity e,
-and writes each rank back at its triple's position: every list of ranks is
-aggregated in test-triple order. Relation scores are computed row-major over
-the base relations and never build the copy, so ``explain`` does not either.
+h + r once. ``evaluate`` visits the entity queries grouped by relation (a
+stable order), so the head queries of one relation share e + r for every
+entity e, and writes each rank back at its triple's position: every list of
+ranks is aggregated in test-triple order. Relation scores are computed
+row-major over the base relations and never build the copy, so ``explain``
+does not either.
 
 The filtered setting removes corrupted candidates already present anywhere in
 the KG, looked up in the graph's array filter index (``known_tails``/
 ``known_heads``/``known_relations``). Ties are broken pessimistically: the
 true answer ranks after equal-scored rivals.
 
-The path term of a query comes from a ``Selection`` of a ``PathStore``: a
-tail query reads the head's pairs, one slice of the store; a head query the
-tail's pairs, one slice of the store's by-tail permutation. The store is
-compiled once (``Composer.compile``), ||C(p) - r|| is cached per distinct
-residual and relation, and ``np.bincount`` sums each pair's path energies.
+The path term of a relation query reads the pair's range of the store. The
+store is compiled once (``Composer.compile``), C(p) is kept per distinct
+residual, and ``np.bincount`` sums the pair's path energies per relation.
 ``np.bincount`` adds its weights in input order from 0.0, so every sum is the
 one a loop of += over the pair's paths in store order gives, bit for bit (that
 loop is kept as the oracle in ``tests/oracles.py``).
@@ -34,17 +35,18 @@ loop is kept as the oracle in ``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .compose import CompiledPaths, Composer
+from .compose import Composer
 from .energy import (
     column_dissimilarity, composed_relations, dissimilarity, signed_relations, triple_energy,
 )
 from .kg import KnowledgeGraph, Triple, distinct_sorted
 from .model import EmbeddingTable, TrainingConfig
-from .paths import PathFinder, PathStore, Selection
+from .paths import PathFinder, PathStats, PathStore
 from .rules import RuleIndex, format_chain_rule
 
 HITS_AT = (1, 3, 10)
@@ -68,24 +70,23 @@ def relation_categories(kg: KnowledgeGraph, threshold: float = 1.5) -> dict[int,
 
 
 class Scorer:
-    """Q-scoring of candidate triples against trained embeddings and paths.
+    """E1-scoring of candidate entities, and Q-scoring of candidate relations
+    against trained embeddings and the paths of the pairs in ``store``.
 
-    ``provider`` is a ``PathStore`` or a ``PathFinder``: either gives the paths
-    of a query as a ``Selection`` of a store. The composer compiles that store
-    once (``Composer.compile``), and the scorer keeps C(p) per distinct residual
-    and, per relation r, ||C(p) - r|| per distinct residual.
+    The composer compiles the store once (``Composer.compile``), and the scorer
+    keeps C(p) per distinct residual.
     """
 
     def __init__(
         self,
         emb: EmbeddingTable,
-        provider: PathFinder | PathStore,
+        store: PathStore,
         composer: Composer,
         alpha_paths: float = TrainingConfig.alpha_paths,
         norm: str = TrainingConfig.norm,
     ):
         self.emb = emb
-        self.provider = provider
+        self.store = store
         self.composer = composer
         self.alpha = alpha_paths
         self.norm = norm
@@ -93,48 +94,25 @@ class Scorer:
         self._by_dim: tuple[np.ndarray, np.ndarray] | None = None
         self._shifted_r: int | None = None  # the relation of the last head query, and
         self._shifted: np.ndarray | None = None  # e + r per entity e, (dim, entities)
-        self._store: PathStore | None = None  # the last store scored, and for it:
-        self._composed = np.empty((0, emb.dim))
-        self._norms: dict[int, np.ndarray] = {}
+        self._composed: np.ndarray | None = None  # C(p) per distinct residual, on first use
 
-    def _prepared(self, store: PathStore) -> tuple[CompiledPaths, np.ndarray]:
-        """The store's compilation and C(p) per distinct residual."""
-        compiled = self.composer.compile(store)
-        if store is not self._store:
-            self._store, self._norms = store, {}
-            self._composed = composed_relations(signed_relations(self.emb), compiled.residuals)
-        return compiled, self._composed
-
-    def path_penalty(self, sel: Selection, r: int | None = None) -> np.ndarray:
-        """Per pair of ``sel``, the sum over its paths of E2(p, r); with r None, one
-        column per base relation.
+    def path_penalty(self, paths: slice) -> np.ndarray:
+        """Per base relation r, the sum of E2(p, r) over ``paths``, one pair's range
+        of the store.
 
         Each sum adds its paths' energies in store order starting from 0.0, as a
         loop of += over the pair's paths does: ``np.bincount`` adds in input order.
         """
         n = self.emb.n_base_relations
-        if not len(sel.pair):  # nothing to compile
-            return np.zeros(len(sel.ends) if r is not None else (len(sel.ends), n))
-        compiled, composed = self._prepared(sel.store)
-        residual, weight = compiled.residual_id[sel.paths], compiled.weight[sel.paths]
-        if r is not None:
-            norms = self._norms.get(r)
-            if norms is None:
-                norms = dissimilarity(composed - self.emb.relation_vec(r), self.norm)
-                self._norms[r] = norms
-            return np.bincount(sel.pair, weights=weight * norms[residual], minlength=len(sel.ends))
-        norms = dissimilarity(composed[residual][:, None] - self.emb.relations, self.norm)
-        slots = (sel.pair[:, None] * n + np.arange(n)).ravel()
-        energy = (weight[:, None] * norms).ravel()
-        return np.bincount(slots, weights=energy, minlength=len(sel.ends) * n).reshape(-1, n)
-
-    def score(self, h: int, r: int, t: int) -> float:
-        rvec = self.emb.relation_vec(r)
-        ent = self.emb.entities
-        q = triple_energy(ent[h], rvec, ent[t], self.norm)
-        if self.alpha:
-            q += self.alpha * self.path_penalty(self.provider.between(h, t), r)[0]
-        return float(q)
+        if paths.start == paths.stop:  # nothing to compile
+            return np.zeros(n)
+        compiled = self.composer.compile(self.store)
+        if self._composed is None:
+            self._composed = composed_relations(signed_relations(self.emb), compiled.residuals)
+        residual, weight = compiled.residual_id[paths], compiled.weight[paths]
+        norms = dissimilarity(self._composed[residual][:, None] - self.emb.relations, self.norm)
+        slots = np.arange(len(weight) * n) % n
+        return np.bincount(slots, weights=(weight[:, None] * norms).ravel(), minlength=n)
 
     # --- vectorized candidate scoring ---
 
@@ -154,36 +132,26 @@ class Scorer:
         ent, rvec = self.emb.entities, self.emb.relation_vec(r)
         by_dim = self._dimension_major()
         if by_dim is None:
-            scores = triple_energy(ent[h], rvec, ent, self.norm)
-        else:
-            table, work = by_dim
-            scores = column_dissimilarity((ent[h] + rvec)[:, None], table, self.norm, work)
-        if self.alpha:
-            sel = self.provider.from_head(h)
-            scores[sel.ends] += self.alpha * self.path_penalty(sel, r)
-        return scores
+            return triple_energy(ent[h], rvec, ent, self.norm)
+        table, work = by_dim
+        return column_dissimilarity((ent[h] + rvec)[:, None], table, self.norm, work)
 
     def head_scores(self, r: int, t: int) -> np.ndarray:
         ent, rvec = self.emb.entities, self.emb.relation_vec(r)
         by_dim = self._dimension_major()
         if by_dim is None:
-            scores = triple_energy(ent, rvec, ent[t], self.norm)
-        else:
-            table, work = by_dim
-            if self._shifted_r != r:
-                self._shifted = np.add(table, rvec[:, None], out=self._shifted)
-                self._shifted_r = r
-            scores = column_dissimilarity(self._shifted, ent[t][:, None], self.norm, work)
-        if self.alpha:
-            sel = self.provider.to_tail(t)
-            scores[sel.ends] += self.alpha * self.path_penalty(sel, r)
-        return scores
+            return triple_energy(ent, rvec, ent[t], self.norm)
+        table, work = by_dim
+        if self._shifted_r != r:
+            self._shifted = np.add(table, rvec[:, None], out=self._shifted)
+            self._shifted_r = r
+        return column_dissimilarity(self._shifted, ent[t][:, None], self.norm, work)
 
     def relation_scores(self, h: int, t: int) -> np.ndarray:
         ent, rels = self.emb.entities, self.emb.relations
         scores = triple_energy(ent[h], rels, ent[t], self.norm)
         if self.alpha:
-            scores += self.alpha * self.path_penalty(self.provider.between(h, t))[0]
+            scores += self.alpha * self.path_penalty(self.store.between(h, t))
         return scores
 
 
@@ -238,34 +206,64 @@ def metrics_from_ranks(ranks: list[int]) -> tuple[float, float, dict[int, float]
     return mr, mrr, hits
 
 
+@dataclass
+class EvalStats:
+    """What one ``evaluate`` call walked and compiled, and its stage timings."""
+
+    test_pairs: int = 0  # distinct (head, tail) pairs of the test triples
+    paths: PathStats = field(default_factory=PathStats)  # the walk; all 0 when skipped
+    compiled: dict = field(default_factory=dict)  # the walked store's compile summary
+    seconds: dict[str, float] = field(default_factory=dict)  # per stage
+
+    def metrics(self) -> dict:
+        return {"test_pairs": self.test_pairs, **asdict(self.paths), **self.compiled,
+                "seconds": self.seconds}
+
+
 def evaluate(
     emb: EmbeddingTable,
-    provider: PathFinder | PathStore,
+    finder: PathFinder,
     index: RuleIndex,
     kg: KnowledgeGraph,
     alpha_paths: float = TrainingConfig.alpha_paths,
     norm: str = TrainingConfig.norm,
     test_triples: list[Triple] | None = None,
     rank_relations_too: bool = True,
+    stats: EvalStats | None = None,
 ) -> list[EvalReport]:
-    """Aggregate MR/MRR/Hits over the test split, raw and filtered, per task."""
+    """Aggregate MR/MRR/Hits over the test split, raw and filtered, per task.
+
+    Relations are ranked on the paths of the test pairs, which ``finder`` walks
+    once; without a path term to rank by, nothing is walked.
+    """
     triples = test_triples if test_triples is not None else kg.test
     if not triples:
         raise ValueError("test split is empty")
-    scorer = Scorer(emb, provider, Composer(index), alpha_paths, norm)
+    stats = EvalStats() if stats is None else stats
+    pairs = np.array(triples, dtype=np.int64)[:, [0, 2]]
+    stats.test_pairs = len(distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1]))
+    start = time.perf_counter()
+    store = finder.find(pairs if alpha_paths and rank_relations_too else [], stats.paths)
+    stats.seconds["walk"] = time.perf_counter() - start
+    scorer = Scorer(emb, store, Composer(index), alpha_paths, norm)
     tasks = ["entity-head", "entity-tail"] + ["relation"] * rank_relations_too
     ranks = {(task, setting): [0] * len(triples)
              for task in tasks for setting in ("raw", "filtered")}
     # Triples are visited grouped by relation, so the head queries of a relation
     # share the scorer's e + r; each rank goes back to its triple's position.
+    start = time.perf_counter()
     for i in np.argsort([r for _, r, _ in triples], kind="stable").tolist():
-        triple = triples[i]
         for slot in ("head", "tail"):
             ranks[(f"entity-{slot}", "raw")][i], ranks[(f"entity-{slot}", "filtered")][i] = (
-                rank_entities(scorer, kg, triple, slot))
-        if rank_relations_too:
+                rank_entities(scorer, kg, triples[i], slot))
+    stats.seconds["entity_ranking"] = time.perf_counter() - start
+    start = time.perf_counter()
+    if rank_relations_too:
+        for i, triple in enumerate(triples):
             ranks[("relation", "raw")][i], ranks[("relation", "filtered")][i] = (
                 rank_relations(scorer, kg, triple))
+    stats.seconds["relation_ranking"] = time.perf_counter() - start
+    stats.compiled = scorer.composer.compile(store).summary()
     categories = relation_categories(kg)
     cat_hits: dict[tuple[str, str], list[int]] = {}
     for (_, r, _), head, tail in zip(
@@ -347,7 +345,7 @@ class RelationExplanation:
 
 def explain(
     emb: EmbeddingTable,
-    provider: PathFinder | PathStore,
+    finder: PathFinder,
     index: RuleIndex,
     kg: KnowledgeGraph,
     h: int,
@@ -356,12 +354,13 @@ def explain(
     alpha_paths: float = TrainingConfig.alpha_paths,
     norm: str = TrainingConfig.norm,
 ) -> list[RelationExplanation]:
-    """Top-k predicted relations for (h,t) with their rule/path support."""
+    """Top-k predicted relations for (h,t) with their rule/path support, from the
+    pair's own paths, which ``finder`` walks."""
+    store = finder.find([(h, t)])
     composer = Composer(index)
-    scorer = Scorer(emb, provider, composer, alpha_paths, norm)
-    scores = scorer.relation_scores(h, t)
+    scores = Scorer(emb, store, composer, alpha_paths, norm).relation_scores(h, t)
     order = np.argsort(scores, kind="stable")[:top_k]
-    paths = provider.paths_between(h, t)
+    paths = store.paths_between(h, t)
     out = []
     for r in order:
         r = int(r)

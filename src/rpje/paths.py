@@ -22,21 +22,24 @@ the next frontier keeps each entry where its first share arrived. So every
 reliability is the same left-to-right float sum as a walk over per-entity
 dicts in first-insertion order (kept as the oracle in ``tests/test_paths.py``),
 bit for bit. On the last hop, edges towards unwanted tails are dropped before
-summing: ``extract_paths`` wants each head's train tails and
-``PathFinder.paths_between`` one tail.
+summing: ``extract_paths`` wants the tails of the pairs it is given (the train
+pairs unless told otherwise).
 
 Heads are walked in consecutive blocks of about ``_BLOCK_EDGES`` expanded
 edges, counted as walks of 1..max_steps hops (an upper bound on the edges a
 head expands). That bounds the kernel's working set, except for a head whose
 own walks exceed the limit.
 
-The kept paths form a ``PathStore``: arrays laid out like the ``paths.bin``
-body, pairs sorted by (head, tail) with an ``indptr`` over their paths. No
-object is built per path; ``Path`` tuples are made on demand (``pairs``,
-``paths_between``) for explanations and tests. Scoring reads the arrays
-through ``Selection``s, and training by ``keys`` and ``indptr``.
-``load_path_set`` reads the arrays with ``np.frombuffer`` and checks every
-value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
+The kept paths form a ``PathStore``, the one path provider: arrays laid out
+like the ``paths.bin`` body, pairs sorted by (head, tail) with an ``indptr``
+over their paths. ``extract_paths`` builds one for the train pairs, which
+``train`` caches in ``paths.bin``, or for any given pairs: ``eval`` walks its
+test pairs and ``explain`` its one pair through ``PathFinder.find``, so a
+relation is always ranked on the pair's own paths. A pair's paths are one
+slice of the store (``between``). No object is built per path; ``Path``
+tuples are made on demand (``pairs``, ``paths_between``) for explanations and
+tests. ``load_path_set`` reads the arrays with ``np.frombuffer`` and checks
+every value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
 """
 
 from __future__ import annotations
@@ -87,6 +90,11 @@ class _Arrivals(NamedTuple):
 
     def take(self, index) -> _Arrivals:
         return _Arrivals(*(a[index] for a in self))
+
+    @classmethod
+    def empty(cls, max_steps: int) -> _Arrivals:
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, none, np.zeros((0, max_steps), dtype=np.int64), np.zeros(0))
 
 
 def _edges(csr: AdjacencyCSR, entities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,17 +242,6 @@ def walk_resources(
     return arrivals
 
 
-class Selection(NamedTuple):
-    """Some pairs of a ``PathStore``: the positions of their paths in it, pair
-    after pair; each pair's other end (its tail, or its head); and per path, the
-    index of its pair among them."""
-
-    store: PathStore
-    paths: slice | np.ndarray
-    ends: np.ndarray
-    pair: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class PathStore:
     """Paths per entity pair with PCRA reliabilities, as arrays laid out like the
@@ -253,8 +250,8 @@ class PathStore:
     Pairs are sorted by (head, tail), and pair i owns paths ``indptr[i]`` to
     ``indptr[i + 1]``, by descending reliability, then relation sequence.
     ``relations`` is padded with -1 to ``max_steps`` columns. ``pairs`` and
-    ``paths_between`` build ``Path`` objects on demand; scoring reads the arrays
-    through ``from_head``, ``to_tail`` and ``between``, and training by ``keys``.
+    ``paths_between`` build ``Path`` objects on demand; scoring reads a pair's
+    range of the arrays (``between``), and training looks pairs up by ``keys``.
     """
 
     max_steps: int
@@ -288,53 +285,25 @@ class PathStore:
         """Sorted pair keys ``head << 32 | tail``; entity ids fit in 32 bits (``paths.bin``)."""
         return self.heads << 32 | self.tails
 
-    @cached_property
-    def _pair_of_path(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.heads)), np.diff(self.indptr))
-
-    def from_head(self, h: int) -> Selection:
-        """The pairs (h, t), by ascending t: one slice of the store."""
-        a, b = self.heads.searchsorted((h, h + 1))
-        lo, hi = self.indptr[a], self.indptr[b]
-        return Selection(self, slice(lo, hi), self.tails[a:b], self._pair_of_path[lo:hi] - a)
-
-    @cached_property
-    def _by_tail(self) -> tuple[np.ndarray, ...]:
-        """Pairs in (tail, head) order: the permutation, the sorted tails, where each
-        pair's paths begin in that order, the paths in it and each one's pair."""
-        order = np.argsort(self.tails, kind="stable")
-        counts = np.diff(self.indptr)[order]
-        begin = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(counts, out=begin[1:])
-        paths = np.arange(self.n_paths) + np.repeat(self.indptr[order] - begin[:-1], counts)
-        return order, self.tails[order], begin, paths, np.repeat(np.arange(len(order)), counts)
-
-    def to_tail(self, t: int) -> Selection:
-        """The pairs (h, t), by ascending h: one slice of the by-tail permutation."""
-        order, tails, begin, paths, pair = self._by_tail
-        a, b = tails.searchsorted((t, t + 1))
-        lo, hi = begin[a], begin[b]
-        return Selection(self, paths[lo:hi], self.heads[order[a:b]], pair[lo:hi] - a)
-
-    def between(self, h: int, t: int) -> Selection:
-        """The one pair (h, t), with no paths when the store has none for it."""
+    def between(self, h: int, t: int) -> slice:
+        """The positions of the paths of (h, t); empty when the store has none for it."""
         key = h << 32 | t
         i = int(self.keys.searchsorted(key))
-        lo, hi = self.indptr[i : i + 2] if i < len(self.keys) and self.keys[i] == key else (0, 0)
-        return Selection(self, slice(lo, hi), np.array([t]), np.zeros(hi - lo, dtype=np.int64))
+        if i < len(self.keys) and self.keys[i] == key:
+            return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
+        return slice(0, 0)
 
-    def path_objects(self, lo: int, hi: int) -> tuple[Path, ...]:
-        lengths = np.count_nonzero(self.relations[lo:hi] >= 0, axis=1).tolist()
+    def path_objects(self, paths: slice) -> tuple[Path, ...]:
+        lengths = np.count_nonzero(self.relations[paths] >= 0, axis=1).tolist()
         return tuple(
             Path(tuple(rels[:n]), w)
             for rels, n, w in zip(
-                self.relations[lo:hi].tolist(), lengths, self.reliabilities[lo:hi].tolist()
+                self.relations[paths].tolist(), lengths, self.reliabilities[paths].tolist()
             )
         )
 
     def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
-        paths = self.between(h, t).paths
-        return self.path_objects(paths.start, paths.stop)
+        return self.path_objects(self.between(h, t))
 
 
 class _PairView(Mapping):
@@ -362,21 +331,26 @@ def extract_paths(
     cutoff: float = DEFAULT_CUTOFF,
     per_pair_cap: int = DEFAULT_PER_PAIR_CAP,
     stats: PathStats | None = None,
+    pairs=None,
 ) -> PathStore:
-    """Enumerate and score paths for every train entity pair."""
+    """Enumerate and score the paths of ``pairs``, (head, tail) rows that may
+    repeat, in one blocked walk over their heads; by default the train pairs."""
     if max_steps not in (2, 3):
         raise ValueError("max_steps must be 2 or 3")
     if not 0.0 <= cutoff < 1.0:
         raise ValueError("cutoff must lie in [0,1)")
-    pairs = np.array(sorted(kg.train_pairs), dtype=np.int64)
-    wanted = pairs[:, 0] * kg.n_entities + pairs[:, 1]
-    found, below, over = _search(
-        kg, distinct_sorted(pairs[:, 0]), max_steps, cutoff, per_pair_cap, wanted
-    )
+    pairs = sorted(kg.train_pairs) if pairs is None else pairs
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    wanted = distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1])
+    if len(wanted):
+        heads = distinct_sorted(wanted // kg.n_entities)
+        found, below, over = _search(kg, heads, max_steps, cutoff, per_pair_cap, wanted)
+    else:
+        found, below, over = _Arrivals.empty(max_steps), 0, 0
     store = PathStore.of(found, max_steps, cutoff, per_pair_cap)
     if stats is not None:
-        stats.pairs = len(pairs)
-        stats.pairs_without_paths = len(pairs) - len(store.heads)
+        stats.pairs = len(wanted)
+        stats.pairs_without_paths = len(wanted) - len(store.heads)
         stats.paths = store.n_paths
         stats.paths_below_cutoff = below
         stats.paths_over_cap = over
@@ -384,12 +358,11 @@ def extract_paths(
 
 
 class PathFinder:
-    """On-demand path lookup for arbitrary pairs, memoized per head entity and per pair.
+    """Path walks of one graph under one set of options, on demand.
 
-    Used at explanation time, where the pair need not be a train pair; results
-    agree with extract_paths on train pairs by construction. Each lookup is a
-    ``PathStore`` of the pairs asked for, read through the same ``from_head``,
-    ``to_tail`` and ``between`` as a loaded store.
+    ``find`` returns the store of exactly the pairs asked for, so whoever scores
+    with it reads each pair's own paths; ``arrivals`` walks from one head to
+    every entity. Both keep a pair's paths as ``extract_paths`` does.
     """
 
     def __init__(
@@ -400,66 +373,16 @@ class PathFinder:
         per_pair_cap: int = DEFAULT_PER_PAIR_CAP,
     ):
         self.kg = kg
-        self.max_steps = max_steps
-        self.cutoff = cutoff
-        self.per_pair_cap = per_pair_cap
         self._options = (max_steps, cutoff, per_pair_cap)
-        self._by_head: dict[int, PathStore] = {}
-        self._by_pair: dict[tuple[int, int], PathStore] = {}
 
-    def _find(self, heads, wanted) -> PathStore:
-        heads = np.asarray(heads, dtype=np.int64)
-        found = _search(self.kg, heads, *self._options, wanted)[0]
-        return PathStore.of(found, *self._options)
-
-    def _from(self, h: int) -> PathStore:
-        store = self._by_head.get(h)
-        if store is None:
-            store = self._by_head[h] = self._find([h], None)
-        return store
-
-    def _to(self, t: int) -> PathStore:
-        """Paths to t; one walk from every entity within max_steps of t.
-
-        The adjacency is inverse-closed, so the entities t reaches are those that reach t.
-        """
-        csr = self.kg.csr
-        frontier = np.array([t], dtype=np.int64)
-        reached = [frontier]  # t itself too, so there is a head even when t has no edges
-        for _ in range(self.max_steps):
-            frontier = distinct_sorted(csr.neighbour[_edges(csr, frontier)[1]])
-            reached.append(frontier)
-        heads = distinct_sorted(np.concatenate(reached))
-        return self._find(heads, heads * self.kg.n_entities + t)
-
-    def _between(self, h: int, t: int) -> PathStore:
-        if h in self._by_head:
-            return self._by_head[h]
-        store = self._by_pair.get((h, t))
-        if store is None:
-            wanted = np.array([h * self.kg.n_entities + t], dtype=np.int64)
-            store = self._by_pair[(h, t)] = self._find([h], wanted)
-        return store
-
-    def from_head(self, h: int) -> Selection:
-        return self._from(h).from_head(h)
-
-    def to_tail(self, t: int) -> Selection:
-        return self._to(t).to_tail(t)
-
-    def between(self, h: int, t: int) -> Selection:
-        return self._between(h, t).between(h, t)
-
-    def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
-        return self._between(h, t).paths_between(h, t)
+    def find(self, pairs, stats: PathStats | None = None) -> PathStore:
+        """The store of ``pairs``, (head, tail) rows: ``extract_paths`` of them."""
+        return extract_paths(self.kg, *self._options, stats, pairs)
 
     def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
         """Paths from h, keyed by tail."""
-        return {t: paths for (_, t), paths in self._from(h).pairs.items()}
-
-    def origins(self, t: int) -> dict[int, tuple[Path, ...]]:
-        """Paths to t, keyed by head."""
-        return {h: paths for (h, _), paths in self._to(t).pairs.items()}
+        found = _search(self.kg, np.array([h], dtype=np.int64), *self._options)[0]
+        return {t: paths for (_, t), paths in PathStore.of(found, *self._options).pairs.items()}
 
 
 _MAGIC = b"RPJEPATH"

@@ -2,10 +2,11 @@
 
 ``PathSet`` is the per-pair dict of ``Path`` tuples the store replaced, built
 from a store's arrays the way the loader used to build it. ``OracleScorer``
-scores with one ``compose`` and one ``path_energy`` per path, summed in a loop,
-and E1 over the row-major entity table, as the scorer did before it read
-compiled arrays and a dimension-major copy. ``relation_categories`` and
-``evaluate_in_triple_order`` are the per-triple loops the array code replaced.
+scores entities by E1 over the row-major entity table, and relations by E1 plus
+one ``compose`` and one ``path_energy`` per path of the pair, summed in a
+loop, as the scorer did before it read compiled arrays and a dimension-major
+copy. ``relation_categories`` and ``evaluate_in_triple_order`` are the
+per-triple loops the array code replaced.
 All are kept so the array code can be checked against them bit for bit.
 """
 
@@ -52,12 +53,6 @@ class PathSet:
     per_pair_cap: int = 200
     pairs: dict[tuple[int, int], tuple[Path, ...]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._by_head, self._by_tail = {}, {}
-        for (h, t), paths in self.pairs.items():
-            self._by_head.setdefault(h, {})[t] = paths
-            self._by_tail.setdefault(t, {})[h] = paths
-
     @classmethod
     def of(cls, store: PathStore) -> PathSet:
         counts = np.diff(store.indptr)
@@ -69,12 +64,6 @@ class PathSet:
 
     def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
         return self.pairs.get((h, t), ())
-
-    def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
-        return self._by_head.get(h, {})
-
-    def origins(self, t: int) -> dict[int, tuple[Path, ...]]:
-        return self._by_tail.get(t, {})
 
     @property
     def n_paths(self) -> int:
@@ -101,7 +90,8 @@ def store_from_pairs(
 
 
 class OracleScorer:
-    """The per-path scorer: a provider's dict views, one compose per path, a += loop."""
+    """The per-path scorer: E1 alone for entities; for relations, E1 plus one
+    compose per path of the provider's ``paths_between`` and a += loop."""
 
     def __init__(self, emb, provider, composer, alpha_paths, norm):
         self.emb, self.provider, self.composer = emb, provider, composer
@@ -117,6 +107,7 @@ class OracleScorer:
         return total
 
     def score(self, h, r, t):
+        """Q(h, r, t) of one candidate relation r."""
         rvec = self.emb.relation_vec(r)
         ent = self.emb.entities
         q = triple_energy(ent[h], rvec, ent[t], self.norm)
@@ -125,22 +116,12 @@ class OracleScorer:
         return float(q)
 
     def tail_scores(self, h, r):
-        rvec = self.emb.relation_vec(r)
         ent = self.emb.entities
-        scores = triple_energy(ent[h], rvec, ent, self.norm)
-        if self.alpha:
-            for t, paths in self.provider.arrivals(h).items():
-                scores[t] += self.alpha * self.path_penalty(paths, rvec)
-        return scores
+        return triple_energy(ent[h], self.emb.relation_vec(r), ent, self.norm)
 
     def head_scores(self, r, t):
-        rvec = self.emb.relation_vec(r)
         ent = self.emb.entities
-        scores = triple_energy(ent, rvec, ent[t], self.norm)
-        if self.alpha:
-            for h, paths in self.provider.origins(t).items():
-                scores[h] += self.alpha * self.path_penalty(paths, rvec)
-        return scores
+        return triple_energy(ent, self.emb.relation_vec(r), ent[t], self.norm)
 
     def relation_scores(self, h, t):
         ent, rels = self.emb.entities, self.emb.relations

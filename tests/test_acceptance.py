@@ -19,7 +19,7 @@ from rpje.energy import NORMS
 from rpje.evaluation import Scorer, evaluate, metrics_from_ranks, rank_entities
 from rpje.kg import KnowledgeGraph, load_dataset
 from rpje.model import TrainingConfig, init_embeddings
-from rpje.paths import extract_paths, walk_resources
+from rpje.paths import PathFinder, extract_paths, walk_resources
 from rpje.rules import ChainRule, build_index, encode_rule, parse_rules
 from rpje.synthetic import ToyConfig, generate, write_dataset
 from rpje.training import train
@@ -283,8 +283,9 @@ def _toy_setup(noisy: bool, tmp_path):
     return kg, encoded
 
 
-def _filtered_hits10(kg, emb, index, ps, alpha):
-    reports = evaluate(emb, ps, index, kg, alpha_paths=alpha, rank_relations_too=False)
+def _filtered_hits10(kg, emb, index, alpha):
+    reports = evaluate(emb, PathFinder(kg, 2), index, kg, alpha_paths=alpha,
+                       rank_relations_too=False)
     rep = next(
         r for r in reports if r.task == "entity-combined" and r.setting == "filtered"
     )
@@ -298,14 +299,14 @@ def test_acceptance_7_toy_reproduction(tmp_path):
     index = build_index(encoded, 0.7)
 
     joint = train(kg, ps, index, TrainingConfig(seed=0, **TOY_TRAINING)).table
-    hits_joint = _filtered_hits10(kg, joint, index, ps, alpha=1.0)
+    hits_joint = _filtered_hits10(kg, joint, index, alpha=1.0)
 
     empty = build_index([], 0.7)
     ablation_cfg = TrainingConfig(
         seed=0, alpha_paths=0.0, alpha_relpairs=0.0, **TOY_TRAINING
     )
     ablated = train(kg, ps, empty, ablation_cfg).table
-    hits_ablation = _filtered_hits10(kg, ablated, empty, ps, alpha=0.0)
+    hits_ablation = _filtered_hits10(kg, ablated, empty, alpha=0.0)
 
     elapsed = time.time() - started
     gap = 100 * (hits_joint - hits_ablation)
@@ -328,7 +329,7 @@ def test_acceptance_8_confidence_threshold_sweep(tmp_path):
         index = build_index(encoded, threshold)
         cfg = TrainingConfig(seed=0, confidence_threshold=threshold, **TOY_TRAINING)
         emb = train(kg, ps, index, cfg).table
-        hits[threshold] = _filtered_hits10(kg, emb, index, ps, alpha=1.0)
+        hits[threshold] = _filtered_hits10(kg, emb, index, alpha=1.0)
     elapsed = time.time() - started
     ok = (
         all(hits[mid] > hits[0.0] and hits[mid] > hits[1.0] for mid in (0.7, 0.8))

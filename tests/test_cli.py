@@ -545,7 +545,9 @@ def test_explain_parses_without_cache_and_writes_nothing(pipeline, tmp_path, cap
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("what", ["length 0", "relation id 999"])
 def test_corrupt_path_cache_is_rebuilt(pipeline, tmp_path, capsys, command, what):
-    """A cache of the right length with a bad value is rebuilt, as a truncated one is."""
+    """``train`` rebuilds a cache of the right length with a bad value, as it does
+    a truncated one. ``eval`` walks its test pairs and never reads the cache: it
+    writes the same report and leaves the corrupt file as it found it."""
     _, files, fast = pipeline
     out = tmp_path / "out"
     shutil.copytree(pipeline[0], out)
@@ -556,10 +558,66 @@ def test_corrupt_path_cache_is_rebuilt(pipeline, tmp_path, capsys, command, what
     capsys.readouterr()
     assert main([command, *data_flags(files), "--out", str(out), *fast]) == EXIT_OK
     assert capsys.readouterr().err == ""
-    assert (out / "paths.bin").read_bytes() == original
-    if command == "eval":
+    if command == "train":
+        assert (out / "paths.bin").read_bytes() == original
+    else:
+        assert (out / "paths.bin").read_bytes() == bytes(data)
         report = (out / "eval_report.csv").read_bytes()
         assert report == (pipeline[0] / "eval_report.csv").read_bytes()
+
+
+def test_eval_on_empty_test_split_exits_two(pipeline, tmp_path, capsys, monkeypatch):
+    """An empty test split is a data error, reported in one line before any walk."""
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    empty = tmp_path / "test.tsv"
+    empty.write_text("")
+    walks = []
+    monkeypatch.setattr(cli.paths_mod, "extract_paths", lambda *a, **k: walks.append(a))
+    argv = ["eval", *data_flags(files), "--test", str(empty), "--out", str(out), *fast]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "test split is empty" in err and str(empty) in err
+    assert walks == []
+
+
+def test_eval_appends_metrics_line(pipeline, tmp_path, capsys):
+    """eval appends one line: the test pairs, the walk of their paths, the
+    store's compile summary and per-stage seconds; its stdout is unchanged."""
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    before = (out / "metrics.jsonl").read_text().splitlines()
+    capsys.readouterr()
+    assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "{" not in stdout
+    lines = (out / "metrics.jsonl").read_text().splitlines()
+    assert lines[:-1] == before
+    line = json.loads(lines[-1])
+    assert set(line) == {
+        "command", "test_pairs", "pairs", "pairs_without_paths", "paths", "paths_below_cutoff",
+        "paths_over_cap", "fully_composed_frac", "residual_lengths", "seconds",
+    }
+    assert line["command"] == "eval"
+    kg = load_dataset(files["train"], files["valid"], files["test"])
+    test_pairs = {(h, t) for h, _, t in kg.test}
+    assert line["test_pairs"] == line["pairs"] == len(test_pairs)
+    assert 0 < line["pairs"] - line["pairs_without_paths"] <= line["pairs"]
+    assert 0.0 <= line["fully_composed_frac"] <= 1.0
+    lengths = line["residual_lengths"]
+    assert line["paths"] > 0 and sum(lengths.values()) == line["paths"]
+    assert line["fully_composed_frac"] == lengths.get("1", 0) / line["paths"]
+    assert set(line["seconds"]) == {"walk", "entity_ranking", "relation_ranking"}
+    assert all(isinstance(v, float) and v >= 0 for v in line["seconds"].values())
+    assert main(["eval", *data_flags(files), "--out", str(out), *fast, "--alpha1", "0"]) == EXIT_OK
+    skipped = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+    assert skipped["test_pairs"] == len(test_pairs)
+    assert skipped["pairs"] == skipped["paths"] == 0
+    capsys.readouterr()
 
 
 def test_scoring_reads_checkpoint_without_copying(pipeline, tmp_path, capsys, monkeypatch):

@@ -78,15 +78,16 @@ def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too, dimensi
     with the toy table scanned dimension-major or row-major. The toy test split
     holds two N-1 relations, so train triples of every relation join it."""
     monkeypatch.setattr(Scorer, "DIMENSION_MAJOR_FROM", dimension_major_from)
-    emb, store, index = toy_setup(toy_kg)
+    emb, _, index = toy_setup(toy_kg)
     rng = np.random.default_rng(0)
     queries = toy_kg.test + [toy_kg.train[i] for i in rng.choice(len(toy_kg.train), 60, False)]
     triples = [queries[i] for i in rng.permutation(len(queries))]
     relations = [r for _, r, _ in triples]
     assert relations != sorted(relations) and len(set(relations)) == toy_kg.n_base_relations
-    got = evaluate(emb, store, index, toy_kg, 1.0, norm, test_triples=triples,
+    finder = PathFinder(toy_kg, 2)
+    got = evaluate(emb, finder, index, toy_kg, 1.0, norm, test_triples=triples,
                    rank_relations_too=relations_too)
-    scorer = Scorer(emb, store, Composer(index), 1.0, norm)
+    scorer = Scorer(emb, finder.find([(h, t) for h, _, t in triples]), Composer(index), 1.0, norm)
     want = evaluate_in_triple_order(scorer, toy_kg, triples, relations_too)
     assert got == want
     assert all(len(rep.per_category) == 2 for rep in got if rep.per_category)

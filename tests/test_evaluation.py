@@ -1,8 +1,13 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from rpje.compose import Composer
+from rpje.energy import triple_energy
 from rpje.evaluation import (
+    EvalStats,
     Scorer,
     evaluate,
     explain,
@@ -22,9 +27,14 @@ from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
 
-from conftest import make_kg
+from conftest import make_kg, parse_rule_lines
 import oracles
-from oracles import store_from_pairs
+from oracles import OracleScorer, PathSet, store_from_pairs
+from test_paths import exact
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def test_metrics_hand_values():
@@ -88,15 +98,17 @@ def test_score_hand_value_with_path_term():
     scorer = Scorer(emb, ps, Composer(index), alpha_paths=1.0, norm="L1")
     # base: ||e0 + r0 - e2||_1 = ||(1,1)-(0,1)||_1 = 1
     # path: R * mu * ||C - r0||_1 = 0.5 * 0.81 * ||(1,1)-(0,1)||_1 = 0.405
-    assert scorer.score(0, 0, 2) == pytest.approx(1.0 + 0.5 * 0.81 * 1.0)
+    assert scorer.relation_scores(0, 2)[0] == pytest.approx(1.0 + 0.5 * 0.81 * 1.0)
     # pair without paths: triple term only
-    assert scorer.score(1, 0, 2) == pytest.approx(0.0)
+    assert scorer.relation_scores(1, 2)[0] == pytest.approx(0.0)
+    # entity candidates are ranked by the triple term alone, paths or not
+    assert scorer.tail_scores(0, 0)[2] == scorer.head_scores(0, 2)[0] == pytest.approx(1.0)
 
 
 def test_score_alpha_zero_ignores_paths():
     emb, ps, index = _hand_setup()
     scorer = Scorer(emb, ps, Composer(index), alpha_paths=0.0, norm="L1")
-    assert scorer.score(0, 0, 2) == pytest.approx(1.0)
+    assert scorer.relation_scores(0, 2)[0] == pytest.approx(1.0)
 
 
 def _finder_setup():
@@ -107,29 +119,35 @@ def _finder_setup():
     rid = kg.relation_id
     emb = init_embeddings(kg, TrainingConfig(dim=4, seed=2))
     index = build_index([ChainRule(head=rid("q"), body=(rid("r"), rid("s")), confidence=0.9)], 0.0)
-    return emb, PathFinder(kg, max_steps=2, cutoff=0.0), index
+    pairs = [(h, t) for h in range(kg.n_entities) for t in range(kg.n_entities)]
+    return emb, PathFinder(kg, max_steps=2, cutoff=0.0).find(pairs), index
 
 
 @pytest.mark.parametrize("setup", [_hand_setup, _finder_setup], ids=["PathStore", "PathFinder"])
 def test_vectorized_scores_match_pointwise(setup):
-    emb, provider, index = setup()
-    scorer = Scorer(emb, provider, Composer(index), alpha_paths=1.0, norm="L1")
+    """Tail and head scores equal ``triple_energy`` of each candidate, and relation
+    scores the per-path oracle's Q of each candidate relation."""
+    emb, store, index = setup()
+    scorer = Scorer(emb, store, Composer(index), alpha_paths=1.0, norm="L1")
+    oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 1.0, "L1")
     n_ent, n_rel = emb.n_entities, emb.n_base_relations
-    assert any(provider.paths_between(h, t) for h in range(n_ent) for t in range(n_ent))
+    ent = emb.entities
+    assert any(store.paths_between(h, t) for h in range(n_ent) for t in range(n_ent))
     for r in range(n_rel):
+        rvec = emb.relation_vec(r)
         for h in range(n_ent):
             tails = scorer.tail_scores(h, r)
             for t in range(n_ent):
-                assert tails[t] == pytest.approx(scorer.score(h, r, t))
+                assert tails[t] == pytest.approx(triple_energy(ent[h], rvec, ent[t], "L1"))
         for t in range(n_ent):
             heads = scorer.head_scores(r, t)
             for h in range(n_ent):
-                assert heads[h] == pytest.approx(scorer.score(h, r, t))
+                assert heads[h] == pytest.approx(triple_energy(ent[h], rvec, ent[t], "L1"))
     for h in range(n_ent):
         for t in range(n_ent):
             rels = scorer.relation_scores(h, t)
             for r in range(n_rel):
-                assert rels[r] == pytest.approx(scorer.score(h, r, t))
+                assert rels[r] == pytest.approx(oracle.score(h, r, t))
 
 
 @pytest.fixture
@@ -153,15 +171,17 @@ def _trained_like(kg, seed=5):
 
 
 def brute_rank(scorer, kg, triple, slot, setting):
-    """Independent rank computation scoring candidates one at a time."""
+    """Independent rank computation scoring candidates one at a time, by E1 with
+    the scorer's embeddings and norm."""
     h, r, t = triple
+    ent, rvec = scorer.emb.entities, scorer.emb.relation_vec(r)
     if slot == "tail":
         true_idx = t
-        cand_score = lambda c: scorer.score(h, r, c)
+        cand_score = lambda c: triple_energy(ent[h], rvec, ent[c], scorer.norm)
         known = lambda c: kg.is_known((h, r, c))
     else:
         true_idx = h
-        cand_score = lambda c: scorer.score(c, r, t)
+        cand_score = lambda c: triple_energy(ent[c], rvec, ent[t], scorer.norm)
         known = lambda c: kg.is_known((c, r, t))
     s_true = cand_score(true_idx)
     rank = 1
@@ -183,8 +203,8 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
                    confidence=0.9)],
         0.7,
     )
-    finder = PathFinder(kg, max_steps=2)
-    scorer = Scorer(emb, finder, Composer(index), alpha_paths=1.0, norm="L1")
+    scorer = Scorer(emb, extract_paths(kg, max_steps=2), Composer(index), alpha_paths=1.0,
+                    norm="L1")
     for triple in kg.test + kg.train:
         for slot in ("head", "tail"):
             raw, filtered = rank_entities(scorer, kg, triple, slot)
@@ -195,20 +215,22 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
 def test_rank_relations_matches_brute_force(small_eval_kg):
     kg = small_eval_kg
     emb = _trained_like(kg)
-    finder = PathFinder(kg, max_steps=2)
-    scorer = Scorer(emb, finder, Composer(build_index([], 0.7)), 1.0, "L1")
+    store = PathFinder(kg, max_steps=2).find([(h, t) for h, _, t in kg.test])
+    assert store.n_paths
+    scorer = Scorer(emb, store, Composer(build_index([], 0.7)), 1.0, "L1")
+    oracle = OracleScorer(emb, PathSet.of(store), Composer(build_index([], 0.7)), 1.0, "L1")
     for triple in kg.test:
         got = dict(zip(("raw", "filtered"), rank_relations(scorer, kg, triple)))
         for setting in ("raw", "filtered"):
             h, r, t = triple
-            s_true = scorer.score(h, r, t)
+            s_true = oracle.score(h, r, t)
             expect = 1
             for c in range(kg.n_base_relations):
                 if c == r:
                     continue
                 if setting == "filtered" and kg.is_known((h, c, t)):
                     continue
-                if scorer.score(h, c, t) <= s_true:
+                if oracle.score(h, c, t) <= s_true:
                     expect += 1
             assert got[setting] == expect
 
@@ -216,8 +238,8 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
 def test_filtered_ranks_never_worse_than_raw(small_eval_kg):
     kg = small_eval_kg
     emb = _trained_like(kg, seed=11)
-    finder = PathFinder(kg, max_steps=2)
-    scorer = Scorer(emb, finder, Composer(build_index([], 0.7)), 1.0, "L1")
+    scorer = Scorer(emb, extract_paths(kg, max_steps=2), Composer(build_index([], 0.7)), 1.0,
+                    "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
             raw, filtered = rank_entities(scorer, kg, triple, slot)
@@ -250,7 +272,7 @@ def test_triple_in_two_splits_is_filtered_once():
     assert kg.known_heads(r, c).tolist() == [a, d]
     assert kg.known_tails(c, kg.inverse(r)).tolist() == [a, d]
     assert kg.known_relations(a, c).tolist() == [r]
-    scorer = Scorer(_trained_like(kg), PathFinder(kg, max_steps=2),
+    scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2),
                     Composer(build_index([], 0.7)), 1.0, "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
@@ -265,7 +287,7 @@ def test_entity_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
     monkeypatch.setattr(
         KnowledgeGraph, "is_known", lambda self, t: calls.append(t) or real(self, t)
     )
-    evaluate(_trained_like(kg), extract_paths(kg, max_steps=2), build_index([], 0.7), kg,
+    evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg,
              rank_relations_too=False)
     assert calls == []
 
@@ -330,12 +352,34 @@ def test_evaluate_report_shape(small_eval_kg):
     assert filtered_head.per_category  # categories recorded for filtered entity tasks
 
 
-def test_evaluate_uses_path_set_fallback(small_eval_kg):
+def test_evaluate_walks_exactly_the_test_pairs(small_eval_kg, monkeypatch):
+    """``evaluate`` ranks relations on a store of the test pairs' own paths,
+    walked once, and walks nothing when there is no path term to rank by."""
     kg = small_eval_kg
     emb = _trained_like(kg)
-    ps = extract_paths(kg, max_steps=2)
-    reports = evaluate(emb, ps, build_index([], 0.7), kg)
-    assert reports  # PathStore provider is accepted end to end
+    test_pairs = [(h, t) for h, _, t in kg.test]
+    want = PathFinder(kg, max_steps=2).find(test_pairs)
+    assert want.n_paths and set(want.pairs) <= set(test_pairs)
+    assert extract_paths(kg, max_steps=2).pairs != want.pairs
+    stores = []
+    real = Scorer.__init__
+
+    def recording(self, emb, store, *rest):
+        stores.append(store)
+        real(self, emb, store, *rest)
+
+    monkeypatch.setattr(Scorer, "__init__", recording)
+    stats = EvalStats()
+    evaluate(emb, PathFinder(kg, max_steps=2), build_index([], 0.7), kg, stats=stats)
+    assert [exact(store.pairs) for store in stores] == [exact(want.pairs)]
+    assert (stats.test_pairs, stats.paths.pairs, stats.paths.paths) == (
+        len(set(test_pairs)), len(set(test_pairs)), want.n_paths)
+    for alpha, relations_too in ((0.0, True), (1.0, False)):
+        stores.clear()
+        stats = EvalStats()
+        evaluate(emb, PathFinder(kg, max_steps=2), build_index([], 0.7), kg, alpha,
+                 rank_relations_too=relations_too, stats=stats)
+        assert stores[0].n_paths == 0 and stats.paths.pairs == 0
 
 
 def test_evaluate_empty_test_rejected(small_eval_kg):
@@ -447,5 +491,41 @@ def test_relation_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
     monkeypatch.setattr(
         KnowledgeGraph, "is_known", lambda self, t: calls.append(t) or real(self, t)
     )
-    evaluate(_trained_like(kg), extract_paths(kg, max_steps=2), build_index([], 0.7), kg)
+    evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg)
     assert calls == []
+
+
+def _hub_data():
+    """The hub-paths recipe at the toy KG's size: Zipf-weighted friend_of hubs."""
+    data = workloads.make_data(workloads.Workload("hub", scale=1, hub_out_degree=4))
+    return data, 3
+
+
+@pytest.mark.parametrize("graph", ["toy", "hub"])
+def test_eval_relation_scores_equal_explain(graph, toy_data, tmp_path, monkeypatch):
+    """For every test pair, the relation scores ``evaluate`` ranks by equal the
+    scores ``explain`` prints for it, in float.hex: the two commands walk the
+    same paths and score them alike."""
+    data, max_steps = (toy_data, 2) if graph == "toy" else _hub_data()
+    kg = KnowledgeGraph.from_rows(data.train, data.valid, data.test)
+    index = parse_rule_lines(data.rules, kg, tmp_path, threshold=0.7)
+    emb = init_embeddings(kg, TrainingConfig(dim=16, seed=4))
+    finder = PathFinder(kg, max_steps)
+    ranked = {}
+    real = Scorer.relation_scores
+
+    def recording(self, h, t):
+        ranked[(h, t)] = scores = real(self, h, t)
+        return scores
+
+    monkeypatch.setattr(Scorer, "relation_scores", recording)
+    evaluate(emb, finder, index, kg)
+    monkeypatch.undo()
+    assert set(ranked) == {(h, t) for h, _, t in kg.test}
+    n_rel, with_paths = kg.n_base_relations, 0
+    for (h, t), scores in sorted(ranked.items()):
+        explained = explain(emb, finder, index, kg, h, t, top_k=n_rel)
+        by_relation = {e.relation: e.score for e in explained}
+        assert [by_relation[r].hex() for r in range(n_rel)] == [s.hex() for s in scores.tolist()]
+        with_paths += bool(explained[0].paths)
+    assert with_paths

@@ -13,6 +13,7 @@ from rpje.training import NegativeSampler, hinge_table, loss_and_gradients
 
 from conftest import make_kg
 from oracles import OracleScorer, PathSet, store_from_pairs
+from test_paths import oracle_paths, oracle_walk
 from test_training import OracleSampler, hexes, one_batch, oracle_loss_and_gradients
 
 
@@ -53,15 +54,17 @@ def random_table(rng, n_ent, n_base, dim):
 
 
 def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
+    """Entity scores for every relation, inverse ids included, and relation
+    scores for every pair, as whole vectors and one candidate at a time."""
     for r in range(n_rel):
         for e in range(n_ent):
             assert hexes(scorer.tail_scores(e, r)) == hexes(oracle.tail_scores(e, r))
             assert hexes(scorer.head_scores(r, e)) == hexes(oracle.head_scores(r, e))
     for h in range(n_ent):
         for t in range(n_ent):
-            assert hexes(scorer.relation_scores(h, t)) == hexes(oracle.relation_scores(h, t))
-            for r in (0, n_base, n_rel - 1):
-                assert scorer.score(h, r, t).hex() == oracle.score(h, r, t).hex()
+            scores = scorer.relation_scores(h, t)
+            assert hexes(scores) == hexes(oracle.relation_scores(h, t))
+            assert hexes(scores) == [oracle.score(h, r, t).hex() for r in range(n_base)]
 
 
 @given(
@@ -79,9 +82,9 @@ def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
 @settings(max_examples=80, deadline=None)
 def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density, many, norm,
                                         dim, alpha, dimension_major):
-    """Tail, head, relation and pointwise scores from the compiled store equal the
-    per-path loop over the dict oracle, on random stores and rule sets, with the
-    entity table scanned row-major or dimension-major."""
+    """Tail and head scores (E1) and relation scores (Q) from the compiled store
+    equal the per-path loop over the dict oracle, on random stores and rule sets,
+    with the entity table scanned row-major or dimension-major."""
     rng = np.random.default_rng(seed)
     all_pairs = [(h, t) for h in range(n_ent) for t in range(n_ent)]
     chosen = rng.permutation(len(all_pairs))[: int(rng.integers(0, len(all_pairs) + 1))]
@@ -110,32 +113,46 @@ multigraphs = st.lists(
 )
 @settings(max_examples=40, deadline=None)
 def test_finder_scores_match_per_path_oracle(edges, max_steps, density, norm, seed):
-    """With a PathFinder, each query's store is compiled on its own; the scores
-    still equal the per-path loop over the finder's dict views."""
+    """Relation scores from the store of every pair, walked together, and from
+    each pair's own one-pair store, as ``explain`` walks it, equal the per-path
+    loop over the dict walk's paths."""
     kg = make_kg(edges)
     rng = np.random.default_rng(seed)
     index = random_index(rng, kg.n_base_relations, density)
     emb = random_table(rng, kg.n_entities, kg.n_base_relations, 5)
-    scorer = Scorer(emb, PathFinder(kg, max_steps, 0.0), Composer(index), 1.0, norm)
-    oracle = OracleScorer(emb, PathFinder(kg, max_steps, 0.0), Composer(index), 1.0, norm)
+    walked = {}
+    for h in range(kg.n_entities):
+        for t, found in sorted(oracle_walk(kg, h, max_steps).items()):
+            if paths := oracle_paths(found, 0.0, 200):
+                walked[(h, t)] = paths
+    oracle = OracleScorer(emb, PathSet(max_steps, 0.0, pairs=walked), Composer(index), 1.0, norm)
+    finder = PathFinder(kg, max_steps, 0.0)
+    pairs = [(h, t) for h in range(kg.n_entities) for t in range(kg.n_entities)]
+    scorer = Scorer(emb, finder.find(pairs), Composer(index), 1.0, norm)
     assert_scores_match(scorer, oracle, kg.n_entities, kg.n_relations, kg.n_base_relations)
+    for h, t in pairs:
+        one = Scorer(emb, finder.find([(h, t)]), Composer(index), 1.0, norm)
+        assert hexes(one.relation_scores(h, t)) == hexes(oracle.relation_scores(h, t))
 
 
 def test_store_views_match_dict_oracle(toy_kg):
+    """Each pair's paths are one slice of the store, in pair order; a pair
+    outside the store has an empty one."""
     store = extract_paths(toy_kg, 3, 0.0, 5)
     oracle = PathSet.of(store)
     assert len(store.pairs) == len(oracle.pairs) and store.n_paths == oracle.n_paths
     assert list(store.pairs.items()) == list(oracle.pairs.items())
-    for e in range(toy_kg.n_entities):
-        for sel, paths in ((store.from_head(e), oracle.arrivals(e)),
-                           (store.to_tail(e), oracle.origins(e))):
-            assert sel.ends.tolist() == list(paths)
-            positions = np.arange(store.n_paths)[sel.paths]
-            assert np.bincount(sel.pair, minlength=len(sel.ends)).tolist() == [
-                len(group) for group in paths.values()
-            ]
-            got = [store.path_objects(p, p + 1)[0] for p in positions.tolist()]
-            assert got == [p for group in paths.values() for p in group]
+    stop = 0
+    for (h, t), paths in oracle.pairs.items():
+        sel = store.between(h, t)
+        assert sel.start == stop and sel.stop - sel.start == len(paths)
+        assert store.path_objects(sel) == paths
+        stop = sel.stop
+    assert stop == store.n_paths
+    for h in range(toy_kg.n_entities):
+        for t in range(toy_kg.n_entities):
+            if (h, t) not in oracle.pairs:
+                assert store.between(h, t) == slice(0, 0) and store.paths_between(h, t) == ()
 
 
 @given(

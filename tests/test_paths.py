@@ -228,19 +228,23 @@ def test_per_sequence_frontier_sums(edges):
 def test_symmetric_coverage(edges):
     kg = make_kg(edges)
     ps = extract_paths(kg, max_steps=2, cutoff=0.0)
-    finder = PathFinder(kg, max_steps=2, cutoff=0.0)
+    reversed_ps = PathFinder(kg, max_steps=2, cutoff=0.0).find([(t, h) for h, t in ps.pairs])
     for (h, t), paths in ps.pairs.items():
-        reverse = {p.relations for p in finder.paths_between(t, h)}
+        reverse = {p.relations for p in reversed_ps.paths_between(t, h)}
         for p in paths:
             mirrored = tuple(kg.inverse(r) for r in reversed(p.relations))
             assert mirrored in reverse
 
 
 def test_finder_agrees_with_extraction(toy_kg):
+    """One walk of 50 train pairs, and a one-pair walk of each, keep the paths
+    that the walk of every train pair keeps."""
     ps = extract_paths(toy_kg, max_steps=2)
     finder = PathFinder(toy_kg, max_steps=2)
-    for (h, t), paths in list(ps.pairs.items())[:50]:
-        assert finder.paths_between(h, t) == paths
+    some = list(ps.pairs.items())[:50]
+    assert exact(finder.find([pair for pair, _ in some]).pairs) == exact(dict(some))
+    for (h, t), paths in some:
+        assert finder.find([(h, t)]).paths_between(h, t) == paths
 
 
 def test_cache_round_trip(tmp_path, toy_kg):
@@ -284,15 +288,16 @@ multigraphs = st.lists(
 )
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_edges):
-    """Every provider equals the dict walk bit for bit: same pairs, same order,
-    same float.hex. Cutoffs 0.25 and 0.5 are reliabilities the walk hits exactly;
+    """Every walk equals the dict walk bit for bit: same pairs, same order,
+    same float.hex. That is the train-pair walk, each head's arrivals, each
+    pair's one-pair walk and one walk of every pair, asked for in shuffled order
+    with repeats. Cutoffs 0.25 and 0.5 are reliabilities the walk hits exactly;
     a block limit of 1 or 6 edges gives blocks smaller than one head's work."""
     kg = make_kg(edges)
     with mock.patch.object(paths_mod, "_BLOCK_EDGES", block_edges):
         stats = PathStats()
         ps = extract_paths(kg, max_steps, cutoff, cap, stats)
         finder = PathFinder(kg, max_steps, cutoff, cap)
-        pair_finder = PathFinder(kg, max_steps, cutoff, cap)
         expected, below, over = oracle_extract(kg, max_steps, cutoff, cap)
         assert exact(ps.pairs) == exact(expected)
         assert (stats.pairs, stats.pairs_without_paths) == (
@@ -301,22 +306,25 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
         assert (stats.paths, stats.paths_below_cutoff, stats.paths_over_cap) == (
             ps.n_paths, below, over
         )
+        everywhere = {}
         for h in range(kg.n_entities):
             walked = oracle_walk(kg, h, max_steps)
             reached = {}
             for t in sorted(walked):
                 if paths := oracle_paths(walked[t], cutoff, cap):
-                    reached[t] = paths
+                    reached[t] = everywhere[(h, t)] = paths
             assert exact(finder.arrivals(h)) == exact(reached)
             for t in range(kg.n_entities):
-                assert exact({t: pair_finder.paths_between(h, t)}) == exact(
+                assert exact({t: finder.find([(h, t)]).paths_between(h, t)}) == exact(
                     {t: reached.get(t, ())}
                 )
-        for t in range(kg.n_entities):
-            origins = PathFinder(kg, max_steps, cutoff, cap).origins(t)
-            assert exact(origins) == exact(
-                {h: finder.arrivals(h)[t] for h in range(kg.n_entities) if t in finder.arrivals(h)}
-            )
+        pairs = [(h, t) for h in range(kg.n_entities) for t in range(kg.n_entities)]
+        asked = [pairs[i] for i in np.random.default_rng(len(edges)).permutation(len(pairs))]
+        stats = PathStats()
+        assert exact(finder.find(asked + asked[::2], stats).pairs) == exact(everywhere)
+        assert (stats.pairs, stats.pairs_without_paths) == (
+            len(pairs), len(pairs) - len(everywhere)
+        )
 
 
 def test_walk_resources_matches_oracle(toy_kg):
@@ -334,7 +342,8 @@ def test_reliability_exactly_at_cutoff_is_dropped():
     (r, s) = kg.relation_id("r"), kg.relation_id("s")
     assert (r, s) in {p.relations for p in extract_paths(kg, 2, 0.4999).paths_between(a, c)}
     assert (r, s) not in {p.relations for p in extract_paths(kg, 2, 0.5).paths_between(a, c)}
-    assert (r, s) not in {p.relations for p in PathFinder(kg, 2, 0.5).paths_between(a, c)}
+    one_pair = PathFinder(kg, 2, 0.5).find([(a, c)])
+    assert (r, s) not in {p.relations for p in one_pair.paths_between(a, c)}
 
 
 def test_cap_breaks_reliability_ties_by_relations_across_lengths():
