@@ -5,18 +5,19 @@ Entities are ranked by E1(h,r,t) = ||h + r - t|| alone. Relations are ranked by
 over the pair's own paths P(h,t): ``evaluate`` finds the paths of its test
 pairs in one blocked walk (``PathFinder.find``) and ``explain`` those of its
 one pair, so both score a pair alike, bit for bit. Candidates are ranked
-ascending (lower energy = better). Each query scores every candidate once, and
-that one score vector gives both the raw and the filtered rank.
+ascending (lower energy = better). A rank counts the rivals of the true
+candidate, those with an energy no higher than its own, s_true; one rival
+mask gives both the raw and the filtered rank.
 
-E1 of a head or tail query is scanned from a dimension-major copy of the
-entity table (``column_dissimilarity``), made on the first entity query; the
-scan adds each candidate's terms in numpy's pairwise order, so the scores
-equal the row-major ``triple_energy`` bit for bit, which scans tables of
-fewer than ``Scorer.DIMENSION_MAJOR_FROM`` entities. A tail query computes
-h + r once. ``evaluate`` visits the entity queries grouped by relation (a
-stable order), so the head queries of one relation share e + r for every
-entity e, and writes each rank back at its triple's position: every list of
-ranks is aggregated in test-triple order. Relation scores are computed
+An entity query computes s_true with ``triple_energy``, then scans E1 of every
+candidate in float32 from a dimension-major copy of the entity table
+(``energy.Float32Scan``, made on the first entity query), each within a
+proven bound B of its exact energy. A candidate whose scan lies at or below
+s_true - B is a rival, one above s_true + B is not, and only the undecided
+band between (the true candidate, usually alone) is rescored with
+``triple_energy`` on its rows. So every rank is the one the exact energies of
+all candidates give. Tables of fewer than ``Scorer.PREFILTER_FROM`` entities
+are not scanned: every candidate is rescored. Relation scores are computed
 row-major over the base relations and never build the copy, so ``explain``
 does not either.
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .compose import Composer
 from .energy import (
-    column_dissimilarity, composed_relations, dissimilarity, signed_relations, triple_energy,
+    SCAN_MAX_DIM, Float32Scan, composed_relations, dissimilarity, signed_relations, triple_energy,
 )
 from .kg import KnowledgeGraph, Triple, distinct_sorted
 from .model import EmbeddingTable, TrainingConfig
@@ -90,10 +91,9 @@ class Scorer:
         self.composer = composer
         self.alpha = alpha_paths
         self.norm = norm
-        # the entity table as (dim, entities) and the scan's scratch, made on first use
-        self._by_dim: tuple[np.ndarray, np.ndarray] | None = None
-        self._shifted_r: int | None = None  # the relation of the last head query, and
-        self._shifted: np.ndarray | None = None  # e + r per entity e, (dim, entities)
+        self._scan: Float32Scan | None = None  # of the entity table, on first use
+        self._relation_sizes: np.ndarray | None = None  # sum |r| per base relation, with it too
+        self.rescored: list[int] = []  # candidates rescored exactly, per entity query
         self._composed: np.ndarray | None = None  # C(p) per distinct residual, on first use
 
     def path_penalty(self, paths: slice) -> np.ndarray:
@@ -116,36 +116,51 @@ class Scorer:
 
     # --- vectorized candidate scoring ---
 
-    # Tables of fewer entities are scanned row-major, with the same bits: there the
-    # scan's few numpy calls per block of 8 dimensions cost more than they save.
-    DIMENSION_MAJOR_FROM = 512
+    # Tables of fewer entities are not scanned, and every candidate is rescored:
+    # there the scan's numpy calls per query cost more than they save.
+    PREFILTER_FROM = 512
 
-    def _dimension_major(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The dimension-major copy of the entity table and the scan's scratch,
-        or None for a table scanned row-major."""
+    def _prefilter(self) -> Float32Scan | None:
+        """The float32 scan of the entity table, or None for a table whose every
+        candidate is rescored."""
         ent = self.emb.entities
-        if self._by_dim is None and len(ent) >= self.DIMENSION_MAJOR_FROM:
-            self._by_dim = np.ascontiguousarray(ent.T), np.empty((2, 8, len(ent)))
-        return self._by_dim
+        if self._scan is None and len(ent) >= self.PREFILTER_FROM and self.emb.dim <= SCAN_MAX_DIM:
+            self._scan = Float32Scan(ent, self.norm)
+            self._relation_sizes = np.abs(self.emb.relations).sum(axis=1)
+        return self._scan
 
     def tail_scores(self, h: int, r: int) -> np.ndarray:
-        ent, rvec = self.emb.entities, self.emb.relation_vec(r)
-        by_dim = self._dimension_major()
-        if by_dim is None:
-            return triple_energy(ent[h], rvec, ent, self.norm)
-        table, work = by_dim
-        return column_dissimilarity((ent[h] + rvec)[:, None], table, self.norm, work)
+        ent = self.emb.entities
+        return triple_energy(ent[h], self.emb.relation_vec(r), ent, self.norm)
 
     def head_scores(self, r: int, t: int) -> np.ndarray:
-        ent, rvec = self.emb.entities, self.emb.relation_vec(r)
-        by_dim = self._dimension_major()
-        if by_dim is None:
-            return triple_energy(ent, rvec, ent[t], self.norm)
-        table, work = by_dim
-        if self._shifted_r != r:
-            self._shifted = np.add(table, rvec[:, None], out=self._shifted)
-            self._shifted_r = r
-        return column_dissimilarity(self._shifted, ent[t][:, None], self.norm, work)
+        ent = self.emb.entities
+        return triple_energy(ent, self.emb.relation_vec(r), ent[t], self.norm)
+
+    def entity_rivals(self, h: int, r: int, t: int, slot: str) -> np.ndarray:
+        """Which entities score no higher than the true one as the ``slot``
+        ("head" or "tail") of (h, r, t), the true one among them: the mask
+        ``tail_scores(h, r) <= tail_scores(h, r)[t]`` (or the head's) gives."""
+        ent, rvec, norm = self.emb.entities, self.emb.relation_vec(r), self.norm
+
+        def exact(rows):
+            if slot == "tail":
+                return triple_energy(ent[h], rvec, ent[rows], norm)
+            return triple_energy(ent[rows], rvec, ent[t], norm)
+
+        true, side = (t, h) if slot == "tail" else (h, t)
+        scan = self._prefilter()
+        if scan is None:  # a small table: every candidate is rescored
+            self.rescored.append(len(ent))
+            scores = exact(slice(None))
+            return scores <= scores[true]
+        s_true = exact(true)
+        fixed = ent[h] + rvec if slot == "tail" else ent[t] - rvec
+        size = scan.sizes[side] + self._relation_sizes[r % self.emb.n_base_relations]
+        rivals, band = scan.undecided(fixed, size, s_true)
+        rivals[band] = exact(band) <= s_true
+        self.rescored.append(len(band))
+        return rivals
 
     def relation_scores(self, h: int, t: int) -> np.ndarray:
         ent, rels = self.emb.entities, self.emb.relations
@@ -156,13 +171,18 @@ class Scorer:
 
 
 def _rank(scores: np.ndarray, true_idx: int, excluded: np.ndarray) -> tuple[int, int]:
-    """(raw, filtered) 1-based pessimistic ranks of true_idx.
+    """(raw, filtered) 1-based pessimistic ranks of true_idx by ``scores``."""
+    return _rank_rivals(scores <= scores[true_idx], true_idx, excluded)
+
+
+def _rank_rivals(rivals: np.ndarray, true_idx: int, excluded: np.ndarray) -> tuple[int, int]:
+    """(raw, filtered) 1-based pessimistic ranks of true_idx, from the mask of
+    candidates that score no worse than it (which it may mark itself).
 
     ``excluded`` holds distinct ids that do not compete in the filtered rank; it
     may contain true_idx itself. The filtered rank is the raw rank less the
-    excluded rivals that score no worse than the true candidate.
+    excluded rivals.
     """
-    rivals = scores <= scores[true_idx]
     rivals[true_idx] = False
     raw = 1 + int(np.count_nonzero(rivals))
     return raw, raw - int(np.count_nonzero(rivals[excluded]))
@@ -174,12 +194,12 @@ def rank_entities(
     """(raw, filtered) rank of the true head or tail among all entities."""
     h, r, t = triple
     if slot == "tail":
-        scores, true_idx, known = scorer.tail_scores(h, r), t, kg.known_tails(h, r)
+        true_idx, known = t, kg.known_tails(h, r)
     elif slot == "head":
-        scores, true_idx, known = scorer.head_scores(r, t), h, kg.known_heads(r, t)
+        true_idx, known = h, kg.known_heads(r, t)
     else:
         raise ValueError(f"slot must be head or tail, got {slot!r}")
-    return _rank(scores, true_idx, known)
+    return _rank_rivals(scorer.entity_rivals(h, r, t, slot), true_idx, known)
 
 
 def rank_relations(scorer: Scorer, kg: KnowledgeGraph, triple: Triple) -> tuple[int, int]:
@@ -213,10 +233,14 @@ class EvalStats:
     test_pairs: int = 0  # distinct (head, tail) pairs of the test triples
     paths: PathStats = field(default_factory=PathStats)  # the walk; all 0 when skipped
     compiled: dict = field(default_factory=dict)  # the walked store's compile summary
-    seconds: dict[str, float] = field(default_factory=dict)  # per stage
+    entity_queries: int = 0  # head and tail queries ranked
+    rescored: dict[str, int] = field(default_factory=dict)  # their exact rescores: total, max
+    # per stage, and the p50 and p90 of one entity query's ranking time
+    seconds: dict[str, float] = field(default_factory=dict)
 
     def metrics(self) -> dict:
         return {"test_pairs": self.test_pairs, **asdict(self.paths), **self.compiled,
+                "entity_queries": self.entity_queries, "rescored": self.rescored,
                 "seconds": self.seconds}
 
 
@@ -247,21 +271,28 @@ def evaluate(
     stats.seconds["walk"] = time.perf_counter() - start
     scorer = Scorer(emb, store, Composer(index), alpha_paths, norm)
     tasks = ["entity-head", "entity-tail"] + ["relation"] * rank_relations_too
-    ranks = {(task, setting): [0] * len(triples)
-             for task in tasks for setting in ("raw", "filtered")}
-    # Triples are visited grouped by relation, so the head queries of a relation
-    # share the scorer's e + r; each rank goes back to its triple's position.
+    ranks = {(task, setting): [] for task in tasks for setting in ("raw", "filtered")}
+    latencies = []
     start = time.perf_counter()
-    for i in np.argsort([r for _, r, _ in triples], kind="stable").tolist():
+    for triple in triples:
         for slot in ("head", "tail"):
-            ranks[(f"entity-{slot}", "raw")][i], ranks[(f"entity-{slot}", "filtered")][i] = (
-                rank_entities(scorer, kg, triples[i], slot))
+            begin = time.perf_counter()
+            raw, filtered = rank_entities(scorer, kg, triple, slot)
+            latencies.append(time.perf_counter() - begin)
+            ranks[(f"entity-{slot}", "raw")].append(raw)
+            ranks[(f"entity-{slot}", "filtered")].append(filtered)
     stats.seconds["entity_ranking"] = time.perf_counter() - start
+    latencies.sort()
+    for q in (50, 90):  # nearest rank; np.percentile would import numpy.ma (11 ms)
+        stats.seconds[f"entity_query_p{q}"] = latencies[-(-len(latencies) * q // 100) - 1]
+    stats.entity_queries = len(scorer.rescored)
+    stats.rescored = {"total": sum(scorer.rescored), "max": max(scorer.rescored)}
     start = time.perf_counter()
     if rank_relations_too:
-        for i, triple in enumerate(triples):
-            ranks[("relation", "raw")][i], ranks[("relation", "filtered")][i] = (
-                rank_relations(scorer, kg, triple))
+        for triple in triples:
+            raw, filtered = rank_relations(scorer, kg, triple)
+            ranks[("relation", "raw")].append(raw)
+            ranks[("relation", "filtered")].append(filtered)
     stats.seconds["relation_ranking"] = time.perf_counter() - start
     stats.compiled = scorer.composer.compile(store).summary()
     categories = relation_categories(kg)

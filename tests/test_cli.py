@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rpje import cli, model
+from rpje import cli, evaluation, model
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from rpje.config import load_config_file
 from rpje.kg import load_dataset
@@ -584,35 +584,54 @@ def test_eval_on_empty_test_split_exits_two(pipeline, tmp_path, capsys, monkeypa
     assert walks == []
 
 
-def test_eval_appends_metrics_line(pipeline, tmp_path, capsys):
+def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
     """eval appends one line: the test pairs, the walk of their paths, the
-    store's compile summary and per-stage seconds; its stdout is unchanged."""
+    store's compile summary, the entity queries and how many candidates they
+    rescored exactly, and per-stage seconds with the p50 and p90 of one entity
+    query; its stdout is unchanged. With the float32 prefilter on the toy table
+    or without it, the line differs only in the rescores, and the report not at
+    all."""
     _, files, fast = pipeline
     out = tmp_path / "out"
     shutil.copytree(pipeline[0], out)
-    before = (out / "metrics.jsonl").read_text().splitlines()
-    capsys.readouterr()
-    assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_OK
-    stdout = capsys.readouterr().out
-    assert "{" not in stdout
-    lines = (out / "metrics.jsonl").read_text().splitlines()
-    assert lines[:-1] == before
-    line = json.loads(lines[-1])
-    assert set(line) == {
-        "command", "test_pairs", "pairs", "pairs_without_paths", "paths", "paths_below_cutoff",
-        "paths_over_cap", "fully_composed_frac", "residual_lengths", "seconds",
-    }
-    assert line["command"] == "eval"
     kg = load_dataset(files["train"], files["valid"], files["test"])
     test_pairs = {(h, t) for h, _, t in kg.test}
-    assert line["test_pairs"] == line["pairs"] == len(test_pairs)
-    assert 0 < line["pairs"] - line["pairs_without_paths"] <= line["pairs"]
-    assert 0.0 <= line["fully_composed_frac"] <= 1.0
-    lengths = line["residual_lengths"]
-    assert line["paths"] > 0 and sum(lengths.values()) == line["paths"]
-    assert line["fully_composed_frac"] == lengths.get("1", 0) / line["paths"]
-    assert set(line["seconds"]) == {"walk", "entity_ranking", "relation_ranking"}
-    assert all(isinstance(v, float) and v >= 0 for v in line["seconds"].values())
+    outputs, rescored = [], []
+    for prefilter_from in (0, evaluation.Scorer.PREFILTER_FROM):
+        monkeypatch.setattr(evaluation.Scorer, "PREFILTER_FROM", prefilter_from)
+        before = (out / "metrics.jsonl").read_text().splitlines()
+        capsys.readouterr()
+        assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "{" not in stdout
+        outputs.append((stdout, (out / "eval_report.csv").read_bytes()))
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        assert lines[:-1] == before
+        line = json.loads(lines[-1])
+        assert set(line) == {
+            "command", "test_pairs", "pairs", "pairs_without_paths", "paths",
+            "paths_below_cutoff", "paths_over_cap", "fully_composed_frac", "residual_lengths",
+            "entity_queries", "rescored", "seconds",
+        }
+        assert line["command"] == "eval"
+        assert line["test_pairs"] == line["pairs"] == len(test_pairs)
+        assert 0 < line["pairs"] - line["pairs_without_paths"] <= line["pairs"]
+        assert 0.0 <= line["fully_composed_frac"] <= 1.0
+        lengths = line["residual_lengths"]
+        assert line["paths"] > 0 and sum(lengths.values()) == line["paths"]
+        assert line["fully_composed_frac"] == lengths.get("1", 0) / line["paths"]
+        assert line["entity_queries"] == 2 * len(kg.test)
+        assert set(line["rescored"]) == {"total", "max"}
+        assert 1 <= line["rescored"]["max"] <= kg.n_entities
+        assert line["rescored"]["total"] <= line["entity_queries"] * kg.n_entities
+        rescored.append(line["rescored"])
+        assert set(line["seconds"]) == {
+            "walk", "entity_ranking", "relation_ranking", "entity_query_p50", "entity_query_p90",
+        }
+        assert all(isinstance(v, float) and v >= 0 for v in line["seconds"].values())
+        assert line["seconds"]["entity_query_p50"] <= line["seconds"]["entity_query_p90"]
+    assert outputs[0] == outputs[1]
+    assert rescored[0]["total"] < rescored[1]["total"] == 2 * len(kg.test) * kg.n_entities
     assert main(["eval", *data_flags(files), "--out", str(out), *fast, "--alpha1", "0"]) == EXIT_OK
     skipped = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
     assert skipped["test_pairs"] == len(test_pairs)

@@ -1,30 +1,35 @@
-"""Entity ranking from the dimension-major copy of the entity table: the scan
-against row-major ``triple_energy`` in ``float.hex``, and ``evaluate``'s
-relation-ordered visit against a loop in test-triple order."""
+"""Entity ranking from the float32 prefilter: ranks against the brute-force
+oracle on wide, tiny, tied and degenerate tables, and ``evaluate``'s reports
+against a loop in test-triple order."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rpje.compose import Composer
-from rpje.energy import column_dissimilarity, triple_energy
-from rpje.evaluation import Scorer, evaluate, explain
-from rpje.model import TrainingConfig, init_embeddings
+from rpje.evaluation import Scorer, evaluate, explain, rank_entities
+from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import PathFinder, extract_paths
 from rpje.rules import build_index
 
+from conftest import make_kg
 from oracles import evaluate_in_triple_order
+from test_evaluation import brute_rank
+
+# log10 of the magnitudes of each kind of table
+MAGNITUDES = {"wide": (-150, 150), "mid": (-30, 14), "tiny": (-50, -20)}
 
 
-def hexes(values) -> list[str]:
-    return [float(v).hex() for v in np.ravel(values)]
-
-
-def wide_values(rng, shape, kind):
-    """Floats of magnitude 1e-150..1e150 with random signs, or small integers
-    (many exact ties); either with a share of +0.0 and -0.0."""
-    if kind == "wide":
-        x = 10.0 ** rng.uniform(-150, 150, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+def table_values(rng, shape, kind):
+    """Floats with random signs: of magnitude 10^lo..10^hi per ``MAGNITUDES`` (wide
+    reaches beyond float32's range, tiny into float32's subnormals and below),
+    standard normal (unit), or small integers (ties, many of them exact); each
+    kind with a share of +0.0 and -0.0."""
+    if kind in MAGNITUDES:
+        x = 10.0 ** rng.uniform(*MAGNITUDES[kind], size=shape)
+        x *= rng.choice([-1.0, 1.0], size=shape)
+    elif kind == "unit":
+        x = rng.normal(size=shape)
     else:
         x = rng.integers(-3, 4, size=shape).astype(float)
     zeros = rng.random(shape) < 0.1
@@ -32,35 +37,99 @@ def wide_values(rng, shape, kind):
     return x
 
 
+def ring_kg(n_ent, n_rel):
+    """A KG whose train split links entity i to i + 1 (mod n_ent) by relation
+    i mod n_rel, so every entity and relation has an id, and the filtered rank
+    excludes one known end."""
+    return make_kg([(f"e{i % n_ent}", f"r{i % n_rel}", f"e{(i + 1) % n_ent}")
+                    for i in range(max(n_ent, n_rel))])
+
+
+def assert_ranks_match(ent, rel, norm, triples):
+    """Raw and filtered head and tail ranks of each triple (relation ids of both
+    directions) equal ``brute_rank``'s, with every table scanned in float32."""
+    kg = ring_kg(len(ent), len(rel))
+    assert (kg.n_entities, kg.n_base_relations) == (len(ent), len(rel))
+    scorer = Scorer(EmbeddingTable(ent, rel), PathFinder(kg, 2).find([]),
+                    Composer(build_index([], 0.7)), 1.0, norm)
+    scorer.PREFILTER_FROM = 0
+    for triple in triples:
+        for slot in ("head", "tail"):
+            got = rank_entities(scorer, kg, triple, slot)
+            assert got == tuple(brute_rank(scorer, kg, triple, slot, setting)
+                                for setting in ("raw", "filtered")), (triple, slot)
+    assert scorer._scan is not None and len(scorer.rescored) == 2 * len(triples)
+
+
 @given(
     dim=st.integers(1, 300),
     n_ent=st.integers(1, 50),
+    n_rel=st.integers(1, 3),
     norm=st.sampled_from(["L1", "L2"]),
-    kind=st.sampled_from(["wide", "ties"]),
+    kind=st.sampled_from(["wide", "mid", "tiny", "unit", "ties"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(dim=7, n_ent=3, norm="L1", kind="wide", seed=0)
-@example(dim=8, n_ent=3, norm="L2", kind="wide", seed=1)
-@example(dim=128, n_ent=5, norm="L1", kind="wide", seed=2)
-@example(dim=129, n_ent=5, norm="L2", kind="wide", seed=3)
-@example(dim=136, n_ent=50, norm="L1", kind="ties", seed=4)
-@example(dim=300, n_ent=2, norm="L2", kind="wide", seed=5)
-@settings(max_examples=150, deadline=None)
-def test_scan_matches_row_major_energy(dim, n_ent, norm, kind, seed):
-    """Tail and head energies from the dimension-major table equal row-major
-    ``triple_energy`` bit for bit, for dims in every branch of numpy's summation
-    order (<8, 8..128, >128)."""
+@example(dim=7, n_ent=3, n_rel=1, norm="L1", kind="wide", seed=0)
+@example(dim=8, n_ent=3, n_rel=2, norm="L2", kind="wide", seed=1)
+@example(dim=128, n_ent=5, n_rel=1, norm="L1", kind="mid", seed=2)
+@example(dim=129, n_ent=5, n_rel=3, norm="L2", kind="tiny", seed=3)
+@example(dim=136, n_ent=50, n_rel=1, norm="L1", kind="ties", seed=4)
+@example(dim=300, n_ent=2, n_rel=2, norm="L2", kind="unit", seed=5)
+@settings(max_examples=200, deadline=None)
+def test_prefilter_ranks_match_brute_force(dim, n_ent, n_rel, norm, kind, seed):
+    """Raw and filtered, head and tail ranks from the float32 prefilter equal the
+    brute-force oracle's, for dims across numpy's summation orders (<8, 8..128,
+    >128), magnitudes 1e-150..1e150, exact ties (a repeated row) and near ties
+    (a row one float64 step from another)."""
     rng = np.random.default_rng(seed)
-    ent = wide_values(rng, (n_ent, dim), kind)
+    ent = table_values(rng, (n_ent, dim), kind)
     if n_ent > 1:
-        ent[-1] = ent[0]  # an exact tie between two candidates
-    r = wide_values(rng, dim, kind)
-    by_dim = np.ascontiguousarray(ent.T)
-    for e in {0, n_ent - 1}:
-        tail = column_dissimilarity((ent[e] + r)[:, None], by_dim, norm)
-        assert hexes(tail) == hexes(triple_energy(ent[e], r, ent, norm))
-        head = column_dissimilarity(by_dim + r[:, None], ent[e][:, None], norm)
-        assert hexes(head) == hexes(triple_energy(ent, r, ent[e], norm))
+        ent[-1] = ent[0]
+    if n_ent > 2:
+        ent[-2] = ent[0]
+        i = rng.integers(dim)
+        ent[-2, i] = np.nextafter(ent[0, i], rng.choice([-np.inf, np.inf]))
+    rel = table_values(rng, (n_rel, dim), kind)
+    ends = sorted({0, n_ent - 1, int(rng.integers(n_ent))})
+    triples = [(a, int(rng.integers(2 * n_rel)), b) for a in ends for b in ends]
+    assert_ranks_match(ent, rel, norm, triples)
+
+
+def edge_table(case, rng):
+    """Entity and relation rows of one degenerate table, 8 entities of dim 12."""
+    ent, rel = rng.normal(size=(8, 12)), rng.normal(size=(2, 12))
+    if case == "all-tie":  # integer rows, each a signed permutation of one row
+        base = rng.integers(-4, 5, size=12).astype(float)
+        ent = np.array([rng.permutation(base) * rng.choice([-1.0, 1.0], size=12)
+                        for _ in range(8)])
+        rel = np.array([-ent[0], ent[0]])  # 0 + r, and t - r for t = 0, cancel to 0
+    elif case == "beyond-float32":
+        ent[1, 3], ent[2] = 1e39, ent[2] * 1e150
+        ent[3, 0] = 2.0**50 * 1.5  # float32 holds it, but the scan leaves it out
+    elif case == "nan":
+        ent[1], ent[2, 5] = np.nan, np.nan
+    elif case == "cancel":  # huge h = -r and t = r, with small other entities
+        rel[0] *= 2.0**70
+        ent[0], ent[1] = -rel[0], rel[0]
+    elif case in ("subnormal", "underflow"):
+        # values in float32's subnormal range, or whose squares underflow there,
+        # and rows within 1e-6 of row 0 that float32 cannot tell apart from it
+        ent[4:] = ent[0] * (1 + np.array([-2e-6, -1e-6, 1e-6, 2e-6]))[:, None]
+        scale = 2.0**-140 if case == "subnormal" else 2.0**-80
+        ent, rel = ent * scale, rel * scale
+    return ent, rel
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+@pytest.mark.parametrize(
+    "case", ["all-tie", "beyond-float32", "nan", "cancel", "subnormal", "underflow"])
+def test_prefilter_ranks_on_edge_tables(case, norm):
+    """Ranks equal the brute-force oracle's for every triple of tables where every
+    candidate ties, where rows lie beyond float32's range or hold NaN, where
+    h + r or t - r cancels between huge terms, and where float32 underflows."""
+    ent, rel = edge_table(case, np.random.default_rng(7))
+    triples = [(h, r, t) for h in range(8) for r in range(4) for t in range(8)]
+    assert_ranks_match(ent, rel, norm, triples)
 
 
 def toy_setup(toy_kg):
@@ -70,14 +139,15 @@ def toy_setup(toy_kg):
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
 @pytest.mark.parametrize("relations_too", [True, False])
-@pytest.mark.parametrize("dimension_major_from", [0, Scorer.DIMENSION_MAJOR_FROM])
-def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too, dimension_major_from,
+@pytest.mark.parametrize("prefilter_from", [0, Scorer.PREFILTER_FROM])
+def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too, prefilter_from,
                                             monkeypatch):
     """Reports, per-category hits included, equal those of one query after
     another in test-triple order, on query triples shuffled across relations,
-    with the toy table scanned dimension-major or row-major. The toy test split
-    holds two N-1 relations, so train triples of every relation join it."""
-    monkeypatch.setattr(Scorer, "DIMENSION_MAJOR_FROM", dimension_major_from)
+    with the toy table prefiltered in float32 or every candidate rescored. The
+    toy test split holds two N-1 relations, so train triples of every relation
+    join it."""
+    monkeypatch.setattr(Scorer, "PREFILTER_FROM", prefilter_from)
     emb, _, index = toy_setup(toy_kg)
     rng = np.random.default_rng(0)
     queries = toy_kg.test + [toy_kg.train[i] for i in rng.choice(len(toy_kg.train), 60, False)]
@@ -94,23 +164,24 @@ def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too, dimensi
 
 
 def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
-    """Relation ranking, and so ``explain``, never copies the entity table; the
-    first entity query does, and only for a table of at least
-    ``DIMENSION_MAJOR_FROM`` entities."""
+    """Relation ranking, and so ``explain``, never builds the float32 copy of the
+    entity table; the first entity query does, and only for a table of at least
+    ``PREFILTER_FROM`` entities."""
     emb, store, index = toy_setup(toy_kg)
-    assert emb.n_entities < Scorer.DIMENSION_MAJOR_FROM
+    assert emb.n_entities < Scorer.PREFILTER_FROM
     scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
-    scorer.tail_scores(0, 0)
-    scorer.head_scores(0, 1)
-    assert scorer._by_dim is None
-    monkeypatch.setattr(Scorer, "DIMENSION_MAJOR_FROM", 0)
+    for slot in ("head", "tail"):
+        rank_entities(scorer, toy_kg, toy_kg.test[0], slot)
+    assert scorer._scan is None and scorer.rescored == [emb.n_entities] * 2
+    monkeypatch.setattr(Scorer, "PREFILTER_FROM", 0)
     calls = []
-    real = Scorer._dimension_major
-    monkeypatch.setattr(Scorer, "_dimension_major", lambda self: calls.append(1) or real(self))
+    real = Scorer._prefilter
+    monkeypatch.setattr(Scorer, "_prefilter", lambda self: calls.append(1) or real(self))
     explain(emb, PathFinder(toy_kg, 2), index, toy_kg, 0, 1)
     scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
     for h in range(5):
         scorer.relation_scores(h, h + 1)
-    assert calls == [] and scorer._by_dim is None
-    scorer.tail_scores(0, 0)
-    assert scorer._by_dim[0].shape == (emb.dim, emb.n_entities)
+    assert calls == [] and scorer._scan is None
+    rank_entities(scorer, toy_kg, toy_kg.test[0], "tail")
+    assert scorer._scan.table.shape == (emb.dim, emb.n_entities)
+    assert scorer._scan.table.dtype == np.float32

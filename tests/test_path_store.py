@@ -54,12 +54,17 @@ def random_table(rng, n_ent, n_base, dim):
 
 
 def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
-    """Entity scores for every relation, inverse ids included, and relation
-    scores for every pair, as whole vectors and one candidate at a time."""
+    """Entity scores for every relation, inverse ids included, the rivals of
+    every true entity among them, and relation scores for every pair, as whole
+    vectors and one candidate at a time."""
     for r in range(n_rel):
         for e in range(n_ent):
-            assert hexes(scorer.tail_scores(e, r)) == hexes(oracle.tail_scores(e, r))
-            assert hexes(scorer.head_scores(r, e)) == hexes(oracle.head_scores(r, e))
+            tails, heads = oracle.tail_scores(e, r), oracle.head_scores(r, e)
+            assert hexes(scorer.tail_scores(e, r)) == hexes(tails)
+            assert hexes(scorer.head_scores(r, e)) == hexes(heads)
+            for true in range(n_ent):
+                assert (scorer.entity_rivals(e, r, true, "tail") == (tails <= tails[true])).all()
+                assert (scorer.entity_rivals(true, r, e, "head") == (heads <= heads[true])).all()
     for h in range(n_ent):
         for t in range(n_ent):
             scores = scorer.relation_scores(h, t)
@@ -77,14 +82,14 @@ def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
     norm=st.sampled_from(["L1", "L2"]),
     dim=st.sampled_from([3, 8, 17, 32, 136]),
     alpha=st.sampled_from([1.0, 0.35]),
-    dimension_major=st.booleans(),
+    prefilter=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
 def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density, many, norm,
-                                        dim, alpha, dimension_major):
-    """Tail and head scores (E1) and relation scores (Q) from the compiled store
-    equal the per-path loop over the dict oracle, on random stores and rule sets,
-    with the entity table scanned row-major or dimension-major."""
+                                        dim, alpha, prefilter):
+    """Tail and head scores (E1), their rivals, and relation scores (Q) from the
+    compiled store equal the per-path loop over the dict oracle, on random stores
+    and rule sets, with the entity table prefiltered in float32 or not."""
     rng = np.random.default_rng(seed)
     all_pairs = [(h, t) for h in range(n_ent) for t in range(n_ent)]
     chosen = rng.permutation(len(all_pairs))[: int(rng.integers(0, len(all_pairs) + 1))]
@@ -92,8 +97,8 @@ def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density,
     index = random_index(rng, n_base, density)
     emb = random_table(rng, n_ent, n_base, dim)
     scorer = Scorer(emb, store, Composer(index), alpha, norm)
-    if dimension_major:
-        scorer.DIMENSION_MAJOR_FROM = 0
+    if prefilter:
+        scorer.PREFILTER_FROM = 0
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), alpha, norm)
     assert_scores_match(scorer, oracle, n_ent, 2 * n_base, n_base)
 
