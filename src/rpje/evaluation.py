@@ -16,10 +16,10 @@ proven bound B of its exact energy. A candidate whose scan lies at or below
 s_true - B is a rival, one above s_true + B is not, and only the undecided
 band between (the true candidate, usually alone) is rescored with
 ``triple_energy`` on its rows. So every rank is the one the exact energies of
-all candidates give. Tables of fewer than ``Scorer.PREFILTER_FROM`` entities
-are not scanned: every candidate is rescored. Relation scores are computed
-row-major over the base relations and never build the copy, so ``explain``
-does not either.
+all candidates give. Tables of fewer than ``Scorer.PREFILTER_FROM`` cells
+(entities × dim) are not scanned: every candidate is rescored. Relation scores
+are computed row-major over the base relations and never build the copy, so
+``explain`` does not either.
 
 The filtered setting removes corrupted candidates already present anywhere in
 the KG, looked up in the graph's array filter index (``known_tails``/
@@ -116,15 +116,17 @@ class Scorer:
 
     # --- vectorized candidate scoring ---
 
-    # Tables of fewer entities are not scanned, and every candidate is rescored:
-    # there the scan's numpy calls per query cost more than they save.
-    PREFILTER_FROM = 512
+    # Tables of fewer entity x dim cells are not scanned, and every candidate is
+    # rescored: there the scan's numpy calls per query cost more than they save.
+    # The exact pass costs per cell, so this is 512 entities at dim 32 and 164 at
+    # dim 100.
+    PREFILTER_FROM = 1 << 14
 
     def _prefilter(self) -> Float32Scan | None:
         """The float32 scan of the entity table, or None for a table whose every
         candidate is rescored."""
         ent = self.emb.entities
-        if self._scan is None and len(ent) >= self.PREFILTER_FROM and self.emb.dim <= SCAN_MAX_DIM:
+        if self._scan is None and ent.size >= self.PREFILTER_FROM and self.emb.dim <= SCAN_MAX_DIM:
             self._scan = Float32Scan(ent, self.norm)
             self._relation_sizes = np.abs(self.emb.relations).sum(axis=1)
         return self._scan

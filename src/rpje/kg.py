@@ -9,8 +9,10 @@ tuple lists, membership sets and indexes are built from it on first use.
 
 Adjacency is built over the train split only and always contains both directions
 of every train triple, so there are exactly 2*|train| directed edges. It is one
-CSR (``KnowledgeGraph.csr``) sorted by (entity, relation, neighbour). The filter
-index behind ``known_tails``/``known_heads`` covers all three splits.
+CSR (``KnowledgeGraph.csr``) sorted by (entity, relation, neighbour), which also
+holds the index of each edge's reverse (the edge from its neighbour back under
+the inverse relation). The filter index behind ``known_tails``/``known_heads``
+covers all three splits.
 
 ``dataset_hash`` is a SHA-256 over the interned graph, so row order is part of a
 dataset's identity; checkpoints and path caches are keyed on it.
@@ -125,6 +127,7 @@ class AdjacencyCSR(NamedTuple):
     relation: np.ndarray
     neighbour: np.ndarray
     group_size: np.ndarray  # edges sharing this edge's (entity, relation)
+    reverse: np.ndarray     # the edge (neighbour, inverse relation, entity)
 
 
 def _adjacency_csr(train: np.ndarray, n_entities: int, n_base: int) -> AdjacencyCSR:
@@ -139,7 +142,10 @@ def _adjacency_csr(train: np.ndarray, n_entities: int, n_base: int) -> Adjacency
     sizes = np.diff(starts, append=len(group))
     indptr = np.zeros(n_entities + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_entities), out=indptr[1:])
-    return AdjacencyCSR(indptr, rel, nbr, np.repeat(sizes, sizes))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    reverse = position[(order + len(h)) % len(order)]  # edge i and i ± |train| are reverses
+    return AdjacencyCSR(indptr, rel, nbr, np.repeat(sizes, sizes), reverse)
 
 
 class KnowledgeGraph:
@@ -392,7 +398,7 @@ class _FilterIndex:
 
 
 _CACHE_MAGIC = b"RPJEDSET"
-_CACHE_VERSION = 2  # 2: the train CSR follows the names
+_CACHE_VERSION = 3  # 2: the train CSR follows the names; 3: with its reverse-edge index
 # magic, version, source key, dataset hash, entity and relation counts,
 # train/valid/test rows, entity and relation name bytes
 _CACHE_HEADER = struct.Struct("<8sH32s32s5I2Q")
@@ -414,7 +420,7 @@ def _source_key(sources: list[bytes]) -> bytes:
 def _write_cache(graph: KnowledgeGraph, key: bytes, path) -> None:
     """Header, the three id arrays as int32, the entity and the relation names, each
     list joined by newlines, zeros up to a multiple of 8 bytes, then the train CSR's
-    ``indptr``, ``relation``, ``neighbour`` and ``group_size`` as int64."""
+    ``indptr``, ``relation``, ``neighbour``, ``group_size`` and ``reverse`` as int64."""
     splits = (graph.train_ids, graph.valid_ids, graph.test_ids)
     names = ["\n".join(graph.entity_names).encode(), "\n".join(graph.relation_names).encode()]
     header = _CACHE_HEADER.pack(
@@ -437,15 +443,17 @@ def _read_csr(
 ) -> AdjacencyCSR | None:
     """The CSR stored at ``offset``, or None if it fails a range check. Values in
     range are trusted: the cache is keyed on the split files' bytes."""
-    indptr, relation, neighbour, group_size = csr = AdjacencyCSR(*np.split(
-        np.frombuffer(data, "<i8", n_ent + 1 + 3 * n_edges, offset),
-        np.cumsum([n_ent + 1, n_edges, n_edges]),
+    indptr, relation, neighbour, group_size, reverse = csr = AdjacencyCSR(*np.split(
+        np.frombuffer(data, "<i8", n_ent + 1 + 4 * n_edges, offset),
+        np.cumsum([n_ent + 1, n_edges, n_edges, n_edges]),
     ))
     if indptr[0] != 0 or indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any():
         return None
     if relation.min() < 0 or relation.max() >= 2 * n_base:
         return None
     if neighbour.min() < 0 or neighbour.max() >= n_ent or group_size.min() < 1:
+        return None
+    if reverse.min() < 0 or reverse.max() >= n_edges:
         return None
     return csr
 
@@ -467,7 +475,7 @@ def _read_cache(path, key: bytes) -> KnowledgeGraph | None:
         return None
     names_end = _CACHE_HEADER.size + 12 * sum(rows) + sum(name_bytes)
     csr_offset, n_edges = names_end + -names_end % 8, 2 * rows[0]
-    if len(data) != csr_offset + 8 * (n_ent + 1 + 3 * n_edges):
+    if len(data) != csr_offset + 8 * (n_ent + 1 + 4 * n_edges):
         return None
     offset, splits = _CACHE_HEADER.size, []
     for n in rows:

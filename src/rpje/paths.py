@@ -21,14 +21,30 @@ expanded in frontier order, each entity's in (relation, neighbour) order, and
 the next frontier keeps each entry where its first share arrived. So every
 reliability is the same left-to-right float sum as a walk over per-entity
 dicts in first-insertion order (kept as the oracle in ``tests/test_paths.py``),
-bit for bit. On the last hop, edges towards unwanted tails are dropped before
-summing: ``extract_paths`` wants the tails of the pairs it is given (the train
-pairs unless told otherwise).
+bit for bit. On the last hop only edges towards wanted tails count:
+``extract_paths`` wants the tails of the pairs it is given (the train pairs
+unless told otherwise).
 
-Heads are walked in consecutive blocks of about ``_BLOCK_EDGES`` expanded
-edges, counted as walks of 1..max_steps hops (an upper bound on the edges a
-head expands). That bounds the kernel's working set, except for a head whose
-own walks exceed the limit.
+That last hop runs in the cheaper of two forms, chosen per block (``_joins``).
+Expanded, it gathers every edge of every frontier entry and drops those
+towards unwanted tails. Joined, it gathers the edges e -> t into the tail t
+of each wanted (head, t) pair, as the reverses of t's own edges
+(``AdjacencyCSR.reverse``), so each keeps the ``group_size`` of e's edges
+under its relation. Keyed by ``head * n_entities + e``, they are handed out
+entry by entry in frontier order, each entry (head, e) taking only its
+matches. Both forms keep the same (entry, edge) set, and the shares landing
+on one (group, relation, tail) come from distinct entries, so they reach
+``np.bincount`` in frontier order either way: the sums keep their bits. The
+join costs about ``_JOIN_COST`` expanded edges per edge into a wanted tail,
+plus ``_JOIN_SETUP`` per block, and wins when the frontier's edges mostly
+miss the wanted tails, as on walks out of hubs.
+
+Heads are walked in consecutive blocks of about ``_BLOCK_EDGES`` work: a
+head's walks of 1..max_steps - 1 hops (an upper bound on the edges it expands
+before the last hop) plus the cheaper form of its last hop, its walks of
+max_steps hops or ``_JOIN_COST`` per edge into its wanted tails. That bounds
+the kernel's working set, except for a head whose own work exceeds the limit.
+``extract_paths`` counts each walk's blocks and last-hop edges in ``PathStats``.
 
 The kept paths form a ``PathStore``, the one path provider: arrays laid out
 like the ``paths.bin`` body, pairs sorted by (head, tail) with an ``indptr``
@@ -61,6 +77,10 @@ DEFAULT_PER_PAIR_CAP = 200
 
 # Work of one block of heads, in expanded edges; each takes about 100 bytes.
 _BLOCK_EDGES = 1 << 15
+# The cost of a join, in expanded edges: per edge into a wanted tail, and once
+# per block for its extra numpy calls.
+_JOIN_COST = 4
+_JOIN_SETUP = 1 << 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,13 +91,17 @@ class Path:
 
 @dataclass
 class PathStats:
-    """Counts from one ``extract_paths`` run, over the train pairs it scores."""
+    """Counts from one ``extract_paths`` run, over the pairs it walks."""
 
     pairs: int = 0
     pairs_without_paths: int = 0
     paths: int = 0               # kept
     paths_below_cutoff: int = 0  # reliability <= cutoff
     paths_over_cap: int = 0      # above the cutoff, beyond per_pair_cap
+    blocks: int = 0              # blocks of heads walked
+    blocks_joined: int = 0       # of them, those whose last hop ran as a join
+    last_hop_gathered: int = 0   # edges the last hops gathered
+    last_hop_kept: int = 0       # of them, those that carried a share to a wanted tail
 
 
 class _Arrivals(NamedTuple):
@@ -97,13 +121,17 @@ class _Arrivals(NamedTuple):
         return cls(none, none, np.zeros((0, max_steps), dtype=np.int64), np.zeros(0))
 
 
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, index) of every index in ``first[i]:first[i] + count[i]``, in order."""
+    source = np.repeat(np.arange(len(first)), count)
+    offset = np.repeat(first - (np.cumsum(count) - count), count)
+    return source, np.arange(len(source)) + offset
+
+
 def _edges(csr: AdjacencyCSR, entities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(position in ``entities``, CSR edge index) of every outgoing edge, in order."""
     first = csr.indptr[entities]
-    degree = csr.indptr[entities + 1] - first
-    source = np.repeat(np.arange(len(entities)), degree)
-    offset = np.repeat(first - (np.cumsum(degree) - degree), degree)
-    return source, np.arange(len(source)) + offset
+    return _ranges(first, csr.indptr[entities + 1] - first)
 
 
 class _Wanted(NamedTuple):
@@ -120,6 +148,10 @@ class _Wanted(NamedTuple):
         is_tail[keys[lo:hi] % n_ent] = True
         return cls(keys[lo:hi], is_tail)
 
+    @property
+    def tails(self) -> np.ndarray:
+        return self.keys % len(self.is_tail)
+
     def select(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
         """Indices i at which (heads[i], tails[i]) is wanted."""
         maybe = np.flatnonzero(self.is_tail[tails])
@@ -127,23 +159,84 @@ class _Wanted(NamedTuple):
         at = np.minimum(np.searchsorted(self.keys, pair), len(self.keys) - 1)
         return maybe[self.keys[at] == pair]
 
+    def join(
+        self, csr: AdjacencyCSR, heads: np.ndarray, entities: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """(i, CSR edge) of every edge from entities[i] to a wanted tail of heads[i],
+        i ascending, and how many of the edges into the wanted tails that takes.
+
+        The edges into a tail are the reverses of its own edges; each is keyed
+        by ``head * n_entities + entity`` of its wanted pair and its source, and
+        every entry i takes the edges with its key.
+        """
+        n_ent, tails = len(self.is_tail), self.tails
+        pair, inward = _edges(csr, tails)
+        source = csr.neighbour[inward]
+        key = self.keys[pair] - tails[pair] + source
+        order = np.argsort(key)
+        key, edge = key[order], csr.reverse[inward[order]]
+        is_source = np.zeros(n_ent, dtype=bool)
+        is_source[source] = True
+        maybe = np.flatnonzero(is_source[entities])
+        probe = heads[maybe] * n_ent + entities[maybe]
+        first = np.searchsorted(key, probe)
+        entry, at = _ranges(first, np.searchsorted(key, probe, "right") - first)
+        taken = np.zeros(len(key), dtype=bool)
+        taken[at] = True
+        return maybe[entry], edge[at], int(np.count_nonzero(taken))
+
+
+def _joins(inward: int, outward: int) -> bool:
+    """Whether a last hop joins on the ``inward`` edges into its wanted tails,
+    rather than expanding the ``outward`` edges of its frontier."""
+    return _JOIN_COST * inward + _JOIN_SETUP < outward
+
+
+def _last_hop(
+    csr: AdjacencyCSR, wanted: _Wanted, heads: np.ndarray, entities: np.ndarray, stats: PathStats
+) -> tuple[np.ndarray, np.ndarray]:
+    """(i, CSR edge) of every edge from entities[i] to a wanted tail of heads[i],
+    i ascending: a join on the edges into the wanted tails when that costs less
+    than expanding every edge of ``entities``. Its work goes to ``stats``."""
+    first = csr.indptr[entities]
+    degree = csr.indptr[entities + 1] - first
+    tails = wanted.tails
+    # A tail's edges, reversed, are the edges into it.
+    inward = int((csr.indptr[tails + 1] - csr.indptr[tails]).sum())
+    if _joins(inward, int(degree.sum())):
+        source, edge, kept = wanted.join(csr, heads, entities)
+        stats.blocks_joined += 1
+        stats.last_hop_gathered += inward
+    else:
+        source, edge = _ranges(first, degree)
+        keep = wanted.select(heads[source], csr.neighbour[edge])
+        stats.last_hop_gathered += len(edge)
+        source, edge, kept = source[keep], edge[keep], len(keep)
+    stats.last_hop_kept += kept
+    return source, edge
+
 
 def _propagate(
-    kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: _Wanted | None
+    kg: KnowledgeGraph,
+    heads: np.ndarray,
+    max_steps: int,
+    wanted: _Wanted | None,
+    stats: PathStats,
 ) -> _Arrivals:
     """PCRA from every head: the arrivals after 2..max_steps hops at wanted pairs,
-    or at every pair when ``wanted`` is None."""
+    or at every pair when ``wanted`` is None; a wanted last hop adds its work to
+    ``stats``."""
     csr, n_ent, n_rel = kg.csr, kg.n_entities, kg.n_relations
     # A group is one (head, relation sequence); the frontier is in first-arrival order.
     group, entity, resource = np.arange(len(heads)), heads, np.ones(len(heads))
     group_head, group_rels = heads, np.full((len(heads), max_steps), -1)
     found = []
     for hop in range(1, max_steps + 1):
-        source, edge = _edges(csr, entity)
         last = hop == max_steps
         if last and wanted is not None:
-            keep = wanted.select(group_head[group[source]], csr.neighbour[edge])
-            source, edge = source[keep], edge[keep]
+            source, edge = _last_hop(csr, wanted, group_head[group], entity, stats)
+        else:
+            source, edge = _edges(csr, entity)
         share = resource[source] / csr.group_size[edge]
         key = (group[source] * n_rel + csr.relation[edge]) * n_ent + csr.neighbour[edge]
         if last:
@@ -168,22 +261,34 @@ def _propagate(
     return _Arrivals(*map(np.concatenate, zip(*found)))
 
 
-def _blocks(kg: KnowledgeGraph, heads: np.ndarray, max_steps: int) -> list[np.ndarray]:
+def _blocks(
+    kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: np.ndarray | None = None
+) -> list[np.ndarray]:
     """``heads`` cut into consecutive blocks of about ``_BLOCK_EDGES`` work each.
 
-    A head's work is its number of walks of 1..max_steps hops, which bounds the
-    edges it expands.
+    A head's work is its number of walks of 1..max_steps - 1 hops, which bounds
+    the edges it expands before the last hop, plus its last hop: its walks of
+    max_steps hops, or, if less, ``_JOIN_COST`` per edge into the tails it wants
+    (``wanted`` as in ``_search``).
     """
     if len(heads) <= 1:
         return [heads]
-    csr = kg.csr
-    source = np.repeat(np.arange(kg.n_entities), np.diff(csr.indptr))
-    walks = np.diff(csr.indptr).astype(np.float64)
-    work = walks.copy()
+    csr, n_ent = kg.csr, kg.n_entities
+    degree = np.diff(csr.indptr)
+    source = np.repeat(np.arange(n_ent), degree)
+    walks, work = degree.astype(np.float64), np.zeros(n_ent)
     for _ in range(max_steps - 1):
-        walks = np.bincount(source, weights=walks[csr.neighbour], minlength=kg.n_entities)
         work += walks
-    done = np.cumsum(work[heads]) - work[heads]
+        walks = np.bincount(source, weights=walks[csr.neighbour], minlength=n_ent)
+    last = walks[heads]
+    if wanted is not None:
+        inward = np.bincount(
+            np.searchsorted(heads, wanted // n_ent), weights=degree[wanted % n_ent],
+            minlength=len(heads),
+        )
+        last = np.minimum(last, _JOIN_COST * inward)
+    work = work[heads] + last
+    done = np.cumsum(work) - work
     return np.split(heads, np.flatnonzero(np.diff(done // _BLOCK_EDGES)) + 1)
 
 
@@ -216,16 +321,21 @@ def _search(
     cutoff: float,
     cap: int,
     wanted: np.ndarray | None = None,
+    stats: PathStats | None = None,
 ) -> tuple[_Arrivals, int, int]:
     """Paths from ``heads`` (sorted, non-empty), one block at a time, sorted by
-    pair, and the counts cut by the cutoff and by the cap. ``wanted`` holds
-    sorted keys ``head * n_entities + tail``, or is None to want every pair."""
+    pair, and the counts cut by the cutoff and by the cap; the walk's work is
+    added to ``stats``. ``wanted`` holds sorted keys ``head * n_entities + tail``,
+    or is None to want every pair."""
+    stats = PathStats() if stats is None else stats
     found, below, over = [], 0, 0
-    for block in _blocks(kg, heads, max_steps):
+    for block in _blocks(kg, heads, max_steps, wanted):
         want = None if wanted is None else _Wanted.of_block(wanted, block, kg.n_entities)
-        kept, cut, capped = _select(_propagate(kg, block, max_steps, want), cutoff, cap)
+        arrived = _propagate(kg, block, max_steps, want, stats)
+        kept, cut, capped = _select(arrived, cutoff, cap)
         found.append(kept)
         below, over = below + cut, over + capped
+        stats.blocks += 1
     return _Arrivals(*map(np.concatenate, zip(*found))), below, over
 
 
@@ -233,7 +343,7 @@ def walk_resources(
     kg: KnowledgeGraph, head: int, max_steps: int
 ) -> dict[int, dict[tuple[int, ...], float]]:
     """Resource arriving at each entity per relation sequence of length 2..max_steps."""
-    found = _propagate(kg, np.array([head], dtype=np.int64), max_steps, None)
+    found = _propagate(kg, np.array([head], dtype=np.int64), max_steps, None, PathStats())
     arrivals: dict[int, dict[tuple[int, ...], float]] = {}
     for t, rels, w in zip(
         found.tails.tolist(), found.relations.tolist(), found.reliabilities.tolist()
@@ -334,7 +444,8 @@ def extract_paths(
     pairs=None,
 ) -> PathStore:
     """Enumerate and score the paths of ``pairs``, (head, tail) rows that may
-    repeat, in one blocked walk over their heads; by default the train pairs."""
+    repeat, in one blocked walk over their heads; by default the train pairs.
+    ``stats``, if given, receives the run's counts."""
     if max_steps not in (2, 3):
         raise ValueError("max_steps must be 2 or 3")
     if not 0.0 <= cutoff < 1.0:
@@ -342,18 +453,20 @@ def extract_paths(
     pairs = sorted(kg.train_pairs) if pairs is None else pairs
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     wanted = distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1])
+    counts = PathStats()
     if len(wanted):
         heads = distinct_sorted(wanted // kg.n_entities)
-        found, below, over = _search(kg, heads, max_steps, cutoff, per_pair_cap, wanted)
+        found, below, over = _search(kg, heads, max_steps, cutoff, per_pair_cap, wanted, counts)
     else:
         found, below, over = _Arrivals.empty(max_steps), 0, 0
     store = PathStore.of(found, max_steps, cutoff, per_pair_cap)
+    counts.pairs = len(wanted)
+    counts.pairs_without_paths = len(wanted) - len(store.heads)
+    counts.paths = store.n_paths
+    counts.paths_below_cutoff = below
+    counts.paths_over_cap = over
     if stats is not None:
-        stats.pairs = len(wanted)
-        stats.pairs_without_paths = len(wanted) - len(store.heads)
-        stats.paths = store.n_paths
-        stats.paths_below_cutoff = below
-        stats.paths_over_cap = over
+        vars(stats).update(vars(counts))
     return store
 
 

@@ -403,7 +403,8 @@ def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):
     first, second = map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
     assert set(first) == {
         "command", "pairs", "pairs_without_paths", "paths", "paths_below_cutoff",
-        "paths_over_cap", "seconds",
+        "paths_over_cap", "blocks", "blocks_joined", "last_hop_gathered", "last_hop_kept",
+        "seconds",
     }
     assert first["command"] == "extract-paths"
     assert isinstance(first["seconds"], float) and first["seconds"] >= 0
@@ -418,7 +419,9 @@ def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):
     assert counts["pairs"] - counts["pairs_without_paths"] == len(ps.pairs)
     assert counts["paths"] == ps.n_paths
     assert counts["paths"] + counts["paths_below_cutoff"] + counts["paths_over_cap"] == arrivals
-    assert min(counts.values()) > 0
+    assert counts["blocks_joined"] <= counts["blocks"]
+    assert counts["last_hop_kept"] <= counts["last_hop_gathered"]
+    assert min(v for k, v in counts.items() if k != "blocks_joined") > 0
 
 
 def _copy_toy_files(toy_dir, directory):
@@ -610,12 +613,15 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
         line = json.loads(lines[-1])
         assert set(line) == {
             "command", "test_pairs", "pairs", "pairs_without_paths", "paths",
-            "paths_below_cutoff", "paths_over_cap", "fully_composed_frac", "residual_lengths",
+            "paths_below_cutoff", "paths_over_cap", "blocks", "blocks_joined",
+            "last_hop_gathered", "last_hop_kept", "fully_composed_frac", "residual_lengths",
             "entity_queries", "rescored", "seconds",
         }
         assert line["command"] == "eval"
         assert line["test_pairs"] == line["pairs"] == len(test_pairs)
         assert 0 < line["pairs"] - line["pairs_without_paths"] <= line["pairs"]
+        assert line["blocks"] > 0 and line["blocks_joined"] <= line["blocks"]
+        assert 0 < line["last_hop_kept"] <= line["last_hop_gathered"]
         assert 0.0 <= line["fully_composed_frac"] <= 1.0
         lengths = line["residual_lengths"]
         assert line["paths"] > 0 and sum(lengths.values()) == line["paths"]
@@ -635,7 +641,7 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
     assert main(["eval", *data_flags(files), "--out", str(out), *fast, "--alpha1", "0"]) == EXIT_OK
     skipped = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
     assert skipped["test_pairs"] == len(test_pairs)
-    assert skipped["pairs"] == skipped["paths"] == 0
+    assert skipped["pairs"] == skipped["paths"] == skipped["blocks"] == 0
     capsys.readouterr()
 
 

@@ -166,9 +166,9 @@ def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too, prefilt
 def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
     """Relation ranking, and so ``explain``, never builds the float32 copy of the
     entity table; the first entity query does, and only for a table of at least
-    ``PREFILTER_FROM`` entities."""
+    ``PREFILTER_FROM`` cells (entities × dim)."""
     emb, store, index = toy_setup(toy_kg)
-    assert emb.n_entities < Scorer.PREFILTER_FROM
+    assert emb.entities.size < Scorer.PREFILTER_FROM
     scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
     for slot in ("head", "tail"):
         rank_entities(scorer, toy_kg, toy_kg.test[0], slot)
@@ -185,3 +185,18 @@ def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
     rank_entities(scorer, toy_kg, toy_kg.test[0], "tail")
     assert scorer._scan.table.shape == (emb.dim, emb.n_entities)
     assert scorer._scan.table.dtype == np.float32
+
+
+@pytest.mark.parametrize("n_ent, dim, scanned", [(256, 32, False), (512, 32, True),
+                                                 (160, 100, False), (256, 100, True)])
+def test_prefilter_threshold_counts_cells(n_ent, dim, scanned):
+    """Whether an entity query scans the table in float32 depends on its
+    entities × dim cells, not its entities alone: 256 entities at dim 100 are
+    scanned, as 512 at dim 32 are."""
+    rng = np.random.default_rng(n_ent + dim)
+    kg = ring_kg(n_ent, 3)
+    emb = EmbeddingTable(rng.normal(size=(n_ent, dim)), rng.normal(size=(3, dim)))
+    scorer = Scorer(emb, PathFinder(kg, 2).find([]), Composer(build_index([], 0.7)), 1.0, "L1")
+    rank_entities(scorer, kg, kg.train[0], "tail")
+    assert (scorer._scan is not None) == scanned
+    assert (scorer.rescored == [n_ent]) != scanned

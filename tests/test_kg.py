@@ -87,6 +87,22 @@ def test_csr_is_sorted_and_counts_relation_groups(toy_kg):
             assert (e, r, nb) in triples or (nb, toy_kg.inverse(r), e) in triples
 
 
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("pq"), st.sampled_from("abcd")),
+                min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_csr_reverse_is_the_inverse_edge(rows):
+    """Edge (e, r, n) reverses to edge (n, inverse r, e), self-loops and
+    parallel relations included, and reversing twice is the identity."""
+    kg = make_kg(rows)
+    csr = kg.csr
+    source = np.repeat(np.arange(kg.n_entities), np.diff(csr.indptr))
+    back = csr.reverse
+    assert source[back].tolist() == csr.neighbour.tolist()
+    assert csr.neighbour[back].tolist() == source.tolist()
+    assert csr.relation[back].tolist() == [kg.inverse(r) for r in csr.relation.tolist()]
+    assert back[back].tolist() == list(range(len(back)))
+
+
 def test_duplicate_triples_dropped_within_split():
     kg = make_kg([("a", "r", "b"), ("a", "r", "b")])
     assert len(kg.train) == 1
@@ -378,7 +394,7 @@ def stored_csr(data, kg):
     """The cache's CSR arrays as writeable int64 views of ``data``, a bytearray;
     they end the file."""
     n_edges = 2 * len(kg.train_ids)
-    sizes = [kg.n_entities + 1, n_edges, n_edges, n_edges]
+    sizes = [kg.n_entities + 1, n_edges, n_edges, n_edges, n_edges]
     csr = np.frombuffer(data, "<i8", sum(sizes), len(data) - 8 * sum(sizes))
     return np.split(csr, np.cumsum(sizes[:-1]))
 
@@ -387,7 +403,7 @@ def stored_csr(data, kg):
     "damage",
     ["truncated header", "truncated ids", "one byte short", "over-long", "magic", "version",
      "neighbour id", "negative neighbour id", "relation id", "negative relation id",
-     "decreasing indptr", "group size 0", "indptr start", "indptr end"],
+     "decreasing indptr", "group size 0", "indptr start", "indptr end", "reverse edge id"],
 )
 def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
     cache = tmp_path / "dataset.bin"
@@ -406,9 +422,9 @@ def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
     elif damage == "magic":
         data[0] ^= 0xFF
     elif damage == "version":  # the previous format is a miss
-        data[8:10] = (1).to_bytes(2, "little")
+        data[8:10] = (2).to_bytes(2, "little")
     else:  # a value out of range in the CSR
-        indptr, relation, neighbour, group_size = stored_csr(data, kg)
+        indptr, relation, neighbour, group_size, reverse = stored_csr(data, kg)
         if damage == "neighbour id":
             neighbour[-1] = kg.n_entities
         elif damage == "negative neighbour id":
@@ -423,6 +439,8 @@ def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
             indptr[0] = 1
         elif damage == "indptr end":
             indptr[-1] += 1
+        elif damage == "reverse edge id":
+            reverse[0] = len(reverse)
         else:
             group_size[len(group_size) // 2] = 0
     cache.write_bytes(bytes(data))

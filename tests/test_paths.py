@@ -279,8 +279,25 @@ multigraphs = st.lists(
 )
 
 
+@st.composite
+def hub_multigraphs(draw):
+    """A multigraph around a hub: many in-edges under one relation, self-loops,
+    and pairs joined by two relations."""
+    node = st.sampled_from([f"n{i}" for i in range(7)])
+    rows = [(f"n{i}", "p", "hub") for i in range(draw(st.integers(2, 7)))]
+    loops = draw(st.lists(st.tuples(node | st.just("hub"), rel), max_size=3))
+    rows += [(x, r, x) for x, r in loops]
+    parallel = draw(st.lists(st.tuples(node, node), max_size=3))
+    rows += [(a, r, b) for a, b in parallel for r in "qr"]
+    return rows + draw(st.lists(st.tuples(node, rel, node), max_size=12))
+
+
+# Forces one form of the last hop on every block.
+LAST_HOP_FORMS = {"join": lambda inward, outward: True, "expand": lambda inward, outward: False}
+
+
 @given(
-    edges=multigraphs,
+    edges=multigraphs | hub_multigraphs(),
     max_steps=st.sampled_from([2, 3]),
     cutoff=st.sampled_from([0.0, 0.05, 0.25, 0.5]),
     cap=st.sampled_from([0, 1, 2, 3, 200]),
@@ -288,43 +305,80 @@ multigraphs = st.lists(
 )
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_edges):
-    """Every walk equals the dict walk bit for bit: same pairs, same order,
-    same float.hex. That is the train-pair walk, each head's arrivals, each
-    pair's one-pair walk and one walk of every pair, asked for in shuffled order
-    with repeats. Cutoffs 0.25 and 0.5 are reliabilities the walk hits exactly;
-    a block limit of 1 or 6 edges gives blocks smaller than one head's work."""
-    kg = make_kg(edges)
-    with mock.patch.object(paths_mod, "_BLOCK_EDGES", block_edges):
+    """Every walk equals the dict walk bit for bit, with either form of the last
+    hop forced: same pairs, same order, same float.hex. That is the train-pair
+    walk, each head's arrivals, each pair's one-pair walk and one walk of every
+    pair, asked for in shuffled order with repeats; one entity, only in the test
+    split, has no edges, and every pair includes head == tail. Cutoffs 0.25 and
+    0.5 are reliabilities the walk hits exactly; a block limit of 1 or 6 edges
+    gives blocks smaller than one head's work."""
+    kg = make_kg(edges, test=[("n0", "p", "lonely")])
+    expected, below, over = oracle_extract(kg, max_steps, cutoff, cap)
+    everywhere, reached_from = {}, {}
+    for h in range(kg.n_entities):
+        walked = oracle_walk(kg, h, max_steps)
+        reached_from[h] = {}
+        for t in sorted(walked):
+            if paths := oracle_paths(walked[t], cutoff, cap):
+                reached_from[h][t] = everywhere[(h, t)] = paths
+    pairs = [(h, t) for h in range(kg.n_entities) for t in range(kg.n_entities)]
+    asked = [pairs[i] for i in np.random.default_rng(len(edges)).permutation(len(pairs))]
+    for form, joins in LAST_HOP_FORMS.items():
+        with mock.patch.object(paths_mod, "_BLOCK_EDGES", block_edges), \
+                mock.patch.object(paths_mod, "_joins", joins):
+            stats = PathStats()
+            ps = extract_paths(kg, max_steps, cutoff, cap, stats)
+            finder = PathFinder(kg, max_steps, cutoff, cap)
+            assert exact(ps.pairs) == exact(expected), form
+            assert (stats.pairs, stats.pairs_without_paths) == (
+                len(kg.train_pairs), len(kg.train_pairs) - len(expected)
+            )
+            assert (stats.paths, stats.paths_below_cutoff, stats.paths_over_cap) == (
+                ps.n_paths, below, over
+            )
+            for h in range(kg.n_entities):
+                assert exact(finder.arrivals(h)) == exact(reached_from[h])
+                for t in range(kg.n_entities):
+                    assert exact({t: finder.find([(h, t)]).paths_between(h, t)}) == exact(
+                        {t: reached_from[h].get(t, ())}
+                    ), form
+            stats = PathStats()
+            assert exact(finder.find(asked + asked[::2], stats).pairs) == exact(everywhere)
+            assert (stats.pairs, stats.pairs_without_paths) == (
+                len(pairs), len(pairs) - len(everywhere)
+            )
+            assert stats.blocks_joined == (stats.blocks if form == "join" else 0)
+
+
+def test_walk_counts_last_hop_work(toy_kg):
+    """A forced form of the 2-step walk of the train pairs counts its last hop's
+    edges: every edge out of the frontier when expanded, every edge into a wanted
+    tail when joined; kept are those that reach a wanted tail of their head."""
+    kg, n = toy_kg, toy_kg.n_entities
+    pairs = sorted(kg.train_pairs)
+    wanted = set(pairs)
+    heads = sorted({h for h, _ in pairs})
+    step = {h: {e for _, e in kg.adjacency(h)} for h in range(n)}
+    expanded = sum(len(kg.adjacency(e)) for h in heads for _, e in kg.adjacency(h))
+    expanded_kept = sum(
+        (h, x) in wanted for h in heads for _, e in kg.adjacency(h) for _, x in kg.adjacency(e)
+    )
+    joined = sum(len(kg.adjacency(t)) for _, t in pairs)
+    joined_kept = sum(e in step[h] for h, t in pairs for _, e in kg.adjacency(t))
+    stores = []
+    for form, joins in LAST_HOP_FORMS.items():
         stats = PathStats()
-        ps = extract_paths(kg, max_steps, cutoff, cap, stats)
-        finder = PathFinder(kg, max_steps, cutoff, cap)
-        expected, below, over = oracle_extract(kg, max_steps, cutoff, cap)
-        assert exact(ps.pairs) == exact(expected)
-        assert (stats.pairs, stats.pairs_without_paths) == (
-            len(kg.train_pairs), len(kg.train_pairs) - len(expected)
-        )
-        assert (stats.paths, stats.paths_below_cutoff, stats.paths_over_cap) == (
-            ps.n_paths, below, over
-        )
-        everywhere = {}
-        for h in range(kg.n_entities):
-            walked = oracle_walk(kg, h, max_steps)
-            reached = {}
-            for t in sorted(walked):
-                if paths := oracle_paths(walked[t], cutoff, cap):
-                    reached[t] = everywhere[(h, t)] = paths
-            assert exact(finder.arrivals(h)) == exact(reached)
-            for t in range(kg.n_entities):
-                assert exact({t: finder.find([(h, t)]).paths_between(h, t)}) == exact(
-                    {t: reached.get(t, ())}
-                )
-        pairs = [(h, t) for h in range(kg.n_entities) for t in range(kg.n_entities)]
-        asked = [pairs[i] for i in np.random.default_rng(len(edges)).permutation(len(pairs))]
-        stats = PathStats()
-        assert exact(finder.find(asked + asked[::2], stats).pairs) == exact(everywhere)
-        assert (stats.pairs, stats.pairs_without_paths) == (
-            len(pairs), len(pairs) - len(everywhere)
-        )
+        with mock.patch.object(paths_mod, "_joins", joins):
+            stores.append(exact(extract_paths(kg, 2, stats=stats).pairs))
+        assert stats.blocks >= 1
+        if form == "join":
+            assert stats.blocks_joined == stats.blocks
+            assert (stats.last_hop_gathered, stats.last_hop_kept) == (joined, joined_kept)
+        else:
+            assert stats.blocks_joined == 0
+            assert (stats.last_hop_gathered, stats.last_hop_kept) == (expanded, expanded_kept)
+    assert stores[0] == stores[1]
+    assert joined_kept <= joined < expanded
 
 
 def test_walk_resources_matches_oracle(toy_kg):
@@ -365,14 +419,51 @@ def test_cap_breaks_reliability_ties_by_relations_across_lengths():
     assert [p.relations for p in kept] == ties[:2]
 
 
+def oracle_work(kg, head, max_steps, tails):
+    """A head's block work: its walks of 1..max_steps - 1 hops plus the cheaper
+    last hop, its walks of max_steps hops or the join's cost of the edges into
+    ``tails`` (every walk when ``tails`` is None)."""
+    ends, walks = {head: 1}, []
+    for _ in range(max_steps):
+        nxt = {}
+        for e, count in ends.items():
+            for _, nb in kg.adjacency(e):
+                nxt[nb] = nxt.get(nb, 0) + count
+        ends = nxt
+        walks.append(sum(ends.values()))
+    last = walks[-1]
+    if tails is not None:
+        last = min(last, paths_mod._JOIN_COST * sum(len(kg.adjacency(t)) for t in tails))
+    return sum(walks[:-1]) + last
+
+
 def test_blocks_split_heads_by_work(toy_kg):
-    heads = np.unique([h for h, _ in toy_kg.train_pairs])
-    with mock.patch.object(paths_mod, "_BLOCK_EDGES", 50):
-        blocks = paths_mod._blocks(toy_kg, heads, 3)
-        assert len(blocks) > 1
-        assert np.array_equal(np.concatenate(blocks), heads)
-        small = extract_paths(toy_kg, 3)
-    assert exact(small.pairs) == exact(extract_paths(toy_kg, 3).pairs)
+    """Blocks are consecutive runs of heads, and a head starts a new block when
+    the work before it crosses a multiple of the limit; with wanted pairs a head's
+    last hop counts in its cheaper form, which lowers the total."""
+    n = toy_kg.n_entities
+    pairs = sorted(toy_kg.train_pairs)
+    heads = np.unique([h for h, _ in pairs])
+    tails = {h: [t for g, t in pairs if g == h] for h in heads.tolist()}
+    keys = np.array([h * n + t for h, t in pairs])
+    for max_steps in (2, 3):
+        total = {}
+        for wanted in (None, keys):
+            work = [oracle_work(toy_kg, h, max_steps, None if wanted is None else tails[h])
+                    for h in heads.tolist()]
+            total[wanted is None] = sum(work)
+            limit = sum(work) // 7
+            done = np.cumsum(work) - work
+            starts = [0] + [i for i in range(1, len(heads))
+                            if done[i] // limit != done[i - 1] // limit]
+            with mock.patch.object(paths_mod, "_BLOCK_EDGES", limit):
+                blocks = paths_mod._blocks(toy_kg, heads, max_steps, wanted)
+                small = extract_paths(toy_kg, max_steps)
+            assert [len(b) for b in blocks] == np.diff(starts + [len(heads)]).tolist()
+            assert len(blocks) > 1
+            assert np.array_equal(np.concatenate(blocks), heads)
+            assert exact(small.pairs) == exact(extract_paths(toy_kg, max_steps).pairs)
+        assert total[False] < total[True]
 
 
 def test_cache_round_trip_mixed_lengths(tmp_path, toy_kg):
