@@ -96,8 +96,7 @@ def main() -> int:
     hits = {}
     for variant, extra in (
         ("joint", []),
-        ("ablation", ["--alpha1", "0", "--alpha2", "0",
-                      "--ablation", "disable_paths_and_r2", "disable_r1"]),
+        ("ablation", ["--alpha1", "0", "--alpha2", "0"]),
     ):
         out = os.path.join(workdir, variant)
         flags = common + ["--out", out] + extra

@@ -22,8 +22,7 @@ TOY_TRAINING = dict(dim=32, epochs=100, lr=0.02)
 
 
 def filtered_hits10(kg, emb, index, alpha):
-    reports = evaluate(emb, PathFinder(kg, 2), index, kg, alpha_paths=alpha,
-                       rank_relations_too=False)
+    reports = evaluate(emb, PathFinder(kg, 2), index, kg, alpha_paths=alpha)
     rep = next(r for r in reports
                if r.task == "entity-combined" and r.setting == "filtered")
     return rep.hits[10]

@@ -18,7 +18,9 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import evaluation, kg as kg_mod, paths as paths_mod, rules as rules_mod
-from .config import PARSERS, RunConfig, RunConfigError, apply_config_file, write_resolved_config
+from .config import (
+    PARSERS, RULES_FORMATS, RunConfig, RunConfigError, apply_config_file, write_resolved_config,
+)
 from .energy import NORMS
 from .model import (
     CheckpointError,
@@ -62,8 +64,6 @@ _FLAG_NAMES = {
     "alpha_paths": "--alpha1",
     "alpha_relpairs": "--alpha2",
 }
-# The boolean TrainingConfig fields are set through --ablation.
-_ABLATIONS = [f.name for f in fields(TrainingConfig) if f.type == "bool"]
 
 
 def _add_common_options(p: _Parser) -> None:
@@ -72,18 +72,15 @@ def _add_common_options(p: _Parser) -> None:
     p.add_argument("--valid", dest="valid_path")
     p.add_argument("--test", dest="test_path")
     p.add_argument("--rules", dest="rules_path")
-    p.add_argument("--rules-format", dest="rules_format", choices=["normalized", "amie"])
+    p.add_argument("--rules-format", dest="rules_format", choices=RULES_FORMATS)
     p.add_argument("--out", dest="output_dir")
     for f in fields(TrainingConfig):
-        if f.name in _ABLATIONS:
-            continue
         p.add_argument(
             _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
             dest=f.name,
             type=PARSERS[f.type],
             choices=NORMS if f.name == "norm" else None,
         )
-    p.add_argument("--ablation", nargs="*", choices=_ABLATIONS, default=None)
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -94,9 +91,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if args.ablation is not None:
-        for name in _ABLATIONS:
-            setattr(cfg, name, name in args.ablation)
     return cfg
 
 
@@ -219,26 +213,29 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _scoring_context(cfg: RunConfig, graph: kg_mod.KnowledgeGraph):
+    ckpt = cfg.path_for("checkpoint.bin")
     emb, _, _ = load_checkpoint(
-        cfg.path_for("checkpoint.bin"),
-        expected_dataset_hash=graph.dataset_hash(),
-        expected_norm=cfg.norm,
+        ckpt, expected_dataset_hash=graph.dataset_hash(), expected_norm=cfg.norm
     )
+    if (emb.n_entities, emb.n_base_relations) != (graph.n_entities, graph.n_base_relations):
+        raise CheckpointError(
+            f"{ckpt}: checkpoint holds {emb.n_entities} entities and {emb.n_base_relations} "
+            f"relations, the dataset {graph.n_entities} and {graph.n_base_relations}"
+        )
     index, _, _ = _load_rule_index(cfg, graph)
     # Scoring walks the pairs it ranks relations for, never reading paths.bin.
     finder = paths_mod.PathFinder(graph, cfg.max_path_steps, cfg.path_cutoff, cfg.per_pair_cap)
-    alpha = 0.0 if cfg.disable_paths_and_r2 else cfg.alpha_paths
-    return emb, index, finder, alpha
+    return emb, index, finder
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     graph = _load_graph(cfg)
     if not graph.test:
         raise kg_mod.DatasetError(f"{cfg.test_path}: test split is empty")
-    emb, index, finder, alpha = _scoring_context(cfg, graph)
+    emb, index, finder = _scoring_context(cfg, graph)
     stats = evaluation.EvalStats()
     reports = evaluation.evaluate(
-        emb, finder, index, graph, alpha_paths=alpha, norm=cfg.norm, stats=stats
+        emb, finder, index, graph, alpha_paths=cfg.alpha_paths, norm=cfg.norm, stats=stats
     )
     for line in evaluation.report_lines(reports):
         print(line)
@@ -252,7 +249,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_explain(cfg: RunConfig, head: str, tail: str, machine: bool) -> int:
     graph = _load_graph(cfg, write_cache=False)
-    emb, index, finder, alpha = _scoring_context(cfg, graph)
+    emb, index, finder = _scoring_context(cfg, graph)
 
     def lookup(name):
         try:
@@ -264,7 +261,8 @@ def cmd_explain(cfg: RunConfig, head: str, tail: str, machine: bool) -> int:
 
     h, t = lookup(head), lookup(tail)
     explanations = evaluation.explain(
-        emb, finder, index, graph, h, t, top_k=cfg.top_k, alpha_paths=alpha, norm=cfg.norm
+        emb, finder, index, graph, h, t, top_k=cfg.top_k, alpha_paths=cfg.alpha_paths,
+        norm=cfg.norm,
     )
     for line in evaluation.explanation_lines(explanations, graph, machine=machine):
         print(line)

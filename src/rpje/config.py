@@ -9,6 +9,10 @@ from .artifacts import read_text
 from .model import TrainingConfig
 
 
+# The rule file formats ``rules_format`` takes, shared with the --rules-format flag.
+RULES_FORMATS = ("normalized", "amie")
+
+
 class RunConfigError(ValueError):
     """Bad config file or inconsistent option values."""
 
@@ -21,12 +25,16 @@ class RunConfig(TrainingConfig):
     valid_path: str = ""
     test_path: str = ""
     rules_path: str = ""
-    rules_format: str = "normalized"  # normalized | amie
+    rules_format: str = "normalized"  # one of RULES_FORMATS
     output_dir: str = "out"
     top_k: int = 3
 
     def validate(self) -> None:
         super().validate()
+        if self.rules_format not in RULES_FORMATS:
+            raise RunConfigError(
+                f"rules_format must be one of {', '.join(RULES_FORMATS)}, got {self.rules_format!r}"
+            )
         if self.top_k < 1:
             raise RunConfigError("top_k must be at least 1")
 
@@ -42,17 +50,8 @@ class RunConfig(TrainingConfig):
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 # Value parser per field type, shared by config files and command-line flags.
-PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(name: str, raw: str, where: str):

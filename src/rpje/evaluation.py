@@ -254,7 +254,6 @@ def evaluate(
     alpha_paths: float = TrainingConfig.alpha_paths,
     norm: str = TrainingConfig.norm,
     test_triples: list[Triple] | None = None,
-    rank_relations_too: bool = True,
     stats: EvalStats | None = None,
 ) -> list[EvalReport]:
     """Aggregate MR/MRR/Hits over the test split, raw and filtered, per task.
@@ -269,10 +268,10 @@ def evaluate(
     pairs = np.array(triples, dtype=np.int64)[:, [0, 2]]
     stats.test_pairs = len(distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1]))
     start = time.perf_counter()
-    store = finder.find(pairs if alpha_paths and rank_relations_too else [], stats.paths)
+    store = finder.find(pairs if alpha_paths else [], stats.paths)
     stats.seconds["walk"] = time.perf_counter() - start
     scorer = Scorer(emb, store, Composer(index), alpha_paths, norm)
-    tasks = ["entity-head", "entity-tail"] + ["relation"] * rank_relations_too
+    tasks = ("entity-head", "entity-tail", "relation")
     ranks = {(task, setting): [] for task in tasks for setting in ("raw", "filtered")}
     latencies = []
     start = time.perf_counter()
@@ -290,11 +289,10 @@ def evaluate(
     stats.entity_queries = len(scorer.rescored)
     stats.rescored = {"total": sum(scorer.rescored), "max": max(scorer.rescored)}
     start = time.perf_counter()
-    if rank_relations_too:
-        for triple in triples:
-            raw, filtered = rank_relations(scorer, kg, triple)
-            ranks[("relation", "raw")].append(raw)
-            ranks[("relation", "filtered")].append(filtered)
+    for triple in triples:
+        raw, filtered = rank_relations(scorer, kg, triple)
+        ranks[("relation", "raw")].append(raw)
+        ranks[("relation", "filtered")].append(filtered)
     stats.seconds["relation_ranking"] = time.perf_counter() - start
     stats.compiled = scorer.composer.compile(store).summary()
     categories = relation_categories(kg)
@@ -325,11 +323,8 @@ def evaluate(
                     if s == slot
                 }
             reports.append(report)
-        if rank_relations_too:
-            mr, mrr, hits = metrics_from_ranks(ranks[("relation", setting)])
-            reports.append(
-                EvalReport(task="relation", setting=setting, mr=mr, mrr=mrr, hits=hits)
-            )
+        mr, mrr, hits = metrics_from_ranks(ranks[("relation", setting)])
+        reports.append(EvalReport(task="relation", setting=setting, mr=mr, mrr=mrr, hits=hits))
     return reports
 
 

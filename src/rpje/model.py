@@ -30,16 +30,14 @@ class TrainingConfig:
     margin_triple: float = 1.0   # gamma_1
     margin_path: float = 1.0     # gamma_2
     margin_relpair: float = 1.0  # gamma_3
-    alpha_paths: float = 1.0     # alpha_1
-    alpha_relpairs: float = 3.0  # alpha_2
+    alpha_paths: float = 1.0     # alpha_1; 0 drops E2/L2 (the -PaRu2 ablation)
+    alpha_relpairs: float = 3.0  # alpha_2; 0 drops E3/L3 (the -Ru1 ablation)
     norm: str = "L1"
     confidence_threshold: float = 0.7
     max_path_steps: int = DEFAULT_MAX_STEPS
     path_cutoff: float = DEFAULT_CUTOFF
     per_pair_cap: int = DEFAULT_PER_PAIR_CAP
     seed: int = 0
-    disable_paths_and_r2: bool = False  # -PaRu2 ablation: drop E2/L2
-    disable_r1: bool = False            # -Ru1 ablation: drop E3/L3
 
     def validate(self) -> None:
         if self.dim <= 0:
@@ -152,6 +150,11 @@ def load_checkpoint(
             raise CheckpointError(
                 f"{path}: checkpoint trained with norm {norm}, scoring asked for {expected_norm}"
             )
-        ents = np.frombuffer(read(8 * n_ent * dim), dtype="<f8").reshape(n_ent, dim)
-        rels = np.frombuffer(read(8 * n_rel * dim), dtype="<f8").reshape(n_rel, dim)
-    return EmbeddingTable(ents, rels), ds_hash, norm
+        body = fh.read()
+    # A header that disagrees with the body would read its bytes as other rows.
+    size = 8 * dim * (n_ent + n_rel)
+    if len(body) != size:
+        raise CheckpointError(f"{path}: {'truncated' if len(body) < size else 'over-long'} file")
+    ents = np.frombuffer(body, dtype="<f8", count=n_ent * dim).reshape(n_ent, dim)
+    rels = np.frombuffer(body, dtype="<f8", count=n_rel * dim, offset=ents.nbytes)
+    return EmbeddingTable(ents, rels.reshape(n_rel, dim)), ds_hash, norm

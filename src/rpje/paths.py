@@ -9,21 +9,25 @@ a pair keeps at most ``per_pair_cap`` paths, by descending reliability, then
 relation sequence.
 
 One numpy kernel, ``_propagate``, walks a block of heads at once over the
-graph's CSR adjacency (``KnowledgeGraph.csr``), and ``extract_paths``,
-``PathFinder`` and ``walk_resources`` all run on it. A frontier entry is a
-head, a relation sequence, an entity and its resource. Each hop gathers the
-CSR edges of every entry, and an edge carries ``resource / group_size``, the
-entry's resource split over the entity's edges under that relation. The shares
-landing on one (head, sequence, entity) are summed with ``np.bincount``.
+graph's CSR adjacency (``KnowledgeGraph.csr``), and ``extract_paths`` runs it;
+``PathFinder`` and ``walk_resources`` are views of ``extract_paths``. Every
+walk has wanted pairs, the (head, tail) pairs it is given, and keeps only the
+arrivals at them: ``extract_paths`` wants the train pairs unless told
+otherwise, and ``walk_resources`` and ``PathFinder.arrivals`` want every pair
+of their head.
+
+A frontier entry is a head, a relation sequence, an entity and its resource.
+Each hop gathers the CSR edges of every entry, and an edge carries
+``resource / group_size``, the entry's resource split over the entity's edges
+under that relation. The shares landing on one (head, sequence, entity) are
+summed with ``np.bincount``.
 
 Summation order: ``np.bincount`` adds its weights in input order. Edges are
 expanded in frontier order, each entity's in (relation, neighbour) order, and
 the next frontier keeps each entry where its first share arrived. So every
 reliability is the same left-to-right float sum as a walk over per-entity
 dicts in first-insertion order (kept as the oracle in ``tests/test_paths.py``),
-bit for bit. On the last hop only edges towards wanted tails count:
-``extract_paths`` wants the tails of the pairs it is given (the train pairs
-unless told otherwise).
+bit for bit. On the last hop only edges towards wanted tails count.
 
 That last hop runs in the cheaper of two forms, chosen per block (``_joins``).
 Expanded, it gathers every edge of every frontier entry and drops those
@@ -220,12 +224,11 @@ def _propagate(
     kg: KnowledgeGraph,
     heads: np.ndarray,
     max_steps: int,
-    wanted: _Wanted | None,
+    wanted: _Wanted,
     stats: PathStats,
 ) -> _Arrivals:
-    """PCRA from every head: the arrivals after 2..max_steps hops at wanted pairs,
-    or at every pair when ``wanted`` is None; a wanted last hop adds its work to
-    ``stats``."""
+    """PCRA from every head: the arrivals after 2..max_steps hops at wanted pairs;
+    the last hop adds its work to ``stats``."""
     csr, n_ent, n_rel = kg.csr, kg.n_entities, kg.n_relations
     # A group is one (head, relation sequence); the frontier is in first-arrival order.
     group, entity, resource = np.arange(len(heads)), heads, np.ones(len(heads))
@@ -233,7 +236,7 @@ def _propagate(
     found = []
     for hop in range(1, max_steps + 1):
         last = hop == max_steps
-        if last and wanted is not None:
+        if last:
             source, edge = _last_hop(csr, wanted, group_head[group], entity, stats)
         else:
             source, edge = _edges(csr, entity)
@@ -255,21 +258,21 @@ def _propagate(
         group_rels[:, hop - 1] = sequences % n_rel
         if hop >= 2:
             arrived = _Arrivals(group_head[group], entity, group_rels[group], resource)
-            if not last and wanted is not None:
+            if not last:
                 arrived = arrived.take(wanted.select(arrived.heads, entity))
             found.append(arrived)
     return _Arrivals(*map(np.concatenate, zip(*found)))
 
 
 def _blocks(
-    kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: np.ndarray | None = None
+    kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: np.ndarray
 ) -> list[np.ndarray]:
     """``heads`` cut into consecutive blocks of about ``_BLOCK_EDGES`` work each.
 
     A head's work is its number of walks of 1..max_steps - 1 hops, which bounds
     the edges it expands before the last hop, plus its last hop: its walks of
     max_steps hops, or, if less, ``_JOIN_COST`` per edge into the tails it wants
-    (``wanted`` as in ``_search``).
+    (``wanted`` holds sorted keys ``head * n_entities + tail``).
     """
     if len(heads) <= 1:
         return [heads]
@@ -280,14 +283,11 @@ def _blocks(
     for _ in range(max_steps - 1):
         work += walks
         walks = np.bincount(source, weights=walks[csr.neighbour], minlength=n_ent)
-    last = walks[heads]
-    if wanted is not None:
-        inward = np.bincount(
-            np.searchsorted(heads, wanted // n_ent), weights=degree[wanted % n_ent],
-            minlength=len(heads),
-        )
-        last = np.minimum(last, _JOIN_COST * inward)
-    work = work[heads] + last
+    inward = np.bincount(
+        np.searchsorted(heads, wanted // n_ent), weights=degree[wanted % n_ent],
+        minlength=len(heads),
+    )
+    work = work[heads] + np.minimum(walks[heads], _JOIN_COST * inward)
     done = np.cumsum(work) - work
     return np.split(heads, np.flatnonzero(np.diff(done // _BLOCK_EDGES)) + 1)
 
@@ -312,44 +312,6 @@ def _select(found: _Arrivals, cutoff: float, cap: int) -> tuple[_Arrivals, int, 
     kept = above.take(rank < cap)
     n_found, n_above, n_kept = len(found.heads), len(order), len(kept.heads)
     return kept, n_found - n_above, n_above - n_kept
-
-
-def _search(
-    kg: KnowledgeGraph,
-    heads: np.ndarray,
-    max_steps: int,
-    cutoff: float,
-    cap: int,
-    wanted: np.ndarray | None = None,
-    stats: PathStats | None = None,
-) -> tuple[_Arrivals, int, int]:
-    """Paths from ``heads`` (sorted, non-empty), one block at a time, sorted by
-    pair, and the counts cut by the cutoff and by the cap; the walk's work is
-    added to ``stats``. ``wanted`` holds sorted keys ``head * n_entities + tail``,
-    or is None to want every pair."""
-    stats = PathStats() if stats is None else stats
-    found, below, over = [], 0, 0
-    for block in _blocks(kg, heads, max_steps, wanted):
-        want = None if wanted is None else _Wanted.of_block(wanted, block, kg.n_entities)
-        arrived = _propagate(kg, block, max_steps, want, stats)
-        kept, cut, capped = _select(arrived, cutoff, cap)
-        found.append(kept)
-        below, over = below + cut, over + capped
-        stats.blocks += 1
-    return _Arrivals(*map(np.concatenate, zip(*found))), below, over
-
-
-def walk_resources(
-    kg: KnowledgeGraph, head: int, max_steps: int
-) -> dict[int, dict[tuple[int, ...], float]]:
-    """Resource arriving at each entity per relation sequence of length 2..max_steps."""
-    found = _propagate(kg, np.array([head], dtype=np.int64), max_steps, None, PathStats())
-    arrivals: dict[int, dict[tuple[int, ...], float]] = {}
-    for t, rels, w in zip(
-        found.tails.tolist(), found.relations.tolist(), found.reliabilities.tolist()
-    ):
-        arrivals.setdefault(t, {})[tuple(r for r in rels if r >= 0)] = w
-    return arrivals
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,29 +415,43 @@ def extract_paths(
     pairs = sorted(kg.train_pairs) if pairs is None else pairs
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     wanted = distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1])
-    counts = PathStats()
-    if len(wanted):
-        heads = distinct_sorted(wanted // kg.n_entities)
-        found, below, over = _search(kg, heads, max_steps, cutoff, per_pair_cap, wanted, counts)
-    else:
-        found, below, over = _Arrivals.empty(max_steps), 0, 0
+    heads = distinct_sorted(wanted // kg.n_entities)
+    counts, found = PathStats(), [_Arrivals.empty(max_steps)]
+    for block in _blocks(kg, heads, max_steps, wanted) if len(heads) else []:
+        want = _Wanted.of_block(wanted, block, kg.n_entities)
+        arrived = _propagate(kg, block, max_steps, want, counts)
+        kept, cut, capped = _select(arrived, cutoff, per_pair_cap)
+        found.append(kept)
+        counts.paths_below_cutoff += cut
+        counts.paths_over_cap += capped
+        counts.blocks += 1
+    found = _Arrivals(*map(np.concatenate, zip(*found)))
     store = PathStore.of(found, max_steps, cutoff, per_pair_cap)
     counts.pairs = len(wanted)
     counts.pairs_without_paths = len(wanted) - len(store.heads)
     counts.paths = store.n_paths
-    counts.paths_below_cutoff = below
-    counts.paths_over_cap = over
     if stats is not None:
         vars(stats).update(vars(counts))
     return store
+
+
+def walk_resources(
+    kg: KnowledgeGraph, head: int, max_steps: int
+) -> dict[int, dict[tuple[int, ...], float]]:
+    """Resource arriving at each entity per relation sequence of length 2..max_steps:
+    ``extract_paths`` of every pair from ``head``, with no cutoff and a cap no pair reaches."""
+    sequences = sum(kg.n_relations**k for k in range(2, max_steps + 1))
+    everywhere = [(head, t) for t in range(kg.n_entities)]
+    store = extract_paths(kg, max_steps, 0.0, sequences, pairs=everywhere)
+    return {t: {p.relations: p.reliability for p in paths} for (_, t), paths in store.pairs.items()}
 
 
 class PathFinder:
     """Path walks of one graph under one set of options, on demand.
 
     ``find`` returns the store of exactly the pairs asked for, so whoever scores
-    with it reads each pair's own paths; ``arrivals`` walks from one head to
-    every entity. Both keep a pair's paths as ``extract_paths`` does.
+    with it reads each pair's own paths; ``arrivals`` finds every pair of one
+    head. Both are ``extract_paths`` of their pairs.
     """
 
     def __init__(
@@ -493,9 +469,9 @@ class PathFinder:
         return extract_paths(self.kg, *self._options, stats, pairs)
 
     def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
-        """Paths from h, keyed by tail."""
-        found = _search(self.kg, np.array([h], dtype=np.int64), *self._options)[0]
-        return {t: paths for (_, t), paths in PathStore.of(found, *self._options).pairs.items()}
+        """Paths from h, keyed by tail: ``find`` of every pair from h."""
+        store = self.find([(h, t) for t in range(self.kg.n_entities)])
+        return {t: paths for (_, t), paths in store.pairs.items()}
 
 
 _MAGIC = b"RPJEPATH"

@@ -416,13 +416,13 @@ class TrainPlan:
         self.paths = composer.compile(ps)
         self.path_start = np.zeros(len(h), dtype=np.int64)
         self.n_paths = np.zeros(len(h), dtype=np.int64)
-        if cfg.alpha_paths > 0 and not cfg.disable_paths_and_r2 and len(ps.keys):
+        if cfg.alpha_paths > 0 and len(ps.keys):
             key = h << 32 | t
             i = np.minimum(ps.keys.searchsorted(key), len(ps.keys) - 1)
             found = ps.keys[i] == key
             self.path_start = np.where(found, ps.indptr[i], 0)
             self.n_paths = np.where(found, ps.indptr[i + 1] - ps.indptr[i], 0)
-        use_relpairs = cfg.alpha_relpairs > 0 and not cfg.disable_r1
+        use_relpairs = cfg.alpha_relpairs > 0
         deduced = [
             composer.index.deduced_from(b) if use_relpairs else () for b in range(self.n_base)
         ]

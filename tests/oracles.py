@@ -155,7 +155,7 @@ def relation_categories(kg, threshold: float = 1.5) -> dict[int, str]:
     return categories
 
 
-def evaluate_in_triple_order(scorer, kg, triples, rank_relations_too=True) -> list[EvalReport]:
+def evaluate_in_triple_order(scorer, kg, triples) -> list[EvalReport]:
     """``evaluate``'s reports from one query after another in test-triple order."""
     categories = relation_categories(kg)
     ranks: dict[tuple[str, str], list[int]] = {}
@@ -167,10 +167,9 @@ def evaluate_in_triple_order(scorer, kg, triples, rank_relations_too=True) -> li
             ranks.setdefault((f"entity-{slot}", "raw"), []).append(raw)
             ranks.setdefault((f"entity-{slot}", "filtered"), []).append(filtered)
             cat_hits.setdefault((slot, cat), []).append(int(filtered <= 10))
-        if rank_relations_too:
-            raw, filtered = rank_relations(scorer, kg, triple)
-            ranks.setdefault(("relation", "raw"), []).append(raw)
-            ranks.setdefault(("relation", "filtered"), []).append(filtered)
+        raw, filtered = rank_relations(scorer, kg, triple)
+        ranks.setdefault(("relation", "raw"), []).append(raw)
+        ranks.setdefault(("relation", "filtered"), []).append(filtered)
     reports = []
     for setting in ("raw", "filtered"):
         head = ranks[("entity-head", setting)]
@@ -186,7 +185,6 @@ def evaluate_in_triple_order(scorer, kg, triples, rank_relations_too=True) -> li
                     for (s, cat), vals in sorted(cat_hits.items()) if s == slot
                 }
             reports.append(report)
-        if rank_relations_too:
-            mr, mrr, hits = metrics_from_ranks(ranks[("relation", setting)])
-            reports.append(EvalReport(task="relation", setting=setting, mr=mr, mrr=mrr, hits=hits))
+        mr, mrr, hits = metrics_from_ranks(ranks[("relation", setting)])
+        reports.append(EvalReport(task="relation", setting=setting, mr=mr, mrr=mrr, hits=hits))
     return reports

@@ -284,8 +284,7 @@ def _toy_setup(noisy: bool, tmp_path):
 
 
 def _filtered_hits10(kg, emb, index, alpha):
-    reports = evaluate(emb, PathFinder(kg, 2), index, kg, alpha_paths=alpha,
-                       rank_relations_too=False)
+    reports = evaluate(emb, PathFinder(kg, 2), index, kg, alpha_paths=alpha)
     rep = next(
         r for r in reports if r.task == "entity-combined" and r.setting == "filtered"
     )
@@ -414,8 +413,7 @@ def test_acceptance_9_smoke_run(tmp_path):
     hits = {}
     for variant, extra in (
         ("joint", []),
-        ("ablation", ["--alpha1", "0", "--alpha2", "0",
-                      "--ablation", "disable_paths_and_r2", "disable_r1"]),
+        ("ablation", ["--alpha1", "0", "--alpha2", "0"]),
     ):
         out = tmp_path / variant
         flags = common + ["--out", str(out)] + extra

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -136,6 +137,7 @@ def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["train", "--dim", "not-a-number"]) == EXIT_USAGE
     assert main(["train", "--deterministic"]) == EXIT_USAGE
+    assert main(["encode-rules", "--rules-format", "AMIE"]) == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -212,15 +214,24 @@ def test_config_file_with_flag_override(toy_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_config_file_exits_two(tmp_path, capsys):
+def test_bad_config_file_exits_two(toy_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("dim = twelve\n")
     assert main(["train", "--config", str(cfg)]) == EXIT_DATA
-    for line in ("no_such_key = 1\n", "deterministic = true\n"):
+    for line in ("no_such_key = 1\n", "deterministic = true\n", "disable_r1 = true\n"):
         cfg2 = tmp_path / "unknown.cfg"
         cfg2.write_text(line)
         assert main(["train", "--config", str(cfg2)]) == EXIT_DATA
+    # a value the --rules-format flag refuses is refused from the file too
+    _, files = toy_dir
+    cfg3 = tmp_path / "format.cfg"
+    cfg3.write_text("rules_format = AMIE\n")
     capsys.readouterr()
+    argv = ["encode-rules", "--config", str(cfg3), *data_flags(files), "--out", str(tmp_path)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "rules_format" in err
 
 
 def test_train_reuses_path_cache(toy_dir, tmp_path, capsys):
@@ -243,21 +254,6 @@ def test_eval_without_checkpoint_exits_two(toy_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_ablation_flags_round_trip(toy_dir, tmp_path, capsys):
-    _, files = toy_dir
-    out = tmp_path / "out"
-    rc = main([
-        "train", *data_flags(files), "--out", str(out),
-        "--dim", "8", "--epochs", "1", "--batches", "5",
-        "--ablation", "disable_paths_and_r2", "disable_r1",
-    ])
-    assert rc == EXIT_OK
-    resolved = (out / "resolved_train.cfg").read_text()
-    assert "disable_paths_and_r2 = True" in resolved
-    assert "disable_r1 = True" in resolved
-    capsys.readouterr()
-
-
 # Every TrainingConfig field: the flag that sets it and a non-default value.
 TRAINING_FLAGS = {
     "dim": ("--dim", "7"),
@@ -275,8 +271,6 @@ TRAINING_FLAGS = {
     "path_cutoff": ("--path-cutoff", "0.05"),
     "per_pair_cap": ("--per-pair-cap", "9"),
     "seed": ("--seed", "11"),
-    "disable_paths_and_r2": ("--ablation", "disable_paths_and_r2"),
-    "disable_r1": ("--ablation", "disable_r1"),
 }
 
 
@@ -284,10 +278,9 @@ def test_every_training_field_round_trips(tmp_path):
     assert set(TRAINING_FLAGS) == {f.name for f in fields(TrainingConfig)}
     defaults = TrainingConfig()
     for name, (flag, raw) in TRAINING_FLAGS.items():
-        is_ablation = flag == "--ablation"
-        expected = True if is_ablation else type(getattr(defaults, name))(raw)
+        expected = type(getattr(defaults, name))(raw)
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"{name} = {'true' if is_ablation else raw}\n")
+        cfg_file.write_text(f"{name} = {raw}\n")
         via_file = load_config_file(cfg_file).training_config()
         args = cli.build_parser().parse_args(["train", flag, raw])
         via_flag = cli._resolve(args).training_config()
@@ -343,6 +336,32 @@ def test_truncated_checkpoint_exits_two(pipeline, tmp_path, capsys, where):
     assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("edit", ["dim", "entities", "entities and relations"])
+def test_checkpoint_header_disagreeing_exits_two(pipeline, tmp_path, capsys, command, edit):
+    """A checkpoint whose header shape disagrees with its body (one dimension or
+    one entity fewer), or with the graph (the same number of rows, split
+    otherwise), is refused, not read as other rows."""
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    target = out / "checkpoint.bin"
+    data = bytearray(target.read_bytes())
+    dim, n_ent, n_rel = struct.unpack_from("<III", data, 10)  # after magic and version
+    shape = {"dim": (dim - 1, n_ent, n_rel), "entities": (dim, n_ent - 1, n_rel),
+             "entities and relations": (dim, n_ent - 1, n_rel + 1)}[edit]
+    struct.pack_into("<III", data, 10, *shape)
+    target.write_bytes(bytes(data))
+    argv = [command, *data_flags(files), "--out", str(out), *fast]
+    if command == "explain":
+        argv += ["country_0", "country_1"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "checkpoint.bin" in err
 
 
 @pytest.mark.parametrize("where", ["header", "record", "one byte short"])

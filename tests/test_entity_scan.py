@@ -138,10 +138,8 @@ def toy_setup(toy_kg):
 
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
-@pytest.mark.parametrize("relations_too", [True, False])
 @pytest.mark.parametrize("prefilter_from", [0, Scorer.PREFILTER_FROM])
-def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too, prefilter_from,
-                                            monkeypatch):
+def test_evaluate_matches_triple_order_loop(toy_kg, norm, prefilter_from, monkeypatch):
     """Reports, per-category hits included, equal those of one query after
     another in test-triple order, on query triples shuffled across relations,
     with the toy table prefiltered in float32 or every candidate rescored. The
@@ -155,10 +153,9 @@ def test_evaluate_matches_triple_order_loop(toy_kg, norm, relations_too, prefilt
     relations = [r for _, r, _ in triples]
     assert relations != sorted(relations) and len(set(relations)) == toy_kg.n_base_relations
     finder = PathFinder(toy_kg, 2)
-    got = evaluate(emb, finder, index, toy_kg, 1.0, norm, test_triples=triples,
-                   rank_relations_too=relations_too)
+    got = evaluate(emb, finder, index, toy_kg, 1.0, norm, test_triples=triples)
     scorer = Scorer(emb, finder.find([(h, t) for h, _, t in triples]), Composer(index), 1.0, norm)
-    want = evaluate_in_triple_order(scorer, toy_kg, triples, relations_too)
+    want = evaluate_in_triple_order(scorer, toy_kg, triples)
     assert got == want
     assert all(len(rep.per_category) == 2 for rep in got if rep.per_category)
 

@@ -287,8 +287,7 @@ def test_entity_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
     monkeypatch.setattr(
         KnowledgeGraph, "is_known", lambda self, t: calls.append(t) or real(self, t)
     )
-    evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg,
-             rank_relations_too=False)
+    evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg)
     assert calls == []
 
 
@@ -374,12 +373,10 @@ def test_evaluate_walks_exactly_the_test_pairs(small_eval_kg, monkeypatch):
     assert [exact(store.pairs) for store in stores] == [exact(want.pairs)]
     assert (stats.test_pairs, stats.paths.pairs, stats.paths.paths) == (
         len(set(test_pairs)), len(set(test_pairs)), want.n_paths)
-    for alpha, relations_too in ((0.0, True), (1.0, False)):
-        stores.clear()
-        stats = EvalStats()
-        evaluate(emb, PathFinder(kg, max_steps=2), build_index([], 0.7), kg, alpha,
-                 rank_relations_too=relations_too, stats=stats)
-        assert stores[0].n_paths == 0 and stats.paths.pairs == 0
+    stores.clear()
+    stats = EvalStats()
+    evaluate(emb, PathFinder(kg, max_steps=2), build_index([], 0.7), kg, 0.0, stats=stats)
+    assert stores[0].n_paths == 0 and stats.paths.pairs == 0
 
 
 def test_evaluate_empty_test_rejected(small_eval_kg):

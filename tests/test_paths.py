@@ -382,9 +382,13 @@ def test_walk_counts_last_hop_work(toy_kg):
 
 
 def test_walk_resources_matches_oracle(toy_kg):
-    for head in range(0, toy_kg.n_entities, 7):
-        got = walk_resources(toy_kg, head, 3)
-        want = oracle_walk(toy_kg, head, 3)
+    """Every arrival, uncut: a self-loop reaches its head by all 2**2 + 2**3
+    sequences over one relation and its inverse, more than n_relations ** 3."""
+    loop = make_kg([("a", "p", "a")])
+    assert len(oracle_walk(loop, 0, 3)[0]) == 2**2 + 2**3
+    for kg, head in [(loop, 0)] + [(toy_kg, h) for h in range(0, toy_kg.n_entities, 7)]:
+        got = walk_resources(kg, head, 3)
+        want = oracle_walk(kg, head, 3)
         assert got.keys() == want.keys()
         for t, seqs in want.items():
             assert {s: w.hex() for s, w in got[t].items()} == {s: w.hex() for s, w in seqs.items()}
@@ -422,7 +426,7 @@ def test_cap_breaks_reliability_ties_by_relations_across_lengths():
 def oracle_work(kg, head, max_steps, tails):
     """A head's block work: its walks of 1..max_steps - 1 hops plus the cheaper
     last hop, its walks of max_steps hops or the join's cost of the edges into
-    ``tails`` (every walk when ``tails`` is None)."""
+    ``tails`` (every walk when ``tails`` is None, the work without the join)."""
     ends, walks = {head: 1}, []
     for _ in range(max_steps):
         nxt = {}
@@ -439,31 +443,27 @@ def oracle_work(kg, head, max_steps, tails):
 
 def test_blocks_split_heads_by_work(toy_kg):
     """Blocks are consecutive runs of heads, and a head starts a new block when
-    the work before it crosses a multiple of the limit; with wanted pairs a head's
-    last hop counts in its cheaper form, which lowers the total."""
+    the work before it crosses a multiple of the limit; a head's last hop counts
+    in its cheaper form, which lowers the total below the work without the join."""
     n = toy_kg.n_entities
     pairs = sorted(toy_kg.train_pairs)
     heads = np.unique([h for h, _ in pairs])
     tails = {h: [t for g, t in pairs if g == h] for h in heads.tolist()}
     keys = np.array([h * n + t for h, t in pairs])
     for max_steps in (2, 3):
-        total = {}
-        for wanted in (None, keys):
-            work = [oracle_work(toy_kg, h, max_steps, None if wanted is None else tails[h])
-                    for h in heads.tolist()]
-            total[wanted is None] = sum(work)
-            limit = sum(work) // 7
-            done = np.cumsum(work) - work
-            starts = [0] + [i for i in range(1, len(heads))
-                            if done[i] // limit != done[i - 1] // limit]
-            with mock.patch.object(paths_mod, "_BLOCK_EDGES", limit):
-                blocks = paths_mod._blocks(toy_kg, heads, max_steps, wanted)
-                small = extract_paths(toy_kg, max_steps)
-            assert [len(b) for b in blocks] == np.diff(starts + [len(heads)]).tolist()
-            assert len(blocks) > 1
-            assert np.array_equal(np.concatenate(blocks), heads)
-            assert exact(small.pairs) == exact(extract_paths(toy_kg, max_steps).pairs)
-        assert total[False] < total[True]
+        work = [oracle_work(toy_kg, h, max_steps, tails[h]) for h in heads.tolist()]
+        limit = sum(work) // 7
+        done = np.cumsum(work) - work
+        starts = [0] + [i for i in range(1, len(heads))
+                        if done[i] // limit != done[i - 1] // limit]
+        with mock.patch.object(paths_mod, "_BLOCK_EDGES", limit):
+            blocks = paths_mod._blocks(toy_kg, heads, max_steps, keys)
+            small = extract_paths(toy_kg, max_steps)
+        assert [len(b) for b in blocks] == np.diff(starts + [len(heads)]).tolist()
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate(blocks), heads)
+        assert exact(small.pairs) == exact(extract_paths(toy_kg, max_steps).pairs)
+        assert sum(work) < sum(oracle_work(toy_kg, h, max_steps, None) for h in heads.tolist())
 
 
 def test_cache_round_trip_mixed_lengths(tmp_path, toy_kg):

@@ -662,6 +662,9 @@ def test_loss_history_parts_recorded():
 
 
 def test_ablation_flags_zero_terms():
+    """alpha_1 = alpha_2 = 0, the -PaRu2 and -Ru1 ablations together, drops the
+    path and relation-pair terms: their losses read 0, and the embeddings are
+    those of a run without paths or rules, bit for bit."""
     kg = small_kg()
     ps = extract_paths(kg, 2)
     index = build_index(
@@ -672,11 +675,15 @@ def test_ablation_flags_zero_terms():
         0.0,
     )
     cfg = TrainingConfig(
-        dim=8, epochs=2, n_batches=2, seed=2, disable_paths_and_r2=True, disable_r1=True
+        dim=8, epochs=2, n_batches=2, seed=2, alpha_paths=0.0, alpha_relpairs=0.0
     )
     result = train(kg, ps, index, cfg)
     for _, _, _, l2, l3 in result.history:
         assert l2 == 0.0 and l3 == 0.0
+    plain = train(kg, extract_paths(kg, 2, pairs=[]), build_index([], 0.0), cfg)
+    for got, want in ((result.table.entities, plain.table.entities),
+                      (result.table.relations, plain.table.relations)):
+        assert got.tobytes() == want.tobytes()
 
 
 # --- TransE reduction against an independent minimal oracle ---
@@ -875,7 +882,7 @@ def oracle_loss_and_gradients(batch, ps, composer, emb, cfg, sampler):
                 grads.add_entity(h2, -gn)
                 grads.add_relation(r2, -gn, nb)
                 grads.add_entity(t2, gn)
-        if cfg.alpha_paths > 0 and not cfg.disable_paths_and_r2:
+        if cfg.alpha_paths > 0:
             for path in ps.paths_between(h, t):
                 r_neg = sampler.relation_for_pair(h, t)
                 if r_neg is None:
@@ -891,7 +898,7 @@ def oracle_loss_and_gradients(batch, ps, composer, emb, cfg, sampler):
                         grads.add_relation(rid, gp - gn, nb)
                     grads.add_relation(r, -gp, nb)
                     grads.add_relation(r_neg, gn, nb)
-        if cfg.alpha_relpairs > 0 and not cfg.disable_r1:
+        if cfg.alpha_relpairs > 0:
             deduced = composer.index.deduced_from(r)
             excluded = frozenset(d for d, _ in deduced)
             for r_e, beta in deduced:
