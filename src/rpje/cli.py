@@ -13,22 +13,14 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
 from . import evaluation, kg as kg_mod, paths as paths_mod, rules as rules_mod
-from .config import (
-    PARSERS, RULES_FORMATS, RunConfig, RunConfigError, apply_config_file, write_resolved_config,
-)
+from .config import FIELD_TYPES, PARSERS, RunConfig, apply_config_file, write_resolved_config
 from .energy import NORMS
-from .model import (
-    CheckpointError,
-    ConfigError,
-    TrainingConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import CheckpointError, ConfigError, load_checkpoint, save_checkpoint
 from .training import DivergenceError, train, write_loss_history
 
 EXIT_OK = 0
@@ -41,7 +33,6 @@ DATA_ERRORS = (
     rules_mod.RuleParseError,
     paths_mod.PathCacheError,
     CheckpointError,
-    RunConfigError,
     ConfigError,
     LookupError,
     OSError,
@@ -55,8 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Training flags whose spelling is not the field name with "_" -> "-".
+# Flags whose spelling is not the field name with "_" -> "-".
 _FLAG_NAMES = {
+    "train_path": "--train",
+    "valid_path": "--valid",
+    "test_path": "--test",
+    "rules_path": "--rules",
+    "output_dir": "--out",
     "n_batches": "--batches",
     "margin_triple": "--margin1",
     "margin_path": "--margin2",
@@ -66,21 +62,21 @@ _FLAG_NAMES = {
 }
 
 
+def _add_option(p: _Parser, name: str) -> None:
+    """The flag that sets the ``RunConfig`` field ``name``."""
+    p.add_argument(
+        _FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
+        dest=name,
+        type=PARSERS[FIELD_TYPES[name]],
+        choices=NORMS if name == "norm" else None,
+    )
+
+
 def _add_common_options(p: _Parser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--train", dest="train_path")
-    p.add_argument("--valid", dest="valid_path")
-    p.add_argument("--test", dest="test_path")
-    p.add_argument("--rules", dest="rules_path")
-    p.add_argument("--rules-format", dest="rules_format", choices=RULES_FORMATS)
-    p.add_argument("--out", dest="output_dir")
-    for f in fields(TrainingConfig):
-        p.add_argument(
-            _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
-            dest=f.name,
-            type=PARSERS[f.type],
-            choices=NORMS if f.name == "norm" else None,
-        )
+    for name in FIELD_TYPES:
+        if name != "top_k":  # explain's alone
+            _add_option(p, name)
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -98,7 +94,7 @@ def _load_graph(cfg: RunConfig, write_cache: bool = True) -> kg_mod.KnowledgeGra
     """The dataset through ``<out>/dataset.bin``; ``explain`` reads that cache but never writes it."""
     for name in ("train_path", "valid_path", "test_path"):
         if not getattr(cfg, name):
-            raise RunConfigError(f"{name} is required (set it in the config or via flags)")
+            raise ConfigError(f"{name} is required (set it in the config or via flags)")
     return kg_mod.load_dataset(
         cfg.train_path, cfg.valid_path, cfg.test_path,
         cache=cfg.path_for("dataset.bin"), write_cache=write_cache,
@@ -109,10 +105,7 @@ def _load_rule_index(cfg: RunConfig, graph) -> tuple[rules_mod.RuleIndex, rules_
     stats = rules_mod.ParseStats()
     if not cfg.rules_path:
         return rules_mod.build_index([], cfg.confidence_threshold, stats), stats, []
-    parser = (
-        rules_mod.parse_amie_rules if cfg.rules_format == "amie" else rules_mod.parse_rules
-    )
-    raw = parser(cfg.rules_path, graph, stats)
+    raw = rules_mod.parse_rules(cfg.rules_path, graph, stats)
     encoded = rules_mod.encode_rules(raw, graph, stats)
     index = rules_mod.build_index(encoded, cfg.confidence_threshold, stats)
     return index, stats, encoded
@@ -193,8 +186,7 @@ def cmd_train(cfg: RunConfig) -> int:
     graph = _load_graph(cfg)
     index, _, _ = _load_rule_index(cfg, graph)
     ps = _load_or_extract_paths(cfg, graph)
-    tc = cfg.training_config()
-    result = train(graph, ps, index, tc, log_every=max(1, tc.epochs // 10))
+    result = train(graph, ps, index, cfg, log_every=max(1, cfg.epochs // 10))
     os.makedirs(cfg.output_dir, exist_ok=True)
     applications = {
         rules_mod.format_chain_rule(rule, graph).partition("\t")[0]: n
@@ -204,7 +196,7 @@ def cmd_train(cfg: RunConfig) -> int:
         cfg, "train", {**result.paths.summary(), "rule_applications": applications}, *result.epochs
     )
     ckpt = cfg.path_for("checkpoint.bin")
-    save_checkpoint(result.table, graph.dataset_hash(), tc.norm, ckpt)
+    save_checkpoint(result.table, graph.dataset_hash(), cfg.norm, ckpt)
     graph.save_dictionaries(cfg.output_dir)
     write_loss_history(result.history, cfg.path_for("loss_history.csv"))
     write_resolved_config(cfg, cfg.path_for("resolved_train.cfg"))
@@ -214,9 +206,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _scoring_context(cfg: RunConfig, graph: kg_mod.KnowledgeGraph):
     ckpt = cfg.path_for("checkpoint.bin")
-    emb, _, _ = load_checkpoint(
-        ckpt, expected_dataset_hash=graph.dataset_hash(), expected_norm=cfg.norm
-    )
+    # Score with the norm the table was trained with; the resolved config records it.
+    emb, _, cfg.norm = load_checkpoint(ckpt, expected_dataset_hash=graph.dataset_hash())
     if (emb.n_entities, emb.n_base_relations) != (graph.n_entities, graph.n_base_relations):
         raise CheckpointError(
             f"{ckpt}: checkpoint holds {emb.n_entities} entities and {emb.n_base_relations} "
@@ -288,9 +279,9 @@ def build_parser(command: str | None = None) -> _Parser:
             continue
         _add_common_options(p)
         if name == "explain":
+            _add_option(p, "top_k")
             p.add_argument("head")
             p.add_argument("tail")
-            p.add_argument("--top-k", dest="top_k", type=int)
             p.add_argument("--machine", action="store_true", help="line-oriented output")
     return parser
 
@@ -314,9 +305,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(cfg)
         if args.command == "eval":
             return cmd_eval(cfg)
-        if args.command == "explain":
-            return cmd_explain(cfg, args.head, args.tail, args.machine)
-        raise RunConfigError(f"unknown command {args.command!r}")
+        return cmd_explain(cfg, args.head, args.tail, args.machine)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

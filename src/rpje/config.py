@@ -6,15 +6,7 @@ import os
 from dataclasses import dataclass, fields, asdict
 
 from .artifacts import read_text
-from .model import TrainingConfig
-
-
-# The rule file formats ``rules_format`` takes, shared with the --rules-format flag.
-RULES_FORMATS = ("normalized", "amie")
-
-
-class RunConfigError(ValueError):
-    """Bad config file or inconsistent option values."""
+from .model import ConfigError, TrainingConfig
 
 
 @dataclass
@@ -25,29 +17,20 @@ class RunConfig(TrainingConfig):
     valid_path: str = ""
     test_path: str = ""
     rules_path: str = ""
-    rules_format: str = "normalized"  # one of RULES_FORMATS
     output_dir: str = "out"
     top_k: int = 3
 
     def validate(self) -> None:
         super().validate()
-        if self.rules_format not in RULES_FORMATS:
-            raise RunConfigError(
-                f"rules_format must be one of {', '.join(RULES_FORMATS)}, got {self.rules_format!r}"
-            )
         if self.top_k < 1:
-            raise RunConfigError("top_k must be at least 1")
-
-    def training_config(self) -> TrainingConfig:
-        cfg = TrainingConfig(**{f.name: getattr(self, f.name) for f in fields(TrainingConfig)})
-        cfg.validate()
-        return cfg
+            raise ConfigError("top_k must be at least 1")
 
     def path_for(self, name: str) -> str:
         return os.path.join(self.output_dir, name)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Every option, config-file key and flag alike, with its type name.
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 # Value parser per field type, shared by config files and command-line flags.
@@ -55,31 +38,25 @@ PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(name: str, raw: str, where: str):
-    kind = _FIELD_TYPES[name]
+    kind = FIELD_TYPES[name]
     try:
         return PARSERS[kind](raw)
     except ValueError:
-        raise RunConfigError(f"{where}: cannot parse {name}={raw!r} as {kind}") from None
-
-
-def load_config_file(path: str | os.PathLike) -> RunConfig:
-    cfg = RunConfig()
-    apply_config_file(cfg, path)
-    return cfg
+        raise ConfigError(f"{where}: cannot parse {name}={raw!r} as {kind}") from None
 
 
 def apply_config_file(cfg: RunConfig, path: str | os.PathLike) -> None:
-    for lineno, line in enumerate(read_text(path, RunConfigError).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, ConfigError).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         where = f"{path}:{lineno}"
         if "=" not in line:
-            raise RunConfigError(f"{where}: expected key=value")
+            raise ConfigError(f"{where}: expected key=value")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise RunConfigError(f"{where}: unknown option {key!r}")
+        if key not in FIELD_TYPES:
+            raise ConfigError(f"{where}: unknown option {key!r}")
         setattr(cfg, key, _coerce(key, raw.strip(), where))
 
 

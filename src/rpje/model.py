@@ -16,7 +16,7 @@ from .paths import DEFAULT_CUTOFF, DEFAULT_MAX_STEPS, DEFAULT_PER_PAIR_CAP
 
 
 class ConfigError(ValueError):
-    """Invalid hyperparameter combination."""
+    """Bad config file or option value."""
 
 
 @dataclass
@@ -50,10 +50,12 @@ class TrainingConfig:
             raise ConfigError("n_batches must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if min(self.margin_triple, self.margin_path, self.margin_relpair) <= 0:
-            raise ConfigError("margins must be positive")
-        if self.alpha_paths < 0 or self.alpha_relpairs < 0:
-            raise ConfigError("loss weights must be non-negative")
+        for name in ("margin_triple", "margin_path", "margin_relpair"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite")
+        for name in ("alpha_paths", "alpha_relpairs"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite")
         if self.norm not in NORMS:
             raise ConfigError(f"norm must be L1 or L2, got {self.norm!r}")
         if self.max_path_steps not in (2, 3):
@@ -125,10 +127,8 @@ def save_checkpoint(emb: EmbeddingTable, dataset_hash: str, norm: str, path) -> 
         fh.write(np.ascontiguousarray(emb.relations, dtype="<f8").tobytes())
 
 
-def load_checkpoint(
-    path, expected_dataset_hash: str | None = None, expected_norm: str | None = None
-) -> tuple[EmbeddingTable, str, str]:
-    """Returns (table, dataset_hash, norm); embeddings fit only the norm they were trained with.
+def load_checkpoint(path, expected_dataset_hash: str | None = None) -> tuple[EmbeddingTable, str, str]:
+    """Returns (table, dataset_hash, norm); scoring uses the norm the table was trained with.
 
     The table's arrays are read-only views of the file's bytes: scoring only reads them.
     """
@@ -146,10 +146,6 @@ def load_checkpoint(
             raise CheckpointError(f"{path}: checkpoint built for a different dataset")
         if norm not in NORMS:
             raise CheckpointError(f"{path}: unknown norm {norm!r} in checkpoint")
-        if expected_norm is not None and norm != expected_norm:
-            raise CheckpointError(
-                f"{path}: checkpoint trained with norm {norm}, scoring asked for {expected_norm}"
-            )
         body = fh.read()
     # A header that disagrees with the body would read its bytes as other rows.
     size = 8 * dim * (n_ent + n_rel)

@@ -8,7 +8,6 @@ no chain form (repeated variables, unsafe variables) are rejected, not errors.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -92,68 +91,74 @@ def _build_raw(head_text: str, body_text: str, conf_text: str, kg, where) -> Raw
     return RawRule(head=head, body=tuple(body), confidence=confidence)
 
 
-def parse_rules(
-    path, kg: KnowledgeGraph, stats: ParseStats | None = None
-) -> list[RawRule]:
-    """Parse the normalized rule format: head(a,b) <= b1(v,v) [& b2(v,v)] <TAB> conf.
+def _normalized_parts(line: str, where: str) -> tuple[str, str, str] | None:
+    """head(a,b) <= b1(v,v) [& b2(v,v)] <TAB> conf; ``#`` starts a comment."""
+    line = line.split("#", 1)[0].strip()
+    if not line:
+        return None
+    m = _LINE_RE.match(line)
+    if m is None:
+        raise RuleParseError(f"{where}: expected 'head <= body<TAB>confidence'")
+    return m.groups()
 
-    Rules over relations absent from the graph are dropped (counted in stats),
-    never raised.
+
+def _amie_parts(line: str, where: str) -> tuple[str, str, str] | None:
+    """AMIE+ TSV export: rule string, head coverage, std confidence, PCA confidence, ...
+
+    The rule string joins space-separated atoms '?x rel ?y' with '=>', and PCA
+    confidence is taken as the rule confidence. Only lines that start with ``#``
+    are comments, as AMIE relation IRIs may contain ``#``.
+    """
+    if not line or line.startswith(("Rule", "#")):
+        return None
+    cols = line.split("\t")
+    if len(cols) < 4:
+        raise RuleParseError(f"{where}: expected AMIE TSV with >= 4 columns")
+    tokens = cols[0].split()
+    if "=>" not in tokens:
+        raise RuleParseError(f"{where}: no '=>' in rule string")
+    sep = tokens.index("=>")
+    body_tok, head_tok = tokens[:sep], tokens[sep + 1 :]
+    if len(head_tok) != 3 or len(body_tok) % 3 != 0:
+        raise RuleParseError(f"{where}: atoms must be variable/relation/variable")
+    hv1, hrel, hv2 = head_tok
+    varmap = {hv1: "a", hv2: "b"}
+    atoms_txt = []
+    for i in range(0, len(body_tok), 3):
+        v1, rel, v2 = body_tok[i : i + 3]
+        for v in (v1, v2):
+            if v not in varmap:
+                varmap[v] = "e"
+        atoms_txt.append(f"{rel}({varmap[v1]},{varmap[v2]})")
+    return f"{hrel}(a,b)", " & ".join(atoms_txt), cols[3]
+
+
+def _is_amie(line: str) -> bool:
+    """AMIE's rule string holds a '=>' token; its header's first column is 'Rule'."""
+    first = line.split("\t", 1)[0]
+    return first == "Rule" or "=>" in first.split()
+
+
+def parse_rules(path, kg: KnowledgeGraph, stats: ParseStats | None = None) -> list[RawRule]:
+    """Parse a rule file in the normalized syntax or in AMIE's TSV export.
+
+    The file's first line that is neither blank nor a ``#`` comment decides the
+    syntax; a later line in the other one fails with its line number. Rules over
+    relations absent from the graph are dropped (counted in stats), never raised.
     """
     stats = stats if stats is not None else ParseStats()
     rules = []
+    parts_of = None
     for lineno, line in enumerate(read_text(path, RuleParseError).split("\n"), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if parts_of is None:
+            if not line.split("#", 1)[0].strip():
+                continue
+            parts_of = _amie_parts if _is_amie(line) else _normalized_parts
         where = f"{path}:{lineno}"
-        m = _LINE_RE.match(line)
-        if m is None:
-            raise RuleParseError(f"{where}: expected 'head <= body<TAB>confidence'")
-        rule = _build_raw(m.group(1), m.group(2), m.group(3), kg, where)
-        if rule is None:
-            stats.dropped_unknown_relation += 1
+        parts = parts_of(line, where)
+        if parts is None:
             continue
-        stats.parsed += 1
-        rules.append(rule)
-    return rules
-
-
-def parse_amie_rules(
-    path, kg: KnowledgeGraph, stats: ParseStats | None = None
-) -> list[RawRule]:
-    """Adapter for AMIE+ TSV export; PCA confidence is taken as the rule confidence.
-
-    Expected columns: rule string, head coverage, std confidence, PCA confidence, ...
-    The rule string uses space-separated atoms '?x rel ?y' joined by '=>'.
-    """
-    stats = stats if stats is not None else ParseStats()
-    rules = []
-    for lineno, line in enumerate(read_text(path, RuleParseError).split("\n"), start=1):
-        if not line or line.startswith(("Rule", "#")):
-            continue
-        where = f"{path}:{lineno}"
-        cols = line.split("\t")
-        if len(cols) < 4:
-            raise RuleParseError(f"{where}: expected AMIE TSV with >= 4 columns")
-        tokens = cols[0].split()
-        if "=>" not in tokens:
-            raise RuleParseError(f"{where}: no '=>' in rule string")
-        sep = tokens.index("=>")
-        body_tok, head_tok = tokens[:sep], tokens[sep + 1 :]
-        if len(head_tok) != 3 or len(body_tok) % 3 != 0:
-            raise RuleParseError(f"{where}: atoms must be variable/relation/variable")
-        hv1, hrel, hv2 = head_tok
-        varmap = {hv1: "a", hv2: "b"}
-        atoms_txt = []
-        for i in range(0, len(body_tok), 3):
-            v1, rel, v2 = body_tok[i : i + 3]
-            for v in (v1, v2):
-                if v not in varmap:
-                    varmap[v] = "e"
-            atoms_txt.append(f"{rel}({varmap[v1]},{varmap[v2]})")
-        head_txt = f"{hrel}(a,b)"
-        rule = _build_raw(head_txt, " & ".join(atoms_txt), cols[3], kg, where)
+        rule = _build_raw(*parts, kg, where)
         if rule is None:
             stats.dropped_unknown_relation += 1
             continue

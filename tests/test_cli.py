@@ -9,9 +9,8 @@ import pytest
 
 from rpje import cli, evaluation, model
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
-from rpje.config import load_config_file
+from rpje.config import RunConfig, apply_config_file
 from rpje.kg import load_dataset
-from rpje.model import TrainingConfig
 from rpje.paths import load_path_set, walk_resources
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
@@ -121,15 +120,24 @@ def test_explain_unknown_entity_hints(pipeline, capsys):
     assert "did you mean" in err
 
 
-def test_scoring_with_other_norm_exits_two(pipeline, capsys):
-    out, files, fast = pipeline  # trained with the default L1 norm
+def test_scoring_uses_checkpoint_norm(pipeline, tmp_path, capsys):
+    """eval and explain score with the norm the checkpoint was trained with
+    (the default L1 here): ``--norm L2`` is a training setting they ignore, and
+    eval's resolved config records the norm it scored with."""
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
     capsys.readouterr()
     for command in (["eval"], ["explain", "country_0", "country_1"]):
-        rc = main([*command, *data_flags(files), "--out", str(out), *fast, "--norm", "L2"])
-        assert rc == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-        assert "norm L1" in err and "L2" in err
+        outputs = []
+        for norm in ([], ["--norm", "L2"]):
+            assert main([*command, *data_flags(files), "--out", str(out), *fast, *norm]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((captured.out, (out / "eval_report.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+    assert (out / "eval_report.csv").read_bytes() == (pipeline[0] / "eval_report.csv").read_bytes()
+    assert "norm = L1\n" in (out / "resolved_eval.cfg").read_text()
 
 
 def test_usage_errors_exit_one(capsys):
@@ -137,7 +145,7 @@ def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["train", "--dim", "not-a-number"]) == EXIT_USAGE
     assert main(["train", "--deterministic"]) == EXIT_USAGE
-    assert main(["encode-rules", "--rules-format", "AMIE"]) == EXIT_USAGE
+    assert main(["encode-rules", "--rules-format", "amie"]) == EXIT_USAGE  # detected from the file
     capsys.readouterr()
 
 
@@ -222,16 +230,16 @@ def test_bad_config_file_exits_two(toy_dir, tmp_path, capsys):
         cfg2 = tmp_path / "unknown.cfg"
         cfg2.write_text(line)
         assert main(["train", "--config", str(cfg2)]) == EXIT_DATA
-    # a value the --rules-format flag refuses is refused from the file too
+    # the rule file shows its own format, so the setting that named it is gone
     _, files = toy_dir
     cfg3 = tmp_path / "format.cfg"
-    cfg3.write_text("rules_format = AMIE\n")
+    cfg3.write_text("rules_format = normalized\n")
     capsys.readouterr()
     argv = ["encode-rules", "--config", str(cfg3), *data_flags(files), "--out", str(tmp_path)]
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert "rules_format" in err
+    assert "unknown option 'rules_format'" in err
 
 
 def test_train_reuses_path_cache(toy_dir, tmp_path, capsys):
@@ -254,8 +262,8 @@ def test_eval_without_checkpoint_exits_two(toy_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
-# Every TrainingConfig field: the flag that sets it and a non-default value.
-TRAINING_FLAGS = {
+# Every RunConfig field: the flag that sets it and a non-default value.
+RUN_FLAGS = {
     "dim": ("--dim", "7"),
     "lr": ("--lr", "0.5"),
     "epochs": ("--epochs", "3"),
@@ -271,22 +279,38 @@ TRAINING_FLAGS = {
     "path_cutoff": ("--path-cutoff", "0.05"),
     "per_pair_cap": ("--per-pair-cap", "9"),
     "seed": ("--seed", "11"),
+    "train_path": ("--train", "t.tsv"),
+    "valid_path": ("--valid", "v.tsv"),
+    "test_path": ("--test", "x.tsv"),
+    "rules_path": ("--rules", "r.tsv"),
+    "output_dir": ("--out", "elsewhere"),
+    "top_k": ("--top-k", "5"),
 }
 
 
-def test_every_training_field_round_trips(tmp_path):
-    assert set(TRAINING_FLAGS) == {f.name for f in fields(TrainingConfig)}
-    defaults = TrainingConfig()
-    for name, (flag, raw) in TRAINING_FLAGS.items():
+def test_every_training_field_round_trips(tmp_path, capsys):
+    """Each RunConfig field is set alike by its config-file key and by its flag
+    on every command; ``--top-k`` exists on ``explain`` alone."""
+    assert set(RUN_FLAGS) == {f.name for f in fields(RunConfig)}
+    defaults = RunConfig()
+    for name, (flag, raw) in RUN_FLAGS.items():
         expected = type(getattr(defaults, name))(raw)
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"{name} = {raw}\n")
-        via_file = load_config_file(cfg_file).training_config()
-        args = cli.build_parser().parse_args(["train", flag, raw])
-        via_flag = cli._resolve(args).training_config()
-        for got in (via_file, via_flag):
+        via_file = RunConfig()
+        apply_config_file(via_file, cfg_file)
+        via_flags = []
+        for command in cli.COMMANDS:
+            argv = [command, flag, raw] + (["h", "t"] if command == "explain" else [])
+            if name == "top_k" and command != "explain":
+                with pytest.raises(SystemExit):
+                    cli.build_parser().parse_args(argv)
+                continue
+            via_flags.append(cli._resolve(cli.build_parser().parse_args(argv)))
+        for got in (via_file, *via_flags):
             assert getattr(got, name) == expected != getattr(defaults, name), name
             assert replace(got, **{name: getattr(defaults, name)}) == defaults, name
+    capsys.readouterr()
 
 
 def test_train_rebuilds_cache_for_other_per_pair_cap(toy_dir, tmp_path, monkeypatch, capsys):
@@ -408,6 +432,60 @@ def test_invalid_path_option_exits_two(pipeline, tmp_path, capsys, command, flag
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, field, value",
+    [
+        ("train", "--margin1", "margin_triple", "nan"),
+        ("train", "--margin2", "margin_path", "inf"),
+        ("train", "--margin3", "margin_relpair", "nan"),
+        ("train", "--alpha1", "alpha_paths", "nan"),
+        ("train", "--alpha2", "alpha_relpairs", "inf"),
+        ("eval", "--alpha1", "alpha_paths", "nan"),
+        ("eval", "--alpha1", "alpha_paths", "inf"),
+        ("explain", "--alpha1", "alpha_paths", "inf"),
+        ("explain", "--alpha2", "alpha_relpairs", "nan"),
+    ],
+)
+def test_non_finite_margin_or_weight_exits_two(
+    pipeline, tmp_path, capsys, recwarn, command, flag, field, value
+):
+    """A NaN or infinite margin or loss weight is refused like any other bad
+    value, before training diverges on it or scoring ranks NaN first."""
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    argv = [command, *data_flags(files), "--out", str(out), *fast, flag, value]
+    if command == "explain":
+        argv += ["country_0", "country_1"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert field in captured.err and "finite" in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("first", ["normalized", "amie"])
+def test_rule_file_in_two_syntaxes_exits_two(toy_dir, tmp_path, capsys, first):
+    """The first rule line decides the file's syntax; a later line in the other
+    syntax is a data error that names its line."""
+    _, files = toy_dir
+    lines = {
+        "normalized": "nationality(a,b) <= born_in_country(a,b)\t0.9",
+        "amie": "?a  born_in_country  ?b  => ?a  nationality  ?b\t0.5\t0.6\t0.9",
+    }
+    rules = tmp_path / "mixed.tsv"
+    second = "amie" if first == "normalized" else "normalized"
+    rules.write_text(f"# mined rules\n{lines[first]}\n{lines[second]}\n")
+    argv = ["encode-rules", *data_flags(files), "--rules", str(rules), "--out", str(tmp_path)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert f"{rules}:3:" in err
 
 
 def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from rpje.compose import Composer
 from rpje.energy import (
     compose_embedding,
+    NORMS,
     dissimilarity,
     path_energy,
     path_weight,
@@ -60,6 +63,15 @@ def test_bad_config_rejected():
         TrainingConfig(norm="L3").validate()
     with pytest.raises(ConfigError):
         TrainingConfig(max_path_steps=5).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", ["margin_triple", "margin_path", "margin_relpair", "alpha_paths", "alpha_relpairs"]
+)
+def test_non_finite_margins_and_weights_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be .*finite"):
+        TrainingConfig(**{field: value}).validate()
 
 
 def _hand_table():
@@ -150,7 +162,7 @@ def test_checkpoint_round_trip(tmp_path, kg):
     ds = kg.dataset_hash()
     path = tmp_path / "ckpt.bin"
     save_checkpoint(emb, ds, "L2", path)
-    loaded, ds2, norm = load_checkpoint(path, expected_dataset_hash=ds, expected_norm="L2")
+    loaded, ds2, norm = load_checkpoint(path, expected_dataset_hash=ds)
     assert ds2 == ds and norm == "L2"
     np.testing.assert_array_equal(loaded.entities, emb.entities)
     np.testing.assert_array_equal(loaded.relations, emb.relations)
@@ -164,13 +176,13 @@ def test_checkpoint_dataset_mismatch(tmp_path, kg):
         load_checkpoint(path, expected_dataset_hash="f" * 64)
 
 
-def test_checkpoint_norm_mismatch(tmp_path, kg):
+def test_checkpoint_norm_round_trips(tmp_path, kg):
+    """The checkpoint stores its training norm; scoring reads it from there."""
     emb = init_embeddings(kg, TrainingConfig(dim=8, seed=1))
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(emb, kg.dataset_hash(), "L1", path)
-    assert load_checkpoint(path, expected_norm="L1")[2] == "L1"
-    with pytest.raises(CheckpointError, match="norm L1"):
-        load_checkpoint(path, expected_norm="L2")
+    for norm in NORMS:
+        save_checkpoint(emb, kg.dataset_hash(), norm, path)
+        assert load_checkpoint(path)[2] == norm
 
 
 def test_checkpoint_older_version_rejected(tmp_path, kg):

@@ -11,7 +11,6 @@ from rpje.rules import (
     RuleParseError,
     build_index,
     encode_rule,
-    parse_amie_rules,
     parse_rules,
 )
 
@@ -182,6 +181,7 @@ def test_bad_threshold():
 
 
 def test_amie_adapter(tmp_path, kg3):
+    """parse_rules reads AMIE's export; its header line marks the file as AMIE."""
     lines = [
         "Rule\tHead Coverage\tStd Confidence\tPCA Confidence",
         "?a  r1  ?c  ?c  r2  ?b   => ?a  r3  ?b\t0.5\t0.6\t0.81",
@@ -189,13 +189,44 @@ def test_amie_adapter(tmp_path, kg3):
     ]
     path = tmp_path / "amie.tsv"
     path.write_text("\n".join(lines) + "\n")
-    rules = parse_amie_rules(path, kg3)
+    rules = parse_rules(path, kg3)
     assert len(rules) == 2
     assert rules[0].confidence == 0.81
     chain = encode_rule(rules[0], kg3)
     assert chain.body == (kg3.relation_id("r1"), kg3.relation_id("r2"))
     chain1 = encode_rule(rules[1], kg3)
     assert chain1.body == (kg3.inverse(kg3.relation_id("r1")),)
+
+
+def test_amie_relation_iri_keeps_its_hash(tmp_path):
+    """An AMIE file without its header: only a line starting with '#' is a
+    comment, and a '#' inside a relation IRI is part of the name."""
+    iri = "<http://example.org/onto#r2>"
+    kg = make_kg([("a", "r1", "b"), ("a", iri, "b")])
+    path = rule_file(tmp_path, [
+        "# AMIE+ output",
+        f"?b  r1  ?a  => ?a  {iri}  ?b\t0.4\t0.5\t0.9",
+        f"?a  {iri}  ?b  => ?a  r1  ?b\t0.4\t0.5\t0.8",
+    ])
+    rules = parse_rules(path, kg)
+    assert [r.head[0] for r in rules] == [kg.relation_id(iri), kg.relation_id("r1")]
+    assert rules[1].body == ((kg.relation_id(iri), "a", "b"),)
+
+
+@pytest.mark.parametrize("first", ["normalized", "amie"])
+def test_rule_file_syntax_is_fixed_by_its_first_rule(tmp_path, kg3, first):
+    """Blank and comment lines before the first rule decide nothing; a line in
+    the other syntax after it fails with its line number."""
+    lines = {
+        "normalized": "r3(a,b) <= r1(a,e) & r2(e,b)\t0.9  # inline comment",
+        "amie": "?a  r1  ?b  => ?a  r2  ?b\t0.4\t0.5\t0.9",
+    }
+    second = "amie" if first == "normalized" else "normalized"
+    path = rule_file(tmp_path, ["# header comment", "", lines[first], lines[second]])
+    with pytest.raises(RuleParseError, match=r"rules\.tsv:4:"):
+        parse_rules(path, kg3)
+    path = rule_file(tmp_path, ["", lines[first], lines[first]])
+    assert len(parse_rules(path, kg3)) == 2
 
 
 # --- encoding soundness on random ground graphs ---
