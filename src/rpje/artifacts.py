@@ -1,24 +1,57 @@
-"""Artifact files: atomic writes, reads that reject truncation, and text input decoding."""
+"""Artifact files: one binary layout for every artifact, and text input decoding.
 
-import contextlib
+``dataset.bin``, ``paths.bin`` and ``checkpoint.bin`` are each a magic, then a
+``struct.Struct`` header whose first field is the format version, then
+little-endian arrays, each zero-padded to start at a multiple of its item size.
+"""
+
 import os
+import struct
+
+import numpy as np
 
 
-@contextlib.contextmanager
-def atomic_write(path):
-    """Write a temp file next to ``path``, then move it into place: no half-written artifacts."""
+def write_arrays(path, magic: bytes, header: struct.Struct, fields: tuple, arrays) -> None:
+    """Write ``magic``, ``header`` packed from ``fields``, then ``arrays`` (little-endian
+    numpy arrays) aligned, to a temp file moved into place: no half-written artifacts."""
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "wb") as fh:
-        yield fh
+        fh.write(magic + header.pack(*fields))
+        for array in arrays:
+            fh.write(bytes(-fh.tell() % array.itemsize))
+            fh.write(np.ascontiguousarray(array))
     os.replace(tmp, path)
 
 
-def read_exact(fh, n: int, error: type[Exception]) -> bytes:
-    """The next ``n`` bytes of ``fh``; raises ``error`` if the file ends first."""
-    data = fh.read(n)
-    if len(data) != n:
-        raise error(f"{fh.name}: truncated file")
-    return data
+def read_arrays(path, magic: bytes, header: struct.Struct, layout, error: type[Exception]):
+    """(header fields, arrays) of a ``write_arrays`` file: read-only views of its
+    bytes at the (dtype, count) pairs ``layout(fields)`` derives from the header.
+
+    Raises ``error`` if the magic differs, if ``layout`` raises it (for a wrong
+    version, say), or if the file is shorter or longer than the header says.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[: len(magic)] != magic:
+        raise error(f"{path}: not a {magic.decode()} file")
+    if len(data) < len(magic) + header.size:
+        raise error(f"{path}: truncated file")
+    fields = header.unpack_from(data, len(magic))
+    try:
+        shapes = layout(fields)
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+    offset, arrays = len(magic) + header.size, []
+    for dtype, count in shapes:
+        dtype = np.dtype(dtype)
+        offset += -offset % dtype.itemsize
+        if offset + dtype.itemsize * count > len(data):
+            raise error(f"{path}: truncated file")
+        arrays.append(np.frombuffer(data, dtype, count, offset))
+        offset += dtype.itemsize * count
+    if offset != len(data):
+        raise error(f"{path}: over-long file")
+    return fields, arrays
 
 
 def decode_text(data: bytes, path, error: type[Exception]) -> str:

@@ -17,9 +17,9 @@ covers all three splits.
 ``dataset_hash`` is a SHA-256 over the interned graph, so row order is part of a
 dataset's identity; checkpoints and path caches are keyed on it.
 ``load_dataset(..., cache=path)`` keeps the interned graph in a binary file
-keyed on the SHA-256 of the three split files' bytes: a hit rebuilds the graph
-from the stored names, id arrays, dataset hash and train CSR without parsing
-any text or sorting any edge.
+(``dataset.bin``, in the ``artifacts`` layout) keyed on the SHA-256 of the three
+split files' bytes: a hit rebuilds the graph from the stored names, id arrays,
+dataset hash and train CSR without parsing any text or sorting any edge.
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import atomic_write, decode_text
+from .artifacts import decode_text, read_arrays, write_arrays
 
 Triple = tuple[int, int, int]
 
-INVERSE_SUFFIX = "^-1"
+INVERSE_SUFFIX = "^-1"  # names a derived inverse, so no relation in the data may end with it
 
 
 def distinct_sorted(values: np.ndarray) -> np.ndarray:
@@ -166,6 +166,8 @@ class KnowledgeGraph:
         computes and what ``csr`` builds."""
         if not len(train):
             raise DatasetError("train split is empty")
+        if reserved := [name for name in relation_names if name.endswith(INVERSE_SUFFIX)]:
+            raise DatasetError(f"relation {reserved[0]!r} ends in the reserved {INVERSE_SUFFIX}")
         self.entity_names = entity_names
         self.relation_names = relation_names  # base relations only
         self._entity_id = dict(zip(entity_names, range(len(entity_names))))
@@ -323,10 +325,6 @@ class KnowledgeGraph:
     def in_train(self, t: Triple) -> bool:
         return self._canonical(t) in self._train_set
 
-    @cached_property
-    def train_pairs(self) -> set[tuple[int, int]]:
-        return set(zip(self.train_ids[:, 0].tolist(), self.train_ids[:, 2].tolist()))
-
     # --- persistence ---
 
     def split_rows(self, split: str) -> list[tuple[str, str, str]]:
@@ -398,10 +396,11 @@ class _FilterIndex:
 
 
 _CACHE_MAGIC = b"RPJEDSET"
-_CACHE_VERSION = 3  # 2: the train CSR follows the names; 3: with its reverse-edge index
-# magic, version, source key, dataset hash, entity and relation counts,
-# train/valid/test rows, entity and relation name bytes
-_CACHE_HEADER = struct.Struct("<8sH32s32s5I2Q")
+# 2: the train CSR follows the names; 3: with its reverse-edge index; 4: aligned arrays
+_CACHE_VERSION = 4
+# version, source key, dataset hash, entity and relation counts,
+# train/valid/test rows, name bytes
+_CACHE_HEADER = struct.Struct("<H32s32s5IQ")
 
 
 def _parse(sources: list[bytes], paths) -> KnowledgeGraph:
@@ -418,83 +417,62 @@ def _source_key(sources: list[bytes]) -> bytes:
 
 
 def _write_cache(graph: KnowledgeGraph, key: bytes, path) -> None:
-    """Header, the three id arrays as int32, the entity and the relation names, each
-    list joined by newlines, zeros up to a multiple of 8 bytes, then the train CSR's
-    ``indptr``, ``relation``, ``neighbour``, ``group_size`` and ``reverse`` as int64."""
+    """The ``artifacts.write_arrays`` layout: the header, the train, valid and test
+    ids as one int32 array, the entity then the relation names as UTF-8 lines, then
+    the train CSR's ``indptr``, ``relation``, ``neighbour``, ``group_size`` and
+    ``reverse`` as int64."""
     splits = (graph.train_ids, graph.valid_ids, graph.test_ids)
-    names = ["\n".join(graph.entity_names).encode(), "\n".join(graph.relation_names).encode()]
-    header = _CACHE_HEADER.pack(
-        _CACHE_MAGIC, _CACHE_VERSION, key, bytes.fromhex(graph.dataset_hash()),
-        graph.n_entities, graph.n_base_relations, *map(len, splits), *map(len, names),
+    names = "\n".join(graph.entity_names + graph.relation_names).encode()
+    fields = (
+        _CACHE_VERSION, key, bytes.fromhex(graph.dataset_hash()),
+        graph.n_entities, graph.n_base_relations, *map(len, splits), len(names),
     )
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with atomic_write(path) as fh:
-        fh.write(header)
-        for ids in splits:
-            fh.write(ids.astype("<i4").tobytes())
-        fh.write(b"".join(names))
-        fh.write(bytes(-fh.tell() % 8))  # so the int64 arrays are aligned in memory
-        for array in graph.csr:
-            fh.write(np.ascontiguousarray(array, "<i8"))
+    write_arrays(path, _CACHE_MAGIC, _CACHE_HEADER, fields, [
+        np.concatenate(splits, dtype="<i4"),
+        np.asarray(memoryview(names)),  # as uint8
+        *(np.asarray(array, "<i8") for array in graph.csr),
+    ])
 
 
-def _read_csr(
-    data: bytes, offset: int, n_ent: int, n_base: int, n_edges: int
-) -> AdjacencyCSR | None:
-    """The CSR stored at ``offset``, or None if it fails a range check. Values in
-    range are trusted: the cache is keyed on the split files' bytes."""
-    indptr, relation, neighbour, group_size, reverse = csr = AdjacencyCSR(*np.split(
-        np.frombuffer(data, "<i8", n_ent + 1 + 4 * n_edges, offset),
-        np.cumsum([n_ent + 1, n_edges, n_edges, n_edges]),
-    ))
-    if indptr[0] != 0 or indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any():
-        return None
-    if relation.min() < 0 or relation.max() >= 2 * n_base:
-        return None
-    if neighbour.min() < 0 or neighbour.max() >= n_ent or group_size.min() < 1:
-        return None
-    if reverse.min() < 0 or reverse.max() >= n_edges:
-        return None
-    return csr
+def _cache_layout(key: bytes, fields) -> list[tuple[str, int]]:
+    version, stored_key, _, n_ent, _, *rows, name_bytes = fields
+    # an empty train split is an error, which only a parse reports
+    if (version, stored_key) != (_CACHE_VERSION, key) or not rows[0]:
+        raise DatasetError("not a cache for these split files")
+    return [("<i4", 3 * sum(rows)), ("u1", name_bytes), ("<i8", n_ent + 1),
+            *[("<i8", 2 * rows[0])] * 4]
 
 
 def _read_cache(path, key: bytes) -> KnowledgeGraph | None:
     """The graph cached at ``path`` for sources with ``key``; None if the file is
-    missing, stale, truncated, over-long or otherwise not a cache for them."""
+    missing, stale, truncated, over-long or otherwise not a cache for them.
+    Values in range are trusted: the cache is keyed on the split files' bytes."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
+        fields, (ids, names, *csr) = read_arrays(
+            path, _CACHE_MAGIC, _CACHE_HEADER, partial(_cache_layout, key), DatasetError
+        )
+    except (FileNotFoundError, DatasetError):
         return None
-    if len(data) < _CACHE_HEADER.size:
+    ds_hash, n_ent, n_rel, *rows = fields[2:8]
+    ids = ids.reshape(-1, 3)
+    indptr, relation, neighbour, group_size, reverse = csr = AdjacencyCSR(*csr)
+    n_edges = len(relation)
+    # every id lies in [0, its bound)
+    bounds = [(ids[:, 0::2], n_ent), (ids[:, 1], n_rel), (relation, 2 * n_rel),
+              (neighbour, n_ent), (reverse, n_edges)]
+    if any(a.min() < 0 or a.max() >= bound for a, bound in bounds) or group_size.min() < 1:
         return None
-    magic, version, stored_key, ds_hash, n_ent, n_rel, *sizes = _CACHE_HEADER.unpack_from(data)
-    rows, name_bytes = sizes[:3], sizes[3:]
-    # an empty train split is an error, which only a parse reports
-    if (magic, version, stored_key) != (_CACHE_MAGIC, _CACHE_VERSION, key) or not rows[0]:
+    if indptr[0] != 0 or indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any():
         return None
-    names_end = _CACHE_HEADER.size + 12 * sum(rows) + sum(name_bytes)
-    csr_offset, n_edges = names_end + -names_end % 8, 2 * rows[0]
-    if len(data) != csr_offset + 8 * (n_ent + 1 + 4 * n_edges):
-        return None
-    offset, splits = _CACHE_HEADER.size, []
-    for n in rows:
-        ids = np.frombuffer(data, "<i4", 3 * n, offset).reshape(n, 3)
-        if n and (ids.min() < 0 or ids[:, 0::2].max() >= n_ent or ids[:, 1].max() >= n_rel):
-            return None
-        splits.append(ids)
-        offset += 12 * n
     try:
-        entities = data[offset : offset + name_bytes[0]].decode().split("\n")
-        relations = data[offset + name_bytes[0] : names_end].decode().split("\n")
+        names = bytes(names).decode().split("\n")
     except UnicodeDecodeError:
         return None
-    if (len(entities), len(relations)) != (n_ent, n_rel):
+    if len(names) != n_ent + n_rel:
         return None
-    csr = _read_csr(data, csr_offset, n_ent, n_rel, n_edges)
-    if csr is None:
-        return None
-    return KnowledgeGraph(entities, relations, *splits, dataset_hash=ds_hash.hex(), csr=csr)
+    splits = np.split(ids, np.cumsum(rows[:2]))
+    return KnowledgeGraph(names[:n_ent], names[n_ent:], *splits, ds_hash.hex(), csr)
 
 
 def load_dataset(

@@ -1,15 +1,15 @@
-"""Embedding table, training hyperparameters and checkpoints; the energies are in ``energy``."""
+"""Embedding table, training hyperparameters and checkpoints (``checkpoint.bin``, in
+the ``artifacts`` layout); the energies are in ``energy``."""
 
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .artifacts import atomic_write, read_exact
+from .artifacts import read_arrays, write_arrays
 from .energy import NORMS
 from .kg import KnowledgeGraph
 from .paths import DEFAULT_CUTOFF, DEFAULT_MAX_STEPS, DEFAULT_PER_PAIR_CAP
@@ -110,6 +110,9 @@ def init_embeddings(kg: KnowledgeGraph, cfg: TrainingConfig) -> EmbeddingTable:
 
 _CKPT_MAGIC = b"RPJECKPT"
 _CKPT_VERSION = 3  # 2: the header holds the training norm; 3: the dataset hash covers row order
+# version, dim, entity and relation counts, dataset hash, norm; then the entity
+# and the relation rows as float64, which need no padding after these 56 bytes
+_CKPT_HEADER = struct.Struct("<H3I32s2s")
 
 
 class CheckpointError(ValueError):
@@ -117,14 +120,17 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(emb: EmbeddingTable, dataset_hash: str, norm: str, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<H", _CKPT_VERSION))
-        fh.write(struct.pack("<III", emb.dim, emb.n_entities, emb.n_base_relations))
-        fh.write(bytes.fromhex(dataset_hash))
-        fh.write(norm.encode("ascii"))
-        fh.write(np.ascontiguousarray(emb.entities, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(emb.relations, dtype="<f8").tobytes())
+    fields = (_CKPT_VERSION, emb.dim, emb.n_entities, emb.n_base_relations,
+              bytes.fromhex(dataset_hash), norm.encode("ascii"))
+    write_arrays(path, _CKPT_MAGIC, _CKPT_HEADER, fields,
+                 (np.asarray(emb.entities, "<f8"), np.asarray(emb.relations, "<f8")))
+
+
+def _checkpoint_layout(fields) -> list[tuple[str, int]]:
+    version, dim, n_ent, n_rel = fields[:4]
+    if version != _CKPT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    return [("<f8", dim * n_ent), ("<f8", dim * n_rel)]
 
 
 def load_checkpoint(path, expected_dataset_hash: str | None = None) -> tuple[EmbeddingTable, str, str]:
@@ -132,25 +138,13 @@ def load_checkpoint(path, expected_dataset_hash: str | None = None) -> tuple[Emb
 
     The table's arrays are read-only views of the file's bytes: scoring only reads them.
     """
-    with open(path, "rb") as fh:
-        read = partial(read_exact, fh, error=CheckpointError)
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<H", read(2))
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        dim, n_ent, n_rel = struct.unpack("<III", read(12))
-        ds_hash = read(32).hex()
-        norm = read(2).decode("ascii", errors="replace")
-        if expected_dataset_hash is not None and ds_hash != expected_dataset_hash:
-            raise CheckpointError(f"{path}: checkpoint built for a different dataset")
-        if norm not in NORMS:
-            raise CheckpointError(f"{path}: unknown norm {norm!r} in checkpoint")
-        body = fh.read()
-    # A header that disagrees with the body would read its bytes as other rows.
-    size = 8 * dim * (n_ent + n_rel)
-    if len(body) != size:
-        raise CheckpointError(f"{path}: {'truncated' if len(body) < size else 'over-long'} file")
-    ents = np.frombuffer(body, dtype="<f8", count=n_ent * dim).reshape(n_ent, dim)
-    rels = np.frombuffer(body, dtype="<f8", count=n_rel * dim, offset=ents.nbytes)
-    return EmbeddingTable(ents, rels.reshape(n_rel, dim)), ds_hash, norm
+    fields, (ents, rels) = read_arrays(
+        path, _CKPT_MAGIC, _CKPT_HEADER, _checkpoint_layout, CheckpointError
+    )
+    _, dim, n_ent, n_rel, ds_hash, norm = fields
+    ds_hash, norm = ds_hash.hex(), norm.decode("ascii", errors="replace")
+    if expected_dataset_hash is not None and ds_hash != expected_dataset_hash:
+        raise CheckpointError(f"{path}: checkpoint built for a different dataset")
+    if norm not in NORMS:
+        raise CheckpointError(f"{path}: unknown norm {norm!r} in checkpoint")
+    return EmbeddingTable(ents.reshape(n_ent, dim), rels.reshape(n_rel, dim)), ds_hash, norm

@@ -58,7 +58,8 @@ test pairs and ``explain`` its one pair through ``PathFinder.find``, so a
 relation is always ranked on the pair's own paths. A pair's paths are one
 slice of the store (``between``). No object is built per path; ``Path``
 tuples are made on demand (``pairs``, ``paths_between``) for explanations and
-tests. ``load_path_set`` reads the arrays with ``np.frombuffer`` and checks
+tests. ``paths.bin`` holds the store's arrays in the ``artifacts.write_arrays``
+layout; ``load_path_set`` takes them as views of the file's bytes and checks
 every value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
 """
 
@@ -67,12 +68,12 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import atomic_write, read_exact
+from .artifacts import read_arrays, write_arrays
 from .kg import AdjacencyCSR, KnowledgeGraph, distinct_sorted
 
 DEFAULT_MAX_STEPS = 2
@@ -412,7 +413,7 @@ def extract_paths(
         raise ValueError("max_steps must be 2 or 3")
     if not 0.0 <= cutoff < 1.0:
         raise ValueError("cutoff must lie in [0,1)")
-    pairs = sorted(kg.train_pairs) if pairs is None else pairs
+    pairs = kg.train_ids[:, [0, 2]] if pairs is None else pairs
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     wanted = distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1])
     heads = distinct_sorted(wanted // kg.n_entities)
@@ -475,30 +476,27 @@ class PathFinder:
 
 
 _MAGIC = b"RPJEPATH"
-_VERSION = 3
+_VERSION = 4  # 4: the header holds the path count, and the arrays are aligned
+# version, max_steps, cutoff, per_pair_cap, dataset hash, pair and path counts
+_HEADER = struct.Struct("<HHdI32sQQ")
 
 
 def save_path_set(store: PathStore, dataset_hash: str, path) -> None:
-    """Binary cache: a 64-byte header, then fixed-width little-endian arrays.
-
-    The header holds the magic, version, max_steps, cutoff, per_pair_cap,
-    dataset hash and pair count. Then come (head, tail, path count) per pair as
-    uint32, sorted by pair, and for every path in pair order its reliability
-    (float64), its relations (uint32, zero-padded to max_steps) and its length
-    (uint8), one array each: the store's arrays as they are.
+    """Binary cache in the ``artifacts.write_arrays`` layout: after ``_HEADER``,
+    (head, tail, path count) per pair as uint32, sorted by pair, and for every path
+    in pair order its reliability (float64), its relations (uint32, zero-padded to
+    max_steps) and its length (uint8), one array each: the store's arrays as they are.
     """
     rels = store.relations
-    with atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HH", _VERSION, store.max_steps))
-        fh.write(struct.pack("<dI", store.cutoff, store.per_pair_cap))
-        fh.write(bytes.fromhex(dataset_hash))
-        fh.write(struct.pack("<Q", len(store.heads)))
-        pairs = np.stack((store.heads, store.tails, np.diff(store.indptr)), axis=1)
-        pairs.astype("<u4").tofile(fh)
-        store.reliabilities.astype("<f8").tofile(fh)
-        np.where(rels >= 0, rels, 0).astype("<u4").tofile(fh)
-        np.count_nonzero(rels >= 0, axis=1).astype(np.uint8).tofile(fh)
+    fields = (_VERSION, store.max_steps, store.cutoff, store.per_pair_cap,
+              bytes.fromhex(dataset_hash), len(store.heads), store.n_paths)
+    pairs = np.stack((store.heads, store.tails, np.diff(store.indptr)), axis=1)
+    write_arrays(path, _MAGIC, _HEADER, fields, (
+        pairs.astype("<u4"),
+        np.asarray(store.reliabilities, "<f8"),
+        np.where(rels >= 0, rels, 0).astype("<u4"),
+        np.count_nonzero(rels >= 0, axis=1).astype(np.uint8),
+    ))
 
 
 class PathCacheError(ValueError):
@@ -510,43 +508,34 @@ def _check(ok, path, what: str) -> None:
         raise PathCacheError(f"{path}: {what}")
 
 
+def _layout(fields) -> list[tuple[str, int]]:
+    version, max_steps, _, _, _, n_pairs, n_paths = fields
+    if version != _VERSION:
+        raise PathCacheError(f"unsupported cache version {version}")
+    if max_steps not in (2, 3):
+        raise PathCacheError(f"max_steps {max_steps} is not 2 or 3")
+    return [("<u4", 3 * n_pairs), ("<f8", n_paths), ("<u4", max_steps * n_paths),
+            ("u1", n_paths)]
+
+
 def load_path_set(
     path, expected_dataset_hash: str | None = None, graph: KnowledgeGraph | None = None
 ) -> PathStore:
     """The store a ``save_path_set`` file holds, as views of its bytes where the
     layout allows. Every value is checked, so a corrupt file raises
     ``PathCacheError``; with ``graph``, entity and relation ids are checked too."""
-    with open(path, "rb") as fh:
-        read = partial(read_exact, fh, error=PathCacheError)
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise PathCacheError(f"{path}: not a path cache file")
-        version, max_steps = struct.unpack("<HH", read(4))
-        if version != _VERSION:
-            raise PathCacheError(f"{path}: unsupported cache version {version}")
-        _check(max_steps in (2, 3), path, f"max_steps {max_steps} is not 2 or 3")
-        cutoff, per_pair_cap = struct.unpack("<dI", read(12))
-        ds_hash = read(32).hex()
-        if expected_dataset_hash is not None and ds_hash != expected_dataset_hash:
-            raise PathCacheError(f"{path}: cache built for a different dataset")
-        (n_pairs,) = struct.unpack("<Q", read(8))
-        body = fh.read()
-    pair_bytes = 12 * n_pairs
-    if len(body) < pair_bytes:
-        raise PathCacheError(f"{path}: truncated file")
-    pairs = np.frombuffer(body, dtype="<u4", count=3 * n_pairs).reshape(-1, 3)
-    heads, tails, counts = (pairs[:, i].astype(np.int64) for i in range(3))
+    fields, (pairs, reliabilities, relations, lengths) = read_arrays(
+        path, _MAGIC, _HEADER, _layout, PathCacheError
+    )
+    _, max_steps, cutoff, per_pair_cap, ds_hash, _, n_paths = fields
+    if expected_dataset_hash is not None and ds_hash.hex() != expected_dataset_hash:
+        raise PathCacheError(f"{path}: cache built for a different dataset")
+    heads, tails, counts = (pairs[i::3].astype(np.int64) for i in range(3))
     _check((counts >= 1) & (counts <= per_pair_cap), path,
            "a pair's path count is outside [1, per_pair_cap]")
-    indptr = np.zeros(n_pairs + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    n_paths = int(indptr[-1])
-    if len(body) != pair_bytes + n_paths * (8 + 4 * max_steps + 1):
-        raise PathCacheError(f"{path}: truncated file")
-    reliabilities = np.frombuffer(body, dtype="<f8", count=n_paths, offset=pair_bytes)
-    offset = pair_bytes + 8 * n_paths
-    relations = np.frombuffer(body, dtype="<u4", count=n_paths * max_steps, offset=offset)
+    indptr = np.append(0, np.cumsum(counts))
+    _check(indptr[-1] == n_paths, path, "the pairs' path counts do not sum to the path count")
     relations = relations.reshape(n_paths, max_steps)
-    lengths = np.frombuffer(body, dtype=np.uint8, count=n_paths, offset=offset + relations.nbytes)
     store = PathStore(
         max_steps, cutoff, per_pair_cap, heads, tails, indptr,
         np.where(np.arange(max_steps) < lengths[:, None], relations.astype(np.int64), -1),

@@ -1,12 +1,58 @@
+import struct
+from collections.abc import Callable
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 
-from rpje import rules as rules_mod
+from rpje import kg as kg_mod, model, paths, rules as rules_mod
 from rpje.kg import KnowledgeGraph
 from rpje.synthetic import ToyConfig, generate
 
 
 def make_kg(train, valid=None, test=None) -> KnowledgeGraph:
     return KnowledgeGraph.from_rows(train, valid or [], test or [])
+
+
+def train_pairs(kg: KnowledgeGraph) -> list[tuple[int, int]]:
+    """The distinct (head, tail) pairs of the train split, ascending."""
+    return sorted(set(zip(kg.train_ids[:, 0].tolist(), kg.train_ids[:, 2].tolist())))
+
+
+class ArtifactFormat(NamedTuple):
+    """An artifact's magic, header struct and layout callback, as its module
+    declares them, for tests that damage one value of a file. The array offsets
+    follow the layout rule of ``rpje.artifacts``, written out again here."""
+
+    magic: bytes
+    header: struct.Struct
+    layout: Callable
+
+    def fields(self, data) -> list:
+        return list(self.header.unpack_from(data, len(self.magic)))
+
+    def set_fields(self, data: bytearray, fields) -> None:
+        self.header.pack_into(data, len(self.magic), *fields)
+
+    def arrays(self, data: bytearray) -> tuple[list[np.ndarray], list[int]]:
+        """Writeable views of the arrays of ``data``, and the offset each starts at."""
+        offset, views, starts = len(self.magic) + self.header.size, [], []
+        for dtype, count in self.layout(tuple(self.fields(data))):
+            dtype = np.dtype(dtype)
+            offset += -offset % dtype.itemsize
+            views.append(np.frombuffer(data, dtype, count, offset))
+            starts.append(offset)
+            offset += dtype.itemsize * count
+        assert offset == len(data), "the file does not follow the layout rule"
+        return views, starts
+
+
+CHECKPOINT = ArtifactFormat(model._CKPT_MAGIC, model._CKPT_HEADER, model._checkpoint_layout)
+PATH_CACHE = ArtifactFormat(paths._MAGIC, paths._HEADER, paths._layout)
+DATASET_CACHE = ArtifactFormat(
+    kg_mod._CACHE_MAGIC, kg_mod._CACHE_HEADER,
+    lambda fields: kg_mod._cache_layout(fields[1], fields),  # the key the file holds
+)
 
 
 def parse_rule_lines(lines, kg, tmp_path, threshold=0.0, stats=None):

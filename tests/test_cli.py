@@ -1,7 +1,6 @@
 import json
 import os
 import shutil
-import struct
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -11,9 +10,10 @@ from rpje import cli, evaluation, model
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from rpje.config import RunConfig, apply_config_file
 from rpje.kg import load_dataset
-from rpje.paths import load_path_set, walk_resources
+from rpje.paths import PathCacheError, load_path_set, walk_resources
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
+from conftest import CHECKPOINT, DATASET_CACHE, PATH_CACHE, train_pairs
 from test_paths import _corrupt
 
 
@@ -170,6 +170,27 @@ def test_malformed_dataset_exits_two(tmp_path, capsys):
     ])
     assert rc == EXIT_DATA
     capsys.readouterr()
+
+
+def test_relation_with_inverse_suffix_exits_two(tmp_path, capsys):
+    """``^-1`` names a derived inverse, so a relation named with it could never be
+    looked up: the graph is refused with one error line that names it, and no
+    rule over it is silently dropped."""
+    train = tmp_path / "train.tsv"
+    train.write_text("a\tr^-1\tb\nb\tr^-1\tc\na\ts\tc\nc\ts\ta\n")
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("s(a,b) <= r^-1(a,e) & r^-1(e,b)\t0.9\n")
+    out = tmp_path / "out"
+    rc = main(["encode-rules", "--train", str(train), "--valid", str(empty), "--test",
+               str(empty), "--rules", str(rules), "--out", str(out)])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert "'r^-1'" in captured.err
+    assert not (out / "dataset.bin").exists()
 
 
 def test_divergence_exits_three(toy_dir, tmp_path, capsys):
@@ -336,26 +357,80 @@ def test_train_rebuilds_cache_for_other_per_pair_cap(toy_dir, tmp_path, monkeypa
     capsys.readouterr()
 
 
-CHECKPOINT_HEADER = 56  # magic, version, shape, dataset hash, norm
-PATH_CACHE_HEADER = 64  # magic, version, max_steps, cutoff, per_pair_cap, dataset hash, pair count
+ARTIFACTS = {"checkpoint.bin": CHECKPOINT, "paths.bin": PATH_CACHE, "dataset.bin": DATASET_CACHE}
+# each damage, and the message a checkpoint or a path cache damaged so is refused with
+DAMAGES = {
+    "wrong magic": "not a RPJE",
+    "previous version": "version",
+    "cut inside the header": "truncated file",
+    "cut inside the first array": "truncated file",
+    "one byte short": "truncated file",
+    "one byte over": "over-long file",
+}
 
 
-def _truncated_copy(pipeline, tmp_path, name, header, where):
-    """A copy of the pipeline's output with ``name`` cut inside its header,
-    inside its first record, or one byte short."""
+def _damaged(data: bytes, name: str, damage: str) -> bytes:
+    """``data``, the bytes of the artifact ``name``, damaged as ``damage`` says;
+    every offset comes from the format's header struct and layout."""
+    fmt = ARTIFACTS[name]
+    data = bytearray(data)
+    version, *rest = fmt.fields(data)
+    (first, *_), (start, *_) = fmt.arrays(data)
+    if damage == "wrong magic":
+        data[0] ^= 0xFF
+    elif damage == "previous version":
+        fmt.set_fields(data, [version - 1, *rest])
+    elif damage == "cut inside the header":
+        data = data[: len(fmt.magic) + fmt.header.size // 2]
+    elif damage == "cut inside the first array":
+        data = data[: start + first.nbytes // 2]
+    elif damage == "one byte short":
+        data = data[:-1]
+    elif damage == "one byte over":
+        data = data + b"\0"
+    else:
+        raise AssertionError(damage)
+    return bytes(data)
+
+
+def _truncated_copy(pipeline, tmp_path, name, where):
+    """A copy of the pipeline's output with ``name`` cut inside its header
+    ("header"), inside its first array ("record"), or damaged as ``_damaged`` says."""
     out = tmp_path / "out"
     shutil.copytree(pipeline[0], out)
     target = out / name
     data = target.read_bytes()
-    offset = {"header": header // 2, "record": header + 13, "one byte short": len(data) - 1}
-    target.write_bytes(data[: offset[where]])
+    damage = {"header": "cut inside the header", "record": "cut inside the first array"}
+    target.write_bytes(_damaged(data, name, damage.get(where, where)))
     return out, data
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_damaged_artifact_is_refused(pipeline, tmp_path, name, damage):
+    """A checkpoint or path cache with a wrong magic or version, cut anywhere, or
+    one byte too long is refused with a message that says which; a damaged
+    dataset cache is a silent miss, rewritten from the split files."""
+    out, files, _ = pipeline
+    original = (out / name).read_bytes()
+    target = tmp_path / name
+    target.write_bytes(_damaged(original, name, damage))
+    if name == "dataset.bin":
+        load_dataset(files["train"], files["valid"], files["test"], cache=target)
+        assert target.read_bytes() == original
+        return
+    load, error = {
+        "checkpoint.bin": (model.load_checkpoint, model.CheckpointError),
+        "paths.bin": (load_path_set, PathCacheError),
+    }[name]
+    with pytest.raises(error, match=DAMAGES[damage]):
+        load(target)
 
 
 @pytest.mark.parametrize("where", ["header", "record", "one byte short"])
 def test_truncated_checkpoint_exits_two(pipeline, tmp_path, capsys, where):
     _, files, fast = pipeline
-    out, _ = _truncated_copy(pipeline, tmp_path, "checkpoint.bin", CHECKPOINT_HEADER, where)
+    out, _ = _truncated_copy(pipeline, tmp_path, "checkpoint.bin", where)
     capsys.readouterr()
     assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_DATA
     err = capsys.readouterr().err
@@ -373,10 +448,11 @@ def test_checkpoint_header_disagreeing_exits_two(pipeline, tmp_path, capsys, com
     shutil.copytree(pipeline[0], out)
     target = out / "checkpoint.bin"
     data = bytearray(target.read_bytes())
-    dim, n_ent, n_rel = struct.unpack_from("<III", data, 10)  # after magic and version
-    shape = {"dim": (dim - 1, n_ent, n_rel), "entities": (dim, n_ent - 1, n_rel),
-             "entities and relations": (dim, n_ent - 1, n_rel + 1)}[edit]
-    struct.pack_into("<III", data, 10, *shape)
+    header = CHECKPOINT.fields(data)
+    dim, n_ent, n_rel = header[1:4]
+    header[1:4] = {"dim": (dim - 1, n_ent, n_rel), "entities": (dim, n_ent - 1, n_rel),
+                   "entities and relations": (dim, n_ent - 1, n_rel + 1)}[edit]
+    CHECKPOINT.set_fields(data, header)
     target.write_bytes(bytes(data))
     argv = [command, *data_flags(files), "--out", str(out), *fast]
     if command == "explain":
@@ -388,10 +464,11 @@ def test_checkpoint_header_disagreeing_exits_two(pipeline, tmp_path, capsys, com
     assert "checkpoint.bin" in err
 
 
-@pytest.mark.parametrize("where", ["header", "record", "one byte short"])
+@pytest.mark.parametrize("where", ["header", "record", "one byte short", "previous version"])
 def test_truncated_path_cache_is_rebuilt(pipeline, tmp_path, capsys, where):
+    """``train`` silently rebuilds a path cache that is cut short or of the previous version."""
     _, files, fast = pipeline
-    out, original = _truncated_copy(pipeline, tmp_path, "paths.bin", PATH_CACHE_HEADER, where)
+    out, original = _truncated_copy(pipeline, tmp_path, "paths.bin", where)
     capsys.readouterr()
     flags = [*data_flags(files), "--out", str(out), *fast, "--epochs", "1"]
     assert main(["train", *flags]) == EXIT_OK
@@ -511,8 +588,8 @@ def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):
 
     kg = load_dataset(files["train"], files["valid"], files["test"])
     ps = load_path_set(out / "paths.bin")
-    arrivals = sum(len(walk_resources(kg, h, 2).get(t, {})) for h, t in kg.train_pairs)
-    assert counts["pairs"] == len(kg.train_pairs)
+    arrivals = sum(len(walk_resources(kg, h, 2).get(t, {})) for h, t in train_pairs(kg))
+    assert counts["pairs"] == len(train_pairs(kg))
     assert counts["pairs"] - counts["pairs_without_paths"] == len(ps.pairs)
     assert counts["paths"] == ps.n_paths
     assert counts["paths"] + counts["paths_below_cutoff"] + counts["paths_over_cap"] == arrivals

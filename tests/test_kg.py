@@ -11,7 +11,7 @@ from rpje import kg as kg_mod
 from rpje.kg import DatasetError, KnowledgeGraph, distinct_sorted, load_dataset
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
-from conftest import make_kg
+from conftest import DATASET_CACHE, make_kg
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -387,16 +387,9 @@ def test_cache_hit_parses_no_text(tmp_path, toy_files, monkeypatch):
     assert written == graph_state(load_dataset(*toy_files))
 
 
-CACHE_HEADER = 110  # magic, version, source key, dataset hash, 5 counts, 2 name sizes
-
-
-def stored_csr(data, kg):
-    """The cache's CSR arrays as writeable int64 views of ``data``, a bytearray;
-    they end the file."""
-    n_edges = 2 * len(kg.train_ids)
-    sizes = [kg.n_entities + 1, n_edges, n_edges, n_edges, n_edges]
-    csr = np.frombuffer(data, "<i8", sum(sizes), len(data) - 8 * sum(sizes))
-    return np.split(csr, np.cumsum(sizes[:-1]))
+def stored_csr(data):
+    """The CSR arrays of the cache ``data``, a bytearray, as writeable int64 views."""
+    return DATASET_CACHE.arrays(data)[0][-5:]  # the CSR's five arrays end the file
 
 
 @pytest.mark.parametrize(
@@ -411,20 +404,22 @@ def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
     expected = graph_state(kg)
     original = cache.read_bytes()
     data = bytearray(original)
+    version, *rest = DATASET_CACHE.fields(data)
+    (ids, *_), (ids_start, *_) = DATASET_CACHE.arrays(data)
     if damage == "truncated header":
-        data = data[: CACHE_HEADER // 2]
+        data = data[: len(DATASET_CACHE.magic) + DATASET_CACHE.header.size // 2]
     elif damage == "truncated ids":
-        data = data[: CACHE_HEADER + 13]
+        data = data[: ids_start + ids.nbytes // 2]
     elif damage == "one byte short":
         data = data[:-1]
     elif damage == "over-long":
-        data += b"\0"
+        data = data + b"\0"
     elif damage == "magic":
         data[0] ^= 0xFF
     elif damage == "version":  # the previous format is a miss
-        data[8:10] = (2).to_bytes(2, "little")
+        DATASET_CACHE.set_fields(data, [version - 1, *rest])
     else:  # a value out of range in the CSR
-        indptr, relation, neighbour, group_size, reverse = stored_csr(data, kg)
+        indptr, relation, neighbour, group_size, reverse = stored_csr(data)
         if damage == "neighbour id":
             neighbour[-1] = kg.n_entities
         elif damage == "negative neighbour id":

@@ -25,7 +25,7 @@ from rpje.model import (
 from rpje.paths import Path
 from rpje.rules import ChainRule, build_index
 
-from conftest import make_kg
+from conftest import CHECKPOINT, make_kg
 
 
 @pytest.fixture
@@ -192,7 +192,7 @@ def test_checkpoint_older_version_rejected(tmp_path, kg):
     # version 1 stored a config digest, not the norm; version 2 a dataset hash blind to row order
     for version in (1, 2):
         data = bytearray(path.read_bytes())
-        data[8:10] = version.to_bytes(2, "little")
+        CHECKPOINT.set_fields(data, [version, *CHECKPOINT.fields(data)[1:]])
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match=f"version {version}"):
             load_checkpoint(path)

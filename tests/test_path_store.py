@@ -11,7 +11,7 @@ from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
 from rpje.training import NegativeSampler, hinge_table, loss_and_gradients
 
-from conftest import make_kg
+from conftest import make_kg, train_pairs
 from oracles import OracleScorer, PathSet, store_from_pairs
 from test_paths import oracle_paths, oracle_walk
 from test_training import OracleSampler, hexes, one_batch, oracle_loss_and_gradients
@@ -173,7 +173,7 @@ def test_path_hinges_match_per_hinge_oracle(edges, seed, density, many, norm):
     the per-hinge loop, which composes every path and reads the dict oracle."""
     kg = make_kg(edges)
     rng = np.random.default_rng(seed)
-    pairs = sorted(kg.train_pairs)
+    pairs = train_pairs(kg)
     keep = int(rng.integers(1, len(pairs) + 1))
     chosen = [pairs[i] for i in rng.permutation(len(pairs))[:keep]]
     store = random_store(rng, kg.n_entities, kg.n_relations, 3, chosen, many)

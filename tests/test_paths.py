@@ -1,4 +1,3 @@
-import struct
 from unittest import mock
 
 import numpy as np
@@ -17,7 +16,7 @@ from rpje.paths import (
     walk_resources,
 )
 
-from conftest import make_kg
+from conftest import PATH_CACHE, make_kg, train_pairs
 
 
 # --- oracle: PCRA as a dict walk over the adjacency lists ---
@@ -52,7 +51,7 @@ def oracle_paths(found, cutoff, cap):
 def oracle_extract(kg, max_steps, cutoff, cap):
     """(pairs, paths at or below the cutoff, paths above it beyond the cap)."""
     pairs, below, over = {}, 0, 0
-    for h, t in sorted(kg.train_pairs):
+    for h, t in train_pairs(kg):
         found = oracle_walk(kg, h, max_steps).get(t, {})
         above = sum(w > cutoff for w in found.values())
         below += len(found) - above
@@ -331,7 +330,7 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
             finder = PathFinder(kg, max_steps, cutoff, cap)
             assert exact(ps.pairs) == exact(expected), form
             assert (stats.pairs, stats.pairs_without_paths) == (
-                len(kg.train_pairs), len(kg.train_pairs) - len(expected)
+                len(train_pairs(kg)), len(train_pairs(kg)) - len(expected)
             )
             assert (stats.paths, stats.paths_below_cutoff, stats.paths_over_cap) == (
                 ps.n_paths, below, over
@@ -355,7 +354,7 @@ def test_walk_counts_last_hop_work(toy_kg):
     edges: every edge out of the frontier when expanded, every edge into a wanted
     tail when joined; kept are those that reach a wanted tail of their head."""
     kg, n = toy_kg, toy_kg.n_entities
-    pairs = sorted(kg.train_pairs)
+    pairs = train_pairs(kg)
     wanted = set(pairs)
     heads = sorted({h for h, _ in pairs})
     step = {h: {e for _, e in kg.adjacency(h)} for h in range(n)}
@@ -446,7 +445,7 @@ def test_blocks_split_heads_by_work(toy_kg):
     the work before it crosses a multiple of the limit; a head's last hop counts
     in its cheaper form, which lowers the total below the work without the join."""
     n = toy_kg.n_entities
-    pairs = sorted(toy_kg.train_pairs)
+    pairs = train_pairs(toy_kg)
     heads = np.unique([h for h, _ in pairs])
     tails = {h: [t for g, t in pairs if g == h] for h in heads.tolist()}
     keys = np.array([h * n + t for h, t in pairs])
@@ -486,7 +485,7 @@ def test_cache_rejects_version_2(tmp_path, toy_kg):
     cache = tmp_path / "paths.bin"
     save_path_set(extract_paths(toy_kg, 2), toy_kg.dataset_hash(), cache)
     data = bytearray(cache.read_bytes())
-    data[8:10] = struct.pack("<H", 2)
+    PATH_CACHE.set_fields(data, [2, *PATH_CACHE.fields(data)[1:]])
     cache.write_bytes(bytes(data))
     with pytest.raises(PathCacheError, match="version 2"):
         load_path_set(cache)
@@ -502,39 +501,33 @@ def test_cache_rejects_trailing_bytes(tmp_path, toy_kg):
 
 def _corrupt(data: bytearray, what: str) -> None:
     """Overwrite one value of a saved cache with a bad one of the right width."""
-    max_steps = struct.unpack_from("<H", data, 10)[0]
-    cutoff = struct.unpack_from("<d", data, 12)[0]
-    (n_pairs,) = struct.unpack_from("<Q", data, 56)
-    pairs = 64
-    n_paths = sum(struct.unpack_from("<I", data, pairs + 12 * i + 8)[0] for i in range(n_pairs))
-    reliabilities = pairs + 12 * n_pairs
-    relations = reliabilities + 8 * n_paths
-    lengths = relations + 4 * max_steps * n_paths
+    fields = PATH_CACHE.fields(data)
+    _, max_steps, cutoff, _, _, n_pairs, _ = fields
+    (pairs, reliabilities, relations, lengths), _ = PATH_CACHE.arrays(data)
+    pairs = pairs.reshape(n_pairs, 3)  # head, tail, path count
     if what == "length 0":
-        data[lengths] = 0
+        lengths[0] = 0
     elif what == "length above max_steps":
-        data[lengths] = max_steps + 1
+        lengths[0] = max_steps + 1
     elif what == "relation id 999":
-        struct.pack_into("<I", data, relations, 999)
+        relations[0] = 999
     elif what == "entity id out of range":  # the last pair's tail, so pairs stay in order
-        struct.pack_into("<I", data, pairs + 12 * (n_pairs - 1) + 4, 10**6)
+        pairs[-1, 1] = 10**6
     elif what == "pairs out of order":
-        first, second = data[pairs : pairs + 12], data[pairs + 12 : pairs + 24]
-        data[pairs : pairs + 24] = second + first
+        pairs[[0, 1]] = pairs[[1, 0]]
     elif what == "NaN reliability":
-        struct.pack_into("<d", data, reliabilities, float("nan"))
+        reliabilities[0] = np.nan
     elif what == "reliability at the cutoff":
-        struct.pack_into("<d", data, reliabilities, cutoff)
-    elif what == "zero path count":
-        (first,), (second,) = (struct.unpack_from("<I", data, pairs + k) for k in (8, 20))
-        struct.pack_into("<I", data, pairs + 8, 0)  # the next pair takes its paths
-        struct.pack_into("<I", data, pairs + 20, first + second)
+        reliabilities[0] = cutoff
+    elif what == "zero path count":  # the next pair takes its paths
+        pairs[:2, 2] = 0, pairs[0, 2] + pairs[1, 2]
     elif what == "count above the cap":
-        struct.pack_into("<I", data, 20, 1)
+        fields[3] = 1  # per_pair_cap
     elif what == "max_steps 0":
-        struct.pack_into("<H", data, 10, 0)
+        fields[1] = 0
     else:
         raise AssertionError(what)
+    PATH_CACHE.set_fields(data, fields)
 
 
 CORRUPTIONS = [
