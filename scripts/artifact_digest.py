@@ -33,6 +33,8 @@ import re
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
@@ -65,10 +67,11 @@ def run(argv: list[str], out_dir: str) -> str:
 def path_set_dump(cache: str) -> str:
     """One line per path, in pair order: head, tail, relations, reliability bits."""
     ps = paths.load_path_set(cache)
+    counts = np.diff(ps.indptr)
+    heads, tails = np.repeat(ps.heads, counts).tolist(), np.repeat(ps.tails, counts).tolist()
     return "".join(
-        f"{h}\t{t}\t{','.join(map(str, p.relations))}\t{p.reliability.hex()}\n"
-        for (h, t), group in sorted(ps.pairs.items())
-        for p in group
+        f"{h}\t{t}\t{','.join(str(r) for r in rels if r >= 0)}\t{w.hex()}\n"
+        for h, t, rels, w in zip(heads, tails, ps.relations.tolist(), ps.reliabilities.tolist())
     )
 
 

@@ -3,7 +3,7 @@
 A path's relation sequence is rewritten to a fixpoint: the scan is leftmost
 first, the first adjacent pair with an indexed rule is replaced by the rule
 head, and the scan restarts. Whatever cannot be composed symbolically is summed
-in embedding space (``energy.compose_embedding``).
+in embedding space (``energy.composed_relations``).
 
 ``Composer.compile`` composes a ``PathStore`` once: each distinct relation row
 goes through ``compose`` once, and every path gets the id of its residual among
@@ -28,14 +28,10 @@ class CompositionResult:
     residual: tuple[int, ...]
     applied_rules: tuple[ChainRule, ...]
 
-    @property
-    def applied_confidences(self) -> tuple[float, ...]:
-        return tuple(r.confidence for r in self.applied_rules)
-
     @cached_property
     def confidence_product(self) -> float:
         """Product of applied-rule confidences; 1 when no rule was applied."""
-        return math.prod(self.applied_confidences)
+        return math.prod(r.confidence for r in self.applied_rules)
 
     @property
     def fully_composed(self) -> bool:

@@ -5,12 +5,13 @@
     E3(r,r_e) = ||r - r_e||
 
 R is the PCRA reliability, mu the confidences of the rules applied while
-composing p, and C(p) the sum of its residual relations. Norms run over the last
-axis, so arguments may carry a leading candidate axis. ``Float32Scan`` scans
-E1 of every row of a table in float32, each within a proven bound of the
-float64 energy, so a rank needs only the rows it cannot decide rescored. The
-margin hinges over these energies, and their subgradients, are one fused pass
-in ``training``.
+composing p, and C(p) the sum of its residual relations (``composed_relations``).
+Scoring computes E1 with ``triple_energy`` and E2 with ``path_energy``; norms
+run over the last axis, so arguments may carry a leading candidate axis.
+``Float32Scan`` scans E1 of every row of a table in float32, each within a
+proven bound of the float64 energy, so a rank needs only the rows it cannot
+decide rescored. Only training uses E3: the margin hinges over all three
+energies, and their subgradients, are one fused pass in ``training``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .compose import CompositionResult
-from .paths import Path
 
 NORMS = ("L1", "L2")
 
@@ -177,19 +175,6 @@ def _float32_past(x: float, toward: float) -> np.float32:
     return np.nextafter(np.float32(x), np.float32(toward))
 
 
-def path_weight(path: Path, cr: CompositionResult) -> float:
-    """R(p|h,t) * prod(mu)."""
-    return path.reliability * cr.confidence_product
-
-
-def compose_embedding(cr: CompositionResult, emb) -> np.ndarray:
-    """C(p): the sum of the residual relations' embeddings."""
-    out = emb.relation_vec(cr.residual[0]).copy()
-    for rid in cr.residual[1:]:
-        out += emb.relation_vec(rid)
-    return out
-
-
 def triple_energy(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str):
     """E1 = ||h + r - t||, computed as ||(h + r) - t||."""
     return dissimilarity(h + r - t, norm)
@@ -198,11 +183,6 @@ def triple_energy(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str):
 def path_energy(weight: float, c: np.ndarray, r: np.ndarray, norm: str):
     """E2 = weight * ||C(p) - r||, with weight = R(p|h,t) * prod(mu)."""
     return weight * dissimilarity(c - r, norm)
-
-
-def relpair_energy(r: np.ndarray, r_e: np.ndarray, norm: str):
-    """E3 = ||r - r_e||."""
-    return dissimilarity(r - r_e, norm)
 
 
 def signed_relations(emb) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .compose import Composer
 from .energy import (
-    SCAN_MAX_DIM, Float32Scan, composed_relations, dissimilarity, signed_relations, triple_energy,
+    SCAN_MAX_DIM, Float32Scan, composed_relations, path_energy, signed_relations, triple_energy,
 )
 from .kg import KnowledgeGraph, Triple, distinct_sorted
 from .model import EmbeddingTable, TrainingConfig
@@ -110,9 +110,11 @@ class Scorer:
         if self._composed is None:
             self._composed = composed_relations(signed_relations(self.emb), compiled.residuals)
         residual, weight = compiled.residual_id[paths], compiled.weight[paths]
-        norms = dissimilarity(self._composed[residual][:, None] - self.emb.relations, self.norm)
+        energies = path_energy(
+            weight[:, None], self._composed[residual][:, None], self.emb.relations, self.norm
+        )
         slots = np.arange(len(weight) * n) % n
-        return np.bincount(slots, weights=(weight[:, None] * norms).ravel(), minlength=n)
+        return np.bincount(slots, weights=energies.ravel(), minlength=n)
 
     # --- vectorized candidate scoring ---
 

@@ -5,7 +5,7 @@ is served under the derived id r + B (no separate parameters, no separate symbol
 Ids follow first appearance: train, valid, then test, rows in file order, the
 head before the tail. Each split is an (n, 3) int32 array of (head, relation,
 tail) ids without repeated rows; that is the graph's primary form, and the
-tuple lists, membership sets and indexes are built from it on first use.
+train and test tuple lists and the indexes are built from it on first use.
 
 Adjacency is built over the train split only and always contains both directions
 of every train triple, so there are exactly 2*|train| directed edges. It is one
@@ -192,10 +192,6 @@ class KnowledgeGraph:
         return list(map(tuple, self.train_ids.tolist()))
 
     @cached_property
-    def valid(self) -> list[Triple]:
-        return list(map(tuple, self.valid_ids.tolist()))
-
-    @cached_property
     def test(self) -> list[Triple]:
         return list(map(tuple, self.test_ids.tolist()))
 
@@ -204,14 +200,6 @@ class KnowledgeGraph:
         if self._csr is None:
             self._csr = _adjacency_csr(self.train_ids, self.n_entities, self.n_base_relations)
         return self._csr
-
-    @cached_property
-    def _known(self) -> set[Triple]:
-        return set(self.train) | set(self.valid) | set(self.test)
-
-    @cached_property
-    def _train_set(self) -> set[Triple]:
-        return set(self.train)
 
     # --- sizes and id arithmetic ---
 
@@ -234,12 +222,6 @@ class KnowledgeGraph:
             raise LookupError(f"unknown relation id {r}")
         return r + n if r < n else r - n
 
-    def is_inverse_id(self, r: int) -> bool:
-        return r >= self.n_base_relations
-
-    def base_relation(self, r: int) -> int:
-        return r - self.n_base_relations if r >= self.n_base_relations else r
-
     # --- symbol lookups ---
 
     def entity_id(self, name: str) -> int:
@@ -260,12 +242,6 @@ class KnowledgeGraph:
             raise LookupError(f"unknown relation {name!r}")
         return self.inverse(rid) if inverted else rid
 
-    def has_relation(self, name: str) -> bool:
-        base = name
-        while base.endswith(INVERSE_SUFFIX):
-            base = base[: -len(INVERSE_SUFFIX)]
-        return base in self._relation_id
-
     def relation_name(self, r: int) -> str:
         if r >= self.n_base_relations:
             return self.relation_names[r - self.n_base_relations] + INVERSE_SUFFIX
@@ -280,37 +256,23 @@ class KnowledgeGraph:
         lo, hi = self.csr.indptr[e], self.csr.indptr[e + 1]
         return list(zip(self.csr.relation[lo:hi].tolist(), self.csr.neighbour[lo:hi].tolist()))
 
-    def adjacency_by_relation(self, e: int) -> dict[int, list[int]]:
-        """Outgoing neighbors of e grouped per relation (sorted edge order preserved)."""
-        grouped: dict[int, list[int]] = {}
-        for r, t in self.adjacency(e):
-            grouped.setdefault(r, []).append(t)
-        return grouped
-
-    def _canonical(self, t: Triple) -> Triple:
-        h, r, tail = t
-        if r >= self.n_base_relations:
-            return (tail, r - self.n_base_relations, h)
-        return (h, r, tail)
-
-    def is_known(self, t: Triple) -> bool:
-        """Membership in train+valid+test; inverse views count via their base form."""
-        return self._canonical(t) in self._known
-
     def known_tails(self, h: int, r: int) -> np.ndarray:
-        """Every c with is_known((h, r, c)), ascending; r may be an inverse id."""
+        """Every c with (h, r, c) in the train, valid or test split, ascending; r may
+        be an inverse id, where (h, r, c) stands for (c, base r, h)."""
         if r >= self.n_base_relations:
             return self._index().heads(r - self.n_base_relations, h)
         return self._index().tails(h, r)
 
     def known_heads(self, r: int, t: int) -> np.ndarray:
-        """Every c with is_known((c, r, t)), ascending; r may be an inverse id."""
+        """Every c with (c, r, t) in the train, valid or test split, ascending; r may
+        be an inverse id, where (c, r, t) stands for (t, base r, c)."""
         if r >= self.n_base_relations:
             return self._index().tails(t, r - self.n_base_relations)
         return self._index().heads(r, t)
 
     def known_relations(self, h: int, t: int) -> np.ndarray:
-        """Every base relation c with is_known((h, c, t)), ascending."""
+        """Every base relation c with (h, c, t) in the train, valid or test split,
+        ascending."""
         return self._index().relations(h, t)
 
     def _index(self) -> _FilterIndex:
@@ -322,22 +284,7 @@ class KnowledgeGraph:
             )
         return self._filter_index
 
-    def in_train(self, t: Triple) -> bool:
-        return self._canonical(t) in self._train_set
-
     # --- persistence ---
-
-    def split_rows(self, split: str) -> list[tuple[str, str, str]]:
-        triples = {"train": self.train, "valid": self.valid, "test": self.test}[split]
-        return [
-            (self.entity_names[h], self.relation_names[r], self.entity_names[t])
-            for h, r, t in triples
-        ]
-
-    def dump_split(self, split: str, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for h, r, t in self.split_rows(split):
-                fh.write(f"{h}\t{r}\t{t}\n")
 
     def save_dictionaries(self, directory: str | os.PathLike) -> None:
         os.makedirs(directory, exist_ok=True)

@@ -137,6 +137,7 @@ def load_checkpoint(path, expected_dataset_hash: str | None = None) -> tuple[Emb
     """Returns (table, dataset_hash, norm); scoring uses the norm the table was trained with.
 
     The table's arrays are read-only views of the file's bytes: scoring only reads them.
+    A table holding a NaN or an infinite value is refused: it can rank nothing.
     """
     fields, (ents, rels) = read_arrays(
         path, _CKPT_MAGIC, _CKPT_HEADER, _checkpoint_layout, CheckpointError
@@ -147,4 +148,6 @@ def load_checkpoint(path, expected_dataset_hash: str | None = None) -> tuple[Emb
         raise CheckpointError(f"{path}: checkpoint built for a different dataset")
     if norm not in NORMS:
         raise CheckpointError(f"{path}: unknown norm {norm!r} in checkpoint")
+    if not (np.isfinite(ents).all() and np.isfinite(rels).all()):
+        raise CheckpointError(f"{path}: a value is not finite")
     return EmbeddingTable(ents.reshape(n_ent, dim), rels.reshape(n_rel, dim)), ds_hash, norm

@@ -68,9 +68,10 @@ def _parse_atom(text: str, kg: KnowledgeGraph, where: str) -> Atom | None:
     name, v1, v2 = m.group(1).strip(), m.group(2), m.group(3)
     if v1 not in VARIABLES or v2 not in VARIABLES:
         raise RuleParseError(f"{where}: variables must be drawn from {VARIABLES}, got {text!r}")
-    if not kg.has_relation(name):
+    try:
+        return (kg.relation_id(name), v1, v2)
+    except LookupError:
         return None
-    return (kg.relation_id(name), v1, v2)
 
 
 def _build_raw(head_text: str, body_text: str, conf_text: str, kg, where) -> RawRule | None:

@@ -117,8 +117,8 @@ class NegativeSampler:
     (m mod 2^32) < (2^32 - n) mod n, value m >> 32; n = 1 takes no word. A value
     that is excluded is drawn again, ``max_attempts`` draws in all before the
     sampler gives up. ``draws`` makes a whole plan of draws in one loop; the
-    ``corrupt_*`` and ``relation_*`` calls are plans of one draw. Triples carry
-    base relation ids, as in ``kg.train``.
+    ``corrupt_*`` and ``relation_not_deduced`` calls are plans of one draw.
+    Triples carry base relation ids, as in ``kg.train``.
     """
 
     BLOCK = 1024  # uint32 words per prefetch
@@ -174,10 +174,6 @@ class NegativeSampler:
         self._words, self._pos, self._values = words, pos, cache
         return out
 
-    def draw(self, n: int) -> int:
-        """One uniform draw from range(n), n <= 2^32; key -1 is no train key."""
-        return self.draws((n,), (-1,), (0,), (0,))[0]
-
     def _draw(self, n: int, key: int, stride: int, mask: int = 0) -> int | None:
         x = self.draws((n,), (key,), (stride,), (mask,))[0]
         return None if x < 0 else x
@@ -196,11 +192,6 @@ class NegativeSampler:
         h, r, t = triple
         r2 = self._draw(self._n_rel, *self.corruption_keys(h, r, t)[2])
         return None if r2 is None else (h, r2, t)
-
-    def relation_for_pair(self, h: int, t: int) -> int | None:
-        """A base relation r' with (h, r', t) absent from train."""
-        neg = self.corrupt_relation((h, -1, t))
-        return neg[1] if neg is not None else None
 
     def relation_not_deduced(self, r: int, deduced: frozenset[int]) -> int | None:
         return self._draw(self._n_rel, -1, 0, not_deduced_mask(r, deduced))
@@ -254,11 +245,6 @@ class HingeBatch:
     slot_row: np.ndarray
     slot_code: np.ndarray
     slot_hinge: np.ndarray
-
-    @classmethod
-    def of(cls, hinges: Hinges, cfg: TrainingConfig, n_entities: int, n_base: int) -> HingeBatch:
-        """All of ``hinges`` as one batch."""
-        return cls.split(hinges, cfg, n_entities, n_base, [len(hinges.kind)])[0]
 
     @classmethod
     def split(cls, hinges: Hinges, cfg: TrainingConfig, n_entities: int, n_base: int,

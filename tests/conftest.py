@@ -14,6 +14,14 @@ def make_kg(train, valid=None, test=None) -> KnowledgeGraph:
     return KnowledgeGraph.from_rows(train, valid or [], test or [])
 
 
+def adjacency_by_relation(kg: KnowledgeGraph, e: int) -> dict[int, list[int]]:
+    """The outgoing neighbours of e grouped per relation, in ``kg.adjacency`` order."""
+    grouped: dict[int, list[int]] = {}
+    for r, t in kg.adjacency(e):
+        grouped.setdefault(r, []).append(t)
+    return grouped
+
+
 def train_pairs(kg: KnowledgeGraph) -> list[tuple[int, int]]:
     """The distinct (head, tail) pairs of the train split, ascending."""
     return sorted(set(zip(kg.train_ids[:, 0].tolist(), kg.train_ids[:, 2].tolist())))

@@ -1,5 +1,10 @@
-"""Dict-and-loop oracles of the array path store, the scorer and evaluation.
+"""Dict-and-loop oracles of the energies, the array path store, the scorer and
+evaluation.
 
+``path_weight``, ``compose_embedding`` and ``relpair_energy`` are the per-path
+and per-pair formulas of E2 and E3, written with one ``relation_vec`` per
+relation. ``triple_set`` holds the triples a filtered rank skips or a negative
+sample avoids, built from the splits directly.
 ``PathSet`` is the per-pair dict of ``Path`` tuples the store replaced, built
 from a store's arrays the way the loader used to build it. ``OracleScorer``
 scores entities by E1 over the row-major entity table, and relations by E1 plus
@@ -16,9 +21,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rpje.energy import compose_embedding, path_energy, path_weight, triple_energy
+from rpje.energy import dissimilarity, path_energy, triple_energy
 from rpje.evaluation import EvalReport, metrics_from_ranks, rank_entities, rank_relations
 from rpje.paths import Path, PathStore, _Arrivals, _pair_starts
+
+
+def path_weight(path: Path, cr) -> float:
+    """R(p|h,t) * prod(mu)."""
+    return path.reliability * cr.confidence_product
+
+
+def compose_embedding(cr, emb) -> np.ndarray:
+    """C(p): the sum of the residual relations' embeddings."""
+    out = emb.relation_vec(cr.residual[0]).copy()
+    for rid in cr.residual[1:]:
+        out += emb.relation_vec(rid)
+    return out
+
+
+def relpair_energy(r: np.ndarray, r_e: np.ndarray, norm: str):
+    """E3 = ||r - r_e||."""
+    return dissimilarity(r - r_e, norm)
+
+
+def triple_set(kg, *splits) -> set[tuple[int, int, int]]:
+    """The (h, r, t) rows of the splits' id arrays, each also as its inverse view
+    (t, r + B, h); ``kg.train_ids`` alone for a sampler, all three for a filter."""
+    n = kg.n_base_relations
+    rows = [tuple(row) for ids in splits for row in ids.tolist()]
+    return set(rows) | {(t, r + n, h) for h, r, t in rows}
+
+
+def known_triples(kg) -> set[tuple[int, int, int]]:
+    return triple_set(kg, kg.train_ids, kg.valid_ids, kg.test_ids)
 
 
 def residual_matrix(residuals) -> np.ndarray:

@@ -17,16 +17,17 @@ from rpje.cli import EXIT_OK, main
 from rpje.compose import Composer
 from rpje.energy import NORMS
 from rpje.evaluation import Scorer, evaluate, metrics_from_ranks, rank_entities
-from rpje.kg import KnowledgeGraph, load_dataset
+from rpje.kg import KnowledgeGraph
 from rpje.model import TrainingConfig, init_embeddings
-from rpje.paths import PathFinder, extract_paths, walk_resources
+from rpje.paths import PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index, encode_rule, parse_rules
 from rpje.synthetic import ToyConfig, generate, write_dataset
 from rpje.training import train
 
 from conftest import ACCEPTANCE_LINES, make_kg
-from test_compose import oracle_compose
+from test_compose import confidences, oracle_compose
 from test_evaluation import brute_rank
+from test_paths import frontier_conservation_holds
 from test_rules import CONVERSION_MODES
 from test_training import (
     path_case,
@@ -82,10 +83,10 @@ def test_acceptance_2_composition_oracle():
         index = build_index(rules, 0.0)
         seq = tuple(int(rng.integers(n_rel)) for _ in range(int(rng.integers(2, 4))))
         cr = Composer(index).compose(seq)
-        residual, confidences = oracle_compose(seq, index)
+        residual, rule_confidences = oracle_compose(seq, index)
         agrees = (
             cr.residual == residual
-            and cr.applied_confidences == confidences
+            and confidences(cr) == rule_confidences
             and len(cr.applied_rules) == len(seq) - len(cr.residual)
         )
         checked += 1
@@ -97,36 +98,6 @@ def test_acceptance_2_composition_oracle():
         f"{checked} random rule sets, {mismatches} mismatches, "
         f"{time.time() - started:.1f}s",
     )
-
-
-def _frontier_conservation_holds(kg) -> bool:
-    """Simulate per-sequence resource flow hop by hop and compare against the
-    invariants: frontier totals never grow, and are conserved when every
-    frontier entity continues under the hop relation."""
-    arrivals = walk_resources(kg, 0, 2)
-    sequences = {seq for per_target in arrivals.values() for seq in per_target}
-    for seq in sequences:
-        frontier = {0: 1.0}
-        for hop in seq:
-            nxt = {}
-            all_continue = True
-            for entity, resource in frontier.items():
-                neighbours = kg.adjacency_by_relation(entity).get(hop)
-                if not neighbours:
-                    all_continue = False
-                    continue
-                share = resource / len(neighbours)
-                for nb in neighbours:
-                    nxt[nb] = nxt.get(nb, 0.0) + share
-            before, after = sum(frontier.values()), sum(nxt.values())
-            if after > before + 1e-9:
-                return False
-            if all_continue and abs(after - before) > 1e-9:
-                return False
-            frontier = nxt
-        if sum(frontier.values()) > 1.0 + 1e-9:
-            return False
-    return True
 
 
 def test_acceptance_3_pcra_conservation():
@@ -145,7 +116,7 @@ def test_acceptance_3_pcra_conservation():
             )
             for _ in range(n_edges)
         ]
-        if not _frontier_conservation_holds(make_kg(edges)):
+        if not frontier_conservation_holds(make_kg(edges)):
             bad_graphs += 1
 
     # branching toy: a -r-> {b1, b2}, only b1 continues; resource halves exactly

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 from dataclasses import fields, replace
@@ -366,6 +367,7 @@ DAMAGES = {
     "cut inside the first array": "truncated file",
     "one byte short": "truncated file",
     "one byte over": "over-long file",
+    "non-finite value": "not finite",
 }
 
 
@@ -388,6 +390,8 @@ def _damaged(data: bytes, name: str, damage: str) -> bytes:
         data = data[:-1]
     elif damage == "one byte over":
         data = data + b"\0"
+    elif damage == "non-finite value":  # the first value of the first float array
+        next(a for a in fmt.arrays(data)[0] if a.dtype.kind == "f")[0] = math.nan
     else:
         raise AssertionError(damage)
     return bytes(data)
@@ -405,12 +409,12 @@ def _truncated_copy(pipeline, tmp_path, name, where):
     return out, data
 
 
-@pytest.mark.parametrize("damage", DAMAGES)
-@pytest.mark.parametrize("name", ARTIFACTS)
+@pytest.mark.parametrize("name, damage", [  # dataset.bin holds no float value
+    (n, d) for n in ARTIFACTS for d in DAMAGES if (n, d) != ("dataset.bin", "non-finite value")])
 def test_damaged_artifact_is_refused(pipeline, tmp_path, name, damage):
-    """A checkpoint or path cache with a wrong magic or version, cut anywhere, or
-    one byte too long is refused with a message that says which; a damaged
-    dataset cache is a silent miss, rewritten from the split files."""
+    """A checkpoint or path cache with a wrong magic or version, cut anywhere, one
+    byte too long, or holding a NaN is refused with a message that says which; a
+    damaged dataset cache is a silent miss, rewritten from the split files."""
     out, files, _ = pipeline
     original = (out / name).read_bytes()
     target = tmp_path / name
@@ -427,8 +431,9 @@ def test_damaged_artifact_is_refused(pipeline, tmp_path, name, damage):
         load(target)
 
 
-@pytest.mark.parametrize("where", ["header", "record", "one byte short"])
+@pytest.mark.parametrize("where", ["header", "record", "one byte short", "non-finite value"])
 def test_truncated_checkpoint_exits_two(pipeline, tmp_path, capsys, where):
+    """A checkpoint cut short, or holding a NaN, exits 2 with one error line."""
     _, files, fast = pipeline
     out, _ = _truncated_copy(pipeline, tmp_path, "checkpoint.bin", where)
     capsys.readouterr()

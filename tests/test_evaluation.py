@@ -1,5 +1,6 @@
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from rpje.rules import ChainRule, build_index
 
 from conftest import make_kg, parse_rule_lines
 import oracles
-from oracles import OracleScorer, PathSet, store_from_pairs
+from oracles import OracleScorer, PathSet, known_triples, store_from_pairs
 from test_paths import exact
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -172,17 +173,18 @@ def _trained_like(kg, seed=5):
 
 def brute_rank(scorer, kg, triple, slot, setting):
     """Independent rank computation scoring candidates one at a time, by E1 with
-    the scorer's embeddings and norm."""
+    the scorer's embeddings and norm, and filtering by membership in the splits."""
     h, r, t = triple
     ent, rvec = scorer.emb.entities, scorer.emb.relation_vec(r)
+    stored = known_triples(kg)
     if slot == "tail":
         true_idx = t
         cand_score = lambda c: triple_energy(ent[h], rvec, ent[c], scorer.norm)
-        known = lambda c: kg.is_known((h, r, c))
+        known = lambda c: (h, r, c) in stored
     else:
         true_idx = h
         cand_score = lambda c: triple_energy(ent[c], rvec, ent[t], scorer.norm)
-        known = lambda c: kg.is_known((c, r, t))
+        known = lambda c: (c, r, t) in stored
     s_true = cand_score(true_idx)
     rank = 1
     for c in range(kg.n_entities):
@@ -219,6 +221,7 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
     assert store.n_paths
     scorer = Scorer(emb, store, Composer(build_index([], 0.7)), 1.0, "L1")
     oracle = OracleScorer(emb, PathSet.of(store), Composer(build_index([], 0.7)), 1.0, "L1")
+    stored = known_triples(kg)
     for triple in kg.test:
         got = dict(zip(("raw", "filtered"), rank_relations(scorer, kg, triple)))
         for setting in ("raw", "filtered"):
@@ -228,7 +231,7 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
             for c in range(kg.n_base_relations):
                 if c == r:
                     continue
-                if setting == "filtered" and kg.is_known((h, c, t)):
+                if setting == "filtered" and (h, c, t) in stored:
                     continue
                 if oracle.score(h, c, t) <= s_true:
                     expect += 1
@@ -249,11 +252,12 @@ def test_filtered_ranks_never_worse_than_raw(small_eval_kg):
 def test_known_ends_match_is_known_scan(small_eval_kg):
     kg = small_eval_kg
     ents = range(kg.n_entities)
-    assert kg.valid and kg.test  # is_known, and so the index, must cover both
+    assert len(kg.valid_ids) and kg.test  # the index must cover both
+    stored = known_triples(kg)
     for r in range(kg.n_relations):  # base and inverse ids
         for e in ents:
-            tails = [c for c in ents if kg.is_known((e, r, c))]
-            heads = [c for c in ents if kg.is_known((c, r, e))]
+            tails = [c for c in ents if (e, r, c) in stored]
+            heads = [c for c in ents if (c, r, e) in stored]
             assert kg.known_tails(e, r).tolist() == tails
             assert kg.known_heads(r, e).tolist() == heads
 
@@ -280,15 +284,27 @@ def test_triple_in_two_splits_is_filtered_once():
             assert filtered == brute_rank(scorer, kg, triple, slot, "filtered")
 
 
-def test_entity_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
+def count_filter_lookups(monkeypatch) -> Counter:
+    """Calls of ``known_tails``, ``known_heads`` and ``known_relations`` from now on."""
+    calls = Counter()
+    for name in ("known_tails", "known_heads", "known_relations"):
+        real = getattr(KnowledgeGraph, name)
+        monkeypatch.setattr(KnowledgeGraph, name, lambda self, a, b, name=name, real=real:
+                            calls.update([name]) or real(self, a, b))
+    return calls
+
+
+def test_entity_ranking_makes_one_filter_lookup_per_query(small_eval_kg, monkeypatch):
+    """A filtered entity rank reads the known ends once per query, never one
+    candidate at a time."""
     kg = small_eval_kg
-    calls = []
-    real = KnowledgeGraph.is_known
-    monkeypatch.setattr(
-        KnowledgeGraph, "is_known", lambda self, t: calls.append(t) or real(self, t)
-    )
-    evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg)
-    assert calls == []
+    calls = count_filter_lookups(monkeypatch)
+    scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2),
+                    Composer(build_index([], 0.7)), 1.0, "L1")
+    for triple in kg.test:
+        for slot in ("head", "tail"):
+            rank_entities(scorer, kg, triple, slot)
+    assert calls == Counter(known_tails=len(kg.test), known_heads=len(kg.test))
 
 
 splits = st.lists(
@@ -461,35 +477,37 @@ def test_explain_without_paths_reports_triple_term():
     assert any("triple term only" in line for line in lines)
 
 
-def _known_relations_by_scan(kg, h, t):
-    return [c for c in range(kg.n_base_relations) if kg.is_known((h, c, t))]
+def _known_relations_by_scan(kg, stored, h, t):
+    return [c for c in range(kg.n_base_relations) if (h, c, t) in stored]
 
 
 def test_known_relations_match_is_known_scan(toy_kg):
-    assert toy_kg.valid and toy_kg.test
+    assert len(toy_kg.valid_ids) and toy_kg.test
+    stored = known_triples(toy_kg)
     for h in range(toy_kg.n_entities):
         for t in range(toy_kg.n_entities):
-            assert toy_kg.known_relations(h, t).tolist() == _known_relations_by_scan(toy_kg, h, t)
+            assert (toy_kg.known_relations(h, t).tolist()
+                    == _known_relations_by_scan(toy_kg, stored, h, t))
 
 
 @given(train=splits.filter(bool), valid=splits, test=splits)
 @settings(max_examples=60, deadline=None)
 def test_known_relations_match_is_known_scan_on_random_graphs(train, valid, test):
     kg = make_kg(train, valid, test)
+    stored = known_triples(kg)
     for h in range(kg.n_entities):
         for t in range(kg.n_entities):
-            assert kg.known_relations(h, t).tolist() == _known_relations_by_scan(kg, h, t)
+            assert kg.known_relations(h, t).tolist() == _known_relations_by_scan(kg, stored, h, t)
 
 
-def test_relation_ranking_makes_no_is_known_calls(small_eval_kg, monkeypatch):
+def test_relation_ranking_makes_one_filter_lookup_per_query(small_eval_kg, monkeypatch):
+    """A filtered relation rank, in ``evaluate``, reads the known relations once
+    per query, never one candidate at a time."""
     kg = small_eval_kg
-    calls = []
-    real = KnowledgeGraph.is_known
-    monkeypatch.setattr(
-        KnowledgeGraph, "is_known", lambda self, t: calls.append(t) or real(self, t)
-    )
+    calls = count_filter_lookups(monkeypatch)
     evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg)
-    assert calls == []
+    n = len(kg.test)
+    assert calls == Counter(known_tails=n, known_heads=n, known_relations=n)
 
 
 def _hub_data():

@@ -11,7 +11,7 @@ from rpje import kg as kg_mod
 from rpje.kg import DatasetError, KnowledgeGraph, distinct_sorted, load_dataset
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
-from conftest import DATASET_CACHE, make_kg
+from conftest import DATASET_CACHE, adjacency_by_relation, make_kg
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -22,6 +22,12 @@ def write_split(path, rows):
     path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
 
 
+def split_rows(kg):
+    """The (head, relation, tail) names of the train, valid and test rows."""
+    return [[(kg.entity_names[h], kg.relation_names[r], kg.entity_names[t])
+             for h, r, t in ids.tolist()] for ids in (kg.train_ids, kg.valid_ids, kg.test_ids)]
+
+
 def test_load_minimal_dataset(tmp_path):
     for name in ("train", "valid", "test"):
         write_split(tmp_path / f"{name}.tsv", [("a", "r", "b")])
@@ -29,7 +35,7 @@ def test_load_minimal_dataset(tmp_path):
     assert kg.n_entities == 2
     assert kg.n_base_relations == 1
     assert kg.n_relations == 2
-    assert len(kg.train) == len(kg.valid) == len(kg.test) == 1
+    assert len(kg.train) == len(kg.valid_ids) == len(kg.test) == 1
 
 
 def test_malformed_line_reports_line_number(tmp_path):
@@ -79,7 +85,7 @@ def test_csr_is_sorted_and_counts_relation_groups(toy_kg):
         lo, hi = csr.indptr[e], csr.indptr[e + 1]
         edges = list(zip(csr.relation[lo:hi].tolist(), csr.neighbour[lo:hi].tolist()))
         assert edges == sorted(edges) == toy_kg.adjacency(e)
-        grouped = toy_kg.adjacency_by_relation(e)
+        grouped = adjacency_by_relation(toy_kg, e)
         assert csr.group_size[lo:hi].tolist() == [len(grouped[r]) for r, _ in edges]
     triples = {(h, r, t) for h, r, t in toy_kg.train}
     for e in range(toy_kg.n_entities):
@@ -106,19 +112,6 @@ def test_csr_reverse_is_the_inverse_edge(rows):
 def test_duplicate_triples_dropped_within_split():
     kg = make_kg([("a", "r", "b"), ("a", "r", "b")])
     assert len(kg.train) == 1
-
-
-def test_is_known_direct_and_inverse():
-    kg = make_kg([("a", "r", "b")], valid=[("a", "r", "c")], test=[("d", "r", "b")])
-    a, b = kg.entity_id("a"), kg.entity_id("b")
-    r = kg.relation_id("r")
-    assert kg.is_known((a, r, b))
-    assert kg.is_known((kg.entity_id("a"), r, kg.entity_id("c")))  # valid counts
-    assert not kg.is_known((b, r, a))
-    # inverse view of a stored triple is known; brute-force check over base triples
-    inv = kg.inverse(r)
-    stored = set(kg.train) | set(kg.valid) | set(kg.test)
-    assert kg.is_known((b, inv, a)) == ((a, r, b) in stored)
 
 
 def test_inverse_involution():
@@ -151,8 +144,8 @@ triples = st.lists(st.tuples(symbol, symbol, symbol), min_size=1, max_size=30)
 def test_round_trip_and_edge_invariant(train, valid, test):
     kg = KnowledgeGraph.from_rows(train, valid, test)
     # dump/load reproduces the same symbolic triple sets per split
-    for split, rows in (("train", train), ("valid", valid), ("test", test)):
-        assert set(kg.split_rows(split)) == set(rows)
+    for got, rows in zip(split_rows(kg), (train, valid, test)):
+        assert set(got) == set(rows)
     assert sum(len(kg.adjacency(e)) for e in range(kg.n_entities)) == 2 * len(kg.train)
     for r in range(kg.n_relations):
         assert kg.inverse(kg.inverse(r)) == r
@@ -161,12 +154,10 @@ def test_round_trip_and_edge_invariant(train, valid, test):
 def test_dump_split_round_trip(tmp_path):
     rows = [("a", "r", "b"), ("b", "s", "c")]
     kg = make_kg(rows, valid=[("a", "s", "c")], test=[("c", "r", "a")])
-    for split in ("train", "valid", "test"):
-        out = tmp_path / f"{split}.tsv"
-        kg.dump_split(split, out)
+    for split, rows in zip(("train", "valid", "test"), split_rows(kg)):
+        write_split(tmp_path / f"{split}.tsv", rows)
     kg2 = load_dataset(tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv")
-    for split in ("train", "valid", "test"):
-        assert set(kg2.split_rows(split)) == set(kg.split_rows(split))
+    assert split_rows(kg2) == split_rows(kg)
     assert kg2.dataset_hash() == kg.dataset_hash()
 
 
@@ -220,7 +211,7 @@ def test_dataset_hash_matches_per_row_reference():
     assert kg.dataset_hash() == reference_dataset_hash(train, valid, [])
     # row order is part of a dataset's identity: the ids follow it
     shuffled = make_kg(train[::-1], valid=valid)
-    assert set(shuffled.split_rows("train")) == set(kg.split_rows("train"))
+    assert set(split_rows(shuffled)[0]) == set(split_rows(kg)[0])
     assert shuffled.dataset_hash() == reference_dataset_hash(train[::-1], valid, [])
     assert shuffled.dataset_hash() != kg.dataset_hash()
 
@@ -279,7 +270,8 @@ def loaded(paths, cache=None):
         kg = load_dataset(*paths, cache=cache)
     except DatasetError as exc:
         return str(exc)
-    return kg.entity_names, kg.relation_names, [kg.train, kg.valid, kg.test]
+    splits = (kg.train_ids, kg.valid_ids, kg.test_ids)
+    return kg.entity_names, kg.relation_names, [list(map(tuple, ids.tolist())) for ids in splits]
 
 
 def graph_state(kg):

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from rpje.compose import Composer
-from rpje.energy import (
-    compose_embedding,
-    NORMS,
-    dissimilarity,
-    path_energy,
-    path_weight,
-    relpair_energy,
-    triple_energy,
-)
+from rpje.energy import NORMS, dissimilarity, path_energy, triple_energy
 from rpje.model import (
     CheckpointError,
     ConfigError,
@@ -26,6 +18,7 @@ from rpje.paths import Path
 from rpje.rules import ChainRule, build_index
 
 from conftest import CHECKPOINT, make_kg
+from oracles import compose_embedding, path_weight, relpair_energy
 
 
 @pytest.fixture

@@ -1,9 +1,6 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpje import rules as rules_mod
 from rpje.rules import (
     ChainRule,
     ParseStats,
@@ -233,8 +230,8 @@ def test_rule_file_syntax_is_fixed_by_its_first_rule(tmp_path, kg3, first):
 
 
 def _holds(kg, triples, x, rel, y):
-    if kg.is_inverse_id(rel):
-        return (y, kg.base_relation(rel), x) in triples
+    if rel >= kg.n_base_relations:
+        return (y, rel - kg.n_base_relations, x) in triples
     return (x, rel, y) in triples
 
 

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpje.compose import Composer
-from rpje.energy import (
-    NORMS,
-    compose_embedding,
-    dissimilarity,
-    path_weight,
-)
+from rpje.energy import NORMS, dissimilarity
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje import training
 from rpje.paths import Path, extract_paths
@@ -32,7 +27,9 @@ from rpje.training import (
 )
 
 from conftest import make_kg
-from oracles import residual_matrix, store_from_pairs
+from oracles import (
+    compose_embedding, path_weight, residual_matrix, store_from_pairs, triple_set,
+)
 
 
 def small_kg():
@@ -84,7 +81,8 @@ def relpair_hinges(emb, r, beta):
 
 def fused(emb, hinges, cfg):
     """Per-hinge losses and the summed update of one batch of ``hinges``."""
-    batch = HingeBatch.of(hinges, cfg, emb.n_entities, emb.n_base_relations)
+    batch = HingeBatch.split(hinges, cfg, emb.n_entities, emb.n_base_relations,
+                             [len(hinges.kind)])[0]
     return loss_and_gradients(batch, hinge_table(emb))
 
 
@@ -104,6 +102,7 @@ def one_batch(kg, ps, index, cfg, sampler, triples=None):
 def test_negatives_never_in_train(seed):
     kg = small_kg()
     sampler = NegativeSampler(kg, seed=seed)
+    in_train = triple_set(kg, kg.train_ids)
     for triple in kg.train:
         for neg in (
             sampler.corrupt_head(triple),
@@ -111,7 +110,7 @@ def test_negatives_never_in_train(seed):
             sampler.corrupt_relation(triple),
         ):
             assert neg is not None
-            assert not kg.in_train(neg)
+            assert neg not in in_train
 
 
 def test_sampler_gives_up_when_saturated():
@@ -119,7 +118,8 @@ def test_sampler_gives_up_when_saturated():
     kg = make_kg([("a", "r", "a")])
     sampler = NegativeSampler(kg, seed=0, max_attempts=20)
     assert sampler.corrupt_head((0, 0, 0)) is None
-    assert sampler.relation_for_pair(0, 0) is None
+    assert sampler.corrupt_tail((0, 0, 0)) is None
+    assert sampler.corrupt_relation((0, 0, 0)) is None
 
 
 def test_relation_not_deduced_excludes():
@@ -132,6 +132,12 @@ def test_relation_not_deduced_excludes():
 
 
 STREAM_RANGES = [1, 2, 7, 212, 3392, 3 * 2**30 + 5]
+
+
+def draw(sampler, n):
+    """One uniform draw from range(n), n <= 2^32: a plan of one draw with no
+    train key (-1) and no mask."""
+    return sampler.draws((n,), (-1,), (0,), (0,))[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
@@ -148,7 +154,7 @@ def test_sampler_stream_matches_scalar_draws(seed):
             assert sampler.corrupt_head((0, 0, 0)) is None
             for _ in range(20):
                 reference.integers(kg.n_entities)
-        assert sampler.draw(n) == reference.integers(n)
+        assert draw(sampler, n) == reference.integers(n)
 
 
 def test_sampler_plan_matches_scalar_draws():
@@ -185,7 +191,7 @@ def test_sampler_plan_matches_scalar_draws():
         want.append(x)
     assert got == want
     assert -1 in got and {n for n, *_ in plan} == {1, n_rel, n_ent}
-    assert sampler.draw(n_ent) == reference.integers(n_ent)
+    assert draw(sampler, n_ent) == reference.integers(n_ent)
 
 
 # --- hinge behavior ---
@@ -785,17 +791,19 @@ def test_train_skipping_empty_updates_matches_full_projection(toy_kg, monkeypatc
 
 
 class OracleSampler:
-    """Scalar sampler: one rng.integers(n) call per draw, membership by kg.in_train."""
+    """Scalar sampler: one rng.integers(n) call per draw, membership by a set of
+    the train triples."""
 
     def __init__(self, kg, seed=0, max_attempts=100):
         self.kg = kg
+        self.train = triple_set(kg, kg.train_ids)
         self.rng = np.random.default_rng(seed)
         self.max_attempts = max_attempts
 
     def _corrupt(self, n, make):
         for _ in range(self.max_attempts):
             neg = make(int(self.rng.integers(n)))
-            if not self.kg.in_train(neg):
+            if neg not in self.train:
                 return neg
         return None
 
