@@ -221,7 +221,7 @@ def _scoring_context(cfg: RunConfig, graph: kg_mod.KnowledgeGraph):
 
 def cmd_eval(cfg: RunConfig) -> int:
     graph = _load_graph(cfg)
-    if not graph.test:
+    if not len(graph.test_ids):
         raise kg_mod.DatasetError(f"{cfg.test_path}: test split is empty")
     emb, index, finder = _scoring_context(cfg, graph)
     stats = evaluation.EvalStats()

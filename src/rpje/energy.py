@@ -122,57 +122,58 @@ class Float32Scan:
         self._absolute = dim * 2.0**-147 + (math.sqrt(dim) * 2.0**-73 if norm == "L2" else 0.0)
 
     def norms(self, fixed: np.ndarray) -> np.ndarray:
-        """s of every row, float32: the norm of fl32(e) - fl32(f) for the fixed
-        side f, whose magnitudes sum to at most ``SCAN_LIMIT``.
+        """s of every row, float32: the norm of fl32(e) - f for the float32 fixed
+        side f, whose float64 magnitudes sum to at most ``SCAN_LIMIT``.
 
-        The scan runs with numpy's ufunc buffer at its minimum. With the default
-        8192 elements, numpy copies the broadcast (block, 1) operand into its
-        buffer to run longer inner loops, and that copy costs more than the
-        subtraction. Every operation here is elementwise, so the buffer size
-        changes no bits.
+        Run it with numpy's ufunc buffer at its minimum (``np.setbufsize(16)``,
+        set once around a loop of queries). With the default 8192 elements,
+        numpy copies the broadcast (block, 1) operand into its buffer to run
+        longer inner loops, and that copy costs more than the subtraction. Every
+        operation here is elementwise or a reduction that needs no cast, so the
+        buffer size changes no bits.
         """
         acc = self._work[0]
         k = len(acc)
-        f = fixed.astype(np.float32)
-        bufsize = np.setbufsize(16)
-        try:
-            for lo in range(0, len(f), k):
-                m = min(k, len(f) - lo)
-                terms = acc[:m] if lo == 0 else self._work[1, :m]
-                np.subtract(self.table[lo:lo + m], f[lo:lo + m, None], out=terms)
-                if self.norm == "L1":
-                    np.abs(terms, out=terms)
-                else:
-                    np.multiply(terms, terms, out=terms)
-                if lo:
-                    acc[:m] += terms
-        finally:
-            np.setbufsize(bufsize)
-        total = acc[:min(k, len(f))].sum(axis=0)
+        for lo in range(0, len(fixed), k):
+            m = min(k, len(fixed) - lo)
+            terms = acc[:m] if lo == 0 else self._work[1, :m]
+            np.subtract(self.table[lo:lo + m], fixed[lo:lo + m, None], out=terms)
+            if self.norm == "L1":
+                np.abs(terms, out=terms)
+            else:
+                np.multiply(terms, terms, out=terms)
+            if lo:
+                acc[:m] += terms
+        total = acc[:min(k, len(fixed))].sum(axis=0)
         return total if self.norm == "L1" else np.sqrt(total)
 
-    def undecided(self, fixed: np.ndarray, fixed_size: float,
-                  s_true: float) -> tuple[np.ndarray, np.ndarray]:
-        """Rows that are certainly rivals of an energy ``s_true`` (S <= s_true), as
-        a mask, and the indices of the undecided rows, which the mask leaves
-        False. ``fixed_size`` is the sum of |a| and |r|; every row is undecided
-        when it exceeds ``SCAN_LIMIT``, and the scan is skipped."""
-        if not fixed_size <= SCAN_LIMIT:  # NaN fails too
-            n = self.table.shape[1]
-            return np.zeros(n, dtype=bool), np.arange(n)
+    def thresholds(self, s_true: np.ndarray,
+                   fixed_size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per query, a float32 lo <= s_true - B and hi >= s_true + B, for exact
+        energies ``s_true`` and fixed sides whose sums of |a| and |r| are
+        ``fixed_size``, each at most ``SCAN_LIMIT``. NaN in s_true gives NaN."""
         bound = self._gamma * (fixed_size + self.largest) + self._absolute
+        return _float32_past(s_true - bound, -math.inf), _float32_past(s_true + bound, math.inf)
+
+    def undecided(self, fixed: np.ndarray, lo: np.float32,
+                  hi: np.float32) -> tuple[np.ndarray, np.ndarray]:
+        """Rows that are certainly rivals of one query (S <= s_true), as a mask,
+        and the indices of the undecided rows, which the mask leaves False: the
+        scan of the float32 fixed side ``fixed`` against the query's
+        ``thresholds``."""
         s = self.norms(fixed)
-        rivals = s <= _float32_past(s_true - bound, -math.inf)
-        return rivals, np.flatnonzero(~(rivals | (s > _float32_past(s_true + bound, math.inf))))
+        rivals = s <= lo
+        return rivals, np.flatnonzero(~(rivals | (s > hi)))
 
 
-def _float32_past(x: float, toward: float) -> np.float32:
-    """A float32 past the real value that the float64 x was rounded from, toward
-    -inf or inf: one float64 step from x, then one float32 step from the float32
-    nearest that. A value beyond +-2^100 is clipped there first; no scan reaches
-    2^74, so the clipped value decides every row alike. NaN stays NaN."""
-    x = min(max(math.nextafter(x, toward), -2.0**100), 2.0**100)
-    return np.nextafter(np.float32(x), np.float32(toward))
+def _float32_past(x: np.ndarray, toward: float) -> np.ndarray:
+    """Per value, a float32 past the real value that the float64 x was rounded
+    from, toward -inf or inf: one float64 step from x, then one float32 step from
+    the float32 nearest that. A value beyond +-2^100 is clipped there first; no
+    scan reaches 2^74, so the clipped value decides every row alike. NaN stays
+    NaN."""
+    x = np.clip(np.nextafter(x, toward), -2.0**100, 2.0**100)
+    return np.nextafter(x.astype(np.float32), np.float32(toward))
 
 
 def triple_energy(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str):

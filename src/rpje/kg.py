@@ -11,8 +11,9 @@ Adjacency is built over the train split only and always contains both directions
 of every train triple, so there are exactly 2*|train| directed edges. It is one
 CSR (``KnowledgeGraph.csr``) sorted by (entity, relation, neighbour), which also
 holds the index of each edge's reverse (the edge from its neighbour back under
-the inverse relation). The filter index behind ``known_tails``/``known_heads``
-covers all three splits.
+the inverse relation). The filter index behind ``known_tails``/``known_heads``/
+``known_relations`` covers all three splits and answers a whole batch of
+queries with one ``searchsorted`` pair.
 
 ``dataset_hash`` is a SHA-256 over the interned graph, so row order is part of a
 dataset's identity; checkpoints and path caches are keyed on it.
@@ -256,23 +257,22 @@ class KnowledgeGraph:
         lo, hi = self.csr.indptr[e], self.csr.indptr[e + 1]
         return list(zip(self.csr.relation[lo:hi].tolist(), self.csr.neighbour[lo:hi].tolist()))
 
-    def known_tails(self, h: int, r: int) -> np.ndarray:
-        """Every c with (h, r, c) in the train, valid or test split, ascending; r may
-        be an inverse id, where (h, r, c) stands for (c, base r, h)."""
-        if r >= self.n_base_relations:
-            return self._index().heads(r - self.n_base_relations, h)
-        return self._index().tails(h, r)
+    def known_tails(self, h: np.ndarray, r: np.ndarray) -> KnownRanges:
+        """Per query i, every c with (h[i], r[i], c) in the train, valid or test
+        split, ascending; r may be an inverse id, where (h, r, c) stands for
+        (c, base r, h)."""
+        return self._index().ends(h, r)
 
-    def known_heads(self, r: int, t: int) -> np.ndarray:
-        """Every c with (c, r, t) in the train, valid or test split, ascending; r may
-        be an inverse id, where (c, r, t) stands for (t, base r, c)."""
-        if r >= self.n_base_relations:
-            return self._index().tails(t, r - self.n_base_relations)
-        return self._index().heads(r, t)
+    def known_heads(self, r: np.ndarray, t: np.ndarray) -> KnownRanges:
+        """Per query i, every c with (c, r[i], t[i]) in the train, valid or test
+        split, ascending; r may be an inverse id, where (c, r, t) stands for
+        (t, base r, c). These are the known tails of (t, the inverse of r)."""
+        n = self.n_base_relations
+        return self._index().ends(t, (np.asarray(r) + n) % (2 * n))
 
-    def known_relations(self, h: int, t: int) -> np.ndarray:
-        """Every base relation c with (h, c, t) in the train, valid or test split,
-        ascending."""
+    def known_relations(self, h: np.ndarray, t: np.ndarray) -> KnownRanges:
+        """Per query i, every base relation c with (h[i], c, t[i]) in the train,
+        valid or test split, ascending."""
         return self._index().relations(h, t)
 
     def _index(self) -> _FilterIndex:
@@ -306,40 +306,51 @@ class KnowledgeGraph:
         return self._dataset_hash
 
 
-class _FilterIndex:
-    """Known (base-relation) triples sorted three times: by (h, r), (r, t) and (h, t) key.
+class KnownRanges(NamedTuple):
+    """The known ends of a batch of queries: those of query i are
+    ``values[start[i]:stop[i]]``. ``values`` is the filter index's own array."""
 
-    A lookup is one ``searchsorted`` pair on the key array and a slice of the
-    matching other ends, so memory stays linear in the number of known triples.
+    values: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+
+
+class _FilterIndex:
+    """Known (base-relation) triples sorted twice: the other ends by (entity,
+    signed relation) key, each triple read both ways, and the relations by
+    (head, tail) key.
+
+    A batch lookup is one ``searchsorted`` pair on the key array, which gives
+    each query its range of the matching values, so memory stays linear in the
+    number of known triples.
     """
 
     def __init__(self, splits, n_entities: int, n_base_relations: int):
         """``splits`` are id arrays; a triple in several of them is indexed once.
 
-        Each order sorts one int64 key per triple, (key, other end) packed as
-        ``key * n + end``; the triples are distinct, so the keys are too."""
-        n_ent, n_rel = self._n_ent, self._n_rel = n_entities, n_base_relations
+        Each order sorts one int64 key per triple and direction, (key, value)
+        packed as ``key * n + value``; the triples are distinct, so the keys are
+        too. (h, r, t) makes t an end of (h, r) and h an end of (t, r + B)."""
+        n_ent, n_rel = self._n_ent, self._n_signed = n_entities, 2 * n_base_relations
         h, r, t = np.concatenate(splits).astype(np.int64).T
-        hrt = distinct_sorted((h * n_rel + r) * n_ent + t)
-        self._hr_keys, self._tails = np.divmod(hrt, n_ent)
-        h, r = np.divmod(self._hr_keys, n_rel)
-        t = self._tails
-        self._rt_keys, self._heads = np.divmod(np.sort((r * n_ent + t) * n_ent + h), n_ent)
-        self._ht_keys, self._relations = np.divmod(np.sort((h * n_ent + t) * n_rel + r), n_rel)
+        ends = np.concatenate(((h * n_rel + r) * n_ent + t,
+                               (t * n_rel + r + n_base_relations) * n_ent + h))
+        self._end_keys, self._ends = np.divmod(distinct_sorted(ends), n_ent)
+        hts = distinct_sorted((h * n_ent + t) * n_base_relations + r)
+        self._pair_keys, self._relations = np.divmod(hts, n_base_relations)
 
     @staticmethod
-    def _slice(keys: np.ndarray, values: np.ndarray, key: int) -> np.ndarray:
-        lo, hi = np.searchsorted(keys, (key, key + 1))
-        return values[lo:hi]
+    def _ranges(keys: np.ndarray, values: np.ndarray, key: np.ndarray) -> KnownRanges:
+        return KnownRanges(values, keys.searchsorted(key), keys.searchsorted(key, "right"))
 
-    def tails(self, h: int, r: int) -> np.ndarray:
-        return self._slice(self._hr_keys, self._tails, h * self._n_rel + r)
+    def ends(self, e: np.ndarray, r: np.ndarray) -> KnownRanges:
+        """The c of every known (e, r, c), r a signed relation id."""
+        key = np.asarray(e, dtype=np.int64) * self._n_signed + r
+        return self._ranges(self._end_keys, self._ends, key)
 
-    def heads(self, r: int, t: int) -> np.ndarray:
-        return self._slice(self._rt_keys, self._heads, r * self._n_ent + t)
-
-    def relations(self, h: int, t: int) -> np.ndarray:
-        return self._slice(self._ht_keys, self._relations, h * self._n_ent + t)
+    def relations(self, h: np.ndarray, t: np.ndarray) -> KnownRanges:
+        key = np.asarray(h, dtype=np.int64) * self._n_ent + t
+        return self._ranges(self._pair_keys, self._relations, key)
 
 
 _CACHE_MAGIC = b"RPJEDSET"

@@ -56,7 +56,7 @@ over their paths. ``extract_paths`` builds one for the train pairs, which
 ``train`` caches in ``paths.bin``, or for any given pairs: ``eval`` walks its
 test pairs and ``explain`` its one pair through ``PathFinder.find``, so a
 relation is always ranked on the pair's own paths. A pair's paths are one
-slice of the store (``between``). No object is built per path; ``Path``
+range of the store (``between``). No object is built per path; ``Path``
 tuples are made on demand (``pairs``, ``paths_between``) for explanations and
 tests. ``paths.bin`` holds the store's arrays in the ``artifacts.write_arrays``
 layout; ``load_path_set`` takes them as views of the file's bytes and checks
@@ -323,8 +323,8 @@ class PathStore:
     Pairs are sorted by (head, tail), and pair i owns paths ``indptr[i]`` to
     ``indptr[i + 1]``, by descending reliability, then relation sequence.
     ``relations`` is padded with -1 to ``max_steps`` columns. ``pairs`` and
-    ``paths_between`` build ``Path`` objects on demand; scoring reads a pair's
-    range of the arrays (``between``), and training looks pairs up by ``keys``.
+    ``paths_between`` build ``Path`` objects on demand; scoring and training read
+    the range of the arrays each pair owns (``between``, for a batch of pairs).
     """
 
     max_steps: int
@@ -358,13 +358,12 @@ class PathStore:
         """Sorted pair keys ``head << 32 | tail``; entity ids fit in 32 bits (``paths.bin``)."""
         return self.heads << 32 | self.tails
 
-    def between(self, h: int, t: int) -> slice:
-        """The positions of the paths of (h, t); empty when the store has none for it."""
-        key = h << 32 | t
-        i = int(self.keys.searchsorted(key))
-        if i < len(self.keys) and self.keys[i] == key:
-            return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
-        return slice(0, 0)
+    def between(self, h: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the paths of each pair (h[i], t[i]): ``start[i]`` to
+        ``stop[i]``, an empty range when the store has none for it."""
+        key = np.asarray(h, dtype=np.int64) << 32 | t
+        keys = self.keys
+        return self.indptr[keys.searchsorted(key)], self.indptr[keys.searchsorted(key, "right")]
 
     def path_objects(self, paths: slice) -> tuple[Path, ...]:
         lengths = np.count_nonzero(self.relations[paths] >= 0, axis=1).tolist()
@@ -376,7 +375,8 @@ class PathStore:
         )
 
     def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
-        return self.path_objects(self.between(h, t))
+        start, stop = self.between(h, t)
+        return self.path_objects(slice(int(start), int(stop)))
 
 
 class _PairView(Mapping):

@@ -118,7 +118,7 @@ class NegativeSampler:
     that is excluded is drawn again, ``max_attempts`` draws in all before the
     sampler gives up. ``draws`` makes a whole plan of draws in one loop; the
     ``corrupt_*`` and ``relation_not_deduced`` calls are plans of one draw.
-    Triples carry base relation ids, as in ``kg.train``.
+    Triples carry base relation ids, as in ``kg.train_ids``.
     """
 
     BLOCK = 1024  # uint32 words per prefetch
@@ -128,7 +128,8 @@ class NegativeSampler:
         self.max_attempts = max_attempts
         self._n_ent, self._n_rel = kg.n_entities, kg.n_base_relations
         # train membership by the integer key (h * n_rel + r) * n_ent + t
-        self._train = {(h * self._n_rel + r) * self._n_ent + t for h, r, t in kg.train}
+        h, r, t = kg.train_ids.astype(np.int64).T
+        self._train = set(((h * self._n_rel + r) * self._n_ent + t).tolist())
         self._words = np.empty(0, dtype=np.uint32)
         self._pos = self.BLOCK  # the first draw fetches a block
         self._values: dict[int, list[int]] = {}
@@ -397,17 +398,14 @@ class TrainPlan:
     def __init__(self, kg: KnowledgeGraph, ps: PathStore, composer: Composer, cfg: TrainingConfig):
         self.cfg = cfg
         self.n_ent, self.n_base = kg.n_entities, kg.n_base_relations
-        self.triples = np.array(kg.train, dtype=np.int64).reshape(-1, 3)
+        self.triples = kg.train_ids.astype(np.int64)
         h, r, t = self.triples.T
         self.paths = composer.compile(ps)
         self.path_start = np.zeros(len(h), dtype=np.int64)
         self.n_paths = np.zeros(len(h), dtype=np.int64)
-        if cfg.alpha_paths > 0 and len(ps.keys):
-            key = h << 32 | t
-            i = np.minimum(ps.keys.searchsorted(key), len(ps.keys) - 1)
-            found = ps.keys[i] == key
-            self.path_start = np.where(found, ps.indptr[i], 0)
-            self.n_paths = np.where(found, ps.indptr[i + 1] - ps.indptr[i], 0)
+        if cfg.alpha_paths > 0:
+            self.path_start, stop = ps.between(h, t)
+            self.n_paths = stop - self.path_start
         use_relpairs = cfg.alpha_relpairs > 0
         deduced = [
             composer.index.deduced_from(b) if use_relpairs else () for b in range(self.n_base)

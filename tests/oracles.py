@@ -10,8 +10,10 @@ from a store's arrays the way the loader used to build it. ``OracleScorer``
 scores entities by E1 over the row-major entity table, and relations by E1 plus
 one ``compose`` and one ``path_energy`` per path of the pair, summed in a
 loop, as the scorer did before it read compiled arrays and a dimension-major
-copy. ``relation_categories`` and ``evaluate_in_triple_order`` are the
-per-triple loops the array code replaced.
+copy. ``brute_rank`` and ``brute_relation_rank`` rank one query by comparing
+its candidates one at a time and filtering by membership in ``known_triples``.
+``relation_categories`` and ``evaluate_in_triple_order`` are the per-triple
+loops the array code replaced; the latter ranks with the two brute ranks.
 All are kept so the array code can be checked against them bit for bit.
 """
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rpje.energy import dissimilarity, path_energy, triple_energy
-from rpje.evaluation import EvalReport, metrics_from_ranks, rank_entities, rank_relations
+from rpje.evaluation import EvalReport, metrics_from_ranks
 from rpje.paths import Path, PathStore, _Arrivals, _pair_starts
 
 
@@ -190,19 +192,66 @@ def relation_categories(kg, threshold: float = 1.5) -> dict[int, str]:
     return categories
 
 
-def evaluate_in_triple_order(scorer, kg, triples) -> list[EvalReport]:
-    """``evaluate``'s reports from one query after another in test-triple order."""
+def brute_rank(scorer, kg, triple, slot, setting, stored=None):
+    """Independent rank computation scoring candidates one at a time, by E1 with
+    the scorer's embeddings and norm, and filtering by membership in the splits
+    (``stored``, which defaults to ``known_triples(kg)``)."""
+    h, r, t = triple
+    ent, rvec = scorer.emb.entities, scorer.emb.relation_vec(r)
+    stored = known_triples(kg) if stored is None else stored
+    if slot == "tail":
+        true_idx = t
+        cand_score = lambda c: triple_energy(ent[h], rvec, ent[c], scorer.norm)
+        known = lambda c: (h, r, c) in stored
+    else:
+        true_idx = h
+        cand_score = lambda c: triple_energy(ent[c], rvec, ent[t], scorer.norm)
+        known = lambda c: (c, r, t) in stored
+    s_true = cand_score(true_idx)
+    rank = 1
+    for c in range(kg.n_entities):
+        if c == true_idx:
+            continue
+        if setting == "filtered" and known(c):
+            continue
+        if cand_score(c) <= s_true:
+            rank += 1
+    return rank
+
+
+def brute_relation_rank(oracle, kg, triple, setting, stored=None):
+    """The rank of the true relation among the base relations, comparing the
+    scores ``oracle.relation_scores`` gives one candidate at a time and filtering
+    by membership in the splits."""
+    h, r, t = triple
+    stored = known_triples(kg) if stored is None else stored
+    scores = oracle.relation_scores(h, t).tolist()
+    rank = 1
+    for c in range(kg.n_base_relations):
+        if c == r or (setting == "filtered" and (h, c, t) in stored):
+            continue
+        if scores[c] <= scores[r]:
+            rank += 1
+    return rank
+
+
+def evaluate_in_triple_order(oracle, kg, triples) -> list[EvalReport]:
+    """``evaluate``'s reports from one brute-force query after another in
+    test-triple order, scored by ``oracle`` (an ``OracleScorer``)."""
     categories = relation_categories(kg)
+    stored = known_triples(kg)
     ranks: dict[tuple[str, str], list[int]] = {}
     cat_hits: dict[tuple[str, str], list[int]] = {}
     for triple in triples:
         cat = categories.get(triple[1], "N-N")
         for slot in ("head", "tail"):
-            raw, filtered = rank_entities(scorer, kg, triple, slot)
+            raw, filtered = (brute_rank(oracle, kg, triple, slot, setting, stored)
+                             for setting in ("raw", "filtered"))
             ranks.setdefault((f"entity-{slot}", "raw"), []).append(raw)
             ranks.setdefault((f"entity-{slot}", "filtered"), []).append(filtered)
             cat_hits.setdefault((slot, cat), []).append(int(filtered <= 10))
-        raw, filtered = rank_relations(scorer, kg, triple)
+        raw, filtered = (brute_relation_rank(oracle, kg, triple, setting, stored)
+                         for setting in ("raw", "filtered"))
         ranks.setdefault(("relation", "raw"), []).append(raw)
         ranks.setdefault(("relation", "filtered"), []).append(filtered)
     reports = []

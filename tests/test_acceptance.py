@@ -16,7 +16,7 @@ from rpje import rules as rules_mod
 from rpje.cli import EXIT_OK, main
 from rpje.compose import Composer
 from rpje.energy import NORMS
-from rpje.evaluation import Scorer, evaluate, metrics_from_ranks, rank_entities
+from rpje.evaluation import Scorer, evaluate, metrics_from_ranks
 from rpje.kg import KnowledgeGraph
 from rpje.model import TrainingConfig, init_embeddings
 from rpje.paths import PathFinder, extract_paths
@@ -26,7 +26,8 @@ from rpje.training import train
 
 from conftest import ACCEPTANCE_LINES, make_kg
 from test_compose import confidences, oracle_compose
-from test_evaluation import brute_rank
+from oracles import brute_rank
+from test_evaluation import rank_one
 from test_paths import frontier_conservation_holds
 from test_rules import CONVERSION_MODES
 from test_training import (
@@ -227,7 +228,7 @@ def test_acceptance_6_metric_correctness():
     filtered_worse = 0
     for triple in kg.test + kg.train:
         for slot in ("head", "tail"):
-            ranks = dict(zip(("raw", "filtered"), rank_entities(scorer, kg, triple, slot)))
+            ranks = dict(zip(("raw", "filtered"), rank_one(scorer, kg, triple, slot)))
             for setting, got in ranks.items():
                 if got != brute_rank(scorer, kg, triple, slot, setting):
                     rank_mismatches += 1

@@ -1,20 +1,22 @@
 """Entity ranking from the float32 prefilter: ranks against the brute-force
-oracle on wide, tiny, tied and degenerate tables, and ``evaluate``'s reports
-against a loop in test-triple order."""
+oracle on wide, tiny, tied and degenerate tables, one query at a time and in
+whole splits, and ``evaluate``'s reports against a brute-force loop in
+test-triple order."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rpje.compose import Composer
+from rpje import evaluation
+from rpje.energy import SCAN_LIMIT
 from rpje.evaluation import Scorer, evaluate, explain, rank_entities
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import PathFinder, extract_paths
 from rpje.rules import build_index
 
 from conftest import make_kg
-from oracles import evaluate_in_triple_order
-from test_evaluation import brute_rank
+from oracles import OracleScorer, PathSet, brute_rank, evaluate_in_triple_order
 
 # log10 of the magnitudes of each kind of table
 MAGNITUDES = {"wide": (-150, 150), "mid": (-30, 14), "tiny": (-50, -20)}
@@ -54,8 +56,9 @@ def assert_ranks_match(ent, rel, norm, triples):
                     Composer(build_index([], 0.7)), 1.0, norm)
     scorer.PREFILTER_FROM = 0
     for triple in triples:
+        ranks = rank_entities(scorer, kg, [triple])  # a one-row split
         for slot in ("head", "tail"):
-            got = rank_entities(scorer, kg, triple, slot)
+            got = tuple(int(rank[0]) for rank in ranks[slot])
             assert got == tuple(brute_rank(scorer, kg, triple, slot, setting)
                                 for setting in ("raw", "filtered")), (triple, slot)
     assert scorer._scan is not None and len(scorer.rescored) == 2 * len(triples)
@@ -132,6 +135,31 @@ def test_prefilter_ranks_on_edge_tables(case, norm):
     assert_ranks_match(ent, rel, norm, triples)
 
 
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_split_mixing_unscanned_queries_matches_brute_force(norm, monkeypatch):
+    """One whole-split call, three triples per block, ranks queries whose fixed
+    side exceeds ``SCAN_LIMIT`` (every candidate rescored) among scanned ones,
+    and every rank equals ``brute_rank``'s."""
+    rng = np.random.default_rng(11)
+    n_ent, dim = 12, 6
+    ent, rel = rng.normal(size=(n_ent, dim)), rng.normal(size=(2, dim))
+    ent[3] *= 2.0**60  # beyond SCAN_LIMIT: not scanned as a fixed end, undecided as a row
+    assert np.abs(ent[3]).sum() > SCAN_LIMIT
+    kg = ring_kg(n_ent, 2)
+    scorer = Scorer(EmbeddingTable(ent, rel), PathFinder(kg, 2).find([]),
+                    Composer(build_index([], 0.7)), 1.0, norm)
+    scorer.PREFILTER_FROM = 0
+    monkeypatch.setattr(evaluation, "BLOCK_CELLS", 3 * 4 * dim)
+    triples = [(h, r, t) for h in range(n_ent) for r in range(4) for t in (0, 3, 7)]
+    ranks = rank_entities(scorer, kg, triples)
+    for slot, (raw, filtered) in ranks.items():
+        for triple, got in zip(triples, zip(raw.tolist(), filtered.tolist())):
+            assert got == tuple(brute_rank(scorer, kg, triple, slot, setting)
+                                for setting in ("raw", "filtered")), (triple, slot)
+    assert len(scorer.rescored) == 2 * len(triples)
+    assert n_ent in scorer.rescored and min(scorer.rescored) < n_ent
+
+
 def toy_setup(toy_kg):
     emb = init_embeddings(toy_kg, TrainingConfig(dim=12, seed=3))
     return emb, extract_paths(toy_kg, max_steps=2), build_index([], 0.7)
@@ -154,10 +182,24 @@ def test_evaluate_matches_triple_order_loop(toy_kg, norm, prefilter_from, monkey
     assert relations != sorted(relations) and len(set(relations)) == toy_kg.n_base_relations
     finder = PathFinder(toy_kg, 2)
     got = evaluate(emb, finder, index, toy_kg, 1.0, norm, test_triples=triples)
-    scorer = Scorer(emb, finder.find([(h, t) for h, _, t in triples]), Composer(index), 1.0, norm)
-    want = evaluate_in_triple_order(scorer, toy_kg, triples)
+    store = finder.find([(h, t) for h, _, t in triples])
+    oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 1.0, norm)
+    want = evaluate_in_triple_order(oracle, toy_kg, triples)
     assert got == want
     assert all(len(rep.per_category) == 2 for rep in got if rep.per_category)
+
+
+def test_evaluate_in_small_blocks_matches_triple_order_loop(toy_kg, monkeypatch):
+    """With every pass split into blocks of a few pairs, queries or paths, the
+    reports still equal the brute-force loop's in test-triple order."""
+    monkeypatch.setattr(Scorer, "PREFILTER_FROM", 0)
+    monkeypatch.setattr(evaluation, "BLOCK_CELLS", 100)
+    emb, _, index = toy_setup(toy_kg)
+    finder = PathFinder(toy_kg, 2)
+    got = evaluate(emb, finder, index, toy_kg, 1.0, "L2")
+    store = finder.find([(h, t) for h, _, t in toy_kg.test])
+    oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 1.0, "L2")
+    assert got == evaluate_in_triple_order(oracle, toy_kg, toy_kg.test)
 
 
 def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
@@ -167,8 +209,7 @@ def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
     emb, store, index = toy_setup(toy_kg)
     assert emb.entities.size < Scorer.PREFILTER_FROM
     scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
-    for slot in ("head", "tail"):
-        rank_entities(scorer, toy_kg, toy_kg.test[0], slot)
+    rank_entities(scorer, toy_kg, [toy_kg.test[0]])
     assert scorer._scan is None and scorer.rescored == [emb.n_entities] * 2
     monkeypatch.setattr(Scorer, "PREFILTER_FROM", 0)
     calls = []
@@ -177,9 +218,9 @@ def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
     explain(emb, PathFinder(toy_kg, 2), index, toy_kg, 0, 1)
     scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
     for h in range(5):
-        scorer.relation_scores(h, h + 1)
+        scorer.relation_scores([(h, h + 1)])
     assert calls == [] and scorer._scan is None
-    rank_entities(scorer, toy_kg, toy_kg.test[0], "tail")
+    rank_entities(scorer, toy_kg, [toy_kg.test[0]])
     assert scorer._scan.table.shape == (emb.dim, emb.n_entities)
     assert scorer._scan.table.dtype == np.float32
 
@@ -194,6 +235,6 @@ def test_prefilter_threshold_counts_cells(n_ent, dim, scanned):
     kg = ring_kg(n_ent, 3)
     emb = EmbeddingTable(rng.normal(size=(n_ent, dim)), rng.normal(size=(3, dim)))
     scorer = Scorer(emb, PathFinder(kg, 2).find([]), Composer(build_index([], 0.7)), 1.0, "L1")
-    rank_entities(scorer, kg, kg.train[0], "tail")
+    rank_entities(scorer, kg, [kg.train[0]])
     assert (scorer._scan is not None) == scanned
-    assert (scorer.rescored == [n_ent]) != scanned
+    assert (scorer.rescored == [n_ent] * 2) != scanned

@@ -19,18 +19,18 @@ from rpje.evaluation import (
     relation_categories,
     report_csv_rows,
     report_lines,
-    _rank,
+    _ranks,
 )
 from hypothesis import given, settings, strategies as st
 
-from rpje.kg import KnowledgeGraph
+from rpje.kg import KnowledgeGraph, KnownRanges
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
 
 from conftest import make_kg, parse_rule_lines
 import oracles
-from oracles import OracleScorer, PathSet, known_triples, store_from_pairs
+from oracles import OracleScorer, PathSet, brute_rank, known_triples, store_from_pairs
 from test_paths import exact
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -49,6 +49,24 @@ def test_metrics_hand_values():
 
 def _ids(*ids):
     return np.array(ids, dtype=np.intp)
+
+
+def _rank(scores, true_idx, excluded):
+    """``_ranks`` of one row of scores."""
+    known = KnownRanges(excluded, np.array([0]), np.array([len(excluded)]))
+    raw, filtered = _ranks(scores[None], np.array([true_idx]), known)
+    return int(raw[0]), int(filtered[0])
+
+
+def rank_one(scorer, kg, triple, slot):
+    """(raw, filtered) entity ranks of one triple's ``slot``, from a one-row array."""
+    return tuple(int(ranks[0]) for ranks in rank_entities(scorer, kg, [triple])[slot])
+
+
+def known_ends(lookup, a, b) -> list[int]:
+    """The known ends of one query of a filter lookup, from one-row arrays."""
+    values, start, stop = lookup(np.array([a]), np.array([b]))
+    return values[start[0]:stop[0]].tolist()
 
 
 def test_rank_pessimistic_on_ties():
@@ -99,9 +117,9 @@ def test_score_hand_value_with_path_term():
     scorer = Scorer(emb, ps, Composer(index), alpha_paths=1.0, norm="L1")
     # base: ||e0 + r0 - e2||_1 = ||(1,1)-(0,1)||_1 = 1
     # path: R * mu * ||C - r0||_1 = 0.5 * 0.81 * ||(1,1)-(0,1)||_1 = 0.405
-    assert scorer.relation_scores(0, 2)[0] == pytest.approx(1.0 + 0.5 * 0.81 * 1.0)
+    assert scorer.relation_scores([(0, 2)])[0, 0] == pytest.approx(1.0 + 0.5 * 0.81 * 1.0)
     # pair without paths: triple term only
-    assert scorer.relation_scores(1, 2)[0] == pytest.approx(0.0)
+    assert scorer.relation_scores([(1, 2)])[0, 0] == pytest.approx(0.0)
     # entity candidates are ranked by the triple term alone, paths or not
     assert scorer.tail_scores(0, 0)[2] == scorer.head_scores(0, 2)[0] == pytest.approx(1.0)
 
@@ -109,7 +127,7 @@ def test_score_hand_value_with_path_term():
 def test_score_alpha_zero_ignores_paths():
     emb, ps, index = _hand_setup()
     scorer = Scorer(emb, ps, Composer(index), alpha_paths=0.0, norm="L1")
-    assert scorer.relation_scores(0, 2)[0] == pytest.approx(1.0)
+    assert scorer.relation_scores([(0, 2)])[0, 0] == pytest.approx(1.0)
 
 
 def _finder_setup():
@@ -146,7 +164,7 @@ def test_vectorized_scores_match_pointwise(setup):
                 assert heads[h] == pytest.approx(triple_energy(ent[h], rvec, ent[t], "L1"))
     for h in range(n_ent):
         for t in range(n_ent):
-            rels = scorer.relation_scores(h, t)
+            rels = scorer.relation_scores([(h, t)])[0]
             for r in range(n_rel):
                 assert rels[r] == pytest.approx(oracle.score(h, r, t))
 
@@ -171,32 +189,6 @@ def _trained_like(kg, seed=5):
     return init_embeddings(kg, TrainingConfig(dim=8, seed=seed))
 
 
-def brute_rank(scorer, kg, triple, slot, setting):
-    """Independent rank computation scoring candidates one at a time, by E1 with
-    the scorer's embeddings and norm, and filtering by membership in the splits."""
-    h, r, t = triple
-    ent, rvec = scorer.emb.entities, scorer.emb.relation_vec(r)
-    stored = known_triples(kg)
-    if slot == "tail":
-        true_idx = t
-        cand_score = lambda c: triple_energy(ent[h], rvec, ent[c], scorer.norm)
-        known = lambda c: (h, r, c) in stored
-    else:
-        true_idx = h
-        cand_score = lambda c: triple_energy(ent[c], rvec, ent[t], scorer.norm)
-        known = lambda c: (c, r, t) in stored
-    s_true = cand_score(true_idx)
-    rank = 1
-    for c in range(kg.n_entities):
-        if c == true_idx:
-            continue
-        if setting == "filtered" and known(c):
-            continue
-        if cand_score(c) <= s_true:
-            rank += 1
-    return rank
-
-
 def test_rank_entities_matches_brute_force(small_eval_kg):
     kg = small_eval_kg
     emb = _trained_like(kg)
@@ -209,7 +201,7 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
                     norm="L1")
     for triple in kg.test + kg.train:
         for slot in ("head", "tail"):
-            raw, filtered = rank_entities(scorer, kg, triple, slot)
+            raw, filtered = rank_one(scorer, kg, triple, slot)
             assert raw == brute_rank(scorer, kg, triple, slot, "raw")
             assert filtered == brute_rank(scorer, kg, triple, slot, "filtered")
 
@@ -223,7 +215,8 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
     oracle = OracleScorer(emb, PathSet.of(store), Composer(build_index([], 0.7)), 1.0, "L1")
     stored = known_triples(kg)
     for triple in kg.test:
-        got = dict(zip(("raw", "filtered"), rank_relations(scorer, kg, triple)))
+        got = dict(zip(("raw", "filtered"),
+                       (int(ranks[0]) for ranks in rank_relations(scorer, kg, [triple]))))
         for setting in ("raw", "filtered"):
             h, r, t = triple
             s_true = oracle.score(h, r, t)
@@ -245,7 +238,7 @@ def test_filtered_ranks_never_worse_than_raw(small_eval_kg):
                     "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
-            raw, filtered = rank_entities(scorer, kg, triple, slot)
+            raw, filtered = rank_one(scorer, kg, triple, slot)
             assert filtered <= raw
 
 
@@ -258,8 +251,8 @@ def test_known_ends_match_is_known_scan(small_eval_kg):
         for e in ents:
             tails = [c for c in ents if (e, r, c) in stored]
             heads = [c for c in ents if (c, r, e) in stored]
-            assert kg.known_tails(e, r).tolist() == tails
-            assert kg.known_heads(r, e).tolist() == heads
+            assert known_ends(kg.known_tails, e, r) == tails
+            assert known_ends(kg.known_heads, r, e) == heads
 
 
 def test_triple_in_two_splits_is_filtered_once():
@@ -272,39 +265,39 @@ def test_triple_in_two_splits_is_filtered_once():
     )
     a, b, c, d = map(kg.entity_id, "abcd")
     r = kg.relation_id("r")
-    assert kg.known_tails(a, r).tolist() == [b, c]
-    assert kg.known_heads(r, c).tolist() == [a, d]
-    assert kg.known_tails(c, kg.inverse(r)).tolist() == [a, d]
-    assert kg.known_relations(a, c).tolist() == [r]
+    assert known_ends(kg.known_tails, a, r) == [b, c]
+    assert known_ends(kg.known_heads, r, c) == [a, d]
+    assert known_ends(kg.known_tails, c, kg.inverse(r)) == [a, d]
+    assert known_ends(kg.known_relations, a, c) == [r]
     scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2),
                     Composer(build_index([], 0.7)), 1.0, "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
-            _, filtered = rank_entities(scorer, kg, triple, slot)
+            _, filtered = rank_one(scorer, kg, triple, slot)
             assert filtered == brute_rank(scorer, kg, triple, slot, "filtered")
 
 
 def count_filter_lookups(monkeypatch) -> Counter:
-    """Calls of ``known_tails``, ``known_heads`` and ``known_relations`` from now on."""
+    """Calls of ``known_tails``, ``known_heads`` and ``known_relations`` from now
+    on, each counted with the number of queries it looked up."""
     calls = Counter()
     for name in ("known_tails", "known_heads", "known_relations"):
         real = getattr(KnowledgeGraph, name)
         monkeypatch.setattr(KnowledgeGraph, name, lambda self, a, b, name=name, real=real:
-                            calls.update([name]) or real(self, a, b))
+                            calls.update([(name, len(a))]) or real(self, a, b))
     return calls
 
 
-def test_entity_ranking_makes_one_filter_lookup_per_query(small_eval_kg, monkeypatch):
-    """A filtered entity rank reads the known ends once per query, never one
-    candidate at a time."""
+def test_entity_ranking_makes_one_filter_lookup_per_split(small_eval_kg, monkeypatch):
+    """Filtered entity ranks read the known ends of every query of a split in
+    one lookup per slot, never one candidate, or one query, at a time."""
     kg = small_eval_kg
     calls = count_filter_lookups(monkeypatch)
     scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2),
                     Composer(build_index([], 0.7)), 1.0, "L1")
-    for triple in kg.test:
-        for slot in ("head", "tail"):
-            rank_entities(scorer, kg, triple, slot)
-    assert calls == Counter(known_tails=len(kg.test), known_heads=len(kg.test))
+    rank_entities(scorer, kg, kg.test_ids)
+    n = len(kg.test_ids)
+    assert calls == Counter({("known_tails", n): 1, ("known_heads", n): 1})
 
 
 splits = st.lists(
@@ -481,33 +474,39 @@ def _known_relations_by_scan(kg, stored, h, t):
     return [c for c in range(kg.n_base_relations) if (h, c, t) in stored]
 
 
+def assert_known_relations_match_scan(kg):
+    """The known relations of every (h, t) pair, looked up one pair at a time and
+    all in one array, equal the scan's."""
+    stored = known_triples(kg)
+    n_ent = kg.n_entities
+    heads, tails = np.divmod(np.arange(n_ent * n_ent), n_ent)
+    values, start, stop = kg.known_relations(heads, tails)
+    for h, t, lo, hi in zip(heads.tolist(), tails.tolist(), start, stop):
+        want = _known_relations_by_scan(kg, stored, h, t)
+        assert values[lo:hi].tolist() == known_ends(kg.known_relations, h, t) == want
+
+
 def test_known_relations_match_is_known_scan(toy_kg):
     assert len(toy_kg.valid_ids) and toy_kg.test
-    stored = known_triples(toy_kg)
-    for h in range(toy_kg.n_entities):
-        for t in range(toy_kg.n_entities):
-            assert (toy_kg.known_relations(h, t).tolist()
-                    == _known_relations_by_scan(toy_kg, stored, h, t))
+    assert_known_relations_match_scan(toy_kg)
 
 
 @given(train=splits.filter(bool), valid=splits, test=splits)
 @settings(max_examples=60, deadline=None)
 def test_known_relations_match_is_known_scan_on_random_graphs(train, valid, test):
-    kg = make_kg(train, valid, test)
-    stored = known_triples(kg)
-    for h in range(kg.n_entities):
-        for t in range(kg.n_entities):
-            assert kg.known_relations(h, t).tolist() == _known_relations_by_scan(kg, stored, h, t)
+    assert_known_relations_match_scan(make_kg(train, valid, test))
 
 
-def test_relation_ranking_makes_one_filter_lookup_per_query(small_eval_kg, monkeypatch):
-    """A filtered relation rank, in ``evaluate``, reads the known relations once
-    per query, never one candidate at a time."""
+def test_relation_ranking_makes_one_filter_lookup_per_split(small_eval_kg, monkeypatch):
+    """``evaluate`` reads the known relations, like the known ends, of every
+    query of the split in one lookup, never one candidate, or one query, at a
+    time."""
     kg = small_eval_kg
     calls = count_filter_lookups(monkeypatch)
     evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg)
-    n = len(kg.test)
-    assert calls == Counter(known_tails=n, known_heads=n, known_relations=n)
+    n = len(kg.test_ids)
+    assert calls == Counter({("known_tails", n): 1, ("known_heads", n): 1,
+                             ("known_relations", n): 1})
 
 
 def _hub_data():
@@ -529,8 +528,9 @@ def test_eval_relation_scores_equal_explain(graph, toy_data, tmp_path, monkeypat
     ranked = {}
     real = Scorer.relation_scores
 
-    def recording(self, h, t):
-        ranked[(h, t)] = scores = real(self, h, t)
+    def recording(self, pairs):
+        scores = real(self, pairs)
+        ranked.update(zip(map(tuple, np.asarray(pairs).tolist()), scores))
         return scores
 
     monkeypatch.setattr(Scorer, "relation_scores", recording)

@@ -4,8 +4,11 @@ and per-path oracles of ``oracles.py``, bit for bit (``float.hex``)."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+from rpje import evaluation
 from rpje.compose import Composer
-from rpje.evaluation import Scorer
+from rpje.evaluation import Scorer, rank_entities
 from rpje.model import EmbeddingTable, TrainingConfig
 from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
@@ -53,23 +56,49 @@ def random_table(rng, n_ent, n_base, dim):
     return EmbeddingTable(rng.normal(size=(n_ent, dim)), rng.normal(size=(n_base, dim)))
 
 
+class _OneKnown:
+    """A filter index that knows one candidate c, and only c, for every query."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def known_tails(self, a, b):
+        return np.array([self.c]), np.zeros(len(a), dtype=np.int64), np.ones(len(a), dtype=np.int64)
+
+    known_heads = known_tails
+
+
+def rival_masks(scorer, triples, n_ent) -> dict[str, np.ndarray]:
+    """Per slot, which candidates score no higher than each triple's true one,
+    the true one left out, read from the ranks: filtering out candidate c lowers
+    a rank by one exactly when c is a rival."""
+    masks = {slot: np.zeros((len(triples), n_ent), dtype=bool) for slot in ("head", "tail")}
+    for c in range(n_ent):
+        for slot, (raw, filtered) in rank_entities(scorer, _OneKnown(c), triples).items():
+            masks[slot][:, c] = raw > filtered
+    return masks
+
+
 def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
     """Entity scores for every relation, inverse ids included, the rivals of
-    every true entity among them, and relation scores for every pair, as whole
-    vectors and one candidate at a time."""
+    every true entity among them, and relation scores for every pair, as one
+    array of every pair, as whole vectors and one candidate at a time."""
+    triples = [(e, r, true) for r in range(n_rel) for e in range(n_ent) for true in range(n_ent)]
+    masks = rival_masks(scorer, triples, n_ent)
+    for (e, r, true), tail_rivals, head_rivals in zip(triples, masks["tail"], masks["head"]):
+        # (e, r, true) asks for true as a tail of e, and for e as a head of true
+        tails, heads = oracle.tail_scores(e, r), oracle.head_scores(r, true)
+        tails_ok, heads_ok = tails <= tails[true], heads <= heads[e]
+        tails_ok[true] = heads_ok[e] = False
+        assert (tail_rivals == tails_ok).all() and (head_rivals == heads_ok).all()
     for r in range(n_rel):
         for e in range(n_ent):
-            tails, heads = oracle.tail_scores(e, r), oracle.head_scores(r, e)
-            assert hexes(scorer.tail_scores(e, r)) == hexes(tails)
-            assert hexes(scorer.head_scores(r, e)) == hexes(heads)
-            for true in range(n_ent):
-                assert (scorer.entity_rivals(e, r, true, "tail") == (tails <= tails[true])).all()
-                assert (scorer.entity_rivals(true, r, e, "head") == (heads <= heads[true])).all()
-    for h in range(n_ent):
-        for t in range(n_ent):
-            scores = scorer.relation_scores(h, t)
-            assert hexes(scores) == hexes(oracle.relation_scores(h, t))
-            assert hexes(scores) == [oracle.score(h, r, t).hex() for r in range(n_base)]
+            assert hexes(scorer.tail_scores(e, r)) == hexes(oracle.tail_scores(e, r))
+            assert hexes(scorer.head_scores(r, e)) == hexes(oracle.head_scores(r, e))
+    pairs = [(h, t) for h in range(n_ent) for t in range(n_ent)]
+    for (h, t), scores in zip(pairs, scorer.relation_scores(pairs)):
+        assert hexes(scores) == hexes(oracle.relation_scores(h, t))
+        assert hexes(scores) == [oracle.score(h, r, t).hex() for r in range(n_base)]
 
 
 @given(
@@ -101,6 +130,26 @@ def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density,
         scorer.PREFILTER_FROM = 0
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), alpha, norm)
     assert_scores_match(scorer, oracle, n_ent, 2 * n_base, n_base)
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_relation_scores_across_blocks_match_per_path_oracle(norm, monkeypatch):
+    """Relation scores of many pairs in one call, scored a pair or two and two
+    paths at a time, equal the per-path oracle's, for a pair given twice and for
+    pairs without paths too."""
+    rng = np.random.default_rng(5)
+    n_ent, n_base, dim = 6, 3, 7
+    store = random_store(rng, n_ent, 2 * n_base, 3, [(0, 1), (1, 2), (2, 2), (3, 0), (4, 5)], True)
+    assert np.diff(store.indptr).max() > 2
+    index = random_index(rng, n_base, 0.3)
+    emb = random_table(rng, n_ent, n_base, dim)
+    scorer = Scorer(emb, store, Composer(index), 0.35, norm)
+    oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 0.35, norm)
+    # two paths of base relations x dim cells, or up to two pairs without paths
+    monkeypatch.setattr(evaluation, "BLOCK_CELLS", 2 * n_base * dim)
+    pairs = [(1, 2), (0, 1), (5, 5), (1, 2), (3, 0), (0, 3), (4, 5), (2, 2)]
+    for (h, t), scores in zip(pairs, scorer.relation_scores(pairs)):
+        assert hexes(scores) == hexes(oracle.relation_scores(h, t))
 
 
 multigraphs = st.lists(
@@ -137,27 +186,30 @@ def test_finder_scores_match_per_path_oracle(edges, max_steps, density, norm, se
     assert_scores_match(scorer, oracle, kg.n_entities, kg.n_relations, kg.n_base_relations)
     for h, t in pairs:
         one = Scorer(emb, finder.find([(h, t)]), Composer(index), 1.0, norm)
-        assert hexes(one.relation_scores(h, t)) == hexes(oracle.relation_scores(h, t))
+        assert hexes(one.relation_scores([(h, t)])[0]) == hexes(oracle.relation_scores(h, t))
 
 
 def test_store_views_match_dict_oracle(toy_kg):
-    """Each pair's paths are one slice of the store, in pair order; a pair
-    outside the store has an empty one."""
+    """Each pair's paths are one range of the store, in pair order, alone or in
+    an array of every pair; a pair outside the store has an empty one."""
     store = extract_paths(toy_kg, 3, 0.0, 5)
     oracle = PathSet.of(store)
     assert len(store.pairs) == len(oracle.pairs) and store.n_paths == oracle.n_paths
     assert list(store.pairs.items()) == list(oracle.pairs.items())
     stop = 0
     for (h, t), paths in oracle.pairs.items():
-        sel = store.between(h, t)
-        assert sel.start == stop and sel.stop - sel.start == len(paths)
-        assert store.path_objects(sel) == paths
-        stop = sel.stop
+        start, end = store.between(h, t)
+        assert start == stop and end - start == len(paths)
+        assert store.path_objects(slice(int(start), int(end))) == paths
+        stop = end
     assert stop == store.n_paths
-    for h in range(toy_kg.n_entities):
-        for t in range(toy_kg.n_entities):
-            if (h, t) not in oracle.pairs:
-                assert store.between(h, t) == slice(0, 0) and store.paths_between(h, t) == ()
+    n_ent = toy_kg.n_entities
+    heads, tails = np.divmod(np.arange(n_ent * n_ent), n_ent)
+    starts, stops = store.between(heads, tails)
+    for h, t, start, stop in zip(heads.tolist(), tails.tolist(), starts, stops):
+        assert (start, stop) == store.between(h, t)
+        if (h, t) not in oracle.pairs:
+            assert start == stop and store.paths_between(h, t) == ()
 
 
 @given(
