@@ -7,7 +7,9 @@ in embedding space (``energy.composed_relations``).
 
 ``Composer.compile`` composes a ``PathStore`` once: each distinct relation row
 goes through ``compose`` once, and every path gets the id of its residual among
-the distinct residuals and its weight R(p) * prod(mu).
+the distinct residuals and its weight R(p) * prod(mu). It is the one route to a
+composition: training, scoring and the evidence ``explain`` prints all read the
+store's ``CompiledPaths``.
 """
 
 from __future__ import annotations
@@ -73,19 +75,14 @@ class CompiledPaths:
 
 
 class Composer:
-    """Memoized leftmost-first fixpoint rewriter over an immutable rule index."""
+    """Leftmost-first fixpoint rewriter over an immutable rule index."""
 
     def __init__(self, index: RuleIndex):
         self.index = index
-        self._memo: dict[tuple[int, ...], CompositionResult] = {}
-        self._compiled: tuple[PathStore, CompiledPaths] | None = None
 
     def compose(self, relations: tuple[int, ...]) -> CompositionResult:
         if not relations:
             raise ValueError("cannot compose an empty relation sequence")
-        cached = self._memo.get(relations)
-        if cached is not None:
-            return cached
         seq = list(relations)
         applied: list[ChainRule] = []
         while True:
@@ -97,14 +94,10 @@ class Composer:
                     break
             else:
                 break
-        result = CompositionResult(residual=tuple(seq), applied_rules=tuple(applied))
-        self._memo[relations] = result
-        return result
+        return CompositionResult(residual=tuple(seq), applied_rules=tuple(applied))
 
     def compile(self, store: PathStore) -> CompiledPaths:
-        """Every path of ``store`` composed; memoized for the last store compiled."""
-        if self._compiled is not None and self._compiled[0] is store:
-            return self._compiled[1]
+        """Every path of ``store`` composed."""
         rels = store.relations
         # one integer key per relation row, digits base n, where -1 pads and ids are < n - 2
         base = int(rels.max(initial=-1)) + 2
@@ -122,9 +115,7 @@ class Composer:
         for residual, i in residual_ids.items():
             residuals[i, : len(residual)] = residual
         confidence = np.array([cr.confidence_product for cr in results])
-        compiled = CompiledPaths(
+        return CompiledPaths(
             residuals, residual_of[sequence], store.reliabilities * confidence[sequence],
             results, sequence,
         )
-        self._compiled = (store, compiled)
-        return compiled

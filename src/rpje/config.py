@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields, asdict
 
 from .artifacts import read_text
@@ -45,9 +46,14 @@ def _coerce(name: str, raw: str, where: str):
         raise ConfigError(f"{where}: cannot parse {name}={raw!r} as {kind}") from None
 
 
+# A comment starts at a ``#`` that opens the line or follows whitespace; any
+# other ``#`` is part of the value, as in ``output_dir = runs/a#1``.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def apply_config_file(cfg: RunConfig, path: str | os.PathLike) -> None:
     for lineno, line in enumerate(read_text(path, ConfigError).split("\n"), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         where = f"{path}:{lineno}"

@@ -128,27 +128,27 @@ class Scorer:
     """E1-scoring of candidate entities, and Q-scoring of candidate relations
     against trained embeddings and the paths of the pairs in ``store``.
 
-    The composer compiles the store once (``Composer.compile``), and the scorer
-    keeps C(p) per distinct residual.
+    The store is compiled once, here (``Composer.compile``): the scorer keeps
+    the compiled paths (``paths``) and C(p) per distinct residual.
     """
 
     def __init__(
         self,
         emb: EmbeddingTable,
         store: PathStore,
-        composer: Composer,
+        index: RuleIndex,
         alpha_paths: float = TrainingConfig.alpha_paths,
         norm: str = TrainingConfig.norm,
     ):
         self.emb = emb
         self.store = store
-        self.composer = composer
         self.alpha = alpha_paths
         self.norm = norm
         self._scan: Float32Scan | None = None  # of the entity table, on first use
         self._relation_sizes: np.ndarray | None = None  # sum |r| per base relation, with it too
         self.rescored: list[int] = []  # candidates rescored exactly, per entity query
-        self._composed: np.ndarray | None = None  # C(p) per distinct residual, on first use
+        self.paths = Composer(index).compile(store)
+        self._composed = composed_relations(signed_relations(emb), self.paths.residuals)
 
     def path_penalty(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
         """Per pair i and base relation r, the sum of E2(p, r) over the paths
@@ -159,14 +159,8 @@ class Scorer:
         order, and each of its bins is one pair and relation.
         """
         n, dim = self.emb.relations.shape
-        counts = stop - start
-        if not counts.any():  # nothing to compile
-            return np.zeros((len(start), n))
-        compiled = self.composer.compile(self.store)
-        if self._composed is None:
-            self._composed = composed_relations(signed_relations(self.emb), compiled.residuals)
-        pair, paths = _ranges(start, counts)
-        residual, weight = compiled.residual_id[paths], compiled.weight[paths]
+        pair, paths = _ranges(start, stop - start)
+        residual, weight = self.paths.residual_id[paths], self.paths.weight[paths]
         energies = np.empty((len(paths), n))
         for a, b in _blocks(len(paths), n * dim):
             energies[a:b] = path_energy(weight[a:b, None], self._composed[residual[a:b], None],
@@ -372,7 +366,7 @@ def evaluate(
     start = time.perf_counter()
     store = finder.find(pairs if alpha_paths else [], stats.paths)
     stats.seconds["walk"] = time.perf_counter() - start
-    scorer = Scorer(emb, store, Composer(index), alpha_paths, norm)
+    scorer = Scorer(emb, store, index, alpha_paths, norm)
     latencies: list[float] = []
     start = time.perf_counter()
     entity = rank_entities(scorer, kg, triples, latencies)
@@ -389,14 +383,10 @@ def evaluate(
     for task, task_ranks in (("entity-head", entity["head"]), ("entity-tail", entity["tail"]),
                              ("relation", relation)):
         ranks[(task, "raw")], ranks[(task, "filtered")] = task_ranks
-    stats.compiled = scorer.composer.compile(store).summary()
+    stats.compiled = scorer.paths.summary()
     categories = relation_categories(kg)
-    cat_hits: dict[tuple[str, str], list[int]] = {}
-    for r, head, tail in zip(triples[:, 1].tolist(), ranks[("entity-head", "filtered")].tolist(),
-                             ranks[("entity-tail", "filtered")].tolist()):
-        cat = categories.get(r, "N-N")
-        cat_hits.setdefault(("head", cat), []).append(int(head <= 10))
-        cat_hits.setdefault(("tail", cat), []).append(int(tail <= 10))
+    category = np.array([categories.get(r, "N-N") for r in range(kg.n_relations)])[triples[:, 1]]
+    present = sorted(set(category.tolist()))  # np.unique of strings would import numpy.ma
 
     reports = []
     for setting in ("raw", "filtered"):
@@ -409,13 +399,9 @@ def evaluate(
         ):
             mr, mrr, hits = metrics_from_ranks(rlist)
             report = EvalReport(task=task, setting=setting, mr=mr, mrr=mrr, hits=hits)
-            if setting == "filtered" and task in ("entity-head", "entity-tail"):
-                slot = task.split("-")[1]
-                report.per_category = {
-                    cat: float(np.mean(vals))
-                    for (s, cat), vals in sorted(cat_hits.items())
-                    if s == slot
-                }
+            if setting == "filtered" and task != "entity-combined":
+                hit = rlist <= 10
+                report.per_category = {cat: float(np.mean(hit[category == cat])) for cat in present}
             reports.append(report)
         mr, mrr, hits = metrics_from_ranks(ranks[("relation", setting)])
         reports.append(EvalReport(task="relation", setting=setting, mr=mr, mrr=mrr, hits=hits))
@@ -477,76 +463,68 @@ def explain(
     norm: str = TrainingConfig.norm,
 ) -> list[RelationExplanation]:
     """Top-k predicted relations for (h,t) with their rule/path support, from the
-    pair's own paths, which ``finder`` walks."""
+    pair's own paths, which ``finder`` walks. Each path's evidence is the
+    composition that scored it, read from the scorer's compiled store."""
     store = finder.find([(h, t)])
-    composer = Composer(index)
-    scores = Scorer(emb, store, composer, alpha_paths, norm).relation_scores([(h, t)])[0]
-    order = np.argsort(scores, kind="stable")[:top_k]
-    paths = store.paths_between(h, t)
+    scorer = Scorer(emb, store, index, alpha_paths, norm)
+    scores = scorer.relation_scores([(h, t)])[0]
+    start, stop = store.between(h, t)
+    span = slice(int(start), int(stop))
+    paths = [
+        (tuple(r for r in rels if r >= 0), reliability, scorer.paths.compositions[seq])
+        for rels, reliability, seq in zip(store.relations[span].tolist(),
+                                          store.reliabilities[span].tolist(),
+                                          scorer.paths.sequence_id[span].tolist())
+    ]
     out = []
-    for r in order:
-        r = int(r)
+    for r in np.argsort(scores, kind="stable")[:top_k].tolist():
         evidence = []
-        for p in paths:
-            cr = composer.compose(p.relations)
+        for relations, reliability, cr in paths:
             association = None
             if cr.fully_composed and cr.residual[0] != r:
                 for deduced, beta in index.deduced_from(cr.residual[0]):
                     if deduced == r:
                         association = (cr.residual[0], r, beta)
                         break
-            evidence.append(
-                PathEvidence(
-                    relations=p.relations,
-                    reliability=p.reliability,
-                    applied_rules=cr.applied_rules,
-                    confidence_product=cr.confidence_product,
-                    residual=cr.residual,
-                    association=association,
-                )
-            )
+            evidence.append(PathEvidence(relations, reliability, cr.applied_rules,
+                                         cr.confidence_product, cr.residual, association))
         out.append(RelationExplanation(relation=r, score=float(scores[r]), paths=evidence))
     return out
+
+
+# Per line kind, its (machine, human) template.
+_TEMPLATES = {
+    "relation": ("relation\t{rel}\t{score:.6g}", "predicted relation {rel} (score {score:.4f})"),
+    "none": ("path\tnone", "  triple term only"),
+    "path": ("path\t{seq}\t{reliability:.6g}\t{confidence:.6g}\t{res}",
+             "  path ({seq}) reliability={reliability:.3f} confidence={confidence:.3f} "
+             "residual=({res})"),
+    "rule": ("rule\t{rule}", "    applied rule {rule}"),
+    "assoc": ("assoc\t{frm}\t{to}\t{beta:g}", "    association {frm} -> {to} (confidence {beta:g})"),
+}
 
 
 def explanation_lines(
     explanations: list[RelationExplanation], kg: KnowledgeGraph, machine: bool = False
 ) -> list[str]:
     lines = []
+
+    def line(kind: str, **values) -> None:
+        lines.append(_TEMPLATES[kind][0 if machine else 1].format(**values))
+
+    def names(relations: tuple[int, ...]) -> str:
+        return ",".join(kg.relation_name(r) for r in relations)
+
     for exp in explanations:
-        rname = kg.relation_name(exp.relation)
-        if machine:
-            lines.append(f"relation\t{rname}\t{exp.score:.6g}")
-        else:
-            lines.append(f"predicted relation {rname} (score {exp.score:.4f})")
+        line("relation", rel=kg.relation_name(exp.relation), score=exp.score)
         if not exp.paths:
-            lines.append("path\tnone" if machine else "  triple term only")
-            continue
+            line("none")
         for ev in exp.paths:
-            seq = ",".join(kg.relation_name(r) for r in ev.relations)
-            res = ",".join(kg.relation_name(r) for r in ev.residual)
-            if machine:
-                lines.append(
-                    f"path\t{seq}\t{ev.reliability:.6g}\t{ev.confidence_product:.6g}\t{res}"
-                )
-                for rule in ev.applied_rules:
-                    lines.append("rule\t" + format_chain_rule(rule, kg))
-                if ev.association:
-                    frm, to, beta = ev.association
-                    lines.append(
-                        f"assoc\t{kg.relation_name(frm)}\t{kg.relation_name(to)}\t{beta:g}"
-                    )
-            else:
-                lines.append(
-                    f"  path ({seq}) reliability={ev.reliability:.3f} "
-                    f"confidence={ev.confidence_product:.3f} residual=({res})"
-                )
-                for rule in ev.applied_rules:
-                    lines.append("    applied rule " + format_chain_rule(rule, kg))
-                if ev.association:
-                    frm, to, beta = ev.association
-                    lines.append(
-                        f"    association {kg.relation_name(frm)} -> "
-                        f"{kg.relation_name(to)} (confidence {beta:g})"
-                    )
+            line("path", seq=names(ev.relations), reliability=ev.reliability,
+                 confidence=ev.confidence_product, res=names(ev.residual))
+            for rule in ev.applied_rules:
+                line("rule", rule=format_chain_rule(rule, kg))
+            if ev.association:
+                frm, to, beta = ev.association
+                line("assoc", frm=kg.relation_name(frm), to=kg.relation_name(to), beta=beta)
     return lines

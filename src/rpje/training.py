@@ -395,12 +395,12 @@ class Span(NamedTuple):
 class TrainPlan:
     """A run's per-triple tables (its paths and D(r)) and the span planner."""
 
-    def __init__(self, kg: KnowledgeGraph, ps: PathStore, composer: Composer, cfg: TrainingConfig):
+    def __init__(self, kg: KnowledgeGraph, ps: PathStore, index: RuleIndex, cfg: TrainingConfig):
         self.cfg = cfg
         self.n_ent, self.n_base = kg.n_entities, kg.n_base_relations
         self.triples = kg.train_ids.astype(np.int64)
         h, r, t = self.triples.T
-        self.paths = composer.compile(ps)
+        self.paths = Composer(index).compile(ps)
         self.path_start = np.zeros(len(h), dtype=np.int64)
         self.n_paths = np.zeros(len(h), dtype=np.int64)
         if cfg.alpha_paths > 0:
@@ -408,7 +408,7 @@ class TrainPlan:
             self.n_paths = stop - self.path_start
         use_relpairs = cfg.alpha_relpairs > 0
         deduced = [
-            composer.index.deduced_from(b) if use_relpairs else () for b in range(self.n_base)
+            index.deduced_from(b) if use_relpairs else () for b in range(self.n_base)
         ]
         sizes = np.array([len(ds) for ds in deduced], dtype=np.int64)
         self.deduced_start = np.cumsum(sizes) - sizes
@@ -433,9 +433,8 @@ class TrainPlan:
         )
 
     def spans(self, sampler: NegativeSampler, batches: list[np.ndarray]):
-        """The batches (non-empty arrays of train triple indices) planned span by span."""
-        if not batches:
-            return
+        """The batches (non-empty arrays of train triple indices, at least one)
+        planned span by span."""
         starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
         counts = np.add.reduceat(self.draw_counts[np.concatenate(batches)], starts).tolist()
         group, drawn = [], 0
@@ -568,7 +567,6 @@ def train(
     index: RuleIndex,
     cfg: TrainingConfig,
     emb: EmbeddingTable | None = None,
-    sampler: NegativeSampler | None = None,
     log_every: int | None = None,
 ) -> TrainResult:
     """Train ``emb`` (by default ``init_embeddings``) in place; its arrays become
@@ -576,10 +574,9 @@ def train(
     cfg.validate()
     if emb is None:
         emb = init_embeddings(kg, cfg)
-    if sampler is None:
-        sampler = NegativeSampler(kg, seed=cfg.seed + 1)
+    sampler = NegativeSampler(kg, seed=cfg.seed + 1)
     shuffle_rng = np.random.default_rng(cfg.seed + 2)
-    plan = TrainPlan(kg, ps, Composer(index), cfg)
+    plan = TrainPlan(kg, ps, index, cfg)
     # The run updates the embeddings as views of one hinge table, so the table
     # stays current once each batch also negates the relation rows it changed.
     table = hinge_table(emb)

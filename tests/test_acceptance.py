@@ -223,7 +223,7 @@ def test_acceptance_6_metric_correctness():
                    body=(kg.relation_id("r"), kg.relation_id("s")), confidence=0.9)],
         0.7,
     )
-    scorer = Scorer(emb, extract_paths(kg, 2), Composer(index), 1.0, "L1")
+    scorer = Scorer(emb, extract_paths(kg, 2), index, 1.0, "L1")
     rank_mismatches = 0
     filtered_worse = 0
     for triple in kg.test + kg.train:

@@ -264,6 +264,31 @@ def test_bad_config_file_exits_two(toy_dir, tmp_path, capsys):
     assert "unknown option 'rules_format'" in err
 
 
+def test_config_value_keeps_its_hash(toy_dir, tmp_path, capsys):
+    """A ``#`` inside a value is part of it: the resolved config of a run whose
+    output directory holds one replays into that same directory. A ``#`` after
+    whitespace still starts a comment."""
+    _, files = toy_dir
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"train_path = {files['train']}\nvalid_path = {files['valid']}\n"
+                   f"test_path = {files['test']}\nrules_path = {files['rules']}  # toy rules\n"
+                   "epochs = 5  # note\n# a comment line\n")
+    out = tmp_path / "runs" / "a#1"
+    assert main(["encode-rules", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    resolved = out / "resolved_encode-rules.cfg"
+    assert f"output_dir = {out}\n" in resolved.read_text()
+    replayed = RunConfig()
+    apply_config_file(replayed, resolved)
+    assert replayed.output_dir == str(out)
+    assert (replayed.epochs, replayed.rules_path) == (5, str(files["rules"]))
+    replay = tmp_path / "replay.cfg"
+    shutil.copy(resolved, replay)
+    os.remove(resolved)
+    assert main(["encode-rules", "--config", str(replay)]) == EXIT_OK
+    assert resolved.exists() and not (tmp_path / "runs" / "a").exists()
+    capsys.readouterr()
+
+
 def test_train_reuses_path_cache(toy_dir, tmp_path, capsys):
     _, files = toy_dir
     out = tmp_path / "out"

@@ -53,7 +53,7 @@ def assert_ranks_match(ent, rel, norm, triples):
     kg = ring_kg(len(ent), len(rel))
     assert (kg.n_entities, kg.n_base_relations) == (len(ent), len(rel))
     scorer = Scorer(EmbeddingTable(ent, rel), PathFinder(kg, 2).find([]),
-                    Composer(build_index([], 0.7)), 1.0, norm)
+                    build_index([], 0.7), 1.0, norm)
     scorer.PREFILTER_FROM = 0
     for triple in triples:
         ranks = rank_entities(scorer, kg, [triple])  # a one-row split
@@ -147,7 +147,7 @@ def test_split_mixing_unscanned_queries_matches_brute_force(norm, monkeypatch):
     assert np.abs(ent[3]).sum() > SCAN_LIMIT
     kg = ring_kg(n_ent, 2)
     scorer = Scorer(EmbeddingTable(ent, rel), PathFinder(kg, 2).find([]),
-                    Composer(build_index([], 0.7)), 1.0, norm)
+                    build_index([], 0.7), 1.0, norm)
     scorer.PREFILTER_FROM = 0
     monkeypatch.setattr(evaluation, "BLOCK_CELLS", 3 * 4 * dim)
     triples = [(h, r, t) for h in range(n_ent) for r in range(4) for t in (0, 3, 7)]
@@ -208,7 +208,7 @@ def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
     ``PREFILTER_FROM`` cells (entities × dim)."""
     emb, store, index = toy_setup(toy_kg)
     assert emb.entities.size < Scorer.PREFILTER_FROM
-    scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
+    scorer = Scorer(emb, store, index, 1.0, "L1")
     rank_entities(scorer, toy_kg, [toy_kg.test[0]])
     assert scorer._scan is None and scorer.rescored == [emb.n_entities] * 2
     monkeypatch.setattr(Scorer, "PREFILTER_FROM", 0)
@@ -216,7 +216,7 @@ def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
     real = Scorer._prefilter
     monkeypatch.setattr(Scorer, "_prefilter", lambda self: calls.append(1) or real(self))
     explain(emb, PathFinder(toy_kg, 2), index, toy_kg, 0, 1)
-    scorer = Scorer(emb, store, Composer(index), 1.0, "L1")
+    scorer = Scorer(emb, store, index, 1.0, "L1")
     for h in range(5):
         scorer.relation_scores([(h, h + 1)])
     assert calls == [] and scorer._scan is None
@@ -234,7 +234,7 @@ def test_prefilter_threshold_counts_cells(n_ent, dim, scanned):
     rng = np.random.default_rng(n_ent + dim)
     kg = ring_kg(n_ent, 3)
     emb = EmbeddingTable(rng.normal(size=(n_ent, dim)), rng.normal(size=(3, dim)))
-    scorer = Scorer(emb, PathFinder(kg, 2).find([]), Composer(build_index([], 0.7)), 1.0, "L1")
+    scorer = Scorer(emb, PathFinder(kg, 2).find([]), build_index([], 0.7), 1.0, "L1")
     rank_entities(scorer, kg, [kg.train[0]])
     assert (scorer._scan is not None) == scanned
     assert (scorer.rescored == [n_ent] * 2) != scanned

@@ -27,6 +27,8 @@ from rpje.kg import KnowledgeGraph, KnownRanges
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
+from rpje.synthetic import GOOD_RULES
+from rpje.training import train
 
 from conftest import make_kg, parse_rule_lines
 import oracles
@@ -114,7 +116,7 @@ def _hand_setup():
 
 def test_score_hand_value_with_path_term():
     emb, ps, index = _hand_setup()
-    scorer = Scorer(emb, ps, Composer(index), alpha_paths=1.0, norm="L1")
+    scorer = Scorer(emb, ps, index, alpha_paths=1.0, norm="L1")
     # base: ||e0 + r0 - e2||_1 = ||(1,1)-(0,1)||_1 = 1
     # path: R * mu * ||C - r0||_1 = 0.5 * 0.81 * ||(1,1)-(0,1)||_1 = 0.405
     assert scorer.relation_scores([(0, 2)])[0, 0] == pytest.approx(1.0 + 0.5 * 0.81 * 1.0)
@@ -126,7 +128,7 @@ def test_score_hand_value_with_path_term():
 
 def test_score_alpha_zero_ignores_paths():
     emb, ps, index = _hand_setup()
-    scorer = Scorer(emb, ps, Composer(index), alpha_paths=0.0, norm="L1")
+    scorer = Scorer(emb, ps, index, alpha_paths=0.0, norm="L1")
     assert scorer.relation_scores([(0, 2)])[0, 0] == pytest.approx(1.0)
 
 
@@ -147,7 +149,7 @@ def test_vectorized_scores_match_pointwise(setup):
     """Tail and head scores equal ``triple_energy`` of each candidate, and relation
     scores the per-path oracle's Q of each candidate relation."""
     emb, store, index = setup()
-    scorer = Scorer(emb, store, Composer(index), alpha_paths=1.0, norm="L1")
+    scorer = Scorer(emb, store, index, alpha_paths=1.0, norm="L1")
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 1.0, "L1")
     n_ent, n_rel = emb.n_entities, emb.n_base_relations
     ent = emb.entities
@@ -197,7 +199,7 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
                    confidence=0.9)],
         0.7,
     )
-    scorer = Scorer(emb, extract_paths(kg, max_steps=2), Composer(index), alpha_paths=1.0,
+    scorer = Scorer(emb, extract_paths(kg, max_steps=2), index, alpha_paths=1.0,
                     norm="L1")
     for triple in kg.test + kg.train:
         for slot in ("head", "tail"):
@@ -211,7 +213,7 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
     emb = _trained_like(kg)
     store = PathFinder(kg, max_steps=2).find([(h, t) for h, _, t in kg.test])
     assert store.n_paths
-    scorer = Scorer(emb, store, Composer(build_index([], 0.7)), 1.0, "L1")
+    scorer = Scorer(emb, store, build_index([], 0.7), 1.0, "L1")
     oracle = OracleScorer(emb, PathSet.of(store), Composer(build_index([], 0.7)), 1.0, "L1")
     stored = known_triples(kg)
     for triple in kg.test:
@@ -234,7 +236,7 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
 def test_filtered_ranks_never_worse_than_raw(small_eval_kg):
     kg = small_eval_kg
     emb = _trained_like(kg, seed=11)
-    scorer = Scorer(emb, extract_paths(kg, max_steps=2), Composer(build_index([], 0.7)), 1.0,
+    scorer = Scorer(emb, extract_paths(kg, max_steps=2), build_index([], 0.7), 1.0,
                     "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
@@ -270,7 +272,7 @@ def test_triple_in_two_splits_is_filtered_once():
     assert known_ends(kg.known_tails, c, kg.inverse(r)) == [a, d]
     assert known_ends(kg.known_relations, a, c) == [r]
     scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2),
-                    Composer(build_index([], 0.7)), 1.0, "L1")
+                    build_index([], 0.7), 1.0, "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
             _, filtered = rank_one(scorer, kg, triple, slot)
@@ -294,7 +296,7 @@ def test_entity_ranking_makes_one_filter_lookup_per_split(small_eval_kg, monkeyp
     kg = small_eval_kg
     calls = count_filter_lookups(monkeypatch)
     scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2),
-                    Composer(build_index([], 0.7)), 1.0, "L1")
+                    build_index([], 0.7), 1.0, "L1")
     rank_entities(scorer, kg, kg.test_ids)
     n = len(kg.test_ids)
     assert calls == Counter({("known_tails", n): 1, ("known_heads", n): 1})
@@ -410,7 +412,9 @@ def test_report_lines_and_csv(small_eval_kg):
     assert any(row.startswith("relation,filtered,MRR,") for row in rows)
 
 
-def test_explain_ranks_composed_relation_first():
+def _composed_pair_explanations():
+    """A hand-built pair whose one path composes to borninstate by a length-2
+    rule, which the length-1 rule associates with nationality: (kg, explanations)."""
     kg = make_kg(
         [
             ("david", "bornincity", "sf"),
@@ -439,8 +443,22 @@ def test_explain_ranks_composed_relation_first():
     entities[kg.entity_id("ca")] = [0.0, 0.0, 1.0, 0.0]
     emb = EmbeddingTable(entities, relations)
     finder = PathFinder(kg, max_steps=2)
-    exps = explain(emb, finder, index, kg,
-                   kg.entity_id("david"), kg.entity_id("ca"), top_k=2)
+    return kg, explain(emb, finder, index, kg,
+                       kg.entity_id("david"), kg.entity_id("ca"), top_k=2)
+
+
+def _pathless_explanations():
+    """A pair in two components, so without paths: (kg, explanations)."""
+    kg = make_kg([("a", "r", "b"), ("c", "r", "d")])  # two components
+    emb = _trained_like(kg)
+    finder = PathFinder(kg, max_steps=2)
+    return kg, explain(emb, finder, build_index([], 0.7), kg,
+                       kg.entity_id("a"), kg.entity_id("c"), top_k=1)
+
+
+def test_explain_ranks_composed_relation_first():
+    kg, exps = _composed_pair_explanations()
+    rid = kg.relation_id
     assert exps[0].relation == rid("borninstate")
     ev = exps[0].paths[0]
     assert ev.residual == (rid("borninstate"),)
@@ -460,14 +478,83 @@ def test_explain_ranks_composed_relation_first():
 
 
 def test_explain_without_paths_reports_triple_term():
-    kg = make_kg([("a", "r", "b"), ("c", "r", "d")])  # two components
-    emb = _trained_like(kg)
-    finder = PathFinder(kg, max_steps=2)
-    exps = explain(emb, finder, build_index([], 0.7), kg,
-                   kg.entity_id("a"), kg.entity_id("c"), top_k=1)
+    kg, exps = _pathless_explanations()
     assert exps[0].paths == []
     lines = explanation_lines(exps, kg)
     assert any("triple term only" in line for line in lines)
+
+
+def test_explanation_lines_human_format():
+    """The human lines of an applied rule, an association and a pair without
+    paths, character for character (the machine lines are pinned by the
+    artifact digests)."""
+    kg, exps = _composed_pair_explanations()
+    assert explanation_lines(exps, kg) == HUMAN_COMPOSED
+    kg, exps = _pathless_explanations()
+    assert explanation_lines(exps, kg) == HUMAN_PATHLESS
+
+
+HUMAN_COMPOSED = [
+    "predicted relation borninstate (score 0.0000)",
+    "  path (bornincity,cityinstate) reliability=1.000 confidence=0.950 residual=(borninstate)",
+    "    applied rule borninstate <= (bornincity, cityinstate)\t0.95",
+    "predicted relation nationality (score 0.1950)",
+    "  path (bornincity,cityinstate) reliability=1.000 confidence=0.950 residual=(borninstate)",
+    "    applied rule borninstate <= (bornincity, cityinstate)\t0.95",
+    "    association borninstate -> nationality (confidence 0.9)",
+]
+HUMAN_PATHLESS = ["predicted relation r (score 3.2135)", "  triple term only"]
+
+
+def test_explain_evidence_is_the_composition_of_each_path(toy_kg, tmp_path):
+    """On the toy KG with its good rules, each path ``explain`` prints carries
+    the relations, reliability, residual, applied rules and confidence product
+    that composing its relations alone gives, in store order, for every
+    candidate relation."""
+    kg = toy_kg
+    index = parse_rule_lines(GOOD_RULES, kg, tmp_path, threshold=0.7)
+    emb = init_embeddings(kg, TrainingConfig(dim=8, seed=3))
+    finder = PathFinder(kg, max_steps=2)
+    composer = Composer(index)
+    applied = 0
+    for h, _, t in kg.test_ids[:40].tolist():
+        paths = finder.find([(h, t)]).paths_between(h, t)
+        for exp in explain(emb, finder, index, kg, h, t, top_k=kg.n_base_relations):
+            assert len(exp.paths) == len(paths)
+            for ev, p in zip(exp.paths, paths):
+                cr = composer.compose(p.relations)
+                assert (ev.relations, ev.reliability) == (p.relations, p.reliability)
+                assert ev.residual == cr.residual
+                assert ev.applied_rules == cr.applied_rules
+                assert ev.confidence_product == cr.confidence_product
+                applied += bool(cr.applied_rules)
+    assert applied
+
+
+def test_each_command_compiles_its_store_once(toy_kg, tmp_path, monkeypatch):
+    """``evaluate``, ``explain`` and ``train`` each compose their path store
+    exactly once (``Composer.compile``): scoring, training and the printed
+    evidence all read that one compilation."""
+    kg = toy_kg
+    index = parse_rule_lines(GOOD_RULES, kg, tmp_path, threshold=0.7)
+    cfg = TrainingConfig(dim=8, epochs=2, n_batches=4, seed=3)
+    emb = init_embeddings(kg, cfg)
+    finder = PathFinder(kg, max_steps=2)
+    calls = []
+    real = Composer.compile
+
+    def counting(self, store):
+        calls.append(store)
+        return real(self, store)
+
+    monkeypatch.setattr(Composer, "compile", counting)
+    evaluate(emb, finder, index, kg)
+    assert len(calls) == 1 and calls[0].n_paths
+    h, _, t = kg.test_ids[0].tolist()
+    explain(emb, finder, index, kg, h, t, top_k=kg.n_base_relations)
+    assert len(calls) == 2
+    train(kg, extract_paths(kg, max_steps=2), index, cfg)
+    assert len(calls) == 3
 
 
 def _known_relations_by_scan(kg, stored, h, t):

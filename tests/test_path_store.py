@@ -125,7 +125,7 @@ def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density,
     store = random_store(rng, n_ent, 2 * n_base, max_steps, [all_pairs[i] for i in chosen], many)
     index = random_index(rng, n_base, density)
     emb = random_table(rng, n_ent, n_base, dim)
-    scorer = Scorer(emb, store, Composer(index), alpha, norm)
+    scorer = Scorer(emb, store, index, alpha, norm)
     if prefilter:
         scorer.PREFILTER_FROM = 0
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), alpha, norm)
@@ -143,7 +143,7 @@ def test_relation_scores_across_blocks_match_per_path_oracle(norm, monkeypatch):
     assert np.diff(store.indptr).max() > 2
     index = random_index(rng, n_base, 0.3)
     emb = random_table(rng, n_ent, n_base, dim)
-    scorer = Scorer(emb, store, Composer(index), 0.35, norm)
+    scorer = Scorer(emb, store, index, 0.35, norm)
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 0.35, norm)
     # two paths of base relations x dim cells, or up to two pairs without paths
     monkeypatch.setattr(evaluation, "BLOCK_CELLS", 2 * n_base * dim)
@@ -182,10 +182,10 @@ def test_finder_scores_match_per_path_oracle(edges, max_steps, density, norm, se
     oracle = OracleScorer(emb, PathSet(max_steps, 0.0, pairs=walked), Composer(index), 1.0, norm)
     finder = PathFinder(kg, max_steps, 0.0)
     pairs = [(h, t) for h in range(kg.n_entities) for t in range(kg.n_entities)]
-    scorer = Scorer(emb, finder.find(pairs), Composer(index), 1.0, norm)
+    scorer = Scorer(emb, finder.find(pairs), index, 1.0, norm)
     assert_scores_match(scorer, oracle, kg.n_entities, kg.n_relations, kg.n_base_relations)
     for h, t in pairs:
-        one = Scorer(emb, finder.find([(h, t)]), Composer(index), 1.0, norm)
+        one = Scorer(emb, finder.find([(h, t)]), index, 1.0, norm)
         assert hexes(one.relation_scores([(h, t)])[0]) == hexes(oracle.relation_scores(h, t))
 
 

@@ -90,7 +90,7 @@ def one_batch(kg, ps, index, cfg, sampler, triples=None):
     """The batch of train triples ``triples`` (indices; default all), planned alone."""
     if triples is None:
         triples = np.arange(len(kg.train))
-    plan = TrainPlan(kg, ps, Composer(index), cfg)
+    plan = TrainPlan(kg, ps, index, cfg)
     return plan.span(sampler, [np.asarray(triples)]).batches[0]
 
 
@@ -725,7 +725,7 @@ def run_transe_reduction(n_batches_to_run=10):
     emb = init_embeddings(kg, cfg)
     oracle_e = emb.entities.copy()
     oracle_r = emb.relations.copy()
-    plan = TrainPlan(kg, empty_paths(), Composer(build_index([], 0.0)), cfg)
+    plan = TrainPlan(kg, empty_paths(), build_index([], 0.0), cfg)
 
     sampler = NegativeSampler(kg, seed=99)
     oracle_sampler = NegativeSampler(kg, seed=99)  # shared stream by construction
@@ -1074,7 +1074,7 @@ def test_epoch_counts_match_the_batch(case):
     counts = train(kg, ps, index, cfg).epochs[0]
     emb = init_embeddings(kg, cfg)
     perm = np.random.default_rng(cfg.seed + 2).permutation(len(kg.train))
-    plan = TrainPlan(kg, ps, Composer(index), cfg)
+    plan = TrainPlan(kg, ps, index, cfg)
     batch = plan.span(NegativeSampler(kg, seed=cfg.seed + 1), [perm]).batches[0]
     losses, update = loss_and_gradients(batch, hinge_table(emb))
     draws = [3 * len(kg.train), plan.n_paths.sum(), plan.n_deduced.sum()]
