@@ -263,35 +263,50 @@ def cmd_explain(cfg: RunConfig, head: str, tail: str, machine: bool) -> int:
 COMMANDS = ("encode-rules", "extract-paths", "train", "eval", "explain")
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The rpje parser; with ``command``, the other subcommands get no options."""
+def _formatter():
     # The stock formatter's width, probed once: argparse builds a formatter to
     # check every option it adds, and each would probe the terminal again.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _add_command_options(p: _Parser, command: str) -> None:
+    _add_common_options(p)
+    if command == "explain":
+        _add_option(p, "top_k")
+        p.add_argument("head")
+        p.add_argument("tail")
+        p.add_argument("--machine", action="store_true", help="line-oriented output")
+
+
+def build_parser() -> _Parser:
+    """The rpje parser, one subparser per command."""
+    formatter = _formatter()
     parser = _Parser(prog="rpje", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        reachable = command in (None, name)
-        p = sub.add_parser(name, formatter_class=formatter, add_help=reachable)
-        if not reachable:
-            continue
-        _add_common_options(p)
-        if name == "explain":
-            _add_option(p, "top_k")
-            p.add_argument("head")
-            p.add_argument("tail")
-            p.add_argument("--machine", action="store_true", help="line-oriented output")
+        _add_command_options(sub.add_parser(name, formatter_class=formatter), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed. A known command is parsed by a parser of its own options
+    alone, which prints what its subparser in ``build_parser`` prints."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    command = argv[0]
+    parser = _Parser(prog=f"rpje {command}", formatter_class=_formatter())
+    _add_command_options(parser, command)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:  # the full parser reports these, under its usage
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = command
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Only the subcommand being run needs its ~25 options.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or EXIT_OK)
     try:

@@ -248,10 +248,14 @@ def _propagate(
         else:
             key, first, slot = np.unique(key, return_index=True, return_inverse=True)
         resource = np.bincount(slot, weights=share, minlength=len(key))
+        # the keys are sorted, so each sequence (key // n_ent) is one run of them
+        sequence = key // n_ent
+        new_run = np.ones(len(key), dtype=bool)
+        new_run[1:] = sequence[1:] != sequence[:-1]
+        sequences, group = sequence[new_run], np.cumsum(new_run) - 1
         if not last:
             order = np.argsort(first)
-            key, resource = key[order], resource[order]
-        sequences, group = np.unique(key // n_ent, return_inverse=True)
+            key, resource, group = key[order], resource[order], group[order]
         entity = key % n_ent
         parent = sequences // n_rel
         group_head = group_head[parent]

@@ -4,10 +4,12 @@ Per positive triple (h,r,t) the batch loss is
     L1(h,r,t) + alpha_1 * sum_{p in P(h,t)} L2(p,r) + alpha_2 * sum_{r_e in D(r)} L3(r,r_e)
 with one negative per corruption slot (h', t', r') for L1 and one negative
 relation per L2/L3 term. Every hinge of a batch sees the embeddings as they
-were at its start; the summed subgradients are applied once per batch, and
-entity vectors are then projected back to the unit ball. The first batch of a
-run projects every row; each later one only the rows it updated and the rows
-the previous batch scaled, which gives the full pass's result bit for bit.
+were at its start; the summed subgradients are applied once per batch, in one
+indexed subtraction on the hinge table, and entity vectors are then projected
+back to the unit ball. The first batch of a run projects every row; each later
+one only the rows it updated and the rows the previous batch scaled (a row of
+both is checked twice, to the same bits), which gives the full pass's result
+bit for bit.
 
 Planning. ``TrainPlan`` tabulates once per run each train triple's paths (a
 range of the ``PathStore``, composed once by ``Composer.compile``) and D(r).
@@ -17,8 +19,10 @@ holding more is a span of its own). The span's draws are laid out in numpy in
 the sampler's stream order, triple by triple: head, tail and relation
 corruption; one relation per stored path of (h, t), in store order; one
 relation per (r_e, beta) of D(r). ``NegativeSampler.draws`` makes them all in
-one exact loop; a give-up (-1) drops its hinge. The rows of every hinge then
-come from gathers, into one int32 table of the span that its batches slice.
+one exact loop, testing each value by one lookup in one set of excluded keys;
+the plan first makes its D(r) the sampler's relation-pair exclusions. A
+give-up (-1) drops its hinge. The rows of every hinge then come from gathers,
+into one int32 table of the span that its batches slice.
 ``HingeBatch.split`` derives each batch's subgradient slots from that table
 once: the row each slot adds to, an int8 code naming which of its hinge's
 values it takes, and its hinge. Only rows of -relations go through the
@@ -45,22 +49,23 @@ batch changed, so no batch copies the table.
 Summation order. Each side sums left to right, x0 + x1 + x2 - y. The scatter
 adds each row's subgradients in the order a per-hinge loop would (the triple's
 L1 hinges, its L2 hinges, its L3 hinges, then the next triple), starting from
-0.0, so the sign of a zero term never shows; each loss part sums its hinges
-left to right too. So the result is bit for bit that of the per-hinge loop
+0.0, so the sign of a zero term never shows. Each loss part sums its hinges
+left to right too: once per span, one ``np.bincount`` over (batch, term) sums
+each batch's part in hinge order, and a ``cumsum`` adds them to the epoch's
+totals batch by batch. So the result is bit for bit that of the per-hinge loop
 kept in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .compose import CompiledPaths, Composer
 from .energy import dissimilarity
-from .kg import KnowledgeGraph, Triple, distinct_sorted
+from .kg import KnowledgeGraph, Triple
 from .model import EmbeddingTable, TrainingConfig, init_embeddings
 from .paths import PathStore
 from .rules import RuleIndex
@@ -100,14 +105,6 @@ def _lemire(words: np.ndarray, n: int) -> list[int]:
     return v.tolist()
 
 
-def not_deduced_mask(r: int, deduced) -> int:
-    """The bits a relation drawn against r and its deduced relations may not set."""
-    mask = 1 << r
-    for d in deduced:
-        mask |= 1 << d
-    return mask
-
-
 class NegativeSampler:
     """Uniform corruption sampling that never emits a triple present in train.
 
@@ -119,17 +116,27 @@ class NegativeSampler:
     sampler gives up. ``draws`` makes a whole plan of draws in one loop; the
     ``corrupt_*`` and ``relation_not_deduced`` calls are plans of one draw.
     Triples carry base relation ids, as in ``kg.train_ids``.
+
+    Every exclusion is one integer key in one set. Triple (h, r, t) is the key
+    (h * n_rel + r) * n_ent + t. Past every triple key, at base = n_ent * n_rel *
+    n_ent, value d of relation r's relation-pair draws is the key base + r * n_rel
+    + d; ``exclude_deduced`` puts r and the base ids of D(r) there. An inverse id
+    d >= n_rel can never be drawn, and its key would name relation r + 1's
+    value d - n_rel, so it gets none.
     """
 
     BLOCK = 1024  # uint32 words per prefetch
 
     def __init__(self, kg: KnowledgeGraph, seed: int = 0, max_attempts: int = 100):
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, not {max_attempts}")
         self._rng = np.random.default_rng(seed)  # read only through the prefetched blocks
         self.max_attempts = max_attempts
         self._n_ent, self._n_rel = kg.n_entities, kg.n_base_relations
-        # train membership by the integer key (h * n_rel + r) * n_ent + t
         h, r, t = kg.train_ids.astype(np.int64).T
-        self._train = set(((h * self._n_rel + r) * self._n_ent + t).tolist())
+        self._excluded = set(((h * self._n_rel + r) * self._n_ent + t).tolist())
+        self._pair_base = self._n_ent * self._n_rel * self._n_ent
+        self._deduced, self._pair_keys = None, set()  # the relation-pair exclusions held
         self._words = np.empty(0, dtype=np.uint32)
         self._pos = self.BLOCK  # the first draw fetches a block
         self._values: dict[int, list[int]] = {}
@@ -145,38 +152,67 @@ class NegativeSampler:
             (h * n_rel * n_ent + t, n_ent),
         )
 
-    def draws(self, ranges, keys, strides, masks) -> list[int]:
-        """Per planned draw i, the first value x drawn from range(ranges[i]) that
-        sets no bit of masks[i] and whose train key keys[i] + x * strides[i] is
-        free; -1 when ``max_attempts`` values in a row are excluded."""
-        train, attempts, block = self._train, self.max_attempts, self.BLOCK
-        words, pos, cache = self._words, self._pos, self._values
+    def pair_keys(self, r):
+        """(key, stride) of a relation-pair draw against r (an int or an array):
+        value x is excluded when key + x * stride is."""
+        return self._pair_base + r * self._n_rel, 1
+
+    def exclude_deduced(self, deduced) -> None:
+        """Exclude r and the base ids of ``deduced[r]`` from relation r's
+        relation-pair draws, for every base relation r, in place of the
+        exclusions set before; nothing to do when ``deduced`` is the object set
+        last."""
+        if deduced is self._deduced:
+            return
+        n, base = self._n_rel, self._pair_base
+        keys = {base + r * n + d for r, ds in enumerate(deduced) for d in (r, *ds) if d < n}
+        self._excluded -= self._pair_keys
+        self._excluded |= keys
+        self._deduced, self._pair_keys = deduced, keys
+
+    def draws(self, ranges, keys, strides) -> list[int]:
+        """Per planned draw i, the first value x drawn from range(ranges[i]) whose
+        key keys[i] + x * strides[i] is not excluded; -1 when ``max_attempts``
+        values in a row are. Each value costs one set lookup, and a free first
+        value ends its draw at once. A word that Lemire's rule rejects is no
+        attempt and an excluded value is one, as in a loop of scalar draws."""
+        excluded, attempts, block = self._excluded, self.max_attempts, self.BLOCK
+        pos, cache = self._pos, self._values
         out = []
-        for n, key, stride, mask in zip(ranges, keys, strides, masks):
-            for _ in repeat(None, attempts):
+        append = out.append
+        for n, key, stride in zip(ranges, keys, strides):
+            tries = attempts
+            while True:
                 if n > 1:
-                    x = -1
-                    while x < 0:
-                        if pos == block:
-                            words = self._rng.integers(0, 2**32, size=block, dtype=np.uint32)
-                            pos, cache = 0, {}
-                        values = cache.get(n)
-                        if values is None:
-                            values = cache[n] = _lemire(words, n)
-                        x = values[pos]
-                        pos += 1
+                    if pos == block:
+                        pos, cache = 0, self._refill()
+                    values = cache.get(n)
+                    if values is None:
+                        values = cache[n] = _lemire(self._words, n)
+                    x = values[pos]
+                    pos += 1
+                    if x < 0:  # a rejected word is no attempt
+                        continue
                 else:
                     x = 0
-                if not mask >> x & 1 and key + x * stride not in train:
+                if key + x * stride not in excluded:
                     break
-            else:
-                x = -1
-            out.append(x)
-        self._words, self._pos, self._values = words, pos, cache
+                tries -= 1
+                if not tries:
+                    x = -1
+                    break
+            append(x)
+        self._pos, self._values = pos, cache
         return out
 
-    def _draw(self, n: int, key: int, stride: int, mask: int = 0) -> int | None:
-        x = self.draws((n,), (key,), (stride,), (mask,))[0]
+    def _refill(self) -> dict[int, list[int]]:
+        """The next block of words; returns its (empty) cache of values per range."""
+        self._words = self._rng.integers(0, 2**32, size=self.BLOCK, dtype=np.uint32)
+        self._pos, self._values = 0, {}
+        return self._values
+
+    def _draw(self, n: int, key: int, stride: int) -> int | None:
+        x = self.draws((n,), (key,), (stride,))[0]
         return None if x < 0 else x
 
     def corrupt_head(self, triple: Triple) -> Triple | None:
@@ -195,7 +231,12 @@ class NegativeSampler:
         return None if r2 is None else (h, r2, t)
 
     def relation_not_deduced(self, r: int, deduced: frozenset[int]) -> int | None:
-        return self._draw(self._n_rel, -1, 0, not_deduced_mask(r, deduced))
+        """A relation drawn against r that is neither r nor in ``deduced``; it
+        replaces the sampler's relation-pair exclusions by these."""
+        excluded = [()] * self._n_rel
+        excluded[r] = deduced
+        self.exclude_deduced(tuple(excluded))
+        return self._draw(self._n_rel, *self.pair_keys(r))
 
 
 class Hinges(NamedTuple):
@@ -223,7 +264,7 @@ class LossParts(NamedTuple):
         return self.triple + self.path + self.relpair
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class HingeBatch:
     """A batch's hinges laid out for ``loss_and_gradients``.
 
@@ -285,12 +326,6 @@ class HingeBatch:
             ))
         return batches
 
-    def parts(self, losses: np.ndarray) -> LossParts:
-        """The losses summed per term, each left to right."""
-        if not len(losses):
-            return LossParts()  # bincount would count in ints
-        return LossParts(*np.bincount(self.kind, weights=losses, minlength=3).tolist())
-
 
 def hinge_table(emb: EmbeddingTable) -> np.ndarray:
     """[entities; relations; -relations; 0], the rows that hinges sum."""
@@ -312,31 +347,47 @@ def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.nda
 
 @dataclass
 class GradientUpdate:
-    """One batch's subgradient, summed per entity and base relation row it touches."""
+    """One batch's subgradient, summed per row of [entities; base relations] it
+    touches: ``rows`` ascending, the first ``n_entity_rows`` of them entities,
+    and ``sums`` theirs."""
 
-    entity_rows: np.ndarray
-    entity: np.ndarray
-    relation_rows: np.ndarray
-    relation: np.ndarray
+    rows: np.ndarray
+    sums: np.ndarray
+    n_entity_rows: int
+    n_entities: int
 
     @classmethod
-    def empty(cls, dim: int) -> GradientUpdate:
+    def empty(cls, dim: int, n_entities: int) -> GradientUpdate:
         """The update of a batch without an active hinge."""
-        rows = np.empty(0, dtype=np.int64)
-        return cls(rows, np.empty((0, dim)), rows, np.empty((0, dim)))
+        return cls(np.empty(0, dtype=np.intp), np.empty((0, dim)), 0, n_entities)
 
     @classmethod
     def scattered(cls, rows: np.ndarray, values: np.ndarray, n_entities: int,
                   n_base: int) -> GradientUpdate:
-        """``values`` summed per row in input order; rows number the entities, then
-        the base relations."""
+        """``values`` summed per row in input order."""
         distinct, sums = _row_sums(rows, values, n_entities + n_base)
-        k = np.searchsorted(distinct, n_entities)
-        return cls(distinct[:k], sums[:k], distinct[k:] - n_entities, sums[k:])
+        return cls(distinct, sums, int(np.searchsorted(distinct, n_entities)), n_entities)
 
-    def apply(self, emb: EmbeddingTable, lr: float) -> None:
-        emb.entities[self.entity_rows] -= lr * self.entity
-        emb.relations[self.relation_rows] -= lr * self.relation
+    @property
+    def entity_rows(self) -> np.ndarray:
+        return self.rows[: self.n_entity_rows]
+
+    @property
+    def entity(self) -> np.ndarray:
+        return self.sums[: self.n_entity_rows]
+
+    @property
+    def relation_rows(self) -> np.ndarray:
+        return self.rows[self.n_entity_rows :] - self.n_entities
+
+    @property
+    def relation(self) -> np.ndarray:
+        return self.sums[self.n_entity_rows :]
+
+    def apply(self, table: np.ndarray, lr: float) -> None:
+        """One SGD step on ``table``, whose rows start [entities; base relations]
+        (a ``hinge_table``)."""
+        table[self.rows] -= lr * self.sums
 
 
 def loss_and_gradients(batch: HingeBatch, table: np.ndarray) -> tuple[np.ndarray, GradientUpdate]:
@@ -356,7 +407,7 @@ def loss_and_gradients(batch: HingeBatch, table: np.ndarray) -> tuple[np.ndarray
     active = ~inactive
     hinges = np.flatnonzero(active)
     if not len(hinges):
-        return losses, GradientUpdate.empty(dim)
+        return losses, GradientUpdate.empty(dim, batch.n_entities)
 
     # candidates (A, 3, 2) of the A active hinges: per side g and -g, then g+ - g-
     # and its negation, so value c of the a-th active hinge is candidate 6a + c
@@ -383,11 +434,11 @@ def loss_and_gradients(batch: HingeBatch, table: np.ndarray) -> tuple[np.ndarray
 
 
 class Span(NamedTuple):
-    """Planned batches, the kind of each of their hinges, and per term the draws
-    planned and the give-ups."""
+    """Planned batches; per hinge its loss part, 3 * batch + kind; and per term
+    the draws planned and the give-ups."""
 
     batches: list[HingeBatch]
-    kind: np.ndarray
+    part: np.ndarray
     draws: np.ndarray
     giveups: np.ndarray
 
@@ -414,11 +465,8 @@ class TrainPlan:
         self.deduced_start = np.cumsum(sizes) - sizes
         self.deduced = np.array([d for ds in deduced for d, _ in ds], dtype=np.int64)
         self.beta = np.array([beta for ds in deduced for _, beta in ds])
-        # per base relation, then for the other draws (index n_base): the bits excluded
-        self.masks = np.array(
-            [not_deduced_mask(b, [d for d, _ in ds]) for b, ds in enumerate(deduced)] + [0],
-            dtype=object,
-        )
+        # D(r)'s ids per base relation r, for the sampler's relation-pair exclusions
+        self.deduced_ids = tuple(tuple(d for d, _ in ds) for ds in deduced)
         self.n_deduced = sizes[r]
         self.draw_counts = 3 + self.n_paths + self.n_deduced
         # the range of a head, tail, relation (and path) and relation-pair draw
@@ -458,12 +506,11 @@ class TrainPlan:
         # the head, tail, relation (and path) and relation-pair draws
         slot = np.minimum(k, 2) + relpair
         (hk, hs), (tk, ts), (rk, rs) = sampler.corruption_keys(h, r, t)
-        keys = np.stack((hk, tk, rk, np.full(len(idx), -1)), axis=1)[j, slot]
+        pk, pst = sampler.pair_keys(r)
+        keys = np.stack((hk, tk, rk, pk), axis=1)[j, slot]
+        sampler.exclude_deduced(self.deduced_ids)
         values = np.fromiter(sampler.draws(
-            self.ranges[slot].tolist(),
-            keys.tolist(),
-            np.array([hs, ts, rs, 0])[slot].tolist(),
-            self.masks[np.where(relpair, r[j], self.n_base)].tolist(),
+            self.ranges[slot].tolist(), keys.tolist(), np.array([hs, ts, rs, pst])[slot].tolist()
         ), dtype=np.int64, count=len(j))
         draws = np.bincount(kind, minlength=3)
         giveups = np.zeros(3, dtype=np.int64)
@@ -472,9 +519,11 @@ class TrainPlan:
             giveups = np.bincount(kind[~drawn], minlength=3)
             j, k, kind, values = j[drawn], k[drawn], kind[drawn], values[drawn]
         hinges = self._hinges(j, k, kind, values, h, r, t, n_paths, self.path_start[idx])
-        ends = np.searchsorted(j, np.cumsum([len(b) for b in batches]))
+        sizes = [len(b) for b in batches]
+        ends = np.searchsorted(j, np.cumsum(sizes))
         planned = HingeBatch.split(hinges, self.cfg, self.n_ent, self.n_base, ends)
-        return Span(planned, kind, draws, giveups)
+        part = 3 * np.repeat(np.arange(len(batches)), sizes)[j] + kind
+        return Span(planned, part, draws, giveups)
 
     def _hinges(self, j, k, kind, v, h, r, t, n_paths, path_start) -> Hinges:
         """Hinge rows of drawn negatives ``v``: ``j`` is each draw's triple, which
@@ -510,7 +559,7 @@ class TrainPlan:
 
 def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.ndarray:
     """Scale entity vectors with norm > 1 back onto the unit sphere: every row, or
-    only the distinct ``rows``. Returns the rows it scaled.
+    only ``rows``, which may repeat a row. Returns the distinct rows it scaled.
 
     Each row's norm and scaling depend on that row alone, so a pass over the rows
     that can have left the ball since the last pass gives what a full pass gives:
@@ -522,7 +571,9 @@ def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.
     over = norms > 1.0
     scaled = np.flatnonzero(over) if rows is None else rows[over]
     if len(scaled):
-        emb.entities[scaled] /= norms[over, None]
+        emb.entities[scaled] /= norms[over, None]  # a repeated row takes the same bits
+    if rows is not None and len(scaled) > 1:  # distinct, in any order
+        scaled = np.fromiter(set(scaled.tolist()), dtype=np.intp)
     return scaled
 
 
@@ -589,7 +640,7 @@ def train(
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(len(plan.triples))
         batches = [b for b in np.array_split(perm, cfg.n_batches) if len(b)]
-        totals = [0.0, 0.0, 0.0]
+        totals = np.zeros(3)
         counts = EpochCounts()
         for span in plan.spans(sampler, batches):
             counts.draws += span.draws
@@ -597,23 +648,27 @@ def train(
             span_losses = []
             for batch in span.batches:
                 losses, grads = loss_and_gradients(batch, table)
-                if len(grads.entity_rows) or len(grads.relation_rows):
-                    grads.apply(emb, cfg.lr)
-                    negated[grads.relation_rows] = -emb.relations[grads.relation_rows]
+                span_losses.append(losses)
+                if len(grads.rows):
+                    grads.apply(table, cfg.lr)
+                    moved = grads.relation_rows
+                    negated[moved] = -emb.relations[moved]
                 if scaled is None:
                     rows = None
-                elif len(scaled):
-                    rows = distinct_sorted(np.concatenate((grads.entity_rows, scaled)))
+                elif len(scaled):  # a row of both is checked twice
+                    rows = np.concatenate((grads.entity_rows, scaled))
                 else:
                     rows = grads.entity_rows
                 if rows is None or len(rows):  # no row moved, none can leave the ball
                     scaled = project_entities(emb, rows)
-                totals = [a + b for a, b in zip(totals, batch.parts(losses))]
-                span_losses.append(losses)
                 counts.projected += len(scaled)
-            counts.active += np.bincount(span.kind[np.concatenate(span_losses) > 0.0], minlength=3)
+            losses = np.concatenate(span_losses)
+            # per batch each part summed left to right, then added to the totals in turn
+            parts = np.bincount(span.part, weights=losses, minlength=3 * len(span.batches))
+            totals = np.cumsum(np.vstack((totals, parts.reshape(-1, 3))), axis=0)[-1]
+            counts.active += np.bincount(span.part[losses > 0.0] % 3, minlength=3)
             del span, batch, span_losses  # free the span before the next is planned
-        totals = LossParts(*totals)
+        totals = LossParts(*totals.tolist())
         if not np.isfinite(totals.total):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")
         history.append((epoch, totals.total, *totals))

@@ -14,6 +14,8 @@ copy. ``brute_rank`` and ``brute_relation_rank`` rank one query by comparing
 its candidates one at a time and filtering by membership in ``known_triples``.
 ``relation_categories`` and ``evaluate_in_triple_order`` are the per-triple
 loops the array code replaced; the latter ranks with the two brute ranks.
+``batch_parts`` sums one training batch's losses per term in a loop, as
+``train`` did batch by batch before it summed a span's parts at once.
 All are kept so the array code can be checked against them bit for bit.
 """
 
@@ -26,6 +28,7 @@ import numpy as np
 from rpje.energy import dissimilarity, path_energy, triple_energy
 from rpje.evaluation import EvalReport, metrics_from_ranks
 from rpje.paths import Path, PathStore, _Arrivals, _pair_starts
+from rpje.training import LossParts
 
 
 def path_weight(path: Path, cr) -> float:
@@ -44,6 +47,14 @@ def compose_embedding(cr, emb) -> np.ndarray:
 def relpair_energy(r: np.ndarray, r_e: np.ndarray, norm: str):
     """E3 = ||r - r_e||."""
     return dissimilarity(r - r_e, norm)
+
+
+def batch_parts(batch, losses) -> LossParts:
+    """A ``HingeBatch``'s ``losses`` summed per term, each from 0.0 left to right."""
+    parts = [0.0, 0.0, 0.0]
+    for kind, loss in zip(batch.kind.tolist(), losses.tolist()):
+        parts[kind] += loss
+    return LossParts(*parts)
 
 
 def triple_set(kg, *splits) -> set[tuple[int, int, int]]:

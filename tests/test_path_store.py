@@ -12,10 +12,10 @@ from rpje.evaluation import Scorer, rank_entities
 from rpje.model import EmbeddingTable, TrainingConfig
 from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
-from rpje.training import NegativeSampler, hinge_table, loss_and_gradients
+from rpje.training import hinge_table, loss_and_gradients
 
 from conftest import make_kg, train_pairs
-from oracles import OracleScorer, PathSet, store_from_pairs
+from oracles import OracleScorer, PathSet, batch_parts, store_from_pairs
 from test_paths import oracle_paths, oracle_walk
 from test_training import OracleSampler, hexes, one_batch, oracle_loss_and_gradients
 
@@ -232,9 +232,9 @@ def test_path_hinges_match_per_hinge_oracle(edges, seed, density, many, norm):
     index = random_index(rng, kg.n_base_relations, density)
     emb = random_table(rng, kg.n_entities, kg.n_base_relations, 6)
     cfg = TrainingConfig(dim=6, norm=norm, margin_path=3.0, margin_relpair=2.0)
-    batch = one_batch(kg, store, index, cfg, NegativeSampler(kg, seed=seed % 1000))
+    batch = one_batch(kg, store, index, cfg, seed % 1000)
     losses, update = loss_and_gradients(batch, hinge_table(emb))
-    parts = batch.parts(losses)
+    parts = batch_parts(batch, losses)
     want, grads = oracle_loss_and_gradients(
         kg.train, PathSet.of(store), Composer(index), emb, cfg, OracleSampler(kg, seed=seed % 1000)
     )

@@ -28,7 +28,7 @@ from rpje.training import (
 
 from conftest import make_kg
 from oracles import (
-    compose_embedding, path_weight, residual_matrix, store_from_pairs, triple_set,
+    batch_parts, compose_embedding, path_weight, residual_matrix, store_from_pairs, triple_set,
 )
 
 
@@ -86,12 +86,22 @@ def fused(emb, hinges, cfg):
     return loss_and_gradients(batch, hinge_table(emb))
 
 
-def one_batch(kg, ps, index, cfg, sampler, triples=None):
-    """The batch of train triples ``triples`` (indices; default all), planned alone."""
+def apply_update(update, emb, lr):
+    """``update.apply`` to ``emb``, through the [entities; relations] table it
+    then views, as ``train`` views its hinge table."""
+    table = np.concatenate((emb.entities, emb.relations))
+    update.apply(table, lr)
+    emb.entities, emb.relations = table[: emb.n_entities], table[emb.n_entities :]
+
+
+def one_batch(kg, ps, index, cfg, seed, triples=None):
+    """The batch of train triples ``triples`` (indices; default all), planned alone
+    with a fresh ``NegativeSampler(kg, seed)``, which holds no exclusion of the
+    plan's until the plan sets it."""
     if triples is None:
         triples = np.arange(len(kg.train))
     plan = TrainPlan(kg, ps, index, cfg)
-    return plan.span(sampler, [np.asarray(triples)]).batches[0]
+    return plan.span(NegativeSampler(kg, seed=seed), [np.asarray(triples)]).batches[0]
 
 
 # --- negative sampling ---
@@ -120,6 +130,8 @@ def test_sampler_gives_up_when_saturated():
     assert sampler.corrupt_head((0, 0, 0)) is None
     assert sampler.corrupt_tail((0, 0, 0)) is None
     assert sampler.corrupt_relation((0, 0, 0)) is None
+    with pytest.raises(ValueError):  # a draw takes at least one value
+        NegativeSampler(kg, max_attempts=0)
 
 
 def test_relation_not_deduced_excludes():
@@ -132,66 +144,123 @@ def test_relation_not_deduced_excludes():
 
 
 STREAM_RANGES = [1, 2, 7, 212, 3392, 3 * 2**30 + 5]
+# max_attempts 20, and 1 and 2, where a draw that counted its first value wrongly
+# (an excluded value is one attempt, a word Lemire's rule rejects none) would
+# take another number of words
+ATTEMPTS = (20, 1, 2)
 
 
 def draw(sampler, n):
     """One uniform draw from range(n), n <= 2^32: a plan of one draw with no
-    train key (-1) and no mask."""
-    return sampler.draws((n,), (-1,), (0,), (0,))[0]
+    key (-1) to exclude."""
+    return sampler.draws((n,), (-1,), (0,))[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_sampler_stream_matches_scalar_draws(seed):
     """Every draw is the value a fresh generator's scalar integers(n) gives, with
-    ranges interleaved, across prefetch blocks and around a give-up."""
+    ranges interleaved, across prefetch blocks and around a give-up, which takes
+    ``max_attempts`` values; a word that Lemire's rule rejects is no attempt."""
     # both heads of the only (., r, a) triples are in train, so corrupt_head gives up
     kg = make_kg([("a", "r", "a"), ("b", "r", "a")])
-    sampler = NegativeSampler(kg, seed=seed, max_attempts=20)
-    reference = np.random.default_rng(seed)
-    ranges = np.random.default_rng(seed + 1).choice(STREAM_RANGES, size=3 * NegativeSampler.BLOCK)
-    for i, n in enumerate(ranges.tolist()):
-        if i == NegativeSampler.BLOCK // 2:
-            assert sampler.corrupt_head((0, 0, 0)) is None
-            for _ in range(20):
-                reference.integers(kg.n_entities)
-        assert draw(sampler, n) == reference.integers(n)
+    for attempts in ATTEMPTS:
+        sampler = NegativeSampler(kg, seed=seed, max_attempts=attempts)
+        reference = np.random.default_rng(seed)
+        ranges = np.random.default_rng(seed + 1).choice(
+            STREAM_RANGES, size=3 * NegativeSampler.BLOCK
+        )
+        for i, n in enumerate(ranges.tolist()):
+            if i == NegativeSampler.BLOCK // 2:
+                assert sampler.corrupt_head((0, 0, 0)) is None
+                for _ in range(attempts):
+                    reference.integers(kg.n_entities)
+            assert draw(sampler, n) == reference.integers(n)
 
 
 def test_sampler_plan_matches_scalar_draws():
     """One plan through ``draws`` interleaves the ranges 1, n_rel and n_ent across
-    prefetch blocks, with train-key tests, masks and give-ups, and takes every
-    value a scalar loop of integers(n) calls takes."""
+    prefetch blocks, with train-key tests, relation-pair exclusions and give-ups,
+    and takes every value a scalar loop of integers(n) calls takes."""
     # (a, r, a) is the only triple with range-1 relation draws; its head draws cannot all be free
     kg = make_kg([("a", "r", "a"), ("b", "r", "a"), ("a", "s", "b"), ("b", "s", "c")])
     n_ent, n_rel = kg.n_entities, kg.n_base_relations
-    sampler = NegativeSampler(kg, seed=5, max_attempts=20)
     train_keys = {(h * n_rel + r) * n_ent + t for h, r, t in kg.train}
-    rng = np.random.default_rng(6)
-    plan = []
-    for _ in range(3 * NegativeSampler.BLOCK):
-        h, r, t = kg.train[int(rng.integers(len(kg.train)))]
-        slot = int(rng.integers(5))
-        if slot < 3:
-            key, stride = sampler.corruption_keys(h, r, t)[slot]
-            plan.append((n_ent if slot < 2 else n_rel, key, stride, 0))
-        elif slot == 3:  # range 1, x = 0 taken, or given up as (h, r, t) itself
-            plan.append((1, (h * n_rel + r) * n_ent + t if rng.integers(2) else -1, 1, 0))
-        else:  # r masked, or every value (a give-up)
-            plan.append((n_rel, -1, 0, training.not_deduced_mask(r, [1 - r][: rng.integers(2)])))
-    got = sampler.draws(*map(list, zip(*plan)))
-    reference = np.random.default_rng(5)
+    # D(r): relation 0 deduces 1's inverse, which no draw can name, so only 0 is
+    # excluded against it; relation 1 deduces 0, so every value is (a give-up)
+    deduced = ((n_rel + 1,), (0,))
+    for attempts in ATTEMPTS:
+        sampler = NegativeSampler(kg, seed=5, max_attempts=attempts)
+        sampler.exclude_deduced(deduced)
+        rng = np.random.default_rng(6)
+        plan, free = [], []  # per draw (range, key, stride), and which values are free
+        for _ in range(3 * NegativeSampler.BLOCK):
+            h, r, t = kg.train[int(rng.integers(len(kg.train)))]
+            slot = int(rng.integers(5))
+            if slot < 3:
+                key, stride = sampler.corruption_keys(h, r, t)[slot]
+                plan.append((n_ent if slot < 2 else n_rel, key, stride))
+            elif slot == 3:  # range 1, x = 0 taken, or given up as (h, r, t) itself
+                key, stride = ((h * n_rel + r) * n_ent + t if rng.integers(2) else -1), 1
+                plan.append((1, key, stride))
+            else:  # against r: r itself and D(r) excluded
+                plan.append((n_rel, *sampler.pair_keys(r)))
+                free.append(lambda x, r=r: x != r and x not in deduced[r])
+                continue
+            free.append(lambda x, key=key, stride=stride: key + x * stride not in train_keys)
+        got = sampler.draws(*map(list, zip(*plan)))
+        reference = np.random.default_rng(5)
+        want = []
+        for (n, *_), is_free in zip(plan, free):
+            for _ in range(attempts):
+                x = int(reference.integers(n))
+                if is_free(x):
+                    break
+            else:
+                x = -1
+            want.append(x)
+        assert got == want
+        assert -1 in got and {n for n, *_ in plan} == {1, n_rel, n_ent}
+        assert draw(sampler, n_ent) == reference.integers(n_ent)
+
+
+def test_relation_pair_exclusions_at_scale():
+    """With 120 base relations, r deducing a base id past 63 and an inverse id:
+    every relation-pair draw of a span is the scalar reference's, which excludes
+    r and D(r) itself; r's draws never name r or a base id of D(r), and r + 1's
+    draws still name v, whose key r's inverse id v + n_rel would have taken."""
+    names = [f"p{i:03d}" for i in range(120)]
+    ents = [f"e{i}" for i in range(40)]
+    r, v = 80, 10
+    rows = [(ents[i % 40], name, ents[(7 * i + 1) % 40]) for i, name in enumerate(names)]
+    rows += [(ents[a], names[r], ents[a + 20]) for a in range(20)]
+    rows += [(ents[a], names[r + 1], ents[b]) for a in range(20) for b in range(20, 40)]
+    kg = make_kg(rows)
+    n = kg.n_base_relations
+    assert n == 120 and kg.relation_id(names[r]) == r
+    index = build_index(
+        [ChainRule(head=d, body=(r,), confidence=0.9) for d in (5, 70, n + v)]
+        + [ChainRule(head=d, body=(r + 1,), confidence=0.8) for d in (3, 90, 100)],
+        0.0,
+    )
+    cfg = TrainingConfig(dim=4, alpha_paths=0.0, alpha_relpairs=1.0)
+    batch = one_batch(kg, empty_paths(), index, cfg, seed=7)
+    width = batch.rows.shape[2] - 1
+    pairs = batch.rows[batch.kind == RELPAIR][:, [0, 1], [0, width]] - kg.n_entities
+    got = list(map(tuple, pairs.tolist()))
+
+    reference = OracleSampler(kg, seed=7)
     want = []
-    for n, key, stride, mask in plan:
-        for _ in range(20):
-            x = int(reference.integers(n))
-            if not mask >> x & 1 and key + x * stride not in train_keys:
-                break
-        else:
-            x = -1
-        want.append(x)
+    for triple in kg.train:
+        for corrupt in (reference.corrupt_head, reference.corrupt_tail, reference.corrupt_relation):
+            assert corrupt(triple) is not None
+        deduced = index.deduced_from(triple[1])
+        excluded = frozenset(d for d, _ in deduced)
+        for _ in deduced:
+            want.append((triple[1], reference.relation_not_deduced(triple[1], excluded)))
     assert got == want
-    assert -1 in got and {n for n, *_ in plan} == {1, n_rel, n_ent}
-    assert draw(sampler, n_ent) == reference.integers(n_ent)
+    against = {s: {x for q, x in got if q == s} for s in (r, r + 1)}
+    assert len(got) == 3 * (21 + 401) and not against[r] & {r, 5, 70}
+    assert v in against[r + 1]
 
 
 # --- hinge behavior ---
@@ -220,9 +289,8 @@ def test_alpha_zero_reduces_to_transe_loss():
     cfg = TrainingConfig(dim=6, alpha_paths=0.0, alpha_relpairs=0.0)
     ps = extract_paths(kg, 2)
     index = build_index([ChainRule(head=0, body=(0, 1), confidence=0.9)], 0.0)
-    sampler = NegativeSampler(kg, seed=1)
-    batch = one_batch(kg, ps, index, cfg, sampler)
-    parts = batch.parts(loss_and_gradients(batch, hinge_table(emb))[0])
+    batch = one_batch(kg, ps, index, cfg, seed=1)
+    parts = batch_parts(batch, loss_and_gradients(batch, hinge_table(emb))[0])
     assert parts.path == 0.0 and parts.relpair == 0.0
 
     # recompute the pure TransE margin loss with an identical sampling stream
@@ -368,7 +436,7 @@ def test_batch_without_active_hinge_touches_no_row(norm):
     assert not losses.any()
     assert update.entity.shape == update.relation.shape == (0, cfg.dim)
     before = EmbeddingTable(emb.entities.copy(), emb.relations.copy())
-    update.apply(emb, cfg.lr)
+    apply_update(update, emb, cfg.lr)
     assert hexes(emb.entities) == hexes(before.entities)
     assert hexes(emb.relations) == hexes(before.relations)
 
@@ -737,7 +805,7 @@ def run_transe_reduction(n_batches_to_run=10):
         for chunk in np.array_split(perm, cfg.n_batches):
             batch = [triples[i] for i in chunk]
             _, grads = loss_and_gradients(plan.span(sampler, [chunk]).batches[0], hinge_table(emb))
-            grads.apply(emb, cfg.lr)
+            apply_update(grads, emb, cfg.lr)
             project_entities(emb)
 
             negatives = [
@@ -1086,6 +1154,6 @@ def test_epoch_counts_match_the_batch(case):
     assert 0 < counts["triple"]["active"] < counts["triple"]["hinges"]
     assert (counts["triple"]["giveups"] > 0) == (case == "saturated")
     assert min(draws) > 0 or case == "saturated"
-    update.apply(emb, cfg.lr)
+    apply_update(update, emb, cfg.lr)
     assert counts["entity_rows_projected"] == len(project_entities(emb))
     assert counts["entity_rows_projected"] > 0 or case == "saturated"
