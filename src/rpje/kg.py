@@ -50,6 +50,22 @@ def distinct_sorted(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def distinct_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values, ascending, each one's first position in ``values``, and
+    each value's index among them: ``np.unique(values, return_index=True,
+    return_inverse=True)``, from one default argsort and a change mark. That sort
+    is not stable, so a value's first position is the least of its run in the sort
+    order (``np.minimum.reduceat``), not the run's first element."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[starts], np.minimum.reduceat(order, starts), inverse
+
+
 class DatasetError(ValueError):
     """Unreadable or structurally invalid dataset input."""
 
@@ -73,12 +89,12 @@ def _columns(data: bytes, path) -> Columns:
 
 
 def _first_occurrences(ids: np.ndarray) -> np.ndarray:
-    """The distinct rows of ``ids``, each where it first appears."""
-    order = np.lexsort(ids.T[::-1])  # stable, so equal rows keep their file order
-    rows = ids[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return ids[np.sort(order[first])]
+    """The distinct rows of ``ids``, (n, 3) non-negative int32, each where it first
+    appears. A row's key is its (head, relation) group, then its tail, 32 bits each."""
+    h, r, t = ids.astype(np.int64).T
+    _, _, group = distinct_groups(h << 32 | r)
+    _, first, _ = distinct_groups(group << 32 | t)
+    return ids[np.sort(first)]
 
 
 def _intern(columns: list[Columns]) -> tuple:
@@ -171,7 +187,6 @@ class KnowledgeGraph:
             raise DatasetError(f"relation {reserved[0]!r} ends in the reserved {INVERSE_SUFFIX}")
         self.entity_names = entity_names
         self.relation_names = relation_names  # base relations only
-        self._entity_id = dict(zip(entity_names, range(len(entity_names))))
         self._relation_id = dict(zip(relation_names, range(len(relation_names))))
         self.train_ids, self.valid_ids, self.test_ids = train, valid, test
         self._filter_index: _FilterIndex | None = None
@@ -226,9 +241,11 @@ class KnowledgeGraph:
     # --- symbol lookups ---
 
     def entity_id(self, name: str) -> int:
+        """The id of an entity name, by a scan of the names: only ``explain`` looks
+        names up, so no command builds a dict over every entity."""
         try:
-            return self._entity_id[name]
-        except KeyError:
+            return self.entity_names.index(name)
+        except ValueError:
             raise LookupError(f"unknown entity {name!r}") from None
 
     def relation_id(self, name: str) -> int:

@@ -24,24 +24,29 @@ summed with ``np.bincount``.
 
 Summation order: ``np.bincount`` adds its weights in input order. Edges are
 expanded in frontier order, each entity's in (relation, neighbour) order, and
-the next frontier keeps each entry where its first share arrived. So every
-reliability is the same left-to-right float sum as a walk over per-entity
-dicts in first-insertion order (kept as the oracle in ``tests/test_paths.py``),
-bit for bit. On the last hop only edges towards wanted tails count.
+the next frontier keeps each entry where its first share arrived. A hop sorts
+its keys once (``kg.distinct_groups``), which also gives each key's first
+edge; marking those edges and reading the marks in edge order gives the next
+frontier's first-arrival order, with no second sort. So every reliability is
+the same left-to-right float sum as a walk over per-entity dicts in
+first-insertion order (kept as the oracle in ``tests/test_paths.py``), bit for
+bit. On the last hop only edges towards wanted tails count, and before it only
+the entries at wanted pairs are gathered into arrivals.
 
 That last hop runs in the cheaper of two forms, chosen per block (``_joins``).
 Expanded, it gathers every edge of every frontier entry and drops those
 towards unwanted tails. Joined, it gathers the edges e -> t into the tail t
 of each wanted (head, t) pair, as the reverses of t's own edges
 (``AdjacencyCSR.reverse``), so each keeps the ``group_size`` of e's edges
-under its relation. Keyed by ``head * n_entities + e``, they are handed out
-entry by entry in frontier order, each entry (head, e) taking only its
-matches. Both forms keep the same (entry, edge) set, and the shares landing
-on one (group, relation, tail) come from distinct entries, so they reach
-``np.bincount`` in frontier order either way: the sums keep their bits. The
-join costs about ``_JOIN_COST`` expanded edges per edge into a wanted tail,
-plus ``_JOIN_SETUP`` per block, and wins when the frontier's edges mostly
-miss the wanted tails, as on walks out of hubs.
+under its relation. Keyed by ``head * n_entities + e`` and sorted, each
+distinct key owns one run of them; each entry (head, e), in frontier order,
+is searched once among the distinct keys and takes its key's run, or nothing
+if the key is absent. Both forms keep the same (entry, edge) set, and the
+shares landing on one (group, relation, tail) come from distinct entries, so
+they reach ``np.bincount`` in frontier order either way: the sums keep their
+bits. The join costs about ``_JOIN_COST`` expanded edges per edge into a
+wanted tail, plus ``_JOIN_SETUP`` per block, and wins when the frontier's
+edges mostly miss the wanted tails, as on walks out of hubs.
 
 Heads are walked in consecutive blocks of about ``_BLOCK_EDGES`` work: a
 head's walks of 1..max_steps - 1 hops (an upper bound on the edges it expands
@@ -74,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import read_arrays, write_arrays
-from .kg import AdjacencyCSR, KnowledgeGraph, distinct_sorted
+from .kg import AdjacencyCSR, KnowledgeGraph, distinct_groups, distinct_sorted
 
 DEFAULT_MAX_STEPS = 2
 DEFAULT_CUTOFF = 0.01
@@ -157,10 +162,10 @@ class _Wanted(NamedTuple):
     def tails(self) -> np.ndarray:
         return self.keys % len(self.is_tail)
 
-    def select(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Indices i at which (heads[i], tails[i]) is wanted."""
+    def select(self, heads: np.ndarray, owner: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """Indices i at which (heads[owner[i]], tails[i]) is wanted."""
         maybe = np.flatnonzero(self.is_tail[tails])
-        pair = heads[maybe] * len(self.is_tail) + tails[maybe]
+        pair = heads[owner[maybe]] * len(self.is_tail) + tails[maybe]
         at = np.minimum(np.searchsorted(self.keys, pair), len(self.keys) - 1)
         return maybe[self.keys[at] == pair]
 
@@ -172,7 +177,9 @@ class _Wanted(NamedTuple):
 
         The edges into a tail are the reverses of its own edges; each is keyed
         by ``head * n_entities + entity`` of its wanted pair and its source, and
-        every entry i takes the edges with its key.
+        sorted by key, so each distinct key owns one run of them. Every entry i
+        is searched once among the distinct keys and takes its key's run, or no
+        edge if its key is absent.
         """
         n_ent, tails = len(self.is_tail), self.tails
         pair, inward = _edges(csr, tails)
@@ -180,15 +187,20 @@ class _Wanted(NamedTuple):
         key = self.keys[pair] - tails[pair] + source
         order = np.argsort(key)
         key, edge = key[order], csr.reverse[inward[order]]
+        new_run = np.ones(len(key), dtype=bool)
+        new_run[1:] = key[1:] != key[:-1]
+        start = np.flatnonzero(new_run)
+        key, length = key[start], np.diff(start, append=len(edge))
         is_source = np.zeros(n_ent, dtype=bool)
         is_source[source] = True
         maybe = np.flatnonzero(is_source[entities])
         probe = heads[maybe] * n_ent + entities[maybe]
-        first = np.searchsorted(key, probe)
-        entry, at = _ranges(first, np.searchsorted(key, probe, "right") - first)
+        run = np.minimum(np.searchsorted(key, probe), len(key) - 1)
+        found = key[run] == probe
+        entry, at = _ranges(start[run], np.where(found, length[run], 0))
         taken = np.zeros(len(key), dtype=bool)
-        taken[at] = True
-        return maybe[entry], edge[at], int(np.count_nonzero(taken))
+        taken[run[found]] = True
+        return maybe[entry], edge[at], int(length[taken].sum())
 
 
 def _joins(inward: int, outward: int) -> bool:
@@ -214,7 +226,7 @@ def _last_hop(
         stats.last_hop_gathered += inward
     else:
         source, edge = _ranges(first, degree)
-        keep = wanted.select(heads[source], csr.neighbour[edge])
+        keep = wanted.select(heads, source, csr.neighbour[edge])
         stats.last_hop_gathered += len(edge)
         source, edge, kept = source[keep], edge[keep], len(keep)
     stats.last_hop_kept += kept
@@ -246,7 +258,7 @@ def _propagate(
         if last:
             key, slot = np.unique(key, return_inverse=True)
         else:
-            key, first, slot = np.unique(key, return_index=True, return_inverse=True)
+            key, first, slot = distinct_groups(key)
         resource = np.bincount(slot, weights=share, minlength=len(key))
         # the keys are sorted, so each sequence (key // n_ent) is one run of them
         sequence = key // n_ent
@@ -254,7 +266,10 @@ def _propagate(
         new_run[1:] = sequence[1:] != sequence[:-1]
         sequences, group = sequence[new_run], np.cumsum(new_run) - 1
         if not last:
-            order = np.argsort(first)
+            # the keys in the order of their first edges: one mark per key's first edge
+            is_first = np.zeros(len(slot), dtype=bool)
+            is_first[first] = True
+            order = slot[np.flatnonzero(is_first)]
             key, resource, group = key[order], resource[order], group[order]
         entity = key % n_ent
         parent = sequences // n_rel
@@ -262,10 +277,9 @@ def _propagate(
         group_rels = group_rels[parent]
         group_rels[:, hop - 1] = sequences % n_rel
         if hop >= 2:
-            arrived = _Arrivals(group_head[group], entity, group_rels[group], resource)
-            if not last:
-                arrived = arrived.take(wanted.select(arrived.heads, entity))
-            found.append(arrived)
+            at = slice(None) if last else wanted.select(group_head, group, entity)
+            kept = group[at]
+            found.append(_Arrivals(group_head[kept], entity[at], group_rels[kept], resource[at]))
     return _Arrivals(*map(np.concatenate, zip(*found)))
 
 

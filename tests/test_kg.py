@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpje import kg as kg_mod
-from rpje.kg import DatasetError, KnowledgeGraph, distinct_sorted, load_dataset
+from rpje.kg import DatasetError, KnowledgeGraph, distinct_groups, distinct_sorted, load_dataset
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
 from conftest import DATASET_CACHE, adjacency_by_relation, make_kg
@@ -477,3 +477,50 @@ def test_distinct_sorted_matches_unique(values):
     got = distinct_sorted(array)
     assert got.dtype == np.int64
     assert got.tolist() == np.unique(array).tolist()
+
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(
+    values=st.lists(int64s, max_size=60)
+    | st.lists(st.integers(0, 5), max_size=300)
+    | st.lists(st.integers(-3, 3), max_size=60).map(sorted)
+    | st.lists(st.integers(-3, 3), max_size=60).map(lambda v: sorted(v, reverse=True))
+    | st.builds(lambda v, n: [v] * n, int64s, st.integers(0, 40))
+)
+@settings(max_examples=200, deadline=None)
+def test_distinct_groups_match_unique(values):
+    """The one-argsort grouping equals ``np.unique(..., return_index=True,
+    return_inverse=True)`` for empty, single-value, all-equal, sorted, reversed and
+    many-duplicate int64 arrays: the first position is the least of each value's,
+    though the sort behind it is not stable."""
+    array = np.array(values, dtype=np.int64)
+    got = distinct_groups(array)
+    expected = np.unique(array, return_index=True, return_inverse=True)
+    assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+    assert got[0].dtype == np.int64
+
+
+def lexsort_first_occurrences(ids):
+    """The distinct rows of ``ids`` where each first appears, by a stable lexsort."""
+    order = np.lexsort(ids.T[::-1])
+    rows = ids[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return ids[np.sort(order[first])]
+
+
+@given(
+    rows=st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=80)
+    | st.lists(st.tuples(*[st.sampled_from([0, 1, 2**31 - 1])] * 3), max_size=40)
+)
+@settings(max_examples=150, deadline=None)
+def test_first_occurrences_match_lexsort(rows):
+    """The distinct rows in first-appearance order equal the stable lexsort's, on
+    rows that repeat and on ids at the int32 limit."""
+    ids = np.array(rows, dtype=np.int32).reshape(-1, 3)
+    got = kg_mod._first_occurrences(ids)
+    assert got.dtype == np.int32
+    assert got.tolist() == lexsort_first_occurrences(ids).tolist()
+
