@@ -192,9 +192,9 @@ def cmd_train(cfg: RunConfig) -> int:
         rules_mod.format_chain_rule(rule, graph).partition("\t")[0]: n
         for rule, n in result.paths.rule_applications.items()
     }
-    _append_metrics(
-        cfg, "train", {**result.paths.summary(), "rule_applications": applications}, *result.epochs
-    )
+    summary = {**result.paths.summary(), "rule_applications": applications,
+               "seconds": result.seconds}
+    _append_metrics(cfg, "train", summary, *result.epochs)
     ckpt = cfg.path_for("checkpoint.bin")
     save_checkpoint(result.table, graph.dataset_hash(), cfg.norm, ckpt)
     graph.save_dictionaries(cfg.output_dir)

@@ -322,9 +322,16 @@ def _select(found: _Arrivals, cutoff: float, cap: int) -> tuple[_Arrivals, int, 
     """Arrivals above the cutoff, sorted by (head, tail, -reliability, relations),
     at most ``cap`` per pair; also the counts cut by the cutoff and by the cap."""
     above = found.take(found.reliabilities > cutoff)
-    order = np.lexsort(
-        (*above.relations.T[::-1], -above.reliabilities, above.tails, above.heads)
-    )
+    # One int64 key per pair (entity ids fit in 32 bits) and one per relation
+    # row, its ids + 1 as digits so -1 padding sorts first: three sort keys that
+    # order as the six columns would. The row key holds while (2 * n_relations
+    # + 1) ** max_steps < 2**63.
+    digits = above.relations + 1
+    radix = int(digits.max(initial=0)) + 1
+    row = np.zeros(len(digits), dtype=np.int64)
+    for column in digits.T:
+        row = row * radix + column
+    order = np.lexsort((row, -above.reliabilities, above.heads << 32 | above.tails))
     above = above.take(order)
     starts = _pair_starts(above)
     rank = np.arange(len(order)) - np.repeat(starts, np.diff(np.append(starts, len(order))))

@@ -23,10 +23,22 @@ one exact loop, testing each value by one lookup in one set of excluded keys;
 the plan first makes its D(r) the sampler's relation-pair exclusions. A
 give-up (-1) drops its hinge. The rows of every hinge then come from gathers,
 into one int32 table of the span that its batches slice.
-``HingeBatch.split`` derives each batch's subgradient slots from that table
+``HingeLayout.of`` derives each batch's subgradient slots from that table
 once: the row each slot adds to, an int8 code naming which of its hinge's
 values it takes, and its hinge. Only rows of -relations go through the
 negation map.
+
+The planner process. None of this depends on the embeddings, so ``train``
+forks one child process per call (``SpanPlanner``; POSIX ``fork`` only), which
+runs ``TrainPlan.spans``: the epoch shuffles, the ``NegativeSampler`` (built
+only there), the draw loop and the span's ``HingeLayout`` arrays. Each span
+crosses a pipe as one pickled message of arrays, and ``train`` slices them
+into ``HingeBatch`` views (``HingeLayout.batches``), so no per-batch object
+crosses. The child plans span k + 1 while ``train`` runs the batches of span
+k, and starts it only once span k has been received: it is never more than
+one span ahead. ``train`` joins it before it returns or raises; an exception
+while planning is raised by ``train``. The child inherits the plan from the
+fork and sends only spans, so the bits are those of planning in-process.
 
 The fused pass. Every hinge is
     scale * [margin + w+ ||sum x+ - y+|| - w- ||sum x- - y-||]_+
@@ -58,6 +70,12 @@ kept in the tests.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import os
+import pickle
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,7 +90,8 @@ from .rules import RuleIndex
 
 # Negative draws planned at once: the bound on a span of batches. Planning holds
 # about 800 bytes per draw, so 8,192 draws raised the peak RSS of a one-epoch
-# wide-eval training run by 5 MB over 2,048, which trains as fast.
+# wide-eval training run by 5 MB over 2,048, which trains as fast (measured with
+# planning in-process). A span's message is about 150 bytes per draw.
 _SPAN_DRAWS = 2048
 
 TERMS = ("triple", "path", "relpair")  # the hinge kinds 0, 1 and 2
@@ -266,7 +285,8 @@ class LossParts(NamedTuple):
 
 @dataclass(eq=False)
 class HingeBatch:
-    """A batch's hinges laid out for ``loss_and_gradients``.
+    """A batch's hinges laid out for ``loss_and_gradients``: views of its span's
+    ``HingeLayout``.
 
     ``rows`` (H, 2, W + 1) is the batch's part of the span's ``Hinges.rows``, in
     the per-hinge loop's order: the x+ rows, y+, the x- rows, y-. Subgradient slot i
@@ -288,9 +308,32 @@ class HingeBatch:
     slot_code: np.ndarray
     slot_hinge: np.ndarray
 
+
+@dataclass(eq=False)
+class HingeLayout:
+    """The hinges of consecutive batches laid out for ``loss_and_gradients``, in
+    one set of arrays that ``batches`` slices: the fields of ``HingeBatch``, and
+    per batch b its hinges ``bounds[b]`` to ``bounds[b + 1]`` and its slots
+    ``slot_bounds[b]`` to ``slot_bounds[b + 1]``."""
+
+    norm: str
+    n_entities: int
+    n_base: int
+    kind: np.ndarray
+    rows: np.ndarray
+    margin: np.ndarray
+    scale: np.ndarray
+    weight: np.ndarray
+    side_scale: np.ndarray
+    slot_row: np.ndarray
+    slot_code: np.ndarray
+    slot_hinge: np.ndarray
+    bounds: list[int]
+    slot_bounds: list[int]
+
     @classmethod
-    def split(cls, hinges: Hinges, cfg: TrainingConfig, n_entities: int, n_base: int,
-              ends) -> list[HingeBatch]:
+    def of(cls, hinges: Hinges, cfg: TrainingConfig, n_entities: int, n_base: int,
+           ends) -> HingeLayout:
         """The batches of hinges [0, ends[0]), [ends[0], ends[1]) and so on."""
         kind, rows, weight = hinges
         zero = n_entities + 2 * n_base
@@ -316,15 +359,21 @@ class HingeBatch:
         scale = np.array([1.0, cfg.alpha_paths, cfg.alpha_relpairs])[kind]
         margin = np.array([cfg.margin_triple, cfg.margin_path, cfg.margin_relpair])[kind]
         side_scale = (scale[:, None] * weight)[..., None]
-        batches = []
-        bounds, slot_bounds = bounds.tolist(), slot_bounds.tolist()
-        for lo, hi, a, b in zip(bounds, bounds[1:], slot_bounds, slot_bounds[1:]):
-            batches.append(cls(
-                cfg.norm, n_entities, n_base, kind[lo:hi], rows[lo:hi],
-                margin[lo:hi], scale[lo:hi], weight[lo:hi], side_scale[lo:hi], slot_row[a:b],
-                slot_code[a:b], local[a:b],
-            ))
-        return batches
+        return cls(cfg.norm, n_entities, n_base, kind, rows, margin, scale, weight, side_scale,
+                   slot_row, slot_code, local, bounds.tolist(), slot_bounds.tolist())
+
+    def batches(self) -> list[HingeBatch]:
+        """Each batch's ``HingeBatch``, of views of these arrays."""
+        bounds, slot_bounds = self.bounds, self.slot_bounds
+        return [
+            HingeBatch(
+                self.norm, self.n_entities, self.n_base, self.kind[lo:hi], self.rows[lo:hi],
+                self.margin[lo:hi], self.scale[lo:hi], self.weight[lo:hi],
+                self.side_scale[lo:hi], self.slot_row[a:b], self.slot_code[a:b],
+                self.slot_hinge[a:b],
+            )
+            for lo, hi, a, b in zip(bounds, bounds[1:], slot_bounds, slot_bounds[1:])
+        ]
 
 
 def hinge_table(emb: EmbeddingTable) -> np.ndarray:
@@ -434,13 +483,14 @@ def loss_and_gradients(batch: HingeBatch, table: np.ndarray) -> tuple[np.ndarray
 
 
 class Span(NamedTuple):
-    """Planned batches; per hinge its loss part, 3 * batch + kind; and per term
-    the draws planned and the give-ups."""
+    """Planned batches; per hinge its loss part, 3 * batch + kind; per term the
+    draws planned and the give-ups; and whether the span ends its epoch."""
 
-    batches: list[HingeBatch]
+    layout: HingeLayout
     part: np.ndarray
     draws: np.ndarray
     giveups: np.ndarray
+    last: bool = False
 
 
 class TrainPlan:
@@ -480,9 +530,19 @@ class TrainPlan:
             residuals >= 0, self.n_ent + residuals, zero
         )
 
-    def spans(self, sampler: NegativeSampler, batches: list[np.ndarray]):
+    def spans(self, kg: KnowledgeGraph) -> Iterator[Span]:
+        """Every span of the run, epoch by epoch: each epoch's shuffle cut into
+        ``n_batches`` batches, planned with one ``NegativeSampler`` for the run."""
+        sampler = NegativeSampler(kg, seed=self.cfg.seed + 1)
+        shuffle_rng = np.random.default_rng(self.cfg.seed + 2)
+        for _ in range(self.cfg.epochs):
+            perm = shuffle_rng.permutation(len(self.triples))
+            batches = [b for b in np.array_split(perm, self.cfg.n_batches) if len(b)]
+            yield from self.epoch_spans(sampler, batches)
+
+    def epoch_spans(self, sampler: NegativeSampler, batches: list[np.ndarray]) -> Iterator[Span]:
         """The batches (non-empty arrays of train triple indices, at least one)
-        planned span by span."""
+        planned span by span; the last span is marked."""
         starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
         counts = np.add.reduceat(self.draw_counts[np.concatenate(batches)], starts).tolist()
         group, drawn = [], 0
@@ -492,7 +552,7 @@ class TrainPlan:
                 group, drawn = [], 0
             group.append(batch)
             drawn += n
-        yield self.span(sampler, group)
+        yield self.span(sampler, group)._replace(last=True)
 
     def span(self, sampler: NegativeSampler, batches: list[np.ndarray]) -> Span:
         """The hinges of consecutive batches, their negatives drawn in stream order."""
@@ -521,9 +581,9 @@ class TrainPlan:
         hinges = self._hinges(j, k, kind, values, h, r, t, n_paths, self.path_start[idx])
         sizes = [len(b) for b in batches]
         ends = np.searchsorted(j, np.cumsum(sizes))
-        planned = HingeBatch.split(hinges, self.cfg, self.n_ent, self.n_base, ends)
+        layout = HingeLayout.of(hinges, self.cfg, self.n_ent, self.n_base, ends)
         part = 3 * np.repeat(np.arange(len(batches)), sizes)[j] + kind
-        return Span(planned, part, draws, giveups)
+        return Span(layout, part, draws, giveups)
 
     def _hinges(self, j, k, kind, v, h, r, t, n_paths, path_start) -> Hinges:
         """Hinge rows of drawn negatives ``v``: ``j`` is each draw's triple, which
@@ -601,6 +661,84 @@ class EpochCounts:
         return {"epoch": epoch, **terms, "entity_rows_projected": self.projected}
 
 
+class SpanPlanner:
+    """The run's spans, planned by ``TrainPlan.spans`` in a forked child process.
+
+    The child sends each span as one message, a pickled (span, planning
+    seconds so far) pair, and plans the next span only once this side has
+    received the one before: it stays at most one span ahead of the batch loop.
+    An exception while planning is sent in place of a span and raised by
+    ``receive``. ``close`` closes both pipes, which ends a child still planning,
+    and joins it.
+    """
+
+    def __init__(self, kg: KnowledgeGraph, plan: TrainPlan):
+        fork = multiprocessing.get_context("fork")
+        self._inbox, outbox = fork.Pipe(duplex=False)
+        go, self._go = fork.Pipe(duplex=False)
+        self._process = fork.Process(
+            target=_plan_spans, args=(kg, plan, outbox, go, (self._inbox, self._go)),
+            name="rpje-span-planner",
+        )
+        self._process.start()
+        outbox.close()
+        go.close()
+        self.planning = 0.0  # the child's seconds in TrainPlan.spans, to the last span received
+        self.wait = 0.0  # seconds ``receive`` waited for a span
+
+    def receive(self) -> Span:
+        """The next span."""
+        start = time.perf_counter()
+        try:
+            message = self._inbox.recv_bytes()
+        except EOFError:
+            raise RuntimeError("the span planner process ended before the run's last span") from None
+        self.wait += time.perf_counter() - start
+        with contextlib.suppress(BrokenPipeError):  # a child that sent its exception has ended
+            self._go.send_bytes(b"")
+        message = pickle.loads(message)
+        if isinstance(message, BaseException):
+            raise message
+        span, self.planning = message
+        return span
+
+    def close(self) -> None:
+        self._inbox.close()
+        self._go.close()
+        self._process.join()
+        self._process.close()
+
+
+def _plan_spans(kg, plan, outbox, go, parent_ends) -> None:
+    """The planner process: sends each span of ``plan.spans(kg)``, then waits
+    for ``go`` before planning the next. Any exception, a closed pipe's
+    included, is sent (if it can be) and ends it. It leaves through
+    ``os._exit``, past multiprocessing's exit path, so it flushes no stdio, runs
+    no exit hook and prints no traceback: the message is its one report."""
+    code = 0
+    try:
+        for end in parent_ends:
+            end.close()
+        spans, planning = plan.spans(kg), 0.0
+        while True:
+            start = time.perf_counter()
+            span = next(spans, None)
+            planning += time.perf_counter() - start
+            if span is None:
+                break
+            outbox.send_bytes(pickle.dumps((span, planning), protocol=5))
+            del span
+            go.recv_bytes()
+    except BaseException as exc:  # the process ends here either way
+        code = 1
+        try:
+            outbox.send_bytes(pickle.dumps(exc, protocol=5))
+        except BaseException:
+            pass  # the parent has closed its end, or the exception does not pickle
+    finally:
+        os._exit(code)
+
+
 @dataclass
 class TrainResult:
     table: EmbeddingTable
@@ -608,6 +746,9 @@ class TrainResult:
     history: list[tuple[int, float, float, float, float]]
     paths: CompiledPaths  # the path store as the run's rule index composes it
     epochs: list[dict]  # per epoch, ``EpochCounts.metrics``
+    # the planner's seconds planning, the batch loop's waiting for spans, and the
+    # batch loop's in all, its waiting included
+    seconds: dict[str, float]
 
 
 # A diverging run overflows to inf and nan, which the epoch loss reports.
@@ -621,65 +762,72 @@ def train(
     log_every: int | None = None,
 ) -> TrainResult:
     """Train ``emb`` (by default ``init_embeddings``) in place; its arrays become
-    views of the run's hinge table."""
+    views of the run's hinge table. A ``SpanPlanner`` plans the spans."""
     cfg.validate()
-    if emb is None:
-        emb = init_embeddings(kg, cfg)
-    sampler = NegativeSampler(kg, seed=cfg.seed + 1)
-    shuffle_rng = np.random.default_rng(cfg.seed + 2)
     plan = TrainPlan(kg, ps, index, cfg)
-    # The run updates the embeddings as views of one hinge table, so the table
-    # stays current once each batch also negates the relation rows it changed.
-    table = hinge_table(emb)
-    n_ent, n_base = emb.n_entities, emb.n_base_relations
-    emb.entities, emb.relations = table[:n_ent], table[n_ent : n_ent + n_base]
-    negated = table[n_ent + n_base : -1]
-    history: list[tuple[int, float, float, float, float]] = []
-    epochs: list[dict] = []
-    scaled = None  # rows the last projection scaled; None before the first (full) pass
-    for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(len(plan.triples))
-        batches = [b for b in np.array_split(perm, cfg.n_batches) if len(b)]
-        totals = np.zeros(3)
-        counts = EpochCounts()
-        for span in plan.spans(sampler, batches):
-            counts.draws += span.draws
-            counts.giveups += span.giveups
-            span_losses = []
-            for batch in span.batches:
-                losses, grads = loss_and_gradients(batch, table)
-                span_losses.append(losses)
-                if len(grads.rows):
-                    grads.apply(table, cfg.lr)
-                    moved = grads.relation_rows
-                    negated[moved] = -emb.relations[moved]
-                if scaled is None:
-                    rows = None
-                elif len(scaled):  # a row of both is checked twice
-                    rows = np.concatenate((grads.entity_rows, scaled))
-                else:
-                    rows = grads.entity_rows
-                if rows is None or len(rows):  # no row moved, none can leave the ball
-                    scaled = project_entities(emb, rows)
-                counts.projected += len(scaled)
-            losses = np.concatenate(span_losses)
-            # per batch each part summed left to right, then added to the totals in turn
-            parts = np.bincount(span.part, weights=losses, minlength=3 * len(span.batches))
-            totals = np.cumsum(np.vstack((totals, parts.reshape(-1, 3))), axis=0)[-1]
-            counts.active += np.bincount(span.part[losses > 0.0] % 3, minlength=3)
-            del span, batch, span_losses  # free the span before the next is planned
-        totals = LossParts(*totals.tolist())
-        if not np.isfinite(totals.total):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")
-        history.append((epoch, totals.total, *totals))
-        epochs.append(counts.metrics(epoch))
-        if log_every and (epoch + 1) % log_every == 0:
-            print(
-                f"epoch {epoch + 1}/{cfg.epochs} loss={totals.total:.4f} "
-                f"(triple={totals.triple:.4f} path={totals.path:.4f} "
-                f"relpair={totals.relpair:.4f})"
-            )
-    return TrainResult(table=emb, history=history, paths=plan.paths, epochs=epochs)
+    planner = SpanPlanner(kg, plan)
+    try:
+        if emb is None:
+            emb = init_embeddings(kg, cfg)
+        # The run updates the embeddings as views of one hinge table, so the table
+        # stays current once each batch also negates the relation rows it changed.
+        table = hinge_table(emb)
+        n_ent, n_base = emb.n_entities, emb.n_base_relations
+        emb.entities, emb.relations = table[:n_ent], table[n_ent : n_ent + n_base]
+        negated = table[n_ent + n_base : -1]
+        history: list[tuple[int, float, float, float, float]] = []
+        epochs: list[dict] = []
+        scaled = None  # rows the last projection scaled; None before the first (full) pass
+        start = time.perf_counter()
+        for epoch in range(cfg.epochs):
+            totals = np.zeros(3)
+            counts = EpochCounts()
+            last = False
+            while not last:
+                span = planner.receive()
+                counts.draws += span.draws
+                counts.giveups += span.giveups
+                batches = span.layout.batches()
+                span_losses = []
+                for batch in batches:
+                    losses, grads = loss_and_gradients(batch, table)
+                    span_losses.append(losses)
+                    if len(grads.rows):
+                        grads.apply(table, cfg.lr)
+                        moved = grads.relation_rows
+                        negated[moved] = -emb.relations[moved]
+                    if scaled is None:
+                        rows = None
+                    elif len(scaled):  # a row of both is checked twice
+                        rows = np.concatenate((grads.entity_rows, scaled))
+                    else:
+                        rows = grads.entity_rows
+                    if rows is None or len(rows):  # no row moved, none can leave the ball
+                        scaled = project_entities(emb, rows)
+                    counts.projected += len(scaled)
+                losses = np.concatenate(span_losses)
+                # per batch each part summed left to right, then added to the totals in turn
+                parts = np.bincount(span.part, weights=losses, minlength=3 * len(batches))
+                totals = np.cumsum(np.vstack((totals, parts.reshape(-1, 3))), axis=0)[-1]
+                counts.active += np.bincount(span.part[losses > 0.0] % 3, minlength=3)
+                last = span.last
+                del span, batches, batch, span_losses  # free the span before the next arrives
+            totals = LossParts(*totals.tolist())
+            if not np.isfinite(totals.total):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")
+            history.append((epoch, totals.total, *totals))
+            epochs.append(counts.metrics(epoch))
+            if log_every and (epoch + 1) % log_every == 0:
+                print(
+                    f"epoch {epoch + 1}/{cfg.epochs} loss={totals.total:.4f} "
+                    f"(triple={totals.triple:.4f} path={totals.path:.4f} "
+                    f"relpair={totals.relpair:.4f})"
+                )
+        seconds = {"planning": planner.planning, "span_wait": planner.wait,
+                   "batch_loop": time.perf_counter() - start}
+    finally:
+        planner.close()
+    return TrainResult(emb, history, plan.paths, epochs, seconds)
 
 
 def write_loss_history(history, path) -> None:

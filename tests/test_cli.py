@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -898,8 +900,14 @@ def test_train_appends_composition_metrics(toy_dir, tmp_path, capsys):
     assert "epoch" in lines[2]
     metrics = lines[1]
     assert set(metrics) == {
-        "command", "paths", "fully_composed_frac", "residual_lengths", "rule_applications"
+        "command", "paths", "fully_composed_frac", "residual_lengths", "rule_applications",
+        "seconds",
     }
+    # the planner's planning, the batch loop's waiting for spans and the batch loop
+    seconds = metrics["seconds"]
+    assert set(seconds) == {"planning", "span_wait", "batch_loop"}
+    assert all(isinstance(s, float) and s >= 0.0 for s in seconds.values())
+    assert seconds["span_wait"] <= seconds["batch_loop"]
     n_paths = load_path_set(out / "paths.bin").n_paths
     assert metrics["paths"] == n_paths > 0
     assert 0.0 <= metrics["fully_composed_frac"] <= 1.0
@@ -953,3 +961,22 @@ def test_train_appends_epoch_metrics(toy_dir, tmp_path, capsys):
     assert epochs[0]["entity_rows_projected"] > 0  # updates push rows out of the ball
     assert main(["train", *common]) == EXIT_OK
     assert capsys.readouterr().out == stdout
+
+
+def test_train_in_a_fresh_interpreter_writes_the_same_checkpoint(toy_dir, tmp_path, capsys):
+    """``python -m rpje.cli train``, run as a process of its own as a user runs
+    it, exits 0 and writes the checkpoint of the in-process run, byte for byte."""
+    _, files = toy_dir
+    flags = [*data_flags(files), "--dim", "16", "--epochs", "5", "--batches", "10"]
+    in_process, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    assert main(["train", *flags, "--out", str(in_process)]) == EXIT_OK
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-m", "rpje.cli", "train", *flags, "--out", str(fresh)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout == capsys.readouterr().out.replace(str(in_process), str(fresh))
+    checkpoint = (in_process / "checkpoint.bin").read_bytes()
+    assert (fresh / "checkpoint.bin").read_bytes() == checkpoint

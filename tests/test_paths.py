@@ -413,6 +413,48 @@ def test_cap_breaks_reliability_ties_by_relations_across_lengths():
     assert [p.relations for p in kept] == ties[:2]
 
 
+def lexsort_select(found, cutoff, cap):
+    """``paths._select`` as a stable lexsort over every column: the arrivals above
+    the cutoff by (head, tail, -reliability, relations), at most ``cap`` per pair."""
+    above = found.take(found.reliabilities > cutoff)
+    order = np.lexsort(
+        (*above.relations.T[::-1], -above.reliabilities, above.tails, above.heads)
+    )
+    above = above.take(order)
+    pair = list(zip(above.heads.tolist(), above.tails.tolist()))
+    rank = [sum(p == q for q in pair[:i]) for i, p in enumerate(pair)]
+    kept = above.take(np.array(rank, dtype=np.int64) < cap)
+    return kept, len(found.heads) - len(above.heads), len(above.heads) - len(kept.heads)
+
+
+@st.composite
+def arrivals(draw):
+    """Arrivals of 1..max_steps relations, padded with -1, over few pairs and
+    few reliabilities, so pairs, reliabilities and relation rows all tie."""
+    max_steps = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 40))
+    ints = lambda hi: st.lists(st.integers(0, hi), min_size=n, max_size=n)  # noqa: E731
+    heads, tails = np.array(draw(ints(3)), dtype=np.int64), np.array(draw(ints(3)), dtype=np.int64)
+    relations = np.full((n, max_steps), -1, dtype=np.int64)
+    for i, length in enumerate(draw(st.lists(st.integers(1, max_steps), min_size=n, max_size=n))):
+        relations[i, :length] = draw(st.lists(st.integers(0, 13), min_size=length, max_size=length))
+    weights = np.array(draw(st.lists(st.sampled_from([0.1, 0.25, 0.5, 1.0]), min_size=n,
+                                     max_size=n)))
+    return paths_mod._Arrivals(heads, tails, relations, weights)
+
+
+@given(found=arrivals(), cutoff=st.sampled_from([0.0, 0.25, 0.5]), cap=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_select_matches_lexsort_over_every_column(found, cutoff, cap):
+    """Three sort keys, one per pair and one per relation row, keep and order
+    the arrivals as the lexsort over all six columns does, ties included."""
+    got, cut, capped = paths_mod._select(found, cutoff, cap)
+    want, want_cut, want_capped = lexsort_select(found, cutoff, cap)
+    assert (cut, capped) == (want_cut, want_capped)
+    for a, b in zip(got, want):
+        assert a.tolist() == b.tolist()
+
+
 def oracle_work(kg, head, max_steps, tails):
     """A head's block work: its walks of 1..max_steps - 1 hops plus the cheaper
     last hop, its walks of max_steps hops or the join's cost of the edges into

@@ -1,3 +1,9 @@
+import contextlib
+import itertools
+import multiprocessing
+import os
+import signal
+import time
 import weakref
 
 import numpy as np
@@ -16,9 +22,10 @@ from rpje.training import (
     TERMS,
     TRIPLE,
     DivergenceError,
-    HingeBatch,
+    HingeLayout,
     Hinges,
     NegativeSampler,
+    SpanPlanner,
     TrainPlan,
     hinge_table,
     loss_and_gradients,
@@ -81,8 +88,8 @@ def relpair_hinges(emb, r, beta):
 
 def fused(emb, hinges, cfg):
     """Per-hinge losses and the summed update of one batch of ``hinges``."""
-    batch = HingeBatch.split(hinges, cfg, emb.n_entities, emb.n_base_relations,
-                             [len(hinges.kind)])[0]
+    batch = HingeLayout.of(hinges, cfg, emb.n_entities, emb.n_base_relations,
+                           [len(hinges.kind)]).batches()[0]
     return loss_and_gradients(batch, hinge_table(emb))
 
 
@@ -101,7 +108,7 @@ def one_batch(kg, ps, index, cfg, seed, triples=None):
     if triples is None:
         triples = np.arange(len(kg.train))
     plan = TrainPlan(kg, ps, index, cfg)
-    return plan.span(NegativeSampler(kg, seed=seed), [np.asarray(triples)]).batches[0]
+    return plan.span(NegativeSampler(kg, seed=seed), [np.asarray(triples)]).layout.batches()[0]
 
 
 # --- negative sampling ---
@@ -804,7 +811,7 @@ def run_transe_reduction(n_batches_to_run=10):
         perm = shuffle.permutation(len(triples))
         for chunk in np.array_split(perm, cfg.n_batches):
             batch = [triples[i] for i in chunk]
-            _, grads = loss_and_gradients(plan.span(sampler, [chunk]).batches[0], hinge_table(emb))
+            _, grads = loss_and_gradients(plan.span(sampler, [chunk]).layout.batches()[0], hinge_table(emb))
             apply_update(grads, emb, cfg.lr)
             project_entities(emb)
 
@@ -1074,57 +1081,154 @@ def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound)
     else:  # batches of one triple, three draws each: a bound of 6 fills spans exactly
         kg, ps, index = small_kg(), empty_paths(), build_index([], 0.0)
         cfg = TrainingConfig(dim=8, epochs=3, n_batches=5, seed=5, lr=0.05, norm=norm)
-    spans = []  # per epoch, per span the draws of each batch
-    real_spans, real_span = TrainPlan.spans, TrainPlan.span
+    real_epoch_spans, real_span = TrainPlan.epoch_spans, TrainPlan.span
 
-    def epoch_spans(plan, sampler, batches):
-        spans.append([])
-        return real_spans(plan, sampler, batches)
+    def planned(result):
+        """Per epoch, per span the draws of each batch, as the planner generator
+        plans the run in-process; the draws and give-ups are the run's."""
+        spans = []
 
-    def span(plan, sampler, batches):
-        spans[-1].append([int(plan.draw_counts[b].sum()) for b in batches])
-        return real_span(plan, sampler, batches)
+        def epoch_spans(plan, sampler, batches):
+            spans.append([])
+            return real_epoch_spans(plan, sampler, batches)
 
-    monkeypatch.setattr(TrainPlan, "spans", epoch_spans)
-    monkeypatch.setattr(TrainPlan, "span", span)
+        def span(plan, sampler, batches):
+            spans[-1].append([int(plan.draw_counts[b].sum()) for b in batches])
+            return real_span(plan, sampler, batches)
+
+        monkeypatch.setattr(TrainPlan, "epoch_spans", epoch_spans)
+        monkeypatch.setattr(TrainPlan, "span", span)
+        epochs = [[]]
+        for planned_span in TrainPlan(kg, ps, index, cfg).spans(kg):
+            epochs[-1].append(planned_span)
+            if planned_span.last:
+                epochs.append([])
+        monkeypatch.setattr(TrainPlan, "epoch_spans", real_epoch_spans)
+        monkeypatch.setattr(TrainPlan, "span", real_span)
+        assert epochs.pop() == [] and len(epochs) == len(spans) == cfg.epochs
+        for epoch, counts in zip(epochs, result.epochs):
+            assert [counts[term]["draws"] for term in TERMS] == sum(s.draws for s in epoch).tolist()
+            assert [counts[term]["giveups"] for term in TERMS] == sum(s.giveups for s in epoch).tolist()
+        return spans
+
     default = train(kg, ps, index, cfg)
-    default_spans, spans[:] = list(spans), []
+    default_spans = planned(default)
     monkeypatch.setattr(training, "_SPAN_DRAWS", bound)
     bounded = train(kg, ps, index, cfg)
+    spans = planned(bounded)
     assert np.array_equal(bounded.table.entities, default.table.entities)
     assert np.array_equal(bounded.table.relations, default.table.relations)
     assert bounded.history == default.history
     assert bounded.epochs == default.epochs
-    for planned, limit in ((default_spans, 2048), (spans, bound)):
-        assert [sum(map(len, epoch)) for epoch in planned] == [cfg.n_batches] * cfg.epochs
-        for epoch in planned:
+    for planned_spans, limit in ((default_spans, 2048), (spans, bound)):
+        assert [sum(map(len, epoch)) for epoch in planned_spans] == [cfg.n_batches] * cfg.epochs
+        for epoch in planned_spans:
             assert all(len(draws) == 1 or sum(draws) <= limit for draws in epoch)
             assert all(sum(a) + b[0] > limit for a, b in zip(epoch, epoch[1:]))
     assert max(map(len, default_spans[0])) > 1 or case == "transe"
     assert bound > 1 or all(len(draws) == 1 for epoch in spans for draws in epoch)
 
 
-def test_finished_span_is_freed_before_the_next_is_planned(toy_kg, monkeypatch):
-    """No batch of a span is alive while train plans the next span, in the same
-    epoch or the next."""
+def test_finished_span_is_freed_before_the_next_arrives(toy_kg, monkeypatch, tmp_path):
+    """No batch of a span is alive in train when the next span arrives, in the
+    same epoch or the next; and the planner process plans a span only once train
+    has asked for the one before it, so it is never more than one span ahead."""
     kg, ps = toy_kg, extract_paths(toy_kg, 2)
     index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
                          ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
     cfg = TrainingConfig(dim=8, epochs=2, n_batches=20, seed=4, lr=0.05)
     refs, alive = [], []  # weak references to the last span's batches
-    real_span = TrainPlan.span
+    # one line per event, appended by both processes: "plan" as the planner
+    # starts a span, "ask" as train asks for the next one
+    log = os.open(tmp_path / "events", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real_span, real_receive, real_batches = TrainPlan.span, SpanPlanner.receive, HingeLayout.batches
 
     def span(plan, sampler, batches):
+        os.write(log, b"plan\n")
+        return real_span(plan, sampler, batches)
+
+    def receive(planner):
+        time.sleep(0.002)  # time enough for a planner that ran ahead to show it
+        os.write(log, b"ask\n")
+        received = real_receive(planner)
         alive.append(sum(ref() is not None for ref in refs))
-        planned = real_span(plan, sampler, batches)
-        refs[:] = map(weakref.ref, planned.batches)
-        return planned
+        return received
+
+    def batches(layout):
+        views = real_batches(layout)
+        refs[:] = map(weakref.ref, views)
+        return views
 
     monkeypatch.setattr(TrainPlan, "span", span)
+    monkeypatch.setattr(SpanPlanner, "receive", receive)
+    monkeypatch.setattr(HingeLayout, "batches", batches)
     monkeypatch.setattr(training, "_SPAN_DRAWS", 256)
-    train(kg, ps, index, cfg)
+    try:
+        train(kg, ps, index, cfg)
+    finally:
+        os.close(log)
     assert len(alive) > cfg.epochs
     assert alive == [0] * len(alive)
+    events = (tmp_path / "events").read_text().split()
+    assert events.count("plan") == events.count("ask") == len(alive)
+    ahead = np.cumsum([1 if event == "plan" else -1 for event in events])
+    assert ahead.max() <= 1  # span k + 1 is planned only once span k was asked for
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("failure", [None, "divergence", "batch loop", "planning"])
+def test_train_joins_its_planner_process(toy_kg, monkeypatch, capfd, failure):
+    """train joins its planner process before it returns or raises: after a run,
+    a divergence, an exception in the batch loop, and an exception while
+    planning, which reaches the caller with its type and message, and only
+    there: the planner writes nothing to stdout or stderr."""
+    kg, ps = toy_kg, extract_paths(toy_kg, 2)
+    index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
+                         ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
+    lr = 1e308 if failure == "divergence" else 0.05
+    cfg = TrainingConfig(dim=8, epochs=3, n_batches=20, seed=4, lr=lr)
+    calls = itertools.count()
+    real_loss, real_span = training.loss_and_gradients, TrainPlan.span
+
+    def loss(batch, table):
+        if next(calls) == 5:
+            raise KeyError("in the batch loop")
+        return real_loss(batch, table)
+
+    def span(plan, sampler, batches):
+        if next(calls) == 5:
+            raise ValueError("while planning")
+        return real_span(plan, sampler, batches)
+
+    if failure == "batch loop":
+        monkeypatch.setattr(training, "loss_and_gradients", loss)
+    elif failure == "planning":
+        monkeypatch.setattr(TrainPlan, "span", span)
+    monkeypatch.setattr(training, "_SPAN_DRAWS", 256)  # spans are left when train raises
+    expected = {
+        None: contextlib.nullcontext(),
+        "divergence": pytest.raises(DivergenceError, match="non-finite loss at epoch 0"),
+        "batch loop": pytest.raises(KeyError, match="^'in the batch loop'$"),
+        "planning": pytest.raises(ValueError, match="^while planning$"),
+    }[failure]
+    with within(60), expected:
+        train(kg, ps, index, cfg)
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("case", ["oracle", "saturated"])
@@ -1143,7 +1247,7 @@ def test_epoch_counts_match_the_batch(case):
     emb = init_embeddings(kg, cfg)
     perm = np.random.default_rng(cfg.seed + 2).permutation(len(kg.train))
     plan = TrainPlan(kg, ps, index, cfg)
-    batch = plan.span(NegativeSampler(kg, seed=cfg.seed + 1), [perm]).batches[0]
+    batch = plan.span(NegativeSampler(kg, seed=cfg.seed + 1), [perm]).layout.batches()[0]
     losses, update = loss_and_gradients(batch, hinge_table(emb))
     draws = [3 * len(kg.train), plan.n_paths.sum(), plan.n_deduced.sum()]
     for kind, term in enumerate(TERMS):
