@@ -15,7 +15,11 @@ Planning. ``TrainPlan`` tabulates once per run each train triple's paths (a
 range of the ``PathStore``, composed once by ``Composer.compile``) and D(r).
 An epoch's batches are planned a span at a time: a span is a run of
 consecutive batches holding at most ``_SPAN_DRAWS`` negative draws (a batch
-holding more is a span of its own). The span's draws are laid out in numpy in
+holding more is a span of its own). An epoch has as many spans as packing
+batches while their draws fit gives, cut at the batch boundaries nearest the
+even shares of its draws, so no span is a short remainder (``_span_cuts``);
+where an even span of several batches breaks the bound, the epoch keeps the
+packed cuts. The span's draws are laid out in numpy in
 the sampler's stream order, triple by triple: head, tail and relation
 corruption; one relation per stored path of (h, t), in store order; one
 relation per (r_e, beta) of D(r). ``NegativeSampler.draws`` makes them all in
@@ -34,11 +38,14 @@ runs ``TrainPlan.spans``: the epoch shuffles, the ``NegativeSampler`` (built
 only there), the draw loop and the span's ``HingeLayout`` arrays. Each span
 crosses a pipe as one pickled message of arrays, and ``train`` slices them
 into ``HingeBatch`` views (``HingeLayout.batches``), so no per-batch object
-crosses. The child plans span k + 1 while ``train`` runs the batches of span
-k, and starts it only once span k has been received: it is never more than
-one span ahead. ``train`` joins it before it returns or raises; an exception
-while planning is raised by ``train``. The child inherits the plan from the
-fork and sends only spans, so the bits are those of planning in-process.
+crosses. The pipe is asked for ``_PIPE_BYTES`` before the fork (Linux
+``F_SETPIPE_SZ``), so a span's message waits whole in it; where that is
+refused, the default pipe carries it in several turns, to the same bits. The
+child plans span k + 1 while ``train`` runs the batches of span k, and starts
+it only once span k has been received: it is never more than one span ahead.
+``train`` joins it before it returns or raises; an exception while planning is
+raised by ``train``. The child inherits the plan from the fork and sends only
+spans, so the bits are those of planning in-process.
 
 The fused pass. Every hinge is
     scale * [margin + w+ ||sum x+ - y+|| - w- ||sum x- - y-||]_+
@@ -70,7 +77,10 @@ kept in the tests.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import fcntl
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -91,8 +101,11 @@ from .rules import RuleIndex
 # Negative draws planned at once: the bound on a span of batches. Planning holds
 # about 800 bytes per draw, so 8,192 draws raised the peak RSS of a one-epoch
 # wide-eval training run by 5 MB over 2,048, which trains as fast (measured with
-# planning in-process). A span's message is about 150 bytes per draw.
+# planning in-process). A span's message is 173-178 bytes per draw on the
+# benchmark workloads (paths of up to 3 steps), so a pipe of _PIPE_BYTES holds
+# a span of any several batches whole.
 _SPAN_DRAWS = 2048
+_PIPE_BYTES = 256 * _SPAN_DRAWS
 
 TERMS = ("triple", "path", "relpair")  # the hinge kinds 0, 1 and 2
 TRIPLE, PATH, RELPAIR = range(3)
@@ -382,14 +395,27 @@ def hinge_table(emb: EmbeddingTable) -> np.ndarray:
 
 
 def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows, ascending, and per row its vectors summed in input order."""
+    """The distinct rows of range(n_rows) in ``rows``, ascending, and per row its
+    vectors summed in input order. A batch of rows under a quarter of the table's
+    finds its distinct rows by sorting them, at a cost that grows with the batch;
+    a larger one by a mask over the table's rows, which then costs less."""
     dim = values.shape[1]
-    present = np.zeros(n_rows, dtype=bool)
-    present[rows] = True
-    slot = np.cumsum(present) - 1
-    # bincount adds its weights in input order, as a loop of += over the rows would
-    flat = (slot[rows][:, None] * dim + np.arange(dim)).ravel()
-    distinct = np.flatnonzero(present)
+    if 4 * len(rows) < n_rows:
+        order = rows.argsort()  # any order of equal rows gives them one slot
+        ascending = rows.take(order)
+        new = np.ones(len(rows), dtype=bool)  # where a distinct row starts
+        np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
+        distinct = ascending[new]
+        slot = np.empty_like(order)
+        slot[order] = new.cumsum()
+    else:
+        present = np.zeros(n_rows, dtype=bool)
+        present[rows] = True
+        distinct = np.flatnonzero(present)
+        slot = present.cumsum()[rows]
+    # slot: each input row's place among the distinct rows, from 1. bincount adds
+    # its weights in input order, as a loop of += over the rows would
+    flat = (slot[:, None] * dim + np.arange(-dim, 0)).ravel()
     sums = np.bincount(flat, weights=values.ravel(), minlength=len(distinct) * dim)
     return distinct, sums.reshape(-1, dim)
 
@@ -493,6 +519,35 @@ class Span(NamedTuple):
     last: bool = False
 
 
+def _span_cuts(counts: list[int], bound: int) -> list[int]:
+    """Where an epoch's spans start, by batch, then its batch count, for batches
+    of ``counts`` draws. There are as many spans as packing each span while its
+    draws fit ``bound`` gives (a batch over it is a span of its own), cut where
+    the draws split most evenly: span k ends at the batch boundary whose draws
+    before it are nearest k shares of the epoch's (the earlier of two as near).
+    Where such a span of several batches holds more than ``bound`` draws, or a
+    span holds no batch, the epoch keeps the packed cuts."""
+    packed, drawn = [0], 0
+    for i, n in enumerate(counts):
+        if i > packed[-1] and drawn + n > bound:
+            packed.append(i)
+            drawn = 0
+        drawn += n
+    packed.append(len(counts))
+    spans = len(packed) - 1
+    ends = list(itertools.accumulate(counts, initial=0))  # the draws before each boundary
+    even = [0]
+    for k in range(1, spans):
+        share = k * ends[-1]  # k shares of the draws, times the span count
+        b = bisect.bisect_left(ends, -(-share // spans))  # the first boundary at or past it
+        even.append(b - 1 if share - ends[b - 1] * spans <= ends[b] * spans - share else b)
+    even.append(len(counts))
+    for lo, hi in zip(even, even[1:]):
+        if hi <= lo or (hi - lo > 1 and ends[hi] - ends[lo] > bound):
+            return packed
+    return even
+
+
 class TrainPlan:
     """A run's per-triple tables (its paths and D(r)) and the span planner."""
 
@@ -545,14 +600,9 @@ class TrainPlan:
         planned span by span; the last span is marked."""
         starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
         counts = np.add.reduceat(self.draw_counts[np.concatenate(batches)], starts).tolist()
-        group, drawn = [], 0
-        for batch, n in zip(batches, counts):
-            if group and drawn + n > _SPAN_DRAWS:
-                yield self.span(sampler, group)
-                group, drawn = [], 0
-            group.append(batch)
-            drawn += n
-        yield self.span(sampler, group)._replace(last=True)
+        cuts = _span_cuts(counts, _SPAN_DRAWS)
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield self.span(sampler, batches[lo:hi])._replace(last=hi == len(batches))
 
     def span(self, sampler: NegativeSampler, batches: list[np.ndarray]) -> Span:
         """The hinges of consecutive batches, their negatives drawn in stream order."""
@@ -675,6 +725,10 @@ class SpanPlanner:
     def __init__(self, kg: KnowledgeGraph, plan: TrainPlan):
         fork = multiprocessing.get_context("fork")
         self._inbox, outbox = fork.Pipe(duplex=False)
+        # a span waits whole in the pipe, not in the child's blocked write; a
+        # refused size (or a platform without the call) keeps the default pipe
+        with contextlib.suppress(AttributeError, OSError):
+            fcntl.fcntl(self._inbox.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         go, self._go = fork.Pipe(duplex=False)
         self._process = fork.Process(
             target=_plan_spans, args=(kg, plan, outbox, go, (self._inbox, self._go)),
@@ -684,7 +738,7 @@ class SpanPlanner:
         outbox.close()
         go.close()
         self.planning = 0.0  # the child's seconds in TrainPlan.spans, to the last span received
-        self.wait = 0.0  # seconds ``receive`` waited for a span
+        self.waits: list[float] = []  # per span received, the seconds ``receive`` waited
 
     def receive(self) -> Span:
         """The next span."""
@@ -693,7 +747,7 @@ class SpanPlanner:
             message = self._inbox.recv_bytes()
         except EOFError:
             raise RuntimeError("the span planner process ended before the run's last span") from None
-        self.wait += time.perf_counter() - start
+        self.waits.append(time.perf_counter() - start)
         with contextlib.suppress(BrokenPipeError):  # a child that sent its exception has ended
             self._go.send_bytes(b"")
         message = pickle.loads(message)
@@ -746,7 +800,8 @@ class TrainResult:
     history: list[tuple[int, float, float, float, float]]
     paths: CompiledPaths  # the path store as the run's rule index composes it
     epochs: list[dict]  # per epoch, ``EpochCounts.metrics``
-    # the planner's seconds planning, the batch loop's waiting for spans, and the
+    # the planner's seconds planning, the batch loop's waiting for spans, its
+    # waiting for the first span (the child's start and first plan) and the
     # batch loop's in all, its waiting included
     seconds: dict[str, float]
 
@@ -823,7 +878,9 @@ def train(
                     f"(triple={totals.triple:.4f} path={totals.path:.4f} "
                     f"relpair={totals.relpair:.4f})"
                 )
-        seconds = {"planning": planner.planning, "span_wait": planner.wait,
+        waits = planner.waits
+        seconds = {"planning": planner.planning, "span_wait": sum(waits),
+                   "first_span_wait": waits[0] if waits else 0.0,
                    "batch_loop": time.perf_counter() - start}
     finally:
         planner.close()

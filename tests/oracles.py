@@ -16,6 +16,9 @@ its candidates one at a time and filtering by membership in ``known_triples``.
 loops the array code replaced; the latter ranks with the two brute ranks.
 ``batch_parts`` sums one training batch's losses per term in a loop, as
 ``train`` did batch by batch before it summed a span's parts at once.
+``mask_row_sums`` sums a batch's subgradients per row through a mask and a
+``cumsum`` over every row of the table, as training did before it sorted the
+batch's own rows.
 All are kept so the array code can be checked against them bit for bit.
 """
 
@@ -55,6 +58,19 @@ def batch_parts(batch, losses) -> LossParts:
     for kind, loss in zip(batch.kind.tolist(), losses.tolist()):
         parts[kind] += loss
     return LossParts(*parts)
+
+
+def mask_row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of range(n_rows) in ``rows``, ascending, and per row its
+    vectors summed in input order."""
+    dim = values.shape[1]
+    present = np.zeros(n_rows, dtype=bool)
+    present[rows] = True
+    slot = np.cumsum(present) - 1
+    flat = (slot[rows][:, None] * dim + np.arange(dim)).ravel()
+    distinct = np.flatnonzero(present)
+    sums = np.bincount(flat, weights=values.ravel(), minlength=len(distinct) * dim)
+    return distinct, sums.reshape(-1, dim)
 
 
 def triple_set(kg, *splits) -> set[tuple[int, int, int]]:

@@ -903,11 +903,12 @@ def test_train_appends_composition_metrics(toy_dir, tmp_path, capsys):
         "command", "paths", "fully_composed_frac", "residual_lengths", "rule_applications",
         "seconds",
     }
-    # the planner's planning, the batch loop's waiting for spans and the batch loop
+    # the planner's planning, the batch loop's waiting for spans (the first one
+    # included) and the batch loop
     seconds = metrics["seconds"]
-    assert set(seconds) == {"planning", "span_wait", "batch_loop"}
+    assert set(seconds) == {"planning", "span_wait", "first_span_wait", "batch_loop"}
     assert all(isinstance(s, float) and s >= 0.0 for s in seconds.values())
-    assert seconds["span_wait"] <= seconds["batch_loop"]
+    assert seconds["first_span_wait"] <= seconds["span_wait"] <= seconds["batch_loop"]
     n_paths = load_path_set(out / "paths.bin").n_paths
     assert metrics["paths"] == n_paths > 0
     assert 0.0 <= metrics["fully_composed_frac"] <= 1.0

@@ -441,9 +441,11 @@ def test_cache_follows_changed_sources(tmp_path, toy_files, toy_data):
     cache = tmp_path / "dataset.bin"
     before = graph_state(load_dataset(*toy_files, cache=cache))
     train = toy_files[0]
-    text = open(train, "rb").read()
+    with open(train, "rb") as fh:
+        text = fh.read()
     at = text.index(b"\t") - 1
-    open(train, "wb").write(text[:at] + b"#" + text[at + 1:])  # one byte of train.tsv
+    with open(train, "wb") as fh:
+        fh.write(text[:at] + b"#" + text[at + 1:])  # one byte of train.tsv
     after = graph_state(load_dataset(*toy_files, cache=cache))
     assert after != before
     assert after == graph_state(load_dataset(*toy_files))

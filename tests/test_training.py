@@ -1,14 +1,17 @@
 import contextlib
+import errno
+import fcntl
 import itertools
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rpje.compose import Composer
 from rpje.energy import NORMS, dissimilarity
@@ -35,7 +38,8 @@ from rpje.training import (
 
 from conftest import make_kg
 from oracles import (
-    batch_parts, compose_embedding, path_weight, residual_matrix, store_from_pairs, triple_set,
+    batch_parts, compose_embedding, mask_row_sums, path_weight, residual_matrix, store_from_pairs,
+    triple_set,
 )
 
 
@@ -487,6 +491,33 @@ def test_zero_norm_side_takes_zero_subgradient(norm):
     assert dissimilarity(d, norm).tolist() == [0.0, 0.0 if norm == "L2" else 1e-200]
     if norm == "L2":  # entity 3 is the positive tail alone: its only subgradient is 0
         assert hexes(update.entity[update.entity_rows.tolist().index(3)]) == ["0x0.0p+0"] * 6
+
+
+@given(
+    n_rows=st.integers(1, 40),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+    dim=st.integers(1, 5),
+    seed=st.integers(0, 1000),
+)
+# a single row, and repeats at 0 and n - 1: sorted (a few rows of a large table)
+@example(n_rows=40, picks=[17], dim=3, seed=0)
+@example(n_rows=40, picks=[39, 0, 39, 5, 0, 39, 0], dim=2, seed=1)
+# and through the mask
+@example(n_rows=1, picks=[0], dim=3, seed=0)
+@example(n_rows=7, picks=[6, 0, 6, 6, 0, 3], dim=2, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_row_sums_match_mask_oracle(n_rows, picks, dim, seed):
+    """Summing a batch's subgradients per row, over its own sorted rows or a
+    mask, gives the rows and the sum bits of a mask over every row of the
+    table."""
+    rows = np.array([pick % n_rows for pick in picks], dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    # magnitudes far apart, so a sum in another order shows in its bits
+    values = rng.normal(size=(len(rows), dim)) * 10.0 ** rng.integers(-8, 9, size=(len(rows), 1))
+    distinct, sums = training._row_sums(rows, values, n_rows)
+    expected_rows, expected_sums = mask_row_sums(rows, values, n_rows)
+    assert distinct.tolist() == expected_rows.tolist()
+    assert sums.tobytes() == expected_sums.tobytes()
 
 
 # --- finite-difference gradient checks ---
@@ -1063,12 +1094,70 @@ def test_train_matches_per_hinge_oracle(norm):
     assert all(l2 > 0 and l3 > 0 for _, _, _, l2, l3 in history)
 
 
+def packed_cuts(draws, limit):
+    """Per batch its draws: the span starts (by batch, then the batch count) of
+    taking into each span the most batches whose draws fit ``limit``, or one."""
+    cuts = [0]
+    while cuts[-1] < len(draws):
+        lo = cuts[-1]
+        cuts.append(max(b for b in range(lo + 1, len(draws) + 1)
+                        if b == lo + 1 or sum(draws[lo:b]) <= limit))
+    return cuts
+
+
+def even_cuts(draws, n):
+    """The span starts of n spans, span k ending at the batch boundary whose
+    draws before it are nearest k / n of all (the earlier of two as near)."""
+    total = sum(draws)
+    return [min(range(len(draws) + 1), key=lambda b: abs(sum(draws[:b]) * n - k * total))
+            for k in range(n)] + [len(draws)]
+
+
+def expected_cuts(draws, limit):
+    """The span starts ``_span_cuts`` names: the even cuts of as many spans as
+    packing gives, unless one of them is empty or a span of several batches
+    holds more than ``limit`` draws, and then the packed cuts."""
+    packed = packed_cuts(draws, limit)
+    even = even_cuts(draws, len(packed) - 1)
+    fits = all(hi > lo and (hi - lo == 1 or sum(draws[lo:hi]) <= limit)
+               for lo, hi in zip(even, even[1:]))
+    return even if fits else packed
+
+
+def planned_draws(monkeypatch, kg, ps, index, cfg):
+    """Per epoch, per span the draws of each batch, and per epoch its spans, as
+    the planner generator plans the run in-process."""
+    spans = []
+    real_epoch_spans, real_span = TrainPlan.epoch_spans, TrainPlan.span
+
+    def epoch_spans(plan, sampler, batches):
+        spans.append([])
+        return real_epoch_spans(plan, sampler, batches)
+
+    def span(plan, sampler, batches):
+        spans[-1].append([int(plan.draw_counts[b].sum()) for b in batches])
+        return real_span(plan, sampler, batches)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(TrainPlan, "epoch_spans", epoch_spans)
+        patched.setattr(TrainPlan, "span", span)
+        epochs = [[]]
+        for planned_span in TrainPlan(kg, ps, index, cfg).spans(kg):
+            epochs[-1].append(planned_span)
+            if planned_span.last:
+                epochs.append([])
+    assert epochs.pop() == [] and len(epochs) == len(spans) == cfg.epochs
+    return spans, epochs
+
+
 @pytest.mark.parametrize("norm", ["L1", "L2"])
 @pytest.mark.parametrize("case", ["oracle", "toy", "transe"])
-@pytest.mark.parametrize("bound", [1, 6, 7])
+@pytest.mark.parametrize("bound", [1, 6, 7, 45])
 def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound):
-    """Planning fewer batches at once changes no table, history or epoch metric;
-    each span takes batches while their draws fit the bound."""
+    """Planning fewer batches at once changes no table, history or epoch metric.
+    Each epoch has as many spans as packing batches while their draws fit the
+    bound gives, cut where the draws split evenly; where an even span of
+    several batches breaks the bound, the epoch keeps the packed cuts."""
     if case == "oracle":
         kg, ps, index = oracle_case()
         cfg = TrainingConfig(dim=8, epochs=4, n_batches=8, seed=3, lr=0.05, norm=norm,
@@ -1081,31 +1170,10 @@ def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound)
     else:  # batches of one triple, three draws each: a bound of 6 fills spans exactly
         kg, ps, index = small_kg(), empty_paths(), build_index([], 0.0)
         cfg = TrainingConfig(dim=8, epochs=3, n_batches=5, seed=5, lr=0.05, norm=norm)
-    real_epoch_spans, real_span = TrainPlan.epoch_spans, TrainPlan.span
 
     def planned(result):
-        """Per epoch, per span the draws of each batch, as the planner generator
-        plans the run in-process; the draws and give-ups are the run's."""
-        spans = []
-
-        def epoch_spans(plan, sampler, batches):
-            spans.append([])
-            return real_epoch_spans(plan, sampler, batches)
-
-        def span(plan, sampler, batches):
-            spans[-1].append([int(plan.draw_counts[b].sum()) for b in batches])
-            return real_span(plan, sampler, batches)
-
-        monkeypatch.setattr(TrainPlan, "epoch_spans", epoch_spans)
-        monkeypatch.setattr(TrainPlan, "span", span)
-        epochs = [[]]
-        for planned_span in TrainPlan(kg, ps, index, cfg).spans(kg):
-            epochs[-1].append(planned_span)
-            if planned_span.last:
-                epochs.append([])
-        monkeypatch.setattr(TrainPlan, "epoch_spans", real_epoch_spans)
-        monkeypatch.setattr(TrainPlan, "span", real_span)
-        assert epochs.pop() == [] and len(epochs) == len(spans) == cfg.epochs
+        """``planned_draws``, whose draws and give-ups are the run's."""
+        spans, epochs = planned_draws(monkeypatch, kg, ps, index, cfg)
         for epoch, counts in zip(epochs, result.epochs):
             assert [counts[term]["draws"] for term in TERMS] == sum(s.draws for s in epoch).tolist()
             assert [counts[term]["giveups"] for term in TERMS] == sum(s.giveups for s in epoch).tolist()
@@ -1120,13 +1188,68 @@ def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound)
     assert np.array_equal(bounded.table.relations, default.table.relations)
     assert bounded.history == default.history
     assert bounded.epochs == default.epochs
+    taken = set()  # where the even and packed cuts differ, which the bounded epochs took
     for planned_spans, limit in ((default_spans, 2048), (spans, bound)):
         assert [sum(map(len, epoch)) for epoch in planned_spans] == [cfg.n_batches] * cfg.epochs
         for epoch in planned_spans:
-            assert all(len(draws) == 1 or sum(draws) <= limit for draws in epoch)
-            assert all(sum(a) + b[0] > limit for a, b in zip(epoch, epoch[1:]))
+            draws = [n for span in epoch for n in span]
+            packed = packed_cuts(draws, limit)
+            even = even_cuts(draws, len(packed) - 1)
+            cuts = list(itertools.accumulate(map(len, epoch), initial=0))
+            assert len(epoch) == len(packed) - 1
+            assert all(len(span) == 1 or sum(span) <= limit for span in epoch)
+            assert cuts == expected_cuts(draws, limit)
+            if limit == bound and even != packed and all(map(int.__lt__, even, even[1:])):
+                taken.add("even" if cuts == even else "packed")
     assert max(map(len, default_spans[0])) > 1 or case == "transe"
     assert bound > 1 or all(len(draws) == 1 for epoch in spans for draws in epoch)
+    if (case, bound) == ("oracle", 45):  # an even span over the bound: some epochs fall back
+        assert taken == {"even", "packed"}
+
+
+def test_epoch_spans_split_draws_evenly(toy_kg, monkeypatch):
+    """Where an epoch's draws take two or more spans, each span holds its share
+    of them, to within the draws of the epoch's largest batch: no span is a
+    remainder left over by the spans before it."""
+    kg, ps = toy_kg, extract_paths(toy_kg, 2)
+    index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
+                         ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
+    cfg = TrainingConfig(dim=8, epochs=3, n_batches=40, seed=4, lr=0.05)
+    total = int(TrainPlan(kg, ps, index, cfg).draw_counts.sum())
+    monkeypatch.setattr(training, "_SPAN_DRAWS", total * 3 // 4)  # one and a third spans
+    spans, _ = planned_draws(monkeypatch, kg, ps, index, cfg)
+    for epoch in spans:
+        assert len(epoch) == 2
+        largest = max(n for span in epoch for n in span)
+        assert all(abs(sum(span) - total / len(epoch)) <= largest for span in epoch)
+
+
+def test_train_keeps_its_bits_with_the_default_pipe(toy_kg, monkeypatch):
+    """A refused pipe size keeps the default pipe, which carries span messages
+    larger than it in several turns, to the same table bits."""
+    kg, ps = toy_kg, extract_paths(toy_kg, 2)
+    index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
+                         ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
+    cfg = TrainingConfig(dim=8, epochs=2, n_batches=40, seed=4, lr=0.05)
+    _, epochs = planned_draws(monkeypatch, kg, ps, index, cfg)
+    largest = max(len(pickle.dumps((span, 0.0), protocol=5)) for epoch in epochs for span in epoch)
+    assert largest > 64 * 1024
+    sized = train(kg, ps, index, cfg)
+    real_fcntl, refused = fcntl.fcntl, []
+
+    def refuse(fd, cmd, *args):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            refused.append(fd)
+            raise OSError(errno.EPERM, "pipe size refused")
+        return real_fcntl(fd, cmd, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    default = train(kg, ps, index, cfg)
+    assert len(refused) == 1
+    assert np.array_equal(default.table.entities, sized.table.entities)
+    assert np.array_equal(default.table.relations, sized.table.relations)
+    assert default.history == sized.history
+    assert default.epochs == sized.epochs
 
 
 def test_finished_span_is_freed_before_the_next_arrives(toy_kg, monkeypatch, tmp_path):
