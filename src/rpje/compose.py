@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .kg import distinct_groups
-from .paths import PathStore
+from .paths import PathStore, relation_row_keys
 from .rules import ChainRule, RuleIndex
 
 
@@ -99,15 +99,11 @@ class Composer:
 
     def compile(self, store: PathStore) -> CompiledPaths:
         """Every path of ``store`` composed. Its relation rows are grouped by one
-        integer key each (``kg.distinct_groups``), the distinct rows in ascending key
-        order, and each distinct row is composed once, from its first path."""
+        integer key each (``paths.relation_row_keys``, ``kg.distinct_groups``), the
+        distinct rows in ascending key order, and each distinct row is composed
+        once, from its first path."""
         rels = store.relations
-        # one integer key per relation row, digits base n, where -1 pads and ids are < n - 2
-        base = int(rels.max(initial=-1)) + 2
-        keys = np.zeros(len(rels), dtype=np.int64)
-        for column in rels.T:
-            keys = keys * base + (column + 1)
-        _, first, sequence = distinct_groups(keys)
+        _, first, sequence = distinct_groups(relation_row_keys(rels))
         results = [self.compose(tuple(r for r in seq if r >= 0)) for seq in rels[first].tolist()]
         residual_ids: dict[tuple[int, ...], int] = {}
         residual_of = np.array(

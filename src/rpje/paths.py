@@ -318,19 +318,26 @@ def _pair_starts(found: _Arrivals) -> np.ndarray:
     return np.flatnonzero(new_pair)
 
 
+def relation_row_keys(relations: np.ndarray) -> np.ndarray:
+    """One int64 key per row of ``relations``, relation ids padded with -1: the
+    row's ids + 1 as digits in base max + 2, so -1 padding sorts first and the
+    keys order as the rows' columns would. A key holds while (2 * n_relations
+    + 1) ** max_steps < 2**63."""
+    digits = relations + 1
+    radix = int(digits.max(initial=0)) + 1
+    keys = np.zeros(len(digits), dtype=np.int64)
+    for column in digits.T:
+        keys = keys * radix + column
+    return keys
+
+
 def _select(found: _Arrivals, cutoff: float, cap: int) -> tuple[_Arrivals, int, int]:
     """Arrivals above the cutoff, sorted by (head, tail, -reliability, relations),
     at most ``cap`` per pair; also the counts cut by the cutoff and by the cap."""
     above = found.take(found.reliabilities > cutoff)
     # One int64 key per pair (entity ids fit in 32 bits) and one per relation
-    # row, its ids + 1 as digits so -1 padding sorts first: three sort keys that
-    # order as the six columns would. The row key holds while (2 * n_relations
-    # + 1) ** max_steps < 2**63.
-    digits = above.relations + 1
-    radix = int(digits.max(initial=0)) + 1
-    row = np.zeros(len(digits), dtype=np.int64)
-    for column in digits.T:
-        row = row * radix + column
+    # row: three sort keys that order as the six columns would.
+    row = relation_row_keys(above.relations)
     order = np.lexsort((row, -above.reliabilities, above.heads << 32 | above.tails))
     above = above.take(order)
     starts = _pair_starts(above)

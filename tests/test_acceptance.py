@@ -5,24 +5,19 @@ shared with the unit-test modules) and records a single PASS/FAIL line via
 ``conftest.ACCEPTANCE_LINES``.
 """
 
-import csv
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from rpje import rules as rules_mod
-from rpje.cli import EXIT_OK, main
 from rpje.compose import Composer
 from rpje.energy import NORMS
-from rpje.evaluation import Scorer, evaluate, metrics_from_ranks
-from rpje.kg import KnowledgeGraph
+from rpje.evaluation import Scorer, metrics_from_ranks
 from rpje.model import TrainingConfig, init_embeddings
-from rpje.paths import PathFinder, extract_paths
+from rpje.paths import extract_paths
 from rpje.rules import ChainRule, build_index, encode_rule, parse_rules
-from rpje.synthetic import ToyConfig, generate, write_dataset
-from rpje.training import train
 
 from conftest import ACCEPTANCE_LINES, make_kg
 from test_compose import confidences, oracle_compose
@@ -36,6 +31,10 @@ from test_training import (
     run_transe_reduction,
     triple_case,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
+
+import quality  # noqa: E402
 
 EPS = 1e-6
 RTOL = 1e-4
@@ -244,41 +243,9 @@ def test_acceptance_6_metric_correctness():
     )
 
 
-TOY_TRAINING = dict(dim=32, epochs=100, lr=0.02)
-
-
-def _toy_setup(noisy: bool, tmp_path):
-    data = generate(ToyConfig(noisy_rules=noisy))
-    kg = KnowledgeGraph.from_rows(data.train, data.valid, data.test)
-    files = write_dataset(data, tmp_path)
-    encoded = rules_mod.encode_rules(parse_rules(files["rules"], kg), kg)
-    return kg, encoded
-
-
-def _filtered_hits10(kg, emb, index, alpha):
-    reports = evaluate(emb, PathFinder(kg, 2), index, kg, alpha_paths=alpha)
-    rep = next(
-        r for r in reports if r.task == "entity-combined" and r.setting == "filtered"
-    )
-    return rep.hits[10]
-
-
 def test_acceptance_7_toy_reproduction(tmp_path):
     started = time.time()
-    kg, encoded = _toy_setup(noisy=False, tmp_path=tmp_path)
-    ps = extract_paths(kg, 2)
-    index = build_index(encoded, 0.7)
-
-    joint = train(kg, ps, index, TrainingConfig(seed=0, **TOY_TRAINING)).table
-    hits_joint = _filtered_hits10(kg, joint, index, alpha=1.0)
-
-    empty = build_index([], 0.7)
-    ablation_cfg = TrainingConfig(
-        seed=0, alpha_paths=0.0, alpha_relpairs=0.0, **TOY_TRAINING
-    )
-    ablated = train(kg, ps, empty, ablation_cfg).table
-    hits_ablation = _filtered_hits10(kg, ablated, empty, alpha=0.0)
-
+    hits_joint, hits_ablation = quality.joint_vs_ablation(quality.toy_dataset(tmp_path), tmp_path)
     elapsed = time.time() - started
     gap = 100 * (hits_joint - hits_ablation)
     ok = hits_joint >= 0.80 and gap >= 10.0 and elapsed < 300
@@ -293,14 +260,8 @@ def test_acceptance_7_toy_reproduction(tmp_path):
 
 def test_acceptance_8_confidence_threshold_sweep(tmp_path):
     started = time.time()
-    kg, encoded = _toy_setup(noisy=True, tmp_path=tmp_path)
-    ps = extract_paths(kg, 2)
-    hits = {}
-    for threshold in (0.0, 0.7, 0.8, 1.0):
-        index = build_index(encoded, threshold)
-        cfg = TrainingConfig(seed=0, confidence_threshold=threshold, **TOY_TRAINING)
-        emb = train(kg, ps, index, cfg).table
-        hits[threshold] = _filtered_hits10(kg, emb, index, alpha=1.0)
+    files = quality.toy_dataset(tmp_path, noisy=True)
+    hits = quality.threshold_sweep(files, tmp_path, (0.0, 0.7, 0.8, 1.0))
     elapsed = time.time() - started
     ok = (
         all(hits[mid] > hits[0.0] and hits[mid] > hits[1.0] for mid in (0.7, 0.8))
@@ -315,94 +276,16 @@ def test_acceptance_8_confidence_threshold_sweep(tmp_path):
     )
 
 
-def _sample_external_dataset(source_dir, out_dir, fraction=0.05, seed=0):
-    """Subsample an external benchmark's train split and restrict valid/test
-    to the entities and relations that survive."""
-    rng = np.random.default_rng(seed)
-
-    def read(name):
-        for candidate in (f"{name}.txt", f"{name}.tsv"):
-            path = os.path.join(source_dir, candidate)
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    return [tuple(line.rstrip("\n").split("\t")) for line in fh if line.strip()]
-        raise FileNotFoundError(f"no {name} split under {source_dir}")
-
-    train = read("train")
-    keep = rng.random(len(train)) < fraction
-    sampled = [t for t, k in zip(train, keep) if k]
-    entities = {h for h, _, _ in sampled} | {t for _, _, t in sampled}
-    relations = {r for _, r, _ in sampled}
-
-    def restrict(rows):
-        return [
-            (h, r, t)
-            for h, r, t in rows
-            if h in entities and t in entities and r in relations
-        ]
-
-    files = {}
-    for name, rows in (
-        ("train", sampled),
-        ("valid", restrict(read("valid"))),
-        ("test", restrict(read("test"))),
-    ):
-        path = os.path.join(out_dir, f"{name}.tsv")
-        with open(path, "w", encoding="utf-8") as fh:
-            for h, r, t in rows:
-                fh.write(f"{h}\t{r}\t{t}\n")
-        files[name] = path
-    return files
-
-
-def _csv_hits10(report_path):
-    with open(report_path, newline="", encoding="utf-8") as fh:
-        for task, setting, metric, value in csv.reader(fh):
-            if (task, setting, metric) == ("entity-combined", "filtered", "Hits@10"):
-                return float(value)
-    raise AssertionError(f"entity-combined filtered Hits@10 missing in {report_path}")
-
-
 def test_acceptance_9_smoke_run(tmp_path):
     started = time.time()
-    external = os.environ.get("RPJE_FB15K_DIR")
-    if external:
-        files = _sample_external_dataset(external, tmp_path)
-        rules_flags = []
-        source = f"5% sample of {external}"
-        epochs = ["--epochs", "50"]
-    else:
-        data = generate(ToyConfig(n_countries=20, n_persons=150, seed=13))
-        files = write_dataset(data, tmp_path)
-        rules_flags = ["--rules", files["rules"]]
-        source = "synthetic stand-in (no external benchmark present)"
-        epochs = ["--epochs", "100"]
-
-    common = [
-        "--train", files["train"], "--valid", files["valid"], "--test", files["test"],
-        *rules_flags, "--dim", "32", "--lr", "0.02", *epochs, "--seed", "0",
-    ]
-    hits = {}
-    for variant, extra in (
-        ("joint", []),
-        ("ablation", ["--alpha1", "0", "--alpha2", "0"]),
-    ):
-        out = tmp_path / variant
-        flags = common + ["--out", str(out)] + extra
-        steps_ok = all(
-            main([command, *flags]) == EXIT_OK
-            for command in ("encode-rules", "extract-paths", "train", "eval")
-        )
-        if not steps_ok:
-            record(9, "smoke run: pipeline end-to-end", False,
-                   f"{variant} pipeline returned a non-zero exit code ({source})")
-        hits[variant] = _csv_hits10(out / "eval_report.csv")
+    files, epochs, source = quality.smoke_dataset(tmp_path, os.environ.get("RPJE_FB15K_DIR"))
+    hits_joint, hits_ablation = quality.joint_vs_ablation(files, tmp_path, epochs)
     elapsed = time.time() - started
-    ok = hits["joint"] >= hits["ablation"] and elapsed < 1800
+    ok = hits_joint >= hits_ablation and elapsed < 1800
     record(
         9,
         "smoke run: full pipeline, joint >= plain-translation ablation",
         ok,
-        f"{source}; filtered Hits@10 joint {hits['joint']:.3f} vs ablation "
-        f"{hits['ablation']:.3f}; {elapsed:.0f}s",
+        f"{source}; filtered Hits@10 joint {hits_joint:.3f} vs ablation "
+        f"{hits_ablation:.3f}; {elapsed:.0f}s",
     )
