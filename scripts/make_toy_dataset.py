@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
-"""Generate the synthetic rule-governed toy dataset (train/valid/test/rules)."""
+"""Generate the synthetic rule-governed toy dataset (train/valid/test/rules).
+
+    python3 scripts/make_toy_dataset.py data/toy
+
+The rpje package is imported from the ``src/`` directory next to this script.
+"""
 
 import argparse
+import os
+import sys
 from dataclasses import fields
 
-from rpje.synthetic import ToyConfig, generate, write_dataset
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from rpje.synthetic import ToyConfig, generate, write_dataset  # noqa: E402
 
 
 def main() -> None:

@@ -17,11 +17,13 @@ entity-combined filtered Hits@10 of ``eval_report.csv``. On top of it:
 
 ``main`` runs all three: the toy KG, the sweep over ``SWEEP`` with planted
 noisy rules, and the smoke run on ``--data-dir`` (default ``$RPJE_FB15K_DIR``)
-or the stand-in. An external sample trains for 50 epochs, the toy graphs for
-100, all at dim 32, lr 0.02 and seed 0. A failed command ends the run with
-its exit code. Acceptance criteria [7]-[9] in ``tests/test_acceptance.py``
-call these same functions. The rpje package is imported from the ``src/``
-directory next to this script.
+or the stand-in. It samples ``--data-dir`` and parses ``--rules`` against the
+sample before any training, so a bad file exits 2 at once with one line. An
+external sample trains for 50 epochs, the toy graphs for 100, all at dim 32,
+lr 0.02 and seed 0. A failed command ends the run with its exit code.
+Acceptance criteria [7]-[9] in ``tests/test_acceptance.py`` call these same
+functions. The rpje package is imported from the ``src/`` directory next to
+this script.
 """
 
 import argparse
@@ -38,6 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from rpje.cli import EXIT_DATA, EXIT_OK, main as cli_main  # noqa: E402
 from rpje.kg import DatasetError, load_dataset  # noqa: E402
+from rpje.rules import RuleParseError, parse_rules  # noqa: E402
 from rpje.synthetic import ToyConfig, generate, write_dataset  # noqa: E402
 
 TOY_EPOCHS = 100
@@ -104,12 +107,15 @@ def sample_external(source_dir, out_dir) -> dict:
 def smoke_dataset(directory, data_dir=None, rules=None) -> tuple[dict, int, str]:
     """The smoke run's files under ``directory``, its epochs and its source: a
     sample of ``data_dir``, with the rule file ``rules`` if given, or else the
-    synthetic stand-in with its rules."""
+    synthetic stand-in with its rules. The rules are parsed against the sample
+    as ``encode-rules`` parses them, so a missing or malformed file raises
+    ``OSError`` or ``RuleParseError`` here."""
     if not data_dir:
         return (write_dataset(generate(STAND_IN), directory), TOY_EPOCHS,
                 "synthetic stand-in (no external benchmark present)")
     files = sample_external(data_dir, directory)
     if rules:
+        parse_rules(rules, load_dataset(*(files[name] for name in SPLITS)))
         files["rules"] = rules
     return files, EXTERNAL_EPOCHS, f"5% sample of {data_dir}"
 
@@ -118,14 +124,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data-dir", default=os.environ.get("RPJE_FB15K_DIR"),
                         help="splits to sample for the smoke run (default: $RPJE_FB15K_DIR)")
-    parser.add_argument("--rules", help="rule file for --data-dir")
+    parser.add_argument("--rules", help="rule file for --data-dir (needs --data-dir)")
     parser.add_argument("--workdir", help="datasets and artifacts (default: a temporary directory)")
     args = parser.parse_args()
+    if args.rules and not args.data_dir:
+        parser.error("--rules needs --data-dir")
     workdir = args.workdir or tempfile.mkdtemp(prefix="rpje_quality_")
     smoke_dir, toy_dir, noisy_dir = (os.path.join(workdir, d) for d in ("smoke", "toy", "noisy"))
-    try:  # before any training, so a bad --data-dir fails at once
+    try:  # before any training, so a bad --data-dir or --rules fails at once
         smoke_files, smoke_epochs, source = smoke_dataset(smoke_dir, args.data_dir, args.rules)
-    except (DatasetError, OSError) as exc:
+    except (DatasetError, RuleParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -173,7 +173,7 @@ def cmd_extract_paths(cfg: RunConfig) -> int:
     _append_metrics(cfg, "extract-paths", {**asdict(stats), "seconds": seconds})
     write_resolved_config(cfg, cfg.path_for("resolved_extract-paths.cfg"))
     print(f"path cache written to {cfg.path_for('paths.bin')}")
-    print(f"pairs with paths: {len(ps.pairs)}; paths: {ps.n_paths}")
+    print(f"pairs with paths: {len(ps.heads)}; paths: {ps.n_paths}")
     if ps.n_paths:
         hist, edges = np.histogram(ps.reliabilities, bins=10, range=(0.0, 1.0))
         print("reliability histogram:")

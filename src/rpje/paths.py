@@ -61,9 +61,11 @@ over their paths. ``extract_paths`` builds one for the train pairs, which
 ``train`` caches in ``paths.bin``, or for any given pairs: ``eval`` walks its
 test pairs and ``explain`` its one pair through ``PathFinder.find``, so a
 relation is always ranked on the pair's own paths. A pair's paths are one
-range of the store (``between``). No object is built per path; ``Path``
-tuples are made on demand (``pairs``, ``paths_between``) for explanations and
-tests. ``paths.bin`` holds the store's arrays in the ``artifacts.write_arrays``
+range of the store (``between``). No object is built per path: scoring,
+training and ``explain`` read the store's arrays. ``Path`` tuples are made on
+demand (``pairs``, ``paths_between``) for ``walk_resources``,
+``PathFinder.arrivals``, ``perfbench``'s ``properties()`` and the tests.
+``paths.bin`` holds the store's arrays in the ``artifacts.write_arrays``
 layout; ``load_path_set`` takes them as views of the file's bytes and checks
 every value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
 """

@@ -36,21 +36,22 @@ The planner process. None of this depends on the embeddings, so ``train``
 forks one child process per call (``SpanPlanner``; POSIX ``fork`` only), which
 runs ``TrainPlan.spans``: the epoch shuffles, the ``NegativeSampler`` (built
 only there), the draw loop and the span's ``HingeLayout`` arrays. Each span
-crosses a pipe as one pickled message of arrays, and ``train`` slices them
-into ``HingeBatch`` views (``HingeLayout.batches``), so no per-batch object
-crosses. The pipe is asked for ``_PIPE_BYTES`` before the fork (Linux
-``F_SETPIPE_SZ``), so a span's message waits whole in it; where that is
-refused, the default pipe carries it in several turns, to the same bits. The
-child plans span k + 1 while ``train`` runs the batches of span k, and starts
-it only once span k has been received: it is never more than one span ahead.
-``train`` joins it before it returns or raises; an exception while planning is
-raised by ``train``. The child inherits the plan from the fork and sends only
-spans, so the bits are those of planning in-process.
+crosses a pipe as one pickled message of arrays, and ``loss_and_gradients``
+slices each batch's hinges and slots out of the span's ``HingeLayout`` by
+their bounds, so no per-batch object crosses. The pipe is asked for
+``_PIPE_BYTES`` before the fork (Linux ``F_SETPIPE_SZ``), so a span's message
+waits whole in it; where that is refused, the default pipe carries it in
+several turns, to the same bits. The child plans span k + 1 while ``train``
+runs the batches of span k, and starts it only once span k has been received:
+it is never more than one span ahead. ``train`` joins it before it returns or
+raises; an exception while planning is raised by ``train``. The child inherits
+the plan from the fork and sends only spans, so the bits are those of planning
+in-process.
 
 The fused pass. Every hinge is
     scale * [margin + w+ ||sum x+ - y+|| - w- ||sum x- - y-||]_+
-over the rows of [entities; relations; -relations; 0], where an inverse
-relation is its base row negated and the zero row pads the sums (``Hinges``):
+over the rows of [entities; relations; -relations; 0] (``HingeLayout``), where
+an inverse relation is its base row negated and the zero row pads the sums:
 h + r - t on each side of a triple hinge; C(p) - r and C(p) - r' for a path,
 weighted R(p|h,t) * prod(mu) on both sides; r - r_e and r - r' for a relation
 pair, weighted (beta, 1). ``loss_and_gradients`` gathers a batch's rows at
@@ -271,21 +272,6 @@ class NegativeSampler:
         return self._draw(self._n_rel, *self.pair_keys(r))
 
 
-class Hinges(NamedTuple):
-    """Hinges in hinge order, over the rows of [entities; relations; -relations; 0].
-
-    Entity e is row e and relation id s (inverse ids included) row n_entities +
-    s; the zero row pads. Side 0 (positive) and side 1 (negative) of hinge k sum
-    rows ``rows[k, side, :-1]`` less row ``rows[k, side, -1]``, weighted
-    ``weight[k, side]``. ``kind[k]`` is TRIPLE, PATH or RELPAIR; a path or
-    relation-pair hinge sums the same rows on both sides.
-    """
-
-    kind: np.ndarray    # (H,)
-    rows: np.ndarray    # (H, 2, W + 1)
-    weight: np.ndarray  # (H, 2)
-
-
 class LossParts(NamedTuple):
     triple: float = 0.0
     path: float = 0.0
@@ -297,47 +283,32 @@ class LossParts(NamedTuple):
 
 
 @dataclass(eq=False)
-class HingeBatch:
-    """A batch's hinges laid out for ``loss_and_gradients``: views of its span's
-    ``HingeLayout``.
+class HingeLayout:
+    """The hinges of consecutive batches, in hinge order, laid out for
+    ``loss_and_gradients``: batch b holds hinges ``bounds[b]`` to ``bounds[b +
+    1]`` and subgradient slots ``slot_bounds[b]`` to ``slot_bounds[b + 1]``.
 
-    ``rows`` (H, 2, W + 1) is the batch's part of the span's ``Hinges.rows``, in
-    the per-hinge loop's order: the x+ rows, y+, the x- rows, y-. Subgradient slot i
-    adds value ``slot_code[i]`` of hinge ``slot_hinge[i]`` (numbered within the
-    batch) to row ``slot_row[i]`` of [entities; base relations]. The slots run
-    hinge by hinge, each hinge's in the per-hinge loop's order.
+    Hinge k sums rows of [entities; relations; -relations; 0]: entity e is row
+    e, relation id s (inverse ids included) row n_entities + s, and the zero row
+    pads. ``kind[k]`` is TRIPLE, PATH or RELPAIR. Side 0 (positive) and side 1
+    (negative) sum rows ``rows[k, side, :-1]`` less row ``rows[k, side, -1]``,
+    in the per-hinge loop's order (the x+ rows, y+, the x- rows, y-), weighted
+    ``weight[k, side]``; a path or relation-pair hinge sums the same rows on
+    both sides. Slot i adds value ``slot_code[i]`` of hinge ``slot_hinge[i]``
+    (numbered within its batch) to row ``slot_row[i]`` of [entities; base
+    relations]. The slots run hinge by hinge, each hinge's in the per-hinge
+    loop's order.
     """
 
     norm: str
     n_entities: int
     n_base: int
-    kind: np.ndarray
-    rows: np.ndarray
+    kind: np.ndarray        # (H,)
+    rows: np.ndarray        # (H, 2, W + 1)
     margin: np.ndarray
     scale: np.ndarray
-    weight: np.ndarray
+    weight: np.ndarray      # (H, 2)
     side_scale: np.ndarray  # scale * weight, shaped (H, 2, 1)
-    slot_row: np.ndarray
-    slot_code: np.ndarray
-    slot_hinge: np.ndarray
-
-
-@dataclass(eq=False)
-class HingeLayout:
-    """The hinges of consecutive batches laid out for ``loss_and_gradients``, in
-    one set of arrays that ``batches`` slices: the fields of ``HingeBatch``, and
-    per batch b its hinges ``bounds[b]`` to ``bounds[b + 1]`` and its slots
-    ``slot_bounds[b]`` to ``slot_bounds[b + 1]``."""
-
-    norm: str
-    n_entities: int
-    n_base: int
-    kind: np.ndarray
-    rows: np.ndarray
-    margin: np.ndarray
-    scale: np.ndarray
-    weight: np.ndarray
-    side_scale: np.ndarray
     slot_row: np.ndarray
     slot_code: np.ndarray
     slot_hinge: np.ndarray
@@ -345,10 +316,11 @@ class HingeLayout:
     slot_bounds: list[int]
 
     @classmethod
-    def of(cls, hinges: Hinges, cfg: TrainingConfig, n_entities: int, n_base: int,
-           ends) -> HingeLayout:
-        """The batches of hinges [0, ends[0]), [ends[0], ends[1]) and so on."""
-        kind, rows, weight = hinges
+    def of(cls, kind: np.ndarray, rows: np.ndarray, weight: np.ndarray, cfg: TrainingConfig,
+           n_entities: int, n_base: int, ends) -> HingeLayout:
+        """The batches of hinges [0, ends[0]), [ends[0], ends[1]) and so on, of
+        ``kind``, ``rows`` and ``weight`` as the fields hold them (``rows`` of
+        any width of at least 2)."""
         zero = n_entities + 2 * n_base
         if rows.shape[2] < 3:  # the sums start as x0 + x1
             pad = np.full((len(rows), 2, 3 - rows.shape[2]), zero, dtype=rows.dtype)
@@ -374,19 +346,6 @@ class HingeLayout:
         side_scale = (scale[:, None] * weight)[..., None]
         return cls(cfg.norm, n_entities, n_base, kind, rows, margin, scale, weight, side_scale,
                    slot_row, slot_code, local, bounds.tolist(), slot_bounds.tolist())
-
-    def batches(self) -> list[HingeBatch]:
-        """Each batch's ``HingeBatch``, of views of these arrays."""
-        bounds, slot_bounds = self.bounds, self.slot_bounds
-        return [
-            HingeBatch(
-                self.norm, self.n_entities, self.n_base, self.kind[lo:hi], self.rows[lo:hi],
-                self.margin[lo:hi], self.scale[lo:hi], self.weight[lo:hi],
-                self.side_scale[lo:hi], self.slot_row[a:b], self.slot_code[a:b],
-                self.slot_hinge[a:b],
-            )
-            for lo, hi, a, b in zip(bounds, bounds[1:], slot_bounds, slot_bounds[1:])
-        ]
 
 
 def hinge_table(emb: EmbeddingTable) -> np.ndarray:
@@ -465,45 +424,51 @@ class GradientUpdate:
         table[self.rows] -= lr * self.sums
 
 
-def loss_and_gradients(batch: HingeBatch, table: np.ndarray) -> tuple[np.ndarray, GradientUpdate]:
-    """Every hinge's loss, in hinge order, and the batch's summed subgradient;
-    ``table`` is the ``hinge_table`` of the embeddings."""
-    rows = table.take(batch.rows.transpose(2, 0, 1).reshape(batch.rows.shape[2], -1), axis=0)
+def loss_and_gradients(layout: HingeLayout, b: int,
+                       table: np.ndarray) -> tuple[np.ndarray, GradientUpdate]:
+    """Every loss of batch ``b`` of ``layout``, in hinge order, and the batch's
+    summed subgradient; ``table`` is the ``hinge_table`` of the embeddings."""
+    batch = slice(layout.bounds[b], layout.bounds[b + 1])
+    batch_slots = slice(layout.slot_bounds[b], layout.slot_bounds[b + 1])
+    hinge_rows = layout.rows[batch]
+    rows = table.take(hinge_rows.transpose(2, 0, 1).reshape(hinge_rows.shape[2], -1), axis=0)
     d = rows[0] + rows[1]
     for more in rows[2:-1]:
         d += more
     d -= rows[-1]
-    norms = dissimilarity(d, batch.norm).reshape(-1, 2)
-    weighted = batch.weight * norms
-    loss = batch.margin + weighted[:, 0] - weighted[:, 1]
+    norm = layout.norm
+    norms = dissimilarity(d, norm).reshape(-1, 2)
+    weighted = layout.weight[batch] * norms
+    loss = layout.margin[batch] + weighted[:, 0] - weighted[:, 1]
     inactive = loss <= 0.0  # a NaN stays active
-    losses = np.where(inactive, 0.0, batch.scale * loss)
+    losses = np.where(inactive, 0.0, layout.scale[batch] * loss)
     dim = table.shape[1]
     active = ~inactive
     hinges = np.flatnonzero(active)
     if not len(hinges):
-        return losses, GradientUpdate.empty(dim, batch.n_entities)
+        return losses, GradientUpdate.empty(dim, layout.n_entities)
 
     # candidates (A, 3, 2) of the A active hinges: per side g and -g, then g+ - g-
     # and its negation, so value c of the a-th active hinge is candidate 6a + c
     d = d.reshape(-1, 2, dim).take(hinges, axis=0)
-    values = (np.empty if batch.norm == "L1" else np.zeros)((len(hinges), 3, 2, dim))
+    values = (np.empty if norm == "L1" else np.zeros)((len(hinges), 3, 2, dim))
     g = values[:, 0]
-    if batch.norm == "L1":
+    if norm == "L1":
         np.sign(d, out=g)
     else:
         n = norms[hinges, :, None]
         np.divide(d, n, out=g, where=n != 0.0)
-    g *= batch.side_scale[hinges]
+    g *= layout.side_scale[batch][hinges]
     np.negative(g, out=values[:, 1])
     np.subtract(g[:, 0], g[:, 1], out=values[:, 2, 0])
     np.negative(values[:, 2, 0], out=values[:, 2, 1])
     first = (np.cumsum(active) - 1) * 6
-    slots = active[batch.slot_hinge]
-    candidate = first[batch.slot_hinge[slots]] + batch.slot_code[slots]
+    slot_hinge = layout.slot_hinge[batch_slots]
+    slots = active[slot_hinge]
+    candidate = first[slot_hinge[slots]] + layout.slot_code[batch_slots][slots]
     update = GradientUpdate.scattered(
-        batch.slot_row[slots], values.reshape(-1, dim).take(candidate, axis=0),
-        batch.n_entities, batch.n_base,
+        layout.slot_row[batch_slots][slots], values.reshape(-1, dim).take(candidate, axis=0),
+        layout.n_entities, layout.n_base,
     )
     return losses, update
 
@@ -628,17 +593,18 @@ class TrainPlan:
         if not drawn.all():
             giveups = np.bincount(kind[~drawn], minlength=3)
             j, k, kind, values = j[drawn], k[drawn], kind[drawn], values[drawn]
-        hinges = self._hinges(j, k, kind, values, h, r, t, n_paths, self.path_start[idx])
+        rows, weight = self._hinges(j, k, kind, values, h, r, t, n_paths, self.path_start[idx])
         sizes = [len(b) for b in batches]
         ends = np.searchsorted(j, np.cumsum(sizes))
-        layout = HingeLayout.of(hinges, self.cfg, self.n_ent, self.n_base, ends)
+        layout = HingeLayout.of(kind, rows, weight, self.cfg, self.n_ent, self.n_base, ends)
         part = 3 * np.repeat(np.arange(len(batches)), sizes)[j] + kind
         return Span(layout, part, draws, giveups)
 
-    def _hinges(self, j, k, kind, v, h, r, t, n_paths, path_start) -> Hinges:
-        """Hinge rows of drawn negatives ``v``: ``j`` is each draw's triple, which
-        indexes ``h``, ``r``, ``t``, ``n_paths`` and ``path_start``, and ``k`` its
-        place there."""
+    def _hinges(self, j, k, kind, v, h, r, t, n_paths, path_start):
+        """The ``HingeLayout`` rows and weights of the hinges of drawn negatives
+        ``v``: ``j`` is each draw's triple, which indexes ``h``, ``r``, ``t``,
+        ``n_paths`` and ``path_start``, ``k`` its place there and ``kind`` its
+        hinge's kind."""
         n_ent, width = self.n_ent, self.width
         rows = np.full((len(kind), 2, width + 1), n_ent + 2 * self.n_base, dtype=np.int32)
         weight = np.ones((len(kind), 2))
@@ -664,7 +630,7 @@ class TrainPlan:
         rows[i, :, 0] = (n_ent + r[ji])[:, None]
         rows[i, 0, width], rows[i, 1, width] = n_ent + self.deduced[e], n_ent + v[i]
         weight[i, 0] = self.beta[e]
-        return Hinges(kind, rows, weight)
+        return rows, weight
 
 
 def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.ndarray:
@@ -842,10 +808,10 @@ def train(
                 span = planner.receive()
                 counts.draws += span.draws
                 counts.giveups += span.giveups
-                batches = span.layout.batches()
+                n_batches = len(span.layout.bounds) - 1
                 span_losses = []
-                for batch in batches:
-                    losses, grads = loss_and_gradients(batch, table)
+                for b in range(n_batches):
+                    losses, grads = loss_and_gradients(span.layout, b, table)
                     span_losses.append(losses)
                     if len(grads.rows):
                         grads.apply(table, cfg.lr)
@@ -862,11 +828,11 @@ def train(
                     counts.projected += len(scaled)
                 losses = np.concatenate(span_losses)
                 # per batch each part summed left to right, then added to the totals in turn
-                parts = np.bincount(span.part, weights=losses, minlength=3 * len(batches))
+                parts = np.bincount(span.part, weights=losses, minlength=3 * n_batches)
                 totals = np.cumsum(np.vstack((totals, parts.reshape(-1, 3))), axis=0)[-1]
                 counts.active += np.bincount(span.part[losses > 0.0] % 3, minlength=3)
                 last = span.last
-                del span, batches, batch, span_losses  # free the span before the next arrives
+                del span, span_losses  # free the span before the next arrives
             totals = LossParts(*totals.tolist())
             if not np.isfinite(totals.total):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}: {totals.total}")

@@ -52,10 +52,11 @@ def relpair_energy(r: np.ndarray, r_e: np.ndarray, norm: str):
     return dissimilarity(r - r_e, norm)
 
 
-def batch_parts(batch, losses) -> LossParts:
-    """A ``HingeBatch``'s ``losses`` summed per term, each from 0.0 left to right."""
+def batch_parts(layout, losses) -> LossParts:
+    """The ``losses`` of a one-batch ``HingeLayout`` summed per term, each from
+    0.0 left to right."""
     parts = [0.0, 0.0, 0.0]
-    for kind, loss in zip(batch.kind.tolist(), losses.tolist()):
+    for kind, loss in zip(layout.kind.tolist(), losses.tolist()):
         parts[kind] += loss
     return LossParts(*parts)
 

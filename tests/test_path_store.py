@@ -232,9 +232,9 @@ def test_path_hinges_match_per_hinge_oracle(edges, seed, density, many, norm):
     index = random_index(rng, kg.n_base_relations, density)
     emb = random_table(rng, kg.n_entities, kg.n_base_relations, 6)
     cfg = TrainingConfig(dim=6, norm=norm, margin_path=3.0, margin_relpair=2.0)
-    batch = one_batch(kg, store, index, cfg, seed % 1000)
-    losses, update = loss_and_gradients(batch, hinge_table(emb))
-    parts = batch_parts(batch, losses)
+    layout = one_batch(kg, store, index, cfg, seed % 1000)
+    losses, update = loss_and_gradients(layout, 0, hinge_table(emb))
+    parts = batch_parts(layout, losses)
     want, grads = oracle_loss_and_gradients(
         kg.train, PathSet.of(store), Composer(index), emb, cfg, OracleSampler(kg, seed=seed % 1000)
     )

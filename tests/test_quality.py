@@ -6,6 +6,11 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+from rpje.synthetic import ToyConfig, generate, write_dataset
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,3 +41,25 @@ def test_malformed_external_split_exits_2_before_training(tmp_path):
     assert proc.stderr.splitlines() == [
         f"error: {tmp_path / 'train.txt'}:3: expected 3 tab-separated fields, got 2"
     ]
+
+
+@pytest.mark.parametrize("rules", ["missing", "malformed"])
+def test_bad_rule_file_exits_2_before_training(tmp_path, rules):
+    files = write_dataset(generate(ToyConfig()), tmp_path / "data")
+    path = tmp_path / "rules.tsv"
+    if rules == "missing":
+        error = f"[Errno 2] No such file or directory: '{path}'"
+    else:  # the toy's own rules, then a line in neither syntax
+        text = Path(files["rules"]).read_text(encoding="utf-8")
+        path.write_text(text + "not a rule\n")
+        error = f"{path}:{len(text.splitlines()) + 1}: expected 'head <= body<TAB>confidence'"
+    proc = run_quality("--data-dir", str(tmp_path / "data"), "--rules", str(path),
+                       "--workdir", str(tmp_path / "work"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"error: {error}"]
+
+
+def test_rules_without_data_dir_is_refused(tmp_path):
+    proc = run_quality("--rules", str(tmp_path / "rules.tsv"), "--workdir", str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1].endswith("error: --rules needs --data-dir")

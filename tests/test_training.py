@@ -26,7 +26,6 @@ from rpje.training import (
     TRIPLE,
     DivergenceError,
     HingeLayout,
-    Hinges,
     NegativeSampler,
     SpanPlanner,
     TrainPlan,
@@ -70,7 +69,7 @@ def _zero_row(emb):
 def triple_hinges(emb, ids):
     """L1 hinges over ``ids`` (K, 2, 3), each side's (h, r, t) as h + r - t."""
     rows = np.stack((ids[..., 0], emb.n_entities + ids[..., 1], ids[..., 2]), axis=-1)
-    return Hinges(np.full(len(ids), TRIPLE), rows, np.ones((len(ids), 2)))
+    return np.full(len(ids), TRIPLE), rows, np.ones((len(ids), 2))
 
 
 def path_hinges(emb, residual, weight, r):
@@ -79,7 +78,7 @@ def path_hinges(emb, residual, weight, r):
     x = np.where(residual >= 0, emb.n_entities + residual, _zero_row(emb))
     x = np.repeat(x[:, None], 2, axis=1)
     w = np.repeat(np.asarray(weight, dtype=float)[:, None], 2, axis=1)
-    return Hinges(np.full(len(r), PATH), np.dstack((x, emb.n_entities + r)), w)
+    return np.full(len(r), PATH), np.dstack((x, emb.n_entities + r)), w
 
 
 def relpair_hinges(emb, r, beta):
@@ -87,14 +86,16 @@ def relpair_hinges(emb, r, beta):
     x = np.repeat((emb.n_entities + r[:, :1])[:, None], 2, axis=1)
     w = np.ones((len(r), 2))
     w[:, 0] = beta
-    return Hinges(np.full(len(r), RELPAIR), np.dstack((x, emb.n_entities + r[:, 1:])), w)
+    return np.full(len(r), RELPAIR), np.dstack((x, emb.n_entities + r[:, 1:])), w
 
 
 def fused(emb, hinges, cfg):
-    """Per-hinge losses and the summed update of one batch of ``hinges``."""
-    batch = HingeLayout.of(hinges, cfg, emb.n_entities, emb.n_base_relations,
-                           [len(hinges.kind)]).batches()[0]
-    return loss_and_gradients(batch, hinge_table(emb))
+    """Per-hinge losses and the summed update of one batch of ``hinges``, a
+    (kind, rows, weight) triple."""
+    kind, rows, weight = hinges
+    layout = HingeLayout.of(kind, rows, weight, cfg, emb.n_entities, emb.n_base_relations,
+                            [len(kind)])
+    return loss_and_gradients(layout, 0, hinge_table(emb))
 
 
 def apply_update(update, emb, lr):
@@ -106,13 +107,13 @@ def apply_update(update, emb, lr):
 
 
 def one_batch(kg, ps, index, cfg, seed, triples=None):
-    """The batch of train triples ``triples`` (indices; default all), planned alone
-    with a fresh ``NegativeSampler(kg, seed)``, which holds no exclusion of the
-    plan's until the plan sets it."""
+    """The one-batch ``HingeLayout`` of train triples ``triples`` (indices;
+    default all), planned alone with a fresh ``NegativeSampler(kg, seed)``, which
+    holds no exclusion of the plan's until the plan sets it."""
     if triples is None:
         triples = np.arange(len(kg.train))
     plan = TrainPlan(kg, ps, index, cfg)
-    return plan.span(NegativeSampler(kg, seed=seed), [np.asarray(triples)]).layout.batches()[0]
+    return plan.span(NegativeSampler(kg, seed=seed), [np.asarray(triples)]).layout
 
 
 # --- negative sampling ---
@@ -254,9 +255,9 @@ def test_relation_pair_exclusions_at_scale():
         0.0,
     )
     cfg = TrainingConfig(dim=4, alpha_paths=0.0, alpha_relpairs=1.0)
-    batch = one_batch(kg, empty_paths(), index, cfg, seed=7)
-    width = batch.rows.shape[2] - 1
-    pairs = batch.rows[batch.kind == RELPAIR][:, [0, 1], [0, width]] - kg.n_entities
+    layout = one_batch(kg, empty_paths(), index, cfg, seed=7)
+    width = layout.rows.shape[2] - 1
+    pairs = layout.rows[layout.kind == RELPAIR][:, [0, 1], [0, width]] - kg.n_entities
     got = list(map(tuple, pairs.tolist()))
 
     reference = OracleSampler(kg, seed=7)
@@ -300,8 +301,8 @@ def test_alpha_zero_reduces_to_transe_loss():
     cfg = TrainingConfig(dim=6, alpha_paths=0.0, alpha_relpairs=0.0)
     ps = extract_paths(kg, 2)
     index = build_index([ChainRule(head=0, body=(0, 1), confidence=0.9)], 0.0)
-    batch = one_batch(kg, ps, index, cfg, seed=1)
-    parts = batch_parts(batch, loss_and_gradients(batch, hinge_table(emb))[0])
+    layout = one_batch(kg, ps, index, cfg, seed=1)
+    parts = batch_parts(layout, loss_and_gradients(layout, 0, hinge_table(emb))[0])
     assert parts.path == 0.0 and parts.relpair == 0.0
 
     # recompute the pure TransE margin loss with an identical sampling stream
@@ -338,7 +339,8 @@ def oracle_hinges(emb, hinges, cfg):
             row, g = row - n_base, -g
         grads[row] = grads.get(row, 0.0) + g
 
-    for kind, rows, weight in zip(hinges.kind.tolist(), hinges.rows.tolist(), hinges.weight):
+    kinds, hinge_rows, weights = hinges
+    for kind, rows, weight in zip(kinds.tolist(), hinge_rows.tolist(), weights):
         d = []
         for *x, y in rows:
             total = table[x[0]]
@@ -385,17 +387,17 @@ def hexes(values) -> list[str]:
 
 def joined(emb, *parts):
     """Hinges of every part, their sums padded to one width, in a fixed mixed order."""
-    width = max(part.rows.shape[2] for part in parts)
+    kinds, part_rows, weights = zip(*parts)
+    width = max(rows.shape[2] for rows in part_rows)
 
     def padded(rows):
         pad = np.full((len(rows), 2, width - rows.shape[2]), _zero_row(emb))
         return np.concatenate((rows[..., :-1], pad, rows[..., -1:]), axis=2)
 
-    kind = np.concatenate([part.kind for part in parts])
+    kind = np.concatenate(kinds)
     order = np.random.default_rng(0).permutation(len(kind))
-    rows = np.concatenate([padded(part.rows) for part in parts])
-    weight = np.concatenate([part.weight for part in parts])
-    return Hinges(kind[order], rows[order], weight[order])
+    rows = np.concatenate([padded(rows) for rows in part_rows])
+    return kind[order], rows[order], np.concatenate(weights)[order]
 
 
 def mixed_hinges(emb, active):
@@ -433,7 +435,7 @@ def test_one_active_hinge_of_each_kind(norm, active):
     emb = edge_table(active)
     hinges = mixed_hinges(emb, active)
     losses, update = assert_matches_oracle(emb, hinges, TrainingConfig(norm=norm, **EDGE_CFG))
-    kinds = hinges.kind[losses > 0.0]
+    kinds = hinges[0][losses > 0.0]
     assert sorted(kinds.tolist()) == [TRIPLE, PATH, RELPAIR]
     assert len(update.entity_rows) and len(update.relation_rows)
 
@@ -460,7 +462,7 @@ def test_nan_loss_stays_active(norm):
     cfg = TrainingConfig(norm=norm, **EDGE_CFG)
     losses, update = assert_matches_oracle(emb, hinges, cfg)
     nan = np.isnan(losses)
-    assert nan.sum() == 1 and hinges.kind[nan] == TRIPLE
+    assert nan.sum() == 1 and hinges[0][nan] == TRIPLE
     # its rows, h, r and t and the negative's t', all take a NaN
     rows = update.entity_rows.tolist()
     assert all(np.isnan(update.entity[rows.index(e)]).any() for e in (0, 2, 5))
@@ -487,7 +489,8 @@ def test_zero_norm_side_takes_zero_subgradient(norm):
     cfg = TrainingConfig(norm=norm, **EDGE_CFG)
     losses, update = assert_matches_oracle(emb, hinges, cfg)
     assert (losses > 0.0).all()
-    d = hinge_table(emb)[hinges.rows[:, 0, :2]].sum(axis=1) - hinge_table(emb)[hinges.rows[:, 0, 2]]
+    rows = hinges[1]
+    d = hinge_table(emb)[rows[:, 0, :2]].sum(axis=1) - hinge_table(emb)[rows[:, 0, 2]]
     assert dissimilarity(d, norm).tolist() == [0.0, 0.0 if norm == "L2" else 1e-200]
     if norm == "L2":  # entity 3 is the positive tail alone: its only subgradient is 0
         assert hexes(update.entity[update.entity_rows.tolist().index(3)]) == ["0x0.0p+0"] * 6
@@ -842,7 +845,7 @@ def run_transe_reduction(n_batches_to_run=10):
         perm = shuffle.permutation(len(triples))
         for chunk in np.array_split(perm, cfg.n_batches):
             batch = [triples[i] for i in chunk]
-            _, grads = loss_and_gradients(plan.span(sampler, [chunk]).layout.batches()[0], hinge_table(emb))
+            _, grads = loss_and_gradients(plan.span(sampler, [chunk]).layout, 0, hinge_table(emb))
             apply_update(grads, emb, cfg.lr)
             project_entities(emb)
 
@@ -881,8 +884,8 @@ def test_train_skipping_empty_updates_matches_full_projection(toy_kg, monkeypatc
     cfg = TrainingConfig(dim=16, epochs=12, n_batches=300, seed=2, lr=0.2, norm=norm)
     real, skipped = training.loss_and_gradients, []
 
-    def counted(batch, table):
-        losses, update = real(batch, table)
+    def counted(layout, b, table):
+        losses, update = real(layout, b, table)
         skipped.append(not len(update.entity_rows) and not len(update.relation_rows))
         return losses, update
 
@@ -1253,18 +1256,19 @@ def test_train_keeps_its_bits_with_the_default_pipe(toy_kg, monkeypatch):
 
 
 def test_finished_span_is_freed_before_the_next_arrives(toy_kg, monkeypatch, tmp_path):
-    """No batch of a span is alive in train when the next span arrives, in the
-    same epoch or the next; and the planner process plans a span only once train
-    has asked for the one before it, so it is never more than one span ahead."""
+    """No span's ``HingeLayout`` is alive in train when the next span arrives, in
+    the same epoch or the next; and the planner process plans a span only once
+    train has asked for the one before it, so it is never more than one span
+    ahead."""
     kg, ps = toy_kg, extract_paths(toy_kg, 2)
     index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
                          ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
     cfg = TrainingConfig(dim=8, epochs=2, n_batches=20, seed=4, lr=0.05)
-    refs, alive = [], []  # weak references to the last span's batches
+    refs, alive = [], []  # a weak reference to the last span's layout
     # one line per event, appended by both processes: "plan" as the planner
     # starts a span, "ask" as train asks for the next one
     log = os.open(tmp_path / "events", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    real_span, real_receive, real_batches = TrainPlan.span, SpanPlanner.receive, HingeLayout.batches
+    real_span, real_receive = TrainPlan.span, SpanPlanner.receive
 
     def span(plan, sampler, batches):
         os.write(log, b"plan\n")
@@ -1275,16 +1279,11 @@ def test_finished_span_is_freed_before_the_next_arrives(toy_kg, monkeypatch, tmp
         os.write(log, b"ask\n")
         received = real_receive(planner)
         alive.append(sum(ref() is not None for ref in refs))
+        refs[:] = [weakref.ref(received.layout)]
         return received
-
-    def batches(layout):
-        views = real_batches(layout)
-        refs[:] = map(weakref.ref, views)
-        return views
 
     monkeypatch.setattr(TrainPlan, "span", span)
     monkeypatch.setattr(SpanPlanner, "receive", receive)
-    monkeypatch.setattr(HingeLayout, "batches", batches)
     monkeypatch.setattr(training, "_SPAN_DRAWS", 256)
     try:
         train(kg, ps, index, cfg)
@@ -1327,10 +1326,10 @@ def test_train_joins_its_planner_process(toy_kg, monkeypatch, capfd, failure):
     calls = itertools.count()
     real_loss, real_span = training.loss_and_gradients, TrainPlan.span
 
-    def loss(batch, table):
+    def loss(layout, b, table):
         if next(calls) == 5:
             raise KeyError("in the batch loop")
-        return real_loss(batch, table)
+        return real_loss(layout, b, table)
 
     def span(plan, sampler, batches):
         if next(calls) == 5:
@@ -1370,14 +1369,14 @@ def test_epoch_counts_match_the_batch(case):
     emb = init_embeddings(kg, cfg)
     perm = np.random.default_rng(cfg.seed + 2).permutation(len(kg.train))
     plan = TrainPlan(kg, ps, index, cfg)
-    batch = plan.span(NegativeSampler(kg, seed=cfg.seed + 1), [perm]).layout.batches()[0]
-    losses, update = loss_and_gradients(batch, hinge_table(emb))
+    layout = plan.span(NegativeSampler(kg, seed=cfg.seed + 1), [perm]).layout
+    losses, update = loss_and_gradients(layout, 0, hinge_table(emb))
     draws = [3 * len(kg.train), plan.n_paths.sum(), plan.n_deduced.sum()]
     for kind, term in enumerate(TERMS):
-        hinges = np.count_nonzero(batch.kind == kind)
+        hinges = np.count_nonzero(layout.kind == kind)
         assert counts[term]["draws"] == draws[kind]
         assert counts[term]["hinges"] == hinges == draws[kind] - counts[term]["giveups"]
-        assert counts[term]["active"] == np.count_nonzero(losses[batch.kind == kind] > 0.0)
+        assert counts[term]["active"] == np.count_nonzero(losses[layout.kind == kind] > 0.0)
     assert 0 < counts["triple"]["active"] < counts["triple"]["hinges"]
     assert (counts["triple"]["giveups"] > 0) == (case == "saturated")
     assert min(draws) > 0 or case == "saturated"
