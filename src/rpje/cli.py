@@ -170,7 +170,8 @@ def cmd_extract_paths(cfg: RunConfig) -> int:
     start = time.perf_counter()
     ps = _extract_paths(cfg, graph, graph.dataset_hash(), stats)
     seconds = time.perf_counter() - start
-    _append_metrics(cfg, "extract-paths", {**asdict(stats), "seconds": seconds})
+    _append_metrics(cfg, "extract-paths",
+                    {**asdict(stats), "seconds": {"total": seconds, "shares": stats.seconds}})
     write_resolved_config(cfg, cfg.path_for("resolved_extract-paths.cfg"))
     print(f"path cache written to {cfg.path_for('paths.bin')}")
     print(f"pairs with paths: {len(ps.heads)}; paths: {ps.n_paths}")

@@ -336,7 +336,9 @@ class EvalStats:
     seconds: dict[str, float] = field(default_factory=dict)
 
     def metrics(self) -> dict:
-        return {"test_pairs": self.test_pairs, **asdict(self.paths), **self.compiled,
+        paths = asdict(self.paths)
+        del paths["seconds"]  # the walk's time is seconds["walk"]
+        return {"test_pairs": self.test_pairs, **paths, **self.compiled,
                 "entity_queries": self.entity_queries, "rescored": self.rescored,
                 "seconds": self.seconds}
 

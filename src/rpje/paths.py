@@ -55,6 +55,18 @@ max_steps hops or ``_JOIN_COST`` per edge into its wanted tails. That bounds
 the kernel's working set, except for a head whose own work exceeds the limit.
 ``extract_paths`` counts each walk's blocks and last-hop edges in ``PathStats``.
 
+Blocks share nothing, so a large walk runs on every CPU the process may run
+on. Its blocks are cut into contiguous shares, one per CPU, at the block
+boundaries nearest even shares of their work, but with no fewer than
+``_SHARE_BLOCKS`` blocks per share: a walk of fewer than 2 * ``_SHARE_BLOCKS``
+blocks stays in one process. So ``explain``'s one-pair walk (one block) never
+splits, and ``eval``'s test-pair walk splits only when it is large. The
+parent walks the first share, and a forked child (``forked``) each other one,
+which sends back its kept arrivals and counts as one message. The parent
+joins every child and merges the shares in block order, so a split walk gives
+the store, the counts and the bits of one in a single process. ``PathStats``
+also keeps each share's walk seconds, parent first.
+
 The kept paths form a ``PathStore``, the one path provider: arrays laid out
 like the ``paths.bin`` body, pairs sorted by (head, tail) with an ``indptr``
 over their paths. ``extract_paths`` builds one for the train pairs, which
@@ -72,14 +84,18 @@ every value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
 
 from __future__ import annotations
 
+import functools
+import os
 import struct
+import time
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import forked
 from .artifacts import read_arrays, write_arrays
 from .kg import AdjacencyCSR, KnowledgeGraph, distinct_groups, distinct_sorted
 
@@ -93,6 +109,11 @@ _BLOCK_EDGES = 1 << 15
 # per block for its extra numpy calls.
 _JOIN_COST = 4
 _JOIN_SETUP = 1 << 10
+# A split walk's blocks per share, at least. A child costs about 6 ms beyond
+# its walk: its fork, its copy-on-write faults and its message. On hub-paths'
+# 3-step walk cut to its first k blocks (2 vCPUs), one process against two
+# shares read 10.3 vs 10.9 ms at k = 6 and 13.3 vs 12.3 ms at k = 8.
+_SHARE_BLOCKS = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,6 +135,8 @@ class PathStats:
     blocks_joined: int = 0       # of them, those whose last hop ran as a join
     last_hop_gathered: int = 0   # edges the last hops gathered
     last_hop_kept: int = 0       # of them, those that carried a share to a wanted tail
+    # per share of the walk, parent first, its seconds walking: not a count
+    seconds: list[float] = field(default_factory=list, compare=False)
 
 
 class _Arrivals(NamedTuple):
@@ -287,8 +310,9 @@ def _propagate(
 
 def _blocks(
     kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: np.ndarray
-) -> list[np.ndarray]:
-    """``heads`` cut into consecutive blocks of about ``_BLOCK_EDGES`` work each.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """``heads`` cut into consecutive blocks of about ``_BLOCK_EDGES`` work each,
+    and the work before each block boundary.
 
     A head's work is its number of walks of 1..max_steps - 1 hops, which bounds
     the edges it expands before the last hop, plus its last hop: its walks of
@@ -296,7 +320,7 @@ def _blocks(
     (``wanted`` holds sorted keys ``head * n_entities + tail``).
     """
     if len(heads) <= 1:
-        return [heads]
+        return [heads], np.zeros(2)  # one block, whose work is not needed
     csr, n_ent = kg.csr, kg.n_entities
     degree = np.diff(csr.indptr)
     source = np.repeat(np.arange(n_ent), degree)
@@ -309,8 +333,31 @@ def _blocks(
         minlength=len(heads),
     )
     work = work[heads] + np.minimum(walks[heads], _JOIN_COST * inward)
-    done = np.cumsum(work) - work
-    return np.split(heads, np.flatnonzero(np.diff(done // _BLOCK_EDGES)) + 1)
+    done = np.append(0.0, np.cumsum(work))
+    starts = np.flatnonzero(np.diff(done[:-1] // _BLOCK_EDGES)) + 1
+    return np.split(heads, starts), done[np.concatenate(([0], starts, [len(heads)]))]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without the call
+        return os.cpu_count() or 1
+
+
+def _shares(done: np.ndarray) -> list[slice]:
+    """Blocks with ``done`` work before each boundary, cut into one share per
+    CPU, but at most one per ``_SHARE_BLOCKS`` blocks: share k ends at the
+    boundary whose work before it is nearest k even shares of the walk's (the
+    earlier of two as near). A share left with no block is dropped."""
+    n_blocks = len(done) - 1
+    n = max(1, min(_cpus(), n_blocks // _SHARE_BLOCKS))
+    goal = done[-1] * np.arange(1, n) / n
+    after = np.searchsorted(done, goal)  # the first boundary at or past each
+    cuts = np.where(goal - done[after - 1] <= done[after] - goal, after - 1, after)
+    cuts = distinct_sorted(np.concatenate(([0], cuts, [n_blocks]))).tolist()
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _pair_starts(found: _Arrivals) -> np.ndarray:
@@ -451,16 +498,14 @@ def extract_paths(
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     wanted = distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1])
     heads = distinct_sorted(wanted // kg.n_entities)
-    counts, found = PathStats(), [_Arrivals.empty(max_steps)]
-    for block in _blocks(kg, heads, max_steps, wanted) if len(heads) else []:
-        want = _Wanted.of_block(wanted, block, kg.n_entities)
-        arrived = _propagate(kg, block, max_steps, want, counts)
-        kept, cut, capped = _select(arrived, cutoff, per_pair_cap)
-        found.append(kept)
-        counts.paths_below_cutoff += cut
-        counts.paths_over_cap += capped
-        counts.blocks += 1
-    found = _Arrivals(*map(np.concatenate, zip(*found)))
+    blocks, done = _blocks(kg, heads, max_steps, wanted) if len(heads) else ([], np.zeros(1))
+    walk = functools.partial(_walk, kg, max_steps, cutoff, per_pair_cap, wanted)
+    parts = _walk_shares(walk, [blocks[share] for share in _shares(done)] or [[]])
+    found = _Arrivals(*map(np.concatenate, zip(*(block for kept, _ in parts for block in kept))))
+    counts = PathStats()
+    for _, share in parts:
+        for f in fields(PathStats):
+            setattr(counts, f.name, getattr(counts, f.name) + getattr(share, f.name))
     store = PathStore.of(found, max_steps, cutoff, per_pair_cap)
     counts.pairs = len(wanted)
     counts.pairs_without_paths = len(wanted) - len(store.heads)
@@ -468,6 +513,64 @@ def extract_paths(
     if stats is not None:
         vars(stats).update(vars(counts))
     return store
+
+
+def _walk(
+    kg: KnowledgeGraph, max_steps: int, cutoff: float, cap: int, wanted: np.ndarray,
+    blocks: list[np.ndarray],
+) -> tuple[list[_Arrivals], PathStats]:
+    """The kept arrivals of each of ``blocks``, in block order, and their counts."""
+    start = time.perf_counter()
+    counts, found = PathStats(), [_Arrivals.empty(max_steps)]
+    for block in blocks:
+        want = _Wanted.of_block(wanted, block, kg.n_entities)
+        arrived = _propagate(kg, block, max_steps, want, counts)
+        kept, cut, capped = _select(arrived, cutoff, cap)
+        found.append(kept)
+        counts.paths_below_cutoff += cut
+        counts.paths_over_cap += capped
+        counts.blocks += 1
+    counts.seconds.append(time.perf_counter() - start)
+    return found, counts
+
+
+def _walk_shares(
+    walk, shares: list[list[np.ndarray]]
+) -> list[tuple[list[_Arrivals], PathStats]]:
+    """``walk`` of each share, in share order: the first here, each other in a
+    forked child (``forked``) that sends its result back as one message. Every
+    child is joined before this returns or raises; on a failure, killed first."""
+    inboxes, processes = [], []
+    try:
+        for share in shares[1:]:
+            inbox, outbox = forked.FORK.Pipe(duplex=False)
+            inboxes.append(inbox)
+            job = functools.partial(_send_walk, walk, share, outbox)
+            processes.append(forked.start("rpje-path-walk", job, outbox, inboxes))
+        parts = [walk(shares[0])]
+        for process, inbox in zip(processes, inboxes):
+            try:
+                parts.append(forked.loads(inbox.recv_bytes()))
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"a path walk process ended without its share (exit code {process.exitcode})"
+                ) from None
+        return parts
+    except BaseException:
+        for process in processes:
+            process.kill()
+        raise
+    finally:
+        for inbox in inboxes:
+            inbox.close()
+        for process in processes:
+            process.join()
+            process.close()
+
+
+def _send_walk(walk, share, outbox) -> None:
+    outbox.send_bytes(forked.dumps(walk(share)))
 
 
 def walk_resources(

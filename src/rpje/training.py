@@ -33,7 +33,7 @@ values it takes, and its hinge. Only rows of -relations go through the
 negation map.
 
 The planner process. None of this depends on the embeddings, so ``train``
-forks one child process per call (``SpanPlanner``; POSIX ``fork`` only), which
+forks one child process per call (``SpanPlanner``, a ``forked`` child), which
 runs ``TrainPlan.spans``: the epoch shuffles, the ``NegativeSampler`` (built
 only there), the draw loop and the span's ``HingeLayout`` arrays. Each span
 crosses a pipe as one pickled message of arrays, and ``loss_and_gradients``
@@ -81,10 +81,8 @@ from __future__ import annotations
 import bisect
 import contextlib
 import fcntl
+import functools
 import itertools
-import multiprocessing
-import os
-import pickle
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -92,6 +90,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import forked
 from .compose import CompiledPaths, Composer
 from .energy import dissimilarity
 from .kg import KnowledgeGraph, Triple
@@ -689,19 +688,16 @@ class SpanPlanner:
     """
 
     def __init__(self, kg: KnowledgeGraph, plan: TrainPlan):
-        fork = multiprocessing.get_context("fork")
-        self._inbox, outbox = fork.Pipe(duplex=False)
+        self._inbox, outbox = forked.FORK.Pipe(duplex=False)
         # a span waits whole in the pipe, not in the child's blocked write; a
         # refused size (or a platform without the call) keeps the default pipe
         with contextlib.suppress(AttributeError, OSError):
             fcntl.fcntl(self._inbox.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        go, self._go = fork.Pipe(duplex=False)
-        self._process = fork.Process(
-            target=_plan_spans, args=(kg, plan, outbox, go, (self._inbox, self._go)),
-            name="rpje-span-planner",
+        go, self._go = forked.FORK.Pipe(duplex=False)
+        self._process = forked.start(
+            "rpje-span-planner", functools.partial(_plan_spans, kg, plan, outbox, go),
+            outbox, (self._inbox, self._go),
         )
-        self._process.start()
-        outbox.close()
         go.close()
         self.planning = 0.0  # the child's seconds in TrainPlan.spans, to the last span received
         self.waits: list[float] = []  # per span received, the seconds ``receive`` waited
@@ -716,10 +712,7 @@ class SpanPlanner:
         self.waits.append(time.perf_counter() - start)
         with contextlib.suppress(BrokenPipeError):  # a child that sent its exception has ended
             self._go.send_bytes(b"")
-        message = pickle.loads(message)
-        if isinstance(message, BaseException):
-            raise message
-        span, self.planning = message
+        span, self.planning = forked.loads(message)
         return span
 
     def close(self) -> None:
@@ -729,34 +722,19 @@ class SpanPlanner:
         self._process.close()
 
 
-def _plan_spans(kg, plan, outbox, go, parent_ends) -> None:
-    """The planner process: sends each span of ``plan.spans(kg)``, then waits
-    for ``go`` before planning the next. Any exception, a closed pipe's
-    included, is sent (if it can be) and ends it. It leaves through
-    ``os._exit``, past multiprocessing's exit path, so it flushes no stdio, runs
-    no exit hook and prints no traceback: the message is its one report."""
-    code = 0
-    try:
-        for end in parent_ends:
-            end.close()
-        spans, planning = plan.spans(kg), 0.0
-        while True:
-            start = time.perf_counter()
-            span = next(spans, None)
-            planning += time.perf_counter() - start
-            if span is None:
-                break
-            outbox.send_bytes(pickle.dumps((span, planning), protocol=5))
-            del span
-            go.recv_bytes()
-    except BaseException as exc:  # the process ends here either way
-        code = 1
-        try:
-            outbox.send_bytes(pickle.dumps(exc, protocol=5))
-        except BaseException:
-            pass  # the parent has closed its end, or the exception does not pickle
-    finally:
-        os._exit(code)
+def _plan_spans(kg, plan, outbox, go) -> None:
+    """The planner process's job (``forked``): sends each span of
+    ``plan.spans(kg)``, then waits for ``go`` before planning the next."""
+    spans, planning = plan.spans(kg), 0.0
+    while True:
+        start = time.perf_counter()
+        span = next(spans, None)
+        planning += time.perf_counter() - start
+        if span is None:
+            return
+        outbox.send_bytes(forked.dumps((span, planning)))
+        del span
+        go.recv_bytes()
 
 
 @dataclass

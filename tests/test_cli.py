@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rpje import cli, evaluation, model
+from rpje import cli, evaluation, forked, model, paths as paths_mod
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from rpje.config import RunConfig, apply_config_file
 from rpje.kg import load_dataset
@@ -18,6 +18,10 @@ from rpje.synthetic import ToyConfig, generate, write_dataset
 
 from conftest import CHECKPOINT, DATASET_CACHE, PATH_CACHE, train_pairs
 from test_paths import _corrupt
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -613,7 +617,10 @@ def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):
         "seconds",
     }
     assert first["command"] == "extract-paths"
-    assert isinstance(first["seconds"], float) and first["seconds"] >= 0
+    seconds = first["seconds"]  # the toy walk is one block, so one share
+    assert set(seconds) == {"total", "shares"} and len(seconds["shares"]) == 1
+    assert all(isinstance(v, float) for v in (seconds["total"], *seconds["shares"]))
+    assert 0 <= seconds["shares"][0] <= seconds["total"]
     counts = {k: v for k, v in first.items() if k not in ("command", "seconds")}
     assert all(isinstance(v, int) for v in counts.values())
     assert counts == {k: v for k, v in second.items() if k not in ("command", "seconds")}
@@ -981,3 +988,49 @@ def test_train_in_a_fresh_interpreter_writes_the_same_checkpoint(toy_dir, tmp_pa
     assert run.stdout == capsys.readouterr().out.replace(str(in_process), str(fresh))
     checkpoint = (in_process / "checkpoint.bin").read_bytes()
     assert (fresh / "checkpoint.bin").read_bytes() == checkpoint
+
+
+def test_split_walk_in_a_fresh_interpreter_writes_the_same_cache(tmp_path, monkeypatch, capsys):
+    """``python -m rpje.cli extract-paths`` on the hub-paths graph, whose 3-step
+    walk of 47 blocks splits across the CPUs of any machine with more than one,
+    writes the ``paths.bin`` bytes, the stdout and the metric counts of an
+    in-process run kept in one process."""
+    _, cfg = workloads.write_workload(workloads.WORKLOADS["hub-paths"], str(tmp_path / "data"))
+    cpus = paths_mod._cpus()
+    in_process, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    monkeypatch.setattr(paths_mod, "_cpus", lambda: 1)
+    assert main(["extract-paths", "--config", cfg, "--out", str(in_process)]) == EXIT_OK
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-m", "rpje.cli", "extract-paths", "--config", cfg, "--out", str(fresh)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout == capsys.readouterr().out.replace(str(in_process), str(fresh))
+    assert (fresh / "paths.bin").read_bytes() == (in_process / "paths.bin").read_bytes()
+    one, split = (json.loads((out / "metrics.jsonl").read_text()) for out in (in_process, fresh))
+    assert one["blocks"] == 47 and len(one["seconds"]["shares"]) == 1
+    assert (len(split["seconds"]["shares"]) > 1) == (cpus > 1)
+    assert {**one, "seconds": None} == {**split, "seconds": None}
+
+
+def test_small_walks_start_no_process(toy_dir, tmp_path, monkeypatch):
+    """With every fork but the span planner's refused, the toy pipeline and
+    ``explain`` still exit 0: their walks, the one-pair walk among them, are
+    too small to split, and ``train`` forks its planner alone."""
+    _, files = toy_dir
+    common = [*data_flags(files), "--out", str(tmp_path), "--dim", "16", "--epochs", "2"]
+    real_start, started = forked.start, []
+
+    def start(name, *args):
+        started.append(name)
+        if name != "rpje-span-planner":
+            raise AssertionError(f"{name} was forked")
+        return real_start(name, *args)
+
+    monkeypatch.setattr(forked, "start", start)
+    for command in ("encode-rules", "extract-paths", "train", "eval"):
+        assert main([command, *common]) == EXIT_OK, command
+    assert main(["explain", *common, "country_0", "country_1"]) == EXIT_OK
+    assert started == ["rpje-span-planner"]

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+import time
 from unittest import mock
 
 import numpy as np
@@ -292,16 +296,19 @@ LAST_HOP_FORMS = {"join": lambda inward, outward: True, "expand": lambda inward,
     cutoff=st.sampled_from([0.0, 0.05, 0.25, 0.5]),
     cap=st.sampled_from([0, 1, 2, 3, 200]),
     block_edges=st.sampled_from([1, 6, 1 << 17]),
+    cpus=st.sampled_from([1, 2, 3]),
 )
 @settings(max_examples=150, deadline=None)
-def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_edges):
+def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_edges, cpus):
     """Every walk equals the dict walk bit for bit, with either form of the last
     hop forced: same pairs, same order, same float.hex. That is the train-pair
     walk, each head's arrivals, each pair's one-pair walk and one walk of every
     pair, asked for in shuffled order with repeats; one entity, only in the test
     split, has no edges, and every pair includes head == tail. Cutoffs 0.25 and
     0.5 are reliabilities the walk hits exactly; a block limit of 1 or 6 edges
-    gives blocks smaller than one head's work."""
+    gives blocks smaller than one head's work. A walk of several blocks is
+    split into up to ``cpus`` shares, one block each at the least, so 2 and 3
+    CPUs walk it in forked children; each walk counts every block once."""
     kg = make_kg(edges, test=[("n0", "p", "lonely")])
     expected, below, over = oracle_extract(kg, max_steps, cutoff, cap)
     everywhere, reached_from = {}, {}
@@ -313,9 +320,13 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
                 reached_from[h][t] = everywhere[(h, t)] = paths
     pairs = [(h, t) for h in range(kg.n_entities) for t in range(kg.n_entities)]
     asked = [pairs[i] for i in np.random.default_rng(len(edges)).permutation(len(pairs))]
+    heads = np.unique(kg.train_ids[:, 0])
+    wanted = np.unique(kg.train_ids[:, 0] * kg.n_entities + kg.train_ids[:, 2])
     for form, joins in LAST_HOP_FORMS.items():
         with mock.patch.object(paths_mod, "_BLOCK_EDGES", block_edges), \
-                mock.patch.object(paths_mod, "_joins", joins):
+                mock.patch.object(paths_mod, "_joins", joins), \
+                mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1), \
+                mock.patch.object(paths_mod, "_cpus", lambda: cpus):
             stats = PathStats()
             ps = extract_paths(kg, max_steps, cutoff, cap, stats)
             finder = PathFinder(kg, max_steps, cutoff, cap)
@@ -326,6 +337,9 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
             assert (stats.paths, stats.paths_below_cutoff, stats.paths_over_cap) == (
                 ps.n_paths, below, over
             )
+            blocks, _ = paths_mod._blocks(kg, heads, max_steps, wanted)
+            assert stats.blocks == len(blocks)
+            assert 1 <= len(stats.seconds) <= min(cpus, len(blocks))
             for h in range(kg.n_entities):
                 assert exact(finder.arrivals(h)) == exact(reached_from[h])
                 for t in range(kg.n_entities):
@@ -338,6 +352,43 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
                 len(pairs), len(pairs) - len(everywhere)
             )
             assert stats.blocks_joined == (stats.blocks if form == "join" else 0)
+
+
+@pytest.mark.parametrize("failure", ["exception", "SIGKILL"])
+def test_failed_share_leaves_no_process_or_pipe(toy_kg, failure):
+    """A share that fails in its child fails the walk: an exception reaches the
+    caller with its type and message, and a child killed by SIGKILL gives a
+    one-line RuntimeError. The walk is split in three; the last child, still
+    walking, is killed, so the walk ends at once. Every child is joined and
+    every pipe closed: the process holds the file descriptors it held before."""
+    parent, real_walk = os.getpid(), paths_mod._walk
+    last_head = int(toy_kg.train_ids[:, 0].max())
+
+    def walk(*args):
+        if os.getpid() != parent:
+            if args[-1][-1][-1] == last_head:
+                time.sleep(60)
+            elif failure == "SIGKILL":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("in a child's share")
+        return real_walk(*args)
+
+    expected = {
+        "exception": pytest.raises(ValueError, match="^in a child's share$"),
+        "SIGKILL": pytest.raises(
+            RuntimeError, match=r"^a path walk process ended without its share \(exit code -9\)$"
+        ),
+    }[failure]
+    descriptors = sorted(os.listdir("/dev/fd"))
+    start = time.perf_counter()
+    with mock.patch.object(paths_mod, "_walk", walk), \
+            mock.patch.object(paths_mod, "_BLOCK_EDGES", 256), \
+            mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1), \
+            mock.patch.object(paths_mod, "_cpus", lambda: 3), expected:
+        extract_paths(toy_kg, 2)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir("/dev/fd")) == descriptors
 
 
 def test_walk_counts_last_hop_work(toy_kg):
@@ -476,7 +527,8 @@ def oracle_work(kg, head, max_steps, tails):
 def test_blocks_split_heads_by_work(toy_kg):
     """Blocks are consecutive runs of heads, and a head starts a new block when
     the work before it crosses a multiple of the limit; a head's last hop counts
-    in its cheaper form, which lowers the total below the work without the join."""
+    in its cheaper form, which lowers the total below the work without the join.
+    The work before each block boundary comes with the blocks."""
     n = toy_kg.n_entities
     pairs = train_pairs(toy_kg)
     heads = np.unique([h for h, _ in pairs])
@@ -489,9 +541,10 @@ def test_blocks_split_heads_by_work(toy_kg):
         starts = [0] + [i for i in range(1, len(heads))
                         if done[i] // limit != done[i - 1] // limit]
         with mock.patch.object(paths_mod, "_BLOCK_EDGES", limit):
-            blocks = paths_mod._blocks(toy_kg, heads, max_steps, keys)
+            blocks, before = paths_mod._blocks(toy_kg, heads, max_steps, keys)
             small = extract_paths(toy_kg, max_steps)
         assert [len(b) for b in blocks] == np.diff(starts + [len(heads)]).tolist()
+        assert before.tolist() == [sum(work[:i]) for i in starts + [len(heads)]]
         assert len(blocks) > 1
         assert np.array_equal(np.concatenate(blocks), heads)
         assert exact(small.pairs) == exact(extract_paths(toy_kg, max_steps).pairs)
