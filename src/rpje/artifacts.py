@@ -5,6 +5,7 @@
 little-endian arrays, each zero-padded to start at a multiple of its item size.
 """
 
+import mmap
 import os
 import struct
 
@@ -23,15 +24,31 @@ def write_arrays(path, magic: bytes, header: struct.Struct, fields: tuple, array
     os.replace(tmp, path)
 
 
+# Files of this many bytes or more are mapped: glibc's default mmap threshold.
+# Memory for a read that large may be handed back to the system when freed, and
+# then every read faults in every page again: about 460 minor faults, and 0.45
+# ms, per ``explain`` on wide-eval (3,392 entities), against about 20 faults
+# mapped. A smaller read comes from memory the heap keeps; mapping a toy file
+# cost about 10 us more.
+_MAP_FROM = 1 << 17
+
+
 def read_arrays(path, magic: bytes, header: struct.Struct, layout, error: type[Exception]):
     """(header fields, arrays) of a ``write_arrays`` file: read-only views of its
     bytes at the (dtype, count) pairs ``layout(fields)`` derives from the header.
 
     Raises ``error`` if the magic differs, if ``layout`` raises it (for a wrong
     version, say), or if the file is shorter or longer than the header says.
+
+    A file of at least ``_MAP_FROM`` bytes is mapped, not read, and the views
+    are of the mapping. ``write_arrays`` replaces a file and never rewrites one
+    in place, so a mapped file keeps its bytes.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        if os.fstat(fh.fileno()).st_size < _MAP_FROM:
+            data = fh.read()
+        else:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     if data[: len(magic)] != magic:
         raise error(f"{path}: not a {magic.decode()} file")
     if len(data) < len(magic) + header.size:

@@ -14,6 +14,20 @@ mask gives both the raw and the filtered rank.
 relations x dim, paths x relations x dim) ``BLOCK_CELLS`` cells at a time, so
 only O(queries) scalars live for the whole split.
 
+Entity queries share nothing, so a large split is ranked on every CPU the
+process may run on. ``rank_entities`` cuts its triples into contiguous
+shares of equal length, one per CPU, but with no fewer than
+``_SHARE_TRIPLES`` triples per share: a split of fewer than 2 *
+``_SHARE_TRIPLES`` triples (the toy's 40, say) stays in one process. The
+float32 scan is built first, so the forked children (``forked.run_shares``)
+share it. The parent ranks the first share, and a child each other one,
+which sends back its raw and filtered ranks, its per-query seconds and its
+exact rescore counts as one message. The parent joins every child and merges
+the shares in triple order; each query's rank depends on its own triple
+alone, so a split ranking gives every rank, count and report of one in a
+single process. ``EvalStats`` also keeps each share's ranking seconds, the
+parent's first.
+
 Entity ranking computes, per block of triples, arrays of s_true (which a
 triple's head and tail query share), of the fixed sides h + r (tail queries)
 and t - r (head queries) with their float32 copies, and of the scan thresholds;
@@ -50,11 +64,13 @@ order gives, bit for bit (that loop is kept as the oracle in
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import forked
 from .compose import Composer
 from .energy import (
     SCAN_LIMIT, SCAN_MAX_DIM, Float32Scan, composed_relations, dissimilarity, path_energy,
@@ -195,10 +211,12 @@ class Scorer:
         return triple_energy(ent, self.emb.relation_vec(r), ent[t], self.norm)
 
     def rank_block(self, triples: np.ndarray, known: dict[str, KnownRanges],
-                   ranks: dict[str, np.ndarray], latencies: list[float]) -> None:
+                   ranks: dict[str, np.ndarray], latencies: list[float],
+                   rescored: list[int]) -> None:
         """Rank the true head and tail of each triple of one block into ``ranks``
         (a raw and a filtered row per slot), given each slot's ``known`` ends per
-        triple; the seconds each query takes are appended to ``latencies``.
+        triple; the seconds each query takes are appended to ``latencies``, and
+        the candidates it rescores exactly to ``rescored``.
 
         The true energies, which a triple's head and tail query share, the fixed
         sides, their float32 copies and the scan thresholds are arrays over the
@@ -240,10 +258,10 @@ class Scorer:
                         # it alone needs no rescore
                         if len(band) != 1 or band[0] != true[i]:
                             rivals[band] = exact(slot, i, band) <= s_true[i]
-                        self.rescored.append(len(band))
+                        rescored.append(len(band))
                     else:
                         rivals = exact(slot, i, slice(None)) <= s_true[i]
-                        self.rescored.append(len(rivals))
+                        rescored.append(len(rivals))
                     rivals[true[i]] = False
                     raw[i] = n = 1 + np.count_nonzero(rivals)
                     filtered[i] = n - np.count_nonzero(rivals[values[start[i]:stop[i]]])
@@ -268,25 +286,68 @@ class Scorer:
         return scores
 
 
+# A split ranking's triples per share, at least. A child costs about 2 ms
+# beyond its ranking (its fork, its copy-on-write faults and its message), and
+# a process's first fork about 2 ms more (multiprocessing's imports). The first
+# k test triples ranked in one process against two shares (2 vCPUs) broke even
+# at k = 64-80 on wide-eval (3,392 entities) and 112-128 on hub-paths (1,696)
+# in a process that had forked before (median of 25 alternating calls), and at
+# k = 96-128 on wide-eval (8.50 vs 8.80 ms at k = 96, 10.64 vs 10.10 ms at 128)
+# and about 160 on hub-paths (7.68 vs 7.73 ms) in a fresh process (median of 7
+# processes each). So a split needs 192 triples: wide-eval's 640 split, while
+# hub-paths' 160 and the toy's 40 do not.
+_SHARE_TRIPLES = 96
+
+
 def rank_entities(
-    scorer: Scorer, kg: KnowledgeGraph, triples: np.ndarray, latencies: list[float] | None = None
+    scorer: Scorer, kg: KnowledgeGraph, triples: np.ndarray, latencies: list[float] | None = None,
+    seconds: list[float] | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(raw, filtered) ranks of the true head and the true tail of each triple
     among all entities, as {"head": (raw, filtered), "tail": (raw, filtered)};
     relation ids may be inverse ids. The seconds each query takes are appended
-    to ``latencies``."""
+    to ``latencies``, and those each share takes, the parent's first, to
+    ``seconds``; ``scorer.rescored`` gains each query's exact rescores.
+
+    The triples are cut into contiguous shares of equal length, one per CPU
+    but at most one per ``_SHARE_TRIPLES`` triples, ranked by
+    ``forked.run_shares`` and merged in triple order."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h, r, t = triples.T
     known = {"head": kg.known_heads(r, t), "tail": kg.known_tails(h, r)}
-    ranks = {slot: np.empty((2, len(triples)), dtype=np.int64) for slot in known}
-    latencies = [] if latencies is None else latencies
-    for a, b in _blocks(len(triples), 4 * scorer.emb.dim):
-        scorer.rank_block(triples[a:b],
-                          {slot: KnownRanges(values, start[a:b], stop[a:b])
+    scorer._prefilter()  # built before any fork, so that every share reads the one scan
+    n = max(1, min(forked.cpus(), len(triples) // _SHARE_TRIPLES))
+    cuts = [len(triples) * k // n for k in range(n + 1)]
+    rank = functools.partial(_rank_share, scorer, triples, known)
+    parts = forked.run_shares("entity ranking", rank,
+                              [slice(a, b) for a, b in zip(cuts, cuts[1:])])
+    for _, share_latencies, rescored, share_seconds in parts:
+        scorer.rescored += rescored
+        if latencies is not None:
+            latencies += share_latencies
+        if seconds is not None:
+            seconds.append(share_seconds)
+    head, tail = np.concatenate([ranks for ranks, *_ in parts], axis=-1)
+    return {"head": (head[0], head[1]), "tail": (tail[0], tail[1])}
+
+
+def _rank_share(
+    scorer: Scorer, triples: np.ndarray, known: dict[str, KnownRanges], share: slice
+) -> tuple[np.ndarray, list[float], list[int], float]:
+    """The ranks of ``triples[share]`` (head and tail, each raw and filtered, by
+    triple), each query's seconds and exact rescores, and the share's seconds."""
+    begin = time.perf_counter()
+    ranks = np.empty((2, 2, share.stop - share.start), dtype=np.int64)
+    latencies: list[float] = []
+    rescored: list[int] = []
+    for a, b in _blocks(ranks.shape[-1], 4 * scorer.emb.dim):
+        rows = slice(share.start + a, share.start + b)
+        scorer.rank_block(triples[rows],
+                          {slot: KnownRanges(values, start[rows], stop[rows])
                            for slot, (values, start, stop) in known.items()},
-                          {slot: slot_ranks[:, a:b] for slot, slot_ranks in ranks.items()},
-                          latencies)
-    return {slot: (raw, filtered) for slot, (raw, filtered) in ranks.items()}
+                          {"head": ranks[0, :, a:b], "tail": ranks[1, :, a:b]},
+                          latencies, rescored)
+    return ranks, latencies, rescored, time.perf_counter() - begin
 
 
 def rank_relations(
@@ -332,8 +393,9 @@ class EvalStats:
     compiled: dict = field(default_factory=dict)  # the walked store's compile summary
     entity_queries: int = 0  # head and tail queries ranked
     rescored: dict[str, int] = field(default_factory=dict)  # their exact rescores: total, max
-    # per stage, and the p50 and p90 of one entity query's ranking time
-    seconds: dict[str, float] = field(default_factory=dict)
+    # per stage, the p50 and p90 of one entity query's ranking time, and the
+    # ranking time of each share of the entity queries, the parent's first
+    seconds: dict[str, float | list[float]] = field(default_factory=dict)
 
     def metrics(self) -> dict:
         paths = asdict(self.paths)
@@ -370,9 +432,11 @@ def evaluate(
     stats.seconds["walk"] = time.perf_counter() - start
     scorer = Scorer(emb, store, index, alpha_paths, norm)
     latencies: list[float] = []
+    shares: list[float] = []
     start = time.perf_counter()
-    entity = rank_entities(scorer, kg, triples, latencies)
+    entity = rank_entities(scorer, kg, triples, latencies, shares)
     stats.seconds["entity_ranking"] = time.perf_counter() - start
+    stats.seconds["entity_shares"] = shares
     latencies.sort()
     for q in (50, 90):  # nearest rank; np.percentile would import numpy.ma (11 ms)
         stats.seconds[f"entity_query_p{q}"] = latencies[-(-len(latencies) * q // 100) - 1]

@@ -61,11 +61,11 @@ boundaries nearest even shares of their work, but with no fewer than
 ``_SHARE_BLOCKS`` blocks per share: a walk of fewer than 2 * ``_SHARE_BLOCKS``
 blocks stays in one process. So ``explain``'s one-pair walk (one block) never
 splits, and ``eval``'s test-pair walk splits only when it is large. The
-parent walks the first share, and a forked child (``forked``) each other one,
-which sends back its kept arrivals and counts as one message. The parent
-joins every child and merges the shares in block order, so a split walk gives
-the store, the counts and the bits of one in a single process. ``PathStats``
-also keeps each share's walk seconds, parent first.
+parent walks the first share, and a forked child (``forked.run_shares``)
+each other one, which sends back its kept arrivals and counts as one
+message. The parent joins every child and merges the shares in block order,
+so a split walk gives the store, the counts and the bits of one in a single
+process. ``PathStats`` also keeps each share's walk seconds, parent first.
 
 The kept paths form a ``PathStore``, the one path provider: arrays laid out
 like the ``paths.bin`` body, pairs sorted by (head, tail) with an ``indptr``
@@ -85,7 +85,6 @@ every value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
 from __future__ import annotations
 
 import functools
-import os
 import struct
 import time
 from collections.abc import Mapping
@@ -338,21 +337,13 @@ def _blocks(
     return np.split(heads, starts), done[np.concatenate(([0], starts, [len(heads)]))]
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without the call
-        return os.cpu_count() or 1
-
-
 def _shares(done: np.ndarray) -> list[slice]:
     """Blocks with ``done`` work before each boundary, cut into one share per
     CPU, but at most one per ``_SHARE_BLOCKS`` blocks: share k ends at the
     boundary whose work before it is nearest k even shares of the walk's (the
     earlier of two as near). A share left with no block is dropped."""
     n_blocks = len(done) - 1
-    n = max(1, min(_cpus(), n_blocks // _SHARE_BLOCKS))
+    n = max(1, min(forked.cpus(), n_blocks // _SHARE_BLOCKS))
     goal = done[-1] * np.arange(1, n) / n
     after = np.searchsorted(done, goal)  # the first boundary at or past each
     cuts = np.where(goal - done[after - 1] <= done[after] - goal, after - 1, after)
@@ -500,7 +491,7 @@ def extract_paths(
     heads = distinct_sorted(wanted // kg.n_entities)
     blocks, done = _blocks(kg, heads, max_steps, wanted) if len(heads) else ([], np.zeros(1))
     walk = functools.partial(_walk, kg, max_steps, cutoff, per_pair_cap, wanted)
-    parts = _walk_shares(walk, [blocks[share] for share in _shares(done)] or [[]])
+    parts = forked.run_shares("path walk", walk, [blocks[share] for share in _shares(done)] or [[]])
     found = _Arrivals(*map(np.concatenate, zip(*(block for kept, _ in parts for block in kept))))
     counts = PathStats()
     for _, share in parts:
@@ -532,45 +523,6 @@ def _walk(
         counts.blocks += 1
     counts.seconds.append(time.perf_counter() - start)
     return found, counts
-
-
-def _walk_shares(
-    walk, shares: list[list[np.ndarray]]
-) -> list[tuple[list[_Arrivals], PathStats]]:
-    """``walk`` of each share, in share order: the first here, each other in a
-    forked child (``forked``) that sends its result back as one message. Every
-    child is joined before this returns or raises; on a failure, killed first."""
-    inboxes, processes = [], []
-    try:
-        for share in shares[1:]:
-            inbox, outbox = forked.FORK.Pipe(duplex=False)
-            inboxes.append(inbox)
-            job = functools.partial(_send_walk, walk, share, outbox)
-            processes.append(forked.start("rpje-path-walk", job, outbox, inboxes))
-        parts = [walk(shares[0])]
-        for process, inbox in zip(processes, inboxes):
-            try:
-                parts.append(forked.loads(inbox.recv_bytes()))
-            except EOFError:
-                process.join()
-                raise RuntimeError(
-                    f"a path walk process ended without its share (exit code {process.exitcode})"
-                ) from None
-        return parts
-    except BaseException:
-        for process in processes:
-            process.kill()
-        raise
-    finally:
-        for inbox in inboxes:
-            inbox.close()
-        for process in processes:
-            process.join()
-            process.close()
-
-
-def _send_walk(walk, share, outbox) -> None:
-    outbox.send_bytes(forked.dumps(walk(share)))
 
 
 def walk_resources(

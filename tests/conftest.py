@@ -1,4 +1,9 @@
+import contextlib
+import multiprocessing
+import os
+import signal
 import struct
+import time
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -25,6 +30,41 @@ def adjacency_by_relation(kg: KnowledgeGraph, e: int) -> dict[int, list[int]]:
 def train_pairs(kg: KnowledgeGraph) -> list[tuple[int, int]]:
     """The distinct (head, tail) pairs of the train split, ascending."""
     return sorted(set(zip(kg.train_ids[:, 0].tolist(), kg.train_ids[:, 2].tolist())))
+
+
+def fail_in_child(parent: int, failure: str, last: bool) -> None:
+    """In a process other than ``parent``: sleep through the ``last`` share,
+    and fail any other by ``failure``, killed by SIGKILL or by raising
+    ValueError("in a child's share")."""
+    if os.getpid() != parent:
+        if last:
+            time.sleep(60)
+        elif failure == "SIGKILL":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise ValueError("in a child's share")
+
+
+@contextlib.contextmanager
+def failed_share(failure: str, what: str):
+    """The split run inside fails as its children do (``fail_in_child``): the
+    child's exception reaches the caller with its type and message, and a child
+    killed by SIGKILL gives a one-line RuntimeError naming ``what``. The run ends
+    at once, though the last child still runs, and leaves no child and no pipe:
+    the process holds the file descriptors it held before."""
+    expected = {
+        "exception": pytest.raises(ValueError, match="^in a child's share$"),
+        "SIGKILL": pytest.raises(
+            RuntimeError,
+            match=rf"^{what}: a child process ended without its share \(exit code -9\)$",
+        ),
+    }[failure]
+    descriptors = sorted(os.listdir("/dev/fd"))
+    start = time.perf_counter()
+    with expected:
+        yield
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir("/dev/fd")) == descriptors
 
 
 class ArtifactFormat(NamedTuple):

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-from rpje import cli, evaluation, forked, model, paths as paths_mod
+from rpje import artifacts, cli, evaluation, forked, model, paths as paths_mod
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from rpje.config import RunConfig, apply_config_file
 from rpje.kg import load_dataset
@@ -445,21 +446,26 @@ def _truncated_copy(pipeline, tmp_path, name, where):
 def test_damaged_artifact_is_refused(pipeline, tmp_path, name, damage):
     """A checkpoint or path cache with a wrong magic or version, cut anywhere, one
     byte too long, or holding a NaN is refused with a message that says which; a
-    damaged dataset cache is a silent miss, rewritten from the split files."""
+    damaged dataset cache is a silent miss, rewritten from the split files.
+    Either way alike whether the file is read, as a toy file is, or mapped, as
+    a file of ``_MAP_FROM`` bytes or more is."""
     out, files, _ = pipeline
     original = (out / name).read_bytes()
     target = tmp_path / name
-    target.write_bytes(_damaged(original, name, damage))
-    if name == "dataset.bin":
-        load_dataset(files["train"], files["valid"], files["test"], cache=target)
-        assert target.read_bytes() == original
-        return
-    load, error = {
-        "checkpoint.bin": (model.load_checkpoint, model.CheckpointError),
-        "paths.bin": (load_path_set, PathCacheError),
-    }[name]
-    with pytest.raises(error, match=DAMAGES[damage]):
-        load(target)
+    assert len(original) < artifacts._MAP_FROM
+    for map_from in (artifacts._MAP_FROM, 1):
+        target.write_bytes(_damaged(original, name, damage))
+        with mock.patch.object(artifacts, "_MAP_FROM", map_from):
+            if name == "dataset.bin":
+                load_dataset(files["train"], files["valid"], files["test"], cache=target)
+                assert target.read_bytes() == original
+            else:
+                load, error = {
+                    "checkpoint.bin": (model.load_checkpoint, model.CheckpointError),
+                    "paths.bin": (load_path_set, PathCacheError),
+                }[name]
+                with pytest.raises(error, match=DAMAGES[damage]):
+                    load(target)
 
 
 @pytest.mark.parametrize("where", ["header", "record", "one byte short", "non-finite value"])
@@ -804,9 +810,9 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
     """eval appends one line: the test pairs, the walk of their paths, the
     store's compile summary, the entity queries and how many candidates they
     rescored exactly, and per-stage seconds with the p50 and p90 of one entity
-    query; its stdout is unchanged. With the float32 prefilter on the toy table
-    or without it, the line differs only in the rescores, and the report not at
-    all."""
+    query and each share's entity ranking seconds; its stdout is unchanged.
+    With the float32 prefilter on the toy table or without it, the line differs
+    only in the rescores, and the report not at all."""
     _, files, fast = pipeline
     out = tmp_path / "out"
     shutil.copytree(pipeline[0], out)
@@ -844,11 +850,16 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
         assert 1 <= line["rescored"]["max"] <= kg.n_entities
         assert line["rescored"]["total"] <= line["entity_queries"] * kg.n_entities
         rescored.append(line["rescored"])
-        assert set(line["seconds"]) == {
+        seconds = dict(line["seconds"])
+        shares = seconds.pop("entity_shares")
+        assert set(seconds) == {
             "walk", "entity_ranking", "relation_ranking", "entity_query_p50", "entity_query_p90",
         }
-        assert all(isinstance(v, float) and v >= 0 for v in line["seconds"].values())
-        assert line["seconds"]["entity_query_p50"] <= line["seconds"]["entity_query_p90"]
+        assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+        assert seconds["entity_query_p50"] <= seconds["entity_query_p90"]
+        # the toy's 40 test triples are ranked in one share
+        assert len(shares) == 1 and isinstance(shares[0], float)
+        assert 0 <= shares[0] <= seconds["entity_ranking"]
     assert outputs[0] == outputs[1]
     assert rescored[0]["total"] < rescored[1]["total"] == 2 * len(kg.test) * kg.n_entities
     assert main(["eval", *data_flags(files), "--out", str(out), *fast, "--alpha1", "0"]) == EXIT_OK
@@ -996,9 +1007,9 @@ def test_split_walk_in_a_fresh_interpreter_writes_the_same_cache(tmp_path, monke
     writes the ``paths.bin`` bytes, the stdout and the metric counts of an
     in-process run kept in one process."""
     _, cfg = workloads.write_workload(workloads.WORKLOADS["hub-paths"], str(tmp_path / "data"))
-    cpus = paths_mod._cpus()
+    cpus = forked.cpus()
     in_process, fresh = tmp_path / "in-process", tmp_path / "fresh"
-    monkeypatch.setattr(paths_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
     assert main(["extract-paths", "--config", cfg, "--out", str(in_process)]) == EXIT_OK
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -1012,6 +1023,38 @@ def test_split_walk_in_a_fresh_interpreter_writes_the_same_cache(tmp_path, monke
     one, split = (json.loads((out / "metrics.jsonl").read_text()) for out in (in_process, fresh))
     assert one["blocks"] == 47 and len(one["seconds"]["shares"]) == 1
     assert (len(split["seconds"]["shares"]) > 1) == (cpus > 1)
+    assert {**one, "seconds": None} == {**split, "seconds": None}
+
+
+def test_split_ranking_in_a_fresh_interpreter_writes_the_same_report(tmp_path, monkeypatch,
+                                                                     capsys):
+    """``python -m rpje.cli eval`` on the wide-eval graph, whose 640 test triples
+    split across the CPUs of any machine with more than one, writes the
+    ``eval_report.csv`` bytes, the stdout and the metric counts of an in-process
+    run kept in one process."""
+    _, cfg = workloads.write_workload(workloads.WORKLOADS["wide-eval"], str(tmp_path / "data"))
+    cpus = forked.cpus()
+    in_process, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    for command in ("encode-rules", "extract-paths", "train"):
+        assert main([command, "--config", cfg, "--out", str(in_process)]) == EXIT_OK
+    shutil.copytree(in_process, fresh)
+    capsys.readouterr()
+    monkeypatch.setattr(forked, "cpus", lambda: 1)
+    assert main(["eval", "--config", cfg, "--out", str(in_process)]) == EXIT_OK
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-m", "rpje.cli", "eval", "--config", cfg, "--out", str(fresh)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout == capsys.readouterr().out
+    report = (in_process / "eval_report.csv").read_bytes()
+    assert (fresh / "eval_report.csv").read_bytes() == report
+    one, split = (json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+                  for out in (in_process, fresh))
+    assert one["entity_queries"] == 2 * 640 and len(one["seconds"]["entity_shares"]) == 1
+    assert (len(split["seconds"]["entity_shares"]) > 1) == (cpus > 1)
     assert {**one, "seconds": None} == {**split, "seconds": None}
 
 

@@ -1,10 +1,12 @@
 import os
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rpje import evaluation, forked
 from rpje.compose import Composer
 from rpje.energy import triple_energy
 from rpje.evaluation import (
@@ -30,7 +32,7 @@ from rpje.rules import ChainRule, build_index
 from rpje.synthetic import GOOD_RULES
 from rpje.training import train
 
-from conftest import make_kg, parse_rule_lines
+from conftest import fail_in_child, failed_share, make_kg, parse_rule_lines
 import oracles
 from oracles import OracleScorer, PathSet, brute_rank, known_triples, store_from_pairs
 from test_paths import exact
@@ -201,11 +203,53 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
     )
     scorer = Scorer(emb, extract_paths(kg, max_steps=2), index, alpha_paths=1.0,
                     norm="L1")
-    for triple in kg.test + kg.train:
-        for slot in ("head", "tail"):
-            raw, filtered = rank_one(scorer, kg, triple, slot)
-            assert raw == brute_rank(scorer, kg, triple, slot, "raw")
-            assert filtered == brute_rank(scorer, kg, triple, slot, "filtered")
+    triples = kg.test + kg.train
+    expected = {slot: [tuple(brute_rank(scorer, kg, triple, slot, setting)
+                             for setting in ("raw", "filtered")) for triple in triples]
+                for slot in ("head", "tail")}
+    for triple, *by_slot in zip(triples, expected["head"], expected["tail"]):
+        for slot, ranks in zip(("head", "tail"), by_slot):
+            assert rank_one(scorer, kg, triple, slot) == ranks
+    # the whole list in one call, with each table scanned in float32 or not, in
+    # one process and split into 2 and 3 shares of one triple at the least
+    for prefilter_from in (Scorer.PREFILTER_FROM, 0):
+        runs = []
+        for cpus in (1, 2, 3):
+            scorer = Scorer(emb, extract_paths(kg, max_steps=2), index, 1.0, "L1")
+            scorer.PREFILTER_FROM = prefilter_from
+            latencies, shares = [], []
+            with mock.patch.object(evaluation, "_SHARE_TRIPLES", 1), \
+                    mock.patch.object(forked, "cpus", lambda: cpus):
+                ranks = rank_entities(scorer, kg, triples, latencies, shares)
+            assert len(shares) == cpus
+            got = {slot: list(zip(raw.tolist(), filtered.tolist()))
+                   for slot, (raw, filtered) in ranks.items()}
+            assert got == expected, (prefilter_from, cpus)
+            assert (scorer._scan is not None) == (prefilter_from == 0)
+            runs.append((scorer.rescored, len(latencies)))
+        assert runs[1] == runs[2] == runs[0]
+        assert runs[0][1] == len(runs[0][0]) == 2 * len(triples)
+
+
+@pytest.mark.parametrize("failure", ["exception", "SIGKILL"])
+def test_failed_ranking_share_leaves_no_process_or_pipe(small_eval_kg, failure):
+    """A share that fails in its child fails the ranking as a failed walk share
+    fails the walk (``failed_share``), and names the ranking. The ranking is
+    split in three; the last child, still ranking, is killed."""
+    kg = small_eval_kg
+    triples = kg.test + kg.train
+    scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2), build_index([], 0.7),
+                    1.0, "L1")
+    parent, real_rank = os.getpid(), evaluation._rank_share
+
+    def rank(*args):
+        fail_in_child(parent, failure, args[-1].stop == len(triples))
+        return real_rank(*args)
+
+    with mock.patch.object(evaluation, "_rank_share", rank), \
+            mock.patch.object(evaluation, "_SHARE_TRIPLES", 1), \
+            mock.patch.object(forked, "cpus", lambda: 3), failed_share(failure, "entity ranking"):
+        rank_entities(scorer, kg, triples)
 
 
 def test_rank_relations_matches_brute_force(small_eval_kg):

@@ -1,14 +1,11 @@
-import multiprocessing
 import os
-import signal
-import time
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpje import paths as paths_mod
+from rpje import forked, paths as paths_mod
 from rpje.paths import (
     Path,
     PathCacheError,
@@ -20,7 +17,9 @@ from rpje.paths import (
     walk_resources,
 )
 
-from conftest import PATH_CACHE, adjacency_by_relation, make_kg, train_pairs
+from conftest import (
+    PATH_CACHE, adjacency_by_relation, fail_in_child, failed_share, make_kg, train_pairs,
+)
 
 
 # --- oracle: PCRA as a dict walk over the adjacency lists ---
@@ -326,7 +325,7 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
         with mock.patch.object(paths_mod, "_BLOCK_EDGES", block_edges), \
                 mock.patch.object(paths_mod, "_joins", joins), \
                 mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1), \
-                mock.patch.object(paths_mod, "_cpus", lambda: cpus):
+                mock.patch.object(forked, "cpus", lambda: cpus):
             stats = PathStats()
             ps = extract_paths(kg, max_steps, cutoff, cap, stats)
             finder = PathFinder(kg, max_steps, cutoff, cap)
@@ -356,39 +355,23 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
 
 @pytest.mark.parametrize("failure", ["exception", "SIGKILL"])
 def test_failed_share_leaves_no_process_or_pipe(toy_kg, failure):
-    """A share that fails in its child fails the walk: an exception reaches the
-    caller with its type and message, and a child killed by SIGKILL gives a
-    one-line RuntimeError. The walk is split in three; the last child, still
-    walking, is killed, so the walk ends at once. Every child is joined and
-    every pipe closed: the process holds the file descriptors it held before."""
+    """A share that fails in its child fails the walk (``failed_share``): an
+    exception reaches the caller with its type and message, and a child killed
+    by SIGKILL gives a one-line RuntimeError. The walk is split in three; the
+    last child, still walking, is killed, so the walk ends at once. Every child
+    is joined and every pipe closed."""
     parent, real_walk = os.getpid(), paths_mod._walk
     last_head = int(toy_kg.train_ids[:, 0].max())
 
     def walk(*args):
-        if os.getpid() != parent:
-            if args[-1][-1][-1] == last_head:
-                time.sleep(60)
-            elif failure == "SIGKILL":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise ValueError("in a child's share")
+        fail_in_child(parent, failure, args[-1][-1][-1] == last_head)
         return real_walk(*args)
 
-    expected = {
-        "exception": pytest.raises(ValueError, match="^in a child's share$"),
-        "SIGKILL": pytest.raises(
-            RuntimeError, match=r"^a path walk process ended without its share \(exit code -9\)$"
-        ),
-    }[failure]
-    descriptors = sorted(os.listdir("/dev/fd"))
-    start = time.perf_counter()
     with mock.patch.object(paths_mod, "_walk", walk), \
             mock.patch.object(paths_mod, "_BLOCK_EDGES", 256), \
             mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1), \
-            mock.patch.object(paths_mod, "_cpus", lambda: 3), expected:
+            mock.patch.object(forked, "cpus", lambda: 3), failed_share(failure, "path walk"):
         extract_paths(toy_kg, 2)
-    assert time.perf_counter() - start < 30
-    assert multiprocessing.active_children() == []
-    assert sorted(os.listdir("/dev/fd")) == descriptors
 
 
 def test_walk_counts_last_hop_work(toy_kg):
