@@ -287,15 +287,17 @@ class Scorer:
 
 
 # A split ranking's triples per share, at least. A child costs about 2 ms
-# beyond its ranking (its fork, its copy-on-write faults and its message), and
-# a process's first fork about 2 ms more (multiprocessing's imports). The first
-# k test triples ranked in one process against two shares (2 vCPUs) broke even
-# at k = 64-80 on wide-eval (3,392 entities) and 112-128 on hub-paths (1,696)
-# in a process that had forked before (median of 25 alternating calls), and at
-# k = 96-128 on wide-eval (8.50 vs 8.80 ms at k = 96, 10.64 vs 10.10 ms at 128)
-# and about 160 on hub-paths (7.68 vs 7.73 ms) in a fresh process (median of 7
-# processes each). So a split needs 192 triples: wide-eval's 640 split, while
-# hub-paths' 160 and the toy's 40 do not.
+# beyond its ranking (its fork, its copy-on-write faults and its message). The
+# first k test triples ranked in one process against two shares (2 vCPUs) broke
+# even at k = 64-80 on wide-eval (3,392 entities) and 112-128 on hub-paths
+# (1,696) in a process that had forked before (median of 25 alternating calls),
+# and at k = 96-128 on wide-eval (8.50 vs 8.80 ms at k = 96, 10.64 vs 10.10 ms
+# at 128) and about 160 on hub-paths (7.68 vs 7.73 ms) in a fresh process
+# (median of 7 processes each). These figures were measured when children
+# started through the standard library's process package, whose imports cost a
+# process's first fork about 2 ms more; ``forked.Child`` imports nothing. So a
+# split needs 192 triples: wide-eval's 640 split, while hub-paths' 160 and the
+# toy's 40 do not.
 _SHARE_TRIPLES = 96
 
 

@@ -33,20 +33,21 @@ values it takes, and its hinge. Only rows of -relations go through the
 negation map.
 
 The planner process. None of this depends on the embeddings, so ``train``
-forks one child process per call (``SpanPlanner``, a ``forked`` child), which
+forks one child process per call (``SpanPlanner``, a ``forked.Child``), which
 runs ``TrainPlan.spans``: the epoch shuffles, the ``NegativeSampler`` (built
 only there), the draw loop and the span's ``HingeLayout`` arrays. Each span
-crosses a pipe as one pickled message of arrays, and ``loss_and_gradients``
-slices each batch's hinges and slots out of the span's ``HingeLayout`` by
-their bounds, so no per-batch object crosses. The pipe is asked for
-``_PIPE_BYTES`` before the fork (Linux ``F_SETPIPE_SZ``), so a span's message
-waits whole in it; where that is refused, the default pipe carries it in
-several turns, to the same bits. The child plans span k + 1 while ``train``
-runs the batches of span k, and starts it only once span k has been received:
-it is never more than one span ahead. ``train`` joins it before it returns or
-raises; an exception while planning is raised by ``train``. The child inherits
-the plan from the fork and sends only spans, so the bits are those of planning
-in-process.
+crosses the child's pipe as one pickled message of arrays, and
+``loss_and_gradients`` slices each batch's hinges and slots out of the span's
+``HingeLayout`` by their bounds, so no per-batch object crosses. The pipe is
+asked for ``_PIPE_BYTES`` right after the fork (Linux ``F_SETPIPE_SZ``), so a
+span's message waits whole in it; where that is refused, the default pipe
+carries it in several turns, to the same bits. The child plans span k + 1
+while ``train`` runs the batches of span k, and starts it only once span k has
+been received, which a byte on a second pipe (the go pipe) tells it: it is
+never more than one span ahead. ``train`` closes both pipes and waits for it
+before it returns or raises; an exception while planning is raised by
+``train``. The child inherits the plan from the fork and sends only spans, so
+the bits are those of planning in-process.
 
 The fused pass. Every hinge is
     scale * [margin + w+ ||sum x+ - y+|| - w- ||sum x- - y-||]_+
@@ -83,6 +84,7 @@ import contextlib
 import fcntl
 import functools
 import itertools
+import os
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -677,54 +679,49 @@ class EpochCounts:
 
 
 class SpanPlanner:
-    """The run's spans, planned by ``TrainPlan.spans`` in a forked child process.
+    """The run's spans, planned by ``TrainPlan.spans`` in a ``forked.Child``.
 
-    The child sends each span as one message, a pickled (span, planning
-    seconds so far) pair, and plans the next span only once this side has
-    received the one before: it stays at most one span ahead of the batch loop.
-    An exception while planning is sent in place of a span and raised by
-    ``receive``. ``close`` closes both pipes, which ends a child still planning,
-    and joins it.
+    The child sends each span as one message, a (span, planning seconds so
+    far) pair, and plans the next span only once this side has received the
+    one before and written a byte to the go pipe: it stays at most one span
+    ahead of the batch loop. An exception while planning is sent in place of a
+    span and raised by ``receive``. ``close`` closes both pipes, which ends a
+    child still planning, and waits for it.
     """
 
     def __init__(self, kg: KnowledgeGraph, plan: TrainPlan):
-        self._inbox, outbox = forked.FORK.Pipe(duplex=False)
+        go, self._go = os.pipe()
+        try:
+            self._child = forked.Child(
+                "span planner", functools.partial(_plan_spans, kg, plan, go), (self._go,)
+            )
+        finally:
+            os.close(go)
         # a span waits whole in the pipe, not in the child's blocked write; a
         # refused size (or a platform without the call) keeps the default pipe
         with contextlib.suppress(AttributeError, OSError):
-            fcntl.fcntl(self._inbox.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        go, self._go = forked.FORK.Pipe(duplex=False)
-        self._process = forked.start(
-            "rpje-span-planner", functools.partial(_plan_spans, kg, plan, outbox, go),
-            outbox, (self._inbox, self._go),
-        )
-        go.close()
+            fcntl.fcntl(self._child.inbox.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         self.planning = 0.0  # the child's seconds in TrainPlan.spans, to the last span received
         self.waits: list[float] = []  # per span received, the seconds ``receive`` waited
 
     def receive(self) -> Span:
         """The next span."""
         start = time.perf_counter()
-        try:
-            message = self._inbox.recv_bytes()
-        except EOFError:
-            raise RuntimeError("the span planner process ended before the run's last span") from None
+        span, self.planning = self._child.receive()
         self.waits.append(time.perf_counter() - start)
-        with contextlib.suppress(BrokenPipeError):  # a child that sent its exception has ended
-            self._go.send_bytes(b"")
-        span, self.planning = forked.loads(message)
+        with contextlib.suppress(BrokenPipeError):  # a child that was killed has ended
+            os.write(self._go, b"\0")
         return span
 
     def close(self) -> None:
-        self._inbox.close()
-        self._go.close()
-        self._process.join()
-        self._process.close()
+        os.close(self._go)  # first: a child waiting for the go byte ends
+        self._child.close()
 
 
-def _plan_spans(kg, plan, outbox, go) -> None:
-    """The planner process's job (``forked``): sends each span of
-    ``plan.spans(kg)``, then waits for ``go`` before planning the next."""
+def _plan_spans(kg, plan, go, send) -> None:
+    """The planner process's job (``forked.Child``): sends each span of
+    ``plan.spans(kg)``, then waits for a byte on ``go`` before planning the
+    next; a closed ``go`` ends it."""
     spans, planning = plan.spans(kg), 0.0
     while True:
         start = time.perf_counter()
@@ -732,9 +729,10 @@ def _plan_spans(kg, plan, outbox, go) -> None:
         planning += time.perf_counter() - start
         if span is None:
             return
-        outbox.send_bytes(forked.dumps((span, planning)))
+        send((span, planning))
         del span
-        go.recv_bytes()
+        if not os.read(go, 1):
+            return
 
 
 @dataclass

@@ -1,5 +1,4 @@
 import contextlib
-import multiprocessing
 import os
 import signal
 import struct
@@ -32,6 +31,13 @@ def train_pairs(kg: KnowledgeGraph) -> list[tuple[int, int]]:
     return sorted(set(zip(kg.train_ids[:, 0].tolist(), kg.train_ids[:, 2].tolist())))
 
 
+def assert_no_child() -> None:
+    """This process has no child process, running or ended and not yet waited
+    for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def fail_in_child(parent: int, failure: str, last: bool) -> None:
     """In a process other than ``parent``: sleep through the ``last`` share,
     and fail any other by ``failure``, killed by SIGKILL or by raising
@@ -55,7 +61,7 @@ def failed_share(failure: str, what: str):
         "exception": pytest.raises(ValueError, match="^in a child's share$"),
         "SIGKILL": pytest.raises(
             RuntimeError,
-            match=rf"^{what}: a child process ended without its share \(exit code -9\)$",
+            match=rf"^{what}: a child process ended without its message \(exit code -9\)$",
         ),
     }[failure]
     descriptors = sorted(os.listdir("/dev/fd"))
@@ -63,7 +69,7 @@ def failed_share(failure: str, what: str):
     with expected:
         yield
     assert time.perf_counter() - start < 30
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     assert sorted(os.listdir("/dev/fd")) == descriptors
 
 

@@ -1064,16 +1064,16 @@ def test_small_walks_start_no_process(toy_dir, tmp_path, monkeypatch):
     too small to split, and ``train`` forks its planner alone."""
     _, files = toy_dir
     common = [*data_flags(files), "--out", str(tmp_path), "--dim", "16", "--epochs", "2"]
-    real_start, started = forked.start, []
+    real_child, started = forked.Child, []
 
-    def start(name, *args):
-        started.append(name)
-        if name != "rpje-span-planner":
-            raise AssertionError(f"{name} was forked")
-        return real_start(name, *args)
+    def child(what, *args):
+        started.append(what)
+        if what != "span planner":
+            raise AssertionError(f"{what} was forked")
+        return real_child(what, *args)
 
-    monkeypatch.setattr(forked, "start", start)
+    monkeypatch.setattr(forked, "Child", child)
     for command in ("encode-rules", "extract-paths", "train", "eval"):
         assert main([command, *common]) == EXIT_OK, command
     assert main(["explain", *common, "country_0", "country_1"]) == EXIT_OK
-    assert started == ["rpje-span-planner"]
+    assert started == ["span planner"]

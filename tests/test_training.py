@@ -2,7 +2,6 @@ import contextlib
 import errno
 import fcntl
 import itertools
-import multiprocessing
 import os
 import pickle
 import signal
@@ -35,7 +34,7 @@ from rpje.training import (
     train,
 )
 
-from conftest import make_kg
+from conftest import assert_no_child, make_kg
 from oracles import (
     batch_parts, compose_embedding, mask_row_sums, path_weight, residual_matrix, store_from_pairs,
     triple_set,
@@ -1314,10 +1313,11 @@ def within(seconds):
 
 @pytest.mark.parametrize("failure", [None, "divergence", "batch loop", "planning"])
 def test_train_joins_its_planner_process(toy_kg, monkeypatch, capfd, failure):
-    """train joins its planner process before it returns or raises: after a run,
-    a divergence, an exception in the batch loop, and an exception while
-    planning, which reaches the caller with its type and message, and only
-    there: the planner writes nothing to stdout or stderr."""
+    """train waits for its planner process and closes both its pipes before it
+    returns or raises: after a run, a divergence, an exception in the batch
+    loop, and an exception while planning, which reaches the caller with its
+    type and message, and only there: the planner writes nothing to stdout or
+    stderr. The process holds the file descriptors it held before."""
     kg, ps = toy_kg, extract_paths(toy_kg, 2)
     index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
                          ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
@@ -1347,10 +1347,38 @@ def test_train_joins_its_planner_process(toy_kg, monkeypatch, capfd, failure):
         "batch loop": pytest.raises(KeyError, match="^'in the batch loop'$"),
         "planning": pytest.raises(ValueError, match="^while planning$"),
     }[failure]
+    descriptors = sorted(os.listdir("/dev/fd"))
     with within(60), expected:
         train(kg, ps, index, cfg)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
+    assert sorted(os.listdir("/dev/fd")) == descriptors
     assert capfd.readouterr() == ("", "")
+
+
+def test_train_raises_when_its_planner_is_killed(toy_kg, monkeypatch):
+    """A planner process killed by SIGKILL while it plans the run's third span
+    fails train with one line that names the planner and its exit code, and
+    leaves no child and no pipe."""
+    kg, ps = toy_kg, extract_paths(toy_kg, 2)
+    index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9)], 0.0)
+    cfg = TrainingConfig(dim=8, epochs=3, n_batches=20, seed=4, lr=0.05)
+    parent, calls, real_span = os.getpid(), itertools.count(), TrainPlan.span
+
+    def span(plan, sampler, batches):
+        if os.getpid() != parent and next(calls) == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_span(plan, sampler, batches)
+
+    monkeypatch.setattr(TrainPlan, "span", span)
+    monkeypatch.setattr(training, "_SPAN_DRAWS", 256)
+    descriptors = sorted(os.listdir("/dev/fd"))
+    with within(60), pytest.raises(
+        RuntimeError, match=r"^span planner: a child process ended without its message "
+                            r"\(exit code -9\)$"
+    ):
+        train(kg, ps, index, cfg)
+    assert_no_child()
+    assert sorted(os.listdir("/dev/fd")) == descriptors
 
 
 @pytest.mark.parametrize("case", ["oracle", "saturated"])
