@@ -14,19 +14,23 @@ mask gives both the raw and the filtered rank.
 relations x dim, paths x relations x dim) ``BLOCK_CELLS`` cells at a time, so
 only O(queries) scalars live for the whole split.
 
-Entity queries share nothing, so a large split is ranked on every CPU the
-process may run on. ``rank_entities`` cuts its triples into contiguous
-shares of equal length, one per CPU, but with no fewer than
-``_SHARE_TRIPLES`` triples per share: a split of fewer than 2 *
-``_SHARE_TRIPLES`` triples (the toy's 40, say) stays in one process. The
+Entity queries share nothing, with each other or with the path side (the
+walk of the test pairs, the ``Scorer`` of their store and the relation
+ranking), so they are ranked on every CPU the process may run on.
+``rank_entities`` cuts its triples into contiguous shares of equal length, one
+per CPU, but with no fewer than ``_SHARE_TRIPLES`` triples per share. The
 float32 scan is built first, so the forked children (``forked.run_shares``)
-share it. The parent ranks the first share, and a child each other one,
-which sends back its raw and filtered ranks, its per-query seconds and its
-exact rescore counts as one message. The parent joins every child and merges
-the shares in triple order; each query's rank depends on its own triple
-alone, so a split ranking gives every rank, count and report of one in a
-single process. ``EvalStats`` also keeps each share's ranking seconds, the
-parent's first.
+share it. A child sends back its raw and filtered ranks, its per-query seconds
+and its exact rescore counts as one message, and the parent joins every child
+and merges the shares in triple order. Where the shares would leave a CPU idle
+(``_SHARE_TRIPLES`` triples or more, but fewer than a share per CPU) and there
+is a path term, ``evaluate`` has a child rank each share while it runs the path
+side: hub-paths' 160 test triples, on 2 CPUs. Otherwise it walks first, ranks
+the first share while a child ranks each other one, then ranks relations: a
+split of fewer than ``_SHARE_TRIPLES`` triples (the toy's 40) stays in one
+process, and wide-eval's 640 split in two on 2 CPUs. Each query's rank depends
+on its own triple alone, so every arrangement gives every rank, count and
+report of one process.
 
 Entity ranking computes, per block of triples, arrays of s_true (which a
 triple's head and tail query share), of the fixed sides h + r (tail queries)
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -140,52 +145,19 @@ def _ranks(
     return raw, raw - np.bincount(row[rivals[row, known.values[at]]], minlength=len(rows))
 
 
-class Scorer:
-    """E1-scoring of candidate entities, and Q-scoring of candidate relations
-    against trained embeddings and the paths of the pairs in ``store``.
-
-    The store is compiled once, here (``Composer.compile``): the scorer keeps
-    the compiled paths (``paths``) and C(p) per distinct residual.
+class EntityScorer:
+    """The entity side of a ``Scorer``: E1-ranking of entity queries against
+    trained embeddings (``rank_block``), with the float32 scan of the entity
+    table and each query's exact rescores (``rescored``). It needs no paths, so
+    ``evaluate`` can rank entities before the test pairs' store exists.
     """
 
-    def __init__(
-        self,
-        emb: EmbeddingTable,
-        store: PathStore,
-        index: RuleIndex,
-        alpha_paths: float = TrainingConfig.alpha_paths,
-        norm: str = TrainingConfig.norm,
-    ):
+    def __init__(self, emb: EmbeddingTable, norm: str = TrainingConfig.norm):
         self.emb = emb
-        self.store = store
-        self.alpha = alpha_paths
         self.norm = norm
         self._scan: Float32Scan | None = None  # of the entity table, on first use
         self._relation_sizes: np.ndarray | None = None  # sum |r| per base relation, with it too
         self.rescored: list[int] = []  # candidates rescored exactly, per entity query
-        self.paths = Composer(index).compile(store)
-        self._composed = composed_relations(signed_relations(emb), self.paths.residuals)
-
-    def path_penalty(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-        """Per pair i and base relation r, the sum of E2(p, r) over the paths
-        ``start[i]:stop[i]`` of the store, pair i's range: pairs x base relations.
-
-        Each sum adds its pair's path energies in store order starting from 0.0,
-        as a loop of += over the pair's paths does: ``np.bincount`` adds in input
-        order, and each of its bins is one pair and relation.
-        """
-        n, dim = self.emb.relations.shape
-        pair, paths = _ranges(start, stop - start)
-        residual, weight = self.paths.residual_id[paths], self.paths.weight[paths]
-        energies = np.empty((len(paths), n))
-        for a, b in _blocks(len(paths), n * dim):
-            energies[a:b] = path_energy(weight[a:b, None], self._composed[residual[a:b], None],
-                                        self.emb.relations, self.norm)
-        slots = pair[:, None] * n + np.arange(n)
-        return np.bincount(slots.ravel(), weights=energies.ravel(),
-                           minlength=len(start) * n).reshape(-1, n)
-
-    # --- vectorized candidate scoring ---
 
     # Tables of fewer entity x dim cells are not scanned, and every candidate is
     # rescored: there the scan's numpy calls per query cost more than they save.
@@ -201,14 +173,6 @@ class Scorer:
             self._scan = Float32Scan(ent, self.norm)
             self._relation_sizes = np.abs(self.emb.relations).sum(axis=1)
         return self._scan
-
-    def tail_scores(self, h: int, r: int) -> np.ndarray:
-        ent = self.emb.entities
-        return triple_energy(ent[h], self.emb.relation_vec(r), ent, self.norm)
-
-    def head_scores(self, r: int, t: int) -> np.ndarray:
-        ent = self.emb.entities
-        return triple_energy(ent, self.emb.relation_vec(r), ent[t], self.norm)
 
     def rank_block(self, triples: np.ndarray, known: dict[str, KnownRanges],
                    ranks: dict[str, np.ndarray], latencies: list[float],
@@ -269,6 +233,58 @@ class Scorer:
             finally:
                 np.setbufsize(bufsize)
 
+
+class Scorer(EntityScorer):
+    """E1-scoring of candidate entities (the entity side, and one query's
+    candidates in ``tail_scores`` and ``head_scores``), and Q-scoring of
+    candidate relations against trained embeddings and the paths of the pairs
+    in ``store`` (the path side: ``relation_scores``).
+
+    The store is compiled once, here (``Composer.compile``): the scorer keeps
+    the compiled paths (``paths``) and C(p) per distinct residual.
+    """
+
+    def __init__(
+        self,
+        emb: EmbeddingTable,
+        store: PathStore,
+        index: RuleIndex,
+        alpha_paths: float = TrainingConfig.alpha_paths,
+        norm: str = TrainingConfig.norm,
+    ):
+        super().__init__(emb, norm)
+        self.store = store
+        self.alpha = alpha_paths
+        self.paths = Composer(index).compile(store)
+        self._composed = composed_relations(signed_relations(emb), self.paths.residuals)
+
+    def tail_scores(self, h: int, r: int) -> np.ndarray:
+        ent = self.emb.entities
+        return triple_energy(ent[h], self.emb.relation_vec(r), ent, self.norm)
+
+    def head_scores(self, r: int, t: int) -> np.ndarray:
+        ent = self.emb.entities
+        return triple_energy(ent, self.emb.relation_vec(r), ent[t], self.norm)
+
+    def path_penalty(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """Per pair i and base relation r, the sum of E2(p, r) over the paths
+        ``start[i]:stop[i]`` of the store, pair i's range: pairs x base relations.
+
+        Each sum adds its pair's path energies in store order starting from 0.0,
+        as a loop of += over the pair's paths does: ``np.bincount`` adds in input
+        order, and each of its bins is one pair and relation.
+        """
+        n, dim = self.emb.relations.shape
+        pair, paths = _ranges(start, stop - start)
+        residual, weight = self.paths.residual_id[paths], self.paths.weight[paths]
+        energies = np.empty((len(paths), n))
+        for a, b in _blocks(len(paths), n * dim):
+            energies[a:b] = path_energy(weight[a:b, None], self._composed[residual[a:b], None],
+                                        self.emb.relations, self.norm)
+        slots = pair[:, None] * n + np.arange(n)
+        return np.bincount(slots.ravel(), weights=energies.ravel(),
+                           minlength=len(start) * n).reshape(-1, n)
+
     def relation_scores(self, pairs: np.ndarray) -> np.ndarray:
         """Q of every base relation for each (head, tail) row of ``pairs``: pairs x
         base relations. E1 sums each pair's and relation's own row of dim terms,
@@ -286,43 +302,47 @@ class Scorer:
         return scores
 
 
-# A split ranking's triples per share, at least. A child costs about 2 ms
-# beyond its ranking (its fork, its copy-on-write faults and its message). The
-# first k test triples ranked in one process against two shares (2 vCPUs) broke
-# even at k = 64-80 on wide-eval (3,392 entities) and 112-128 on hub-paths
-# (1,696) in a process that had forked before (median of 25 alternating calls),
-# and at k = 96-128 on wide-eval (8.50 vs 8.80 ms at k = 96, 10.64 vs 10.10 ms
-# at 128) and about 160 on hub-paths (7.68 vs 7.73 ms) in a fresh process
-# (median of 7 processes each). These figures were measured when children
-# started through the standard library's process package, whose imports cost a
-# process's first fork about 2 ms more; ``forked.Child`` imports nothing. So a
-# split needs 192 triples: wide-eval's 640 split, while hub-paths' 160 and the
-# toy's 40 do not.
+# A ranking's triples per share, at least; a child ranks a share for about
+# 2 ms more than the parent would (its fork, copy-on-write faults and message).
+# Timed with children on os.fork (2 vCPUs, medians of 7 processes, fresh /
+# warm ``evaluate``): on hub-paths (1,696 entities, 3-step walks), one child
+# ranking the first k test triples beside the path side beat one process from
+# k = 48 (6.50 / 5.73 against 6.58 / 6.07 ms) to 128 (10.17 / 9.44 against
+# 13.48 / 12.93); on wide-eval (3,392 entities, 2-step walks), whose path side
+# costs less than a child, it lost 1.2-1.7 ms at every k from 48 to 128. On
+# whole splits, warm: 96 ranks hub-paths' 160 triples beside its path side in
+# 12.5 ms, where 64 or 80 would split them in two after it (16.4-16.6 ms) and
+# over 160 rank them in one process (17.1 ms); wide-eval's 640 split in two
+# at any value up to 320 (31.9 ms; 52.8 beside the path side, 53.0 whole).
 _SHARE_TRIPLES = 96
 
 
 def rank_entities(
-    scorer: Scorer, kg: KnowledgeGraph, triples: np.ndarray, latencies: list[float] | None = None,
-    seconds: list[float] | None = None,
+    scorer: EntityScorer, kg: KnowledgeGraph, triples: np.ndarray,
+    latencies: list[float] | None = None, seconds: list[float] | None = None,
+    beside: Callable[[], object] | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(raw, filtered) ranks of the true head and the true tail of each triple
     among all entities, as {"head": (raw, filtered), "tail": (raw, filtered)};
     relation ids may be inverse ids. The seconds each query takes are appended
-    to ``latencies``, and those each share takes, the parent's first, to
+    to ``latencies``, and those each share takes, in share order, to
     ``seconds``; ``scorer.rescored`` gains each query's exact rescores.
 
     The triples are cut into contiguous shares of equal length, one per CPU
     but at most one per ``_SHARE_TRIPLES`` triples, ranked by
-    ``forked.run_shares`` and merged in triple order."""
+    ``forked.run_shares`` and merged in triple order. With ``beside``, a child
+    ranks every share while this process runs ``beside()``."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h, r, t = triples.T
     known = {"head": kg.known_heads(r, t), "tail": kg.known_tails(h, r)}
     scorer._prefilter()  # built before any fork, so that every share reads the one scan
     n = max(1, min(forked.cpus(), len(triples) // _SHARE_TRIPLES))
     cuts = [len(triples) * k // n for k in range(n + 1)]
-    rank = functools.partial(_rank_share, scorer, triples, known)
-    parts = forked.run_shares("entity ranking", rank,
-                              [slice(a, b) for a, b in zip(cuts, cuts[1:])])
+    jobs = [functools.partial(_rank_share, scorer, triples, known, slice(a, b))
+            for a, b in zip(cuts, cuts[1:])]
+    if beside is not None:  # run here, and every share in a child
+        jobs.insert(0, beside)
+    parts = forked.run_shares("entity ranking", lambda job: job(), jobs)[beside is not None:]
     for _, share_latencies, rescored, share_seconds in parts:
         scorer.rescored += rescored
         if latencies is not None:
@@ -395,8 +415,12 @@ class EvalStats:
     compiled: dict = field(default_factory=dict)  # the walked store's compile summary
     entity_queries: int = 0  # head and tail queries ranked
     rescored: dict[str, int] = field(default_factory=dict)  # their exact rescores: total, max
-    # per stage, the p50 and p90 of one entity query's ranking time, and the
-    # ranking time of each share of the entity queries, the parent's first
+    # per stage (walk, entity_ranking, relation_ranking), the p50 and p90 of
+    # one entity query's ranking time, and the ranking time of each share of
+    # the entity queries (entity_shares), the parent's first if it ranks one.
+    # Beside the path side, entity_ranking runs from the first child's fork to
+    # the merge, so it holds walk and relation_ranking, which time the parent's
+    # path side, and entity_shares are the children's alone.
     seconds: dict[str, float | list[float]] = field(default_factory=dict)
 
     def metrics(self) -> dict:
@@ -420,7 +444,11 @@ def evaluate(
     """Aggregate MR/MRR/Hits over the test split, raw and filtered, per task.
 
     Relations are ranked on the paths of the test pairs, which ``finder`` walks
-    once; without a path term to rank by, nothing is walked.
+    once; without a path term to rank by, nothing is walked. The path side
+    (the walk, the ``Scorer`` of its store and the relation ranking) shares
+    nothing with the entity ranking: where the entity ranking's shares would
+    leave a CPU idle, a child ranks each share while this process runs the
+    path side (``rank_entities``' ``beside``).
     """
     triples = np.asarray(kg.test_ids if test_triples is None else test_triples,
                          dtype=np.int64).reshape(-1, 3)
@@ -429,29 +457,43 @@ def evaluate(
     stats = EvalStats() if stats is None else stats
     pairs = triples[:, [0, 2]]
     stats.test_pairs = len(distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1]))
-    start = time.perf_counter()
-    store = finder.find(pairs if alpha_paths else [], stats.paths)
-    stats.seconds["walk"] = time.perf_counter() - start
-    scorer = Scorer(emb, store, index, alpha_paths, norm)
-    latencies: list[float] = []
-    shares: list[float] = []
-    start = time.perf_counter()
-    entity = rank_entities(scorer, kg, triples, latencies, shares)
-    stats.seconds["entity_ranking"] = time.perf_counter() - start
-    stats.seconds["entity_shares"] = shares
-    latencies.sort()
-    for q in (50, 90):  # nearest rank; np.percentile would import numpy.ma (11 ms)
-        stats.seconds[f"entity_query_p{q}"] = latencies[-(-len(latencies) * q // 100) - 1]
-    stats.entity_queries = len(scorer.rescored)
-    stats.rescored = {"total": sum(scorer.rescored), "max": max(scorer.rescored)}
-    start = time.perf_counter()
-    relation = rank_relations(scorer, kg, triples)
-    stats.seconds["relation_ranking"] = time.perf_counter() - start
     ranks = {}
-    for task, task_ranks in (("entity-head", entity["head"]), ("entity-tail", entity["tail"]),
-                             ("relation", relation)):
-        ranks[(task, "raw")], ranks[(task, "filtered")] = task_ranks
-    stats.compiled = scorer.paths.summary()
+
+    def walk() -> Scorer:
+        """The scorer of the test pairs' store, walked once."""
+        start = time.perf_counter()
+        store = finder.find(pairs if alpha_paths else [], stats.paths)
+        stats.seconds["walk"] = time.perf_counter() - start
+        return Scorer(emb, store, index, alpha_paths, norm)
+
+    def rank_by_entities(scorer: EntityScorer, beside: Callable[[], None] | None = None) -> None:
+        latencies: list[float] = []
+        shares: list[float] = []
+        start = time.perf_counter()
+        entity = rank_entities(scorer, kg, triples, latencies, shares, beside)
+        stats.seconds["entity_ranking"] = time.perf_counter() - start
+        stats.seconds["entity_shares"] = shares
+        latencies.sort()
+        for q in (50, 90):  # nearest rank; np.percentile would import numpy.ma (11 ms)
+            stats.seconds[f"entity_query_p{q}"] = latencies[-(-len(latencies) * q // 100) - 1]
+        stats.entity_queries = len(scorer.rescored)
+        stats.rescored = {"total": sum(scorer.rescored), "max": max(scorer.rescored)}
+        for task, slot in (("entity-head", "head"), ("entity-tail", "tail")):
+            ranks[(task, "raw")], ranks[(task, "filtered")] = entity[slot]
+
+    def rank_by_paths(scorer: Scorer) -> None:
+        start = time.perf_counter()
+        ranks[("relation", "raw")], ranks[("relation", "filtered")] = rank_relations(
+            scorer, kg, triples)
+        stats.seconds["relation_ranking"] = time.perf_counter() - start
+        stats.compiled = scorer.paths.summary()
+
+    if alpha_paths and 1 <= len(triples) // _SHARE_TRIPLES < forked.cpus():
+        rank_by_entities(EntityScorer(emb, norm), beside=lambda: rank_by_paths(walk()))
+    else:
+        scorer = walk()
+        rank_by_entities(scorer)
+        rank_by_paths(scorer)
     categories = relation_categories(kg)
     category = np.array([categories.get(r, "N-N") for r in range(kg.n_relations)])[triples[:, 1]]
     present = sorted(set(category.tolist()))  # np.unique of strings would import numpy.ma

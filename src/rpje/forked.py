@@ -14,9 +14,10 @@ raises an exception the child sent, with its type and message.
 ``run_shares`` runs one job over several shares of independent work, the
 first in the calling process and each other in a child, and returns the
 results in share order; the PCRA walk (``paths.extract_paths``) and entity
-ranking (``evaluation.rank_entities``) split through it, and ``train``'s span
-planner (``training.SpanPlanner``) is a child too. Every child is waited for
-and every pipe closed before it returns or raises.
+ranking (``evaluation.rank_entities``, whose first share may be ``evaluate``'s
+path side) split through it, and ``train``'s span planner
+(``training.SpanPlanner``) is a child too. Every child is waited for and every
+pipe closed before it returns or raises, a fork that fails included.
 """
 
 from __future__ import annotations
@@ -48,10 +49,14 @@ class Child:
         self.what, self.code = what, None  # the exit code, once waited for
         read, write = os.pipe()
         self.inbox = open(read, "rb")
-        with open(write, "wb") as outbox:  # the child's end, closed here once forked
-            self.pid = os.fork()
-            if self.pid == 0:
-                _run(job, read, outbox, parent_ends)
+        try:
+            with open(write, "wb") as outbox:  # the child's end, closed here once forked
+                self.pid = os.fork()
+                if self.pid == 0:
+                    _run(job, read, outbox, parent_ends)
+        except BaseException:  # no child: its pipe is closed whole
+            self.inbox.close()
+            raise
 
     def receive(self):
         """The next message; an exception the child sent is raised here, and a

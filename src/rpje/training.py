@@ -695,6 +695,9 @@ class SpanPlanner:
             self._child = forked.Child(
                 "span planner", functools.partial(_plan_spans, kg, plan, go), (self._go,)
             )
+        except BaseException:  # no child to end: the go pipe is closed whole
+            os.close(self._go)
+            raise
         finally:
             os.close(go)
         # a span waits whole in the pipe, not in the child's blocked write; a

@@ -1,12 +1,16 @@
+import contextlib
+import dataclasses
 import os
+import signal
 import sys
+import time
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from rpje import evaluation, forked
+from rpje import evaluation, forked, paths as paths_mod
 from rpje.compose import Composer
 from rpje.energy import triple_energy
 from rpje.evaluation import (
@@ -27,12 +31,12 @@ from hypothesis import given, settings, strategies as st
 
 from rpje.kg import KnowledgeGraph, KnownRanges
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
-from rpje.paths import Path, PathFinder, extract_paths
+from rpje.paths import Path, PathFinder, PathStats, extract_paths
 from rpje.rules import ChainRule, build_index
 from rpje.synthetic import GOOD_RULES
 from rpje.training import train
 
-from conftest import fail_in_child, failed_share, make_kg, parse_rule_lines
+from conftest import assert_no_child, fail_in_child, failed_share, make_kg, parse_rule_lines
 import oracles
 from oracles import OracleScorer, PathSet, brute_rank, known_triples, store_from_pairs
 from test_paths import exact
@@ -432,6 +436,143 @@ def test_evaluate_walks_exactly_the_test_pairs(small_eval_kg, monkeypatch):
     stats = EvalStats()
     evaluate(emb, PathFinder(kg, max_steps=2), build_index([], 0.7), kg, 0.0, stats=stats)
     assert stores[0].n_paths == 0 and stats.paths.pairs == 0
+
+
+def evaluate_small(kg) -> tuple[list, EvalStats]:
+    """``evaluate``'s reports and stats on ``kg``'s test split."""
+    stats = EvalStats()
+    reports = evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg,
+                       stats=stats)
+    return reports, stats
+
+
+def beside_the_path_side() -> contextlib.ExitStack:
+    """Patches under which ``evaluate`` ranks each of ``small_eval_kg``'s two test
+    triples in a child, beside the parent's path side: shares of one triple, and
+    one CPU more than shares."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(evaluation, "_SHARE_TRIPLES", 1))
+    stack.enter_context(mock.patch.object(forked, "cpus", lambda: 3))
+    return stack
+
+
+def test_evaluate_is_the_same_in_every_arrangement(small_eval_kg, monkeypatch):
+    """``evaluate`` gives the reports, the ``EvalStats`` but their seconds, and
+    the ranks in triple order of a run in one process, whether the entity
+    ranking splits or not, and whether it runs before the path side or beside
+    it: on 1, 2 or 3 CPUs, with shares of one triple or of every triple. Only
+    on 3 CPUs with shares of one triple does the parent rank no share. In
+    every arrangement the test pairs are walked once and their store compiled
+    once, and the stats hold that walk's counts."""
+    kg = small_eval_kg
+    calls = Counter()
+    ranked: list[list[int]] = []
+    real_rank, real_metrics = evaluation._rank_share, evaluation.metrics_from_ranks
+    real_find, real_compile = PathFinder.find, Composer.compile
+    monkeypatch.setattr(evaluation, "_rank_share",
+                        lambda *args: calls.update(["share here"]) or real_rank(*args))
+    monkeypatch.setattr(evaluation, "metrics_from_ranks",
+                        lambda ranks: ranked.append(np.asarray(ranks).tolist()) or real_metrics(ranks))
+    monkeypatch.setattr(PathFinder, "find", lambda *args: calls.update(["walk"]) or real_find(*args))
+    monkeypatch.setattr(Composer, "compile",
+                        lambda *args: calls.update(["compile"]) or real_compile(*args))
+
+    def run(cpus: int, share_triples: int) -> tuple:
+        calls.clear()
+        ranked.clear()
+        with mock.patch.object(evaluation, "_SHARE_TRIPLES", share_triples), \
+                mock.patch.object(forked, "cpus", lambda: cpus):
+            reports, stats = evaluate_small(kg)
+        return reports, dataclasses.replace(stats, seconds={}), list(ranked), dict(calls)
+
+    serial = run(1, 10**6)
+    walked = PathStats()
+    real_find(PathFinder(kg, max_steps=2), [(h, t) for h, _, t in kg.test], walked)
+    assert walked.paths and serial[1].paths == walked
+    assert any(ranks != ranks[::-1] for ranks in serial[2])  # a merge out of order shows
+    for cpus in (1, 2, 3):
+        for share_triples in (1, 10**6):
+            *got, counts = run(cpus, share_triples)
+            beside = (cpus, share_triples) == (3, 1)
+            assert tuple(got) == serial[:3], (cpus, share_triples)
+            assert counts == {"walk": 1, "compile": 1, **({} if beside else {"share here": 1})}
+    assert_no_child()
+
+
+def test_entity_child_killed_while_the_parent_walks(small_eval_kg):
+    """An entity ranking child killed beside the path side gives the one-line
+    error of a ranking share killed by SIGKILL (``failed_share``), after the
+    parent's walk."""
+    kg = small_eval_kg
+    parent, real_rank, real_find = os.getpid(), evaluation._rank_share, PathFinder.find
+    walked = []
+
+    def rank(*args):
+        fail_in_child(parent, "SIGKILL", last=False)
+        return real_rank(*args)
+
+    def find(self, pairs, stats=None):
+        # a child has ended, and is left to be waited for
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        walked.append(len(pairs))
+        return real_find(self, pairs, stats)
+
+    with mock.patch.object(evaluation, "_rank_share", rank), \
+            mock.patch.object(PathFinder, "find", find), beside_the_path_side(), \
+            failed_share("SIGKILL", "entity ranking"):
+        evaluate_small(kg)
+    assert walked == [len(kg.test)]
+
+
+def test_failed_path_side_kills_the_entity_children(small_eval_kg):
+    """An exception in the parent's path side reaches the caller with its type
+    and message once every entity child, still ranking, has been killed and
+    waited for. No child and no pipe are left."""
+    kg = small_eval_kg
+    parent, real_rank, real_wait = os.getpid(), evaluation._rank_share, forked.Child.wait
+    codes = {}
+
+    def rank(*args):
+        fail_in_child(parent, "exception", last=True)  # a child sleeps 60 s
+        return real_rank(*args)
+
+    def find(self, pairs, stats=None):
+        raise ValueError("in the path side")
+
+    def wait(child):
+        codes[child.pid] = real_wait(child)
+        return codes[child.pid]
+
+    descriptors = sorted(os.listdir("/dev/fd"))
+    start = time.perf_counter()
+    with mock.patch.object(evaluation, "_rank_share", rank), \
+            mock.patch.object(PathFinder, "find", find), \
+            mock.patch.object(forked.Child, "wait", wait), beside_the_path_side(), \
+            pytest.raises(ValueError, match="^in the path side$"):
+        evaluate_small(kg)
+    assert time.perf_counter() - start < 30
+    assert list(codes.values()) == [-signal.SIGKILL] * len(kg.test)
+    assert_no_child()
+    assert sorted(os.listdir("/dev/fd")) == descriptors
+
+
+def test_walk_split_beside_the_entity_children(small_eval_kg):
+    """A walk that splits across children of its own while the entity children
+    rank gives the reports and the stats but their seconds of a run in one
+    process, and leaves no child and no pipe."""
+    kg = small_eval_kg
+    descriptors = sorted(os.listdir("/dev/fd"))
+    with mock.patch.object(paths_mod, "_BLOCK_EDGES", 1), \
+            mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1):
+        with mock.patch.object(forked, "cpus", lambda: 1):
+            reports, stats = evaluate_small(kg)
+        with beside_the_path_side():
+            split_reports, split = evaluate_small(kg)
+    assert len(split.paths.seconds) == 2 and len(split.seconds["entity_shares"]) == 2
+    assert split_reports == reports
+    assert dataclasses.replace(split, seconds={}) == dataclasses.replace(stats, seconds={})
+    assert_no_child()
+    assert sorted(os.listdir("/dev/fd")) == descriptors
 
 
 def test_evaluate_empty_test_rejected(small_eval_kg):

@@ -1,15 +1,22 @@
+import errno
+import gc
 import os
 import pickle
 import re
 import signal
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from rpje import forked
+from rpje import evaluation, forked
+from rpje.model import TrainingConfig, init_embeddings
+from rpje.paths import PathFinder, extract_paths
+from rpje.rules import build_index
+from rpje.training import train
 
 from conftest import assert_no_child
 
@@ -88,3 +95,37 @@ def test_cli_and_a_split_import_no_process_package():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def refused_fork():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("run", ["shares", "span planner", "entity ranking beside the path side"])
+def test_refused_fork_leaves_no_pipe(toy_kg, run):
+    """A fork refused (EAGAIN) by the share runner, by ``train``'s span planner
+    or by an ``evaluate`` that ranks entities beside its path side (40 test
+    triples in shares of 20, on 3 CPUs) reaches the caller, and every pipe
+    opened for the child is closed: the process holds the file descriptors it
+    held before, and collecting what the failure left warns of no open file."""
+    index, cfg = build_index([], 0.7), TrainingConfig(dim=8, epochs=1, seed=4)
+    store, emb = extract_paths(toy_kg, 2), init_embeddings(toy_kg, cfg)
+    job = {
+        "shares": lambda: forked.run_shares("squares", lambda k: k * k, [2, 3]),
+        "span planner": lambda: train(toy_kg, store, index, cfg),
+        "entity ranking beside the path side": lambda: evaluation.evaluate(
+            emb, PathFinder(toy_kg, 2), index, toy_kg),
+    }[run]
+    descriptors = sorted(os.listdir("/dev/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with mock.patch.object(os, "fork", refused_fork), \
+                mock.patch.object(evaluation, "_SHARE_TRIPLES", 20), \
+                mock.patch.object(forked, "cpus", lambda: 3), pytest.raises(OSError) as raised:
+            job()
+        assert raised.value.errno == errno.EAGAIN
+        assert sorted(os.listdir("/dev/fd")) == descriptors
+        del raised
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert_no_child()
