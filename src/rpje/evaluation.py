@@ -488,6 +488,7 @@ def evaluate(
         stats.seconds["relation_ranking"] = time.perf_counter() - start
         stats.compiled = scorer.paths.summary()
 
+    # fewer entity shares than CPUs: the path side takes the CPU left idle
     if alpha_paths and 1 <= len(triples) // _SHARE_TRIPLES < forked.cpus():
         rank_by_entities(EntityScorer(emb, norm), beside=lambda: rank_by_paths(walk()))
     else:
