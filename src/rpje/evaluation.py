@@ -466,7 +466,7 @@ def evaluate(
         stats.seconds["walk"] = time.perf_counter() - start
         return Scorer(emb, store, index, alpha_paths, norm)
 
-    def rank_by_entities(scorer: EntityScorer, beside: Callable[[], None] | None = None) -> None:
+    def rank_by_entities(scorer: EntityScorer, beside: Callable[[], object] | None = None) -> None:
         latencies: list[float] = []
         shares: list[float] = []
         start = time.perf_counter()
