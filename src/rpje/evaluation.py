@@ -25,7 +25,8 @@ and its exact rescore counts as one message, and the parent joins every child
 and merges the shares in triple order. Where the shares would leave a CPU idle
 (``_SHARE_TRIPLES`` triples or more, but fewer than a share per CPU) and there
 is a path term, ``evaluate`` has a child rank each share while it runs the path
-side: hub-paths' 160 test triples, on 2 CPUs. Otherwise it walks first, ranks
+side: hub-paths' 160 test triples, on 2 CPUs. Its walk then splits over the
+CPUs the children leave (``forked.idle_cpus``). Otherwise it walks first, ranks
 the first share while a child ranks each other one, then ranks relations: a
 split of fewer than ``_SHARE_TRIPLES`` triples (the toy's 40) stays in one
 process, and wide-eval's 640 split in two on 2 CPUs. Each query's rank depends
@@ -44,7 +45,7 @@ whose scan lies at or below s_true - B is a rival, one above s_true + B is not,
 and only the band between (the true candidate, usually alone, whose exact
 energy is s_true) is rescored with E1 on its rows. So every rank is the one the
 exact energies of all candidates give. Tables of fewer than
-``Scorer.PREFILTER_FROM`` cells (entities x dim) are not scanned, nor is a
+``EntityScorer.PREFILTER_FROM`` cells (entities x dim) are not scanned, nor is a
 fixed side too large for the scan: its query rescores every candidate.
 
 Relation scores are E1 over a block of pairs x base relations by
@@ -317,6 +318,12 @@ class Scorer(EntityScorer):
 _SHARE_TRIPLES = 96
 
 
+def _share_count(n_triples: int) -> int:
+    """The shares a ranking of ``n_triples`` triples is cut into: one per idle
+    CPU, but at most one per ``_SHARE_TRIPLES`` triples."""
+    return max(1, min(forked.idle_cpus(), n_triples // _SHARE_TRIPLES))
+
+
 def rank_entities(
     scorer: EntityScorer, kg: KnowledgeGraph, triples: np.ndarray,
     latencies: list[float] | None = None, seconds: list[float] | None = None,
@@ -328,21 +335,22 @@ def rank_entities(
     to ``latencies``, and those each share takes, in share order, to
     ``seconds``; ``scorer.rescored`` gains each query's exact rescores.
 
-    The triples are cut into contiguous shares of equal length, one per CPU
-    but at most one per ``_SHARE_TRIPLES`` triples, ranked by
-    ``forked.run_shares`` and merged in triple order. With ``beside``, a child
-    ranks every share while this process runs ``beside()``."""
+    The triples are cut into contiguous shares of equal length
+    (``_share_count``), ranked by ``forked.run_shares`` and merged in triple
+    order. With ``beside``, a child ranks every share while this process runs
+    ``beside()``."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h, r, t = triples.T
     known = {"head": kg.known_heads(r, t), "tail": kg.known_tails(h, r)}
     scorer._prefilter()  # built before any fork, so that every share reads the one scan
-    n = max(1, min(forked.cpus(), len(triples) // _SHARE_TRIPLES))
+    n = _share_count(len(triples))
     cuts = [len(triples) * k // n for k in range(n + 1)]
     jobs = [functools.partial(_rank_share, scorer, triples, known, slice(a, b))
             for a, b in zip(cuts, cuts[1:])]
-    if beside is not None:  # run here, and every share in a child
-        jobs.insert(0, beside)
-    parts = forked.run_shares("entity ranking", lambda job: job(), jobs)[beside is not None:]
+    if beside is None:
+        parts = forked.run_shares("entity ranking", jobs)
+    else:  # ``beside`` runs here, and every share in a child
+        parts = forked.run_shares("entity ranking", [beside, *jobs])[1:]
     for _, share_latencies, rescored, share_seconds in parts:
         scorer.rescored += rescored
         if latencies is not None:
@@ -488,8 +496,9 @@ def evaluate(
         stats.seconds["relation_ranking"] = time.perf_counter() - start
         stats.compiled = scorer.paths.summary()
 
-    # fewer entity shares than CPUs: the path side takes the CPU left idle
-    if alpha_paths and 1 <= len(triples) // _SHARE_TRIPLES < forked.cpus():
+    # a split of fewer shares than CPUs: the path side takes the CPU left idle
+    n = len(triples)
+    if alpha_paths and n >= _SHARE_TRIPLES and _share_count(n) < forked.idle_cpus():
         rank_by_entities(EntityScorer(emb, norm), beside=lambda: rank_by_paths(walk()))
     else:
         scorer = walk()

@@ -11,13 +11,19 @@ so it flushes no stdio, runs no exit hook and prints no traceback: the message
 is its one report. ``Child.receive`` reads a message on the parent's side and
 raises an exception the child sent, with its type and message.
 
-``run_shares`` runs one job over several shares of independent work, the
-first in the calling process and each other in a child, and returns the
-results in share order; the PCRA walk (``paths.extract_paths``) and entity
-ranking (``evaluation.rank_entities``, whose first share may be ``evaluate``'s
-path side) split through it, and ``train``'s span planner
-(``training.SpanPlanner``) is a child too. Every child is waited for and every
-pipe closed before it returns or raises, a fork that fails included.
+``run_shares`` runs several jobs of independent work, the first in the
+calling process and each other in a child, and returns their results in
+order; the PCRA walk (``paths.extract_paths``) and entity ranking
+(``evaluation.rank_entities``, whose first job may be ``evaluate``'s path side)
+split through it, and ``train``'s span planner (``training.SpanPlanner``) is a
+child too. Every child is waited for and every pipe closed before it returns
+or raises, a fork that fails included.
+
+A child holds a CPU from its fork until it is closed, so a split made while
+children run (the walk of ``evaluate``'s path side, beside the entity
+ranking's children) takes ``idle_cpus``, the CPUs they leave. A child also
+closes the inboxes of the children forked before it that are still open, so
+it holds no other child's pipe.
 """
 
 from __future__ import annotations
@@ -38,10 +44,21 @@ def cpus() -> int:
         return os.cpu_count() or 1
 
 
+def idle_cpus() -> int:
+    """The CPUs this process may run on less one per child of its that is
+    open (forked and not yet closed), but at least one."""
+    return max(1, cpus() - len(_open))
+
+
+# This process's children that are forked and not yet closed.
+_open: set[Child] = set()
+
+
 class Child:
     """A forked child that runs ``job(send)`` and ends, where ``send(message)``
     writes one message to ``inbox``, the parent's read end of its pipe. It first
-    closes ``parent_ends``, descriptors of the parent's that it must not hold.
+    closes ``parent_ends``, descriptors of the parent's that it must not hold,
+    and the inboxes of the parent's other open children.
     ``what`` names the work in the parent's errors."""
 
     def __init__(self, what: str, job: Callable[[Callable[[object], None]], object],
@@ -57,6 +74,7 @@ class Child:
         except BaseException:  # no child: its pipe is closed whole
             self.inbox.close()
             raise
+        _open.add(self)
 
     def receive(self):
         """The next message; an exception the child sent is raised here, and a
@@ -80,6 +98,7 @@ class Child:
         return self.code
 
     def close(self) -> None:
+        _open.discard(self)
         self.inbox.close()
         self.wait()
 
@@ -89,6 +108,9 @@ def _run(job, read, outbox, parent_ends) -> None:
     try:
         for end in (read, *parent_ends):
             os.close(end)
+        for sibling in _open:  # forked before this child, by its parent
+            sibling.inbox.close()
+        _open.clear()
         job(functools.partial(_send, outbox))
     except BaseException as exc:  # the process ends here either way
         code = 1
@@ -104,18 +126,17 @@ def _send(outbox, message) -> None:
     outbox.flush()
 
 
-def run_shares(what: str, job: Callable[[object], object], shares: Sequence) -> list:
-    """``job(share)`` of each of ``shares``, in share order: the first here, each
-    other in a ``Child`` that sends its result back as one message. An exception
-    a child sent is raised here; a child that ends without its message gives a
+def run_shares(what: str, jobs: Sequence[Callable[[], object]]) -> list:
+    """The result of each of ``jobs``, in order: the first run here, each other
+    in a ``Child`` that sends its result back as one message. An exception a
+    child sent is raised here; a child that ends without its message gives a
     one-line ``RuntimeError`` naming ``what``. Every child is waited for before
     this returns or raises; on a failure, killed first."""
     children: list[Child] = []
     try:
-        for share in shares[1:]:
-            children.append(Child(what, lambda send, share=share: send(job(share)),
-                                  [child.inbox.fileno() for child in children]))
-        return [job(shares[0]), *(child.receive() for child in children)]
+        for job in jobs[1:]:
+            children.append(Child(what, lambda send, job=job: send(job())))
+        return [jobs[0](), *(child.receive() for child in children)]
     except BaseException:
         for child in children:
             child.kill()

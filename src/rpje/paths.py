@@ -56,8 +56,10 @@ the kernel's working set, except for a head whose own work exceeds the limit.
 ``extract_paths`` counts each walk's blocks and last-hop edges in ``PathStats``.
 
 Blocks share nothing, so a large walk runs on every CPU the process may run
-on. Its blocks are cut into contiguous shares, one per CPU, at the block
-boundaries nearest even shares of their work, but with no fewer than
+on, less those its open children hold (``forked.idle_cpus``: beside
+``evaluate``'s entity ranking, its children's). Its blocks are cut into
+contiguous shares, one per such CPU, at the block boundaries nearest even
+shares of their work, but with no fewer than
 ``_SHARE_BLOCKS`` blocks per share: a walk of fewer than 2 * ``_SHARE_BLOCKS``
 blocks stays in one process. So ``explain``'s one-pair walk (one block) never
 splits, and ``eval``'s test-pair walk splits only when it is large. The
@@ -339,11 +341,11 @@ def _blocks(
 
 def _shares(done: np.ndarray) -> list[slice]:
     """Blocks with ``done`` work before each boundary, cut into one share per
-    CPU, but at most one per ``_SHARE_BLOCKS`` blocks: share k ends at the
+    idle CPU, but at most one per ``_SHARE_BLOCKS`` blocks: share k ends at the
     boundary whose work before it is nearest k even shares of the walk's (the
     earlier of two as near). A share left with no block is dropped."""
     n_blocks = len(done) - 1
-    n = max(1, min(forked.cpus(), n_blocks // _SHARE_BLOCKS))
+    n = max(1, min(forked.idle_cpus(), n_blocks // _SHARE_BLOCKS))
     goal = done[-1] * np.arange(1, n) / n
     after = np.searchsorted(done, goal)  # the first boundary at or past each
     cuts = np.where(goal - done[after - 1] <= done[after] - goal, after - 1, after)
@@ -490,8 +492,10 @@ def extract_paths(
     wanted = distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1])
     heads = distinct_sorted(wanted // kg.n_entities)
     blocks, done = _blocks(kg, heads, max_steps, wanted) if len(heads) else ([], np.zeros(1))
-    walk = functools.partial(_walk, kg, max_steps, cutoff, per_pair_cap, wanted)
-    parts = forked.run_shares("path walk", walk, [blocks[share] for share in _shares(done)] or [[]])
+    shares = [blocks[share] for share in _shares(done)] or [[]]
+    parts = forked.run_shares("path walk", [
+        functools.partial(_walk, kg, max_steps, cutoff, per_pair_cap, wanted, share)
+        for share in shares])
     found = _Arrivals(*map(np.concatenate, zip(*(block for kept, _ in parts for block in kept))))
     counts = PathStats()
     for _, share in parts:

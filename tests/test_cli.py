@@ -819,8 +819,8 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
     kg = load_dataset(files["train"], files["valid"], files["test"])
     test_pairs = {(h, t) for h, _, t in kg.test}
     outputs, rescored = [], []
-    for prefilter_from in (0, evaluation.Scorer.PREFILTER_FROM):
-        monkeypatch.setattr(evaluation.Scorer, "PREFILTER_FROM", prefilter_from)
+    for prefilter_from in (0, evaluation.EntityScorer.PREFILTER_FROM):
+        monkeypatch.setattr(evaluation.EntityScorer, "PREFILTER_FROM", prefilter_from)
         before = (out / "metrics.jsonl").read_text().splitlines()
         capsys.readouterr()
         assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_OK

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from rpje.compose import Composer
 from rpje import evaluation
 from rpje.energy import SCAN_LIMIT
-from rpje.evaluation import Scorer, evaluate, explain, rank_entities
+from rpje.evaluation import EntityScorer, EvalStats, Scorer, evaluate, explain, rank_entities
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import PathFinder, extract_paths
 from rpje.rules import build_index
@@ -166,40 +166,44 @@ def toy_setup(toy_kg):
 
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
-@pytest.mark.parametrize("prefilter_from", [0, Scorer.PREFILTER_FROM])
+@pytest.mark.parametrize("prefilter_from", [0, EntityScorer.PREFILTER_FROM])
 def test_evaluate_matches_triple_order_loop(toy_kg, norm, prefilter_from, monkeypatch):
     """Reports, per-category hits included, equal those of one query after
     another in test-triple order, on query triples shuffled across relations,
     with the toy table prefiltered in float32 or every candidate rescored. The
     toy test split holds two N-1 relations, so train triples of every relation
     join it."""
-    monkeypatch.setattr(Scorer, "PREFILTER_FROM", prefilter_from)
+    monkeypatch.setattr(EntityScorer, "PREFILTER_FROM", prefilter_from)
     emb, _, index = toy_setup(toy_kg)
     rng = np.random.default_rng(0)
     queries = toy_kg.test + [toy_kg.train[i] for i in rng.choice(len(toy_kg.train), 60, False)]
     triples = [queries[i] for i in rng.permutation(len(queries))]
     relations = [r for _, r, _ in triples]
     assert relations != sorted(relations) and len(set(relations)) == toy_kg.n_base_relations
-    finder = PathFinder(toy_kg, 2)
-    got = evaluate(emb, finder, index, toy_kg, 1.0, norm, test_triples=triples)
+    finder, stats = PathFinder(toy_kg, 2), EvalStats()
+    got = evaluate(emb, finder, index, toy_kg, 1.0, norm, test_triples=triples, stats=stats)
     store = finder.find([(h, t) for h, _, t in triples])
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 1.0, norm)
     want = evaluate_in_triple_order(oracle, toy_kg, triples)
     assert got == want
+    # the scan ran, and decided all but a few candidates, or every one was rescored
+    every = 2 * len(triples) * toy_kg.n_entities
+    assert (stats.rescored["total"] < every) == (prefilter_from == 0)
     assert all(len(rep.per_category) == 2 for rep in got if rep.per_category)
 
 
 def test_evaluate_in_small_blocks_matches_triple_order_loop(toy_kg, monkeypatch):
     """With every pass split into blocks of a few pairs, queries or paths, the
     reports still equal the brute-force loop's in test-triple order."""
-    monkeypatch.setattr(Scorer, "PREFILTER_FROM", 0)
+    monkeypatch.setattr(EntityScorer, "PREFILTER_FROM", 0)
     monkeypatch.setattr(evaluation, "BLOCK_CELLS", 100)
     emb, _, index = toy_setup(toy_kg)
-    finder = PathFinder(toy_kg, 2)
-    got = evaluate(emb, finder, index, toy_kg, 1.0, "L2")
+    finder, stats = PathFinder(toy_kg, 2), EvalStats()
+    got = evaluate(emb, finder, index, toy_kg, 1.0, "L2", stats=stats)
     store = finder.find([(h, t) for h, _, t in toy_kg.test])
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 1.0, "L2")
     assert got == evaluate_in_triple_order(oracle, toy_kg, toy_kg.test)
+    assert stats.rescored["total"] < 2 * len(toy_kg.test) * toy_kg.n_entities  # the scan ran
 
 
 def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
@@ -211,10 +215,10 @@ def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
     scorer = Scorer(emb, store, index, 1.0, "L1")
     rank_entities(scorer, toy_kg, [toy_kg.test[0]])
     assert scorer._scan is None and scorer.rescored == [emb.n_entities] * 2
-    monkeypatch.setattr(Scorer, "PREFILTER_FROM", 0)
+    monkeypatch.setattr(EntityScorer, "PREFILTER_FROM", 0)
     calls = []
-    real = Scorer._prefilter
-    monkeypatch.setattr(Scorer, "_prefilter", lambda self: calls.append(1) or real(self))
+    real = EntityScorer._prefilter
+    monkeypatch.setattr(EntityScorer, "_prefilter", lambda self: calls.append(1) or real(self))
     explain(emb, PathFinder(toy_kg, 2), index, toy_kg, 0, 1)
     scorer = Scorer(emb, store, index, 1.0, "L1")
     for h in range(5):

@@ -446,12 +446,12 @@ def evaluate_small(kg) -> tuple[list, EvalStats]:
     return reports, stats
 
 
-def beside_the_path_side() -> contextlib.ExitStack:
-    """Patches under which ``evaluate`` ranks each of ``small_eval_kg``'s two test
-    triples in a child, beside the parent's path side: shares of one triple, and
-    one CPU more than shares."""
+def beside_the_path_side(share_triples: int = 1) -> contextlib.ExitStack:
+    """Patches under which ``evaluate`` ranks ``small_eval_kg``'s two test triples
+    in children beside the parent's path side: shares of ``share_triples``
+    triples (one child per triple by default) and 3 CPUs."""
     stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(evaluation, "_SHARE_TRIPLES", 1))
+    stack.enter_context(mock.patch.object(evaluation, "_SHARE_TRIPLES", share_triples))
     stack.enter_context(mock.patch.object(forked, "cpus", lambda: 3))
     return stack
 
@@ -556,21 +556,30 @@ def test_failed_path_side_kills_the_entity_children(small_eval_kg):
     assert sorted(os.listdir("/dev/fd")) == descriptors
 
 
-def test_walk_split_beside_the_entity_children(small_eval_kg):
-    """A walk that splits across children of its own while the entity children
-    rank gives the reports and the stats but their seconds of a run in one
-    process, and leaves no child and no pipe."""
+def test_walk_split_beside_the_entity_children(small_eval_kg, monkeypatch):
+    """A walk beside the entity children splits over the CPUs they leave: of 3
+    CPUs, two beside one child, and one beside two children. Either way the
+    parent ranks no share, and the reports and the stats but their seconds
+    are those of a run in one process. No child and no pipe are left."""
     kg = small_eval_kg
+    ranked_here = []
+    real_rank = evaluation._rank_share
+    monkeypatch.setattr(evaluation, "_rank_share",
+                        lambda *args: ranked_here.append(os.getpid()) or real_rank(*args))
     descriptors = sorted(os.listdir("/dev/fd"))
     with mock.patch.object(paths_mod, "_BLOCK_EDGES", 1), \
             mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1):
         with mock.patch.object(forked, "cpus", lambda: 1):
             reports, stats = evaluate_small(kg)
-        with beside_the_path_side():
-            split_reports, split = evaluate_small(kg)
-    assert len(split.paths.seconds) == 2 and len(split.seconds["entity_shares"]) == 2
-    assert split_reports == reports
-    assert dataclasses.replace(split, seconds={}) == dataclasses.replace(stats, seconds={})
+        ranked_here.clear()
+        for share_triples, children, walkers in ((2, 1, 2), (1, 2, 1)):
+            with beside_the_path_side(share_triples):
+                split_reports, split = evaluate_small(kg)
+            assert ranked_here == []
+            assert len(split.seconds["entity_shares"]) == children
+            assert len(split.paths.seconds) == walkers, share_triples
+            assert split_reports == reports
+            assert dataclasses.replace(split, seconds={}) == dataclasses.replace(stats, seconds={})
     assert_no_child()
     assert sorted(os.listdir("/dev/fd")) == descriptors
 

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import os
@@ -52,7 +53,7 @@ def test_share_whose_result_does_not_pickle():
         pickle.dumps(unpicklable(1), protocol=5)
     descriptors = sorted(os.listdir("/dev/fd"))
     with pytest.raises(type(raised.value), match=f"^{re.escape(str(raised.value))}$"):
-        forked.run_shares("unpicklable", unpicklable, [0, 1])
+        forked.run_shares("unpicklable", [lambda: unpicklable(0), lambda: unpicklable(1)])
     assert UNPICKLED == []
     assert_no_child()
     assert sorted(os.listdir("/dev/fd")) == descriptors
@@ -73,7 +74,7 @@ def test_child_killed_mid_message():
     with mock.patch.object(forked, "_send", send_half_then_die), pytest.raises(
         RuntimeError, match=r"^half: a child process ended without its message \(exit code -9\)$"
     ):
-        forked.run_shares("half", lambda share: np.arange(1 << 16) + share, [0, 1])
+        forked.run_shares("half", [lambda: np.arange(1 << 16), lambda: np.arange(1 << 16) + 1])
     assert_no_child()
     assert sorted(os.listdir("/dev/fd")) == descriptors
 
@@ -88,7 +89,7 @@ def test_cli_and_a_split_import_no_process_package():
     ``forked.run_shares`` has not imported ``PROCESS_PACKAGE``."""
     script = ("import sys, rpje.cli\n"
               "from rpje import forked\n"
-              "assert forked.run_shares('squares', lambda k: k * k, [2, 3]) == [4, 9]\n"
+              "assert forked.run_shares('squares', [lambda: 2 * 2, lambda: 3 * 3]) == [4, 9]\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[1]))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
     run = subprocess.run([sys.executable, "-c", script, PROCESS_PACKAGE], env=env,
@@ -111,7 +112,7 @@ def test_refused_fork_leaves_no_pipe(toy_kg, run):
     index, cfg = build_index([], 0.7), TrainingConfig(dim=8, epochs=1, seed=4)
     store, emb = extract_paths(toy_kg, 2), init_embeddings(toy_kg, cfg)
     job = {
-        "shares": lambda: forked.run_shares("squares", lambda k: k * k, [2, 3]),
+        "shares": lambda: forked.run_shares("squares", [lambda: 2 * 2, lambda: 3 * 3]),
         "span planner": lambda: train(toy_kg, store, index, cfg),
         "entity ranking beside the path side": lambda: evaluation.evaluate(
             emb, PathFinder(toy_kg, 2), index, toy_kg),
@@ -129,3 +130,45 @@ def test_refused_fork_leaves_no_pipe(toy_kg, run):
         gc.collect()
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert_no_child()
+
+
+def pipe_of(fd: int) -> tuple[int, int]:
+    """The device and inode of the pipe (or file) behind ``fd``."""
+    status = os.fstat(fd)
+    return status.st_dev, status.st_ino
+
+
+def held_pipes() -> set[tuple[int, int]]:
+    """``pipe_of`` each descriptor this process holds."""
+    held = set()
+    for fd in os.listdir("/dev/fd"):
+        with contextlib.suppress(OSError):  # the listing's own descriptor, closed by now
+            held.add(pipe_of(int(fd)))
+    return held
+
+
+def test_child_holds_no_pipe_of_an_open_sibling():
+    """A child forked while another is open closes that child's inbox, so it
+    holds no end of its sibling's pipe; and each open child takes one CPU from
+    ``idle_cpus``, at least one of which is left, until it is closed."""
+    descriptors = sorted(os.listdir("/dev/fd"))
+    with mock.patch.object(forked, "cpus", lambda: 3):
+        assert forked.idle_cpus() == 3
+        first = forked.Child("first", lambda send: send(None))
+        children = [first]
+        try:
+            first_pipe = pipe_of(first.inbox.fileno())
+            assert forked.idle_cpus() == 2
+            children.append(forked.Child("second", lambda send: send(held_pipes())))
+            assert forked.idle_cpus() == 1
+            with mock.patch.object(forked, "cpus", lambda: 2):
+                assert forked.idle_cpus() == 1
+            held = children[1].receive()
+            assert first.receive() is None
+        finally:
+            for child in children:
+                child.close()
+        assert forked.idle_cpus() == 3
+    assert first_pipe not in held and len(held) > 0
+    assert_no_child()
+    assert sorted(os.listdir("/dev/fd")) == descriptors
