@@ -24,10 +24,12 @@ NORMS = ("L1", "L2")
 
 
 def dissimilarity(x: np.ndarray, norm: str):
-    """L1 or L2 norm of x over its last axis."""
+    """L1 or L2 norm of x over its last axis. ``np.add.reduce`` is the sum that
+    ``ndarray.sum`` reaches through a Python-level call, which a training batch
+    of a few hinges would notice."""
     if norm == "L1":
-        return np.abs(x).sum(axis=-1)
-    return np.sqrt(np.multiply(x, x).sum(axis=-1))
+        return np.add.reduce(np.abs(x), axis=-1)
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 # Rows holding a magnitude above this, and fixed sides whose magnitudes sum

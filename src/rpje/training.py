@@ -26,11 +26,12 @@ relation per (r_e, beta) of D(r). ``NegativeSampler.draws`` makes them all in
 one exact loop, testing each value by one lookup in one set of excluded keys;
 the plan first makes its D(r) the sampler's relation-pair exclusions. A
 give-up (-1) drops its hinge. The rows of every hinge then come from gathers,
-into one int32 table of the span that its batches slice.
-``HingeLayout.of`` derives each batch's subgradient slots from that table
-once: the row each slot adds to, an int8 code naming which of its hinge's
-values it takes, and its hinge. Only rows of -relations go through the
-negation map.
+into one int32 table of the span. ``HingeLayout.of`` lays that table out once
+as the span's gather index, (W + 1, H, 2) intp, which each batch slices, and
+derives from the table each batch's subgradient slots: the row each slot adds
+to, an int8 code naming which of its hinge's values it takes, and its hinge.
+Only rows of -relations go through the negation map. The planner does no other
+work for the kernel.
 
 The planner process. None of this depends on the embeddings, so ``train``
 forks one child process per call (``SpanPlanner``, a ``forked.Child``), which
@@ -55,17 +56,23 @@ over the rows of [entities; relations; -relations; 0] (``HingeLayout``), where
 an inverse relation is its base row negated and the zero row pads the sums:
 h + r - t on each side of a triple hinge; C(p) - r and C(p) - r' for a path,
 weighted R(p|h,t) * prod(mu) on both sides; r - r_e and r - r' for a relation
-pair, weighted (beta, 1). ``loss_and_gradients`` gathers a batch's rows at
-once, then takes one norm and one hinge over all its hinges. The rest follows
-the active hinges (a positive or NaN loss) alone: their differences are
-gathered, and each gets six subgradient candidates, g+ and g- of its sides,
-their negations, g+ - g- and its negation. Each slot of an active hinge takes
-one of them: g+ (an x+ row), -g+ (y+), -g- (an x- row) and g- (y-); the rows
-both sides sum, C(p)'s and the pair's r, take g+ - g- once. A row of
--relations adds the negation to its base row. One scatter sums the slots in
-hinge order; a batch without an active hinge touches no row. ``train`` keeps
-the embeddings as views of one such table and negates the relation rows each
-batch changed, so no batch copies the table.
+pair, weighted (beta, 1). ``loss_and_gradients`` gathers a batch's rows in
+one ``take`` of its slice of the span's gather index, then takes one norm and
+one hinge over all its hinges. The rest follows the active hinges (a positive
+or NaN loss) alone: their differences are gathered, and each gets six
+subgradient candidates, g+ and g- of its sides, their negations, g+ - g- and
+its negation. Each slot of an active hinge takes one of them: g+ (an x+ row),
+-g+ (y+), -g- (an x- row) and g- (y-); the rows both sides sum, C(p)'s and the
+pair's r, take g+ - g- once. A row of -relations adds the negation to its base
+row. One scatter sums the slots in
+hinge order. A batch without an active hinge returns one shared empty
+``GradientUpdate`` and touches no row, though ``train`` still projects the
+rows the batch before it scaled. ``train`` keeps the embeddings as views of
+one such table and negates the relation rows each batch changed, read from
+the update's own rows, so no batch copies the table. The pass calls ndarray
+methods and ``np.add.reduce`` rather than numpy's Python-level wrappers
+(``np.flatnonzero``, ``np.cumsum``, ``ndarray.sum``): at a few hinges a batch,
+as on the toy graph, its cost is the number of numpy calls, not arithmetic.
 
 Summation order. Each side sums left to right, x0 + x1 + x2 - y. The scatter
 adds each row's subgradients in the order a per-hinge loop would (the triple's
@@ -103,9 +110,10 @@ from .rules import RuleIndex
 # Negative draws planned at once: the bound on a span of batches. Planning holds
 # about 800 bytes per draw, so 8,192 draws raised the peak RSS of a one-epoch
 # wide-eval training run by 5 MB over 2,048, which trains as fast (measured with
-# planning in-process). A span's message is 173-178 bytes per draw on the
-# benchmark workloads (paths of up to 3 steps), so a pipe of _PIPE_BYTES holds
-# a span of any several batches whole.
+# planning in-process). A span's message is 197-209 bytes per draw on the
+# benchmark workloads and on uncomposed 3-step paths, its gather index 48-64
+# bytes of each hinge, so a pipe of _PIPE_BYTES holds a span of any several
+# batches whole.
 _SPAN_DRAWS = 2048
 _PIPE_BYTES = 256 * _SPAN_DRAWS
 
@@ -292,20 +300,21 @@ class HingeLayout:
     Hinge k sums rows of [entities; relations; -relations; 0]: entity e is row
     e, relation id s (inverse ids included) row n_entities + s, and the zero row
     pads. ``kind[k]`` is TRIPLE, PATH or RELPAIR. Side 0 (positive) and side 1
-    (negative) sum rows ``rows[k, side, :-1]`` less row ``rows[k, side, -1]``,
+    (negative) sum rows ``index[:-1, k, side]`` less row ``index[-1, k, side]``,
     in the per-hinge loop's order (the x+ rows, y+, the x- rows, y-), weighted
     ``weight[k, side]``; a path or relation-pair hinge sums the same rows on
-    both sides. Slot i adds value ``slot_code[i]`` of hinge ``slot_hinge[i]``
-    (numbered within its batch) to row ``slot_row[i]`` of [entities; base
-    relations]. The slots run hinge by hinge, each hinge's in the per-hinge
-    loop's order.
+    both sides. ``index`` is the gather index of the whole span, (W + 1, H, 2)
+    intp, so a batch's rows are one ``take`` of its hinges' slice. Slot i adds
+    value ``slot_code[i]`` of hinge ``slot_hinge[i]`` (numbered within its
+    batch) to row ``slot_row[i]`` of [entities; base relations]. The slots run
+    hinge by hinge, each hinge's in the per-hinge loop's order.
     """
 
     norm: str
     n_entities: int
     n_base: int
     kind: np.ndarray        # (H,)
-    rows: np.ndarray        # (H, 2, W + 1)
+    index: np.ndarray       # (W + 1, H, 2)
     margin: np.ndarray
     scale: np.ndarray
     weight: np.ndarray      # (H, 2)
@@ -320,18 +329,21 @@ class HingeLayout:
     def of(cls, kind: np.ndarray, rows: np.ndarray, weight: np.ndarray, cfg: TrainingConfig,
            n_entities: int, n_base: int, ends) -> HingeLayout:
         """The batches of hinges [0, ends[0]), [ends[0], ends[1]) and so on, of
-        ``kind``, ``rows`` and ``weight`` as the fields hold them (``rows`` of
+        ``kind`` and ``weight`` as the fields hold them and ``rows`` (H, 2, W +
+        1), side by side each hinge's rows as ``index`` holds them (``rows`` of
         any width of at least 2)."""
         zero = n_entities + 2 * n_base
         if rows.shape[2] < 3:  # the sums start as x0 + x1
             pad = np.full((len(rows), 2, 3 - rows.shape[2]), zero, dtype=rows.dtype)
             rows = np.concatenate((rows[..., :-1], pad, rows[..., -1:]), axis=2)
         width = rows.shape[2] - 1
+        # every step indexes with the gather index and the slot rows and hinges:
+        # intp, which numpy need not cast
+        index = np.ascontiguousarray(rows.transpose(2, 0, 1), dtype=np.intp)
         used = rows != zero
         used[kind != TRIPLE, 1, :width] = False  # rows both sides sum take g+ - g- once
         slot = np.flatnonzero(used)
         hinge = slot // (2 * width + 2)
-        # every step indexes with the slot rows and hinges: intp, which numpy need not cast
         slot_row = rows.reshape(-1)[slot].astype(np.intp)
         codes = _SLOT_CODES[..., [0] * width + [1]].take(kind, axis=0)  # by kind, side, place
         slot_code = codes.reshape(-1)[slot]
@@ -345,7 +357,7 @@ class HingeLayout:
         scale = np.array([1.0, cfg.alpha_paths, cfg.alpha_relpairs])[kind]
         margin = np.array([cfg.margin_triple, cfg.margin_path, cfg.margin_relpair])[kind]
         side_scale = (scale[:, None] * weight)[..., None]
-        return cls(cfg.norm, n_entities, n_base, kind, rows, margin, scale, weight, side_scale,
+        return cls(cfg.norm, n_entities, n_base, kind, index, margin, scale, weight, side_scale,
                    slot_row, slot_code, local, bounds.tolist(), slot_bounds.tolist())
 
 
@@ -356,14 +368,16 @@ def hinge_table(emb: EmbeddingTable) -> np.ndarray:
 
 def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of range(n_rows) in ``rows``, ascending, and per row its
-    vectors summed in input order. A batch of rows under a quarter of the table's
-    finds its distinct rows by sorting them, at a cost that grows with the batch;
-    a larger one by a mask over the table's rows, which then costs less."""
+    vectors summed in input order. A mask over the table's rows finds the
+    distinct rows at a cost that grows with the table, and sorting them at one
+    that grows faster with the batch but starts higher: the sort costs less only
+    where the table holds more than 512 rows plus 4 per batch row (timed on 2
+    vCPUs, numpy 2.4)."""
     dim = values.shape[1]
-    if 4 * len(rows) < n_rows:
+    if 4 * rows.size + 512 < n_rows:
         order = rows.argsort()  # any order of equal rows gives them one slot
-        ascending = rows.take(order)
-        new = np.ones(len(rows), dtype=bool)  # where a distinct row starts
+        ascending = rows[order]
+        new = np.ones(rows.size, dtype=bool)  # where a distinct row starts
         np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
         distinct = ascending[new]
         slot = np.empty_like(order)
@@ -371,13 +385,12 @@ def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.nda
     else:
         present = np.zeros(n_rows, dtype=bool)
         present[rows] = True
-        distinct = np.flatnonzero(present)
+        distinct = present.nonzero()[0]
         slot = present.cumsum()[rows]
     # slot: each input row's place among the distinct rows, from 1. bincount adds
     # its weights in input order, as a loop of += over the rows would
     flat = (slot[:, None] * dim + np.arange(-dim, 0)).ravel()
-    sums = np.bincount(flat, weights=values.ravel(), minlength=len(distinct) * dim)
-    return distinct, sums.reshape(-1, dim)
+    return distinct, np.bincount(flat, weights=values.ravel()).reshape(-1, dim)
 
 
 @dataclass
@@ -392,16 +405,20 @@ class GradientUpdate:
     n_entities: int
 
     @classmethod
+    @functools.cache
     def empty(cls, dim: int, n_entities: int) -> GradientUpdate:
-        """The update of a batch without an active hinge."""
-        return cls(np.empty(0, dtype=np.intp), np.empty((0, dim)), 0, n_entities)
+        """The update of a batch without an active hinge, one object shared by
+        every such batch of a ``dim`` and ``n_entities``; its arrays are read-only."""
+        rows, sums = np.empty(0, dtype=np.intp), np.empty((0, dim))
+        rows.flags.writeable = sums.flags.writeable = False
+        return cls(rows, sums, 0, n_entities)
 
     @classmethod
     def scattered(cls, rows: np.ndarray, values: np.ndarray, n_entities: int,
                   n_base: int) -> GradientUpdate:
         """``values`` summed per row in input order."""
         distinct, sums = _row_sums(rows, values, n_entities + n_base)
-        return cls(distinct, sums, int(np.searchsorted(distinct, n_entities)), n_entities)
+        return cls(distinct, sums, int(distinct.searchsorted(n_entities)), n_entities)
 
     @property
     def entity_rows(self) -> np.ndarray:
@@ -429,44 +446,47 @@ def loss_and_gradients(layout: HingeLayout, b: int,
                        table: np.ndarray) -> tuple[np.ndarray, GradientUpdate]:
     """Every loss of batch ``b`` of ``layout``, in hinge order, and the batch's
     summed subgradient; ``table`` is the ``hinge_table`` of the embeddings."""
-    batch = slice(layout.bounds[b], layout.bounds[b + 1])
-    batch_slots = slice(layout.slot_bounds[b], layout.slot_bounds[b + 1])
-    hinge_rows = layout.rows[batch]
-    rows = table.take(hinge_rows.transpose(2, 0, 1).reshape(hinge_rows.shape[2], -1), axis=0)
-    d = rows[0] + rows[1]
-    for more in rows[2:-1]:
+    lo, hi = layout.bounds[b], layout.bounds[b + 1]
+    terms = table.take(layout.index[:, lo:hi], axis=0)  # (W + 1, B, 2, dim)
+    d = terms[0] + terms[1]
+    for more in terms[2:-1]:
         d += more
-    d -= rows[-1]
+    d -= terms[-1]
+    # the batch's largest array, freed before the rest of the pass allocates: a
+    # fresh wide-eval train call took 13,550 minor faults with it kept to the end
+    # of the pass and 3,020 without (2 vCPUs)
+    del terms
     norm = layout.norm
-    norms = dissimilarity(d, norm).reshape(-1, 2)
-    weighted = layout.weight[batch] * norms
-    loss = layout.margin[batch] + weighted[:, 0] - weighted[:, 1]
+    norms = dissimilarity(d, norm)
+    weighted = layout.weight[lo:hi] * norms
+    loss = layout.margin[lo:hi] + weighted[:, 0] - weighted[:, 1]
     inactive = loss <= 0.0  # a NaN stays active
-    losses = np.where(inactive, 0.0, layout.scale[batch] * loss)
-    dim = table.shape[1]
+    losses = layout.scale[lo:hi] * loss
+    losses[inactive] = 0.0
     active = ~inactive
-    hinges = np.flatnonzero(active)
-    if not len(hinges):
+    ranks = active.cumsum()  # per hinge, the active hinges up to it
+    dim = table.shape[1]
+    if hi == lo or not ranks[-1]:
         return losses, GradientUpdate.empty(dim, layout.n_entities)
 
     # candidates (A, 3, 2) of the A active hinges: per side g and -g, then g+ - g-
     # and its negation, so value c of the a-th active hinge is candidate 6a + c
-    d = d.reshape(-1, 2, dim).take(hinges, axis=0)
-    values = (np.empty if norm == "L1" else np.zeros)((len(hinges), 3, 2, dim))
+    d = d[active]
+    values = (np.empty if norm == "L1" else np.zeros)((ranks[-1], 3, 2, dim))
     g = values[:, 0]
     if norm == "L1":
         np.sign(d, out=g)
     else:
-        n = norms[hinges, :, None]
+        n = norms[active][..., None]
         np.divide(d, n, out=g, where=n != 0.0)
-    g *= layout.side_scale[batch][hinges]
+    g *= layout.side_scale[lo:hi][active]
     np.negative(g, out=values[:, 1])
     np.subtract(g[:, 0], g[:, 1], out=values[:, 2, 0])
     np.negative(values[:, 2, 0], out=values[:, 2, 1])
-    first = (np.cumsum(active) - 1) * 6
+    batch_slots = slice(layout.slot_bounds[b], layout.slot_bounds[b + 1])
     slot_hinge = layout.slot_hinge[batch_slots]
     slots = active[slot_hinge]
-    candidate = first[slot_hinge[slots]] + layout.slot_code[batch_slots][slots]
+    candidate = (ranks[slot_hinge[slots]] - 1) * 6 + layout.slot_code[batch_slots][slots]
     update = GradientUpdate.scattered(
         layout.slot_row[batch_slots][slots], values.reshape(-1, dim).take(candidate, axis=0),
         layout.n_entities, layout.n_base,
@@ -646,11 +666,11 @@ def project_entities(emb: EmbeddingTable, rows: np.ndarray | None = None) -> np.
     vectors = emb.entities if rows is None else emb.entities[rows]
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))  # np.linalg.norm's sum
     over = norms > 1.0
-    scaled = np.flatnonzero(over) if rows is None else rows[over]
-    if len(scaled):
+    scaled = over.nonzero()[0] if rows is None else rows[over]
+    if scaled.size:
         emb.entities[scaled] /= norms[over, None]  # a repeated row takes the same bits
-    if rows is not None and len(scaled) > 1:  # distinct, in any order
-        scaled = np.fromiter(set(scaled.tolist()), dtype=np.intp)
+        if rows is not None and scaled.size > 1:  # distinct, in any order
+            scaled = np.fromiter(set(scaled.tolist()), dtype=np.intp)
     return scaled
 
 
@@ -774,7 +794,6 @@ def train(
         table = hinge_table(emb)
         n_ent, n_base = emb.n_entities, emb.n_base_relations
         emb.entities, emb.relations = table[:n_ent], table[n_ent : n_ent + n_base]
-        negated = table[n_ent + n_base : -1]
         history: list[tuple[int, float, float, float, float]] = []
         epochs: list[dict] = []
         scaled = None  # rows the last projection scaled; None before the first (full) pass
@@ -792,19 +811,20 @@ def train(
                 for b in range(n_batches):
                     losses, grads = loss_and_gradients(span.layout, b, table)
                     span_losses.append(losses)
-                    if len(grads.rows):
+                    updated, split = grads.rows, grads.n_entity_rows
+                    if updated.size:
                         grads.apply(table, cfg.lr)
-                        moved = grads.relation_rows
-                        negated[moved] = -emb.relations[moved]
+                        moved = updated[split:]  # relation rows of the table
+                        table[moved + n_base] = -table[moved]
                     if scaled is None:
                         rows = None
-                    elif len(scaled):  # a row of both is checked twice
-                        rows = np.concatenate((grads.entity_rows, scaled))
+                    elif scaled.size:  # a row of both is checked twice
+                        rows = np.concatenate((updated[:split], scaled))
                     else:
-                        rows = grads.entity_rows
-                    if rows is None or len(rows):  # no row moved, none can leave the ball
+                        rows = updated[:split]
+                    if rows is None or rows.size:  # no row moved, none can leave the ball
                         scaled = project_entities(emb, rows)
-                    counts.projected += len(scaled)
+                    counts.projected += scaled.size
                 losses = np.concatenate(span_losses)
                 # per batch each part summed left to right, then added to the totals in turn
                 parts = np.bincount(span.part, weights=losses, minlength=3 * n_batches)

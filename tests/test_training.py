@@ -255,8 +255,8 @@ def test_relation_pair_exclusions_at_scale():
     )
     cfg = TrainingConfig(dim=4, alpha_paths=0.0, alpha_relpairs=1.0)
     layout = one_batch(kg, empty_paths(), index, cfg, seed=7)
-    width = layout.rows.shape[2] - 1
-    pairs = layout.rows[layout.kind == RELPAIR][:, [0, 1], [0, width]] - kg.n_entities
+    rows = layout.index[:, layout.kind == RELPAIR]  # r on side 0, r' ends side 1
+    pairs = np.stack((rows[0, :, 0], rows[-1, :, 1]), axis=1) - kg.n_entities
     got = list(map(tuple, pairs.tolist()))
 
     reference = OracleSampler(kg, seed=7)
@@ -453,6 +453,22 @@ def test_batch_without_active_hinge_touches_no_row(norm):
     assert hexes(emb.relations) == hexes(before.relations)
 
 
+def test_batch_without_hinges_updates_no_row():
+    """Every (h, r, t) of two entities and one relation is in train, so every
+    negative draw gives up: each batch holds no hinge, has no loss and updates
+    no row, and training ends with the first projection's table."""
+    kg = make_kg([(h, "r", t) for h in "ab" for t in "ab"])
+    cfg = TrainingConfig(dim=4, epochs=2, n_batches=2, seed=0)
+    emb = init_embeddings(kg, cfg)
+    expected = EmbeddingTable(emb.entities.copy(), emb.relations.copy())
+    project_entities(expected)
+    result = train(kg, empty_paths(), build_index([], 0.0), cfg, emb=emb)
+    assert [row[1:] for row in result.history] == [(0.0, 0.0, 0.0, 0.0)] * 2
+    assert all(e["triple"]["giveups"] == e["triple"]["draws"] == 12 for e in result.epochs)
+    assert hexes(result.table.entities) == hexes(expected.entities)
+    assert hexes(result.table.relations) == hexes(expected.relations)
+
+
 @pytest.mark.parametrize("norm", NORMS)
 def test_nan_loss_stays_active(norm):
     emb = edge_table()
@@ -496,14 +512,16 @@ def test_zero_norm_side_takes_zero_subgradient(norm):
 
 
 @given(
-    n_rows=st.integers(1, 40),
+    # tables of up to 40 rows take the mask; of 760 or more, past 512 + 4 * 60
+    # rows, the sort
+    n_rows=st.one_of(st.integers(1, 40), st.integers(760, 1000)),
     picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
     dim=st.integers(1, 5),
     seed=st.integers(0, 1000),
 )
 # a single row, and repeats at 0 and n - 1: sorted (a few rows of a large table)
-@example(n_rows=40, picks=[17], dim=3, seed=0)
-@example(n_rows=40, picks=[39, 0, 39, 5, 0, 39, 0], dim=2, seed=1)
+@example(n_rows=1000, picks=[17], dim=3, seed=0)
+@example(n_rows=1000, picks=[999, 0, 999, 5, 0, 999, 0], dim=2, seed=1)
 # and through the mask
 @example(n_rows=1, picks=[0], dim=3, seed=0)
 @example(n_rows=7, picks=[6, 0, 6, 6, 0, 3], dim=2, seed=1)
@@ -898,6 +916,41 @@ def test_train_skipping_empty_updates_matches_full_projection(toy_kg, monkeypatc
     assert any(skipped) and not all(skipped)
 
 
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_rows_scaled_are_checked_again_after_an_empty_update(toy_kg, monkeypatch, norm):
+    """Each batch passes ``project_entities`` the entity rows it updated and the
+    rows the previous batch's projection scaled, also when it updated no row: a
+    rescaled norm may round to just above 1, and a full pass would scale that
+    row again. The run holds batches without an active hinge right after a
+    projection that scaled rows."""
+    ps = extract_paths(toy_kg, 2)
+    cfg = TrainingConfig(dim=16, epochs=12, n_batches=300, seed=2, lr=0.2, norm=norm)
+    real_kernel, real_project = training.loss_and_gradients, training.project_entities
+    batches = []  # per batch: the entity rows updated, rows checked (None: no call) and scaled
+
+    def kernel(layout, b, table):
+        losses, update = real_kernel(layout, b, table)
+        batches.append([set(update.entity_rows.tolist()), None, set()])
+        return losses, update
+
+    def project(emb, rows=None):
+        scaled = real_project(emb, rows)
+        checked = set(range(emb.n_entities)) if rows is None else set(rows.tolist())
+        batches[-1][1:] = checked, set(scaled.tolist())
+        return scaled
+
+    monkeypatch.setattr(training, "loss_and_gradients", kernel)
+    monkeypatch.setattr(training, "project_entities", project)
+    train(toy_kg, ps, build_index([], 0.0), cfg)
+    assert batches[0][1] == set(range(toy_kg.n_entities))
+    empty_after_scaling = 0
+    for (_, _, scaled), (updated, checked, _) in zip(batches, batches[1:]):
+        if scaled or updated:
+            assert checked is not None and scaled | updated <= checked
+        empty_after_scaling += bool(scaled) and not updated
+    assert empty_after_scaling > 0
+
+
 class OracleSampler:
     """Scalar sampler: one rng.integers(n) call per draw, membership by a set of
     the train triples."""
@@ -1224,6 +1277,21 @@ def test_epoch_spans_split_draws_evenly(toy_kg, monkeypatch):
         assert len(epoch) == 2
         largest = max(n for span in epoch for n in span)
         assert all(abs(sum(span) - total / len(epoch)) <= largest for span in epoch)
+
+
+def test_span_at_the_bound_fits_the_pipe(toy_kg):
+    """A span of nearly ``_SPAN_DRAWS`` draws over 3-step paths, uncomposed so
+    each keeps all three rows, pickles as the planner sends it within
+    ``_PIPE_BYTES``: it waits whole in the pipe."""
+    ps = extract_paths(toy_kg, 3)
+    plan = TrainPlan(toy_kg, ps, build_index([], 0.0), TrainingConfig(dim=8))
+    assert plan.width == 3
+    order = np.random.default_rng(0).permutation(len(toy_kg.train))
+    drawn = np.cumsum(plan.draw_counts[order])
+    fits = drawn <= training._SPAN_DRAWS
+    assert drawn[fits][-1] > training._SPAN_DRAWS - plan.draw_counts.max()
+    span = plan.span(NegativeSampler(toy_kg, seed=1), np.array_split(order[fits], 20))
+    assert len(pickle.dumps((span, 0.0), protocol=5)) <= training._PIPE_BYTES
 
 
 def test_train_keeps_its_bits_with_the_default_pipe(toy_kg, monkeypatch):
