@@ -1,5 +1,9 @@
 """Command line pipeline: encode-rules, extract-paths, train, eval, explain.
 
+A known command is parsed by a parser of its own options alone, built once per
+process and reused by every later ``main`` call; the terminal width that help
+and usage errors wrap to is probed on each parse.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence.
 """
 
@@ -289,14 +293,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _command_parser(command: str) -> _Parser:
+    """The parser of ``command``'s options alone, built once per process. Parsing
+    leaves no state on it: each parse returns a fresh namespace."""
+    parser = _Parser(prog=f"rpje {command}", formatter_class=_formatter())
+    _add_command_options(parser, command)
+    return parser
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed. A known command is parsed by a parser of its own options
-    alone, which prints what its subparser in ``build_parser`` prints."""
+    """``argv`` parsed. A known command is parsed by its ``_command_parser``, which
+    prints what its subparser in ``build_parser`` prints, at this parse's
+    terminal width."""
     if not argv or argv[0] not in COMMANDS:
         return build_parser().parse_args(argv)
     command = argv[0]
-    parser = _Parser(prog=f"rpje {command}", formatter_class=_formatter())
-    _add_command_options(parser, command)
+    parser = _command_parser(command)
+    parser.formatter_class = _formatter()
     args, extra = parser.parse_known_args(argv[1:])
     if extra:  # the full parser reports these, under its usage
         build_parser().error(f"unrecognized arguments: {' '.join(extra)}")

@@ -343,8 +343,12 @@ def _shares(done: np.ndarray) -> list[slice]:
     """Blocks with ``done`` work before each boundary, cut into one share per
     idle CPU, but at most one per ``_SHARE_BLOCKS`` blocks: share k ends at the
     boundary whose work before it is nearest k even shares of the walk's (the
-    earlier of two as near). A share left with no block is dropped."""
+    earlier of two as near). A share left with no block is dropped. A walk of
+    fewer than 2 * ``_SHARE_BLOCKS`` blocks, which cannot split, is one share
+    (none if empty), cut without asking for idle CPUs."""
     n_blocks = len(done) - 1
+    if n_blocks < 2 * _SHARE_BLOCKS:
+        return [slice(0, n_blocks)] if n_blocks else []
     n = max(1, min(forked.idle_cpus(), n_blocks // _SHARE_BLOCKS))
     goal = done[-1] * np.arange(1, n) / n
     after = np.searchsorted(done, goal)  # the first boundary at or past each

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -714,20 +715,75 @@ def _full_parser_output(argv, capsys):
     ids=["help", "explain help", "train help", "bad value", "missing positionals", "bad command"],
 )
 def test_parser_for_one_command_matches_full_parser(capsys, monkeypatch, argv):
+    """A known command is parsed by a parser of its own options, built once per
+    process, which prints what the full parser prints on every call."""
     expected = _full_parser_output(argv, capsys)
     built = []
     real = cli._add_common_options
     monkeypatch.setattr(cli, "_add_common_options", lambda p: built.append(p.prog) or real(p))
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == expected
+    cli._command_parser.cache_clear()
+    for _ in range(2):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
     assert code in (EXIT_OK, EXIT_USAGE)
-    assert len(built) == (1 if argv[0] in cli.COMMANDS else len(cli.COMMANDS))
+    assert len(built) == (1 if argv[0] in cli.COMMANDS else 2 * len(cli.COMMANDS))
+
+
+def test_warm_explain_makes_no_gettext_call(pipeline, capsys, monkeypatch):
+    """argparse looks its messages up through ``gettext`` while it builds a
+    parser, never while a built one parses a valid command line."""
+    out, files, fast = pipeline
+    argv = ["explain", *data_flags(files), "--out", str(out), *fast, "--machine",
+            "country_0", "country_1"]
+    lookups = []
+    real = argparse._
+    monkeypatch.setattr(argparse, "_", lambda text: lookups.append(text) or real(text))
+    cli._command_parser.cache_clear()
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert lookups  # the cold call builds the parser
+    lookups.clear()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert lookups == []
+
+
+def test_cached_parser_keeps_no_state_between_parses(capsys, monkeypatch):
+    """The one parser of a command gives each parse its own namespace: options of
+    one parse read as unset on the next, a parse that exits leaves the next one
+    right, and each parse's usage errors wrap at that parse's terminal width."""
+    parser = cli._command_parser("explain")
+    first = cli._parse(["explain", "--top-k", "2", "--machine", "--dim", "5", "a", "b"])
+    assert (first.top_k, first.dim, first.machine) == (2, 5, True)
+    second = cli._parse(["explain", "a", "b"])
+    assert (second.top_k, second.dim, second.machine, second.head, second.tail) == (
+        None, None, False, "a", "b")
+
+    assert main(["explain", "--dim", "zz", "a", "b"]) == EXIT_USAGE
+    assert main(["explain", "-h"]) == EXIT_OK
+    capsys.readouterr()
+    after = cli._parse(["explain", "--top-k", "3", "c", "d"])
+    assert (after.top_k, after.dim, after.machine, after.head, after.tail) == (
+        3, None, False, "c", "d")
+
+    argv = ["explain", "--top-k", "2"]
+    errors = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = _full_parser_output(argv, capsys)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (EXIT_USAGE, captured.out, captured.err) == expected
+        errors[columns] = captured.err
+    assert errors["40"] != errors["200"]
+    assert cli._command_parser("explain") is parser
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["explain", "-h"]], ids=["help", "explain help"])
 def test_help_matches_stock_formatter(capsys, monkeypatch, argv):
-    """The parser's formatter, sized once per build, prints what argparse's stock
+    """The parser's formatter, sized on each parse, prints what argparse's stock
     formatter prints at each terminal width."""
     helps = {}
     for columns in ("40", "50", "80", "200"):

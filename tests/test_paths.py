@@ -240,6 +240,28 @@ def test_finder_agrees_with_extraction(toy_kg):
         assert finder.find([(h, t)]).paths_between(h, t) == paths
 
 
+def test_small_walk_asks_for_no_idle_cpus(toy_kg):
+    """A walk of fewer than 2 * ``_SHARE_BLOCKS`` blocks, ``explain``'s one-pair
+    walk among them, is cut into its one share without ``forked.idle_cpus``; an
+    empty walk into none. Each store holds the oracle's paths of its pair."""
+    def refuse():
+        raise AssertionError("a small walk asked for idle CPUs")
+
+    pairs = train_pairs(toy_kg)[:5] + [(0, 0)]
+    with mock.patch.object(forked, "idle_cpus", refuse):
+        assert paths_mod._shares(np.zeros(1)) == []
+        most = 2 * paths_mod._SHARE_BLOCKS - 1
+        assert paths_mod._shares(np.arange(most + 1.0)) == [slice(0, most)]
+        finder = PathFinder(toy_kg, max_steps=3)
+        for h, t in pairs:
+            expected = oracle_paths(oracle_walk(toy_kg, h, 3).get(t, {}), paths_mod.DEFAULT_CUTOFF,
+                                    paths_mod.DEFAULT_PER_PAIR_CAP)
+            store = finder.find([(h, t)])
+            assert exact(store.pairs) == exact({(h, t): expected} if expected else {})
+        empty = finder.find(np.zeros((0, 2), dtype=np.int64))
+    assert empty.n_paths == 0 and not len(empty.heads)
+
+
 def test_cache_round_trip(tmp_path, toy_kg):
     ps = extract_paths(toy_kg, max_steps=2)
     cache = tmp_path / "paths.bin"
