@@ -17,7 +17,7 @@ print the same lines wrote byte-identical outputs, except that the path-set
 line compares the loaded paths, not the cache bytes, so it holds across cache
 formats, and the metrics line leaves out each command's ``seconds``. A
 ``key=value`` argument replaces that hyperparameter in the workload's run
-config. ``--standard`` runs the ten runs a change that keeps every output
+config. ``--standard`` runs the eleven runs a change that keeps every output
 bit for bit is checked on (``STANDARD``), so comparing two checkouts is one
 ``diff`` of their outputs. The rpje package is imported from the ``src/``
 directory next to this script.
@@ -43,14 +43,15 @@ import workloads  # noqa: E402
 
 EXPLAIN_QUERIES = 20
 EXPLAIN_SEED = 0
-# every workload under each norm, the toy run without each joint term, and
-# 3-step walks on the graphs without hubs
+# every workload under each norm, the toy run without each joint term, 3-step
+# walks on the graphs without hubs, and a split entity ranking with no path side
 STANDARD = [
     ("toy-train", []), ("toy-train", ["norm=L2"]),
     ("wide-eval", []), ("wide-eval", ["norm=L2"]),
     ("hub-paths", []), ("hub-paths", ["norm=L2"]),
     ("toy-train", ["alpha_paths=0"]), ("toy-train", ["alpha_relpairs=0"]),
     ("wide-eval", ["max_path_steps=3"]), ("toy-train", ["max_path_steps=3"]),
+    ("hub-paths", ["alpha_paths=0"]),
 ]
 
 
@@ -127,7 +128,7 @@ def main() -> int:
     )
     parser.add_argument("workload", nargs="?", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("overrides", nargs="*", metavar="key=value")
-    parser.add_argument("--standard", action="store_true", help="run the ten STANDARD runs")
+    parser.add_argument("--standard", action="store_true", help="run the eleven STANDARD runs")
     args = parser.parse_args()
     if args.standard == (args.workload is not None):
         parser.error("give either a workload or --standard")

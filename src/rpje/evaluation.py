@@ -16,22 +16,24 @@ only O(queries) scalars live for the whole split.
 
 Entity queries share nothing, with each other or with the path side (the
 walk of the test pairs, the ``Scorer`` of their store and the relation
-ranking), so they are ranked on every CPU the process may run on.
-``rank_entities`` cuts its triples into contiguous shares of equal length, one
-per CPU, but with no fewer than ``_SHARE_TRIPLES`` triples per share. The
-float32 scan is built first, so the forked children (``forked.run_shares``)
-share it. A child sends back its raw and filtered ranks, its per-query seconds
-and its exact rescore counts as one message, and the parent joins every child
-and merges the shares in triple order. Where the shares would leave a CPU idle
-(``_SHARE_TRIPLES`` triples or more, but fewer than a share per CPU) and there
-is a path term, ``evaluate`` has a child rank each share while it runs the path
-side: hub-paths' 160 test triples, on 2 CPUs. Its walk then splits over the
-CPUs the children leave (``forked.idle_cpus``). Otherwise it walks first, ranks
-the first share while a child ranks each other one, then ranks relations: a
-split of fewer than ``_SHARE_TRIPLES`` triples (the toy's 40) stays in one
-process, and wide-eval's 640 split in two on 2 CPUs. Each query's rank depends
-on its own triple alone, so every arrangement gives every rank, count and
-report of one process.
+ranking), so they are ranked on every CPU the process may run on, in one
+arrangement. ``rank_entities`` runs in one process per idle CPU, but at most
+one per ``_SHARE_TRIPLES`` triples: a split of fewer than twice that many
+(the toy's 40) stays in one process, as one block, after the path side. A
+larger split is cut into claim blocks of ``_CLAIM_TRIPLES`` triples (at most
+256 blocks), and one token per block is written to a pipe before the first
+fork (``forked.Claims``). Each forked child (``forked.run_shares``) claims
+blocks until none is left, and so does ``evaluate``'s process once its path
+side is done: on 2 CPUs, for hub-paths' 160 test triples and wide-eval's 640
+alike, one child claims from the start and the parent joins in later. The
+float32 scan is built before the first fork, so every process reads the one
+copy, and a walk on the path side splits over the CPUs the children leave
+(``forked.idle_cpus``). A child sends back each block it ranked, with its
+raw and filtered ranks, its per-query seconds and its exact rescore counts,
+as one message, and the parent joins every child and merges the blocks in
+triple order. Each query's rank depends on its own triple alone, so every
+rank, count and report is that of one process, whichever process claims
+which block.
 
 Entity ranking computes, per block of triples, arrays of s_true (which a
 triple's head and tail query share), of the fixed sides h + r (tail queries)
@@ -303,70 +305,96 @@ class Scorer(EntityScorer):
         return scores
 
 
-# A ranking's triples per share, at least; a child ranks a share for about
-# 2 ms more than the parent would (its fork, copy-on-write faults and message).
-# Timed with children on os.fork (2 vCPUs, medians of 7 processes, fresh /
-# warm ``evaluate``): on hub-paths (1,696 entities, 3-step walks), one child
-# ranking the first k test triples beside the path side beat one process from
-# k = 48 (6.50 / 5.73 against 6.58 / 6.07 ms) to 128 (10.17 / 9.44 against
-# 13.48 / 12.93); on wide-eval (3,392 entities, 2-step walks), whose path side
-# costs less than a child, it lost 1.2-1.7 ms at every k from 48 to 128. On
-# whole splits, warm: 96 ranks hub-paths' 160 triples beside its path side in
-# 12.5 ms, where 64 or 80 would split them in two after it (16.4-16.6 ms) and
-# over 160 rank them in one process (17.1 ms); wide-eval's 640 split in two
-# at any value up to 320 (31.9 ms; 52.8 beside the path side, 53.0 whole).
-_SHARE_TRIPLES = 96
+# A ranking's triples per process, at least: a split of fewer than twice this
+# many triples stays in one process. A child costs about 2 ms beyond its
+# blocks (its fork, copy-on-write faults and message). Timed with claims of 32
+# triples (2 vCPUs, warm in-process ``eval`` of the first k test triples,
+# medians of 14 calls in each of 3 processes, two processes against one):
+# hub-paths (3-step walks) lost 1.0-1.5 ms at k = 33 to 64, 0-0.7 at 80 and
+# 0.5 at 96, and gained 1.0-1.4 at 128; wide-eval (2-step walks) broke even
+# at 64 and gained 0.3-0.6 ms at 80 and 1.9-2.1 at 128. So a split needs 128
+# triples; the toy's 40 stay in one process.
+_SHARE_TRIPLES = 64
+# The triples of one claim block, at least (a split has at most 256 blocks).
+# Smaller blocks balance the processes better, but each costs about 60 us of
+# set-up: hub-paths' 160 test triples ranked in one process in 7.25 ms as one
+# block, 7.90 in blocks of 16 and 8.36 in blocks of 8. Warm in-process eval
+# (2 vCPUs, 3 processes x 30 calls), at 16 / 24 / 32 / 40 / 48: hub-paths
+# 10.8-11.0 / 10.8-11.1 / 10.5-10.8 / 10.4-10.5 / 11.1-11.3 ms, against
+# 12.3-12.6 with the child beside the path side; wide-eval, at 16 / 32 / 48,
+# 30.1-30.6 / 30.4-30.6 / 29.6-29.8 ms, against 31.8-32.4 split after the walk.
+_CLAIM_TRIPLES = 32
 
 
 def _share_count(n_triples: int) -> int:
-    """The shares a ranking of ``n_triples`` triples is cut into: one per idle
+    """The processes a ranking of ``n_triples`` triples runs in: one per idle
     CPU, but at most one per ``_SHARE_TRIPLES`` triples."""
     return max(1, min(forked.idle_cpus(), n_triples // _SHARE_TRIPLES))
 
 
 def rank_entities(
     scorer: EntityScorer, kg: KnowledgeGraph, triples: np.ndarray,
-    latencies: list[float] | None = None, seconds: list[float] | None = None,
+    latencies: list[float] | None = None, shares: list[tuple[int, float]] | None = None,
     beside: Callable[[], object] | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(raw, filtered) ranks of the true head and the true tail of each triple
     among all entities, as {"head": (raw, filtered), "tail": (raw, filtered)};
     relation ids may be inverse ids. The seconds each query takes are appended
-    to ``latencies``, and those each share takes, in share order, to
-    ``seconds``; ``scorer.rescored`` gains each query's exact rescores.
+    to ``latencies`` in triple order, and each process's blocks ranked and
+    ranking seconds, this process's first, to ``shares``; ``scorer.rescored``
+    gains each query's exact rescores, in triple order.
 
-    The triples are cut into contiguous shares of equal length
-    (``_share_count``), ranked by ``forked.run_shares`` and merged in triple
-    order. With ``beside``, a child ranks every share while this process runs
-    ``beside()``."""
+    A ranking in one process (``_share_count``) is one block. Otherwise the
+    triples are cut into blocks of ``_CLAIM_TRIPLES`` (at most 256 blocks),
+    claimed (``forked.Claims``) by each forked child until none is left, and
+    by this process once ``beside()`` has returned; the ranks are merged by
+    block."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h, r, t = triples.T
     known = {"head": kg.known_heads(r, t), "tail": kg.known_tails(h, r)}
-    scorer._prefilter()  # built before any fork, so that every share reads the one scan
+    scorer._prefilter()  # built before any fork, so that every process reads the one scan
     n = _share_count(len(triples))
-    cuts = [len(triples) * k // n for k in range(n + 1)]
-    jobs = [functools.partial(_rank_share, scorer, triples, known, slice(a, b))
-            for a, b in zip(cuts, cuts[1:])]
-    if beside is None:
-        parts = forked.run_shares("entity ranking", jobs)
-    else:  # ``beside`` runs here, and every share in a child
-        parts = forked.run_shares("entity ranking", [beside, *jobs])[1:]
-    for _, share_latencies, rescored, share_seconds in parts:
+    size = len(triples) if n == 1 else max(_CLAIM_TRIPLES, -(-len(triples) // 256))
+    cuts = [*range(0, len(triples), max(size, 1)), len(triples)]
+    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    with forked.Claims(len(blocks)) as claims:
+        claim = functools.partial(_claim, scorer, triples, known, blocks, claims)
+
+        def here():
+            if beside is not None:
+                beside()
+            return claim()
+
+        parts = forked.run_shares("entity ranking", [here] + [claim] * (min(n, len(blocks)) - 1))
+    ranks = np.empty((2, 2, len(triples)), dtype=np.int64)
+    ranked = sorted((block for claimed, _ in parts for block in claimed), key=lambda b: b[0])
+    for block, block_ranks, block_latencies, rescored in ranked:
+        ranks[..., blocks[block]] = block_ranks
         scorer.rescored += rescored
         if latencies is not None:
-            latencies += share_latencies
-        if seconds is not None:
-            seconds.append(share_seconds)
-    head, tail = np.concatenate([ranks for ranks, *_ in parts], axis=-1)
+            latencies += block_latencies
+    if shares is not None:
+        shares += [(len(claimed), seconds) for claimed, seconds in parts]
+    head, tail = ranks
     return {"head": (head[0], head[1]), "tail": (tail[0], tail[1])}
 
 
-def _rank_share(
-    scorer: Scorer, triples: np.ndarray, known: dict[str, KnownRanges], share: slice
-) -> tuple[np.ndarray, list[float], list[int], float]:
-    """The ranks of ``triples[share]`` (head and tail, each raw and filtered, by
-    triple), each query's seconds and exact rescores, and the share's seconds."""
+def _claim(
+    scorer: EntityScorer, triples: np.ndarray, known: dict[str, KnownRanges],
+    blocks: list[slice], claims: forked.Claims,
+) -> tuple[list[tuple[int, np.ndarray, list[float], list[int]]], float]:
+    """Each block this process claims with its ranks, its queries' seconds and
+    exact rescores (``_rank_share``), and the seconds they took."""
     begin = time.perf_counter()
+    ranked = [(block, *_rank_share(scorer, triples, known, blocks[block])) for block in claims]
+    return ranked, time.perf_counter() - begin
+
+
+def _rank_share(
+    scorer: EntityScorer, triples: np.ndarray, known: dict[str, KnownRanges], share: slice
+) -> tuple[np.ndarray, list[float], list[int]]:
+    """The ranks of ``triples[share]`` (head and tail, each raw and filtered, by
+    triple), and each query's seconds and exact rescores."""
     ranks = np.empty((2, 2, share.stop - share.start), dtype=np.int64)
     latencies: list[float] = []
     rescored: list[int] = []
@@ -377,7 +405,7 @@ def _rank_share(
                            for slot, (values, start, stop) in known.items()},
                           {"head": ranks[0, :, a:b], "tail": ranks[1, :, a:b]},
                           latencies, rescored)
-    return ranks, latencies, rescored, time.perf_counter() - begin
+    return ranks, latencies, rescored
 
 
 def rank_relations(
@@ -424,12 +452,13 @@ class EvalStats:
     entity_queries: int = 0  # head and tail queries ranked
     rescored: dict[str, int] = field(default_factory=dict)  # their exact rescores: total, max
     # per stage (walk, entity_ranking, relation_ranking), the p50 and p90 of
-    # one entity query's ranking time, and the ranking time of each share of
-    # the entity queries (entity_shares), the parent's first if it ranks one.
-    # Beside the path side, entity_ranking runs from the first child's fork to
-    # the merge, so it holds walk and relation_ranking, which time the parent's
-    # path side, and entity_shares are the children's alone.
-    seconds: dict[str, float | list[float]] = field(default_factory=dict)
+    # one entity query's ranking time, and per process, the parent's first,
+    # the claim blocks it ranked (entity_blocks) and its seconds ranking them
+    # (entity_shares). entity_ranking runs from the first fork to the merge,
+    # so it holds walk and relation_ranking, which time the parent's path
+    # side. entity_blocks is a count, but who claims which block varies from
+    # run to run as the timings do, so it is kept here with them.
+    seconds: dict[str, float | list[float] | list[int]] = field(default_factory=dict)
 
     def metrics(self) -> dict:
         paths = asdict(self.paths)
@@ -454,9 +483,9 @@ def evaluate(
     Relations are ranked on the paths of the test pairs, which ``finder`` walks
     once; without a path term to rank by, nothing is walked. The path side
     (the walk, the ``Scorer`` of its store and the relation ranking) shares
-    nothing with the entity ranking: where the entity ranking's shares would
-    leave a CPU idle, a child ranks each share while this process runs the
-    path side (``rank_entities``' ``beside``).
+    nothing with the entity ranking, so it runs here while any entity
+    children claim blocks, and this process claims what is left once it is
+    done (``rank_entities``' ``beside``).
     """
     triples = np.asarray(kg.test_ids if test_triples is None else test_triples,
                          dtype=np.int64).reshape(-1, 3)
@@ -467,43 +496,33 @@ def evaluate(
     stats.test_pairs = len(distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1]))
     ranks = {}
 
-    def walk() -> Scorer:
-        """The scorer of the test pairs' store, walked once."""
+    def path_side() -> None:
+        """Walk the test pairs once, score their store and rank relations."""
         start = time.perf_counter()
         store = finder.find(pairs if alpha_paths else [], stats.paths)
         stats.seconds["walk"] = time.perf_counter() - start
-        return Scorer(emb, store, index, alpha_paths, norm)
-
-    def rank_by_entities(scorer: EntityScorer, beside: Callable[[], object] | None = None) -> None:
-        latencies: list[float] = []
-        shares: list[float] = []
-        start = time.perf_counter()
-        entity = rank_entities(scorer, kg, triples, latencies, shares, beside)
-        stats.seconds["entity_ranking"] = time.perf_counter() - start
-        stats.seconds["entity_shares"] = shares
-        latencies.sort()
-        for q in (50, 90):  # nearest rank; np.percentile would import numpy.ma (11 ms)
-            stats.seconds[f"entity_query_p{q}"] = latencies[-(-len(latencies) * q // 100) - 1]
-        stats.entity_queries = len(scorer.rescored)
-        stats.rescored = {"total": sum(scorer.rescored), "max": max(scorer.rescored)}
-        for task, slot in (("entity-head", "head"), ("entity-tail", "tail")):
-            ranks[(task, "raw")], ranks[(task, "filtered")] = entity[slot]
-
-    def rank_by_paths(scorer: Scorer) -> None:
+        scorer = Scorer(emb, store, index, alpha_paths, norm)
         start = time.perf_counter()
         ranks[("relation", "raw")], ranks[("relation", "filtered")] = rank_relations(
             scorer, kg, triples)
         stats.seconds["relation_ranking"] = time.perf_counter() - start
         stats.compiled = scorer.paths.summary()
 
-    # a split of fewer shares than CPUs: the path side takes the CPU left idle
-    n = len(triples)
-    if alpha_paths and n >= _SHARE_TRIPLES and _share_count(n) < forked.idle_cpus():
-        rank_by_entities(EntityScorer(emb, norm), beside=lambda: rank_by_paths(walk()))
-    else:
-        scorer = walk()
-        rank_by_entities(scorer)
-        rank_by_paths(scorer)
+    scorer = EntityScorer(emb, norm)
+    latencies: list[float] = []
+    shares: list[tuple[int, float]] = []
+    start = time.perf_counter()
+    entity = rank_entities(scorer, kg, triples, latencies, shares, beside=path_side)
+    stats.seconds["entity_ranking"] = time.perf_counter() - start
+    stats.seconds["entity_blocks"] = [blocks for blocks, _ in shares]
+    stats.seconds["entity_shares"] = [seconds for _, seconds in shares]
+    latencies.sort()
+    for q in (50, 90):  # nearest rank; np.percentile would import numpy.ma (11 ms)
+        stats.seconds[f"entity_query_p{q}"] = latencies[-(-len(latencies) * q // 100) - 1]
+    stats.entity_queries = len(scorer.rescored)
+    stats.rescored = {"total": sum(scorer.rescored), "max": max(scorer.rescored)}
+    for task, slot in (("entity-head", "head"), ("entity-tail", "tail")):
+        ranks[(task, "raw")], ranks[(task, "filtered")] = entity[slot]
     categories = relation_categories(kg)
     category = np.array([categories.get(r, "N-N") for r in range(kg.n_relations)])[triples[:, 1]]
     present = sorted(set(category.tolist()))  # np.unique of strings would import numpy.ma

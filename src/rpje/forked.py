@@ -14,10 +14,12 @@ raises an exception the child sent, with its type and message.
 ``run_shares`` runs several jobs of independent work, the first in the
 calling process and each other in a child, and returns their results in
 order; the PCRA walk (``paths.extract_paths``) and entity ranking
-(``evaluation.rank_entities``, whose first job may be ``evaluate``'s path side)
-split through it, and ``train``'s span planner (``training.SpanPlanner``) is a
-child too. Every child is waited for and every pipe closed before it returns
-or raises, a fork that fails included.
+(``evaluation.rank_entities``) split through it, and ``train``'s span planner
+(``training.SpanPlanner``) is a child too. Every child is waited for and every
+pipe closed before it returns or raises, a fork that fails included. Entity
+ranking's jobs share their work through ``Claims``, one token per block in a
+pipe: each process claims blocks until none is left, the calling process
+once ``evaluate``'s path side, which it runs first, is done.
 
 A child holds a CPU from its fork until it is closed, so a split made while
 children run (the walk of ``evaluate``'s path side, beside the entity
@@ -124,6 +126,38 @@ def _run(job, read, outbox, parent_ends) -> None:
 def _send(outbox, message) -> None:
     outbox.write(pickle.dumps(message, protocol=5))  # pickled whole, then written
     outbox.flush()
+
+
+class Claims:
+    """Blocks 0..n - 1 (n at most 256) for this process and its children to
+    claim, each block once. One token byte per block, naming it, is written to
+    a pipe whose write end is closed at once, before any child is forked: a
+    1-byte read claims one block atomically, and a read of the emptied pipe
+    ends at once. Children forked while it is open inherit its read end and
+    leave through ``os._exit``, which closes it; leaving its ``with`` block
+    closes this process's."""
+
+    def __init__(self, n: int):
+        read, write = os.pipe()
+        try:
+            os.write(write, bytes(range(n)))  # one atomic write; n > 256 raises
+        except BaseException:
+            os.close(read)
+            raise
+        finally:
+            os.close(write)
+        self._read = read
+
+    def __iter__(self):
+        """The blocks this process claims, until none is left."""
+        while token := os.read(self._read, 1):
+            yield token[0]
+
+    def __enter__(self) -> Claims:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        os.close(self._read)
 
 
 def run_shares(what: str, jobs: Sequence[Callable[[], object]]) -> list:

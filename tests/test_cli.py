@@ -866,7 +866,8 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
     """eval appends one line: the test pairs, the walk of their paths, the
     store's compile summary, the entity queries and how many candidates they
     rescored exactly, and per-stage seconds with the p50 and p90 of one entity
-    query and each share's entity ranking seconds; its stdout is unchanged.
+    query, and each process's claim blocks ranked and entity ranking seconds,
+    the blocks summing to the claim count; its stdout is unchanged.
     With the float32 prefilter on the toy table or without it, the line differs
     only in the rescores, and the report not at all."""
     _, files, fast = pipeline
@@ -908,14 +909,16 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
         rescored.append(line["rescored"])
         seconds = dict(line["seconds"])
         shares = seconds.pop("entity_shares")
+        blocks = seconds.pop("entity_blocks")
         assert set(seconds) == {
             "walk", "entity_ranking", "relation_ranking", "entity_query_p50", "entity_query_p90",
         }
         assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
         assert seconds["entity_query_p50"] <= seconds["entity_query_p90"]
-        # the toy's 40 test triples are ranked in one share
-        assert len(shares) == 1 and isinstance(shares[0], float)
+        # the toy's 40 test triples are ranked in one process, as one claim block
+        assert len(shares) == len(blocks) == 1 and isinstance(shares[0], float)
         assert 0 <= shares[0] <= seconds["entity_ranking"]
+        assert sum(blocks) == 1
     assert outputs[0] == outputs[1]
     assert rescored[0]["total"] < rescored[1]["total"] == 2 * len(kg.test) * kg.n_entities
     assert main(["eval", *data_flags(files), "--out", str(out), *fast, "--alpha1", "0"]) == EXIT_OK
@@ -1111,6 +1114,8 @@ def test_split_ranking_in_a_fresh_interpreter_writes_the_same_report(tmp_path, m
                   for out in (in_process, fresh))
     assert one["entity_queries"] == 2 * 640 and len(one["seconds"]["entity_shares"]) == 1
     assert (len(split["seconds"]["entity_shares"]) > 1) == (cpus > 1)
+    claims = -(-640 // evaluation._CLAIM_TRIPLES) if cpus > 1 else 1
+    assert sum(split["seconds"]["entity_blocks"]) == claims
     assert {**one, "seconds": None} == {**split, "seconds": None}
 
 

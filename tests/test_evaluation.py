@@ -215,31 +215,45 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
         for slot, ranks in zip(("head", "tail"), by_slot):
             assert rank_one(scorer, kg, triple, slot) == ranks
     # the whole list in one call, with each table scanned in float32 or not, in
-    # one process and split into 2 and 3 shares of one triple at the least
+    # one process and claimed in blocks of one triple by 2 and 3 processes; then
+    # on 3 CPUs beside a job that returns at once, and beside one that outlasts
+    # every child, so that the children claim every block
+    def outlast_children():
+        for child in list(forked._open):
+            os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+
     for prefilter_from in (Scorer.PREFILTER_FROM, 0):
         runs = []
-        for cpus in (1, 2, 3):
+        for cpus, beside in ((1, None), (2, None), (3, None), (3, lambda: None),
+                             (3, outlast_children)):
             scorer = Scorer(emb, extract_paths(kg, max_steps=2), index, 1.0, "L1")
             scorer.PREFILTER_FROM = prefilter_from
             latencies, shares = [], []
             with mock.patch.object(evaluation, "_SHARE_TRIPLES", 1), \
+                    mock.patch.object(evaluation, "_CLAIM_TRIPLES", 1), \
                     mock.patch.object(forked, "cpus", lambda: cpus):
-                ranks = rank_entities(scorer, kg, triples, latencies, shares)
+                ranks = rank_entities(scorer, kg, triples, latencies, shares, beside)
             assert len(shares) == cpus
+            assert sum(blocks for blocks, _ in shares) == (len(triples) if cpus > 1 else 1)
+            if beside is outlast_children:
+                assert shares[0][0] == 0
             got = {slot: list(zip(raw.tolist(), filtered.tolist()))
                    for slot, (raw, filtered) in ranks.items()}
             assert got == expected, (prefilter_from, cpus)
             assert (scorer._scan is not None) == (prefilter_from == 0)
             runs.append((scorer.rescored, len(latencies)))
-        assert runs[1] == runs[2] == runs[0]
+        assert all(run == runs[0] for run in runs)
         assert runs[0][1] == len(runs[0][0]) == 2 * len(triples)
+    assert_no_child()
 
 
 @pytest.mark.parametrize("failure", ["exception", "SIGKILL"])
 def test_failed_ranking_share_leaves_no_process_or_pipe(small_eval_kg, failure):
-    """A share that fails in its child fails the ranking as a failed walk share
-    fails the walk (``failed_share``), and names the ranking. The ranking is
-    split in three; the last child, still ranking, is killed."""
+    """A block that fails in the child that claimed it fails the ranking as a
+    failed walk share fails the walk (``failed_share``), and names the ranking.
+    Three processes claim blocks of one triple; each child fails on its first
+    block, and this process ranks its own first block only once a child has
+    ended, so a child has claimed one. No child is left, nor the token pipe."""
     kg = small_eval_kg
     triples = kg.test + kg.train
     scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2), build_index([], 0.7),
@@ -247,11 +261,13 @@ def test_failed_ranking_share_leaves_no_process_or_pipe(small_eval_kg, failure):
     parent, real_rank = os.getpid(), evaluation._rank_share
 
     def rank(*args):
-        fail_in_child(parent, failure, args[-1].stop == len(triples))
+        fail_in_child(parent, failure, last=False)
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # a child has ended
         return real_rank(*args)
 
     with mock.patch.object(evaluation, "_rank_share", rank), \
             mock.patch.object(evaluation, "_SHARE_TRIPLES", 1), \
+            mock.patch.object(evaluation, "_CLAIM_TRIPLES", 1), \
             mock.patch.object(forked, "cpus", lambda: 3), failed_share(failure, "entity ranking"):
         rank_entities(scorer, kg, triples)
 
@@ -438,20 +454,22 @@ def test_evaluate_walks_exactly_the_test_pairs(small_eval_kg, monkeypatch):
     assert stores[0].n_paths == 0 and stats.paths.pairs == 0
 
 
-def evaluate_small(kg) -> tuple[list, EvalStats]:
-    """``evaluate``'s reports and stats on ``kg``'s test split."""
+def evaluate_small(kg, triples=None) -> tuple[list, EvalStats]:
+    """``evaluate``'s reports and stats on ``kg``'s test split, or on ``triples``."""
     stats = EvalStats()
     reports = evaluate(_trained_like(kg), PathFinder(kg, max_steps=2), build_index([], 0.7), kg,
-                       stats=stats)
+                       test_triples=triples, stats=stats)
     return reports, stats
 
 
 def beside_the_path_side(share_triples: int = 1) -> contextlib.ExitStack:
     """Patches under which ``evaluate`` ranks ``small_eval_kg``'s two test triples
-    in children beside the parent's path side: shares of ``share_triples``
-    triples (one child per triple by default) and 3 CPUs."""
+    in blocks of one triple, claimed by children from the start and by the
+    parent once its path side is done: one process per ``share_triples``
+    triples (one child by default) and 3 CPUs."""
     stack = contextlib.ExitStack()
     stack.enter_context(mock.patch.object(evaluation, "_SHARE_TRIPLES", share_triples))
+    stack.enter_context(mock.patch.object(evaluation, "_CLAIM_TRIPLES", 1))
     stack.enter_context(mock.patch.object(forked, "cpus", lambda: 3))
     return stack
 
@@ -459,18 +477,15 @@ def beside_the_path_side(share_triples: int = 1) -> contextlib.ExitStack:
 def test_evaluate_is_the_same_in_every_arrangement(small_eval_kg, monkeypatch):
     """``evaluate`` gives the reports, the ``EvalStats`` but their seconds, and
     the ranks in triple order of a run in one process, whether the entity
-    ranking splits or not, and whether it runs before the path side or beside
-    it: on 1, 2 or 3 CPUs, with shares of one triple or of every triple. Only
-    on 3 CPUs with shares of one triple does the parent rank no share. In
-    every arrangement the test pairs are walked once and their store compiled
-    once, and the stats hold that walk's counts."""
+    ranking is claimed in blocks by several processes or not: on 1, 2 or 3
+    CPUs, with one process per triple or one for every triple. In every run
+    the test pairs are walked once and their store compiled once, the stats
+    hold that walk's counts, and the processes rank every block between them."""
     kg = small_eval_kg
     calls = Counter()
     ranked: list[list[int]] = []
-    real_rank, real_metrics = evaluation._rank_share, evaluation.metrics_from_ranks
+    real_metrics = evaluation.metrics_from_ranks
     real_find, real_compile = PathFinder.find, Composer.compile
-    monkeypatch.setattr(evaluation, "_rank_share",
-                        lambda *args: calls.update(["share here"]) or real_rank(*args))
     monkeypatch.setattr(evaluation, "metrics_from_ranks",
                         lambda ranks: ranked.append(np.asarray(ranks).tolist()) or real_metrics(ranks))
     monkeypatch.setattr(PathFinder, "find", lambda *args: calls.update(["walk"]) or real_find(*args))
@@ -481,28 +496,33 @@ def test_evaluate_is_the_same_in_every_arrangement(small_eval_kg, monkeypatch):
         calls.clear()
         ranked.clear()
         with mock.patch.object(evaluation, "_SHARE_TRIPLES", share_triples), \
+                mock.patch.object(evaluation, "_CLAIM_TRIPLES", 1), \
                 mock.patch.object(forked, "cpus", lambda: cpus):
             reports, stats = evaluate_small(kg)
-        return reports, dataclasses.replace(stats, seconds={}), list(ranked), dict(calls)
+        blocks = stats.seconds["entity_blocks"]
+        assert len(blocks) == len(stats.seconds["entity_shares"])
+        return reports, dataclasses.replace(stats, seconds={}), list(ranked), dict(calls), blocks
 
     serial = run(1, 10**6)
     walked = PathStats()
     real_find(PathFinder(kg, max_steps=2), [(h, t) for h, _, t in kg.test], walked)
     assert walked.paths and serial[1].paths == walked
     assert any(ranks != ranks[::-1] for ranks in serial[2])  # a merge out of order shows
+    assert serial[4] == [1]
     for cpus in (1, 2, 3):
         for share_triples in (1, 10**6):
-            *got, counts = run(cpus, share_triples)
-            beside = (cpus, share_triples) == (3, 1)
+            *got, counts, blocks = run(cpus, share_triples)
+            split = cpus > 1 and share_triples == 1
             assert tuple(got) == serial[:3], (cpus, share_triples)
-            assert counts == {"walk": 1, "compile": 1, **({} if beside else {"share here": 1})}
+            assert counts == {"walk": 1, "compile": 1}
+            assert (len(blocks), sum(blocks)) == ((2, len(kg.test)) if split else (1, 1))
     assert_no_child()
 
 
 def test_entity_child_killed_while_the_parent_walks(small_eval_kg):
-    """An entity ranking child killed beside the path side gives the one-line
-    error of a ranking share killed by SIGKILL (``failed_share``), after the
-    parent's walk."""
+    """An entity ranking child killed on the block it claimed while the parent
+    walks gives the one-line error of a ranking share killed by SIGKILL
+    (``failed_share``), after the parent's walk."""
     kg = small_eval_kg
     parent, real_rank, real_find = os.getpid(), evaluation._rank_share, PathFinder.find
     walked = []
@@ -526,9 +546,10 @@ def test_entity_child_killed_while_the_parent_walks(small_eval_kg):
 
 def test_failed_path_side_kills_the_entity_children(small_eval_kg):
     """An exception in the parent's path side reaches the caller with its type
-    and message once every entity child, still ranking, has been killed and
-    waited for. No child and no pipe are left."""
+    and message once every entity child, still ranking the block it claimed,
+    has been killed and waited for. No child and no pipe are left."""
     kg = small_eval_kg
+    triples = kg.test + kg.train
     parent, real_rank, real_wait = os.getpid(), evaluation._rank_share, forked.Child.wait
     codes = {}
 
@@ -549,34 +570,32 @@ def test_failed_path_side_kills_the_entity_children(small_eval_kg):
             mock.patch.object(PathFinder, "find", find), \
             mock.patch.object(forked.Child, "wait", wait), beside_the_path_side(), \
             pytest.raises(ValueError, match="^in the path side$"):
-        evaluate_small(kg)
+        evaluate_small(kg, triples)
     assert time.perf_counter() - start < 30
-    assert list(codes.values()) == [-signal.SIGKILL] * len(kg.test)
+    assert list(codes.values()) == [-signal.SIGKILL] * 2  # 3 CPUs: the parent and 2 children
     assert_no_child()
     assert sorted(os.listdir("/dev/fd")) == descriptors
 
 
 def test_walk_split_beside_the_entity_children(small_eval_kg, monkeypatch):
     """A walk beside the entity children splits over the CPUs they leave: of 3
-    CPUs, two beside one child, and one beside two children. Either way the
-    parent ranks no share, and the reports and the stats but their seconds
-    are those of a run in one process. No child and no pipe are left."""
+    CPUs, three beside no child, two beside one and one beside two. Each time
+    the children and the parent, once its path side is done, rank every block
+    between them, and the reports and the stats but their seconds are those
+    of a run in one process. No child and no pipe are left."""
     kg = small_eval_kg
-    ranked_here = []
-    real_rank = evaluation._rank_share
-    monkeypatch.setattr(evaluation, "_rank_share",
-                        lambda *args: ranked_here.append(os.getpid()) or real_rank(*args))
+    triples = kg.test + [kg.train[1], kg.train[5]]  # four heads: four walk blocks
     descriptors = sorted(os.listdir("/dev/fd"))
     with mock.patch.object(paths_mod, "_BLOCK_EDGES", 1), \
             mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1):
         with mock.patch.object(forked, "cpus", lambda: 1):
-            reports, stats = evaluate_small(kg)
-        ranked_here.clear()
-        for share_triples, children, walkers in ((2, 1, 2), (1, 2, 1)):
+            reports, stats = evaluate_small(kg, triples)
+        for share_triples, children, walkers in ((4, 0, 3), (2, 1, 2), (1, 2, 1)):
             with beside_the_path_side(share_triples):
-                split_reports, split = evaluate_small(kg)
-            assert ranked_here == []
-            assert len(split.seconds["entity_shares"]) == children
+                split_reports, split = evaluate_small(kg, triples)
+            blocks = split.seconds["entity_blocks"]
+            assert len(blocks) == len(split.seconds["entity_shares"]) == 1 + children
+            assert sum(blocks) == (len(triples) if children else 1)
             assert len(split.paths.seconds) == walkers, share_triples
             assert split_reports == reports
             assert dataclasses.replace(split, seconds={}) == dataclasses.replace(stats, seconds={})

@@ -311,6 +311,36 @@ def hub_multigraphs(draw):
 LAST_HOP_FORMS = {"join": lambda inward, outward: True, "expand": lambda inward, outward: False}
 
 
+def oracle_last_hops(kg, blocks, wanted, max_steps, joins) -> tuple[int, int, int]:
+    """(blocks joined, edges gathered, edges kept) of the last hops of a walk of
+    ``blocks`` of heads towards the ``wanted`` (head, tail) pairs, from the
+    distinct (head, sequence, entity) entries of each hop's frontier. A block
+    joins where ``joins`` holds on the edges into its wanted tails against the
+    edges out of its frontier before the hop before the last (that hop is then
+    pruned), or against those out of the last hop's frontier, unpruned. Joined,
+    it gathers every edge into a wanted tail and keeps those whose source the
+    tail's head reaches; expanded, it gathers every edge out of the frontier
+    and keeps each that lands on a wanted tail of its entry's head."""
+    n_joined = gathered = kept = 0
+    for block in blocks:
+        frontiers = [{(h, (), h) for h in block}]
+        for _ in range(max_steps - 1):
+            frontiers.append({(h, seq + (r,), x) for h, seq, e in frontiers[-1]
+                              for r, x in kg.adjacency(e)})
+        outward = [sum(len(kg.adjacency(e)) for _, _, e in frontier) for frontier in frontiers]
+        pairs = [(h, t) for h, t in sorted(wanted) if h in set(block)]
+        inward = sum(len(kg.adjacency(t)) for _, t in pairs)
+        if joins(inward, outward[-2]) or joins(inward, outward[-1]):
+            reached = {(h, e) for h, _, e in frontiers[-1]}
+            n_joined += 1
+            gathered += inward
+            kept += sum((h, e) in reached for h, t in pairs for _, e in kg.adjacency(t))
+        else:
+            gathered += outward[-1]
+            kept += sum((h, x) in wanted for h, _, e in frontiers[-1] for _, x in kg.adjacency(e))
+    return n_joined, gathered, kept
+
+
 @given(
     edges=multigraphs | hub_multigraphs(),
     max_steps=st.sampled_from([2, 3]),
@@ -318,18 +348,25 @@ LAST_HOP_FORMS = {"join": lambda inward, outward: True, "expand": lambda inward,
     cap=st.sampled_from([0, 1, 2, 3, 200]),
     block_edges=st.sampled_from([1, 6, 1 << 17]),
     cpus=st.sampled_from([1, 2, 3]),
+    join_cost=st.sampled_from([0, 4, 2**30]),
+    join_setup=st.sampled_from([0, 4, 2**30]),
 )
 @settings(max_examples=150, deadline=None)
-def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_edges, cpus):
+def test_kernel_matches_dict_walk_oracle(
+    edges, max_steps, cutoff, cap, block_edges, cpus, join_cost, join_setup
+):
     """Every walk equals the dict walk bit for bit, with either form of the last
-    hop forced: same pairs, same order, same float.hex. That is the train-pair
-    walk, each head's arrivals, each pair's one-pair walk and one walk of every
-    pair, asked for in shuffled order with repeats; one entity, only in the test
-    split, has no edges, and every pair includes head == tail. Cutoffs 0.25 and
-    0.5 are reliabilities the walk hits exactly; a block limit of 1 or 6 edges
-    gives blocks smaller than one head's work. A walk of several blocks is
-    split into up to ``cpus`` shares, one block each at the least, so 2 and 3
-    CPUs walk it in forked children; each walk counts every block once."""
+    hop forced or chosen by the join's cost rule: same pairs, same order, same
+    float.hex. That is the train-pair walk, each head's arrivals, each pair's
+    one-pair walk and one walk of every pair, asked for in shuffled order with
+    repeats; one entity, only in the test split, has no edges, and every pair
+    includes head == tail. Cutoffs 0.25 and 0.5 are reliabilities the walk hits
+    exactly; a block limit of 1 or 6 edges gives blocks smaller than one head's
+    work. A join cost and set-up drawn from 0, 4 and 2**30 make the rule join,
+    and prune the hop before the last, on some blocks and not on others. A walk
+    of several blocks is split into up to ``cpus`` shares, one block each at the
+    least, so 2 and 3 CPUs walk it in forked children; each walk counts every
+    block once, and its last hops' work is the oracle's."""
     kg = make_kg(edges, test=[("n0", "p", "lonely")])
     expected, below, over = oracle_extract(kg, max_steps, cutoff, cap)
     everywhere, reached_from = {}, {}
@@ -343,11 +380,15 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
     asked = [pairs[i] for i in np.random.default_rng(len(edges)).permutation(len(pairs))]
     heads = np.unique(kg.train_ids[:, 0])
     wanted = np.unique(kg.train_ids[:, 0] * kg.n_entities + kg.train_ids[:, 2])
-    for form, joins in LAST_HOP_FORMS.items():
+    rule = lambda inward, outward: join_cost * inward + join_setup < outward  # noqa: E731
+    for form, joins in {**LAST_HOP_FORMS, "rule": paths_mod._joins}.items():
         with mock.patch.object(paths_mod, "_BLOCK_EDGES", block_edges), \
                 mock.patch.object(paths_mod, "_joins", joins), \
+                mock.patch.object(paths_mod, "_JOIN_COST", join_cost), \
+                mock.patch.object(paths_mod, "_JOIN_SETUP", join_setup), \
                 mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1), \
                 mock.patch.object(forked, "cpus", lambda: cpus):
+            joins = rule if form == "rule" else joins
             stats = PathStats()
             ps = extract_paths(kg, max_steps, cutoff, cap, stats)
             finder = PathFinder(kg, max_steps, cutoff, cap)
@@ -361,6 +402,10 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
             blocks, _ = paths_mod._blocks(kg, heads, max_steps, wanted)
             assert stats.blocks == len(blocks)
             assert 1 <= len(stats.seconds) <= min(cpus, len(blocks))
+            assert (stats.blocks_joined, stats.last_hop_gathered, stats.last_hop_kept) == (
+                oracle_last_hops(kg, [b.tolist() for b in blocks], set(train_pairs(kg)),
+                                 max_steps, joins)
+            ), form
             for h in range(kg.n_entities):
                 assert exact(finder.arrivals(h)) == exact(reached_from[h])
                 for t in range(kg.n_entities):
@@ -372,7 +417,36 @@ def test_kernel_matches_dict_walk_oracle(edges, max_steps, cutoff, cap, block_ed
             assert (stats.pairs, stats.pairs_without_paths) == (
                 len(pairs), len(pairs) - len(everywhere)
             )
-            assert stats.blocks_joined == (stats.blocks if form == "join" else 0)
+            assert stats.blocks_joined == (stats.blocks if form == "join" else 0) or form == "rule"
+            every = np.arange(kg.n_entities)
+            blocks, _ = paths_mod._blocks(kg, every, max_steps, np.arange(kg.n_entities**2))
+            assert (stats.blocks_joined, stats.last_hop_gathered, stats.last_hop_kept) == (
+                oracle_last_hops(kg, [b.tolist() for b in blocks], set(pairs), max_steps, joins)
+            ), form
+
+
+@given(edges=multigraphs | hub_multigraphs(), keep_pairs=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_prune_keeps_edges_towards_wanted_tails_of_their_head(edges, keep_pairs):
+    """The pruned hop keeps, in order, exactly the edges whose neighbour has an
+    edge into a wanted tail of the edge's own head, and with ``keep_pairs``
+    also those landing on a wanted pair; here on the first hop out of every
+    head of the train pairs, one block."""
+    kg = make_kg(edges)
+    wanted = set(train_pairs(kg))
+    keys = np.array(sorted(h * kg.n_entities + t for h, t in wanted))
+    heads = np.unique(kg.train_ids[:, 0])
+    csr = kg.csr
+    source, edge = paths_mod._edges(csr, heads)
+    want = paths_mod._Wanted.of_block(keys, heads, csr)
+    kept_source, kept_edge, _ = paths_mod._prune(
+        csr, want, heads, np.arange(len(heads)), source, edge, keep_pairs)
+    expected = [
+        (i, e) for i, e in zip(source.tolist(), edge.tolist())
+        if any((heads[i], t) in wanted for _, t in kg.adjacency(int(csr.neighbour[e])))
+        or (keep_pairs and (heads[i], csr.neighbour[e]) in wanted)
+    ]
+    assert list(zip(kept_source.tolist(), kept_edge.tolist())) == expected
 
 
 @pytest.mark.parametrize("failure", ["exception", "SIGKILL"])
