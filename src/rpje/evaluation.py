@@ -651,8 +651,14 @@ def explanation_lines(
     def line(kind: str, **values) -> None:
         lines.append(_TEMPLATES[kind][0 if machine else 1].format(**values))
 
+    # Every one of the top-k relations lists the pair's same paths: each path's
+    # relation names and each rule's text are formatted once per call.
+    texts: dict = {}  # relation ids or a rule -> its text
+
     def names(relations: tuple[int, ...]) -> str:
-        return ",".join(kg.relation_name(r) for r in relations)
+        if relations not in texts:
+            texts[relations] = ",".join(map(kg.relation_name, relations))
+        return texts[relations]
 
     for exp in explanations:
         line("relation", rel=kg.relation_name(exp.relation), score=exp.score)
@@ -662,7 +668,9 @@ def explanation_lines(
             line("path", seq=names(ev.relations), reliability=ev.reliability,
                  confidence=ev.confidence_product, res=names(ev.residual))
             for rule in ev.applied_rules:
-                line("rule", rule=format_chain_rule(rule, kg))
+                if rule not in texts:
+                    texts[rule] = format_chain_rule(rule, kg)
+                line("rule", rule=texts[rule])
             if ev.association:
                 frm, to, beta = ev.association
                 line("assoc", frm=kg.relation_name(frm), to=kg.relation_name(to), beta=beta)

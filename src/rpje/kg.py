@@ -15,12 +15,17 @@ the inverse relation). The filter index behind ``known_tails``/``known_heads``/
 ``known_relations`` covers all three splits and answers a whole batch of
 queries with one ``searchsorted`` pair.
 
+The entity names are held as their UTF-8 bytes, each name ended by a line feed
+(no name holds one): ``entity_id`` finds a name in those bytes, and
+``entity_names`` decodes and splits them into a list only when a caller reads it.
+
 ``dataset_hash`` is a SHA-256 over the interned graph, so row order is part of a
 dataset's identity; checkpoints and path caches are keyed on it.
 ``load_dataset(..., cache=path)`` keeps the interned graph in a binary file
-(``dataset.bin``, in the ``artifacts`` layout) keyed on the SHA-256 of the three
-split files' bytes: a hit rebuilds the graph from the stored names, id arrays,
-dataset hash and train CSR without parsing any text or sorting any edge.
+(``dataset.bin``, in the ``artifacts`` layout) that also stores the three split
+files' bytes: it is a hit only if those equal the files' bytes now, and a hit
+rebuilds the graph from the stored names, id arrays, dataset hash and train CSR
+without parsing or hashing any text or sorting any edge.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -97,8 +102,25 @@ def _first_occurrences(ids: np.ndarray) -> np.ndarray:
     return ids[np.sort(first)]
 
 
+def _lines(names: list[str]) -> bytes:
+    """``names`` as UTF-8 lines, each name ended by a line feed."""
+    return "".join([f"{name}\n" for name in names]).encode()
+
+
+def _split_lines(lines: bytes) -> list[str]:
+    """The names of ``_lines`` bytes."""
+    return lines.decode()[:-1].split("\n")
+
+
+def _line_count(data, end: int = -1) -> int:
+    """The line feeds in ``data``'s bytes, or in its first ``end`` bytes: one
+    numpy pass, several times faster than ``bytes.count``."""
+    return int(np.count_nonzero(np.frombuffer(data, "u1", end) == ord("\n")))
+
+
 def _intern(columns: list[Columns]) -> tuple:
-    """(entity names, relation names) in first-appearance order, then each split's id array."""
+    """The entity names as ``_lines`` bytes and the relation names, each in
+    first-appearance order, then each split's id array."""
     ends = []  # per split: head 0, tail 0, head 1, tail 1, ...
     for heads, _, tails in columns:
         interleaved = [None] * (2 * len(heads))
@@ -115,7 +137,10 @@ def _intern(columns: list[Columns]) -> tuple:
         ids[:, 0::2] = end_ids.reshape(-1, 2)
         ids[:, 1] = np.fromiter(map(relation_id.__getitem__, rels), np.int32, len(rels))
         splits.append(_first_occurrences(ids))
-    return entity_names, relation_names, *splits
+    entity_lines = _lines(entity_names)
+    if _line_count(entity_lines) != len(entity_names):  # only a row given in memory can do this
+        raise DatasetError("an entity name holds a line feed")
+    return entity_lines, relation_names, *splits
 
 
 def _graph_digest(entity_names: list[str], relation_names: list[str], splits) -> str:
@@ -170,7 +195,7 @@ class KnowledgeGraph:
 
     def __init__(
         self,
-        entity_names: list[str],
+        entity_lines: bytes,
         relation_names: list[str],
         train: np.ndarray,
         valid: np.ndarray,
@@ -178,14 +203,16 @@ class KnowledgeGraph:
         dataset_hash: str | None = None,
         csr: AdjacencyCSR | None = None,
     ):
-        """Splits are (n, 3) int32 arrays of distinct (head, relation, tail) ids;
-        ``dataset_hash`` and ``csr``, if given, must be what ``dataset_hash()``
-        computes and what ``csr`` builds."""
+        """``entity_lines`` holds the entity names in id order as UTF-8, each
+        ended by a line feed; splits are (n, 3) int32 arrays of distinct (head, relation, tail)
+        ids; ``dataset_hash`` and ``csr``, if given, must be what
+        ``dataset_hash()`` computes and what ``csr`` builds."""
         if not len(train):
             raise DatasetError("train split is empty")
         if reserved := [name for name in relation_names if name.endswith(INVERSE_SUFFIX)]:
             raise DatasetError(f"relation {reserved[0]!r} ends in the reserved {INVERSE_SUFFIX}")
-        self.entity_names = entity_names
+        self._entity_lines = entity_lines
+        self.n_entities = _line_count(entity_lines)
         self.relation_names = relation_names  # base relations only
         self._relation_id = dict(zip(relation_names, range(len(relation_names))))
         self.train_ids, self.valid_ids, self.test_ids = train, valid, test
@@ -204,6 +231,11 @@ class KnowledgeGraph:
         return cls(*_intern([tuple(zip(*rows)) or ((), (), ()) for rows in (train, valid, test)]))
 
     @cached_property
+    def entity_names(self) -> list[str]:
+        """The entity names in id order."""
+        return _split_lines(self._entity_lines)
+
+    @cached_property
     def train(self) -> list[Triple]:
         return list(map(tuple, self.train_ids.tolist()))
 
@@ -218,10 +250,6 @@ class KnowledgeGraph:
         return self._csr
 
     # --- sizes and id arithmetic ---
-
-    @property
-    def n_entities(self) -> int:
-        return len(self.entity_names)
 
     @property
     def n_base_relations(self) -> int:
@@ -241,12 +269,23 @@ class KnowledgeGraph:
     # --- symbol lookups ---
 
     def entity_id(self, name: str) -> int:
-        """The id of an entity name, by a scan of the names: only ``explain`` looks
-        names up, so no command builds a dict over every entity."""
+        """The id of an entity name: the number of its line in the names' bytes.
+        Only ``explain`` looks names up, so no command builds a list or a dict
+        over every entity. No name holds a line feed, so a string that does
+        names none; nor does one with a lone surrogate, which is how Python
+        decodes an argument that is not UTF-8, and which UTF-8 cannot encode."""
+        lines = self._entity_lines
         try:
-            return self.entity_names.index(name)
-        except ValueError:
-            raise LookupError(f"unknown entity {name!r}") from None
+            key = b"\n%b\n" % name.encode()
+        except UnicodeEncodeError:  # a lone surrogate
+            key = b""
+        if key.count(b"\n") == 2:  # the name holds no line feed
+            if lines.startswith(key[1:]):
+                return 0
+            at = lines.find(key)
+            if at >= 0:
+                return _line_count(lines, at + 1)
+        raise LookupError(f"unknown entity {name!r}")
 
     def relation_id(self, name: str) -> int:
         """Resolve a relation name; a trailing ^-1 yields the derived inverse id."""
@@ -371,83 +410,95 @@ class _FilterIndex:
 
 
 _CACHE_MAGIC = b"RPJEDSET"
-# 2: the train CSR follows the names; 3: with its reverse-edge index; 4: aligned arrays
-_CACHE_VERSION = 4
-# version, source key, dataset hash, entity and relation counts,
-# train/valid/test rows, name bytes
-_CACHE_HEADER = struct.Struct("<H32s32s5IQ")
+# 2: the train CSR follows the names; 3: with its reverse-edge index; 4: aligned
+# arrays; 5: the split files' bytes in place of their SHA-256, names as lines
+_CACHE_VERSION = 5
+# version, dataset hash, entity and relation counts, train/valid/test rows,
+# entity and relation name bytes, train/valid/test file bytes
+_CACHE_HEADER = struct.Struct("<H32s5I5Q")
 
 
 def _parse(sources: list[bytes], paths) -> KnowledgeGraph:
     return KnowledgeGraph(*_intern(list(map(_columns, sources, paths))))
 
 
-def _source_key(sources: list[bytes]) -> bytes:
-    """SHA-256 of the cache format version and of each split file's length and bytes."""
-    digest = hashlib.sha256(struct.pack("<H", _CACHE_VERSION))
-    for data in sources:
-        digest.update(struct.pack("<Q", len(data)))
-        digest.update(data)
-    return digest.digest()
-
-
-def _write_cache(graph: KnowledgeGraph, key: bytes, path) -> None:
+def _write_cache(graph: KnowledgeGraph, sources: list[bytes], path) -> None:
     """The ``artifacts.write_arrays`` layout: the header, the train, valid and test
-    ids as one int32 array, the entity then the relation names as UTF-8 lines, then
-    the train CSR's ``indptr``, ``relation``, ``neighbour``, ``group_size`` and
-    ``reverse`` as int64."""
+    ids as one int32 array, the entity then the relation names as ``_lines``
+    bytes, the train CSR's ``indptr``, ``relation``, ``neighbour``,
+    ``group_size`` and ``reverse`` as int64, then each split file's bytes."""
     splits = (graph.train_ids, graph.valid_ids, graph.test_ids)
-    names = "\n".join(graph.entity_names + graph.relation_names).encode()
+    names = [graph._entity_lines, _lines(graph.relation_names)]
     fields = (
-        _CACHE_VERSION, key, bytes.fromhex(graph.dataset_hash()),
-        graph.n_entities, graph.n_base_relations, *map(len, splits), len(names),
+        _CACHE_VERSION, bytes.fromhex(graph.dataset_hash()), graph.n_entities,
+        graph.n_base_relations, *map(len, splits), *map(len, names), *map(len, sources),
     )
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     write_arrays(path, _CACHE_MAGIC, _CACHE_HEADER, fields, [
         np.concatenate(splits, dtype="<i4"),
-        np.asarray(memoryview(names)),  # as uint8
+        *(np.frombuffer(lines, "u1") for lines in names),
         *(np.asarray(array, "<i8") for array in graph.csr),
+        *(np.frombuffer(data, "u1") for data in sources),
     ])
 
 
-def _cache_layout(key: bytes, fields) -> list[tuple[str, int]]:
-    version, stored_key, _, n_ent, _, *rows, name_bytes = fields
+def _cache_layout(fields) -> list[tuple[str, int]]:
+    version, _, n_ent, _, *rows, entity_bytes, relation_bytes = fields[:9]
     # an empty train split is an error, which only a parse reports
-    if (version, stored_key) != (_CACHE_VERSION, key) or not rows[0]:
-        raise DatasetError("not a cache for these split files")
-    return [("<i4", 3 * sum(rows)), ("u1", name_bytes), ("<i8", n_ent + 1),
-            *[("<i8", 2 * rows[0])] * 4]
+    if version != _CACHE_VERSION or not rows[0]:
+        raise DatasetError("not a dataset cache of this format")
+    return [("<i4", 3 * sum(rows)), ("u1", entity_bytes), ("u1", relation_bytes),
+            ("<i8", n_ent + 1), *[("<i8", 2 * rows[0])] * 4,
+            *[("u1", size) for size in fields[9:]]]
 
 
-def _read_cache(path, key: bytes) -> KnowledgeGraph | None:
-    """The graph cached at ``path`` for sources with ``key``; None if the file is
-    missing, stale, truncated, over-long or otherwise not a cache for them.
-    Values in range are trusted: the cache is keyed on the split files' bytes."""
+def _stored_lines(data: np.ndarray, count: int) -> bytes | None:
+    """The ``_lines`` bytes of ``count`` names stored as ``data``; None if they are
+    not UTF-8 or not ``count`` lines."""
+    lines = bytes(data)
     try:
-        fields, (ids, names, *csr) = read_arrays(
-            path, _CACHE_MAGIC, _CACHE_HEADER, partial(_cache_layout, key), DatasetError
+        lines.decode()
+    except UnicodeDecodeError:
+        return None
+    return lines if _line_count(lines) == count and lines.endswith(b"\n") else None
+
+
+def _read_cache(path, sources: list[bytes]) -> KnowledgeGraph | None:
+    """The graph cached at ``path`` for split files with the bytes ``sources``;
+    None if the file is missing, stale, truncated, over-long or otherwise not a
+    cache for them. Values in range are trusted: the stored split files are
+    these, and this module wrote the rest from them."""
+    try:
+        fields, (ids, entities, relations, *arrays) = read_arrays(
+            path, _CACHE_MAGIC, _CACHE_HEADER, _cache_layout, DatasetError
         )
     except (FileNotFoundError, DatasetError):
         return None
-    ds_hash, n_ent, n_rel, *rows = fields[2:8]
-    ids = ids.reshape(-1, 3)
-    indptr, relation, neighbour, group_size, reverse = csr = AdjacencyCSR(*csr)
+    # ``startswith`` compares the stored bytes in place: no copy, no temporary
+    if any(len(stored) != len(data) or not data.startswith(stored)
+           for stored, data in zip(arrays[5:], sources)):
+        return None
+    ds_hash, n_ent, n_rel, *rows = fields[1:7]
+    indptr, relation, neighbour, group_size, reverse = csr = AdjacencyCSR(*arrays[:5])
     n_edges = len(relation)
-    # every id lies in [0, its bound)
-    bounds = [(ids[:, 0::2], n_ent), (ids[:, 1], n_rel), (relation, 2 * n_rel),
-              (neighbour, n_ent), (reverse, n_edges)]
-    if any(a.min() < 0 or a.max() >= bound for a, bound in bounds) or group_size.min() < 1:
+    # Every id lies in [0, its bound): read unsigned, a negative id is past any
+    # bound, so one maximum per id column and per CSR array checks both ends.
+    unsigned = ids.view("<u4")
+    bounds = [(unsigned[0::3], n_ent), (unsigned[1::3], n_rel), (unsigned[2::3], n_ent),
+              (relation.view("<u8"), 2 * n_rel), (neighbour.view("<u8"), n_ent),
+              (reverse.view("<u8"), n_edges)]
+    if any(a.max() >= bound for a, bound in bounds) or group_size.min() < 1:
         return None
     if indptr[0] != 0 or indptr[-1] != n_edges or (indptr[1:] < indptr[:-1]).any():
         return None
-    try:
-        names = bytes(names).decode().split("\n")
-    except UnicodeDecodeError:
+    entity_lines, relation_lines = _stored_lines(entities, n_ent), _stored_lines(relations, n_rel)
+    if entity_lines is None or relation_lines is None:
         return None
-    if len(names) != n_ent + n_rel:
+    splits = np.split(ids.reshape(-1, 3), np.cumsum(rows[:2]))
+    try:  # a relation name may have been damaged into the reserved suffix
+        return KnowledgeGraph(entity_lines, _split_lines(relation_lines), *splits, ds_hash.hex(), csr)
+    except DatasetError:
         return None
-    splits = np.split(ids, np.cumsum(rows[:2]))
-    return KnowledgeGraph(names[:n_ent], names[n_ent:], *splits, ds_hash.hex(), csr)
 
 
 def load_dataset(
@@ -460,8 +511,8 @@ def load_dataset(
     """Load tab-separated triple files into an interned, index-backed graph.
 
     With ``cache``, the graph is read from that file if it was written for split
-    files with these exact bytes. Otherwise the files are parsed, and the cache
-    is (re)written unless ``write_cache`` is false.
+    files with these exact bytes, which it stores and compares. Otherwise the
+    files are parsed, and the cache is (re)written unless ``write_cache`` is false.
     """
     paths = (train_path, valid_path, test_path)
     sources = []
@@ -470,10 +521,9 @@ def load_dataset(
             sources.append(fh.read())
     if cache is None:
         return _parse(sources, paths)
-    key = _source_key(sources)
-    graph = _read_cache(cache, key)
+    graph = _read_cache(cache, sources)
     if graph is None:
         graph = _parse(sources, paths)
         if write_cache:
-            _write_cache(graph, key, cache)
+            _write_cache(graph, sources, cache)
     return graph

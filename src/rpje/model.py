@@ -148,6 +148,9 @@ def load_checkpoint(path, expected_dataset_hash: str | None = None) -> tuple[Emb
         raise CheckpointError(f"{path}: checkpoint built for a different dataset")
     if norm not in NORMS:
         raise CheckpointError(f"{path}: unknown norm {norm!r} in checkpoint")
-    if not (np.isfinite(ents).all() and np.isfinite(rels).all()):
+    # A minimum and a maximum carry a NaN through and show an infinity, with no
+    # bool array as ``isfinite`` makes; the initial 0 passes an empty array.
+    extremes = (reduce(initial=0.0) for a in (ents, rels) for reduce in (a.min, a.max))
+    if not all(map(math.isfinite, extremes)):
         raise CheckpointError(f"{path}: a value is not finite")
     return EmbeddingTable(ents.reshape(n_ent, dim), rels.reshape(n_rel, dim)), ds_hash, norm

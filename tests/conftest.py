@@ -103,10 +103,7 @@ class ArtifactFormat(NamedTuple):
 
 CHECKPOINT = ArtifactFormat(model._CKPT_MAGIC, model._CKPT_HEADER, model._checkpoint_layout)
 PATH_CACHE = ArtifactFormat(paths._MAGIC, paths._HEADER, paths._layout)
-DATASET_CACHE = ArtifactFormat(
-    kg_mod._CACHE_MAGIC, kg_mod._CACHE_HEADER,
-    lambda fields: kg_mod._cache_layout(fields[1], fields),  # the key the file holds
-)
+DATASET_CACHE = ArtifactFormat(kg_mod._CACHE_MAGIC, kg_mod._CACHE_HEADER, kg_mod._cache_layout)
 
 
 def parse_rule_lines(lines, kg, tmp_path, threshold=0.0, stats=None):

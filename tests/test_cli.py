@@ -129,6 +129,17 @@ def test_explain_unknown_entity_hints(pipeline, capsys):
     assert "did you mean" in err
 
 
+def test_explain_undecodable_entity_exits_two(pipeline, capsys):
+    """An argument that is not UTF-8 reaches ``main`` with a lone surrogate in
+    it: it names no entity, and the error is one line."""
+    out, files, fast = pipeline
+    rc = main(["explain", *data_flags(files), "--out", str(out), *fast, "country_0\udcff", "country_1"])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown entity 'country_0\\udcff'")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_scoring_uses_checkpoint_norm(pipeline, tmp_path, capsys):
     """eval and explain score with the norm the checkpoint was trained with
     (the default L1 here): ``--norm L2`` is a training setting they ignore, and
@@ -812,7 +823,8 @@ def test_explain_parses_without_cache_and_writes_nothing(pipeline, tmp_path, cap
         (out / "dataset.bin").unlink()
     else:
         data = bytearray((out / "dataset.bin").read_bytes())
-        data[20] ^= 0xFF  # inside the source key
+        *_, stored_train, _, _ = DATASET_CACHE.arrays(data)[0]  # the stored split files end it
+        stored_train[len(stored_train) // 2] ^= 0xFF
         (out / "dataset.bin").write_bytes(bytes(data))
     listing = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(argv) == EXIT_OK

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpje import kg as kg_mod
+from rpje import artifacts, kg as kg_mod
 from rpje.kg import DatasetError, KnowledgeGraph, distinct_groups, distinct_sorted, load_dataset
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
@@ -318,6 +318,49 @@ def test_interning_matches_per_row_oracle(tmp_path_factory, texts):
         assert graph_state(load_dataset(*paths, cache=cache)) == graph_state(load_dataset(*paths))
 
 
+def assert_entity_lookups(kg):
+    """``entity_id`` finds every name at its ``entity_names`` index, and finds no
+    other string: no part of a name, no two names joined by a line feed and no
+    string with a lone surrogate, as Python decodes an argument that is not UTF-8."""
+    names = kg.entity_names
+    assert len(names) == kg.n_entities
+    for name in names:
+        assert kg.entity_id(name) == names.index(name)
+    others = {"\udcff", f"{names[0]}\udcff", f"\ud800{names[-1]}"}
+    for name in names:
+        others |= {name[:k] for k in range(len(name))} | {name[k:] for k in range(1, len(name) + 1)}
+        others |= {f"{name}\n", f"\n{name}"}
+    others |= {f"{a}\n{b}" for a, b in zip(names, names[1:])}
+    for other in others - set(names):
+        with pytest.raises(LookupError, match="unknown entity"):
+            kg.entity_id(other)
+
+
+@given(texts=st.tuples(split_text(), split_text(), split_text()))
+@settings(max_examples=150, deadline=None)
+def test_entity_lookup_matches_list_index(tmp_path_factory, texts):
+    """The same lookup rule on a parse, on the miss that writes the cache and on
+    a hit, over names with characters ``str.splitlines`` splits at, a BOM and
+    the empty name."""
+    directory = tmp_path_factory.mktemp("splits")
+    paths = [directory / f"{split}.tsv" for split in ("train", "valid", "test")]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text.encode("utf-8"))
+    if isinstance(oracle_load(paths), str):
+        return
+    cache = directory / "dataset.bin"
+    for kg in (load_dataset(*paths), load_dataset(*paths, cache=cache)):
+        assert_entity_lookups(kg)
+    hit = kg_mod._read_cache(cache, [path.read_bytes() for path in paths])
+    assert_entity_lookups(hit)
+    assert graph_state(hit) == graph_state(load_dataset(*paths))
+
+
+def test_entity_name_with_line_feed_rejected():
+    with pytest.raises(DatasetError, match="line feed"):
+        make_kg([("a\nb", "r", "c")])
+
+
 @pytest.mark.parametrize(
     "train, valid, test",
     [
@@ -379,16 +422,31 @@ def test_cache_hit_parses_no_text(tmp_path, toy_files, monkeypatch):
     assert written == graph_state(load_dataset(*toy_files))
 
 
-def stored_csr(data):
-    """The CSR arrays of the cache ``data``, a bytearray, as writeable int64 views."""
-    return DATASET_CACHE.arrays(data)[0][-5:]  # the CSR's five arrays end the file
+def stored_arrays(data):
+    """The arrays of the cache ``data``, a bytearray, as writeable views: the id
+    rows of every split as one (n, 3) array, the entity and relation name bytes,
+    the train CSR and the stored train, valid and test files."""
+    ids, entities, relations, *rest = DATASET_CACHE.arrays(data)[0]
+    return ids.reshape(-1, 3), entities, relations, kg_mod.AdjacencyCSR(*rest[:5]), rest[5:]
+
+
+def assert_rebuilt(cache, files, data, original, expected, monkeypatch):
+    """``data`` at ``cache`` is a miss: one parse, then ``original`` rewritten."""
+    cache.write_bytes(bytes(data))
+    parses = _parses(monkeypatch)
+    assert graph_state(load_dataset(*files, cache=cache)) == expected
+    assert parses == [1]
+    assert cache.read_bytes() == original
 
 
 @pytest.mark.parametrize(
     "damage",
     ["truncated header", "truncated ids", "one byte short", "over-long", "magic", "version",
+     "train head id", "valid relation id", "test tail id",
      "neighbour id", "negative neighbour id", "relation id", "negative relation id",
-     "decreasing indptr", "group size 0", "indptr start", "indptr end", "reverse edge id"],
+     "decreasing indptr", "group size 0", "indptr start", "indptr end", "reverse edge id",
+     "entity name not UTF-8", "relation name not UTF-8", "one entity separator too many",
+     "one relation separator too many", "last entity separator", "reserved relation suffix"],
 )
 def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
     cache = tmp_path / "dataset.bin"
@@ -398,6 +456,9 @@ def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
     data = bytearray(original)
     version, *rest = DATASET_CACHE.fields(data)
     (ids, *_), (ids_start, *_) = DATASET_CACHE.arrays(data)
+    rows, entities, relations, csr, _ = stored_arrays(data)
+    n_train, n_valid, n_test = map(len, (kg.train_ids, kg.valid_ids, kg.test_ids))
+    assert n_valid and n_test
     if damage == "truncated header":
         data = data[: len(DATASET_CACHE.magic) + DATASET_CACHE.header.size // 2]
     elif damage == "truncated ids":
@@ -410,8 +471,25 @@ def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
         data[0] ^= 0xFF
     elif damage == "version":  # the previous format is a miss
         DATASET_CACHE.set_fields(data, [version - 1, *rest])
+    elif damage == "train head id":  # an id out of range in each id column
+        rows[n_train - 1, 0] = kg.n_entities
+    elif damage == "valid relation id":
+        rows[n_train, 1] = kg.n_base_relations
+    elif damage == "test tail id":
+        rows[-1, 2] = -1
+    elif damage.endswith("not UTF-8"):
+        (entities if damage.startswith("entity") else relations)[0] = 0xFF
+    elif damage.endswith("separator too many"):
+        names = entities if damage.startswith("one entity") else relations
+        names[0] = ord("\n")  # the first name's first byte
+    elif damage == "last entity separator":  # the count holds, the last name is cut off
+        entities[-1] = ord("x")
+        entities[0] = ord("\n")
+    elif damage == "reserved relation suffix":  # the first relation name ends in ^-1
+        end = bytes(relations).index(b"\n")
+        relations[end - 3:end] = np.frombuffer(kg_mod.INVERSE_SUFFIX.encode(), "u1")
     else:  # a value out of range in the CSR
-        indptr, relation, neighbour, group_size, reverse = stored_csr(data)
+        indptr, relation, neighbour, group_size, reverse = csr
         if damage == "neighbour id":
             neighbour[-1] = kg.n_entities
         elif damage == "negative neighbour id":
@@ -430,11 +508,53 @@ def test_damaged_cache_is_rebuilt(tmp_path, toy_files, monkeypatch, damage):
             reverse[0] = len(reverse)
         else:
             group_size[len(group_size) // 2] = 0
-    cache.write_bytes(bytes(data))
-    parses = _parses(monkeypatch)
-    assert graph_state(load_dataset(*toy_files, cache=cache)) == expected
-    assert parses == [1]
-    assert cache.read_bytes() == original
+    assert_rebuilt(cache, toy_files, data, original, expected, monkeypatch)
+
+
+@pytest.fixture
+def long_files(tmp_path):
+    """Split files of more than 64 KiB each, so their cache is mapped."""
+    files = []
+    for split, rows in (("train", 3000), ("valid", 2500), ("test", 2500)):
+        path = tmp_path / "data" / f"{split}.tsv"
+        path.parent.mkdir(exist_ok=True)
+        write_split(path, [(f"entity_{i % 1500}", f"relation_{i % 7}", f"entity_{(7 * i + 1) % 1500}")
+                           for i in range(rows)])
+        assert path.stat().st_size > 1 << 16
+        files.append(path)
+    return files
+
+
+@pytest.mark.parametrize("split", [0, 1, 2])
+@pytest.mark.parametrize("where", [0, 1 << 15, -1])
+def test_cache_compares_every_stored_byte(tmp_path, long_files, monkeypatch, split, where):
+    """One flipped byte anywhere in a stored split file, its last byte included,
+    is a miss that parses once and rewrites the cache."""
+    cache = tmp_path / "dataset.bin"
+    expected = graph_state(load_dataset(*long_files, cache=cache))
+    original = cache.read_bytes()
+    assert len(original) >= artifacts._MAP_FROM
+    data = bytearray(original)
+    stored = stored_arrays(data)[-1][split]
+    assert bytes(stored) == long_files[split].read_bytes()
+    stored[where] ^= 0x01
+    assert_rebuilt(cache, long_files, data, original, expected, monkeypatch)
+
+
+@pytest.mark.parametrize("split", [0, 1, 2])
+def test_cache_of_a_prefix_is_a_miss(tmp_path, long_files, monkeypatch, split):
+    """A cache written for a split file one byte shorter, here one without its
+    final line end, stores a prefix of the file: its length differs, so it is
+    a miss, although it parses to the same graph."""
+    cache = tmp_path / "dataset.bin"
+    expected = graph_state(load_dataset(*long_files, cache=cache))
+    original = cache.read_bytes()
+    shorter = list(long_files)
+    shorter[split] = tmp_path / "shorter.tsv"
+    shorter[split].write_bytes(long_files[split].read_bytes()[:-1])
+    prefix_cache = tmp_path / "prefix.bin"
+    assert graph_state(load_dataset(*shorter, cache=prefix_cache)) == expected
+    assert_rebuilt(cache, long_files, prefix_cache.read_bytes(), original, expected, monkeypatch)
 
 
 def test_cache_follows_changed_sources(tmp_path, toy_files, toy_data):

@@ -191,6 +191,38 @@ def test_checkpoint_older_version_rejected(tmp_path, kg):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["last entity value", "a relation value"])
+def test_checkpoint_non_finite_value_rejected(tmp_path, kg, value, where):
+    emb = init_embeddings(kg, TrainingConfig(dim=8, seed=1))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(emb, kg.dataset_hash(), "L1", path)
+    data = bytearray(path.read_bytes())
+    entities, relations = CHECKPOINT.arrays(data)[0]
+    if where == "last entity value":
+        entities[-1] = value
+    else:
+        relations[len(relations) // 2] = value
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="not finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_no_rows_loads(tmp_path, kg):
+    """A header of 0 entities and relations gives empty tables, not an error
+    from a reduction over no values."""
+    emb = init_embeddings(kg, TrainingConfig(dim=8, seed=1))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(emb, kg.dataset_hash(), "L1", path)
+    data = bytearray(path.read_bytes())
+    header = CHECKPOINT.fields(data)
+    header[2:4] = 0, 0
+    CHECKPOINT.set_fields(data, header)
+    path.write_bytes(bytes(data[: len(CHECKPOINT.magic) + CHECKPOINT.header.size]))
+    loaded, _, _ = load_checkpoint(path)
+    assert loaded.entities.shape == (0, 8) and loaded.relations.shape == (0, 8)
+
+
 def test_checkpoint_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"nope")
