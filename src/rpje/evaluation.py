@@ -16,24 +16,22 @@ only O(queries) scalars live for the whole split.
 
 Entity queries share nothing, with each other or with the path side (the
 walk of the test pairs, the ``Scorer`` of their store and the relation
-ranking), so they are ranked on every CPU the process may run on, in one
-arrangement. ``rank_entities`` runs in one process per idle CPU, but at most
-one per ``_SHARE_TRIPLES`` triples: a split of fewer than twice that many
-(the toy's 40) stays in one process, as one block, after the path side. A
-larger split is cut into claim blocks of ``_CLAIM_TRIPLES`` triples (at most
-256 blocks), and one token per block is written to a pipe before the first
-fork (``forked.Claims``). Each forked child (``forked.run_shares``) claims
-blocks until none is left, and so does ``evaluate``'s process once its path
+ranking), so ``rank_entities`` runs them by the one split rule of the walk's
+blocks (``forked.run_blocks``), one block per triple: one process per idle
+CPU, but at most one per ``_SHARE_TRIPLES`` triples. A split of fewer than
+twice that many (the toy's 40) is one claim block in this process, after the
+path side, with no pipe and no fork. A larger split is cut into claim blocks
+of ``_CLAIM_TRIPLES`` triples (at most 256 blocks), which each forked child
+claims until none is left, and so does ``evaluate``'s process once its path
 side is done: on 2 CPUs, for hub-paths' 160 test triples and wide-eval's 640
 alike, one child claims from the start and the parent joins in later. The
 float32 scan is built before the first fork, so every process reads the one
 copy, and a walk on the path side splits over the CPUs the children leave
 (``forked.idle_cpus``). A child sends back each block it ranked, with its
 raw and filtered ranks, its per-query seconds and its exact rescore counts,
-as one message, and the parent joins every child and merges the blocks in
-triple order. Each query's rank depends on its own triple alone, so every
-rank, count and report is that of one process, whichever process claims
-which block.
+as one message, and the blocks are merged in triple order. Each query's rank
+depends on its own triple alone, so every rank, count and report is that of
+one process, whichever process claims which block.
 
 Entity ranking computes, per block of triples, arrays of s_true (which a
 triple's head and tail query share), of the fixed sides h + r (tail queries)
@@ -71,7 +69,6 @@ order gives, bit for bit (that loop is kept as the oracle in
 
 from __future__ import annotations
 
-import functools
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -326,12 +323,6 @@ _SHARE_TRIPLES = 64
 _CLAIM_TRIPLES = 32
 
 
-def _share_count(n_triples: int) -> int:
-    """The processes a ranking of ``n_triples`` triples runs in: one per idle
-    CPU, but at most one per ``_SHARE_TRIPLES`` triples."""
-    return max(1, min(forked.idle_cpus(), n_triples // _SHARE_TRIPLES))
-
-
 def rank_entities(
     scorer: EntityScorer, kg: KnowledgeGraph, triples: np.ndarray,
     latencies: list[float] | None = None, shares: list[tuple[int, float]] | None = None,
@@ -340,54 +331,28 @@ def rank_entities(
     """(raw, filtered) ranks of the true head and the true tail of each triple
     among all entities, as {"head": (raw, filtered), "tail": (raw, filtered)};
     relation ids may be inverse ids. The seconds each query takes are appended
-    to ``latencies`` in triple order, and each process's blocks ranked and
-    ranking seconds, this process's first, to ``shares``; ``scorer.rescored``
+    to ``latencies`` in triple order, and each process's claim blocks ranked
+    and ranking seconds, this process's first, to ``shares``; ``scorer.rescored``
     gains each query's exact rescores, in triple order.
 
-    A ranking in one process (``_share_count``) is one block. Otherwise the
-    triples are cut into blocks of ``_CLAIM_TRIPLES`` (at most 256 blocks),
-    claimed (``forked.Claims``) by each forked child until none is left, and
-    by this process once ``beside()`` has returned; the ranks are merged by
-    block."""
+    The triples are ranked by ``forked.run_blocks``, one block per triple and
+    one process per ``_SHARE_TRIPLES``, in claim blocks of ``_CLAIM_TRIPLES``
+    at least; this process claims once ``beside()`` has returned."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h, r, t = triples.T
     known = {"head": kg.known_heads(r, t), "tail": kg.known_tails(h, r)}
     scorer._prefilter()  # built before any fork, so that every process reads the one scan
-    n = _share_count(len(triples))
-    size = len(triples) if n == 1 else max(_CLAIM_TRIPLES, -(-len(triples) // 256))
-    cuts = [*range(0, len(triples), max(size, 1)), len(triples)]
-    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-    with forked.Claims(len(blocks)) as claims:
-        claim = functools.partial(_claim, scorer, triples, known, blocks, claims)
-
-        def here():
-            if beside is not None:
-                beside()
-            return claim()
-
-        parts = forked.run_shares("entity ranking", [here] + [claim] * (min(n, len(blocks)) - 1))
-    ranks = np.empty((2, 2, len(triples)), dtype=np.int64)
-    ranked = sorted((block for claimed, _ in parts for block in claimed), key=lambda b: b[0])
-    for block, block_ranks, block_latencies, rescored in ranked:
-        ranks[..., blocks[block]] = block_ranks
+    parts, processes = forked.run_blocks(
+        "entity ranking", len(triples), _SHARE_TRIPLES,
+        lambda a, b: _rank_share(scorer, triples, known, slice(a, b)), _CLAIM_TRIPLES, beside)
+    head, tail = np.concatenate([ranks for ranks, _, _ in parts], axis=-1)
+    for _, block_latencies, rescored in parts:
         scorer.rescored += rescored
         if latencies is not None:
             latencies += block_latencies
     if shares is not None:
-        shares += [(len(claimed), seconds) for claimed, seconds in parts]
-    head, tail = ranks
+        shares += processes
     return {"head": (head[0], head[1]), "tail": (tail[0], tail[1])}
-
-
-def _claim(
-    scorer: EntityScorer, triples: np.ndarray, known: dict[str, KnownRanges],
-    blocks: list[slice], claims: forked.Claims,
-) -> tuple[list[tuple[int, np.ndarray, list[float], list[int]]], float]:
-    """Each block this process claims with its ranks, its queries' seconds and
-    exact rescores (``_rank_share``), and the seconds they took."""
-    begin = time.perf_counter()
-    ranked = [(block, *_rank_share(scorer, triples, known, blocks[block])) for block in claims]
-    return ranked, time.perf_counter() - begin
 
 
 def _rank_share(

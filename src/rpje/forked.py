@@ -11,15 +11,17 @@ so it flushes no stdio, runs no exit hook and prints no traceback: the message
 is its one report. ``Child.receive`` reads a message on the parent's side and
 raises an exception the child sent, with its type and message.
 
-``run_shares`` runs several jobs of independent work, the first in the
-calling process and each other in a child, and returns their results in
-order; the PCRA walk (``paths.extract_paths``) and entity ranking
-(``evaluation.rank_entities``) split through it, and ``train``'s span planner
-(``training.SpanPlanner``) is a child too. Every child is waited for and every
-pipe closed before it returns or raises, a fork that fails included. Entity
-ranking's jobs share their work through ``Claims``, one token per block in a
-pipe: each process claims blocks until none is left, the calling process
-once ``evaluate``'s path side, which it runs first, is done.
+``run_blocks`` runs independent blocks of work by one rule, the PCRA walk's
+blocks of heads (``paths.extract_paths``) and entity ranking's triples
+(``evaluation.rank_entities``) alike. Fewer than twice the caller's blocks
+per process stay in this process as one claim, with no pipe and no fork.
+More are cut into claims, runs of consecutive blocks, with one token per claim
+in a pipe (``Claims``): this process and each forked child claim until none
+is left, this process once the caller's ``beside`` is done (``evaluate``'s
+path side, beside the entity ranking), and the results are merged in block
+order. ``train``'s span planner (``training.SpanPlanner``) is a ``Child``
+too. Every child is waited for and every pipe closed before ``run_blocks``
+returns or raises, a fork that fails included.
 
 A child holds a CPU from its fork until it is closed, so a split made while
 children run (the walk of ``evaluate``'s path side, beside the entity
@@ -35,6 +37,7 @@ import functools
 import os
 import pickle
 import signal
+import time
 from collections.abc import Callable, Sequence
 
 
@@ -160,21 +163,51 @@ class Claims:
         os.close(self._read)
 
 
-def run_shares(what: str, jobs: Sequence[Callable[[], object]]) -> list:
-    """The result of each of ``jobs``, in order: the first run here, each other
-    in a ``Child`` that sends its result back as one message. An exception a
-    child sent is raised here; a child that ends without its message gives a
-    one-line ``RuntimeError`` naming ``what``. Every child is waited for before
-    this returns or raises; on a failure, killed first."""
+def run_blocks(
+    what: str, n: int, per_process: int, job: Callable[[int, int], object],
+    per_claim: int = 1, beside: Callable[[], object] | None = None,
+) -> tuple[list, list[tuple[int, float]]]:
+    """``job(start, stop)`` over claims, runs of consecutive blocks of the
+    independent blocks 0..n - 1: the result of each claim in block order, and
+    each process's claims and seconds taking them, this process's first.
+    ``beside()``, if given, runs here before this process takes a claim.
+
+    Fewer than ``2 * per_process`` blocks are one claim, taken here with no
+    ``idle_cpus``, pipe or fork; so are more when that leaves one process.
+    Otherwise ``min(idle_cpus(), n // per_process)`` processes, this one and a
+    ``Child`` per other, take claims of at least ``per_claim`` blocks, at most
+    256 of them (``Claims``), until none is left; a child sends back its
+    results as one message. An exception a child sent is raised here; a child
+    that ends without its message gives a one-line ``RuntimeError`` naming
+    ``what``. Every child is waited for before this returns or raises; on a
+    failure, killed first."""
+    processes = 1 if n < 2 * per_process else min(idle_cpus(), n // per_process)
+    size = max(per_claim, -(-n // 256))
+    claims = [(0, n)] if processes == 1 else [(a, min(a + size, n)) for a in range(0, n, size)]
+
+    def take(tokens) -> tuple[list, float]:
+        begin = time.perf_counter()
+        taken = [(k, job(*claims[k])) for k in tokens]
+        return taken, time.perf_counter() - begin
+
     children: list[Child] = []
-    try:
-        for job in jobs[1:]:
-            children.append(Child(what, lambda send, job=job: send(job())))
-        return [jobs[0](), *(child.receive() for child in children)]
-    except BaseException:
-        for child in children:
-            child.kill()
-        raise
-    finally:
-        for child in children:
-            child.close()
+    # in one process, this process takes the one claim, with no pipe
+    with contextlib.nullcontext(range(1)) if processes == 1 else Claims(len(claims)) as tokens:
+        try:
+            for _ in range(min(processes, len(claims)) - 1):
+                children.append(Child(what, lambda send: send(take(tokens))))
+            if beside is not None:
+                beside()
+            parts = [take(tokens), *(child.receive() for child in children)]
+        except BaseException:
+            for child in children:
+                child.kill()
+            raise
+        finally:
+            for child in children:
+                child.close()
+    results = [None] * len(claims)
+    for taken, _ in parts:
+        for k, result in taken:
+            results[k] = result
+    return results, [(len(taken), seconds) for taken, seconds in parts]

@@ -70,17 +70,18 @@ the kernel's working set, except for a head whose own work exceeds the limit.
 
 Blocks share nothing, so a large walk runs on every CPU the process may run
 on, less those its open children hold (``forked.idle_cpus``: beside
-``evaluate``'s entity ranking, its children's). Its blocks are cut into
-contiguous shares, one per such CPU, at the block boundaries nearest even
-shares of their work, but with no fewer than
-``_SHARE_BLOCKS`` blocks per share: a walk of fewer than 2 * ``_SHARE_BLOCKS``
-blocks stays in one process. So ``explain``'s one-pair walk (one block) never
-splits, and ``eval``'s test-pair walk splits only when it is large. The
-parent walks the first share, and a forked child (``forked.run_shares``)
-each other one, which sends back its kept arrivals and counts as one
-message. The parent joins every child and merges the shares in block order,
-so a split walk gives the store, the counts and the bits of one in a single
-process. ``PathStats`` also keeps each share's walk seconds, parent first.
+``evaluate``'s entity ranking, its children's), by the one split rule of
+entity ranking (``forked.run_blocks``), with no fewer than ``_SHARE_BLOCKS``
+blocks per process. A walk of fewer than 2 * ``_SHARE_BLOCKS`` blocks stays in
+this process, with no pipe and no fork: so ``explain``'s one-pair walk (one
+block) never splits, and ``eval``'s test-pair walk splits only when it is
+large. A larger walk's blocks are claimed one at a time (a walk of more than
+256 blocks, in runs of consecutive blocks) by this process and each forked
+child until none is left, so the processes balance by what each block costs,
+not by an estimate. A child sends back its kept arrivals and counts as one
+message, and the blocks are merged in block order, so a split walk gives the
+store, the counts and the bits of one in a single process. ``PathStats``
+also keeps each process's walk seconds, this process's first.
 
 The kept paths form a ``PathStore``, the one path provider: arrays laid out
 like the ``paths.bin`` body, pairs sorted by (head, tail) with an ``indptr``
@@ -99,9 +100,7 @@ every value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
 
 from __future__ import annotations
 
-import functools
 import struct
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -123,10 +122,12 @@ _BLOCK_EDGES = 1 << 15
 # per block for its extra numpy calls.
 _JOIN_COST = 4
 _JOIN_SETUP = 1 << 10
-# A split walk's blocks per share, at least. A child costs about 6 ms beyond
-# its walk: its fork, its copy-on-write faults and its message. On hub-paths'
-# 3-step walk cut to its first k blocks (2 vCPUs), one process against two
-# shares read 10.3 vs 10.9 ms at k = 6 and 13.3 vs 12.3 ms at k = 8.
+# A split walk's blocks per process, at least: a walk of fewer than twice this
+# many blocks stays in one process. A child costs its fork, its copy-on-write
+# faults and its message. On hub-paths' 3-step train walk cut to its first k
+# blocks (2 vCPUs, medians of 15 calls in each of 3 processes), one process
+# against two claiming blocks read 11.9-12.3 vs 11.9-13.8 ms at k = 4,
+# 16.3-17.1 vs 14.9-16.1 at k = 6 and 20.8-21.4 vs 17.2-18.6 at k = 8.
 _SHARE_BLOCKS = 4
 
 
@@ -149,7 +150,7 @@ class PathStats:
     blocks_joined: int = 0       # of them, those whose last hop ran as a join
     last_hop_gathered: int = 0   # edges the last hops gathered
     last_hop_kept: int = 0       # of them, those that carried a share to a wanted tail
-    # per share of the walk, parent first, its seconds walking: not a count
+    # per process of the walk, this process first, its seconds walking: not a count
     seconds: list[float] = field(default_factory=list, compare=False)
 
 
@@ -370,17 +371,24 @@ def _propagate(
 
 def _blocks(
     kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """``heads`` cut into consecutive blocks of about ``_BLOCK_EDGES`` work each,
-    and the work before each block boundary.
-
-    A head's work is its number of walks of 1..max_steps - 1 hops, which bounds
-    the edges it expands before the last hop, plus its last hop: its walks of
-    max_steps hops, or, if less, ``_JOIN_COST`` per edge into the tails it wants
-    (``wanted`` holds sorted keys ``head * n_entities + tail``).
-    """
+) -> list[np.ndarray]:
+    """``heads`` cut into consecutive blocks of about ``_BLOCK_EDGES`` work
+    (``_work``) each: a head starts a block when the work before it crosses a
+    multiple of the limit."""
     if len(heads) <= 1:
-        return [heads], np.zeros(2)  # one block, whose work is not needed
+        return [heads]
+    done = np.append(0.0, np.cumsum(_work(kg, heads, max_steps, wanted)))
+    return np.split(heads, np.flatnonzero(np.diff(done[:-1] // _BLOCK_EDGES)) + 1)
+
+
+def _work(
+    kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: np.ndarray
+) -> np.ndarray:
+    """The work of each of ``heads``: its number of walks of 1..max_steps - 1
+    hops, which bounds the edges it expands before the last hop, plus its last
+    hop: its walks of max_steps hops, or, if less, ``_JOIN_COST`` per edge into
+    the tails it wants (``wanted`` holds sorted keys ``head * n_entities + tail``).
+    """
     csr, n_ent = kg.csr, kg.n_entities
     degree = np.diff(csr.indptr)
     source = np.repeat(np.arange(n_ent), degree)
@@ -392,28 +400,7 @@ def _blocks(
         np.searchsorted(heads, wanted // n_ent), weights=degree[wanted % n_ent],
         minlength=len(heads),
     )
-    work = work[heads] + np.minimum(walks[heads], _JOIN_COST * inward)
-    done = np.append(0.0, np.cumsum(work))
-    starts = np.flatnonzero(np.diff(done[:-1] // _BLOCK_EDGES)) + 1
-    return np.split(heads, starts), done[np.concatenate(([0], starts, [len(heads)]))]
-
-
-def _shares(done: np.ndarray) -> list[slice]:
-    """Blocks with ``done`` work before each boundary, cut into one share per
-    idle CPU, but at most one per ``_SHARE_BLOCKS`` blocks: share k ends at the
-    boundary whose work before it is nearest k even shares of the walk's (the
-    earlier of two as near). A share left with no block is dropped. A walk of
-    fewer than 2 * ``_SHARE_BLOCKS`` blocks, which cannot split, is one share
-    (none if empty), cut without asking for idle CPUs."""
-    n_blocks = len(done) - 1
-    if n_blocks < 2 * _SHARE_BLOCKS:
-        return [slice(0, n_blocks)] if n_blocks else []
-    n = max(1, min(forked.idle_cpus(), n_blocks // _SHARE_BLOCKS))
-    goal = done[-1] * np.arange(1, n) / n
-    after = np.searchsorted(done, goal)  # the first boundary at or past each
-    cuts = np.where(goal - done[after - 1] <= done[after] - goal, after - 1, after)
-    cuts = distinct_sorted(np.concatenate(([0], cuts, [n_blocks]))).tolist()
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return work[heads] + np.minimum(walks[heads], _JOIN_COST * inward)
 
 
 def _pair_starts(found: _Arrivals) -> np.ndarray:
@@ -554,16 +541,16 @@ def extract_paths(
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     wanted = distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1])
     heads = distinct_sorted(wanted // kg.n_entities)
-    blocks, done = _blocks(kg, heads, max_steps, wanted) if len(heads) else ([], np.zeros(1))
-    shares = [blocks[share] for share in _shares(done)] or [[]]
-    parts = forked.run_shares("path walk", [
-        functools.partial(_walk, kg, max_steps, cutoff, per_pair_cap, wanted, share)
-        for share in shares])
+    blocks = _blocks(kg, heads, max_steps, wanted) if len(heads) else []
+    parts, processes = forked.run_blocks(
+        "path walk", len(blocks), _SHARE_BLOCKS,
+        lambda a, b: _walk(kg, max_steps, cutoff, per_pair_cap, wanted, blocks[a:b]))
     found = _Arrivals(*map(np.concatenate, zip(*(block for kept, _ in parts for block in kept))))
     counts = PathStats()
-    for _, share in parts:
+    for _, claimed in parts:
         for f in fields(PathStats):
-            setattr(counts, f.name, getattr(counts, f.name) + getattr(share, f.name))
+            setattr(counts, f.name, getattr(counts, f.name) + getattr(claimed, f.name))
+    counts.seconds = [seconds for _, seconds in processes]
     store = PathStore.of(found, max_steps, cutoff, per_pair_cap)
     counts.pairs = len(wanted)
     counts.pairs_without_paths = len(wanted) - len(store.heads)
@@ -578,7 +565,6 @@ def _walk(
     blocks: list[np.ndarray],
 ) -> tuple[list[_Arrivals], PathStats]:
     """The kept arrivals of each of ``blocks``, in block order, and their counts."""
-    start = time.perf_counter()
     counts, found = PathStats(), [_Arrivals.empty(max_steps)]
     for block in blocks:
         want = _Wanted.of_block(wanted, block, kg.csr)
@@ -588,7 +574,6 @@ def _walk(
         counts.paths_below_cutoff += cut
         counts.paths_over_cap += capped
         counts.blocks += 1
-    counts.seconds.append(time.perf_counter() - start)
     return found, counts
 
 

@@ -39,8 +39,8 @@ def assert_no_child() -> None:
 
 
 def fail_in_child(parent: int, failure: str, last: bool) -> None:
-    """In a process other than ``parent``: sleep through the ``last`` share,
-    and fail any other by ``failure``, killed by SIGKILL or by raising
+    """In a process other than ``parent``: sleep through the block if ``last``,
+    and fail it otherwise by ``failure``, killed by SIGKILL or by raising
     ValueError("in a child's share")."""
     if os.getpid() != parent:
         if last:

@@ -4,6 +4,7 @@ import gc
 import os
 import pickle
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -13,13 +14,18 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rpje import evaluation, forked
+from rpje import evaluation, forked, paths as paths_mod
+from rpje.compose import Composer
+from rpje.kg import KnowledgeGraph
 from rpje.model import TrainingConfig, init_embeddings
-from rpje.paths import PathFinder, extract_paths
+from rpje.paths import PathFinder, PathStats, extract_paths
 from rpje.rules import build_index
+from rpje.synthetic import ToyConfig, generate
 from rpje.training import train
 
 from conftest import assert_no_child
+from oracles import OracleScorer, PathSet, evaluate_in_triple_order
+from test_paths import exact, oracle_paths, oracle_walk
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(forked.__file__)))
 
@@ -44,6 +50,21 @@ def unpicklable(share):
     return Unpickled(), np.arange(1 << 20, dtype=np.float64) + share, lambda: share
 
 
+def outlast_claims() -> None:
+    """Returns once each open child of this process has written the start of
+    its message, or ended: as ``run_blocks``' ``beside``, the children claim
+    every block, since a child claims until none is left before it sends."""
+    for child in list(forked._open):
+        select.select([child.inbox], [], [])
+
+
+def two_blocks(what: str, job):
+    """``forked.run_blocks`` of two blocks on 2 CPUs, one process per block,
+    whose child claims both."""
+    with mock.patch.object(forked, "cpus", lambda: 2):
+        return forked.run_blocks(what, 2, 1, job, beside=outlast_claims)
+
+
 def test_share_whose_result_does_not_pickle():
     """A child's result that does not pickle fails the run with the exception
     pickling it raised, with its type and message, as if raised here. The
@@ -53,7 +74,7 @@ def test_share_whose_result_does_not_pickle():
         pickle.dumps(unpicklable(1), protocol=5)
     descriptors = sorted(os.listdir("/dev/fd"))
     with pytest.raises(type(raised.value), match=f"^{re.escape(str(raised.value))}$"):
-        forked.run_shares("unpicklable", [lambda: unpicklable(0), lambda: unpicklable(1)])
+        two_blocks("unpicklable", lambda start, stop: unpicklable(start))
     assert UNPICKLED == []
     assert_no_child()
     assert sorted(os.listdir("/dev/fd")) == descriptors
@@ -74,7 +95,7 @@ def test_child_killed_mid_message():
     with mock.patch.object(forked, "_send", send_half_then_die), pytest.raises(
         RuntimeError, match=r"^half: a child process ended without its message \(exit code -9\)$"
     ):
-        forked.run_shares("half", [lambda: np.arange(1 << 16), lambda: np.arange(1 << 16) + 1])
+        two_blocks("half", lambda start, stop: np.arange(1 << 16) + start)
     assert_no_child()
     assert sorted(os.listdir("/dev/fd")) == descriptors
 
@@ -85,11 +106,13 @@ PROCESS_PACKAGE = "multi" "processing"
 
 
 def test_cli_and_a_split_import_no_process_package():
-    """A fresh interpreter that imports ``rpje.cli`` and runs one two-share
-    ``forked.run_shares`` has not imported ``PROCESS_PACKAGE``."""
+    """A fresh interpreter that imports ``rpje.cli`` and runs one
+    ``forked.run_blocks`` in two processes has not imported ``PROCESS_PACKAGE``."""
     script = ("import sys, rpje.cli\n"
               "from rpje import forked\n"
-              "assert forked.run_shares('squares', [lambda: 2 * 2, lambda: 3 * 3]) == [4, 9]\n"
+              "forked.cpus = lambda: 2\n"
+              "squares, processes = forked.run_blocks('squares', 2, 1, lambda a, b: (a + 2) ** 2)\n"
+              "assert squares == [4, 9] and len(processes) == 2\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[1]))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
     run = subprocess.run([sys.executable, "-c", script, PROCESS_PACKAGE], env=env,
@@ -104,7 +127,7 @@ def refused_fork():
 
 @pytest.mark.parametrize("run", ["shares", "span planner", "entity ranking beside the path side"])
 def test_refused_fork_leaves_no_pipe(toy_kg, run):
-    """A fork refused (EAGAIN) by the share runner, by ``train``'s span planner
+    """A fork refused (EAGAIN) by ``forked.run_blocks``, by ``train``'s span planner
     or by an ``evaluate`` that ranks entities beside its path side (40 test
     triples in shares of 20, on 3 CPUs) reaches the caller, and every pipe
     opened for the child is closed: the process holds the file descriptors it
@@ -112,7 +135,7 @@ def test_refused_fork_leaves_no_pipe(toy_kg, run):
     index, cfg = build_index([], 0.7), TrainingConfig(dim=8, epochs=1, seed=4)
     store, emb = extract_paths(toy_kg, 2), init_embeddings(toy_kg, cfg)
     job = {
-        "shares": lambda: forked.run_shares("squares", [lambda: 2 * 2, lambda: 3 * 3]),
+        "shares": lambda: forked.run_blocks("squares", 2, 1, lambda a, b: (a + 2) ** 2),
         "span planner": lambda: train(toy_kg, store, index, cfg),
         "entity ranking beside the path side": lambda: evaluation.evaluate(
             emb, PathFinder(toy_kg, 2), index, toy_kg),
@@ -172,3 +195,65 @@ def test_child_holds_no_pipe_of_an_open_sibling():
     assert first_pipe not in held and len(held) > 0
     assert_no_child()
     assert sorted(os.listdir("/dev/fd")) == descriptors
+
+
+def refuse(*args):
+    raise AssertionError("a split in one process opened a pipe, forked or asked for idle CPUs")
+
+
+def test_split_in_one_process_opens_no_pipe(toy_kg):
+    """``eval`` of the toy's 40 test triples, too few to split, and
+    ``explain``'s one-pair walks (``PathFinder.find``) run in this process with
+    no pipe, no fork and no ``forked.idle_cpus``: with the three refused, they
+    give the reports of the brute-force loop over the dict walk's paths, and
+    the dict walk's paths."""
+    emb, index = init_embeddings(toy_kg, TrainingConfig(dim=12, seed=3)), build_index([], 0.7)
+    pairs = sorted({(h, t) for h, _, t in toy_kg.test})
+    walked = {(h, t): oracle_paths(oracle_walk(toy_kg, h, 2).get(t, {}),
+                                   paths_mod.DEFAULT_CUTOFF, paths_mod.DEFAULT_PER_PAIR_CAP)
+              for h, t in pairs}
+    oracle = OracleScorer(emb, PathSet(2, paths_mod.DEFAULT_CUTOFF, pairs=walked),
+                          Composer(index), 1.0, "L1")
+    want = evaluate_in_triple_order(oracle, toy_kg, toy_kg.test)
+    assert any(walked.values())
+    finder = PathFinder(toy_kg, 2)
+    with mock.patch.object(os, "pipe", refuse), mock.patch.object(os, "fork", refuse), \
+            mock.patch.object(forked, "idle_cpus", refuse):
+        got = evaluation.evaluate(emb, finder, index, toy_kg, 1.0, "L1")
+        found = {(h, t): finder.find([(h, t)]).paths_between(h, t) for h, t in pairs}
+    assert got == want
+    assert exact(found) == exact(walked)
+
+
+def store_arrays(store) -> list[bytes]:
+    return [a.tobytes() for a in (store.heads, store.tails, store.indptr, store.relations,
+                                  store.reliabilities)]
+
+
+def test_more_than_256_blocks_are_claimed_in_runs():
+    """A walk of 396 blocks (the toy graph at 300 persons, one head per block)
+    and a ranking of its 1,594 train triples in claim blocks of one triple at
+    least split into runs of consecutive blocks, at most 256 of them, on 2 and
+    3 CPUs, and give the store's arrays, the ``PathStats`` counts, the ranks,
+    their order and the rescores of one process, bit for bit."""
+    data = generate(ToyConfig(n_persons=300, seed=7))
+    kg = KnowledgeGraph.from_rows(data.train, data.valid, data.test)
+    emb = init_embeddings(kg, TrainingConfig(dim=8, seed=2))
+    runs = []
+    for cpus in (1, 2, 3):
+        stats, shares, latencies = PathStats(), [], []
+        scorer = evaluation.EntityScorer(emb)
+        with mock.patch.object(paths_mod, "_BLOCK_EDGES", 1), \
+                mock.patch.object(evaluation, "_CLAIM_TRIPLES", 1), \
+                mock.patch.object(forked, "cpus", lambda: cpus):
+            store = extract_paths(kg, 3, stats=stats)
+            ranks = evaluation.rank_entities(scorer, kg, kg.train_ids, latencies, shares)
+        assert stats.blocks == len(np.unique(kg.train_ids[:, 0])) > 256
+        assert len(stats.seconds) == len(shares) == cpus
+        claims = -(-len(kg.train_ids) // -(-len(kg.train_ids) // 256)) if cpus > 1 else 1
+        assert sum(n for n, _ in shares) == claims <= 256
+        runs.append((store_arrays(store), stats,
+                     {slot: [a.tobytes() for a in pair] for slot, pair in ranks.items()},
+                     scorer.rescored, len(latencies)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert_no_child()

@@ -242,22 +242,29 @@ def test_finder_agrees_with_extraction(toy_kg):
 
 def test_small_walk_asks_for_no_idle_cpus(toy_kg):
     """A walk of fewer than 2 * ``_SHARE_BLOCKS`` blocks, ``explain``'s one-pair
-    walk among them, is cut into its one share without ``forked.idle_cpus``; an
-    empty walk into none. Each store holds the oracle's paths of its pair."""
+    walk among them, is walked in this process without ``forked.idle_cpus``,
+    and so is an empty walk. Each store holds the oracle's paths of its pairs."""
     def refuse():
         raise AssertionError("a small walk asked for idle CPUs")
 
+    def oracle(pairs):
+        found = {(h, t): oracle_paths(oracle_walk(toy_kg, h, 3).get(t, {}),
+                                      paths_mod.DEFAULT_CUTOFF, paths_mod.DEFAULT_PER_PAIR_CAP)
+                 for h, t in pairs}
+        return exact({pair: paths for pair, paths in found.items() if paths})
+
     pairs = train_pairs(toy_kg)[:5] + [(0, 0)]
+    most = 2 * paths_mod._SHARE_BLOCKS - 1
+    heads = sorted({h for h, _ in train_pairs(toy_kg)})[:most]
+    widest = [(h, t) for h, t in train_pairs(toy_kg) if h in heads]  # one block per head
     with mock.patch.object(forked, "idle_cpus", refuse):
-        assert paths_mod._shares(np.zeros(1)) == []
-        most = 2 * paths_mod._SHARE_BLOCKS - 1
-        assert paths_mod._shares(np.arange(most + 1.0)) == [slice(0, most)]
         finder = PathFinder(toy_kg, max_steps=3)
         for h, t in pairs:
-            expected = oracle_paths(oracle_walk(toy_kg, h, 3).get(t, {}), paths_mod.DEFAULT_CUTOFF,
-                                    paths_mod.DEFAULT_PER_PAIR_CAP)
-            store = finder.find([(h, t)])
-            assert exact(store.pairs) == exact({(h, t): expected} if expected else {})
+            assert exact(finder.find([(h, t)]).pairs) == oracle([(h, t)])
+        stats = PathStats()
+        with mock.patch.object(paths_mod, "_BLOCK_EDGES", 1):
+            assert exact(finder.find(widest, stats).pairs) == oracle(widest)
+        assert (stats.blocks, len(stats.seconds)) == (most, 1)
         empty = finder.find(np.zeros((0, 2), dtype=np.int64))
     assert empty.n_paths == 0 and not len(empty.heads)
 
@@ -364,9 +371,9 @@ def test_kernel_matches_dict_walk_oracle(
     exactly; a block limit of 1 or 6 edges gives blocks smaller than one head's
     work. A join cost and set-up drawn from 0, 4 and 2**30 make the rule join,
     and prune the hop before the last, on some blocks and not on others. A walk
-    of several blocks is split into up to ``cpus`` shares, one block each at the
-    least, so 2 and 3 CPUs walk it in forked children; each walk counts every
-    block once, and its last hops' work is the oracle's."""
+    of several blocks is split over up to ``cpus`` processes, which claim its
+    blocks one at a time, so 2 and 3 CPUs walk it in forked children; each walk
+    counts every block once, and its last hops' work is the oracle's."""
     kg = make_kg(edges, test=[("n0", "p", "lonely")])
     expected, below, over = oracle_extract(kg, max_steps, cutoff, cap)
     everywhere, reached_from = {}, {}
@@ -399,7 +406,7 @@ def test_kernel_matches_dict_walk_oracle(
             assert (stats.paths, stats.paths_below_cutoff, stats.paths_over_cap) == (
                 ps.n_paths, below, over
             )
-            blocks, _ = paths_mod._blocks(kg, heads, max_steps, wanted)
+            blocks = paths_mod._blocks(kg, heads, max_steps, wanted)
             assert stats.blocks == len(blocks)
             assert 1 <= len(stats.seconds) <= min(cpus, len(blocks))
             assert (stats.blocks_joined, stats.last_hop_gathered, stats.last_hop_kept) == (
@@ -419,7 +426,7 @@ def test_kernel_matches_dict_walk_oracle(
             )
             assert stats.blocks_joined == (stats.blocks if form == "join" else 0) or form == "rule"
             every = np.arange(kg.n_entities)
-            blocks, _ = paths_mod._blocks(kg, every, max_steps, np.arange(kg.n_entities**2))
+            blocks = paths_mod._blocks(kg, every, max_steps, np.arange(kg.n_entities**2))
             assert (stats.blocks_joined, stats.last_hop_gathered, stats.last_hop_kept) == (
                 oracle_last_hops(kg, [b.tolist() for b in blocks], set(pairs), max_steps, joins)
             ), form
@@ -451,23 +458,44 @@ def test_prune_keeps_edges_towards_wanted_tails_of_their_head(edges, keep_pairs)
 
 @pytest.mark.parametrize("failure", ["exception", "SIGKILL"])
 def test_failed_share_leaves_no_process_or_pipe(toy_kg, failure):
-    """A share that fails in its child fails the walk (``failed_share``): an
-    exception reaches the caller with its type and message, and a child killed
-    by SIGKILL gives a one-line RuntimeError. The walk is split in three; the
-    last child, still walking, is killed, so the walk ends at once. Every child
-    is joined and every pipe closed."""
-    parent, real_walk = os.getpid(), paths_mod._walk
-    last_head = int(toy_kg.train_ids[:, 0].max())
+    """A block that fails in the child that claimed it fails the walk
+    (``failed_share``): an exception reaches the caller with its type and
+    message, and a child killed by SIGKILL gives a one-line RuntimeError. The
+    walk is split in three; the first child fails on its first block, and the
+    last child, still walking its first block, is killed, so the walk ends at
+    once. This process walks its first block once the last child has claimed
+    one. Every child is joined and every pipe closed."""
+    parent, real_walk, real_child = os.getpid(), paths_mod._walk, forked.Child
+    forked_so_far = []  # a child finds its own place in the fork order here
+
+    class Child(real_child):
+        def __init__(self, *args):
+            forked_so_far.append(None)
+            super().__init__(*args)
+
+    claimed, tell = os.pipe()  # the last child tells this process it claimed a block
+    waited = []
 
     def walk(*args):
-        fail_in_child(parent, failure, args[-1][-1][-1] == last_head)
+        last = len(forked_so_far) == 2
+        if os.getpid() == parent and not waited:
+            waited.append(os.read(claimed, 1))
+        elif os.getpid() != parent and last:
+            os.write(tell, b"!")
+        fail_in_child(parent, failure, last)
         return real_walk(*args)
 
-    with mock.patch.object(paths_mod, "_walk", walk), \
-            mock.patch.object(paths_mod, "_BLOCK_EDGES", 256), \
-            mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1), \
-            mock.patch.object(forked, "cpus", lambda: 3), failed_share(failure, "path walk"):
-        extract_paths(toy_kg, 2)
+    try:
+        with mock.patch.object(paths_mod, "_walk", walk), \
+                mock.patch.object(forked, "Child", Child), \
+                mock.patch.object(paths_mod, "_BLOCK_EDGES", 256), \
+                mock.patch.object(paths_mod, "_SHARE_BLOCKS", 1), \
+                mock.patch.object(forked, "cpus", lambda: 3), failed_share(failure, "path walk"):
+            extract_paths(toy_kg, 2)
+    finally:
+        os.close(claimed)
+        os.close(tell)
+    assert waited == [b"!"]
 
 
 def test_walk_counts_last_hop_work(toy_kg):
@@ -607,7 +635,7 @@ def test_blocks_split_heads_by_work(toy_kg):
     """Blocks are consecutive runs of heads, and a head starts a new block when
     the work before it crosses a multiple of the limit; a head's last hop counts
     in its cheaper form, which lowers the total below the work without the join.
-    The work before each block boundary comes with the blocks."""
+    Each head's work is the oracle's."""
     n = toy_kg.n_entities
     pairs = train_pairs(toy_kg)
     heads = np.unique([h for h, _ in pairs])
@@ -620,10 +648,10 @@ def test_blocks_split_heads_by_work(toy_kg):
         starts = [0] + [i for i in range(1, len(heads))
                         if done[i] // limit != done[i - 1] // limit]
         with mock.patch.object(paths_mod, "_BLOCK_EDGES", limit):
-            blocks, before = paths_mod._blocks(toy_kg, heads, max_steps, keys)
+            blocks = paths_mod._blocks(toy_kg, heads, max_steps, keys)
             small = extract_paths(toy_kg, max_steps)
         assert [len(b) for b in blocks] == np.diff(starts + [len(heads)]).tolist()
-        assert before.tolist() == [sum(work[:i]) for i in starts + [len(heads)]]
+        assert paths_mod._work(toy_kg, heads, max_steps, keys).tolist() == work
         assert len(blocks) > 1
         assert np.array_equal(np.concatenate(blocks), heads)
         assert exact(small.pairs) == exact(extract_paths(toy_kg, max_steps).pairs)
