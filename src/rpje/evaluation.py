@@ -25,28 +25,29 @@ of ``_CLAIM_TRIPLES`` triples (at most 256 blocks), which each forked child
 claims until none is left, and so does ``evaluate``'s process once its path
 side is done: on 2 CPUs, for hub-paths' 160 test triples and wide-eval's 640
 alike, one child claims from the start and the parent joins in later. The
-float32 scan is built before the first fork, so every process reads the one
-copy, and a walk on the path side splits over the CPUs the children leave
-(``forked.idle_cpus``). A child sends back each block it ranked, with its
-raw and filtered ranks, its per-query seconds and its exact rescore counts,
-as one message, and the blocks are merged in triple order. Each query's rank
-depends on its own triple alone, so every rank, count and report is that of
-one process, whichever process claims which block.
+float32 scan is built with the ``EntityScorer``, before the first fork, so
+every process reads the one copy, and a walk on the path side splits over the
+CPUs the children leave (``forked.idle_cpus``). A child sends back each block
+it ranked, with its raw and filtered ranks, its per-query seconds and its exact
+rescore counts, as one message, and the blocks are merged in triple order.
+Each query's rank depends on its own triple alone, so every rank, count and
+report is that of one process, whichever process claims which block.
 
 Entity ranking computes, per block of triples, arrays of s_true (which a
 triple's head and tail query share), of the fixed sides h + r (tail queries)
 and t - r (head queries) with their float32 copies, and of the scan thresholds;
 each query's known ends are its range of the filter index, from one lookup per
 split. Per query remain only its float32 scan of E1 of every candidate, from a
-dimension-major copy of the entity table (``energy.Float32Scan``, made on the
-first entity query), each within a proven bound B of its exact energy; the
-exact rescore of its undecided band; and its two rank counts. A candidate
+dimension-major copy of the entity table (``energy.Float32Scan``, built once
+with the ``EntityScorer``), each within a proven bound B of its exact energy;
+the exact rescore of its undecided band; and its two rank counts. A candidate
 whose scan lies at or below s_true - B is a rival, one above s_true + B is not,
 and only the band between (the true candidate, usually alone, whose exact
 energy is s_true) is rescored with E1 on its rows. So every rank is the one the
-exact energies of all candidates give. Tables of fewer than
-``EntityScorer.PREFILTER_FROM`` cells (entities x dim) are not scanned, nor is a
-fixed side too large for the scan: its query rescores every candidate.
+exact energies of all candidates give. Every table is scanned, the toy's too,
+but one past ``SCAN_MAX_DIM`` dimensions, where the bound does not hold; a
+query of such a table, or one whose fixed side is too large for the scan or
+NaN, rescores every candidate.
 
 Relation scores are E1 over a block of pairs x base relations by
 broadcasting, each summed over its own row of dim terms, so it has the bits
@@ -146,51 +147,41 @@ def _ranks(
 
 
 class EntityScorer:
-    """The entity side of a ``Scorer``: E1-ranking of entity queries against
-    trained embeddings (``rank_block``), with the float32 scan of the entity
-    table and each query's exact rescores (``rescored``). It needs no paths, so
-    ``evaluate`` can rank entities before the test pairs' store exists.
+    """E1-ranking of entity queries against trained embeddings (``rank_block``),
+    with the float32 scan of the entity table and each query's exact rescores
+    (``rescored``). It needs no paths, so ``evaluate`` can rank entities before
+    the test pairs' store exists.
+
+    The scan, the signed relation table and each base relation's sum |r| are
+    built here, once: before the first fork, so every process reads the one
+    copy. A table past ``SCAN_MAX_DIM`` dimensions, where the scan's bound does
+    not hold, is not scanned.
     """
 
     def __init__(self, emb: EmbeddingTable, norm: str = TrainingConfig.norm):
         self.emb = emb
         self.norm = norm
-        self._scan: Float32Scan | None = None  # of the entity table, on first use
-        self._relation_sizes: np.ndarray | None = None  # sum |r| per base relation, with it too
+        self._scan = Float32Scan(emb.entities, norm) if emb.dim <= SCAN_MAX_DIM else None
+        self._relation_sizes = np.abs(emb.relations).sum(axis=1)
+        self._signed = signed_relations(emb)
         self.rescored: list[int] = []  # candidates rescored exactly, per entity query
 
-    # Tables of fewer entity x dim cells are not scanned, and every candidate is
-    # rescored: there the scan's numpy calls per query cost more than they save.
-    # The exact pass costs per cell, so this is 512 entities at dim 32 and 164 at
-    # dim 100.
-    PREFILTER_FROM = 1 << 14
-
-    def _prefilter(self) -> Float32Scan | None:
-        """The float32 scan of the entity table, or None for a table whose every
-        candidate is rescored."""
-        ent = self.emb.entities
-        if self._scan is None and ent.size >= self.PREFILTER_FROM and self.emb.dim <= SCAN_MAX_DIM:
-            self._scan = Float32Scan(ent, self.norm)
-            self._relation_sizes = np.abs(self.emb.relations).sum(axis=1)
-        return self._scan
-
     def rank_block(self, triples: np.ndarray, known: dict[str, KnownRanges],
-                   ranks: dict[str, np.ndarray], latencies: list[float],
-                   rescored: list[int]) -> None:
+                   ranks: dict[str, np.ndarray], seconds: dict[str, np.ndarray]) -> None:
         """Rank the true head and tail of each triple of one block into ``ranks``
-        (a raw and a filtered row per slot), given each slot's ``known`` ends per
-        triple; the seconds each query takes are appended to ``latencies``, and
-        the candidates it rescores exactly to ``rescored``.
+        (per slot, a raw, a filtered and a rescored row: the candidates each
+        query rescores exactly), given each slot's ``known`` ends per triple; the
+        seconds each query takes go to its slot's row of ``seconds``.
 
         The true energies, which a triple's head and tail query share, the fixed
         sides, their float32 copies and the scan thresholds are arrays over the
         block. Per query are only its scan and the exact rescore of its undecided
         band, or of every candidate where the table is not scanned or the fixed
-        side is too large for the scan, and its two rank counts.
+        side is too large for the scan (or NaN), and its two rank counts.
         """
-        ent, norm, scan = self.emb.entities, self.norm, self._prefilter()
+        ent, norm, scan = self.emb.entities, self.norm, self._scan
         h, r, t = triples.T
-        rvec = signed_relations(self.emb)[r]
+        rvec = self._signed[r]
         tail_side = ent[h] + rvec  # h + r, as ``triple_energy`` adds it
         s_true = dissimilarity(tail_side - ent[t], norm)
 
@@ -201,7 +192,8 @@ class EntityScorer:
             return triple_energy(ent[rows], rvec[i], ent[t[i]], norm)
 
         for slot, true, end in (("tail", t, h), ("head", h, t)):
-            (raw, filtered), (values, start, stop) = ranks[slot], known[slot]
+            (raw, filtered, rescored), (values, start, stop) = ranks[slot], known[slot]
+            spent = seconds[slot]
             scanned = np.zeros(len(triples), dtype=bool)
             if scan is not None:
                 size = scan.sizes[end] + self._relation_sizes[r % self.emb.n_base_relations]
@@ -222,23 +214,24 @@ class EntityScorer:
                         # it alone needs no rescore
                         if len(band) != 1 or band[0] != true[i]:
                             rivals[band] = exact(slot, i, band) <= s_true[i]
-                        rescored.append(len(band))
+                        rescored[i] = len(band)
                     else:
                         rivals = exact(slot, i, slice(None)) <= s_true[i]
-                        rescored.append(len(rivals))
+                        rescored[i] = len(rivals)
                     rivals[true[i]] = False
                     raw[i] = n = 1 + np.count_nonzero(rivals)
                     filtered[i] = n - np.count_nonzero(rivals[values[start[i]:stop[i]]])
-                    latencies.append(time.perf_counter() - begin)
+                    spent[i] = time.perf_counter() - begin
             finally:
                 np.setbufsize(bufsize)
 
 
-class Scorer(EntityScorer):
-    """E1-scoring of candidate entities (the entity side, and one query's
-    candidates in ``tail_scores`` and ``head_scores``), and Q-scoring of
-    candidate relations against trained embeddings and the paths of the pairs
-    in ``store`` (the path side: ``relation_scores``).
+class Scorer:
+    """E1-scoring of one query's candidate entities (``tail_scores``,
+    ``head_scores``), and Q-scoring of candidate relations against trained
+    embeddings and the paths of the pairs in ``store`` (the path side:
+    ``relation_scores``). It builds no float32 scan: entities are ranked on an
+    ``EntityScorer``.
 
     The store is compiled once, here (``Composer.compile``): the scorer keeps
     the compiled paths (``paths``) and C(p) per distinct residual.
@@ -252,7 +245,8 @@ class Scorer(EntityScorer):
         alpha_paths: float = TrainingConfig.alpha_paths,
         norm: str = TrainingConfig.norm,
     ):
-        super().__init__(emb, norm)
+        self.emb = emb
+        self.norm = norm
         self.store = store
         self.alpha = alpha_paths
         self.paths = Composer(index).compile(store)
@@ -331,9 +325,9 @@ def rank_entities(
     """(raw, filtered) ranks of the true head and the true tail of each triple
     among all entities, as {"head": (raw, filtered), "tail": (raw, filtered)};
     relation ids may be inverse ids. The seconds each query takes are appended
-    to ``latencies`` in triple order, and each process's claim blocks ranked
-    and ranking seconds, this process's first, to ``shares``; ``scorer.rescored``
-    gains each query's exact rescores, in triple order.
+    to ``latencies``, and its exact rescores to ``scorer.rescored``, the tail
+    queries' in triple order, then the head queries'; each process's claim
+    blocks ranked and ranking seconds, this process's first, go to ``shares``.
 
     The triples are ranked by ``forked.run_blocks``, one block per triple and
     one process per ``_SHARE_TRIPLES``, in claim blocks of ``_CLAIM_TRIPLES``
@@ -341,15 +335,14 @@ def rank_entities(
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h, r, t = triples.T
     known = {"head": kg.known_heads(r, t), "tail": kg.known_tails(h, r)}
-    scorer._prefilter()  # built before any fork, so that every process reads the one scan
     parts, processes = forked.run_blocks(
         "entity ranking", len(triples), _SHARE_TRIPLES,
         lambda a, b: _rank_share(scorer, triples, known, slice(a, b)), _CLAIM_TRIPLES, beside)
-    head, tail = np.concatenate([ranks for ranks, _, _ in parts], axis=-1)
-    for _, block_latencies, rescored in parts:
-        scorer.rescored += rescored
-        if latencies is not None:
-            latencies += block_latencies
+    head, tail = np.concatenate([ranks for ranks, _ in parts], axis=-1)
+    scorer.rescored += tail[2].tolist() + head[2].tolist()
+    if latencies is not None:
+        seconds = np.concatenate([part_seconds for _, part_seconds in parts], axis=-1)
+        latencies += seconds[1].tolist() + seconds[0].tolist()
     if shares is not None:
         shares += processes
     return {"head": (head[0], head[1]), "tail": (tail[0], tail[1])}
@@ -357,20 +350,19 @@ def rank_entities(
 
 def _rank_share(
     scorer: EntityScorer, triples: np.ndarray, known: dict[str, KnownRanges], share: slice
-) -> tuple[np.ndarray, list[float], list[int]]:
-    """The ranks of ``triples[share]`` (head and tail, each raw and filtered, by
-    triple), and each query's seconds and exact rescores."""
-    ranks = np.empty((2, 2, share.stop - share.start), dtype=np.int64)
-    latencies: list[float] = []
-    rescored: list[int] = []
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks of ``triples[share]`` (head and tail, each raw, filtered and
+    rescored, by triple), and each query's seconds (head and tail, by triple)."""
+    ranks = np.empty((2, 3, share.stop - share.start), dtype=np.int64)
+    seconds = np.empty((2, ranks.shape[-1]))
     for a, b in _blocks(ranks.shape[-1], 4 * scorer.emb.dim):
         rows = slice(share.start + a, share.start + b)
         scorer.rank_block(triples[rows],
                           {slot: KnownRanges(values, start[rows], stop[rows])
                            for slot, (values, start, stop) in known.items()},
                           {"head": ranks[0, :, a:b], "tail": ranks[1, :, a:b]},
-                          latencies, rescored)
-    return ranks, latencies, rescored
+                          {"head": seconds[0, a:b], "tail": seconds[1, a:b]})
+    return ranks, seconds
 
 
 def rank_relations(

@@ -17,8 +17,8 @@ loops the array code replaced; the latter ranks with the two brute ranks.
 ``batch_parts`` sums one training batch's losses per term in a loop, as
 ``train`` did batch by batch before it summed a span's parts at once.
 ``mask_row_sums`` sums a batch's subgradients per row through a mask and a
-``cumsum`` over every row of the table, as training did before it sorted the
-batch's own rows.
+``cumsum`` over every row of the table, as ``training._row_sums`` does, but
+with the distinct rows numbered from 0 and the sums' length fixed.
 All are kept so the array code can be checked against them bit for bit.
 """
 

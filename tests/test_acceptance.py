@@ -14,7 +14,7 @@ import pytest
 
 from rpje.compose import Composer
 from rpje.energy import NORMS
-from rpje.evaluation import Scorer, metrics_from_ranks
+from rpje.evaluation import EntityScorer, metrics_from_ranks
 from rpje.model import TrainingConfig, init_embeddings
 from rpje.paths import extract_paths
 from rpje.rules import ChainRule, build_index, encode_rule, parse_rules
@@ -217,12 +217,7 @@ def test_acceptance_6_metric_correctness():
         test=[("a", "q", "c"), ("d", "q", "c")],
     )
     emb = init_embeddings(kg, TrainingConfig(dim=8, seed=5))
-    index = build_index(
-        [ChainRule(head=kg.relation_id("q"),
-                   body=(kg.relation_id("r"), kg.relation_id("s")), confidence=0.9)],
-        0.7,
-    )
-    scorer = Scorer(emb, extract_paths(kg, 2), index, 1.0, "L1")
+    scorer = EntityScorer(emb, "L1")
     rank_mismatches = 0
     filtered_worse = 0
     for triple in kg.test + kg.train:

@@ -880,16 +880,16 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
     rescored exactly, and per-stage seconds with the p50 and p90 of one entity
     query, and each process's claim blocks ranked and entity ranking seconds,
     the blocks summing to the claim count; its stdout is unchanged.
-    With the float32 prefilter on the toy table or without it, the line differs
-    only in the rescores, and the report not at all."""
+    With the toy table scanned in float32 or, past a ``SCAN_MAX_DIM`` of 0, not,
+    the line differs only in the rescores, and the report not at all."""
     _, files, fast = pipeline
     out = tmp_path / "out"
     shutil.copytree(pipeline[0], out)
     kg = load_dataset(files["train"], files["valid"], files["test"])
     test_pairs = {(h, t) for h, _, t in kg.test}
     outputs, rescored = [], []
-    for prefilter_from in (0, evaluation.EntityScorer.PREFILTER_FROM):
-        monkeypatch.setattr(evaluation.EntityScorer, "PREFILTER_FROM", prefilter_from)
+    for scan_max_dim in (evaluation.SCAN_MAX_DIM, 0):
+        monkeypatch.setattr(evaluation, "SCAN_MAX_DIM", scan_max_dim)
         before = (out / "metrics.jsonl").read_text().splitlines()
         capsys.readouterr()
         assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_OK

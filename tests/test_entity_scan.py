@@ -1,7 +1,7 @@
-"""Entity ranking from the float32 prefilter: ranks against the brute-force
-oracle on wide, tiny, tied and degenerate tables, one query at a time and in
-whole splits, and ``evaluate``'s reports against a brute-force loop in
-test-triple order."""
+"""Entity ranking from the float32 scan: ranks against the brute-force oracle
+on wide, tiny, tied and degenerate tables, one query at a time and in whole
+splits, ``evaluate``'s reports against a brute-force loop in test-triple order,
+and which scorer builds the scan."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rpje.compose import Composer
 from rpje import evaluation
-from rpje.energy import SCAN_LIMIT
+from rpje.energy import SCAN_LIMIT, SCAN_MAX_DIM, Float32Scan
 from rpje.evaluation import EntityScorer, EvalStats, Scorer, evaluate, explain, rank_entities
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje.paths import PathFinder, extract_paths
@@ -52,9 +52,7 @@ def assert_ranks_match(ent, rel, norm, triples):
     directions) equal ``brute_rank``'s, with every table scanned in float32."""
     kg = ring_kg(len(ent), len(rel))
     assert (kg.n_entities, kg.n_base_relations) == (len(ent), len(rel))
-    scorer = Scorer(EmbeddingTable(ent, rel), PathFinder(kg, 2).find([]),
-                    build_index([], 0.7), 1.0, norm)
-    scorer.PREFILTER_FROM = 0
+    scorer = EntityScorer(EmbeddingTable(ent, rel), norm)
     for triple in triples:
         ranks = rank_entities(scorer, kg, [triple])  # a one-row split
         for slot in ("head", "tail"):
@@ -80,7 +78,7 @@ def assert_ranks_match(ent, rel, norm, triples):
 @example(dim=300, n_ent=2, n_rel=2, norm="L2", kind="unit", seed=5)
 @settings(max_examples=200, deadline=None)
 def test_prefilter_ranks_match_brute_force(dim, n_ent, n_rel, norm, kind, seed):
-    """Raw and filtered, head and tail ranks from the float32 prefilter equal the
+    """Raw and filtered, head and tail ranks from the float32 scan equal the
     brute-force oracle's, for dims across numpy's summation orders (<8, 8..128,
     >128), magnitudes 1e-150..1e150, exact ties (a repeated row) and near ties
     (a row one float64 step from another)."""
@@ -146,9 +144,7 @@ def test_split_mixing_unscanned_queries_matches_brute_force(norm, monkeypatch):
     ent[3] *= 2.0**60  # beyond SCAN_LIMIT: not scanned as a fixed end, undecided as a row
     assert np.abs(ent[3]).sum() > SCAN_LIMIT
     kg = ring_kg(n_ent, 2)
-    scorer = Scorer(EmbeddingTable(ent, rel), PathFinder(kg, 2).find([]),
-                    build_index([], 0.7), 1.0, norm)
-    scorer.PREFILTER_FROM = 0
+    scorer = EntityScorer(EmbeddingTable(ent, rel), norm)
     monkeypatch.setattr(evaluation, "BLOCK_CELLS", 3 * 4 * dim)
     triples = [(h, r, t) for h in range(n_ent) for r in range(4) for t in (0, 3, 7)]
     ranks = rank_entities(scorer, kg, triples)
@@ -166,14 +162,14 @@ def toy_setup(toy_kg):
 
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
-@pytest.mark.parametrize("prefilter_from", [0, EntityScorer.PREFILTER_FROM])
-def test_evaluate_matches_triple_order_loop(toy_kg, norm, prefilter_from, monkeypatch):
+@pytest.mark.parametrize("scan_max_dim", [0, SCAN_MAX_DIM])
+def test_evaluate_matches_triple_order_loop(toy_kg, norm, scan_max_dim, monkeypatch):
     """Reports, per-category hits included, equal those of one query after
     another in test-triple order, on query triples shuffled across relations,
-    with the toy table prefiltered in float32 or every candidate rescored. The
-    toy test split holds two N-1 relations, so train triples of every relation
-    join it."""
-    monkeypatch.setattr(EntityScorer, "PREFILTER_FROM", prefilter_from)
+    with the toy table scanned in float32 or, past a ``SCAN_MAX_DIM`` of 0,
+    every candidate rescored. The toy test split holds two N-1 relations, so
+    train triples of every relation join it."""
+    monkeypatch.setattr(evaluation, "SCAN_MAX_DIM", scan_max_dim)
     emb, _, index = toy_setup(toy_kg)
     rng = np.random.default_rng(0)
     queries = toy_kg.test + [toy_kg.train[i] for i in rng.choice(len(toy_kg.train), 60, False)]
@@ -188,14 +184,13 @@ def test_evaluate_matches_triple_order_loop(toy_kg, norm, prefilter_from, monkey
     assert got == want
     # the scan ran, and decided all but a few candidates, or every one was rescored
     every = 2 * len(triples) * toy_kg.n_entities
-    assert (stats.rescored["total"] < every) == (prefilter_from == 0)
+    assert (stats.rescored["total"] < every) == (scan_max_dim > 0)
     assert all(len(rep.per_category) == 2 for rep in got if rep.per_category)
 
 
 def test_evaluate_in_small_blocks_matches_triple_order_loop(toy_kg, monkeypatch):
     """With every pass split into blocks of a few pairs, queries or paths, the
     reports still equal the brute-force loop's in test-triple order."""
-    monkeypatch.setattr(EntityScorer, "PREFILTER_FROM", 0)
     monkeypatch.setattr(evaluation, "BLOCK_CELLS", 100)
     emb, _, index = toy_setup(toy_kg)
     finder, stats = PathFinder(toy_kg, 2), EvalStats()
@@ -208,37 +203,21 @@ def test_evaluate_in_small_blocks_matches_triple_order_loop(toy_kg, monkeypatch)
 
 def test_relation_scores_build_no_dimension_major_copy(toy_kg, monkeypatch):
     """Relation ranking, and so ``explain``, never builds the float32 copy of the
-    entity table; the first entity query does, and only for a table of at least
-    ``PREFILTER_FROM`` cells (entities × dim)."""
+    entity table; a toy ``evaluate`` builds it once, for its ``EntityScorer``,
+    and its scan decides all but a few candidates of its queries."""
     emb, store, index = toy_setup(toy_kg)
-    assert emb.entities.size < Scorer.PREFILTER_FROM
-    scorer = Scorer(emb, store, index, 1.0, "L1")
-    rank_entities(scorer, toy_kg, [toy_kg.test[0]])
-    assert scorer._scan is None and scorer.rescored == [emb.n_entities] * 2
-    monkeypatch.setattr(EntityScorer, "PREFILTER_FROM", 0)
-    calls = []
-    real = EntityScorer._prefilter
-    monkeypatch.setattr(EntityScorer, "_prefilter", lambda self: calls.append(1) or real(self))
+    built = []
+    real = Float32Scan.__init__
+    monkeypatch.setattr(Float32Scan, "__init__",
+                        lambda self, *args: built.append(self) or real(self, *args))
     explain(emb, PathFinder(toy_kg, 2), index, toy_kg, 0, 1)
     scorer = Scorer(emb, store, index, 1.0, "L1")
     for h in range(5):
         scorer.relation_scores([(h, h + 1)])
-    assert calls == [] and scorer._scan is None
-    rank_entities(scorer, toy_kg, [toy_kg.test[0]])
-    assert scorer._scan.table.shape == (emb.dim, emb.n_entities)
-    assert scorer._scan.table.dtype == np.float32
-
-
-@pytest.mark.parametrize("n_ent, dim, scanned", [(256, 32, False), (512, 32, True),
-                                                 (160, 100, False), (256, 100, True)])
-def test_prefilter_threshold_counts_cells(n_ent, dim, scanned):
-    """Whether an entity query scans the table in float32 depends on its
-    entities × dim cells, not its entities alone: 256 entities at dim 100 are
-    scanned, as 512 at dim 32 are."""
-    rng = np.random.default_rng(n_ent + dim)
-    kg = ring_kg(n_ent, 3)
-    emb = EmbeddingTable(rng.normal(size=(n_ent, dim)), rng.normal(size=(3, dim)))
-    scorer = Scorer(emb, PathFinder(kg, 2).find([]), build_index([], 0.7), 1.0, "L1")
-    rank_entities(scorer, kg, [kg.train[0]])
-    assert (scorer._scan is not None) == scanned
-    assert (scorer.rescored == [n_ent] * 2) != scanned
+    assert built == []
+    stats = EvalStats()
+    evaluate(emb, PathFinder(toy_kg, 2), index, toy_kg, 1.0, "L1", stats=stats)
+    assert len(built) == 1
+    assert built[0].table.shape == (emb.dim, emb.n_entities)
+    assert built[0].table.dtype == np.float32
+    assert stats.rescored["total"] < stats.entity_queries * toy_kg.n_entities

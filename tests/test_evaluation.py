@@ -12,8 +12,9 @@ import pytest
 
 from rpje import evaluation, forked, paths as paths_mod
 from rpje.compose import Composer
-from rpje.energy import triple_energy
+from rpje.energy import SCAN_MAX_DIM, triple_energy
 from rpje.evaluation import (
+    EntityScorer,
     EvalStats,
     Scorer,
     evaluate,
@@ -200,13 +201,7 @@ def _trained_like(kg, seed=5):
 def test_rank_entities_matches_brute_force(small_eval_kg):
     kg = small_eval_kg
     emb = _trained_like(kg)
-    index = build_index(
-        [ChainRule(head=kg.relation_id("q"), body=(kg.relation_id("r"), kg.relation_id("s")),
-                   confidence=0.9)],
-        0.7,
-    )
-    scorer = Scorer(emb, extract_paths(kg, max_steps=2), index, alpha_paths=1.0,
-                    norm="L1")
+    scorer = EntityScorer(emb, "L1")
     triples = kg.test + kg.train
     expected = {slot: [tuple(brute_rank(scorer, kg, triple, slot, setting)
                              for setting in ("raw", "filtered")) for triple in triples]
@@ -214,20 +209,21 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
     for triple, *by_slot in zip(triples, expected["head"], expected["tail"]):
         for slot, ranks in zip(("head", "tail"), by_slot):
             assert rank_one(scorer, kg, triple, slot) == ranks
-    # the whole list in one call, with each table scanned in float32 or not, in
-    # one process and claimed in blocks of one triple by 2 and 3 processes; then
-    # on 3 CPUs beside a job that returns at once, and beside one that outlasts
-    # every child, so that the children claim every block
+    # the whole list in one call, with the table scanned in float32 or, past a
+    # SCAN_MAX_DIM of 0, not, in one process and claimed in blocks of one
+    # triple by 2 and 3 processes; then on 3 CPUs beside a job that returns at
+    # once, and beside one that outlasts every child, so that the children
+    # claim every block
     def outlast_children():
         for child in list(forked._open):
             os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
 
-    for prefilter_from in (Scorer.PREFILTER_FROM, 0):
+    for scan_max_dim in (0, SCAN_MAX_DIM):
         runs = []
         for cpus, beside in ((1, None), (2, None), (3, None), (3, lambda: None),
                              (3, outlast_children)):
-            scorer = Scorer(emb, extract_paths(kg, max_steps=2), index, 1.0, "L1")
-            scorer.PREFILTER_FROM = prefilter_from
+            with mock.patch.object(evaluation, "SCAN_MAX_DIM", scan_max_dim):
+                scorer = EntityScorer(emb, "L1")
             latencies, shares = [], []
             with mock.patch.object(evaluation, "_SHARE_TRIPLES", 1), \
                     mock.patch.object(evaluation, "_CLAIM_TRIPLES", 1), \
@@ -239,8 +235,8 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
                 assert shares[0][0] == 0
             got = {slot: list(zip(raw.tolist(), filtered.tolist()))
                    for slot, (raw, filtered) in ranks.items()}
-            assert got == expected, (prefilter_from, cpus)
-            assert (scorer._scan is not None) == (prefilter_from == 0)
+            assert got == expected, (scan_max_dim, cpus)
+            assert (scorer._scan is not None) == (scan_max_dim > 0)
             runs.append((scorer.rescored, len(latencies)))
         assert all(run == runs[0] for run in runs)
         assert runs[0][1] == len(runs[0][0]) == 2 * len(triples)
@@ -256,8 +252,7 @@ def test_failed_ranking_share_leaves_no_process_or_pipe(small_eval_kg, failure):
     ended, so a child has claimed one. No child is left, nor the token pipe."""
     kg = small_eval_kg
     triples = kg.test + kg.train
-    scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2), build_index([], 0.7),
-                    1.0, "L1")
+    scorer = EntityScorer(_trained_like(kg), "L1")
     parent, real_rank = os.getpid(), evaluation._rank_share
 
     def rank(*args):
@@ -300,8 +295,7 @@ def test_rank_relations_matches_brute_force(small_eval_kg):
 def test_filtered_ranks_never_worse_than_raw(small_eval_kg):
     kg = small_eval_kg
     emb = _trained_like(kg, seed=11)
-    scorer = Scorer(emb, extract_paths(kg, max_steps=2), build_index([], 0.7), 1.0,
-                    "L1")
+    scorer = EntityScorer(emb, "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
             raw, filtered = rank_one(scorer, kg, triple, slot)
@@ -335,8 +329,7 @@ def test_triple_in_two_splits_is_filtered_once():
     assert known_ends(kg.known_heads, r, c) == [a, d]
     assert known_ends(kg.known_tails, c, kg.inverse(r)) == [a, d]
     assert known_ends(kg.known_relations, a, c) == [r]
-    scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2),
-                    build_index([], 0.7), 1.0, "L1")
+    scorer = EntityScorer(_trained_like(kg), "L1")
     for triple in kg.test:
         for slot in ("head", "tail"):
             _, filtered = rank_one(scorer, kg, triple, slot)
@@ -359,8 +352,7 @@ def test_entity_ranking_makes_one_filter_lookup_per_split(small_eval_kg, monkeyp
     one lookup per slot, never one candidate, or one query, at a time."""
     kg = small_eval_kg
     calls = count_filter_lookups(monkeypatch)
-    scorer = Scorer(_trained_like(kg), extract_paths(kg, max_steps=2),
-                    build_index([], 0.7), 1.0, "L1")
+    scorer = EntityScorer(_trained_like(kg), "L1")
     rank_entities(scorer, kg, kg.test_ids)
     n = len(kg.test_ids)
     assert calls == Counter({("known_tails", n): 1, ("known_heads", n): 1})

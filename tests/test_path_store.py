@@ -1,6 +1,8 @@
 """The array path store and its compiled scoring and training against the dict
 and per-path oracles of ``oracles.py``, bit for bit (``float.hex``)."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,8 @@ import pytest
 
 from rpje import evaluation
 from rpje.compose import Composer
-from rpje.evaluation import Scorer, rank_entities
+from rpje.energy import SCAN_MAX_DIM
+from rpje.evaluation import EntityScorer, Scorer, rank_entities
 from rpje.model import EmbeddingTable, TrainingConfig
 from rpje.paths import Path, PathFinder, extract_paths
 from rpje.rules import ChainRule, build_index
@@ -68,23 +71,25 @@ class _OneKnown:
     known_heads = known_tails
 
 
-def rival_masks(scorer, triples, n_ent) -> dict[str, np.ndarray]:
+def rival_masks(entities, triples, n_ent) -> dict[str, np.ndarray]:
     """Per slot, which candidates score no higher than each triple's true one,
-    the true one left out, read from the ranks: filtering out candidate c lowers
-    a rank by one exactly when c is a rival."""
+    the true one left out, read from the ranks of the ``EntityScorer``
+    ``entities``: filtering out candidate c lowers a rank by one exactly when c
+    is a rival."""
     masks = {slot: np.zeros((len(triples), n_ent), dtype=bool) for slot in ("head", "tail")}
     for c in range(n_ent):
-        for slot, (raw, filtered) in rank_entities(scorer, _OneKnown(c), triples).items():
+        for slot, (raw, filtered) in rank_entities(entities, _OneKnown(c), triples).items():
             masks[slot][:, c] = raw > filtered
     return masks
 
 
-def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
+def assert_scores_match(scorer, entities, oracle, n_ent, n_rel, n_base):
     """Entity scores for every relation, inverse ids included, the rivals of
-    every true entity among them, and relation scores for every pair, as one
-    array of every pair, as whole vectors and one candidate at a time."""
+    every true entity among them (ranked on the ``EntityScorer`` ``entities``),
+    and relation scores for every pair, as one array of every pair, as whole
+    vectors and one candidate at a time."""
     triples = [(e, r, true) for r in range(n_rel) for e in range(n_ent) for true in range(n_ent)]
-    masks = rival_masks(scorer, triples, n_ent)
+    masks = rival_masks(entities, triples, n_ent)
     for (e, r, true), tail_rivals, head_rivals in zip(triples, masks["tail"], masks["head"]):
         # (e, r, true) asks for true as a tail of e, and for e as a head of true
         tails, heads = oracle.tail_scores(e, r), oracle.head_scores(r, true)
@@ -111,14 +116,15 @@ def assert_scores_match(scorer, oracle, n_ent, n_rel, n_base):
     norm=st.sampled_from(["L1", "L2"]),
     dim=st.sampled_from([3, 8, 17, 32, 136]),
     alpha=st.sampled_from([1.0, 0.35]),
-    prefilter=st.booleans(),
+    scanned=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
 def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density, many, norm,
-                                        dim, alpha, prefilter):
+                                        dim, alpha, scanned):
     """Tail and head scores (E1), their rivals, and relation scores (Q) from the
     compiled store equal the per-path loop over the dict oracle, on random stores
-    and rule sets, with the entity table prefiltered in float32 or not."""
+    and rule sets, with the entity table scanned in float32 or, past a
+    ``SCAN_MAX_DIM`` of 0, not."""
     rng = np.random.default_rng(seed)
     all_pairs = [(h, t) for h in range(n_ent) for t in range(n_ent)]
     chosen = rng.permutation(len(all_pairs))[: int(rng.integers(0, len(all_pairs) + 1))]
@@ -126,10 +132,11 @@ def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density,
     index = random_index(rng, n_base, density)
     emb = random_table(rng, n_ent, n_base, dim)
     scorer = Scorer(emb, store, index, alpha, norm)
-    if prefilter:
-        scorer.PREFILTER_FROM = 0
+    with mock.patch.object(evaluation, "SCAN_MAX_DIM", SCAN_MAX_DIM if scanned else 0):
+        entities = EntityScorer(emb, norm)
+    assert (entities._scan is not None) == scanned
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), alpha, norm)
-    assert_scores_match(scorer, oracle, n_ent, 2 * n_base, n_base)
+    assert_scores_match(scorer, entities, oracle, n_ent, 2 * n_base, n_base)
 
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
@@ -183,7 +190,8 @@ def test_finder_scores_match_per_path_oracle(edges, max_steps, density, norm, se
     finder = PathFinder(kg, max_steps, 0.0)
     pairs = [(h, t) for h in range(kg.n_entities) for t in range(kg.n_entities)]
     scorer = Scorer(emb, finder.find(pairs), index, 1.0, norm)
-    assert_scores_match(scorer, oracle, kg.n_entities, kg.n_relations, kg.n_base_relations)
+    assert_scores_match(scorer, EntityScorer(emb, norm), oracle, kg.n_entities, kg.n_relations,
+                        kg.n_base_relations)
     for h, t in pairs:
         one = Scorer(emb, finder.find([(h, t)]), index, 1.0, norm)
         assert hexes(one.relation_scores([(h, t)])[0]) == hexes(oracle.relation_scores(h, t))

@@ -73,7 +73,10 @@ def triple_hinges(emb, ids):
 
 def path_hinges(emb, residual, weight, r):
     """L2 hinges C(p) - r and C(p) - r'; ``residual`` padded with -1, ``weight``
-    per path and ``r`` (K, 2)."""
+    per path and ``r`` (K, 2). Each side sums the residual, padded with the zero
+    row to a width of at least 2, less r or r', as ``TrainPlan`` lays them out."""
+    short = max(0, 2 - residual.shape[1])
+    residual = np.pad(residual, ((0, 0), (0, short)), constant_values=-1)
     x = np.where(residual >= 0, emb.n_entities + residual, _zero_row(emb))
     x = np.repeat(x[:, None], 2, axis=1)
     w = np.repeat(np.asarray(weight, dtype=float)[:, None], 2, axis=1)
@@ -81,11 +84,14 @@ def path_hinges(emb, residual, weight, r):
 
 
 def relpair_hinges(emb, r, beta):
-    """L3 hinges r - r_e and r - r' over ``r`` (K, 3), weighted (beta, 1)."""
-    x = np.repeat((emb.n_entities + r[:, :1])[:, None], 2, axis=1)
+    """L3 hinges r - r_e and r - r' over ``r`` (K, 3), weighted (beta, 1); each
+    side sums (r, the zero row) less r_e or r', as ``TrainPlan`` lays them out."""
+    rows = np.full((len(r), 2, 3), _zero_row(emb))
+    rows[:, :, 0] = emb.n_entities + r[:, :1]
+    rows[:, :, 2] = emb.n_entities + r[:, 1:]
     w = np.ones((len(r), 2))
     w[:, 0] = beta
-    return np.full(len(r), RELPAIR), np.dstack((x, emb.n_entities + r[:, 1:])), w
+    return np.full(len(r), RELPAIR), rows, w
 
 
 def fused(emb, hinges, cfg):
@@ -512,24 +518,23 @@ def test_zero_norm_side_takes_zero_subgradient(norm):
 
 
 @given(
-    # tables of up to 40 rows take the mask; of 760 or more, past 512 + 4 * 60
-    # rows, the sort
+    # tables of up to 40 rows, where most rows repeat, and of 760 to 1,000, where
+    # a batch of up to 60 touches few of them: both take the mask
     n_rows=st.one_of(st.integers(1, 40), st.integers(760, 1000)),
     picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
     dim=st.integers(1, 5),
     seed=st.integers(0, 1000),
 )
-# a single row, and repeats at 0 and n - 1: sorted (a few rows of a large table)
+# a single row, and repeats at 0 and n - 1, of a large table and of small ones
 @example(n_rows=1000, picks=[17], dim=3, seed=0)
 @example(n_rows=1000, picks=[999, 0, 999, 5, 0, 999, 0], dim=2, seed=1)
-# and through the mask
 @example(n_rows=1, picks=[0], dim=3, seed=0)
 @example(n_rows=7, picks=[6, 0, 6, 6, 0, 3], dim=2, seed=1)
 @settings(max_examples=80, deadline=None)
 def test_row_sums_match_mask_oracle(n_rows, picks, dim, seed):
-    """Summing a batch's subgradients per row, over its own sorted rows or a
-    mask, gives the rows and the sum bits of a mask over every row of the
-    table."""
+    """Summing a batch's subgradients per row through ``_row_sums``' mask gives
+    the rows and the sum bits of the oracle's mask over every row of the table,
+    which numbers the distinct rows from 0 and fixes the sums' length."""
     rows = np.array([pick % n_rows for pick in picks], dtype=np.intp)
     rng = np.random.default_rng(seed)
     # magnitudes far apart, so a sum in another order shows in its bits
@@ -698,6 +703,8 @@ def test_confidence_scales_active_path_term():
         loss, update = fused(emb, hinges, cfg)
         losses[mu] = loss[0] - cfg.margin_path  # energy difference part scales with mu
         grad_norms[mu] = np.abs(dense_grads(emb, update)[1]).sum()
+    # C(p) = r_0 is r' = r_0 but not r = r_1: the difference is ||r_0 - r_1||, far from 0
+    assert abs(losses[0.4]) > 0.1
     assert losses[0.8] == pytest.approx(2 * losses[0.4])
     # C(p) is the same residual either way, so gradient magnitude scales too
     assert grad_norms[0.8] == pytest.approx(2 * grad_norms[0.4])
