@@ -220,16 +220,6 @@ class KnowledgeGraph:
         self._dataset_hash = dataset_hash
         self._csr = csr
 
-    @classmethod
-    def from_rows(
-        cls,
-        train: list[tuple[str, str, str]],
-        valid: list[tuple[str, str, str]],
-        test: list[tuple[str, str, str]],
-    ) -> KnowledgeGraph:
-        """Intern (head, relation, tail) name rows; a row repeated within a split is kept once."""
-        return cls(*_intern([tuple(zip(*rows)) or ((), (), ()) for rows in (train, valid, test)]))
-
     @cached_property
     def entity_names(self) -> list[str]:
         """The entity names in id order."""

@@ -15,11 +15,8 @@ Planning. ``TrainPlan`` tabulates once per run each train triple's paths (a
 range of the ``PathStore``, composed once by ``Composer.compile``) and D(r).
 An epoch's batches are planned a span at a time: a span is a run of
 consecutive batches holding at most ``_SPAN_DRAWS`` negative draws (a batch
-holding more is a span of its own). An epoch has as many spans as packing
-batches while their draws fit gives, cut at the batch boundaries nearest the
-even shares of its draws, so no span is a short remainder (``_span_cuts``);
-where an even span of several batches breaks the bound, the epoch keeps the
-packed cuts. The span's draws are laid out in numpy in
+holding more is a span of its own). Each span takes the most batches whose
+draws fit the bound (``_span_cuts``). The span's draws are laid out in numpy in
 the sampler's stream order, triple by triple: head, tail and relation
 corruption; one relation per stored path of (h, t), in store order; one
 relation per (r_e, beta) of D(r). ``NegativeSampler.draws`` makes them all in
@@ -40,15 +37,18 @@ only there), the draw loop and the span's ``HingeLayout`` arrays. Each span
 crosses the child's pipe as one pickled message of arrays, and
 ``loss_and_gradients`` slices each batch's hinges and slots out of the span's
 ``HingeLayout`` by their bounds, so no per-batch object crosses. The pipe is
-asked for ``_PIPE_BYTES`` right after the fork (Linux ``F_SETPIPE_SZ``), so a
-span's message waits whole in it; where that is refused, the default pipe
-carries it in several turns, to the same bits. The child plans span k + 1
-while ``train`` runs the batches of span k, and starts it only once span k has
-been received, which a byte on a second pipe (the go pipe) tells it: it is
-never more than one span ahead. ``train`` closes both pipes and waits for it
-before it returns or raises; an exception while planning is raised by
-``train``. The child inherits the plan from the fork and sends only spans, so
-the bits are those of planning in-process.
+asked for ``_PIPE_BYTES`` right after the fork (Linux ``F_SETPIPE_SZ``), so
+two spans' messages wait whole in it; where that is refused, the default pipe
+carries them in several turns, to the same bits. The child plans spans k + 1
+and k + 2 while ``train`` runs the batches of span k, and starts span k + 2
+only once span k has been received, which a byte on a second pipe (the go
+pipe) tells it; one byte is written there before the fork. So it is never more
+than two spans ahead, and a short span at an epoch's end leaves the batch loop
+no wait for the next epoch's first span, which the child planned beside it.
+``train`` closes both pipes and waits for it before it returns or raises; an
+exception while planning is raised by ``train``. The child inherits the plan
+from the fork and sends only spans, so the bits are those of planning
+in-process.
 
 The fused pass. Every hinge is
     scale * [margin + w+ ||sum x+ - y+|| - w- ||sum x- - y-||]_+
@@ -86,11 +86,9 @@ kept in the tests.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import fcntl
 import functools
-import itertools
 import os
 import time
 from collections.abc import Iterator
@@ -112,10 +110,11 @@ from .rules import RuleIndex
 # wide-eval training run by 5 MB over 2,048, which trains as fast (measured with
 # planning in-process). A span's message is 197-209 bytes per draw on the
 # benchmark workloads and on uncomposed 3-step paths, its gather index 48-64
-# bytes of each hinge, so a pipe of _PIPE_BYTES holds a span of any several
-# batches whole.
+# bytes of each hinge, so a pipe of _PIPE_BYTES (1 MiB, Linux's default
+# pipe-max-size) holds two spans of any several batches whole: the planner, two
+# spans ahead, never blocks part-way through a write.
 _SPAN_DRAWS = 2048
-_PIPE_BYTES = 256 * _SPAN_DRAWS
+_PIPE_BYTES = 512 * _SPAN_DRAWS
 
 TERMS = ("triple", "path", "relpair")  # the hinge kinds 0, 1 and 2
 TRIPLE, PATH, RELPAIR = range(3)
@@ -391,39 +390,22 @@ class GradientUpdate:
     rows: np.ndarray
     sums: np.ndarray
     n_entity_rows: int
-    n_entities: int
 
     @classmethod
     @functools.cache
-    def empty(cls, dim: int, n_entities: int) -> GradientUpdate:
+    def empty(cls, dim: int) -> GradientUpdate:
         """The update of a batch without an active hinge, one object shared by
-        every such batch of a ``dim`` and ``n_entities``; its arrays are read-only."""
+        every such batch of a ``dim``; its arrays are read-only."""
         rows, sums = np.empty(0, dtype=np.intp), np.empty((0, dim))
         rows.flags.writeable = sums.flags.writeable = False
-        return cls(rows, sums, 0, n_entities)
+        return cls(rows, sums, 0)
 
     @classmethod
     def scattered(cls, rows: np.ndarray, values: np.ndarray, n_entities: int,
                   n_base: int) -> GradientUpdate:
         """``values`` summed per row in input order."""
         distinct, sums = _row_sums(rows, values, n_entities + n_base)
-        return cls(distinct, sums, int(distinct.searchsorted(n_entities)), n_entities)
-
-    @property
-    def entity_rows(self) -> np.ndarray:
-        return self.rows[: self.n_entity_rows]
-
-    @property
-    def entity(self) -> np.ndarray:
-        return self.sums[: self.n_entity_rows]
-
-    @property
-    def relation_rows(self) -> np.ndarray:
-        return self.rows[self.n_entity_rows :] - self.n_entities
-
-    @property
-    def relation(self) -> np.ndarray:
-        return self.sums[self.n_entity_rows :]
+        return cls(distinct, sums, int(distinct.searchsorted(n_entities)))
 
     def apply(self, table: np.ndarray, lr: float) -> None:
         """One SGD step on ``table``, whose rows start [entities; base relations]
@@ -456,7 +438,7 @@ def loss_and_gradients(layout: HingeLayout, b: int,
     ranks = active.cumsum()  # per hinge, the active hinges up to it
     dim = table.shape[1]
     if hi == lo or not ranks[-1]:
-        return losses, GradientUpdate.empty(dim, layout.n_entities)
+        return losses, GradientUpdate.empty(dim)
 
     # candidates (A, 3, 2) of the A active hinges: per side g and -g, then g+ - g-
     # and its negation, so value c of the a-th active hinge is candidate 6a + c
@@ -496,31 +478,16 @@ class Span(NamedTuple):
 
 def _span_cuts(counts: list[int], bound: int) -> list[int]:
     """Where an epoch's spans start, by batch, then its batch count, for batches
-    of ``counts`` draws. There are as many spans as packing each span while its
-    draws fit ``bound`` gives (a batch over it is a span of its own), cut where
-    the draws split most evenly: span k ends at the batch boundary whose draws
-    before it are nearest k shares of the epoch's (the earlier of two as near).
-    Where such a span of several batches holds more than ``bound`` draws, or a
-    span holds no batch, the epoch keeps the packed cuts."""
-    packed, drawn = [0], 0
+    of ``counts`` draws: each span takes the most batches whose draws fit
+    ``bound``, or one batch."""
+    cuts, drawn = [0], 0
     for i, n in enumerate(counts):
-        if i > packed[-1] and drawn + n > bound:
-            packed.append(i)
+        if i > cuts[-1] and drawn + n > bound:
+            cuts.append(i)
             drawn = 0
         drawn += n
-    packed.append(len(counts))
-    spans = len(packed) - 1
-    ends = list(itertools.accumulate(counts, initial=0))  # the draws before each boundary
-    even = [0]
-    for k in range(1, spans):
-        share = k * ends[-1]  # k shares of the draws, times the span count
-        b = bisect.bisect_left(ends, -(-share // spans))  # the first boundary at or past it
-        even.append(b - 1 if share - ends[b - 1] * spans <= ends[b] * spans - share else b)
-    even.append(len(counts))
-    for lo, hi in zip(even, even[1:]):
-        if hi <= lo or (hi - lo > 1 and ends[hi] - ends[lo] > bound):
-            return packed
-    return even
+    cuts.append(len(counts))
+    return cuts
 
 
 class TrainPlan:
@@ -691,16 +658,19 @@ class SpanPlanner:
     """The run's spans, planned by ``TrainPlan.spans`` in a ``forked.Child``.
 
     The child sends each span as one message, a (span, planning seconds so
-    far) pair, and plans the next span only once this side has received the
-    one before and written a byte to the go pipe: it stays at most one span
-    ahead of the batch loop. An exception while planning is sent in place of a
-    span and raised by ``receive``. ``close`` closes both pipes, which ends a
-    child still planning, and waits for it.
+    far) pair, and reads one byte of the go pipe before it plans the next. One
+    byte is written there before the fork, where no closed pipe can refuse it,
+    and one each time this side receives a span: the child plans span k + 2
+    only once span k has been received, so it stays at most two spans ahead of
+    the batch loop. An exception while planning is sent in place of a span and
+    raised by ``receive``. ``close`` closes both pipes, which ends a child still
+    planning, and waits for it.
     """
 
     def __init__(self, kg: KnowledgeGraph, plan: TrainPlan):
         go, self._go = os.pipe()
         try:
+            os.write(self._go, b"\0")  # the second span's go, so the child runs two ahead
             self._child = forked.Child(
                 "span planner", functools.partial(_plan_spans, kg, plan, go), (self._go,)
             )
@@ -709,7 +679,7 @@ class SpanPlanner:
             raise
         finally:
             os.close(go)
-        # a span waits whole in the pipe, not in the child's blocked write; a
+        # two spans wait whole in the pipe, not in the child's blocked write; a
         # refused size (or a platform without the call) keeps the default pipe
         with contextlib.suppress(AttributeError, OSError):
             fcntl.fcntl(self._child.inbox.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)

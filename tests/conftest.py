@@ -15,7 +15,11 @@ from rpje.synthetic import ToyConfig, generate
 
 
 def make_kg(train, valid=None, test=None) -> KnowledgeGraph:
-    return KnowledgeGraph.from_rows(train, valid or [], test or [])
+    """The graph of (head, relation, tail) name rows per split, interned as
+    ``load_dataset`` interns its files; a row repeated within a split is kept
+    once."""
+    splits = (train, valid or [], test or [])
+    return KnowledgeGraph(*kg_mod._intern([tuple(zip(*rows)) or ((), (), ()) for rows in splits]))
 
 
 def adjacency_by_relation(kg: KnowledgeGraph, e: int) -> dict[int, list[int]]:
@@ -133,4 +137,4 @@ def toy_data():
 
 @pytest.fixture(scope="session")
 def toy_kg(toy_data):
-    return KnowledgeGraph.from_rows(toy_data.train, toy_data.valid, toy_data.test)
+    return make_kg(toy_data.train, toy_data.valid, toy_data.test)

@@ -16,15 +16,16 @@ its candidates one at a time and filtering by membership in ``known_triples``.
 loops the array code replaced; the latter ranks with the two brute ranks.
 ``batch_parts`` sums one training batch's losses per term in a loop, as
 ``train`` did batch by batch before it summed a span's parts at once.
-``mask_row_sums`` sums a batch's subgradients per row through a mask and a
-``cumsum`` over every row of the table, as ``training._row_sums`` does, but
-with the distinct rows numbered from 0 and the sums' length fixed.
-All are kept so the array code can be checked against them bit for bit.
+``loop_row_sums`` sums a batch's subgradients per row in a dict, one ``+=`` at
+a time. All are kept so the array code can be checked against them bit for
+bit. ``update_parts`` cuts a ``GradientUpdate`` into its entity and relation
+rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,17 +62,34 @@ def batch_parts(layout, losses) -> LossParts:
     return LossParts(*parts)
 
 
-def mask_row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of range(n_rows) in ``rows``, ascending, and per row its
-    vectors summed in input order."""
-    dim = values.shape[1]
-    present = np.zeros(n_rows, dtype=bool)
-    present[rows] = True
-    slot = np.cumsum(present) - 1
-    flat = (slot[rows][:, None] * dim + np.arange(dim)).ravel()
-    distinct = np.flatnonzero(present)
-    sums = np.bincount(flat, weights=values.ravel(), minlength=len(distinct) * dim)
-    return distinct, sums.reshape(-1, dim)
+def loop_row_sums(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows``, ascending, and per row its vectors summed
+    by ``+=`` in input order, from 0.0."""
+    sums: dict[int, np.ndarray] = {}
+    for row, value in zip(rows.tolist(), values):
+        if row not in sums:
+            sums[row] = np.zeros(values.shape[1])
+        sums[row] += value
+    distinct = sorted(sums)
+    return (np.array(distinct, dtype=np.intp),
+            np.array([sums[row] for row in distinct]).reshape(-1, values.shape[1]))
+
+
+class UpdateParts(NamedTuple):
+    """A ``GradientUpdate`` cut at its first relation row: the entity rows and
+    their sums, then the base relation ids and theirs."""
+
+    entity_rows: np.ndarray
+    entity: np.ndarray
+    relation_rows: np.ndarray
+    relation: np.ndarray
+
+
+def update_parts(update, n_entities: int) -> UpdateParts:
+    """The parts of ``update``, whose rows number [entities; base relations]."""
+    k = update.n_entity_rows
+    return UpdateParts(update.rows[:k], update.sums[:k], update.rows[k:] - n_entities,
+                       update.sums[k:])
 
 
 def triple_set(kg, *splits) -> set[tuple[int, int, int]]:

@@ -813,7 +813,7 @@ def test_eval_relation_scores_equal_explain(graph, toy_data, tmp_path, monkeypat
     scores ``explain`` prints for it, in float.hex: the two commands walk the
     same paths and score them alike."""
     data, max_steps = (toy_data, 2) if graph == "toy" else _hub_data()
-    kg = KnowledgeGraph.from_rows(data.train, data.valid, data.test)
+    kg = make_kg(data.train, data.valid, data.test)
     index = parse_rule_lines(data.rules, kg, tmp_path, threshold=0.7)
     emb = init_embeddings(kg, TrainingConfig(dim=16, seed=4))
     finder = PathFinder(kg, max_steps)

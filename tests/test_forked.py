@@ -16,14 +16,13 @@ import pytest
 
 from rpje import evaluation, forked, paths as paths_mod
 from rpje.compose import Composer
-from rpje.kg import KnowledgeGraph
 from rpje.model import TrainingConfig, init_embeddings
 from rpje.paths import PathFinder, PathStats, extract_paths
 from rpje.rules import build_index
 from rpje.synthetic import ToyConfig, generate
 from rpje.training import train
 
-from conftest import assert_no_child
+from conftest import assert_no_child, make_kg
 from oracles import OracleScorer, PathSet, evaluate_in_triple_order
 from test_paths import exact, oracle_paths, oracle_walk
 
@@ -237,7 +236,7 @@ def test_more_than_256_blocks_are_claimed_in_runs():
     3 CPUs, and give the store's arrays, the ``PathStats`` counts, the ranks,
     their order and the rescores of one process, bit for bit."""
     data = generate(ToyConfig(n_persons=300, seed=7))
-    kg = KnowledgeGraph.from_rows(data.train, data.valid, data.test)
+    kg = make_kg(data.train, data.valid, data.test)
     emb = init_embeddings(kg, TrainingConfig(dim=8, seed=2))
     runs = []
     for cpus in (1, 2, 3):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpje import artifacts, kg as kg_mod
-from rpje.kg import DatasetError, KnowledgeGraph, distinct_groups, distinct_sorted, load_dataset
+from rpje.kg import DatasetError, distinct_groups, distinct_sorted, load_dataset
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
 from conftest import DATASET_CACHE, adjacency_by_relation, make_kg
@@ -142,7 +142,7 @@ triples = st.lists(st.tuples(symbol, symbol, symbol), min_size=1, max_size=30)
 @given(train=triples, valid=triples, test=triples)
 @settings(max_examples=50, deadline=None)
 def test_round_trip_and_edge_invariant(train, valid, test):
-    kg = KnowledgeGraph.from_rows(train, valid, test)
+    kg = make_kg(train, valid, test)
     # dump/load reproduces the same symbolic triple sets per split
     for got, rows in zip(split_rows(kg), (train, valid, test)):
         assert set(got) == set(rows)

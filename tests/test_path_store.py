@@ -18,7 +18,7 @@ from rpje.rules import ChainRule, build_index
 from rpje.training import hinge_table, loss_and_gradients
 
 from conftest import make_kg, train_pairs
-from oracles import OracleScorer, PathSet, batch_parts, store_from_pairs
+from oracles import OracleScorer, PathSet, batch_parts, store_from_pairs, update_parts
 from test_paths import oracle_paths, oracle_walk
 from test_training import OracleSampler, hexes, one_batch, oracle_loss_and_gradients
 
@@ -249,7 +249,8 @@ def test_path_hinges_match_per_hinge_oracle(edges, seed, density, many, norm):
     assert [parts.triple.hex(), parts.path.hex(), parts.relpair.hex()] == [
         float(x).hex() for x in want
     ]
-    assert update.relation_rows.tolist() == sorted(grads.relation)
-    assert hexes(update.relation) == hexes([grads.relation[r] for r in sorted(grads.relation)])
-    assert update.entity_rows.tolist() == sorted(grads.entity)
-    assert hexes(update.entity) == hexes([grads.entity[e] for e in sorted(grads.entity)])
+    split = update_parts(update, kg.n_entities)
+    assert split.relation_rows.tolist() == sorted(grads.relation)
+    assert hexes(split.relation) == hexes([grads.relation[r] for r in sorted(grads.relation)])
+    assert split.entity_rows.tolist() == sorted(grads.entity)
+    assert hexes(split.entity) == hexes([grads.entity[e] for e in sorted(grads.entity)])

@@ -36,8 +36,8 @@ from rpje.training import (
 
 from conftest import assert_no_child, make_kg
 from oracles import (
-    batch_parts, compose_embedding, mask_row_sums, path_weight, residual_matrix, store_from_pairs,
-    triple_set,
+    batch_parts, compose_embedding, loop_row_sums, path_weight, residual_matrix, store_from_pairs,
+    triple_set, update_parts,
 )
 
 
@@ -379,10 +379,11 @@ def assert_matches_oracle(emb, hinges, cfg):
     n_ent = emb.n_entities
     entity = sorted(row for row in grads if row < n_ent)
     relation = sorted(row for row in grads if row >= n_ent)
-    assert update.entity_rows.tolist() == entity
-    assert update.relation_rows.tolist() == [row - n_ent for row in relation]
-    assert hexes(update.entity) == hexes([grads[row] for row in entity])
-    assert hexes(update.relation) == hexes([grads[row] for row in relation])
+    parts = update_parts(update, n_ent)
+    assert parts.entity_rows.tolist() == entity
+    assert parts.relation_rows.tolist() == [row - n_ent for row in relation]
+    assert hexes(parts.entity) == hexes([grads[row] for row in entity])
+    assert hexes(parts.relation) == hexes([grads[row] for row in relation])
     return losses, update
 
 
@@ -442,7 +443,8 @@ def test_one_active_hinge_of_each_kind(norm, active):
     losses, update = assert_matches_oracle(emb, hinges, TrainingConfig(norm=norm, **EDGE_CFG))
     kinds = hinges[0][losses > 0.0]
     assert sorted(kinds.tolist()) == [TRIPLE, PATH, RELPAIR]
-    assert len(update.entity_rows) and len(update.relation_rows)
+    parts = update_parts(update, emb.n_entities)
+    assert len(parts.entity_rows) and len(parts.relation_rows)
 
 
 @pytest.mark.parametrize("norm", NORMS)
@@ -452,7 +454,8 @@ def test_batch_without_active_hinge_touches_no_row(norm):
     cfg = TrainingConfig(norm=norm, **EDGE_CFG)
     losses, update = assert_matches_oracle(emb, hinges, cfg)
     assert not losses.any()
-    assert update.entity.shape == update.relation.shape == (0, cfg.dim)
+    parts = update_parts(update, emb.n_entities)
+    assert parts.entity.shape == parts.relation.shape == (0, cfg.dim)
     before = EmbeddingTable(emb.entities.copy(), emb.relations.copy())
     apply_update(update, emb, cfg.lr)
     assert hexes(emb.entities) == hexes(before.entities)
@@ -485,9 +488,10 @@ def test_nan_loss_stays_active(norm):
     nan = np.isnan(losses)
     assert nan.sum() == 1 and hinges[0][nan] == TRIPLE
     # its rows, h, r and t and the negative's t', all take a NaN
-    rows = update.entity_rows.tolist()
-    assert all(np.isnan(update.entity[rows.index(e)]).any() for e in (0, 2, 5))
-    assert np.isnan(update.relation[update.relation_rows.tolist().index(1)]).any()
+    parts = update_parts(update, emb.n_entities)
+    rows = parts.entity_rows.tolist()
+    assert all(np.isnan(parts.entity[rows.index(e)]).any() for e in (0, 2, 5))
+    assert np.isnan(parts.relation[parts.relation_rows.tolist().index(1)]).any()
     kg = small_kg()
     table = random_table(kg)
     table.entities[0, 0] = np.nan
@@ -514,7 +518,8 @@ def test_zero_norm_side_takes_zero_subgradient(norm):
     d = hinge_table(emb)[rows[:, 0, :2]].sum(axis=1) - hinge_table(emb)[rows[:, 0, 2]]
     assert dissimilarity(d, norm).tolist() == [0.0, 0.0 if norm == "L2" else 1e-200]
     if norm == "L2":  # entity 3 is the positive tail alone: its only subgradient is 0
-        assert hexes(update.entity[update.entity_rows.tolist().index(3)]) == ["0x0.0p+0"] * 6
+        parts = update_parts(update, emb.n_entities)
+        assert hexes(parts.entity[parts.entity_rows.tolist().index(3)]) == ["0x0.0p+0"] * 6
 
 
 @given(
@@ -531,16 +536,16 @@ def test_zero_norm_side_takes_zero_subgradient(norm):
 @example(n_rows=1, picks=[0], dim=3, seed=0)
 @example(n_rows=7, picks=[6, 0, 6, 6, 0, 3], dim=2, seed=1)
 @settings(max_examples=80, deadline=None)
-def test_row_sums_match_mask_oracle(n_rows, picks, dim, seed):
+def test_row_sums_match_loop_oracle(n_rows, picks, dim, seed):
     """Summing a batch's subgradients per row through ``_row_sums``' mask gives
-    the rows and the sum bits of the oracle's mask over every row of the table,
-    which numbers the distinct rows from 0 and fixes the sums' length."""
+    the rows and the sum bits of a loop that adds each row's vectors one at a
+    time, in input order, from 0.0."""
     rows = np.array([pick % n_rows for pick in picks], dtype=np.intp)
     rng = np.random.default_rng(seed)
     # magnitudes far apart, so a sum in another order shows in its bits
     values = rng.normal(size=(len(rows), dim)) * 10.0 ** rng.integers(-8, 9, size=(len(rows), 1))
     distinct, sums = training._row_sums(rows, values, n_rows)
-    expected_rows, expected_sums = mask_row_sums(rows, values, n_rows)
+    expected_rows, expected_sums = loop_row_sums(rows, values)
     assert distinct.tolist() == expected_rows.tolist()
     assert sums.tobytes() == expected_sums.tobytes()
 
@@ -556,8 +561,9 @@ def dense_grads(emb, update):
     """A ``GradientUpdate`` as dense entity and relation tables."""
     ge = np.zeros_like(emb.entities)
     gr = np.zeros_like(emb.relations)
-    ge[update.entity_rows] = update.entity
-    gr[update.relation_rows] = update.relation
+    parts = update_parts(update, emb.n_entities)
+    ge[parts.entity_rows] = parts.entity
+    gr[parts.relation_rows] = parts.relation
     return ge, gr
 
 
@@ -671,16 +677,18 @@ def test_inverse_relation_gradient_folds_to_base():
     ids = np.array([[(0, n, 1), (2, n + 1, 3)]])  # inverse ids
     cfg = TrainingConfig(dim=6, margin_triple=5.0)
     loss, update = fused(emb, triple_hinges(emb, ids), cfg)
+    parts = update_parts(update, emb.n_entities)
     assert loss[0] > 0
-    assert update.relation_rows.tolist() == [0, 1]
+    assert parts.relation_rows.tolist() == [0, 1]
     # the same hinge on base ids over negated relations: the relation rows negate
     flipped = EmbeddingTable(emb.entities, -emb.relations)
     base = ids.copy()
     base[..., 1] -= n
     flipped_loss, flipped_update = fused(flipped, triple_hinges(flipped, base), cfg)
     assert flipped_loss.tolist() == loss.tolist()
-    assert np.array_equal(flipped_update.relation, -update.relation)
-    assert np.array_equal(flipped_update.entity, update.entity)
+    flipped_parts = update_parts(flipped_update, emb.n_entities)
+    assert np.array_equal(flipped_parts.relation, -parts.relation)
+    assert np.array_equal(flipped_parts.entity, parts.entity)
     fd_check(emb, lambda: fused(emb, triple_hinges(emb, ids), cfg)[0].sum(),
              dense_grads(emb, update))
 
@@ -910,7 +918,7 @@ def test_train_skipping_empty_updates_matches_full_projection(toy_kg, monkeypatc
 
     def counted(layout, b, table):
         losses, update = real(layout, b, table)
-        skipped.append(not len(update.entity_rows) and not len(update.relation_rows))
+        skipped.append(not len(update.rows))
         return losses, update
 
     monkeypatch.setattr(training, "loss_and_gradients", counted)
@@ -937,7 +945,8 @@ def test_rows_scaled_are_checked_again_after_an_empty_update(toy_kg, monkeypatch
 
     def kernel(layout, b, table):
         losses, update = real_kernel(layout, b, table)
-        batches.append([set(update.entity_rows.tolist()), None, set()])
+        batches.append([set(update_parts(update, layout.n_entities).entity_rows.tolist()),
+                        None, set()])
         return losses, update
 
     def project(emb, rows=None):
@@ -1167,25 +1176,6 @@ def packed_cuts(draws, limit):
     return cuts
 
 
-def even_cuts(draws, n):
-    """The span starts of n spans, span k ending at the batch boundary whose
-    draws before it are nearest k / n of all (the earlier of two as near)."""
-    total = sum(draws)
-    return [min(range(len(draws) + 1), key=lambda b: abs(sum(draws[:b]) * n - k * total))
-            for k in range(n)] + [len(draws)]
-
-
-def expected_cuts(draws, limit):
-    """The span starts ``_span_cuts`` names: the even cuts of as many spans as
-    packing gives, unless one of them is empty or a span of several batches
-    holds more than ``limit`` draws, and then the packed cuts."""
-    packed = packed_cuts(draws, limit)
-    even = even_cuts(draws, len(packed) - 1)
-    fits = all(hi > lo and (hi - lo == 1 or sum(draws[lo:hi]) <= limit)
-               for lo, hi in zip(even, even[1:]))
-    return even if fits else packed
-
-
 def planned_draws(monkeypatch, kg, ps, index, cfg):
     """Per epoch, per span the draws of each batch, and per epoch its spans, as
     the planner generator plans the run in-process."""
@@ -1217,9 +1207,8 @@ def planned_draws(monkeypatch, kg, ps, index, cfg):
 @pytest.mark.parametrize("bound", [1, 6, 7, 45])
 def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound):
     """Planning fewer batches at once changes no table, history or epoch metric.
-    Each epoch has as many spans as packing batches while their draws fit the
-    bound gives, cut where the draws split evenly; where an even span of
-    several batches breaks the bound, the epoch keeps the packed cuts."""
+    Each span of an epoch takes the most batches whose draws fit the bound, or
+    one batch."""
     if case == "oracle":
         kg, ps, index = oracle_case()
         cfg = TrainingConfig(dim=8, epochs=4, n_batches=8, seed=3, lr=0.05, norm=norm,
@@ -1250,46 +1239,22 @@ def test_train_independent_of_span_bound(toy_kg, monkeypatch, case, norm, bound)
     assert np.array_equal(bounded.table.relations, default.table.relations)
     assert bounded.history == default.history
     assert bounded.epochs == default.epochs
-    taken = set()  # where the even and packed cuts differ, which the bounded epochs took
     for planned_spans, limit in ((default_spans, 2048), (spans, bound)):
         assert [sum(map(len, epoch)) for epoch in planned_spans] == [cfg.n_batches] * cfg.epochs
         for epoch in planned_spans:
             draws = [n for span in epoch for n in span]
-            packed = packed_cuts(draws, limit)
-            even = even_cuts(draws, len(packed) - 1)
             cuts = list(itertools.accumulate(map(len, epoch), initial=0))
-            assert len(epoch) == len(packed) - 1
             assert all(len(span) == 1 or sum(span) <= limit for span in epoch)
-            assert cuts == expected_cuts(draws, limit)
-            if limit == bound and even != packed and all(map(int.__lt__, even, even[1:])):
-                taken.add("even" if cuts == even else "packed")
+            assert cuts == packed_cuts(draws, limit)
     assert max(map(len, default_spans[0])) > 1 or case == "transe"
     assert bound > 1 or all(len(draws) == 1 for epoch in spans for draws in epoch)
-    if (case, bound) == ("oracle", 45):  # an even span over the bound: some epochs fall back
-        assert taken == {"even", "packed"}
-
-
-def test_epoch_spans_split_draws_evenly(toy_kg, monkeypatch):
-    """Where an epoch's draws take two or more spans, each span holds its share
-    of them, to within the draws of the epoch's largest batch: no span is a
-    remainder left over by the spans before it."""
-    kg, ps = toy_kg, extract_paths(toy_kg, 2)
-    index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
-                         ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
-    cfg = TrainingConfig(dim=8, epochs=3, n_batches=40, seed=4, lr=0.05)
-    total = int(TrainPlan(kg, ps, index, cfg).draw_counts.sum())
-    monkeypatch.setattr(training, "_SPAN_DRAWS", total * 3 // 4)  # one and a third spans
-    spans, _ = planned_draws(monkeypatch, kg, ps, index, cfg)
-    for epoch in spans:
-        assert len(epoch) == 2
-        largest = max(n for span in epoch for n in span)
-        assert all(abs(sum(span) - total / len(epoch)) <= largest for span in epoch)
 
 
 def test_span_at_the_bound_fits_the_pipe(toy_kg):
     """A span of nearly ``_SPAN_DRAWS`` draws over 3-step paths, uncomposed so
-    each keeps all three rows, pickles as the planner sends it within
-    ``_PIPE_BYTES``: it waits whole in the pipe."""
+    each keeps all three rows, pickles as the planner sends it within half of
+    ``_PIPE_BYTES``: the two spans the planner runs ahead wait whole in the
+    pipe."""
     ps = extract_paths(toy_kg, 3)
     plan = TrainPlan(toy_kg, ps, build_index([], 0.0), TrainingConfig(dim=8))
     assert plan.width == 3
@@ -1298,7 +1263,7 @@ def test_span_at_the_bound_fits_the_pipe(toy_kg):
     fits = drawn <= training._SPAN_DRAWS
     assert drawn[fits][-1] > training._SPAN_DRAWS - plan.draw_counts.max()
     span = plan.span(NegativeSampler(toy_kg, seed=1), np.array_split(order[fits], 20))
-    assert len(pickle.dumps((span, 0.0), protocol=5)) <= training._PIPE_BYTES
+    assert 2 * len(pickle.dumps((span, 0.0), protocol=5)) <= training._PIPE_BYTES
 
 
 def test_train_keeps_its_bits_with_the_default_pipe(toy_kg, monkeypatch):
@@ -1331,9 +1296,9 @@ def test_train_keeps_its_bits_with_the_default_pipe(toy_kg, monkeypatch):
 
 def test_finished_span_is_freed_before_the_next_arrives(toy_kg, monkeypatch, tmp_path):
     """No span's ``HingeLayout`` is alive in train when the next span arrives, in
-    the same epoch or the next; and the planner process plans a span only once
-    train has asked for the one before it, so it is never more than one span
-    ahead."""
+    the same epoch or the next; and the planner process plans span k + 2 only
+    once train has asked for span k, so it runs two spans ahead and never
+    three."""
     kg, ps = toy_kg, extract_paths(toy_kg, 2)
     index = build_index([ChainRule(head=0, body=(1, 2), confidence=0.9),
                          ChainRule(head=3, body=(4,), confidence=0.8)], 0.0)
@@ -1368,7 +1333,7 @@ def test_finished_span_is_freed_before_the_next_arrives(toy_kg, monkeypatch, tmp
     events = (tmp_path / "events").read_text().split()
     assert events.count("plan") == events.count("ask") == len(alive)
     ahead = np.cumsum([1 if event == "plan" else -1 for event in events])
-    assert ahead.max() <= 1  # span k + 1 is planned only once span k was asked for
+    assert ahead.max() == 2  # span k + 2 is planned only once span k was asked for
 
 
 @contextlib.contextmanager
