@@ -108,28 +108,12 @@ def relation_categories(kg: KnowledgeGraph, threshold: float = 1.5) -> dict[int,
 
 
 # Every pass over a batch of queries, pairs or paths builds its temporaries
-# (queries x dim, pairs x relations x dim, paths x relations x dim) this many
-# cells at a time (512 KiB of float64), and at least one row at a time. A
-# constant, not an option: it bounds memory and changes no bits. Blocks of 2^17
-# cells ranked the wide-eval benchmark no faster and raised its peak RSS by 1 MB.
+# (queries x dim, pairs x relations x dim, paths x relations x dim) in runs of
+# rows cut by ``forked.runs`` to at most this many cells (512 KiB of float64),
+# or one row. A constant, not an option: it bounds memory and changes no bits.
+# Blocks of 2^17 cells ranked the wide-eval benchmark no faster and raised its
+# peak RSS by 1 MB.
 BLOCK_CELLS = 2**16
-
-
-def _blocks(n: int, cost: int | np.ndarray):
-    """Consecutive (start, stop) ranges of the n rows whose ``cost`` in cells (the
-    same for every row, or one per row) sums to at most ``BLOCK_CELLS``, or of one
-    row."""
-    if not isinstance(cost, np.ndarray):
-        step = max(1, BLOCK_CELLS // max(int(cost), 1))
-        yield from ((a, min(a + step, n)) for a in range(0, n, step))
-        return
-    ends = np.cumsum(cost)
-    start = 0
-    while start < len(ends):
-        before = ends[start - 1] if start else 0
-        stop = max(start + 1, int(ends.searchsorted(before + BLOCK_CELLS, "right")))
-        yield start, stop
-        start = stop
 
 
 def _ranks(
@@ -272,7 +256,7 @@ class Scorer:
         pair, paths = _ranges(start, stop - start)
         residual, weight = self.paths.residual_id[paths], self.paths.weight[paths]
         energies = np.empty((len(paths), n))
-        for a, b in _blocks(len(paths), n * dim):
+        for a, b in forked.runs(len(paths), n * dim, BLOCK_CELLS):
             energies[a:b] = path_energy(weight[a:b, None], self._composed[residual[a:b], None],
                                         self.emb.relations, self.norm)
         slots = pair[:, None] * n + np.arange(n)
@@ -288,7 +272,7 @@ class Scorer:
         start, stop = self.store.between(h, t)
         n, dim = rels.shape
         scores = np.empty((len(h), n))
-        for a, b in _blocks(len(h), n * (dim + 2 * (stop - start))):
+        for a, b in forked.runs(len(h), n * (dim + 2 * (stop - start)), BLOCK_CELLS):
             block = triple_energy(ent[h[a:b], None], rels, ent[t[a:b], None], self.norm)
             if self.alpha:
                 block += self.alpha * self.path_penalty(start[a:b], stop[a:b])
@@ -355,7 +339,7 @@ def _rank_share(
     rescored, by triple), and each query's seconds (head and tail, by triple)."""
     ranks = np.empty((2, 3, share.stop - share.start), dtype=np.int64)
     seconds = np.empty((2, ranks.shape[-1]))
-    for a, b in _blocks(ranks.shape[-1], 4 * scorer.emb.dim):
+    for a, b in forked.runs(ranks.shape[-1], 4 * scorer.emb.dim, BLOCK_CELLS):
         rows = slice(share.start + a, share.start + b)
         scorer.rank_block(triples[rows],
                           {slot: KnownRanges(values, start[rows], stop[rows])
@@ -374,7 +358,7 @@ def rank_relations(
     h, r, t = triples.T
     values, start, stop = kg.known_relations(h, t)
     raw, filtered = np.empty((2, len(triples)), dtype=np.int64)
-    for a, b in _blocks(len(triples), kg.n_base_relations):
+    for a, b in forked.runs(len(triples), kg.n_base_relations, BLOCK_CELLS):
         scores = scorer.relation_scores(triples[a:b, ::2])
         known = KnownRanges(values, start[a:b], stop[a:b])
         raw[a:b], filtered[a:b] = _ranks(scores, r[a:b], known)

@@ -11,6 +11,12 @@ so it flushes no stdio, runs no exit hook and prints no traceback: the message
 is its one report. ``Child.receive`` reads a message on the parent's side and
 raises an exception the child sent, with its type and message.
 
+Every run of work is cut by one rule, ``runs``: consecutive runs of items,
+each taking the most items whose costs sum to at most a budget, or one item.
+It cuts ``train``'s spans of batches (``training.TrainPlan.epoch_spans``), the
+PCRA walk's blocks of heads (``paths.extract_paths``), every array pass of
+``evaluate`` (``evaluation.BLOCK_CELLS``) and ``run_blocks``' claims.
+
 ``run_blocks`` runs independent blocks of work by one rule, the PCRA walk's
 blocks of heads (``paths.extract_paths``) and entity ranking's triples
 (``evaluation.rank_entities``) alike. Fewer than twice the caller's blocks
@@ -39,6 +45,24 @@ import pickle
 import signal
 import time
 from collections.abc import Callable, Sequence
+
+import numpy as np
+
+
+def runs(n: int, cost, budget: int) -> list[tuple[int, int]]:
+    """The consecutive (start, stop) runs of items 0..n - 1 in which each run
+    takes the most items whose ``cost`` sums to at most ``budget``, or one item.
+    ``cost`` is one positive int for every item, or one int per item."""
+    if np.ndim(cost) == 0:
+        step = max(1, budget // cost)
+        return [(a, min(a + step, n)) for a in range(0, n, step)]
+    ends, start, found = np.cumsum(cost), 0, []
+    while start < n:
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(ends.searchsorted(before + budget, "right")))
+        found.append((start, stop))
+        start = stop
+    return found
 
 
 def cpus() -> int:
@@ -182,8 +206,7 @@ def run_blocks(
     ``what``. Every child is waited for before this returns or raises; on a
     failure, killed first."""
     processes = 1 if n < 2 * per_process else min(idle_cpus(), n // per_process)
-    size = max(per_claim, -(-n // 256))
-    claims = [(0, n)] if processes == 1 else [(a, min(a + size, n)) for a in range(0, n, size)]
+    claims = [(0, n)] if processes == 1 else runs(n, 1, max(per_claim, -(-n // 256)))
 
     def take(tokens) -> tuple[list, float]:
         begin = time.perf_counter()

@@ -61,11 +61,16 @@ the dropped keys, in the same order, and every reliability keeps its bits. On
 hub-paths' test walk the pruned hop keeps 2,637 of 58,694 edges; its train
 walk, whose 3-step frontier mostly reaches a wanted tail, does not prune.
 
-Heads are walked in consecutive blocks of about ``_BLOCK_EDGES`` work: a
-head's walks of 1..max_steps - 1 hops (an upper bound on the edges it expands
-before the last hop) plus the cheaper form of its last hop, its walks of
-max_steps hops or ``_JOIN_COST`` per edge into its wanted tails. That bounds
-the kernel's working set, except for a head whose own work exceeds the limit.
+Heads are walked in consecutive blocks, cut by the one cut rule of every run
+of work (``forked.runs``): each block takes the most heads whose work sums to
+at most ``_BLOCK_EDGES``, or one head. A head's work (``_work``) is its walks
+of 1..max_steps - 1 hops (an upper bound on the edges it expands before the
+last hop) plus the cheaper form of its last hop, its walks of max_steps hops
+or ``_JOIN_COST`` per edge into its wanted tails. So every block of two or
+more heads has at most ``_BLOCK_EDGES`` work, which bounds the kernel's
+working set, and a head whose own work exceeds the limit is a block alone. A
+walk of one head (``explain``'s) is one block and of none no block, with no
+work computed.
 ``extract_paths`` counts each walk's blocks and last-hop edges in ``PathStats``.
 
 Blocks share nothing, so a large walk runs on every CPU the process may run
@@ -125,9 +130,9 @@ _JOIN_SETUP = 1 << 10
 # A split walk's blocks per process, at least: a walk of fewer than twice this
 # many blocks stays in one process. A child costs its fork, its copy-on-write
 # faults and its message. On hub-paths' 3-step train walk cut to its first k
-# blocks (2 vCPUs, medians of 15 calls in each of 3 processes), one process
-# against two claiming blocks read 11.9-12.3 vs 11.9-13.8 ms at k = 4,
-# 16.3-17.1 vs 14.9-16.1 at k = 6 and 20.8-21.4 vs 17.2-18.6 at k = 8.
+# blocks (2 vCPUs; the median over 6 processes of each one's median of 15
+# calls), one process against two claiming blocks read 10.6 vs 11.2 ms at
+# k = 4, 14.4 vs 14.3 at k = 6 and 18.1 vs 15.8 at k = 8.
 _SHARE_BLOCKS = 4
 
 
@@ -369,18 +374,6 @@ def _propagate(
     return _Arrivals(*map(np.concatenate, zip(*found)))
 
 
-def _blocks(
-    kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: np.ndarray
-) -> list[np.ndarray]:
-    """``heads`` cut into consecutive blocks of about ``_BLOCK_EDGES`` work
-    (``_work``) each: a head starts a block when the work before it crosses a
-    multiple of the limit."""
-    if len(heads) <= 1:
-        return [heads]
-    done = np.append(0.0, np.cumsum(_work(kg, heads, max_steps, wanted)))
-    return np.split(heads, np.flatnonzero(np.diff(done[:-1] // _BLOCK_EDGES)) + 1)
-
-
 def _work(
     kg: KnowledgeGraph, heads: np.ndarray, max_steps: int, wanted: np.ndarray
 ) -> np.ndarray:
@@ -541,7 +534,10 @@ def extract_paths(
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     wanted = distinct_sorted(pairs[:, 0] * kg.n_entities + pairs[:, 1])
     heads = distinct_sorted(wanted // kg.n_entities)
-    blocks = _blocks(kg, heads, max_steps, wanted) if len(heads) else []
+    # a walk of one head (explain's) or none is one block or none, with no estimate
+    cuts = (forked.runs(len(heads), _work(kg, heads, max_steps, wanted), _BLOCK_EDGES)
+            if len(heads) > 1 else [(0, 1)][: len(heads)])
+    blocks = [heads[a:b] for a, b in cuts]
     parts, processes = forked.run_blocks(
         "path walk", len(blocks), _SHARE_BLOCKS,
         lambda a, b: _walk(kg, max_steps, cutoff, per_pair_cap, wanted, blocks[a:b]))

@@ -12,23 +12,23 @@ both is checked twice, to the same bits), which gives the full pass's result
 bit for bit.
 
 Planning. ``TrainPlan`` tabulates once per run each train triple's paths (a
-range of the ``PathStore``, composed once by ``Composer.compile``) and D(r).
-An epoch's batches are planned a span at a time: a span is a run of
-consecutive batches holding at most ``_SPAN_DRAWS`` negative draws (a batch
-holding more is a span of its own). Each span takes the most batches whose
-draws fit the bound (``_span_cuts``). The span's draws are laid out in numpy in
-the sampler's stream order, triple by triple: head, tail and relation
-corruption; one relation per stored path of (h, t), in store order; one
-relation per (r_e, beta) of D(r). ``NegativeSampler.draws`` makes them all in
-one exact loop, testing each value by one lookup in one set of excluded keys;
-the plan first makes its D(r) the sampler's relation-pair exclusions. A
-give-up (-1) drops its hinge. The rows of every hinge then come from gathers,
-into one int32 table of the span. ``HingeLayout.of`` lays that table out once
-as the span's gather index, (W + 1, H, 2) intp, which each batch slices, and
-derives from the table each batch's subgradient slots: the row each slot adds
-to, an int8 code naming which of its hinge's values it takes, and its hinge.
-Only rows of -relations go through the negation map. The planner does no other
-work for the kernel.
+range of the ``PathStore``, composed once by ``Composer.compile``) and D(r). An
+epoch's batches are planned a span at a time: a span is a run of consecutive
+batches holding at most ``_SPAN_DRAWS`` negative draws (a batch holding more is
+a span of its own). Each span takes the most batches whose draws fit the bound,
+cut by ``forked.runs``, the one cut rule of every run of work. The span's draws
+are laid out in numpy in the sampler's stream order, triple by triple: head,
+tail and relation corruption; one relation per stored path of (h, t), in store
+order; one relation per (r_e, beta) of D(r). ``NegativeSampler.draws`` makes
+them all in one exact loop, testing each value by one lookup in one set of
+excluded keys; the plan first makes its D(r) the sampler's relation-pair
+exclusions. A give-up (-1) drops its hinge. The rows of every hinge then come
+from gathers, into one int32 table of the span. ``HingeLayout.of`` lays that
+table out once as the span's gather index, (W + 1, H, 2) intp, which each batch
+slices, and derives from the table each batch's subgradient slots: the row each
+slot adds to, an int8 code naming which of its hinge's values it takes, and its
+hinge. Only rows of -relations go through the negation map. The planner does no
+other work for the kernel.
 
 The planner process. None of this depends on the embeddings, so ``train``
 forks one child process per call (``SpanPlanner``, a ``forked.Child``), which
@@ -476,20 +476,6 @@ class Span(NamedTuple):
     last: bool = False
 
 
-def _span_cuts(counts: list[int], bound: int) -> list[int]:
-    """Where an epoch's spans start, by batch, then its batch count, for batches
-    of ``counts`` draws: each span takes the most batches whose draws fit
-    ``bound``, or one batch."""
-    cuts, drawn = [0], 0
-    for i, n in enumerate(counts):
-        if i > cuts[-1] and drawn + n > bound:
-            cuts.append(i)
-            drawn = 0
-        drawn += n
-    cuts.append(len(counts))
-    return cuts
-
-
 class TrainPlan:
     """A run's per-triple tables (its paths and D(r)) and the span planner."""
 
@@ -541,9 +527,8 @@ class TrainPlan:
         """The batches (non-empty arrays of train triple indices, at least one)
         planned span by span; the last span is marked."""
         starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
-        counts = np.add.reduceat(self.draw_counts[np.concatenate(batches)], starts).tolist()
-        cuts = _span_cuts(counts, _SPAN_DRAWS)
-        for lo, hi in zip(cuts, cuts[1:]):
+        counts = np.add.reduceat(self.draw_counts[np.concatenate(batches)], starts)
+        for lo, hi in forked.runs(len(batches), counts, _SPAN_DRAWS):
             yield self.span(sampler, batches[lo:hi])._replace(last=hi == len(batches))
 
     def span(self, sampler: NegativeSampler, batches: list[np.ndarray]) -> Span:

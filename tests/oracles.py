@@ -19,7 +19,8 @@ loops the array code replaced; the latter ranks with the two brute ranks.
 ``loop_row_sums`` sums a batch's subgradients per row in a dict, one ``+=`` at
 a time. All are kept so the array code can be checked against them bit for
 bit. ``update_parts`` cuts a ``GradientUpdate`` into its entity and relation
-rows.
+rows. ``packed_cuts`` packs items into runs by trying every run end, the
+oracle of ``forked.runs``.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ class UpdateParts(NamedTuple):
     entity: np.ndarray
     relation_rows: np.ndarray
     relation: np.ndarray
+
+
+def packed_cuts(costs, budget):
+    """Per item its cost: the run starts (by item, then the item count) of
+    taking into each run the most items whose costs fit ``budget``, or one."""
+    cuts = [0]
+    while cuts[-1] < len(costs):
+        lo = cuts[-1]
+        cuts.append(max(b for b in range(lo + 1, len(costs) + 1)
+                        if b == lo + 1 or sum(costs[lo:b]) <= budget))
+    return cuts
 
 
 def update_parts(update, n_entities: int) -> UpdateParts:

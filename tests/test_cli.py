@@ -1074,7 +1074,7 @@ def test_train_in_a_fresh_interpreter_writes_the_same_checkpoint(toy_dir, tmp_pa
 
 def test_split_walk_in_a_fresh_interpreter_writes_the_same_cache(tmp_path, monkeypatch, capsys):
     """``python -m rpje.cli extract-paths`` on the hub-paths graph, whose 3-step
-    walk of 47 blocks splits across the CPUs of any machine with more than one,
+    walk of 49 blocks splits across the CPUs of any machine with more than one,
     writes the ``paths.bin`` bytes, the stdout and the metric counts of an
     in-process run kept in one process."""
     _, cfg = workloads.write_workload(workloads.WORKLOADS["hub-paths"], str(tmp_path / "data"))
@@ -1092,7 +1092,7 @@ def test_split_walk_in_a_fresh_interpreter_writes_the_same_cache(tmp_path, monke
     assert run.stdout == capsys.readouterr().out.replace(str(in_process), str(fresh))
     assert (fresh / "paths.bin").read_bytes() == (in_process / "paths.bin").read_bytes()
     one, split = (json.loads((out / "metrics.jsonl").read_text()) for out in (in_process, fresh))
-    assert one["blocks"] == 47 and len(one["seconds"]["shares"]) == 1
+    assert one["blocks"] == 49 and len(one["seconds"]["shares"]) == 1
     assert (len(split["seconds"]["shares"]) > 1) == (cpus > 1)
     assert {**one, "seconds": None} == {**split, "seconds": None}
 

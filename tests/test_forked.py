@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rpje import evaluation, forked, paths as paths_mod
 from rpje.compose import Composer
@@ -23,7 +24,7 @@ from rpje.synthetic import ToyConfig, generate
 from rpje.training import train
 
 from conftest import assert_no_child, make_kg
-from oracles import OracleScorer, PathSet, evaluate_in_triple_order
+from oracles import OracleScorer, PathSet, evaluate_in_triple_order, packed_cuts
 from test_paths import exact, oracle_paths, oracle_walk
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(forked.__file__)))
@@ -197,7 +198,8 @@ def test_child_holds_no_pipe_of_an_open_sibling():
 
 
 def refuse(*args):
-    raise AssertionError("a split in one process opened a pipe, forked or asked for idle CPUs")
+    raise AssertionError("a split in one process opened a pipe, forked, asked for idle CPUs "
+                         "or cut its work")
 
 
 def test_split_in_one_process_opens_no_pipe(toy_kg):
@@ -205,7 +207,9 @@ def test_split_in_one_process_opens_no_pipe(toy_kg):
     ``explain``'s one-pair walks (``PathFinder.find``) run in this process with
     no pipe, no fork and no ``forked.idle_cpus``: with the three refused, they
     give the reports of the brute-force loop over the dict walk's paths, and
-    the dict walk's paths."""
+    the dict walk's paths. A one-pair walk and an empty walk (``eval``'s with
+    ``alpha_paths = 0``) also cut nothing: they are one block and none without
+    ``paths._work`` or ``forked.runs``."""
     emb, index = init_embeddings(toy_kg, TrainingConfig(dim=12, seed=3)), build_index([], 0.7)
     pairs = sorted({(h, t) for h, _, t in toy_kg.test})
     walked = {(h, t): oracle_paths(oracle_walk(toy_kg, h, 2).get(t, {}),
@@ -219,9 +223,31 @@ def test_split_in_one_process_opens_no_pipe(toy_kg):
     with mock.patch.object(os, "pipe", refuse), mock.patch.object(os, "fork", refuse), \
             mock.patch.object(forked, "idle_cpus", refuse):
         got = evaluation.evaluate(emb, finder, index, toy_kg, 1.0, "L1")
-        found = {(h, t): finder.find([(h, t)]).paths_between(h, t) for h, t in pairs}
+        with mock.patch.object(paths_mod, "_work", refuse), \
+                mock.patch.object(forked, "runs", refuse):
+            found = {(h, t): finder.find([(h, t)]).paths_between(h, t) for h, t in pairs}
+            stats = PathStats()
+            empty = finder.find([], stats)
     assert got == want
     assert exact(found) == exact(walked)
+    assert (empty.n_paths, len(empty.heads), stats.blocks) == (0, 0, 0)
+
+
+@given(costs=st.lists(st.integers(0, 12), max_size=14), each=st.integers(1, 12),
+       budget=st.integers(1, 12), dtype=st.sampled_from([np.int64, np.float64]))
+@example(costs=[], each=1, budget=1, dtype=np.int64)
+@example(costs=[5], each=5, budget=1, dtype=np.int64)
+@example(costs=[1, 0, 0, 9, 0, 1], each=9, budget=1, dtype=np.float64)
+@settings(max_examples=400, deadline=None)
+def test_runs_pack_items_as_the_oracle_does(costs, each, budget, dtype):
+    """``forked.runs`` of a cost per item, and of one cost for every item, cut
+    the runs ``packed_cuts`` packs: n = 0 and 1, zero costs, an item above the
+    budget and budgets of 1 among them."""
+    per_item = packed_cuts(costs, budget)
+    assert forked.runs(len(costs), np.array(costs, dtype=dtype), budget) == list(
+        zip(per_item, per_item[1:]))
+    scalar = packed_cuts([each] * len(costs), budget)
+    assert forked.runs(len(costs), each, budget) == list(zip(scalar, scalar[1:]))
 
 
 def store_arrays(store) -> list[bytes]:

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,11 @@ from rpje.paths import (
 from conftest import (
     PATH_CACHE, adjacency_by_relation, fail_in_child, failed_share, make_kg, train_pairs,
 )
+from oracles import packed_cuts
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402
 
 
 # --- oracle: PCRA as a dict walk over the adjacency lists ---
@@ -406,7 +413,7 @@ def test_kernel_matches_dict_walk_oracle(
             assert (stats.paths, stats.paths_below_cutoff, stats.paths_over_cap) == (
                 ps.n_paths, below, over
             )
-            blocks = paths_mod._blocks(kg, heads, max_steps, wanted)
+            blocks = packed_blocks(kg, heads, max_steps, wanted)
             assert stats.blocks == len(blocks)
             assert 1 <= len(stats.seconds) <= min(cpus, len(blocks))
             assert (stats.blocks_joined, stats.last_hop_gathered, stats.last_hop_kept) == (
@@ -426,7 +433,7 @@ def test_kernel_matches_dict_walk_oracle(
             )
             assert stats.blocks_joined == (stats.blocks if form == "join" else 0) or form == "rule"
             every = np.arange(kg.n_entities)
-            blocks = paths_mod._blocks(kg, every, max_steps, np.arange(kg.n_entities**2))
+            blocks = packed_blocks(kg, every, max_steps, np.arange(kg.n_entities**2))
             assert (stats.blocks_joined, stats.last_hop_gathered, stats.last_hop_kept) == (
                 oracle_last_hops(kg, [b.tolist() for b in blocks], set(pairs), max_steps, joins)
             ), form
@@ -631,9 +638,30 @@ def oracle_work(kg, head, max_steps, tails):
     return sum(walks[:-1]) + last
 
 
+def packed_blocks(kg, heads, max_steps, wanted):
+    """``heads`` cut as ``packed_cuts`` packs their ``_work`` under ``_BLOCK_EDGES``."""
+    cuts = packed_cuts(paths_mod._work(kg, heads, max_steps, wanted).tolist(),
+                       paths_mod._BLOCK_EDGES)
+    return [heads[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+@contextlib.contextmanager
+def walked_blocks():
+    """The heads of each block ``extract_paths`` walks, as lists in walk order,
+    on one CPU, so every block is walked in this process."""
+    walked, real = [], paths_mod._walk
+
+    def walk(kg, max_steps, cutoff, cap, wanted, blocks):
+        walked.extend(block.tolist() for block in blocks)
+        return real(kg, max_steps, cutoff, cap, wanted, blocks)
+
+    with mock.patch.object(paths_mod, "_walk", walk), mock.patch.object(forked, "cpus", lambda: 1):
+        yield walked
+
+
 def test_blocks_split_heads_by_work(toy_kg):
-    """Blocks are consecutive runs of heads, and a head starts a new block when
-    the work before it crosses a multiple of the limit; a head's last hop counts
+    """Blocks are consecutive runs of heads, each taking the most heads whose
+    work fits the limit, or one head (``packed_cuts``); a head's last hop counts
     in its cheaper form, which lowers the total below the work without the join.
     Each head's work is the oracle's."""
     n = toy_kg.n_entities
@@ -644,18 +672,34 @@ def test_blocks_split_heads_by_work(toy_kg):
     for max_steps in (2, 3):
         work = [oracle_work(toy_kg, h, max_steps, tails[h]) for h in heads.tolist()]
         limit = sum(work) // 7
-        done = np.cumsum(work) - work
-        starts = [0] + [i for i in range(1, len(heads))
-                        if done[i] // limit != done[i - 1] // limit]
-        with mock.patch.object(paths_mod, "_BLOCK_EDGES", limit):
-            blocks = paths_mod._blocks(toy_kg, heads, max_steps, keys)
+        cuts = packed_cuts(work, limit)
+        with mock.patch.object(paths_mod, "_BLOCK_EDGES", limit), walked_blocks() as blocks:
             small = extract_paths(toy_kg, max_steps)
-        assert [len(b) for b in blocks] == np.diff(starts + [len(heads)]).tolist()
+        assert blocks == [heads[a:b].tolist() for a, b in zip(cuts, cuts[1:])]
         assert paths_mod._work(toy_kg, heads, max_steps, keys).tolist() == work
         assert len(blocks) > 1
-        assert np.array_equal(np.concatenate(blocks), heads)
+        assert sum(blocks, []) == heads.tolist()
         assert exact(small.pairs) == exact(extract_paths(toy_kg, max_steps).pairs)
         assert sum(work) < sum(oracle_work(toy_kg, h, max_steps, None) for h in heads.tolist())
+
+
+def test_every_block_of_heads_fits_the_work_limit():
+    """Each block of two or more heads that ``extract_paths`` walks has at most
+    ``_BLOCK_EDGES`` work, as the module docstring says; here on the hub-paths
+    recipe's 3-step train walk at the toy's size, with the limit patched to
+    2,048, under which most of its blocks hold several heads."""
+    data = workloads.make_data(workloads.Workload("hub", scale=1, hub_out_degree=4))
+    kg = make_kg(data.train, data.valid, data.test)
+    pairs = kg.train_ids[:, [0, 2]]
+    wanted = np.unique(pairs[:, 0] * kg.n_entities + pairs[:, 1])
+    heads = np.unique(pairs[:, 0])
+    work = dict(zip(heads.tolist(), paths_mod._work(kg, heads, 3, wanted).tolist()))
+    limit = 1 << 11
+    with mock.patch.object(paths_mod, "_BLOCK_EDGES", limit), walked_blocks() as blocks:
+        extract_paths(kg, 3)
+    shared = [block for block in blocks if len(block) > 1]
+    assert sum(blocks, []) == heads.tolist() and len(shared) > len(blocks) // 2
+    assert max(sum(work[h] for h in block) for block in shared) <= limit
 
 
 def test_cache_round_trip_mixed_lengths(tmp_path, toy_kg):

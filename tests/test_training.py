@@ -36,8 +36,8 @@ from rpje.training import (
 
 from conftest import assert_no_child, make_kg
 from oracles import (
-    batch_parts, compose_embedding, loop_row_sums, path_weight, residual_matrix, store_from_pairs,
-    triple_set, update_parts,
+    batch_parts, compose_embedding, loop_row_sums, packed_cuts, path_weight, residual_matrix,
+    store_from_pairs, triple_set, update_parts,
 )
 
 
@@ -1163,17 +1163,6 @@ def test_train_matches_per_hinge_oracle(norm):
     assert np.array_equal(result.table.relations, emb.relations)
     assert result.history == history
     assert all(l2 > 0 and l3 > 0 for _, _, _, l2, l3 in history)
-
-
-def packed_cuts(draws, limit):
-    """Per batch its draws: the span starts (by batch, then the batch count) of
-    taking into each span the most batches whose draws fit ``limit``, or one."""
-    cuts = [0]
-    while cuts[-1] < len(draws):
-        lo = cuts[-1]
-        cuts.append(max(b for b in range(lo + 1, len(draws) + 1)
-                        if b == lo + 1 or sum(draws[lo:b]) <= limit))
-    return cuts
 
 
 def planned_draws(monkeypatch, kg, ps, index, cfg):
