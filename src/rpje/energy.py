@@ -96,15 +96,19 @@ class Float32Scan:
 
     **No overflow.** A row with a magnitude beyond ``SCAN_LIMIT`` (or a NaN) is
     NaN in the copy, so its scan is NaN, and a query whose sum |a| + sum |r|
-    exceeds it is not scanned. So |d_i| <= 2^51, an L1 sum stays below
-    n 2^51 < 2^74, and an L2 sum below n 2^102 < 2^128.
+    exceeds it scans a zero side (see ``cover``). So |d_i| <= 2^51, an L1 sum
+    stays below n 2^51 < 2^74, and an L2 sum below n 2^102 < 2^128.
 
     **Deciding.** A row with s <= lo, a float32 lo <= s_true - B, has
     S <= s + B <= s_true: it is a rival of the true candidate. A row with
     s > hi, a float32 hi >= s_true + B, has S > s_true: it is not. Every
-    other row is undecided and must be rescored exactly: the true one, NaN rows,
-    and every row when s_true is NaN. ``sizes`` holds sum |x| of every row in
-    float64, and ``largest`` the largest over the rows without a NaN in the copy.
+    other row is undecided and must be rescored exactly: the true one and NaN
+    rows. ``cover`` decides, per query, whether the bound holds: a query it
+    does not cover (a sum |a| + sum |r| beyond ``SCAN_LIMIT`` or NaN, a NaN
+    s_true, or any query of a table past ``SCAN_MAX_DIM`` dimensions, whose
+    gamma is NaN) gets NaN thresholds, so every row is undecided. ``sizes``
+    holds sum |x| of every row in float64, and ``largest`` the largest over
+    the rows without a NaN in the copy.
     """
 
     def __init__(self, rows: np.ndarray, norm: str):
@@ -120,7 +124,7 @@ class Float32Scan:
         block = max(1, min(dim, _SCAN_BLOCK // max(n, 1)))
         self._work = np.empty((1 + (dim > block), block, n), dtype=np.float32)
         k = (dim + 4) * 2.0**-24
-        self._gamma = k / (1 - k)
+        self._gamma = k / (1 - k) if dim <= SCAN_MAX_DIM else math.nan
         self._absolute = dim * 2.0**-147 + (math.sqrt(dim) * 2.0**-73 if norm == "L2" else 0.0)
 
     def norms(self, fixed: np.ndarray) -> np.ndarray:
@@ -149,20 +153,26 @@ class Float32Scan:
         total = acc[:min(k, len(fixed))].sum(axis=0)
         return total if self.norm == "L1" else np.sqrt(total)
 
-    def thresholds(self, s_true: np.ndarray,
-                   fixed_size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per query, a float32 lo <= s_true - B and hi >= s_true + B, for exact
-        energies ``s_true`` and fixed sides whose sums of |a| and |r| are
-        ``fixed_size``, each at most ``SCAN_LIMIT``. NaN in s_true gives NaN."""
-        bound = self._gamma * (fixed_size + self.largest) + self._absolute
-        return _float32_past(s_true - bound, -math.inf), _float32_past(s_true + bound, math.inf)
+    def cover(self, sides: np.ndarray, sizes: np.ndarray,
+              s_true: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per query, its float32 fixed side and a float32 lo <= s_true - B and
+        hi >= s_true + B, for float64 fixed sides ``sides`` (one row a query)
+        whose sums of |a| and |r| are ``sizes``, and exact energies ``s_true``.
+        A query the bound does not cover, one whose size exceeds ``SCAN_LIMIT``
+        or is NaN, whose s_true is NaN, or any when the table is past
+        ``SCAN_MAX_DIM`` dimensions, gets a zero side and NaN thresholds."""
+        sizes = np.where(sizes <= SCAN_LIMIT, sizes, math.nan)  # NaN fails too
+        bound = self._gamma * (sizes + self.largest) + self._absolute
+        lo, hi = _float32_past(s_true - bound, -math.inf), _float32_past(s_true + bound, math.inf)
+        # NaN thresholds mark the queries not covered, whose sides are not scanned
+        return np.where(np.isnan(lo)[:, None], 0.0, sides).astype(np.float32), lo, hi
 
     def undecided(self, fixed: np.ndarray, lo: np.float32,
                   hi: np.float32) -> tuple[np.ndarray, np.ndarray]:
         """Rows that are certainly rivals of one query (S <= s_true), as a mask,
         and the indices of the undecided rows, which the mask leaves False: the
-        scan of the float32 fixed side ``fixed`` against the query's
-        ``thresholds``."""
+        scan of the float32 fixed side ``fixed`` against the query's thresholds
+        from ``cover``."""
         s = self.norms(fixed)
         rivals = s <= lo
         return rivals, np.flatnonzero(~(rivals | (s > hi)))

@@ -35,19 +35,19 @@ report is that of one process, whichever process claims which block.
 
 Entity ranking computes, per block of triples, arrays of s_true (which a
 triple's head and tail query share), of the fixed sides h + r (tail queries)
-and t - r (head queries) with their float32 copies, and of the scan thresholds;
-each query's known ends are its range of the filter index, from one lookup per
-split. Per query remain only its float32 scan of E1 of every candidate, from a
-dimension-major copy of the entity table (``energy.Float32Scan``, built once
-with the ``EntityScorer``), each within a proven bound B of its exact energy;
-the exact rescore of its undecided band; and its two rank counts. A candidate
-whose scan lies at or below s_true - B is a rival, one above s_true + B is not,
-and only the band between (the true candidate, usually alone, whose exact
-energy is s_true) is rescored with E1 on its rows. So every rank is the one the
-exact energies of all candidates give. Every table is scanned, the toy's too,
-but one past ``SCAN_MAX_DIM`` dimensions, where the bound does not hold; a
-query of such a table, or one whose fixed side is too large for the scan or
-NaN, rescores every candidate.
+and t - r (head queries), and of their float32 copies and scan thresholds
+(``Float32Scan.cover``); each query's known ends are its range of the filter
+index, from one lookup per split. Per query remain only its float32 scan of E1
+of every candidate, from a dimension-major copy of the entity table
+(``energy.Float32Scan``, built once with the ``EntityScorer``), each within a
+proven bound B of its exact energy; the exact rescore of its undecided band;
+and its two rank counts. A candidate whose scan lies at or below s_true - B is
+a rival, one above s_true + B is not, and only the band between (the true
+candidate, usually alone, whose exact energy is s_true) is rescored with E1 on
+its rows. So every rank is the one the exact energies of all candidates give.
+Every query takes that one path, the toy's too: one the bound does not cover
+(a table past ``energy.SCAN_MAX_DIM`` dimensions, or a fixed side too large
+for the scan or NaN) gets NaN thresholds, so its band is every candidate.
 
 Relation scores are E1 over a block of pairs x base relations by
 broadcasting, each summed over its own row of dim terms, so it has the bits
@@ -79,8 +79,7 @@ import numpy as np
 from . import forked
 from .compose import Composer
 from .energy import (
-    SCAN_LIMIT, SCAN_MAX_DIM, Float32Scan, composed_relations, dissimilarity, path_energy,
-    signed_relations, triple_energy,
+    Float32Scan, composed_relations, dissimilarity, path_energy, signed_relations, triple_energy,
 )
 from .kg import KnowledgeGraph, KnownRanges, Triple, distinct_sorted
 from .model import EmbeddingTable, TrainingConfig
@@ -131,24 +130,21 @@ def _ranks(
 
 
 class EntityScorer:
-    """E1-ranking of entity queries against trained embeddings (``rank_block``),
-    with the float32 scan of the entity table and each query's exact rescores
-    (``rescored``). It needs no paths, so ``evaluate`` can rank entities before
-    the test pairs' store exists.
+    """E1-ranking of entity queries against trained embeddings (``rank_block``)
+    from the float32 scan of the entity table. It needs no paths, so
+    ``evaluate`` can rank entities before the test pairs' store exists.
 
     The scan, the signed relation table and each base relation's sum |r| are
     built here, once: before the first fork, so every process reads the one
-    copy. A table past ``SCAN_MAX_DIM`` dimensions, where the scan's bound does
-    not hold, is not scanned.
+    copy. The scorer keeps nothing of the queries it ranks.
     """
 
     def __init__(self, emb: EmbeddingTable, norm: str = TrainingConfig.norm):
         self.emb = emb
         self.norm = norm
-        self._scan = Float32Scan(emb.entities, norm) if emb.dim <= SCAN_MAX_DIM else None
+        self._scan = Float32Scan(emb.entities, norm)
         self._relation_sizes = np.abs(emb.relations).sum(axis=1)
         self._signed = signed_relations(emb)
-        self.rescored: list[int] = []  # candidates rescored exactly, per entity query
 
     def rank_block(self, triples: np.ndarray, known: dict[str, KnownRanges],
                    ranks: dict[str, np.ndarray], seconds: dict[str, np.ndarray]) -> None:
@@ -159,9 +155,9 @@ class EntityScorer:
 
         The true energies, which a triple's head and tail query share, the fixed
         sides, their float32 copies and the scan thresholds are arrays over the
-        block. Per query are only its scan and the exact rescore of its undecided
-        band, or of every candidate where the table is not scanned or the fixed
-        side is too large for the scan (or NaN), and its two rank counts.
+        block. Every query takes one path: its scan, the exact rescore of its
+        undecided band unless that is the true candidate alone, and its two rank
+        counts. A query the bound does not cover has every candidate in its band.
         """
         ent, norm, scan = self.emb.entities, self.norm, self._scan
         h, r, t = triples.T
@@ -175,39 +171,30 @@ class EntityScorer:
                 return dissimilarity(tail_side[i] - ent[rows], norm)
             return triple_energy(ent[rows], rvec[i], ent[t[i]], norm)
 
-        for slot, true, end in (("tail", t, h), ("head", h, t)):
-            (raw, filtered, rescored), (values, start, stop) = ranks[slot], known[slot]
-            spent = seconds[slot]
-            scanned = np.zeros(len(triples), dtype=bool)
-            if scan is not None:
+        # the scan runs with numpy's ufunc buffer at its minimum (see
+        # ``Float32Scan.norms``)
+        bufsize = np.setbufsize(16)
+        try:
+            for slot, true, end in (("tail", t, h), ("head", h, t)):
+                (raw, filtered, rescored), (values, start, stop) = ranks[slot], known[slot]
+                spent = seconds[slot]
                 size = scan.sizes[end] + self._relation_sizes[r % self.emb.n_base_relations]
-                scanned = size <= SCAN_LIMIT  # NaN fails too
-                q = np.flatnonzero(scanned)
-                side = tail_side[q] if slot == "tail" else ent[t[q]] - rvec[q]
-                fixed, (lo, hi) = side.astype(np.float32), scan.thresholds(s_true[q], size[q])
-            # the scan runs with numpy's ufunc buffer at its minimum (see
-            # ``Float32Scan.norms``); a table that is not scanned keeps the
-            # default, at which its whole-table sums run faster
-            bufsize = np.setbufsize(16 if scan is not None else np.getbufsize())
-            try:
-                for i, k in enumerate((np.cumsum(scanned) - 1).tolist()):
+                side = tail_side if slot == "tail" else ent[t] - rvec
+                fixed, lo, hi = scan.cover(side, size, s_true)
+                for i in range(len(triples)):
                     begin = time.perf_counter()
-                    if scanned[i]:
-                        rivals, band = scan.undecided(fixed[k], lo[k], hi[k])
-                        # the true candidate's exact energy is s_true: a band of
-                        # it alone needs no rescore
-                        if len(band) != 1 or band[0] != true[i]:
-                            rivals[band] = exact(slot, i, band) <= s_true[i]
-                        rescored[i] = len(band)
-                    else:
-                        rivals = exact(slot, i, slice(None)) <= s_true[i]
-                        rescored[i] = len(rivals)
+                    rivals, band = scan.undecided(fixed[i], lo[i], hi[i])
+                    # the true candidate's exact energy is s_true: a band of it
+                    # alone needs no rescore
+                    if len(band) != 1 or band[0] != true[i]:
+                        rivals[band] = exact(slot, i, band) <= s_true[i]
+                    rescored[i] = len(band)
                     rivals[true[i]] = False
                     raw[i] = n = 1 + np.count_nonzero(rivals)
                     filtered[i] = n - np.count_nonzero(rivals[values[start[i]:stop[i]]])
                     spent[i] = time.perf_counter() - begin
-            finally:
-                np.setbufsize(bufsize)
+        finally:
+            np.setbufsize(bufsize)
 
 
 class Scorer:
@@ -301,17 +288,26 @@ _SHARE_TRIPLES = 64
 _CLAIM_TRIPLES = 32
 
 
+@dataclass
+class EntityRanking:
+    """What ``rank_entities`` measured: per slot, the (raw, filtered) ranks by
+    triple; per query, the tail queries in triple order and then the head
+    queries, its exact rescores and seconds; and per process, this process's
+    first, the claim blocks it ranked and its seconds ranking them."""
+
+    ranks: dict[str, tuple[np.ndarray, np.ndarray]]
+    rescored: np.ndarray
+    seconds: np.ndarray
+    shares: list[tuple[int, float]]
+
+
 def rank_entities(
     scorer: EntityScorer, kg: KnowledgeGraph, triples: np.ndarray,
-    latencies: list[float] | None = None, shares: list[tuple[int, float]] | None = None,
     beside: Callable[[], object] | None = None,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(raw, filtered) ranks of the true head and the true tail of each triple
-    among all entities, as {"head": (raw, filtered), "tail": (raw, filtered)};
-    relation ids may be inverse ids. The seconds each query takes are appended
-    to ``latencies``, and its exact rescores to ``scorer.rescored``, the tail
-    queries' in triple order, then the head queries'; each process's claim
-    blocks ranked and ranking seconds, this process's first, go to ``shares``.
+) -> EntityRanking:
+    """The ranks of the true head and the true tail of each triple among all
+    entities (relation ids may be inverse ids), with each query's rescores and
+    seconds and each process's share of the work.
 
     The triples are ranked by ``forked.run_blocks``, one block per triple and
     one process per ``_SHARE_TRIPLES``, in claim blocks of ``_CLAIM_TRIPLES``
@@ -319,17 +315,14 @@ def rank_entities(
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h, r, t = triples.T
     known = {"head": kg.known_heads(r, t), "tail": kg.known_tails(h, r)}
-    parts, processes = forked.run_blocks(
+    parts, shares = forked.run_blocks(
         "entity ranking", len(triples), _SHARE_TRIPLES,
         lambda a, b: _rank_share(scorer, triples, known, slice(a, b)), _CLAIM_TRIPLES, beside)
     head, tail = np.concatenate([ranks for ranks, _ in parts], axis=-1)
-    scorer.rescored += tail[2].tolist() + head[2].tolist()
-    if latencies is not None:
-        seconds = np.concatenate([part_seconds for _, part_seconds in parts], axis=-1)
-        latencies += seconds[1].tolist() + seconds[0].tolist()
-    if shares is not None:
-        shares += processes
-    return {"head": (head[0], head[1]), "tail": (tail[0], tail[1])}
+    seconds = np.concatenate([part_seconds for _, part_seconds in parts], axis=-1)
+    return EntityRanking({"head": (head[0], head[1]), "tail": (tail[0], tail[1])},
+                         np.concatenate((tail[2], head[2])),
+                         np.concatenate((seconds[1], seconds[0])), shares)
 
 
 def _rank_share(
@@ -450,20 +443,18 @@ def evaluate(
         stats.compiled = scorer.paths.summary()
 
     scorer = EntityScorer(emb, norm)
-    latencies: list[float] = []
-    shares: list[tuple[int, float]] = []
     start = time.perf_counter()
-    entity = rank_entities(scorer, kg, triples, latencies, shares, beside=path_side)
+    entity = rank_entities(scorer, kg, triples, beside=path_side)
     stats.seconds["entity_ranking"] = time.perf_counter() - start
-    stats.seconds["entity_blocks"] = [blocks for blocks, _ in shares]
-    stats.seconds["entity_shares"] = [seconds for _, seconds in shares]
-    latencies.sort()
+    stats.seconds["entity_blocks"] = [blocks for blocks, _ in entity.shares]
+    stats.seconds["entity_shares"] = [seconds for _, seconds in entity.shares]
+    latencies = sorted(entity.seconds.tolist())
     for q in (50, 90):  # nearest rank; np.percentile would import numpy.ma (11 ms)
         stats.seconds[f"entity_query_p{q}"] = latencies[-(-len(latencies) * q // 100) - 1]
-    stats.entity_queries = len(scorer.rescored)
-    stats.rescored = {"total": sum(scorer.rescored), "max": max(scorer.rescored)}
+    stats.entity_queries = len(entity.rescored)
+    stats.rescored = {"total": int(entity.rescored.sum()), "max": int(entity.rescored.max())}
     for task, slot in (("entity-head", "head"), ("entity-tail", "tail")):
-        ranks[(task, "raw")], ranks[(task, "filtered")] = entity[slot]
+        ranks[(task, "raw")], ranks[(task, "filtered")] = entity.ranks[slot]
     categories = relation_categories(kg)
     category = np.array([categories.get(r, "N-N") for r in range(kg.n_relations)])[triples[:, 1]]
     present = sorted(set(category.tolist()))  # np.unique of strings would import numpy.ma

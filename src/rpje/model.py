@@ -130,6 +130,8 @@ def _checkpoint_layout(fields) -> list[tuple[str, int]]:
     version, dim, n_ent, n_rel = fields[:4]
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if dim < 1:  # a table of no dimensions scores nothing
+        raise CheckpointError(f"checkpoint dimension {dim} is not positive")
     return [("<f8", dim * n_ent), ("<f8", dim * n_rel)]
 
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from rpje import artifacts, cli, evaluation, forked, model, paths as paths_mod
+from rpje import artifacts, cli, energy, evaluation, forked, model, paths as paths_mod
 from rpje.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from rpje.config import RunConfig, apply_config_file
 from rpje.kg import load_dataset
@@ -518,6 +518,27 @@ def test_checkpoint_header_disagreeing_exits_two(pipeline, tmp_path, capsys, com
     assert "checkpoint.bin" in err
 
 
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--alpha1", "0"],
+                                  ["explain", "country_0", "country_1"]],
+                         ids=["eval", "eval-alpha1-0", "explain"])
+def test_checkpoint_of_no_dimensions_exits_two(pipeline, tmp_path, capsys, argv):
+    """A checkpoint whose table has dimension 0, consistent header and all, is
+    refused with one error line, before any scoring divides by its width."""
+    _, files, fast = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(pipeline[0], out)
+    target = out / "checkpoint.bin"
+    emb, dataset_hash, norm = model.load_checkpoint(target)
+    empty = model.EmbeddingTable(emb.entities[:, :0], emb.relations[:, :0])
+    model.save_checkpoint(empty, dataset_hash, norm, target)
+    assert CHECKPOINT.fields(target.read_bytes())[1:4] == [0, emb.n_entities, emb.n_base_relations]
+    capsys.readouterr()
+    assert main([argv[0], *data_flags(files), "--out", str(out), *fast, *argv[1:]]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "checkpoint.bin" in err and "dimension 0" in err
+
+
 @pytest.mark.parametrize("where", ["header", "record", "one byte short", "previous version"])
 def test_truncated_path_cache_is_rebuilt(pipeline, tmp_path, capsys, where):
     """``train`` silently rebuilds a path cache that is cut short or of the previous version."""
@@ -880,16 +901,16 @@ def test_eval_appends_metrics_line(pipeline, tmp_path, capsys, monkeypatch):
     rescored exactly, and per-stage seconds with the p50 and p90 of one entity
     query, and each process's claim blocks ranked and entity ranking seconds,
     the blocks summing to the claim count; its stdout is unchanged.
-    With the toy table scanned in float32 or, past a ``SCAN_MAX_DIM`` of 0, not,
-    the line differs only in the rescores, and the report not at all."""
+    With the toy table's scan covering every query or, past a ``SCAN_MAX_DIM``
+    of 0, none, the line differs only in the rescores, and the report not at all."""
     _, files, fast = pipeline
     out = tmp_path / "out"
     shutil.copytree(pipeline[0], out)
     kg = load_dataset(files["train"], files["valid"], files["test"])
     test_pairs = {(h, t) for h, _, t in kg.test}
     outputs, rescored = [], []
-    for scan_max_dim in (evaluation.SCAN_MAX_DIM, 0):
-        monkeypatch.setattr(evaluation, "SCAN_MAX_DIM", scan_max_dim)
+    for scan_max_dim in (energy.SCAN_MAX_DIM, 0):
+        monkeypatch.setattr(energy, "SCAN_MAX_DIM", scan_max_dim)
         before = (out / "metrics.jsonl").read_text().splitlines()
         capsys.readouterr()
         assert main(["eval", *data_flags(files), "--out", str(out), *fast]) == EXIT_OK

@@ -1,14 +1,14 @@
 """Entity ranking from the float32 scan: ranks against the brute-force oracle
 on wide, tiny, tied and degenerate tables, one query at a time and in whole
 splits, ``evaluate``'s reports against a brute-force loop in test-triple order,
-and which scorer builds the scan."""
+which queries the scan's bound covers, and which scorer builds the scan."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rpje.compose import Composer
-from rpje import evaluation
+from rpje import energy, evaluation
 from rpje.energy import SCAN_LIMIT, SCAN_MAX_DIM, Float32Scan
 from rpje.evaluation import EntityScorer, EvalStats, Scorer, evaluate, explain, rank_entities
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
@@ -47,19 +47,39 @@ def ring_kg(n_ent, n_rel):
                     for i in range(max(n_ent, n_rel))])
 
 
-def assert_ranks_match(ent, rel, norm, triples):
+def uncovered(ent, rel, triple, slot) -> bool:
+    """Whether the scan's bound leaves the ``slot`` query of ``triple`` out: its
+    fixed end's and relation's magnitudes sum past ``SCAN_LIMIT`` (or to NaN),
+    or its true energy is NaN."""
+    h, r, t = triple
+    size = np.abs(ent[h if slot == "tail" else t]).sum() + np.abs(rel[r % len(rel)]).sum()
+    rvec = rel[r] if r < len(rel) else -rel[r - len(rel)]
+    return not size <= SCAN_LIMIT or np.isnan(np.abs(ent[h] + rvec - ent[t]).sum())
+
+
+def assert_ranks_match(ent, rel, norm, triples) -> list[int]:
     """Raw and filtered head and tail ranks of each triple (relation ids of both
-    directions) equal ``brute_rank``'s, with every table scanned in float32."""
+    directions) equal ``brute_rank``'s, with every table scanned in float32.
+    Every query rescores at least one candidate, and one the bound does not
+    cover rescores them all. The rescores, two per triple, are returned."""
     kg = ring_kg(len(ent), len(rel))
     assert (kg.n_entities, kg.n_base_relations) == (len(ent), len(rel))
     scorer = EntityScorer(EmbeddingTable(ent, rel), norm)
+    rescored = []
     for triple in triples:
-        ranks = rank_entities(scorer, kg, [triple])  # a one-row split
+        ranking = rank_entities(scorer, kg, [triple])  # a one-row split
         for slot in ("head", "tail"):
-            got = tuple(int(rank[0]) for rank in ranks[slot])
+            got = tuple(int(rank[0]) for rank in ranking.ranks[slot])
             assert got == tuple(brute_rank(scorer, kg, triple, slot, setting)
                                 for setting in ("raw", "filtered")), (triple, slot)
-    assert scorer._scan is not None and len(scorer.rescored) == 2 * len(triples)
+        tail, head = ranking.rescored.tolist()
+        for slot, count in (("tail", tail), ("head", head)):
+            assert 1 <= count <= len(ent)
+            if uncovered(ent, rel, triple, slot):
+                assert count == len(ent), (triple, slot)
+        rescored += [tail, head]
+    assert len(rescored) == 2 * len(triples)
+    return rescored
 
 
 @given(
@@ -93,7 +113,9 @@ def test_prefilter_ranks_match_brute_force(dim, n_ent, n_rel, norm, kind, seed):
     rel = table_values(rng, (n_rel, dim), kind)
     ends = sorted({0, n_ent - 1, int(rng.integers(n_ent))})
     triples = [(a, int(rng.integers(2 * n_rel)), b) for a in ends for b in ends]
-    assert_ranks_match(ent, rel, norm, triples)
+    rescored = assert_ranks_match(ent, rel, norm, triples)
+    if kind == "unit" and n_ent > 3:  # a normal row of its own: the scan decides some
+        assert sum(rescored) < len(rescored) * n_ent
 
 
 def edge_table(case, rng):
@@ -127,10 +149,14 @@ def edge_table(case, rng):
 def test_prefilter_ranks_on_edge_tables(case, norm):
     """Ranks equal the brute-force oracle's for every triple of tables where every
     candidate ties, where rows lie beyond float32's range or hold NaN, where
-    h + r or t - r cancels between huge terms, and where float32 underflows."""
+    h + r or t - r cancels between huge terms, and where float32 underflows.
+    The scan decides some candidates, but where L2's squares underflow: there
+    the bound's absolute term leaves every row undecided."""
     ent, rel = edge_table(case, np.random.default_rng(7))
     triples = [(h, r, t) for h in range(8) for r in range(4) for t in range(8)]
-    assert_ranks_match(ent, rel, norm, triples)
+    rescored = assert_ranks_match(ent, rel, norm, triples)
+    if not (norm == "L2" and case in ("subnormal", "underflow")):
+        assert sum(rescored) < len(rescored) * len(ent)
 
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
@@ -147,13 +173,79 @@ def test_split_mixing_unscanned_queries_matches_brute_force(norm, monkeypatch):
     scorer = EntityScorer(EmbeddingTable(ent, rel), norm)
     monkeypatch.setattr(evaluation, "BLOCK_CELLS", 3 * 4 * dim)
     triples = [(h, r, t) for h in range(n_ent) for r in range(4) for t in (0, 3, 7)]
-    ranks = rank_entities(scorer, kg, triples)
-    for slot, (raw, filtered) in ranks.items():
+    ranking = rank_entities(scorer, kg, triples)
+    for slot, (raw, filtered) in ranking.ranks.items():
         for triple, got in zip(triples, zip(raw.tolist(), filtered.tolist())):
             assert got == tuple(brute_rank(scorer, kg, triple, slot, setting)
                                 for setting in ("raw", "filtered")), (triple, slot)
-    assert len(scorer.rescored) == 2 * len(triples)
-    assert n_ent in scorer.rescored and min(scorer.rescored) < n_ent
+    rescored = ranking.rescored.tolist()
+    assert len(rescored) == 2 * len(triples)
+    # the tail queries, then the head queries: a fixed end of 3 rescores every candidate
+    ends = [h for h, _, _ in triples] + [t for _, _, t in triples]
+    assert all(n == n_ent for n, end in zip(rescored, ends) if end == 3)
+    assert n_ent in rescored and min(rescored) < n_ent
+
+
+def bound_thresholds(rows, norm, sides, sizes, s_true):
+    """Per query, the float32 side and the thresholds by the formula of the
+    scan's bound: B = gamma_{n+4} (size + largest row size) + n 2^-147
+    (+ sqrt(n) 2^-73 for L2), and lo and hi one float64 and then one float32
+    step below s_true - B and above s_true + B, clipped to +-2^100 between."""
+    n = rows.shape[1]
+    k = (n + 4) * 2.0**-24
+    kept = (np.abs(rows) <= SCAN_LIMIT).all(axis=1)
+    largest = np.abs(rows[kept]).sum(axis=1).max(initial=0.0)
+    bound = k / (1 - k) * (sizes + largest) + n * 2.0**-147
+    if norm == "L2":
+        bound += np.sqrt(n) * 2.0**-73
+
+    def past(x, toward):
+        x = np.clip(np.nextafter(x, toward), -2.0**100, 2.0**100)
+        return np.nextafter(x.astype(np.float32), np.float32(toward))
+
+    return sides.astype(np.float32), past(s_true - bound, -np.inf), past(s_true + bound, np.inf)
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_cover_decides_which_queries_the_bound_holds_for(norm, monkeypatch):
+    """``Float32Scan.cover`` gives a covered query its float32 side and the
+    thresholds of the bound's formula, bit for bit, a size of exactly
+    ``SCAN_LIMIT`` included. A query whose size exceeds it (with a side beyond
+    float32's range) or is NaN, or whose s_true is NaN, and every query of a
+    scan built past ``SCAN_MAX_DIM``, gets a zero side and NaN thresholds, so
+    ``undecided`` finds no rival and leaves every row undecided."""
+    rng = np.random.default_rng(13)
+    n_ent, dim = 9, 10
+    rows = rng.normal(size=(n_ent, dim))
+    rows[2] *= 2.0**60  # NaN in the copy, and left out of the largest row size
+    sides = rng.normal(size=(7, dim))
+    sides[4] = 1e39 * rng.choice([-1.0, 1.0], size=dim)
+    sides[5, 3] = np.nan
+    sizes = np.abs(sides).sum(axis=1) + np.abs(rng.normal(size=(7, dim))).sum(axis=1)
+    sizes[3] = SCAN_LIMIT
+    s_true = 3 * rng.random(7)
+    s_true[6] = np.nan
+    covered, uncovered = [0, 1, 2, 3], [4, 5, 6]
+    assert sizes[4] > SCAN_LIMIT and np.isnan(sizes[5])
+
+    def assert_uncovered(scan, fixed, lo, hi, queries):
+        for q in queries:
+            assert fixed[q].tobytes() == np.zeros(dim, np.float32).tobytes(), q
+            assert np.isnan(lo[q]) and np.isnan(hi[q]), q
+            rivals, band = scan.undecided(fixed[q], lo[q], hi[q])
+            assert not rivals.any() and band.tolist() == list(range(n_ent)), q
+
+    scan = Float32Scan(rows, norm)
+    fixed, lo, hi = scan.cover(sides, sizes, s_true)
+    assert (fixed.dtype, lo.dtype, hi.dtype) == (np.float32,) * 3
+    want = bound_thresholds(rows, norm, sides[covered], sizes[covered], s_true[covered])
+    for got, expected in zip((fixed[covered], lo[covered], hi[covered]), want):
+        assert got.tobytes() == expected.tobytes()
+    assert np.isfinite(lo[covered]).all() and np.isfinite(hi[covered]).all()
+    assert_uncovered(scan, fixed, lo, hi, uncovered)
+    monkeypatch.setattr(energy, "SCAN_MAX_DIM", dim - 1)
+    wide = Float32Scan(rows, norm)
+    assert_uncovered(wide, *wide.cover(sides, sizes, s_true), range(7))
 
 
 def toy_setup(toy_kg):
@@ -166,10 +258,10 @@ def toy_setup(toy_kg):
 def test_evaluate_matches_triple_order_loop(toy_kg, norm, scan_max_dim, monkeypatch):
     """Reports, per-category hits included, equal those of one query after
     another in test-triple order, on query triples shuffled across relations,
-    with the toy table scanned in float32 or, past a ``SCAN_MAX_DIM`` of 0,
-    every candidate rescored. The toy test split holds two N-1 relations, so
-    train triples of every relation join it."""
-    monkeypatch.setattr(evaluation, "SCAN_MAX_DIM", scan_max_dim)
+    with the toy table's scan covering every query or, past a ``SCAN_MAX_DIM``
+    of 0, none, so that every candidate is rescored. The toy test split holds
+    two N-1 relations, so train triples of every relation join it."""
+    monkeypatch.setattr(energy, "SCAN_MAX_DIM", scan_max_dim)
     emb, _, index = toy_setup(toy_kg)
     rng = np.random.default_rng(0)
     queries = toy_kg.test + [toy_kg.train[i] for i in rng.choice(len(toy_kg.train), 60, False)]
@@ -182,9 +274,10 @@ def test_evaluate_matches_triple_order_loop(toy_kg, norm, scan_max_dim, monkeypa
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 1.0, norm)
     want = evaluate_in_triple_order(oracle, toy_kg, triples)
     assert got == want
-    # the scan ran, and decided all but a few candidates, or every one was rescored
+    # the scan decided all but a few candidates, or every one was rescored
     every = 2 * len(triples) * toy_kg.n_entities
     assert (stats.rescored["total"] < every) == (scan_max_dim > 0)
+    assert (stats.rescored["max"] == toy_kg.n_entities) == (scan_max_dim == 0)
     assert all(len(rep.per_category) == 2 for rep in got if rep.per_category)
 
 

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rpje import evaluation, forked, paths as paths_mod
+from rpje import energy, evaluation, forked, paths as paths_mod
 from rpje.compose import Composer
 from rpje.energy import SCAN_MAX_DIM, triple_energy
 from rpje.evaluation import (
@@ -69,7 +69,7 @@ def _rank(scores, true_idx, excluded):
 
 def rank_one(scorer, kg, triple, slot):
     """(raw, filtered) entity ranks of one triple's ``slot``, from a one-row array."""
-    return tuple(int(ranks[0]) for ranks in rank_entities(scorer, kg, [triple])[slot])
+    return tuple(int(ranks[0]) for ranks in rank_entities(scorer, kg, [triple]).ranks[slot])
 
 
 def known_ends(lookup, a, b) -> list[int]:
@@ -209,8 +209,8 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
     for triple, *by_slot in zip(triples, expected["head"], expected["tail"]):
         for slot, ranks in zip(("head", "tail"), by_slot):
             assert rank_one(scorer, kg, triple, slot) == ranks
-    # the whole list in one call, with the table scanned in float32 or, past a
-    # SCAN_MAX_DIM of 0, not, in one process and claimed in blocks of one
+    # the whole list in one call, with the scan covering every query or, past
+    # a SCAN_MAX_DIM of 0, none, in one process and claimed in blocks of one
     # triple by 2 and 3 processes; then on 3 CPUs beside a job that returns at
     # once, and beside one that outlasts every child, so that the children
     # claim every block
@@ -222,24 +222,30 @@ def test_rank_entities_matches_brute_force(small_eval_kg):
         runs = []
         for cpus, beside in ((1, None), (2, None), (3, None), (3, lambda: None),
                              (3, outlast_children)):
-            with mock.patch.object(evaluation, "SCAN_MAX_DIM", scan_max_dim):
+            with mock.patch.object(energy, "SCAN_MAX_DIM", scan_max_dim):
                 scorer = EntityScorer(emb, "L1")
-            latencies, shares = [], []
             with mock.patch.object(evaluation, "_SHARE_TRIPLES", 1), \
                     mock.patch.object(evaluation, "_CLAIM_TRIPLES", 1), \
                     mock.patch.object(forked, "cpus", lambda: cpus):
-                ranks = rank_entities(scorer, kg, triples, latencies, shares, beside)
+                ranking = rank_entities(scorer, kg, triples, beside)
+            shares = ranking.shares
             assert len(shares) == cpus
             assert sum(blocks for blocks, _ in shares) == (len(triples) if cpus > 1 else 1)
             if beside is outlast_children:
                 assert shares[0][0] == 0
             got = {slot: list(zip(raw.tolist(), filtered.tolist()))
-                   for slot, (raw, filtered) in ranks.items()}
+                   for slot, (raw, filtered) in ranking.ranks.items()}
             assert got == expected, (scan_max_dim, cpus)
-            assert (scorer._scan is not None) == (scan_max_dim > 0)
-            runs.append((scorer.rescored, len(latencies)))
+            runs.append((ranking.rescored.tolist(), len(ranking.seconds)))
         assert all(run == runs[0] for run in runs)
-        assert runs[0][1] == len(runs[0][0]) == 2 * len(triples)
+        rescored = runs[0][0]
+        assert runs[0][1] == len(rescored) == 2 * len(triples)
+        # every query rescores every entity where the bound covers none, and
+        # the scan decides some candidates where it covers them
+        if scan_max_dim:
+            assert sum(rescored) < len(rescored) * kg.n_entities
+        else:
+            assert rescored == [kg.n_entities] * len(rescored)
     assert_no_child()
 
 

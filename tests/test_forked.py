@@ -266,19 +266,19 @@ def test_more_than_256_blocks_are_claimed_in_runs():
     emb = init_embeddings(kg, TrainingConfig(dim=8, seed=2))
     runs = []
     for cpus in (1, 2, 3):
-        stats, shares, latencies = PathStats(), [], []
+        stats = PathStats()
         scorer = evaluation.EntityScorer(emb)
         with mock.patch.object(paths_mod, "_BLOCK_EDGES", 1), \
                 mock.patch.object(evaluation, "_CLAIM_TRIPLES", 1), \
                 mock.patch.object(forked, "cpus", lambda: cpus):
             store = extract_paths(kg, 3, stats=stats)
-            ranks = evaluation.rank_entities(scorer, kg, kg.train_ids, latencies, shares)
+            ranking = evaluation.rank_entities(scorer, kg, kg.train_ids)
         assert stats.blocks == len(np.unique(kg.train_ids[:, 0])) > 256
-        assert len(stats.seconds) == len(shares) == cpus
+        assert len(stats.seconds) == len(ranking.shares) == cpus
         claims = -(-len(kg.train_ids) // -(-len(kg.train_ids) // 256)) if cpus > 1 else 1
-        assert sum(n for n, _ in shares) == claims <= 256
+        assert sum(n for n, _ in ranking.shares) == claims <= 256
         runs.append((store_arrays(store), stats,
-                     {slot: [a.tobytes() for a in pair] for slot, pair in ranks.items()},
-                     scorer.rescored, len(latencies)))
+                     {slot: [a.tobytes() for a in pair] for slot, pair in ranking.ranks.items()},
+                     ranking.rescored.tolist(), len(ranking.seconds)))
     assert runs[1] == runs[0] and runs[2] == runs[0]
     assert_no_child()

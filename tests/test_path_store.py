@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from rpje import evaluation
+from rpje import energy, evaluation
 from rpje.compose import Composer
 from rpje.energy import SCAN_MAX_DIM
 from rpje.evaluation import EntityScorer, Scorer, rank_entities
@@ -71,25 +71,31 @@ class _OneKnown:
     known_heads = known_tails
 
 
-def rival_masks(entities, triples, n_ent) -> dict[str, np.ndarray]:
+def rival_masks(entities, triples, n_ent) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Per slot, which candidates score no higher than each triple's true one,
     the true one left out, read from the ranks of the ``EntityScorer``
     ``entities``: filtering out candidate c lowers a rank by one exactly when c
-    is a rival."""
+    is a rival. Also each query's rescores, the tail queries' then the head
+    queries', the same in every ranking."""
     masks = {slot: np.zeros((len(triples), n_ent), dtype=bool) for slot in ("head", "tail")}
+    rescored = []
     for c in range(n_ent):
-        for slot, (raw, filtered) in rank_entities(entities, _OneKnown(c), triples).items():
+        ranking = rank_entities(entities, _OneKnown(c), triples)
+        for slot, (raw, filtered) in ranking.ranks.items():
             masks[slot][:, c] = raw > filtered
-    return masks
+        rescored.append(ranking.rescored)
+    assert all((counts == rescored[0]).all() for counts in rescored)
+    return masks, rescored[0]
 
 
-def assert_scores_match(scorer, entities, oracle, n_ent, n_rel, n_base):
+def assert_scores_match(scorer, entities, oracle, n_ent, n_rel, n_base) -> np.ndarray:
     """Entity scores for every relation, inverse ids included, the rivals of
     every true entity among them (ranked on the ``EntityScorer`` ``entities``),
     and relation scores for every pair, as one array of every pair, as whole
-    vectors and one candidate at a time."""
+    vectors and one candidate at a time. The entity queries' rescores are
+    returned."""
     triples = [(e, r, true) for r in range(n_rel) for e in range(n_ent) for true in range(n_ent)]
-    masks = rival_masks(entities, triples, n_ent)
+    masks, rescored = rival_masks(entities, triples, n_ent)
     for (e, r, true), tail_rivals, head_rivals in zip(triples, masks["tail"], masks["head"]):
         # (e, r, true) asks for true as a tail of e, and for e as a head of true
         tails, heads = oracle.tail_scores(e, r), oracle.head_scores(r, true)
@@ -104,6 +110,7 @@ def assert_scores_match(scorer, entities, oracle, n_ent, n_rel, n_base):
     for (h, t), scores in zip(pairs, scorer.relation_scores(pairs)):
         assert hexes(scores) == hexes(oracle.relation_scores(h, t))
         assert hexes(scores) == [oracle.score(h, r, t).hex() for r in range(n_base)]
+    return rescored
 
 
 @given(
@@ -123,8 +130,8 @@ def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density,
                                         dim, alpha, scanned):
     """Tail and head scores (E1), their rivals, and relation scores (Q) from the
     compiled store equal the per-path loop over the dict oracle, on random stores
-    and rule sets, with the entity table scanned in float32 or, past a
-    ``SCAN_MAX_DIM`` of 0, not."""
+    and rule sets, with the entity table's scan covering every query or, past
+    a ``SCAN_MAX_DIM`` of 0, none, where every query rescores every entity."""
     rng = np.random.default_rng(seed)
     all_pairs = [(h, t) for h in range(n_ent) for t in range(n_ent)]
     chosen = rng.permutation(len(all_pairs))[: int(rng.integers(0, len(all_pairs) + 1))]
@@ -132,11 +139,14 @@ def test_scorer_matches_per_path_oracle(seed, n_ent, n_base, max_steps, density,
     index = random_index(rng, n_base, density)
     emb = random_table(rng, n_ent, n_base, dim)
     scorer = Scorer(emb, store, index, alpha, norm)
-    with mock.patch.object(evaluation, "SCAN_MAX_DIM", SCAN_MAX_DIM if scanned else 0):
+    with mock.patch.object(energy, "SCAN_MAX_DIM", SCAN_MAX_DIM if scanned else 0):
         entities = EntityScorer(emb, norm)
-    assert (entities._scan is not None) == scanned
     oracle = OracleScorer(emb, PathSet.of(store), Composer(index), alpha, norm)
-    assert_scores_match(scorer, entities, oracle, n_ent, 2 * n_base, n_base)
+    rescored = assert_scores_match(scorer, entities, oracle, n_ent, 2 * n_base, n_base)
+    if not scanned:
+        assert (rescored == n_ent).all()
+    elif n_ent > 1:  # random normal rows, which the scan tells apart
+        assert rescored.sum() < len(rescored) * n_ent
 
 
 @pytest.mark.parametrize("norm", ["L1", "L2"])
