@@ -95,9 +95,8 @@ over their paths. ``extract_paths`` builds one for the train pairs, which
 test pairs and ``explain`` its one pair through ``PathFinder.find``, so a
 relation is always ranked on the pair's own paths. A pair's paths are one
 range of the store (``between``). No object is built per path: scoring,
-training and ``explain`` read the store's arrays. ``Path`` tuples are made on
-demand (``pairs``, ``paths_between``) for ``walk_resources``,
-``PathFinder.arrivals``, ``perfbench``'s ``properties()`` and the tests.
+training and ``explain`` read the store's arrays, and ``pairs`` is the (head,
+tail) rows as one array.
 ``paths.bin`` holds the store's arrays in the ``artifacts.write_arrays``
 layout; ``load_path_set`` takes them as views of the file's bytes and checks
 every value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
@@ -106,7 +105,6 @@ every value, so a corrupt cache raises ``PathCacheError`` like a truncated one.
 from __future__ import annotations
 
 import struct
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -134,12 +132,6 @@ _JOIN_SETUP = 1 << 10
 # calls), one process against two claiming blocks read 10.6 vs 11.2 ms at
 # k = 4, 14.4 vs 14.3 at k = 6 and 18.1 vs 15.8 at k = 8.
 _SHARE_BLOCKS = 4
-
-
-@dataclass(frozen=True, slots=True)
-class Path:
-    relations: tuple[int, ...]
-    reliability: float
 
 
 @dataclass
@@ -439,9 +431,9 @@ class PathStore:
 
     Pairs are sorted by (head, tail), and pair i owns paths ``indptr[i]`` to
     ``indptr[i + 1]``, by descending reliability, then relation sequence.
-    ``relations`` is padded with -1 to ``max_steps`` columns. ``pairs`` and
-    ``paths_between`` build ``Path`` objects on demand; scoring and training read
-    the range of the arrays each pair owns (``between``, for a batch of pairs).
+    ``relations`` is padded with -1 to ``max_steps`` columns. Scoring and
+    training read the range of the arrays each pair owns (``between``, for a
+    batch of pairs).
     """
 
     max_steps: int
@@ -467,8 +459,9 @@ class PathStore:
         return int(self.indptr[-1])
 
     @property
-    def pairs(self) -> Mapping[tuple[int, int], tuple[Path, ...]]:
-        return _PairView(self)
+    def pairs(self) -> np.ndarray:
+        """The (head, tail) rows of the store's pairs, an (n, 2) int64 array in pair order."""
+        return np.stack((self.heads, self.tails), axis=1)
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -481,38 +474,6 @@ class PathStore:
         key = np.asarray(h, dtype=np.int64) << 32 | t
         keys = self.keys
         return self.indptr[keys.searchsorted(key)], self.indptr[keys.searchsorted(key, "right")]
-
-    def path_objects(self, paths: slice) -> tuple[Path, ...]:
-        lengths = np.count_nonzero(self.relations[paths] >= 0, axis=1).tolist()
-        return tuple(
-            Path(tuple(rels[:n]), w)
-            for rels, n, w in zip(
-                self.relations[paths].tolist(), lengths, self.reliabilities[paths].tolist()
-            )
-        )
-
-    def paths_between(self, h: int, t: int) -> tuple[Path, ...]:
-        start, stop = self.between(h, t)
-        return self.path_objects(slice(int(start), int(stop)))
-
-
-class _PairView(Mapping):
-    """A store's pairs as a read-only mapping (h, t) -> paths, in pair order."""
-
-    def __init__(self, store: PathStore):
-        self._store = store
-
-    def __len__(self) -> int:
-        return len(self._store.heads)
-
-    def __iter__(self):
-        return zip(self._store.heads.tolist(), self._store.tails.tolist())
-
-    def __getitem__(self, pair: tuple[int, int]) -> tuple[Path, ...]:
-        paths = self._store.paths_between(*pair)
-        if not paths:
-            raise KeyError(pair)
-        return paths
 
 
 def extract_paths(
@@ -573,15 +534,13 @@ def _walk(
     return found, counts
 
 
-def walk_resources(
-    kg: KnowledgeGraph, head: int, max_steps: int
-) -> dict[int, dict[tuple[int, ...], float]]:
-    """Resource arriving at each entity per relation sequence of length 2..max_steps:
-    ``extract_paths`` of every pair from ``head``, with no cutoff and a cap no pair reaches."""
+def walk_resources(kg: KnowledgeGraph, head: int, max_steps: int) -> PathStore:
+    """The store of every pair from ``head``, with no cutoff and a cap no pair
+    reaches: the resource arriving at each entity per relation sequence of length
+    2..max_steps."""
     sequences = sum(kg.n_relations**k for k in range(2, max_steps + 1))
     everywhere = [(head, t) for t in range(kg.n_entities)]
-    store = extract_paths(kg, max_steps, 0.0, sequences, pairs=everywhere)
-    return {t: {p.relations: p.reliability for p in paths} for (_, t), paths in store.pairs.items()}
+    return extract_paths(kg, max_steps, 0.0, sequences, pairs=everywhere)
 
 
 class PathFinder:
@@ -606,10 +565,9 @@ class PathFinder:
         """The store of ``pairs``, (head, tail) rows: ``extract_paths`` of them."""
         return extract_paths(self.kg, *self._options, stats, pairs)
 
-    def arrivals(self, h: int) -> dict[int, tuple[Path, ...]]:
-        """Paths from h, keyed by tail: ``find`` of every pair from h."""
-        store = self.find([(h, t) for t in range(self.kg.n_entities)])
-        return {t: paths for (_, t), paths in store.pairs.items()}
+    def arrivals(self, h: int) -> PathStore:
+        """Paths from h: ``find`` of every pair from h."""
+        return self.find([(h, t) for t in range(self.kg.n_entities)])
 
 
 _MAGIC = b"RPJEPATH"

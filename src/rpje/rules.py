@@ -103,12 +103,14 @@ def _normalized_parts(line: str, where: str) -> tuple[str, str, str] | None:
     return m.groups()
 
 
-def _amie_parts(line: str, where: str) -> tuple[str, str, str] | None:
+def _amie_parts(line: str, where: str) -> tuple[str, str, str] | tuple[()] | None:
     """AMIE+ TSV export: rule string, head coverage, std confidence, PCA confidence, ...
 
     The rule string joins space-separated atoms '?x rel ?y' with '=>', and PCA
     confidence is taken as the rule confidence. Only lines that start with ``#``
-    are comments, as AMIE relation IRIs may contain ``#``.
+    are comments, as AMIE relation IRIs may contain ``#``. A body variable not
+    in the head becomes ``e``; a body with two of them is no chain from ``a`` to
+    ``b``, and gives ``()``.
     """
     if not line or line.startswith(("Rule", "#")):
         return None
@@ -129,6 +131,8 @@ def _amie_parts(line: str, where: str) -> tuple[str, str, str] | None:
         v1, rel, v2 = body_tok[i : i + 3]
         for v in (v1, v2):
             if v not in varmap:
+                if "e" in varmap.values():
+                    return ()
                 varmap[v] = "e"
         atoms_txt.append(f"{rel}({varmap[v1]},{varmap[v2]})")
     return f"{hrel}(a,b)", " & ".join(atoms_txt), cols[3]
@@ -145,7 +149,8 @@ def parse_rules(path, kg: KnowledgeGraph, stats: ParseStats | None = None) -> li
 
     The file's first line that is neither blank nor a ``#`` comment decides the
     syntax; a later line in the other one fails with its line number. Rules over
-    relations absent from the graph are dropped (counted in stats), never raised.
+    relations absent from the graph are dropped (counted in stats), never raised;
+    so is an AMIE rule whose body is no chain (counted as not chainable).
     """
     stats = stats if stats is not None else ParseStats()
     rules = []
@@ -158,6 +163,9 @@ def parse_rules(path, kg: KnowledgeGraph, stats: ParseStats | None = None) -> li
         where = f"{path}:{lineno}"
         parts = parts_of(line, where)
         if parts is None:
+            continue
+        if not parts:
+            stats.rejected_not_chainable += 1
             continue
         rule = _build_raw(*parts, kg, where)
         if rule is None:

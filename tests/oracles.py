@@ -6,7 +6,9 @@ and per-pair formulas of E2 and E3, written with one ``relation_vec`` per
 relation. ``triple_set`` holds the triples a filtered rank skips or a negative
 sample avoids, built from the splits directly.
 ``PathSet`` is the per-pair dict of ``Path`` tuples the store replaced, built
-from a store's arrays the way the loader used to build it. ``OracleScorer``
+from a store's arrays the way the loader used to build it: the only view of a
+store as ``Path`` objects, which the tests read a store's paths through, and
+``resources`` regroups a one-head store's paths by tail. ``OracleScorer``
 scores entities by E1 over the row-major entity table, and relations by E1 plus
 one ``compose`` and one ``path_energy`` per path of the pair, summed in a
 loop, as the scorer did before it read compiled arrays and a dimension-major
@@ -32,8 +34,16 @@ import numpy as np
 
 from rpje.energy import dissimilarity, path_energy, triple_energy
 from rpje.evaluation import EvalReport, metrics_from_ranks
-from rpje.paths import Path, PathStore, _Arrivals, _pair_starts
+from rpje.paths import PathStore, _Arrivals, _pair_starts
 from rpje.training import LossParts
+
+
+@dataclass(frozen=True, slots=True)
+class Path:
+    """One path of a pair: its relation sequence and its PCRA reliability."""
+
+    relations: tuple[int, ...]
+    reliability: float
 
 
 def path_weight(path: Path, cr) -> float:
@@ -163,6 +173,13 @@ class PathSet:
     @property
     def n_paths(self) -> int:
         return sum(len(v) for v in self.pairs.values())
+
+
+def resources(store: PathStore) -> dict[int, dict[tuple[int, ...], float]]:
+    """Per tail of a store of one head's pairs, each relation sequence's
+    reliability, in pair and path order."""
+    return {t: {p.relations: p.reliability for p in paths}
+            for (_, t), paths in PathSet.of(store).pairs.items()}
 
 
 def store_from_pairs(

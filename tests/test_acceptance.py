@@ -21,7 +21,7 @@ from rpje.rules import ChainRule, build_index, encode_rule, parse_rules
 
 from conftest import ACCEPTANCE_LINES, make_kg
 from test_compose import confidences, oracle_compose
-from oracles import brute_rank
+from oracles import PathSet, brute_rank
 from test_evaluation import rank_one
 from test_paths import frontier_conservation_holds
 from test_rules import CONVERSION_MODES
@@ -124,7 +124,7 @@ def test_acceptance_3_pcra_conservation():
     ps = extract_paths(kg, max_steps=2)
     reliabilities = {
         p.relations: p.reliability
-        for p in ps.paths_between(kg.entity_id("a"), kg.entity_id("c"))
+        for p in PathSet.of(ps).paths_between(kg.entity_id("a"), kg.entity_id("c"))
     }
     branch_exact = reliabilities[(kg.relation_id("r"), kg.relation_id("s"))] == 0.5
     record(

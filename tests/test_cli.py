@@ -19,6 +19,7 @@ from rpje.paths import PathCacheError, load_path_set, walk_resources
 from rpje.synthetic import ToyConfig, generate, write_dataset
 
 from conftest import CHECKPOINT, DATASET_CACHE, PATH_CACHE, train_pairs
+from oracles import PathSet
 from test_paths import _corrupt
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -386,7 +387,7 @@ def test_train_rebuilds_cache_for_other_per_pair_cap(toy_dir, tmp_path, monkeypa
                                   "--epochs", "1", "--batches", "5"]
     assert main(["extract-paths", *common]) == EXIT_OK
     cached = load_path_set(out / "paths.bin")
-    assert max(len(paths) for paths in cached.pairs.values()) > 1
+    assert max(len(paths) for paths in PathSet.of(cached).pairs.values()) > 1
 
     seen = []
     real_train = cli.train
@@ -397,7 +398,7 @@ def test_train_rebuilds_cache_for_other_per_pair_cap(toy_dir, tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "train", recording_train)
     assert main(["train", *common, "--per-pair-cap", "1"]) == EXIT_OK
-    assert max(len(paths) for paths in seen[0].pairs.values()) == 1
+    assert max(len(paths) for paths in PathSet.of(seen[0]).pairs.values()) == 1
     assert seen[0].per_pair_cap == 1
     capsys.readouterr()
 
@@ -666,7 +667,8 @@ def test_extract_paths_appends_metrics_line(toy_dir, tmp_path, capsys):
 
     kg = load_dataset(files["train"], files["valid"], files["test"])
     ps = load_path_set(out / "paths.bin")
-    arrivals = sum(len(walk_resources(kg, h, 2).get(t, {})) for h, t in train_pairs(kg))
+    arrivals = sum(len(PathSet.of(walk_resources(kg, h, 2)).paths_between(h, t))
+                   for h, t in train_pairs(kg))
     assert counts["pairs"] == len(train_pairs(kg))
     assert counts["pairs"] - counts["pairs_without_paths"] == len(ps.pairs)
     assert counts["paths"] == ps.n_paths

@@ -32,14 +32,14 @@ from hypothesis import given, settings, strategies as st
 
 from rpje.kg import KnowledgeGraph, KnownRanges
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
-from rpje.paths import Path, PathFinder, PathStats, extract_paths
+from rpje.paths import PathFinder, PathStats, extract_paths
 from rpje.rules import ChainRule, build_index
 from rpje.synthetic import GOOD_RULES
 from rpje.training import train
 
 from conftest import assert_no_child, fail_in_child, failed_share, make_kg, parse_rule_lines
 import oracles
-from oracles import OracleScorer, PathSet, brute_rank, known_triples, store_from_pairs
+from oracles import OracleScorer, Path, PathSet, brute_rank, known_triples, store_from_pairs
 from test_paths import exact
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -157,10 +157,11 @@ def test_vectorized_scores_match_pointwise(setup):
     scores the per-path oracle's Q of each candidate relation."""
     emb, store, index = setup()
     scorer = Scorer(emb, store, index, alpha_paths=1.0, norm="L1")
-    oracle = OracleScorer(emb, PathSet.of(store), Composer(index), 1.0, "L1")
+    paths = PathSet.of(store)
+    oracle = OracleScorer(emb, paths, Composer(index), 1.0, "L1")
     n_ent, n_rel = emb.n_entities, emb.n_base_relations
     ent = emb.entities
-    assert any(store.paths_between(h, t) for h in range(n_ent) for t in range(n_ent))
+    assert any(paths.paths_between(h, t) for h in range(n_ent) for t in range(n_ent))
     for r in range(n_rel):
         rvec = emb.relation_vec(r)
         for h in range(n_ent):
@@ -431,8 +432,9 @@ def test_evaluate_walks_exactly_the_test_pairs(small_eval_kg, monkeypatch):
     emb = _trained_like(kg)
     test_pairs = [(h, t) for h, _, t in kg.test]
     want = PathFinder(kg, max_steps=2).find(test_pairs)
-    assert want.n_paths and set(want.pairs) <= set(test_pairs)
-    assert extract_paths(kg, max_steps=2).pairs != want.pairs
+    wanted = PathSet.of(want).pairs
+    assert want.n_paths and set(wanted) <= set(test_pairs)
+    assert PathSet.of(extract_paths(kg, max_steps=2)).pairs != wanted
     stores = []
     real = Scorer.__init__
 
@@ -443,7 +445,7 @@ def test_evaluate_walks_exactly_the_test_pairs(small_eval_kg, monkeypatch):
     monkeypatch.setattr(Scorer, "__init__", recording)
     stats = EvalStats()
     evaluate(emb, PathFinder(kg, max_steps=2), build_index([], 0.7), kg, stats=stats)
-    assert [exact(store.pairs) for store in stores] == [exact(want.pairs)]
+    assert [exact(PathSet.of(store).pairs) for store in stores] == [exact(wanted)]
     assert (stats.test_pairs, stats.paths.pairs, stats.paths.paths) == (
         len(set(test_pairs)), len(set(test_pairs)), want.n_paths)
     stores.clear()
@@ -729,7 +731,7 @@ def test_explain_evidence_is_the_composition_of_each_path(toy_kg, tmp_path):
     composer = Composer(index)
     applied = 0
     for h, _, t in kg.test_ids[:40].tolist():
-        paths = finder.find([(h, t)]).paths_between(h, t)
+        paths = PathSet.of(finder.find([(h, t)])).paths_between(h, t)
         for exp in explain(emb, finder, index, kg, h, t, top_k=kg.n_base_relations):
             assert len(exp.paths) == len(paths)
             for ev, p in zip(exp.paths, paths):

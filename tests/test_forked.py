@@ -225,7 +225,8 @@ def test_split_in_one_process_opens_no_pipe(toy_kg):
         got = evaluation.evaluate(emb, finder, index, toy_kg, 1.0, "L1")
         with mock.patch.object(paths_mod, "_work", refuse), \
                 mock.patch.object(forked, "runs", refuse):
-            found = {(h, t): finder.find([(h, t)]).paths_between(h, t) for h, t in pairs}
+            found = {(h, t): PathSet.of(finder.find([(h, t)])).paths_between(h, t)
+                     for h, t in pairs}
             stats = PathStats()
             empty = finder.find([], stats)
     assert got == want

@@ -14,11 +14,10 @@ from rpje.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from rpje.paths import Path
 from rpje.rules import ChainRule, build_index
 
 from conftest import CHECKPOINT, make_kg
-from oracles import compose_embedding, path_weight, relpair_energy
+from oracles import Path, compose_embedding, path_weight, relpair_energy
 
 
 @pytest.fixture

@@ -13,12 +13,14 @@ from rpje.compose import Composer
 from rpje.energy import SCAN_MAX_DIM
 from rpje.evaluation import EntityScorer, Scorer, rank_entities
 from rpje.model import EmbeddingTable, TrainingConfig
-from rpje.paths import Path, PathFinder, extract_paths
+from rpje.paths import PathFinder, extract_paths, load_path_set, save_path_set
 from rpje.rules import ChainRule, build_index
 from rpje.training import hinge_table, loss_and_gradients
 
 from conftest import make_kg, train_pairs
-from oracles import OracleScorer, PathSet, batch_parts, store_from_pairs, update_parts
+from oracles import (
+    OracleScorer, Path, PathSet, batch_parts, store_from_pairs, update_parts,
+)
 from test_paths import oracle_paths, oracle_walk
 from test_training import OracleSampler, hexes, one_batch, oracle_loss_and_gradients
 
@@ -207,18 +209,19 @@ def test_finder_scores_match_per_path_oracle(edges, max_steps, density, norm, se
         assert hexes(one.relation_scores([(h, t)])[0]) == hexes(oracle.relation_scores(h, t))
 
 
-def test_store_views_match_dict_oracle(toy_kg):
+def test_store_views_match_dict_oracle(toy_kg, tmp_path):
     """Each pair's paths are one range of the store, in pair order, alone or in
-    an array of every pair; a pair outside the store has an empty one."""
+    an array of every pair; a pair outside the store has an empty one. ``pairs``
+    is the store's (head, tail) rows as an (n, 2) int64 array in pair order, as
+    many as the oracle's pairs: for the train store, a one-pair walk and an empty
+    cache."""
     store = extract_paths(toy_kg, 3, 0.0, 5)
     oracle = PathSet.of(store)
-    assert len(store.pairs) == len(oracle.pairs) and store.n_paths == oracle.n_paths
-    assert list(store.pairs.items()) == list(oracle.pairs.items())
+    assert store.n_paths == oracle.n_paths
     stop = 0
     for (h, t), paths in oracle.pairs.items():
         start, end = store.between(h, t)
         assert start == stop and end - start == len(paths)
-        assert store.path_objects(slice(int(start), int(end))) == paths
         stop = end
     assert stop == store.n_paths
     n_ent = toy_kg.n_entities
@@ -227,7 +230,19 @@ def test_store_views_match_dict_oracle(toy_kg):
     for h, t, start, stop in zip(heads.tolist(), tails.tolist(), starts, stops):
         assert (start, stop) == store.between(h, t)
         if (h, t) not in oracle.pairs:
-            assert start == stop and store.paths_between(h, t) == ()
+            assert start == stop
+    assert [tuple(pair) for pair in store.pairs.tolist()] == list(oracle.pairs)
+    h, t = list(oracle.pairs)[len(oracle.pairs) // 2]
+    one = PathFinder(toy_kg, 3, 0.0, 5).find([(h, t)])
+    cache = tmp_path / "paths.bin"
+    save_path_set(extract_paths(toy_kg, 2, per_pair_cap=0), toy_kg.dataset_hash(), cache)
+    empty = load_path_set(cache)
+    for each in (store, one, empty):
+        pairs = each.pairs
+        assert pairs.dtype == np.int64 and pairs.shape == (len(each.heads), 2)
+        assert np.array_equal(pairs, np.stack((each.heads, each.tails), 1))
+        assert len(pairs) == len(PathSet.of(each).pairs)
+    assert one.pairs.tolist() == [[h, t]] and empty.pairs.shape == (0, 2)
 
 
 @given(

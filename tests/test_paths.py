@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from rpje import forked, paths as paths_mod
 from rpje.paths import (
-    Path,
     PathCacheError,
     PathFinder,
     PathStats,
@@ -22,7 +21,7 @@ from rpje.paths import (
 from conftest import (
     PATH_CACHE, adjacency_by_relation, fail_in_child, failed_share, make_kg, train_pairs,
 )
-from oracles import packed_cuts
+from oracles import Path, PathSet, packed_cuts, resources
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -84,7 +83,7 @@ def test_unbranched_chain_has_reliability_one():
     ps = extract_paths(kg, max_steps=2)
     a, c = kg.entity_id("a"), kg.entity_id("c")
     r, s = kg.relation_id("r"), kg.relation_id("s")
-    paths = {p.relations: p.reliability for p in ps.paths_between(a, c)}
+    paths = {p.relations: p.reliability for p in PathSet.of(ps).paths_between(a, c)}
     assert paths[(r, s)] == pytest.approx(1.0)
 
 
@@ -94,7 +93,7 @@ def test_branching_splits_resource():
     ps = extract_paths(kg, max_steps=2)
     a, c = kg.entity_id("a"), kg.entity_id("c")
     r, s = kg.relation_id("r"), kg.relation_id("s")
-    paths = {p.relations: p.reliability for p in ps.paths_between(a, c)}
+    paths = {p.relations: p.reliability for p in PathSet.of(ps).paths_between(a, c)}
     assert paths[(r, s)] == pytest.approx(0.5)
 
 
@@ -106,9 +105,9 @@ def test_cutoff_drops_weak_paths():
     ps = extract_paths(kg, max_steps=2, cutoff=0.01)
     a, c = kg.entity_id("a"), kg.entity_id("c")
     assert all(p.relations != (kg.relation_id("r"), kg.relation_id("s"))
-               for p in ps.paths_between(a, c))
+               for p in PathSet.of(ps).paths_between(a, c))
     ps_low = extract_paths(kg, max_steps=2, cutoff=0.0)
-    paths = {p.relations: p.reliability for p in ps_low.paths_between(a, c)}
+    paths = {p.relations: p.reliability for p in PathSet.of(ps_low).paths_between(a, c)}
     assert paths[(kg.relation_id("r"), kg.relation_id("s"))] == pytest.approx(0.005)
 
 
@@ -116,13 +115,13 @@ def test_paths_only_for_train_pairs():
     kg = make_kg([("a", "r", "b"), ("b", "s", "c")])
     ps = extract_paths(kg, max_steps=2)
     # (a,c) is connected but not a train pair
-    assert ps.paths_between(kg.entity_id("a"), kg.entity_id("c")) == ()
+    assert PathSet.of(ps).paths_between(kg.entity_id("a"), kg.entity_id("c")) == ()
 
 
 def test_unconnected_pair_empty():
     kg = make_kg([("a", "r", "b")])
     ps = extract_paths(kg, max_steps=2)
-    assert ps.paths_between(kg.entity_id("a"), kg.entity_id("b")) == ()
+    assert PathSet.of(ps).paths_between(kg.entity_id("a"), kg.entity_id("b")) == ()
 
 
 def test_ordering_descending_reliability_then_lexicographic():
@@ -134,7 +133,7 @@ def test_ordering_descending_reliability_then_lexicographic():
         ]
     )
     ps = extract_paths(kg, max_steps=2)
-    paths = ps.paths_between(kg.entity_id("a"), kg.entity_id("c"))
+    paths = PathSet.of(ps).paths_between(kg.entity_id("a"), kg.entity_id("c"))
     rels = [(p.relations, p.reliability) for p in paths]
     assert rels == sorted(rels, key=lambda x: (-x[1], x[0]))
     assert paths[0].reliability >= paths[-1].reliability
@@ -146,8 +145,9 @@ def test_max_steps_three_superset_of_two():
     )
     ps2 = extract_paths(kg, max_steps=2, cutoff=0.0)
     ps3 = extract_paths(kg, max_steps=3, cutoff=0.0)
-    for pair, paths in ps2.pairs.items():
-        seqs3 = {p.relations for p in ps3.pairs.get(pair, ())}
+    pairs3 = PathSet.of(ps3).pairs
+    for pair, paths in PathSet.of(ps2).pairs.items():
+        seqs3 = {p.relations for p in pairs3.get(pair, ())}
         assert {p.relations for p in paths} <= seqs3
 
 
@@ -165,7 +165,7 @@ def test_per_pair_cap():
     triples += [("a", "q", "c")]
     kg = make_kg(triples)
     ps = extract_paths(kg, max_steps=2, cutoff=0.0, per_pair_cap=7)
-    assert len(ps.paths_between(kg.entity_id("a"), kg.entity_id("c"))) == 7
+    assert len(PathSet.of(ps).paths_between(kg.entity_id("a"), kg.entity_id("c"))) == 7
 
 
 symbol = st.sampled_from([f"n{i}" for i in range(8)])
@@ -179,7 +179,7 @@ def test_resource_conservation(edges):
     kg = make_kg(edges)
     head = 0
     # every 2-step relation sequence carries a resource in (0, 1] to each target
-    arrivals = walk_resources(kg, head, 2)
+    arrivals = resources(walk_resources(kg, head, 2))
     for target, seqs in arrivals.items():
         for seq, resource in seqs.items():
             assert 0.0 < resource <= 1.0 + 1e-12
@@ -189,7 +189,7 @@ def frontier_conservation_holds(kg) -> bool:
     """Simulate per-sequence resource flow hop by hop and compare against the
     invariants: frontier totals never grow, and are conserved when every
     frontier entity continues under the hop relation."""
-    arrivals = walk_resources(kg, 0, 2)
+    arrivals = resources(walk_resources(kg, 0, 2))
     sequences = {seq for per_target in arrivals.values() for seq in per_target}
     for seq in sequences:
         frontier = {0: 1.0}
@@ -227,8 +227,9 @@ def test_per_sequence_frontier_sums(edges):
 @settings(max_examples=40, deadline=None)
 def test_symmetric_coverage(edges):
     kg = make_kg(edges)
-    ps = extract_paths(kg, max_steps=2, cutoff=0.0)
-    reversed_ps = PathFinder(kg, max_steps=2, cutoff=0.0).find([(t, h) for h, t in ps.pairs])
+    ps = PathSet.of(extract_paths(kg, max_steps=2, cutoff=0.0))
+    reversed_ps = PathSet.of(
+        PathFinder(kg, max_steps=2, cutoff=0.0).find([(t, h) for h, t in ps.pairs]))
     for (h, t), paths in ps.pairs.items():
         reverse = {p.relations for p in reversed_ps.paths_between(t, h)}
         for p in paths:
@@ -239,12 +240,12 @@ def test_symmetric_coverage(edges):
 def test_finder_agrees_with_extraction(toy_kg):
     """One walk of 50 train pairs, and a one-pair walk of each, keep the paths
     that the walk of every train pair keeps."""
-    ps = extract_paths(toy_kg, max_steps=2)
+    ps = PathSet.of(extract_paths(toy_kg, max_steps=2))
     finder = PathFinder(toy_kg, max_steps=2)
     some = list(ps.pairs.items())[:50]
-    assert exact(finder.find([pair for pair, _ in some]).pairs) == exact(dict(some))
+    assert exact(PathSet.of(finder.find([pair for pair, _ in some])).pairs) == exact(dict(some))
     for (h, t), paths in some:
-        assert finder.find([(h, t)]).paths_between(h, t) == paths
+        assert PathSet.of(finder.find([(h, t)])).paths_between(h, t) == paths
 
 
 def test_small_walk_asks_for_no_idle_cpus(toy_kg):
@@ -267,10 +268,10 @@ def test_small_walk_asks_for_no_idle_cpus(toy_kg):
     with mock.patch.object(forked, "idle_cpus", refuse):
         finder = PathFinder(toy_kg, max_steps=3)
         for h, t in pairs:
-            assert exact(finder.find([(h, t)]).pairs) == oracle([(h, t)])
+            assert exact(PathSet.of(finder.find([(h, t)])).pairs) == oracle([(h, t)])
         stats = PathStats()
         with mock.patch.object(paths_mod, "_BLOCK_EDGES", 1):
-            assert exact(finder.find(widest, stats).pairs) == oracle(widest)
+            assert exact(PathSet.of(finder.find(widest, stats)).pairs) == oracle(widest)
         assert (stats.blocks, len(stats.seconds)) == (most, 1)
         empty = finder.find(np.zeros((0, 2), dtype=np.int64))
     assert empty.n_paths == 0 and not len(empty.heads)
@@ -283,7 +284,7 @@ def test_cache_round_trip(tmp_path, toy_kg):
     loaded = load_path_set(cache, expected_dataset_hash=toy_kg.dataset_hash())
     assert loaded.max_steps == ps.max_steps
     assert loaded.cutoff == ps.cutoff
-    assert loaded.pairs == ps.pairs
+    assert PathSet.of(loaded).pairs == PathSet.of(ps).pairs
 
 
 def test_cache_rejects_other_dataset(tmp_path, toy_kg):
@@ -406,7 +407,7 @@ def test_kernel_matches_dict_walk_oracle(
             stats = PathStats()
             ps = extract_paths(kg, max_steps, cutoff, cap, stats)
             finder = PathFinder(kg, max_steps, cutoff, cap)
-            assert exact(ps.pairs) == exact(expected), form
+            assert exact(PathSet.of(ps).pairs) == exact(expected), form
             assert (stats.pairs, stats.pairs_without_paths) == (
                 len(train_pairs(kg)), len(train_pairs(kg)) - len(expected)
             )
@@ -421,13 +422,16 @@ def test_kernel_matches_dict_walk_oracle(
                                  max_steps, joins)
             ), form
             for h in range(kg.n_entities):
-                assert exact(finder.arrivals(h)) == exact(reached_from[h])
+                assert exact(PathSet.of(finder.arrivals(h)).pairs) == exact(
+                    {(h, t): paths for t, paths in reached_from[h].items()})
                 for t in range(kg.n_entities):
-                    assert exact({t: finder.find([(h, t)]).paths_between(h, t)}) == exact(
+                    one = PathSet.of(finder.find([(h, t)]))
+                    assert exact({t: one.paths_between(h, t)}) == exact(
                         {t: reached_from[h].get(t, ())}
                     ), form
             stats = PathStats()
-            assert exact(finder.find(asked + asked[::2], stats).pairs) == exact(everywhere)
+            assert exact(PathSet.of(finder.find(asked + asked[::2], stats)).pairs) == exact(
+                everywhere)
             assert (stats.pairs, stats.pairs_without_paths) == (
                 len(pairs), len(pairs) - len(everywhere)
             )
@@ -524,7 +528,7 @@ def test_walk_counts_last_hop_work(toy_kg):
     for form, joins in LAST_HOP_FORMS.items():
         stats = PathStats()
         with mock.patch.object(paths_mod, "_joins", joins):
-            stores.append(exact(extract_paths(kg, 2, stats=stats).pairs))
+            stores.append(exact(PathSet.of(extract_paths(kg, 2, stats=stats)).pairs))
         assert stats.blocks >= 1
         if form == "join":
             assert stats.blocks_joined == stats.blocks
@@ -542,7 +546,7 @@ def test_walk_resources_matches_oracle(toy_kg):
     loop = make_kg([("a", "p", "a")])
     assert len(oracle_walk(loop, 0, 3)[0]) == 2**2 + 2**3
     for kg, head in [(loop, 0)] + [(toy_kg, h) for h in range(0, toy_kg.n_entities, 7)]:
-        got = walk_resources(kg, head, 3)
+        got = resources(walk_resources(kg, head, 3))
         want = oracle_walk(kg, head, 3)
         assert got.keys() == want.keys()
         for t, seqs in want.items():
@@ -553,10 +557,12 @@ def test_reliability_exactly_at_cutoff_is_dropped():
     kg = make_kg([("a", "r", "b1"), ("a", "r", "b2"), ("b1", "s", "c"), ("a", "q", "c")])
     a, c = kg.entity_id("a"), kg.entity_id("c")
     (r, s) = kg.relation_id("r"), kg.relation_id("s")
-    assert (r, s) in {p.relations for p in extract_paths(kg, 2, 0.4999).paths_between(a, c)}
-    assert (r, s) not in {p.relations for p in extract_paths(kg, 2, 0.5).paths_between(a, c)}
-    one_pair = PathFinder(kg, 2, 0.5).find([(a, c)])
-    assert (r, s) not in {p.relations for p in one_pair.paths_between(a, c)}
+    def relations(store):
+        return {p.relations for p in PathSet.of(store).paths_between(a, c)}
+
+    assert (r, s) in relations(extract_paths(kg, 2, 0.4999))
+    assert (r, s) not in relations(extract_paths(kg, 2, 0.5))
+    assert (r, s) not in relations(PathFinder(kg, 2, 0.5).find([(a, c)]))
 
 
 def test_cap_breaks_reliability_ties_by_relations_across_lengths():
@@ -573,7 +579,7 @@ def test_cap_breaks_reliability_ties_by_relations_across_lengths():
     found = oracle_walk(kg, a, 3)[c]
     ties = sorted(seq for seq, w in found.items() if w == 1.0)
     assert len(ties) > 2 and {len(seq) for seq in ties[:2]} == {2, 3}
-    kept = extract_paths(kg, 3, 0.0, per_pair_cap=2).paths_between(a, c)
+    kept = PathSet.of(extract_paths(kg, 3, 0.0, per_pair_cap=2)).paths_between(a, c)
     assert kept == oracle_paths(found, 0.0, 2)
     assert [p.relations for p in kept] == ties[:2]
 
@@ -679,7 +685,8 @@ def test_blocks_split_heads_by_work(toy_kg):
         assert paths_mod._work(toy_kg, heads, max_steps, keys).tolist() == work
         assert len(blocks) > 1
         assert sum(blocks, []) == heads.tolist()
-        assert exact(small.pairs) == exact(extract_paths(toy_kg, max_steps).pairs)
+        assert exact(PathSet.of(small).pairs) == exact(
+            PathSet.of(extract_paths(toy_kg, max_steps)).pairs)
         assert sum(work) < sum(oracle_work(toy_kg, h, max_steps, None) for h in heads.tolist())
 
 
@@ -704,18 +711,19 @@ def test_every_block_of_heads_fits_the_work_limit():
 
 def test_cache_round_trip_mixed_lengths(tmp_path, toy_kg):
     ps = extract_paths(toy_kg, max_steps=3, cutoff=0.0, per_pair_cap=5)
-    assert {len(p.relations) for paths in ps.pairs.values() for p in paths} == {2, 3}
+    pairs = PathSet.of(ps).pairs
+    assert {len(p.relations) for paths in pairs.values() for p in paths} == {2, 3}
     cache = tmp_path / "paths.bin"
     save_path_set(ps, toy_kg.dataset_hash(), cache)
     loaded = load_path_set(cache, expected_dataset_hash=toy_kg.dataset_hash())
     assert (loaded.max_steps, loaded.cutoff, loaded.per_pair_cap) == (3, 0.0, 5)
-    assert exact(loaded.pairs) == exact(ps.pairs)
+    assert exact(PathSet.of(loaded).pairs) == exact(pairs)
 
 
 def test_cache_round_trip_empty(tmp_path, toy_kg):
     cache = tmp_path / "paths.bin"
     save_path_set(extract_paths(toy_kg, 2, per_pair_cap=0), toy_kg.dataset_hash(), cache)
-    assert load_path_set(cache).pairs == {}
+    assert PathSet.of(load_path_set(cache)).pairs == {}
 
 
 def test_cache_rejects_version_2(tmp_path, toy_kg):

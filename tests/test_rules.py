@@ -8,6 +8,7 @@ from rpje.rules import (
     RuleParseError,
     build_index,
     encode_rule,
+    encode_rules,
     parse_rules,
 )
 
@@ -208,6 +209,22 @@ def test_amie_relation_iri_keeps_its_hash(tmp_path):
     rules = parse_rules(path, kg)
     assert [r.head[0] for r in rules] == [kg.relation_id(iri), kg.relation_id("r1")]
     assert rules[1].body == ((kg.relation_id(iri), "a", "b"),)
+
+
+@pytest.mark.parametrize("inner, chained", [("?x  ?x", True), ("?x  ?y", False)],
+                         ids=["linked", "unlinked"])
+def test_amie_body_of_two_inner_variables_is_rejected(tmp_path, inner, chained):
+    """One body variable outside the head links the two atoms into a chain;
+    two distinct ones leave the body unconnected, which no chain from a to b
+    expresses: that rule is rejected and counted, not an error."""
+    kg = make_kg([("a", "r", "x"), ("y", "s", "b"), ("a", "h", "b")])
+    x, y = inner.split()
+    path = rule_file(tmp_path, [f"?a  r  {x}  {y}  s  ?b  => ?a  h  ?b\t0.5\t0.6\t0.9"])
+    stats = ParseStats()
+    encoded = encode_rules(parse_rules(path, kg, stats), kg, stats)
+    chain = ChainRule(kg.relation_id("h"), (kg.relation_id("r"), kg.relation_id("s")), 0.9)
+    assert encoded == ([chain] if chained else [])
+    assert stats.rejected_not_chainable == (0 if chained else 1)
 
 
 @pytest.mark.parametrize("first", ["normalized", "amie"])

@@ -16,7 +16,7 @@ from rpje.compose import Composer
 from rpje.energy import NORMS, dissimilarity
 from rpje.model import EmbeddingTable, TrainingConfig, init_embeddings
 from rpje import training
-from rpje.paths import Path, extract_paths
+from rpje.paths import extract_paths
 from rpje.rules import ChainRule, build_index
 from rpje.training import (
     PATH,
@@ -36,8 +36,8 @@ from rpje.training import (
 
 from conftest import assert_no_child, make_kg
 from oracles import (
-    batch_parts, compose_embedding, loop_row_sums, packed_cuts, path_weight, residual_matrix,
-    store_from_pairs, triple_set, update_parts,
+    Path, PathSet, batch_parts, compose_embedding, loop_row_sums, packed_cuts, path_weight,
+    residual_matrix, store_from_pairs, triple_set, update_parts,
 )
 
 
@@ -1150,15 +1150,16 @@ def oracle_case():
 def test_train_matches_per_hinge_oracle(norm):
     kg, ps, index = oracle_case()
     composer = Composer(index)
+    oracle_ps = PathSet.of(ps)
     residuals = [
-        composer.compose(p.relations).residual for paths in ps.pairs.values() for p in paths
+        composer.compose(p.relations).residual for paths in oracle_ps.pairs.values() for p in paths
     ]
     assert any(rid >= kg.n_base_relations for res in residuals for rid in res)
     assert any(len(res) > 1 for res in residuals)
     cfg = TrainingConfig(dim=8, epochs=6, n_batches=3, seed=3, lr=0.05, norm=norm,
                          margin_path=2.0, margin_relpair=2.0)
     result = train(kg, ps, index, cfg)
-    emb, history = oracle_train(kg, ps, index, cfg)
+    emb, history = oracle_train(kg, oracle_ps, index, cfg)
     assert np.array_equal(result.table.entities, emb.entities)
     assert np.array_equal(result.table.relations, emb.relations)
     assert result.history == history
